@@ -52,6 +52,7 @@ class AlgebraPresentation:
         self.idempotent_names = tuple(idempotent_names)
         self.primitive = bool(primitive)
         self._corner_cache: Dict[Tuple[int, int], Subspace] = {}
+        self._corner_mult_cache: Dict[Tuple[int, int, int], Tuple] = {}
         self._right_ideal_cache: Dict[int, Subspace] = {}
         self._validate()
 
@@ -85,9 +86,6 @@ class AlgebraPresentation:
 
     def add_vec(self, x, y):
         return tuple(self.ring.add(a, b) for a, b in zip(x, y))
-
-    def sub_vec(self, x, y):
-        return tuple(self.ring.sub(a, b) for a, b in zip(x, y))
 
     def scale_vec(self, c, x):
         return tuple(self.ring.mul(c, a) for a in x)
@@ -135,9 +133,20 @@ class AlgebraPresentation:
             self._corner_cache[key] = Subspace.from_spanning(self.ring, self.dim, vecs)
         return self._corner_cache[key]
 
-    def in_corner(self, i: int, j: int, x: Sequence) -> bool:
-        ei, ej = self.idempotents[i], self.idempotents[j]
-        return self.mult(ei, x) == tuple(x) and self.mult(x, ej) == tuple(x)
+    def corner_mult_table(self, k: int, i: int, j: int) -> Tuple:
+        """Multiplication e_k R e_i x e_i R e_j -> e_k R e_j on corner bases.
+
+        Entry [u][t] holds the corner(k, j) coordinates of
+        corner(k, i).rows[u] . corner(i, j).rows[t].
+        """
+        key = (k, i, j)
+        if key not in self._corner_mult_cache:
+            left, right = self.corner_space(k, i), self.corner_space(i, j)
+            out = self.corner_space(k, j)
+            self._corner_mult_cache[key] = tuple(
+                tuple(tuple(out.coords_of(self.mult(x, y))) for y in right.rows)
+                for x in left.rows)
+        return self._corner_mult_cache[key]
 
     # -- validation ------------------------------------------------------
 
@@ -190,12 +199,6 @@ class AlgebraPresentation:
 
     def __repr__(self):
         return f"AlgebraPresentation({self.name}, dim={self.dim})"
-
-
-def validate_algebra(alg: AlgebraPresentation) -> bool:
-    """Re-run the construction-time checks; True when all axioms hold."""
-    alg._validate()
-    return True
 
 
 class FdModule:

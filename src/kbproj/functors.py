@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Bimodule, RingMap, induction_bimodule, restriction_bimodule
-from .homcat import AlgMat, GradedMap, HomSpace, ProjComplex, is_contractible
+from .homcat import AlgMat, GradedMap, HomSpace, ProjComplex, is_contractible, same_complex
 from .linalg import Mat, Subspace, rank, solve_left
 
 
@@ -201,8 +201,7 @@ class FiniteSubcat:
                 raise FunctorError(f"shift pairing mentions unknown object {a} or {sa}")
             X, SX = self.objects[a], self.objects[sa]
             lit = X.shift(1)
-            if SX.summands != lit.summands or any(
-                    SX.diff_at(n) != lit.diff_at(n) for n in SX.degrees()):
+            if not same_complex(SX, lit):
                 raise FunctorError(f"{sa} is not literally the translation of {a}")
         self._homs: Dict[Tuple[str, str], HomSpace] = {}
         self._comp: Dict[Tuple[str, str, str], List[List[List]]] = {}

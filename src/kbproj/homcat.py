@@ -12,12 +12,25 @@ Grading and signs, fixed once here and used everywhere:
   * a degree-s family f has delta(f) = d_Y . f - (-1)^s f . d_X, chain maps
     are the degree-0 kernel and nullhomotopic maps the image of degree -1;
   * triangle rotation sends (a, b, c) to (b, c, -shift(a)).
+
+Linear algebra on maps happens in field coordinates: a ``MapLayout`` gives
+each (degree, target summand, source summand) slot the coordinates of its
+corner space.  The operators the engine solves with, delta, g -> F . g and
+g -> g . F, are assembled block by block by ``operator_matrix``: each nonzero
+entry of F (or of a differential) connects one input slot to one output slot
+through the algebra's cached corner multiplication table, so no graded map
+is built per column.  ``HomSpace`` builds only its degree 0 and -1 layouts
+up front; the operators, cycles, boundaries and class representatives are
+computed on first use, so a nullhomotopy test costs the two operators next
+to degree 0 and one solve, and a contractibility test only the degree -1
+operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraPresentation
 from .linalg import Mat, Subspace, hstack, solve_left, vstack
@@ -231,6 +244,12 @@ class ProjComplex:
     def __repr__(self):
         parts = ", ".join(f"{n}:{list(s)}" for n, s in sorted(self.summands.items()))
         return f"ProjComplex({self.name}: {parts or 'zero'})"
+
+
+def same_complex(X: ProjComplex, Y: ProjComplex) -> bool:
+    """Literal equality: same summands and the same differentials."""
+    return X.summands == Y.summands and all(
+        X.diff_at(n) == Y.diff_at(n) for n in X.degrees())
 
 
 def single_summand_complex(alg, idem: int, degree: int = 0, name: Optional[str] = None) -> ProjComplex:
@@ -453,7 +472,8 @@ class MapLayout:
     """Field coordinates for the space of degree-s families X -> Y.
 
     One slot per (degree, target summand, source summand) with coordinates in
-    the corresponding corner subspace.
+    the corresponding corner subspace; ``index`` maps (n, r, c) to the slot's
+    offset.
     """
 
     def __init__(self, X: ProjComplex, Y: ProjComplex, degree: int):
@@ -462,6 +482,7 @@ class MapLayout:
         self.degree = degree
         self.alg = X.alg
         self.slots = []
+        self.index = {}
         off = 0
         for n in X.degrees():
             m = n + degree
@@ -472,6 +493,7 @@ class MapLayout:
                     corner = self.alg.corner_space(i, j)
                     if corner.dim:
                         self.slots.append((n, r, c, corner, off))
+                        self.index[(n, r, c)] = off
                         off += corner.dim
         self.dim = off
 
@@ -512,59 +534,163 @@ class MapLayout:
                 comps[n] = m
         return GradedMap(self.X, self.Y, self.degree, comps)
 
-    def unit_vector(self, t: int) -> List:
-        ring = self.alg.ring
-        v = [ring.zero] * self.dim
-        v[t] = ring.one
-        return v
+
+def _entry_blocks(layout_in: MapLayout, layout_out: MapLayout, F: GradedMap, post: bool):
+    """Yield (coords of a nonzero entry of F, table, input offset, output offset).
+
+    Each item is one block of the operator: the input slot of g and the
+    output slot of the composite that the entry of F connects, with the
+    corner multiplication table relating them.
+    """
+    alg = layout_in.alg
+    s = layout_in.degree
+    for n, Fn in F.components.items():
+        for q, i in enumerate(Fn.target_idems):
+            for c, j in enumerate(Fn.source_idems):
+                a = Fn.entries[q][c]
+                if alg.is_zero_vec(a):
+                    continue
+                f = alg.corner_space(i, j).coords_of(a)
+                if post:
+                    # F . g: g^(n-s) lands on F's source summand c
+                    g_deg = n - s
+                    for x, l in enumerate(layout_in.X.summands_at(g_deg)):
+                        off_in = layout_in.index.get((g_deg, c, x))
+                        off_out = layout_out.index.get((g_deg, q, x))
+                        if off_in is not None and off_out is not None:
+                            yield f, alg.corner_mult_table(i, j, l), off_in, off_out
+                else:
+                    # g . F: g^(n+deg F) leaves F's target summand q
+                    g_deg = n + F.degree
+                    for y, k in enumerate(layout_in.Y.summands_at(g_deg + s)):
+                        off_in = layout_in.index.get((g_deg, y, q))
+                        off_out = layout_out.index.get((n, y, c))
+                        if off_in is not None and off_out is not None:
+                            yield f, alg.corner_mult_table(k, i, j), off_in, off_out
 
 
 def operator_matrix(layout_in: MapLayout, layout_out: MapLayout,
-                    fn: Callable[[GradedMap], GradedMap]) -> Mat:
-    """Matrix (row convention) of a linear operator between map layouts."""
+                    post: Optional[GradedMap] = None, pre: Optional[GradedMap] = None,
+                    pre_sign=None) -> Mat:
+    """Matrix (row convention) of g -> post . g + pre_sign * g . pre.
+
+    Either term may be absent; pre_sign defaults to one.  The matrix is
+    assembled block by block from the algebra's corner multiplication
+    tables: row block of an input slot, column block of an output slot.
+    """
     ring = layout_in.alg.ring
-    rows = [layout_out.pack(fn(layout_in.unpack(layout_in.unit_vector(t))))
-            for t in range(layout_in.dim)]
-    if rows:
-        return Mat.from_rows(ring, rows)
-    return Mat.zeros(ring, 0, layout_out.dim)
+    zero = ring.zero
+    X, Y, s = layout_in.X, layout_in.Y, layout_in.degree
+    if post is not None and (
+            post.source.summands != Y.summands or layout_out.X.summands != X.summands
+            or layout_out.Y.summands != post.target.summands
+            or layout_out.degree != s + post.degree):
+        raise HomcatError("post-composition does not fit the layouts")
+    if pre is not None and (
+            pre.target.summands != X.summands or layout_out.X.summands != pre.source.summands
+            or layout_out.Y.summands != Y.summands
+            or layout_out.degree != s + pre.degree):
+        raise HomcatError("pre-composition does not fit the layouts")
+    items: Dict[Tuple[int, int], object] = {}
+
+    def add(key, v):
+        items[key] = ring.add(items[key], v) if key in items else v
+
+    if post is not None:
+        # F . g: entry coordinate u of F, input coordinate t, output w
+        for f, T, off_in, off_out in _entry_blocks(layout_in, layout_out, post, True):
+            for u, fu in enumerate(f):
+                if fu != zero:
+                    for t, row in enumerate(T[u]):
+                        for w, v in enumerate(row):
+                            if v != zero:
+                                add((off_in + t, off_out + w), ring.mul(fu, v))
+    if pre is not None:
+        sign = ring.one if pre_sign is None else pre_sign
+        # g . F: input coordinate u, entry coordinate t of F, output w
+        for f, T, off_in, off_out in _entry_blocks(layout_in, layout_out, pre, False):
+            for t, ft in enumerate(f):
+                if ft != zero:
+                    ft = ring.mul(sign, ft)
+                    for u, rows in enumerate(T):
+                        for w, v in enumerate(rows[t]):
+                            if v != zero:
+                                add((off_in + u, off_out + w), ring.mul(v, ft))
+    return Mat.from_entries(ring, layout_in.dim, layout_out.dim, items)
+
+
+def delta_matrix(layout_in: MapLayout, layout_out: MapLayout) -> Mat:
+    """Matrix of delta(g) = d_Y . g - (-1)^s g . d_X on degree-s families."""
+    X, Y = layout_in.X, layout_in.Y
+    ring = X.alg.ring
+    sign = ring.neg(ring.one) if layout_in.degree % 2 == 0 else ring.one
+    return operator_matrix(layout_in, layout_out, post=GradedMap(Y, Y, 1, Y.diff),
+                           pre=GradedMap(X, X, 1, X.diff), pre_sign=sign)
 
 
 class HomSpace:
-    """Chain maps X -> Y modulo homotopy, in explicit field coordinates."""
+    """Chain maps X -> Y modulo homotopy, in explicit field coordinates.
+
+    Only the degree 0 and -1 layouts are built up front.  The operators,
+    cycles, boundaries and class representatives are computed on first use,
+    so a nullhomotopy test costs two operators and one solve.
+    """
 
     def __init__(self, X: ProjComplex, Y: ProjComplex):
         self.X = X
         self.Y = Y
-        ring = X.alg.ring
-        self.ring = ring
+        self.ring = X.alg.ring
         self.L0 = MapLayout(X, Y, 0)
         self.Lm1 = MapLayout(X, Y, -1)
-        self.L1 = MapLayout(X, Y, 1)
-        self.D0 = operator_matrix(self.L0, self.L1, lambda g: g.delta())
-        self.Dm1 = operator_matrix(self.Lm1, self.L0, lambda g: g.delta())
-        if self.L0.dim:
-            _, self.cycles = solve_left(self.D0, Mat.zeros(ring, 1, self.L1.dim))
-        else:
-            self.cycles = Subspace.zero(ring, 0)
-        self.boundaries = Subspace.from_spanning(ring, self.L0.dim,
-                                                 [self.Dm1.row(t) for t in range(self.Lm1.dim)])
-        if not self.boundaries.is_subspace_of(self.cycles):
-            raise HomcatError("internal error: boundaries not inside cycles")
-        self.reps = self.boundaries.quotient_reps(within=self.cycles)
 
-    @property
+    @cached_property
+    def L1(self) -> MapLayout:
+        return MapLayout(self.X, self.Y, 1)
+
+    @cached_property
+    def D0(self) -> Mat:
+        return delta_matrix(self.L0, self.L1)
+
+    @cached_property
+    def Dm1(self) -> Mat:
+        return delta_matrix(self.Lm1, self.L0)
+
+    @cached_property
+    def boundaries(self) -> Subspace:
+        return Subspace.from_spanning(self.ring, self.L0.dim,
+                                      [self.Dm1.row(t) for t in range(self.Lm1.dim)])
+
+    @cached_property
+    def cycles(self) -> Subspace:
+        if self.L0.dim:
+            _, cycles = solve_left(self.D0, Mat.zeros(self.ring, 1, self.L1.dim))
+        else:
+            cycles = Subspace.zero(self.ring, 0)
+        if not self.boundaries.is_subspace_of(cycles):
+            raise HomcatError("internal error: boundaries not inside cycles")
+        return cycles
+
+    @cached_property
+    def reps(self) -> List[List]:
+        return self.boundaries.quotient_reps(within=self.cycles)
+
+    @cached_property
     def dim(self) -> int:
         return len(self.reps)
 
     def basis(self) -> List[GradedMap]:
         return [self.L0.unpack(r) for r in self.reps]
 
+    def _cycle_coords(self, f: GradedMap) -> List:
+        """Coordinates of f, which must be a chain map (v . D0 = 0)."""
+        v = self.L0.pack(f)
+        if any(c != self.ring.zero for c in self.D0.row_apply(v)):
+            raise HomcatError("not a chain map")
+        return v
+
     def class_coords(self, f: GradedMap) -> List:
         """Coordinates of f's homotopy class in the basis of representatives."""
-        v = self.L0.pack(f)
-        if not self.cycles.contains(v):
-            raise HomcatError("not a chain map")
+        v = self._cycle_coords(f)
         ring = self.ring
         if not self.reps:
             return []
@@ -577,10 +703,11 @@ class HomSpace:
 
     def is_nullhomotopic(self, f: GradedMap) -> Tuple[bool, Optional[GradedMap]]:
         """Decide f ~ 0; on success also return a homotopy h with delta(h) = f."""
+        return self._homotopy(self._cycle_coords(f))
+
+    def _homotopy(self, v: List) -> Tuple[bool, Optional[GradedMap]]:
+        """Solve delta(h) = v for the coordinates v of a chain map."""
         ring = self.ring
-        v = self.L0.pack(f)
-        if not self.cycles.contains(v):
-            raise HomcatError("not a chain map")
         if all(c == ring.zero for c in v):
             return True, zero_map(self.X, self.Y, degree=-1)
         if self.Lm1.dim == 0:
@@ -596,7 +723,8 @@ def is_contractible(X: ProjComplex) -> Tuple[bool, Optional[GradedMap]]:
     if X.is_zero():
         return True, zero_map(X, X, degree=-1)
     H = HomSpace(X, X)
-    return H.is_nullhomotopic(identity_map(X))
+    # the identity is a chain map, so only the degree -1 operator is needed
+    return H._homotopy(H.L0.pack(identity_map(X)))
 
 
 def verify_contraction(X: ProjComplex, h: GradedMap) -> bool:
@@ -707,11 +835,11 @@ def recognize_triangle(alpha: GradedMap, beta: GradedMap, gamma: GradedMap) -> T
     L_csxm1 = MapLayout(C, SX, -1)
     L_csx0 = MapLayout(C, SX, 0)
 
-    D_chain = operator_matrix(L_cz0, L_cz1, lambda g: g.delta())
-    C_incl = operator_matrix(L_cz0, L_yz0, lambda g: g.compose(incl))
-    C_gamma = operator_matrix(L_cz0, L_csx0, lambda g: gamma.compose(g))
-    D_yz = operator_matrix(L_yzm1, L_yz0, lambda g: g.delta())
-    D_csx = operator_matrix(L_csxm1, L_csx0, lambda g: g.delta())
+    D_chain = delta_matrix(L_cz0, L_cz1)
+    C_incl = operator_matrix(L_cz0, L_yz0, pre=incl)
+    C_gamma = operator_matrix(L_cz0, L_csx0, post=gamma)
+    D_yz = delta_matrix(L_yzm1, L_yz0)
+    D_csx = delta_matrix(L_csxm1, L_csx0)
 
     n0, n1, n2 = L_cz0.dim, L_yzm1.dim, L_csxm1.dim
     m0, m1, m2 = L_cz1.dim, L_yz0.dim, L_csx0.dim

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .functors import BimoduleFunctor, FiniteSubcat, annihilator_classes, kernel_objects
-from .homcat import GradedMap, HomSpace, recognize_triangle
+from .homcat import GradedMap, HomSpace, recognize_triangle, same_complex
 from .linalg import Mat, Subspace, solve_left
 
 
@@ -202,11 +202,10 @@ def is_idempotent_ideal(I: HomIdeal) -> bool:
 def annihilator_ideal(F: BimoduleFunctor, subcat: FiniteSubcat) -> HomIdeal:
     """Classes sent to a nullhomotopic map by the functor."""
     images = {name: F.apply_complex(X) for name, X in subcat.objects.items()}
-    img_homs: Dict[Pair, HomSpace] = {}
     comps = {}
     for a in subcat.names():
         for b in subcat.names():
-            FH = img_homs.setdefault((a, b), HomSpace(images[a], images[b]))
+            FH = HomSpace(images[a], images[b])
             comps[(a, b)] = annihilator_classes(F, subcat.hom(a, b), FH,
                                                 images[a], images[b])
     return HomIdeal(subcat, comps)
@@ -301,11 +300,6 @@ class SaturationCheck:
     holds: bool
 
 
-def _matches(X, Y) -> bool:
-    return X.summands == Y.summands and all(
-        X.diff_at(n) == Y.diff_at(n) for n in X.degrees())
-
-
 def saturation_report(I: HomIdeal, triangles: Sequence[TrianglePresentation],
                       verify: bool = True) -> Tuple[bool, List[SaturationCheck]]:
     """Test saturation against the supplied triangles.
@@ -322,7 +316,7 @@ def saturation_report(I: HomIdeal, triangles: Sequence[TrianglePresentation],
         na, nb, nc = tri.names
         for name, obj in ((na, tri.alpha.source), (nb, tri.alpha.target),
                           (nc, tri.beta.target)):
-            if name not in subcat.objects or not _matches(subcat.objects[name], obj):
+            if name not in subcat.objects or not same_complex(subcat.objects[name], obj):
                 raise IdealError(f"triangle object does not match {name!r}")
         if verify:
             verdict = recognize_triangle(tri.alpha, tri.beta, tri.gamma)

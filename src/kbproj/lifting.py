@@ -30,12 +30,13 @@ from .homcat import (
     ProjComplex,
     chain_map,
     cone,
+    delta_matrix,
     direct_sum,
     homotopy_inverse_from_contraction,
     identity_map,
     is_contractible,
     is_homotopy_equivalence,
-    operator_matrix,
+    same_complex,
     verify_contraction,
     zero_complex,
 )
@@ -50,11 +51,6 @@ class LiftError(ValueError):
 class SearchBudget:
     max_depth: int = 3
     max_candidates: int = 500
-
-
-def _matches(X: ProjComplex, Y: ProjComplex) -> bool:
-    return X.summands == Y.summands and all(
-        X.diff_at(n) == Y.diff_at(n) for n in X.degrees())
 
 
 @dataclass
@@ -83,7 +79,7 @@ def _check_problem(F: BimoduleFunctor, X: ProjComplex, Y: ProjComplex,
     FX, FY = F.apply_complex(X), F.apply_complex(Y)
     if alpha.degree != 0 or not alpha.delta().is_zero():
         raise LiftError("the map to lift must be a degree-0 chain map")
-    if not _matches(alpha.source, FX) or not _matches(alpha.target, FY):
+    if not same_complex(alpha.source, FX) or not same_complex(alpha.target, FY):
         raise LiftError("the map to lift does not connect the functor images")
     return FX, FY
 
@@ -100,6 +96,20 @@ def _check_generators(F: BimoduleFunctor, generators: Sequence[ProjComplex]):
                             "coning it off cannot keep the replacement invertible")
 
 
+def _functor_matrix(F: BimoduleFunctor, layout_in: MapLayout, layout_out: MapLayout) -> Mat:
+    """Matrix (row convention) of g -> F(g), one unit vector of layout_in per row."""
+    ring = layout_in.alg.ring
+    rows = []
+    for t in range(layout_in.dim):
+        unit = [ring.zero] * layout_in.dim
+        unit[t] = ring.one
+        rows.append(layout_out.pack(F.apply_map(layout_in.unpack(unit),
+                                                layout_out.X, layout_out.Y)))
+    if rows:
+        return Mat.from_rows(ring, rows)
+    return Mat.zeros(ring, 0, layout_out.dim)
+
+
 def _try_node(F: BimoduleFunctor, Xc: ProjComplex, Y: ProjComplex,
               FY: ProjComplex, alpha: GradedMap,
               Fpi: GradedMap) -> Optional[Tuple[GradedMap, GradedMap]]:
@@ -110,9 +120,9 @@ def _try_node(F: BimoduleFunctor, Xc: ProjComplex, Y: ProjComplex,
     la1 = MapLayout(Xc, Y, 1)
     lf0 = MapLayout(FXc, FY, 0)
     lfm = MapLayout(FXc, FY, -1)
-    T = operator_matrix(la0, lf0, lambda g: F.apply_map(g, FXc, FY))
-    DA = operator_matrix(la0, la1, lambda g: g.delta())
-    DH = operator_matrix(lfm, lf0, lambda h: h.delta())
+    T = _functor_matrix(F, la0, lf0)
+    DA = delta_matrix(la0, la1)
+    DH = delta_matrix(lfm, lf0)
     M = vstack([
         hstack([T, DA]),
         hstack([DH.neg(), Mat.zeros(ring, lfm.dim, la1.dim)]),
@@ -177,9 +187,9 @@ def verify_map_lift(F: BimoduleFunctor, X: ProjComplex, Y: ProjComplex,
                     alpha: GradedMap, cert: MapLiftCertificate) -> Tuple[bool, str]:
     """Re-check a lift certificate by direct arithmetic only."""
     pi, lifted = cert.to_source, cert.lifted
-    if not _matches(pi.source, cert.replacement) or not _matches(pi.target, X):
+    if not same_complex(pi.source, cert.replacement) or not same_complex(pi.target, X):
         return False, "replacement map has wrong endpoints"
-    if not _matches(lifted.source, cert.replacement) or not _matches(lifted.target, Y):
+    if not same_complex(lifted.source, cert.replacement) or not same_complex(lifted.target, Y):
         return False, "lifted map has wrong endpoints"
     if pi.degree != 0 or not pi.delta().is_zero():
         return False, "replacement map is not a chain map"
@@ -229,10 +239,10 @@ def _check_stalk_table(F: BimoduleFunctor, table: Dict[int, StalkLift]):
     for j, sl in table.items():
         FL = F.apply_complex(sl.source)
         stalk = single_summand_complex(F.target_alg, j, 0)
-        if not _matches(sl.equivalence.source, FL):
+        if not same_complex(sl.equivalence.source, FL):
             raise LiftError(f"stalk lift {j}: equivalence source is not the "
                             "functor image")
-        if not _matches(sl.equivalence.target, stalk):
+        if not same_complex(sl.equivalence.target, stalk):
             raise LiftError(f"stalk lift {j}: equivalence target is not the stalk")
         if sl.equivalence.degree != 0 or not sl.equivalence.delta().is_zero():
             raise LiftError(f"stalk lift {j}: equivalence is not a chain map")
@@ -343,7 +353,7 @@ def _lift_rec(F, Y: ProjComplex, table, generators, budget,
     FX = F.apply_complex(X)
     Fd = F.apply_map(dhat)
     CFd, _, _ = cone(Fd)
-    if not _matches(FX, CFd):
+    if not same_complex(FX, CFd):
         raise LiftError("internal error: functor image of the cone is not "
                         "the cone of the image")
     Fpi = F.apply_map(cert.to_source)
@@ -381,9 +391,9 @@ def verify_complex_lift(F: BimoduleFunctor, Y: ProjComplex,
     """Re-check a complex lift certificate by direct arithmetic only."""
     FX = F.apply_complex(cert.lift)
     e = cert.equivalence
-    if not _matches(e.source, FX):
+    if not same_complex(e.source, FX):
         return False, "comparison map does not start at the functor image"
-    if not _matches(e.target, Y):
+    if not same_complex(e.target, Y):
         return False, "comparison map does not end at the target"
     if e.degree != 0 or not e.delta().is_zero():
         return False, "comparison map is not a chain map"

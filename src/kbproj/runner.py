@@ -26,7 +26,7 @@ from .almost import (
 )
 from .derived import check_homological_epi
 from .fixture import FixtureError, FixtureFile
-from .homcat import ProjComplex, recognize_triangle, verify_triangle_certificate
+from .homcat import ProjComplex, recognize_triangle, same_complex, verify_triangle_certificate
 from .ideals import (
     HomIdeal,
     TrianglePresentation,
@@ -59,14 +59,9 @@ class TaskError(ValueError):
     """A task that cannot be executed (bad reference, bad arguments)."""
 
 
-def _same(X: ProjComplex, Y: ProjComplex) -> bool:
-    return X.summands == Y.summands and all(
-        X.diff_at(n) == Y.diff_at(n) for n in X.degrees())
-
-
 def _locate(subcat, X: ProjComplex, what: str) -> str:
     for name in subcat.names():
-        if _same(subcat.objects[name], X):
+        if same_complex(subcat.objects[name], X):
             return name
     raise TaskError(f"{what}: object is not in the subcategory window")
 

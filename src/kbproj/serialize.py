@@ -49,11 +49,6 @@ def vec_from_json(ring, payload, length: Optional[int] = None):
     return tuple(scalar_from_json(ring, c) for c in payload)
 
 
-def mat_to_json(m: Mat) -> List[List]:
-    return [[scalar_to_json(m.ring, m.entry(r, c)) for c in range(m.ncols)]
-            for r in range(m.nrows)]
-
-
 def mat_from_json(ring, payload, nrows: int, ncols: int) -> Mat:
     if not isinstance(payload, list) or len(payload) != nrows:
         raise SerializeError(f"matrix needs {nrows} rows")

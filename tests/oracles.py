@@ -401,3 +401,23 @@ def plain_homotopy_hom_dim(x_dims, x_diffs, x_actions, y_dims, y_diffs, y_action
         images.append(img)
     b_dim = plain_rank(images) if images else 0
     return len(z_basis) - b_dim
+
+
+def probed_operator_matrix(layout_in, layout_out, fn):
+    """Matrix (row convention) of a linear operator on map layouts, by probing.
+
+    Row t is the image under fn of the t-th unit vector of layout_in,
+    unpacked to a graded map and packed again in layout_out: the slow path
+    that block assembly from corner multiplication tables replaces.
+    """
+    from kbproj.linalg import Mat
+
+    ring = layout_in.alg.ring
+    rows = []
+    for t in range(layout_in.dim):
+        unit = [ring.zero] * layout_in.dim
+        unit[t] = ring.one
+        rows.append(layout_out.pack(fn(layout_in.unpack(unit))))
+    if rows:
+        return Mat.from_rows(ring, rows)
+    return Mat.zeros(ring, 0, layout_out.dim)

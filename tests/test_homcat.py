@@ -161,6 +161,21 @@ def test_connecting_class_is_gamma(ex):
     assert not ok
 
 
+def test_hom_space_rejects_a_family_that_is_not_a_chain_map(ex):
+    # e11 at degree 0 and nothing at -1 on S1r: delta picks up -e11 . e12
+    A, S1 = ex["alg"], ex["S1r"]
+    f = GradedMap(S1, S1, 0, {0: AlgMat(A, (0,), (0,), [[A.basis_vec(0)]])})
+    assert not f.is_chain_map()
+    for warm in (False, True):
+        H = HomSpace(S1, S1)
+        if warm:
+            assert H.dim == 1
+        with pytest.raises(HomcatError, match="not a chain map"):
+            H.is_nullhomotopic(f)
+        with pytest.raises(HomcatError, match="not a chain map"):
+            H.class_coords(f)
+
+
 def test_ext_dimension_agrees_with_module_level_count(ex):
     # module side: maps rad(P1) -> S2 modulo restrictions of maps P1 -> S2
     A = ex["alg"]
