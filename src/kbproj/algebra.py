@@ -71,16 +71,16 @@ class AlgebraPresentation:
         out = [ring.zero] * self.dim
         for i in range(self.dim):
             xi = x[i]
-            if xi == ring.zero:
+            if not xi:
                 continue
             row = self.structure[i]
             for j in range(self.dim):
                 yj = y[j]
-                if yj == ring.zero:
+                if not yj:
                     continue
                 c = ring.mul(xi, yj)
                 for l, s in enumerate(row[j]):
-                    if s != ring.zero:
+                    if s:
                         out[l] = ring.add(out[l], ring.mul(c, s))
         return tuple(out)
 
@@ -91,7 +91,7 @@ class AlgebraPresentation:
         return tuple(self.ring.mul(c, a) for a in x)
 
     def is_zero_vec(self, x) -> bool:
-        return all(a == self.ring.zero for a in x)
+        return not any(x)
 
     def left_regular(self, x: Sequence) -> Mat:
         """Matrix of m -> x.m in the row convention (rows are images of basis)."""
@@ -185,6 +185,8 @@ class AlgebraPresentation:
             raise AlgebraError(f"{name}: idempotents do not sum to the unit")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, AlgebraPresentation):
             return NotImplemented
         return (
@@ -236,7 +238,7 @@ class FdModule:
         ring = self.algebra.ring
         out = Mat.zeros(ring, self.dim, self.dim)
         for i, c in enumerate(x):
-            if c != ring.zero:
+            if c:
                 out = out + self.action[i].scale(c)
         return out
 
@@ -394,7 +396,7 @@ class Bimodule:
         ring = self.left_alg.ring
         out = Mat.zeros(ring, self.dim, self.dim)
         for i, c in enumerate(x):
-            if c != ring.zero:
+            if c:
                 out = out + self.left_action[i].scale(c)
         return out
 
@@ -402,7 +404,7 @@ class Bimodule:
         ring = self.right_alg.ring
         out = Mat.zeros(ring, self.dim, self.dim)
         for i, c in enumerate(x):
-            if c != ring.zero:
+            if c:
                 out = out + self.right_action[i].scale(c)
         return out
 
@@ -453,7 +455,7 @@ class RingMap:
         tgt = self.target
         out = tgt.zero_vec()
         for i, c in enumerate(x):
-            if c != tgt.ring.zero:
+            if c:
                 out = tgt.add_vec(out, tgt.scale_vec(c, self.images[i]))
         return out
 
@@ -630,12 +632,12 @@ def module_tensor(M: FdModule, B: Bimodule) -> TensorResult:
             for j in range(B.dim):
                 vec = [ring.zero] * amb
                 for u, c in enumerate(mi_r):
-                    if c != ring.zero:
+                    if c:
                         vec[u * B.dim + j] = ring.add(vec[u * B.dim + j], c)
                 bj = Mat.identity(ring, B.dim).row(j)
                 r_bj = B.left_action[r].row_apply(bj)
                 for v, c in enumerate(r_bj):
-                    if c != ring.zero:
+                    if c:
                         vec[i * B.dim + v] = ring.sub(vec[i * B.dim + v], c)
                 rels.append(vec)
     relations = Subspace.from_spanning(ring, amb, rels)
@@ -656,12 +658,12 @@ def module_tensor(M: FdModule, B: Bimodule) -> TensorResult:
         for rep in reps:
             out = [ring.zero] * amb
             for pos, c in enumerate(rep):
-                if c == ring.zero:
+                if not c:
                     continue
                 i, j = divmod(pos, B.dim)
                 img = B.right_action[s].row_apply(Mat.identity(ring, B.dim).row(j))
                 for v, d in enumerate(img):
-                    if d != ring.zero:
+                    if d:
                         out[i * B.dim + v] = ring.add(out[i * B.dim + v], ring.mul(c, d))
             rows.append(project(out))
         action.append(Mat.from_rows(ring, rows) if qdim else Mat.zeros(ring, 0, 0))
@@ -709,7 +711,7 @@ def quotient_algebra(alg: AlgebraPresentation, ideal: TwoSidedIdeal,
     idem_names = []
     for k in range(alg.n_idempotents()):
         img = project(alg.idempotent_vec(k))
-        if any(c != ring.zero for c in img):
+        if any(img):
             idems.append(img)
             idem_names.append(alg.idempotent_names[k])
     qname = name or f"{alg.name}/{ideal.name}"

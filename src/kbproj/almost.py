@@ -13,7 +13,7 @@ module makes the pieces auditable:
 * ``almost_derived_ideal`` builds the mapping cone of the multiplication
   map (ideal tensor ideal -> algebra) as a complex of projectives and
   computes the maps a finite subcategory cannot see through its shifts.
-* ``ContractionFixture`` / ``verify_contraction`` re-check explicit
+* ``ContractionFixture`` / ``verify_contraction_fixture`` re-check explicit
   null-homotopy certificates for matrix complexes over exact rings,
   including Laurent-polynomial rings where no solver is available.
 """
@@ -493,7 +493,7 @@ class ContractionFixture:
     composition reads left to right.  ``diff[n]`` maps degree n to n+1 and
     ``homotopy[n]`` maps degree n to n-1.  Squaring to zero is checked at
     construction; the contraction identity is checked by
-    ``verify_contraction`` only.
+    ``verify_contraction_fixture`` only.
     """
 
     def __init__(self, ring, dims: Dict[int, int], diff: Dict[int, Mat],
@@ -561,7 +561,7 @@ def contraction_defects(fx: ContractionFixture) -> Dict[int, Mat]:
     return out
 
 
-def verify_contraction(fx: ContractionFixture) -> bool:
+def verify_contraction_fixture(fx: ContractionFixture) -> bool:
     """Exact check that the homotopy contracts the complex in every degree."""
     return not contraction_defects(fx)
 

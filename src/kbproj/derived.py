@@ -149,7 +149,7 @@ def linear_to_algmat(alg, target_idems, source_idems, linmap: Mat) -> AlgMat:
             img = rows_by_src[c][offs_t[r]:offs_t[r] + tsp.dim]
             vec = [ring.zero] * alg.dim
             for t, cf in enumerate(img):
-                if cf != ring.zero:
+                if cf:
                     for u, b in enumerate(tsp.rows[t]):
                         vec[u] = ring.add(vec[u], ring.mul(cf, b))
             row.append(alg.mult(tuple(vec), alg.idempotent_vec(j)))
@@ -215,12 +215,12 @@ def tensor_functor_map(phi: Mat, src: TensorResult, tgt: TensorResult, B: Bimodu
     for rep in src.reps:
         out = [ring.zero] * (phi.ncols * bdim)
         for pos, c in enumerate(rep):
-            if c == ring.zero:
+            if not c:
                 continue
             u, j = divmod(pos, bdim)
             for v in range(phi.ncols):
                 w = phi.entry(u, v)
-                if w != ring.zero:
+                if w:
                     out[v * bdim + j] = ring.add(out[v * bdim + j], ring.mul(c, w))
         rows.append(tgt.project(out))
     if rows:
@@ -295,7 +295,7 @@ def multiplication_matrix(g: RingMap, T: TensorResult) -> Mat:
     for rep in T.reps:
         out = list(S.zero_vec())
         for pos, c in enumerate(rep):
-            if c == ring.zero:
+            if not c:
                 continue
             u, v = divmod(pos, S.dim)
             prod = S.mult(S.basis_vec(u), S.basis_vec(v))

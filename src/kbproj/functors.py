@@ -106,7 +106,7 @@ class BimoduleFunctor:
                 vec = [ring.zero] * S.dim
                 for t in range(dimu):
                     cf = coords[offu + t]
-                    if cf != ring.zero:
+                    if cf:
                         for p, b in enumerate(sp.rows[t]):
                             vec[p] = ring.add(vec[p], ring.mul(cf, b))
                 col.append(tuple(vec))

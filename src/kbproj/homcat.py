@@ -24,6 +24,16 @@ up front; the operators, cycles, boundaries and class representatives are
 computed on first use, so a nullhomotopy test costs the two operators next
 to degree 0 and one solve, and a contractibility test only the degree -1
 operator.
+
+Corner support is checked where summand matrices enter the engine: the
+public ``AlgMat(...)`` constructor, which fixture loading, certificate
+decoding, functor images and the derived and almost layers go through.
+Internal arithmetic builds with ``AlgMat._trusted`` and skips the check:
+sums, products, scalings, cones, direct sums, slices of a contraction and
+unpacked coordinates are made of entries already on their corners,
+idempotents, zeros or combinations of corner-basis rows, so it could never
+fail there, and at two algebra products per entry it cost more than the
+arithmetic itself.
 """
 
 from __future__ import annotations
@@ -46,6 +56,11 @@ class AlgMat:
     Rows index target summands, columns source summands; the entry at (r, c)
     acts by left multiplication e_{target[r]} R e_{source[c]} -> embeds the
     module map Hom(e_{source[c]} R, e_{target[r]} R).
+
+    ``AlgMat(...)`` checks the shape and that every entry lies on its corner,
+    at two algebra products per entry, so data from outside the engine goes
+    through it.  Internal arithmetic builds through ``_trusted``, which skips
+    the check (see the module docstring for why that is safe).
     """
 
     __slots__ = ("alg", "target_idems", "source_idems", "entries", "_lin")
@@ -80,17 +95,28 @@ class AlgMat:
     # -- constructors ----------------------------------------------------
 
     @classmethod
+    def _trusted(cls, alg, target_idems, source_idems, entries) -> "AlgMat":
+        """No shape or corner check: each entry, a tuple, must lie on its corner."""
+        m = object.__new__(cls)
+        m.alg = alg
+        m.target_idems = tuple(target_idems)
+        m.source_idems = tuple(source_idems)
+        m.entries = tuple(tuple(row) for row in entries)
+        m._lin = None
+        return m
+
+    @classmethod
     def zeros(cls, alg, target_idems, source_idems) -> "AlgMat":
         z = alg.zero_vec()
-        return cls(alg, target_idems, source_idems,
-                   [[z for _ in source_idems] for _ in target_idems])
+        return cls._trusted(alg, target_idems, source_idems,
+                            [[z for _ in source_idems] for _ in target_idems])
 
     @classmethod
     def identity(cls, alg, idems) -> "AlgMat":
         z = alg.zero_vec()
         ents = [[alg.idempotent_vec(i) if r == c else z for c, _ in enumerate(idems)]
                 for r, i in enumerate(idems)]
-        return cls(alg, idems, idems, ents)
+        return cls._trusted(alg, idems, idems, ents)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -104,37 +130,44 @@ class AlgMat:
         alg = self.alg
         ents = [[alg.add_vec(a, b) for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.entries, other.entries)]
-        return AlgMat(alg, self.target_idems, self.source_idems, ents)
+        return AlgMat._trusted(alg, self.target_idems, self.source_idems, ents)
 
     def __sub__(self, other: "AlgMat") -> "AlgMat":
-        return self + other.neg()
+        self._check_shape(other)
+        sub = self.alg.ring.sub
+        ents = [[tuple(map(sub, a, b)) for a, b in zip(r1, r2)]
+                for r1, r2 in zip(self.entries, other.entries)]
+        return AlgMat._trusted(self.alg, self.target_idems, self.source_idems, ents)
 
     def neg(self) -> "AlgMat":
-        alg = self.alg
-        ents = [[alg.scale_vec(alg.ring.neg(alg.ring.one), a) for a in row]
-                for row in self.entries]
-        return AlgMat(alg, self.target_idems, self.source_idems, ents)
+        neg = self.alg.ring.neg
+        ents = [[tuple(map(neg, a)) for a in row] for row in self.entries]
+        return AlgMat._trusted(self.alg, self.target_idems, self.source_idems, ents)
 
     def scale(self, c) -> "AlgMat":
         alg = self.alg
         ents = [[alg.scale_vec(c, a) for a in row] for row in self.entries]
-        return AlgMat(alg, self.target_idems, self.source_idems, ents)
+        return AlgMat._trusted(alg, self.target_idems, self.source_idems, ents)
 
     def __matmul__(self, other: "AlgMat") -> "AlgMat":
         """Composition: self after other (other's source is the composite source)."""
         if self.alg != other.alg or self.source_idems != other.target_idems:
             raise HomcatError("summand mismatch in composition")
         alg = self.alg
+        z = alg.zero_vec()
         ents = []
-        for r in range(len(self.target_idems)):
+        for left in self.entries:
             row = []
             for c in range(len(other.source_idems)):
-                acc = alg.zero_vec()
-                for m in range(len(self.source_idems)):
-                    acc = alg.add_vec(acc, alg.mult(self.entries[r][m], other.entries[m][c]))
+                acc = z
+                for a, right in zip(left, other.entries):
+                    b = right[c]
+                    if any(a) and any(b):
+                        p = alg.mult(a, b)
+                        acc = p if acc is z else alg.add_vec(acc, p)
                 row.append(acc)
             ents.append(row)
-        return AlgMat(alg, self.target_idems, other.source_idems, ents)
+        return AlgMat._trusted(alg, self.target_idems, other.source_idems, ents)
 
     def is_zero(self) -> bool:
         return all(self.alg.is_zero_vec(a) for row in self.entries for a in row)
@@ -305,7 +338,10 @@ class GradedMap:
         return GradedMap(self.source, self.target, self.degree, comps)
 
     def __sub__(self, other: "GradedMap") -> "GradedMap":
-        return self + other.neg()
+        self._check_parallel(other)
+        degs = set(self.components) | set(other.components)
+        comps = {n: self.component(n) - other.component(n) for n in degs}
+        return GradedMap(self.source, self.target, self.degree, comps)
 
     def neg(self) -> "GradedMap":
         comps = {n: m.neg() for n, m in self.components.items()}
@@ -330,13 +366,12 @@ class GradedMap:
 
     def delta(self) -> "GradedMap":
         """d_target . f - (-1)^deg f . d_source, one degree higher."""
-        ring = self.source.alg.ring
-        sgn = ring.one if self.degree % 2 == 0 else ring.neg(ring.one)
+        even = self.degree % 2 == 0
         comps = {}
         for n in self.source.degrees():
             a = self.target.diff_at(n + self.degree) @ self.component(n)
             b = self.component(n + 1) @ self.source.diff_at(n)
-            m = a - b.scale(sgn)
+            m = a - b if even else a + b
             if not m.is_zero():
                 comps[n] = m
         return GradedMap(self.source, self.target, self.degree + 1, comps, name=f"delta({self.name})")
@@ -405,17 +440,16 @@ def cone(phi: GradedMap) -> Tuple[ProjComplex, GradedMap, GradedMap]:
             continue
         xs, ys = X.summands_at(n + 1), Y.summands_at(n)
         xt, yt = X.summands_at(n + 2), Y.summands_at(n + 1)
-        dX = X.diff_at(n + 1)
+        mdX = X.diff_at(n + 1).neg()
         dY = Y.diff_at(n)
         ph = phi.component(n + 1)
         ents = []
         for r, _ in enumerate(xt):
-            ents.append([alg.scale_vec(alg.ring.neg(alg.ring.one), dX.entries[r][c])
-                         for c, _ in enumerate(xs)] + [z] * len(ys))
+            ents.append([mdX.entries[r][c] for c, _ in enumerate(xs)] + [z] * len(ys))
         for r, _ in enumerate(yt):
             ents.append([ph.entries[r][c] for c, _ in enumerate(xs)]
                         + [dY.entries[r][c] for c, _ in enumerate(ys)])
-        diff[n] = AlgMat(alg, summands[n + 1], summands[n], ents)
+        diff[n] = AlgMat._trusted(alg, summands[n + 1], summands[n], ents)
     C = ProjComplex(alg, summands, diff, name=f"cone({phi.name})")
     # inclusion of Y: (0, id)
     incl_comps = {}
@@ -427,7 +461,7 @@ def cone(phi: GradedMap) -> Tuple[ProjComplex, GradedMap, GradedMap]:
             ents.append([z] * len(ys))
         for r, i in enumerate(ys):
             ents.append([alg.idempotent_vec(i) if c == r else z for c, _ in enumerate(ys)])
-        incl_comps[n] = AlgMat(alg, C.summands_at(n), ys, ents)
+        incl_comps[n] = AlgMat._trusted(alg, C.summands_at(n), ys, ents)
     incl = GradedMap(Y, C, 0, incl_comps, name=f"into_cone({phi.name})")
     # projection to X[1]: (x, y) -> x
     SX = X.shift(1)
@@ -441,7 +475,7 @@ def cone(phi: GradedMap) -> Tuple[ProjComplex, GradedMap, GradedMap]:
         for r, i in enumerate(xs):
             ents.append([alg.idempotent_vec(i) if c == r else z for c, _ in enumerate(xs)]
                         + [z] * len(ys))
-        proj_comps[n] = AlgMat(alg, xs, C.summands_at(n), ents)
+        proj_comps[n] = AlgMat._trusted(alg, xs, C.summands_at(n), ents)
     proj = GradedMap(C, SX, 0, proj_comps, name=f"cone_to_shift({phi.name})")
     return C, incl, proj
 
@@ -449,6 +483,8 @@ def cone(phi: GradedMap) -> Tuple[ProjComplex, GradedMap, GradedMap]:
 def direct_sum(X: ProjComplex, Y: ProjComplex, name: Optional[str] = None) -> ProjComplex:
     """Degreewise sum with block-diagonal differential (X summands first)."""
     alg = X.alg
+    if Y.alg != alg:
+        raise HomcatError("direct sum of complexes over different algebras")
     z = alg.zero_vec()
     summands = {}
     for n in set(X.degrees()) | set(Y.degrees()):
@@ -464,7 +500,7 @@ def direct_sum(X: ProjComplex, Y: ProjComplex, name: Optional[str] = None) -> Pr
             ents.append([dX.entries[r][c] for c in range(nxs)] + [z] * nys)
         for r, _ in enumerate(Y.summands_at(n + 1)):
             ents.append([z] * nxs + [dY.entries[r][c] for c in range(nys)])
-        diff[n] = AlgMat(alg, summands[n + 1], summands[n], ents)
+        diff[n] = AlgMat._trusted(alg, summands[n + 1], summands[n], ents)
     return ProjComplex(alg, summands, diff, name=name or f"{X.name}(+){Y.name}")
 
 
@@ -511,7 +547,6 @@ class MapLayout:
         return out
 
     def unpack(self, coords: Sequence) -> GradedMap:
-        ring = self.alg.ring
         alg = self.alg
         per_degree: Dict[int, List[List]] = {}
         for n in self.X.degrees():
@@ -522,14 +557,14 @@ class MapLayout:
             acc = alg.zero_vec()
             for t, row in enumerate(corner.rows):
                 cf = coords[off + t]
-                if cf != ring.zero:
+                if cf:
                     acc = alg.add_vec(acc, alg.scale_vec(cf, tuple(row)))
             per_degree[n][r][c] = acc
         comps = {}
         for n, ents in per_degree.items():
             ys = self.Y.summands_at(n + self.degree)
             xs = self.X.summands_at(n)
-            m = AlgMat(alg, ys, xs, ents)
+            m = AlgMat._trusted(alg, ys, xs, ents)
             if not m.is_zero():
                 comps[n] = m
         return GradedMap(self.X, self.Y, self.degree, comps)
@@ -579,7 +614,6 @@ def operator_matrix(layout_in: MapLayout, layout_out: MapLayout,
     tables: row block of an input slot, column block of an output slot.
     """
     ring = layout_in.alg.ring
-    zero = ring.zero
     X, Y, s = layout_in.X, layout_in.Y, layout_in.degree
     if post is not None and (
             post.source.summands != Y.summands or layout_out.X.summands != X.summands
@@ -600,21 +634,21 @@ def operator_matrix(layout_in: MapLayout, layout_out: MapLayout,
         # F . g: entry coordinate u of F, input coordinate t, output w
         for f, T, off_in, off_out in _entry_blocks(layout_in, layout_out, post, True):
             for u, fu in enumerate(f):
-                if fu != zero:
+                if fu:
                     for t, row in enumerate(T[u]):
                         for w, v in enumerate(row):
-                            if v != zero:
+                            if v:
                                 add((off_in + t, off_out + w), ring.mul(fu, v))
     if pre is not None:
         sign = ring.one if pre_sign is None else pre_sign
         # g . F: input coordinate u, entry coordinate t of F, output w
         for f, T, off_in, off_out in _entry_blocks(layout_in, layout_out, pre, False):
             for t, ft in enumerate(f):
-                if ft != zero:
+                if ft:
                     ft = ring.mul(sign, ft)
                     for u, rows in enumerate(T):
                         for w, v in enumerate(rows[t]):
-                            if v != zero:
+                            if v:
                                 add((off_in + u, off_out + w), ring.mul(v, ft))
     return Mat.from_entries(ring, layout_in.dim, layout_out.dim, items)
 
@@ -684,7 +718,7 @@ class HomSpace:
     def _cycle_coords(self, f: GradedMap) -> List:
         """Coordinates of f, which must be a chain map (v . D0 = 0)."""
         v = self.L0.pack(f)
-        if any(c != self.ring.zero for c in self.D0.row_apply(v)):
+        if any(self.D0.row_apply(v)):
             raise HomcatError("not a chain map")
         return v
 
@@ -708,7 +742,7 @@ class HomSpace:
     def _homotopy(self, v: List) -> Tuple[bool, Optional[GradedMap]]:
         """Solve delta(h) = v for the coordinates v of a chain map."""
         ring = self.ring
-        if all(c == ring.zero for c in v):
+        if not any(v):
             return True, zero_map(self.X, self.Y, degree=-1)
         if self.Lm1.dim == 0:
             return False, None
@@ -750,7 +784,8 @@ def homotopy_inverse_from_contraction(phi: GradedMap, h: GradedMap):
     X, Y = phi.source, phi.target
     alg = X.alg
     C, _, _ = cone(phi)
-    if h.source.summands != C.summands or h.degree != -1:
+    if (h.source.summands != C.summands or h.target.summands != C.summands
+            or h.degree != -1):
         raise HomcatError("not a contraction of the cone")
     inv_comps = {}
     a_comps = {}
@@ -765,13 +800,13 @@ def homotopy_inverse_from_contraction(phi: GradedMap, h: GradedMap):
         nxs, nys = len(xs_src), len(ys_src)
         if nxt and nys:
             ents = [[m.entries[r][nxs + c] for c in range(nys)] for r in range(nxt)]
-            inv_comps[n] = AlgMat(alg, xs_tgt, ys_src, ents)
+            inv_comps[n] = AlgMat._trusted(alg, xs_tgt, ys_src, ents)
         if nxt and nxs:
             ents = [[m.entries[r][c] for c in range(nxs)] for r in range(nxt)]
-            a_comps[n + 1] = AlgMat(alg, xs_tgt, xs_src, ents)
+            a_comps[n + 1] = AlgMat._trusted(alg, xs_tgt, xs_src, ents)
         if nyt and nys:
             ents = [[m.entries[nxt + r][nxs + c] for c in range(nys)] for r in range(nyt)]
-            e_comps[n] = AlgMat(alg, ys_tgt, ys_src, ents)
+            e_comps[n] = AlgMat._trusted(alg, ys_tgt, ys_src, ents)
     inv = GradedMap(Y, X, 0, inv_comps, name=f"inv({phi.name})")
     h_src = GradedMap(X, X, -1, a_comps).neg()
     h_tgt = GradedMap(Y, Y, -1, e_comps)
@@ -846,7 +881,7 @@ def recognize_triangle(alpha: GradedMap, beta: GradedMap, gamma: GradedMap) -> T
 
     rhs = [ring.zero] * m0 + L_yz0.pack(beta) + L_csx0.pack(proj)
     if n0 + n1 + n2 == 0:
-        if any(c != ring.zero for c in rhs):
+        if any(rhs):
             return TriangleVerdict("not_exact", "no comparison map from the cone exists")
         sol = []
     else:

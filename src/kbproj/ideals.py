@@ -31,10 +31,10 @@ def compose_coords(subcat: FiniteSubcat, a: str, b: str, c: str,
     T = subcat.composition_tensor(a, b, c)
     out = [ring.zero] * subcat.hom(a, c).dim
     for i, vi in enumerate(v):
-        if vi == ring.zero:
+        if not vi:
             continue
         for j, wj in enumerate(w):
-            if wj == ring.zero:
+            if not wj:
                 continue
             cf = ring.mul(vi, wj)
             for p, t in enumerate(T[i][j]):

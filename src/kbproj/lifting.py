@@ -267,7 +267,7 @@ def _sum_map(f: GradedMap, g: GradedMap, src: ProjComplex,
             ents.append([mf.entries[r][c] for c in range(len(s1))] + [z] * len(s2))
         for r in range(len(t2)):
             ents.append([z] * len(s1) + [mg.entries[r][c] for c in range(len(s2))])
-        comps[n] = AlgMat(alg, t1 + t2, s1 + s2, ents)
+        comps[n] = AlgMat._trusted(alg, t1 + t2, s1 + s2, ents)
     return GradedMap(src, tgt, 0, comps)
 
 
@@ -381,7 +381,7 @@ def _lift_rec(F, Y: ProjComplex, table, generators, budget,
         for r in range(len(t2)):
             ents.append([mH.entries[r][c] for c in range(len(s1))]
                         + [mq.entries[r][c] for c in range(len(s2))])
-        comps[n] = AlgMat(Y.alg, t1 + t2, s1 + s2, ents)
+        comps[n] = AlgMat._trusted(Y.alg, t1 + t2, s1 + s2, ents)
     e = chain_map(FX, Y, comps, name=f"compare@{h}")
     return X, e
 

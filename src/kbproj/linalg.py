@@ -180,8 +180,8 @@ class LaurentPoly:
     def __init__(self, terms: Dict[Tuple[int, ...], Fraction]):
         self.terms = {e: c for e, c in terms.items() if c != 0}
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.terms == other.terms
@@ -278,12 +278,6 @@ class LaurentRing:
         return hash(("laurent", self.names))
 
 
-def _is_zero(ring, x) -> bool:
-    if ring.kind == "laurent":
-        return x.is_zero()
-    return x == ring.zero
-
-
 class Mat:
     """Immutable exact matrix over a ring, dense or sparse storage.
 
@@ -313,13 +307,13 @@ class Mat:
         items = {}
         for i, r in enumerate(rows):
             for j, v in enumerate(r):
-                if not _is_zero(ring, v):
+                if v:
                     items[(i, j)] = v
         return cls._build(ring, nrows, ncols, items)
 
     @classmethod
     def from_entries(cls, ring, nrows, ncols, items: Dict[Tuple[int, int], object]) -> "Mat":
-        items = {k: v for k, v in items.items() if not _is_zero(ring, v)}
+        items = {k: v for k, v in items.items() if v}
         return cls._build(ring, nrows, ncols, items)
 
     @classmethod
@@ -361,10 +355,9 @@ class Mat:
 
     def items(self) -> Iterable[Tuple[int, int, object]]:
         if self._dense is not None:
-            ring = self.ring
             for i, r in enumerate(self._dense):
                 for j, v in enumerate(r):
-                    if not _is_zero(ring, v):
+                    if v:
                         yield (i, j, v)
         else:
             for (i, j), v in self._sparse.items():
@@ -438,7 +431,7 @@ class Mat:
         ring = self.ring
         out = [ring.zero] * self.ncols
         for i, j, a in self.items():
-            if not _is_zero(ring, v[i]):
+            if v[i]:
                 out[j] = ring.add(out[j], ring.mul(v[i], a))
         return out
 
@@ -501,7 +494,7 @@ def rref_rows(ring, rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
     for c in range(ncols):
         pivot = None
         for i in range(r, len(work)):
-            if not _is_zero(ring, work[i][c]):
+            if work[i][c]:
                 pivot = i
                 break
         if pivot is None:
@@ -510,7 +503,7 @@ def rref_rows(ring, rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
         inv = ring.inv(work[r][c])
         work[r] = [ring.mul(inv, x) for x in work[r]]
         for i in range(len(work)):
-            if i != r and not _is_zero(ring, work[i][c]):
+            if i != r and work[i][c]:
                 f = work[i][c]
                 work[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(work[i], work[r])]
         pivots.append(c)
@@ -566,12 +559,12 @@ class Subspace:
             raise LinalgError("vector length mismatch")
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
-            if not _is_zero(ring, c):
+            if c:
                 v = [ring.sub(x, ring.mul(c, y)) for x, y in zip(v, row)]
         return v
 
     def contains(self, vec: Sequence) -> bool:
-        return all(_is_zero(self.ring, x) for x in self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def coords_of(self, vec: Sequence) -> List:
         """Coefficients of vec in the canonical basis; vec must be a member."""
@@ -581,9 +574,9 @@ class Subspace:
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
             coords.append(c)
-            if not _is_zero(ring, c):
+            if c:
                 v = [ring.sub(x, ring.mul(c, y)) for x, y in zip(v, row)]
-        if any(not _is_zero(ring, x) for x in v):
+        if any(v):
             raise LinalgError("vector is not in the subspace")
         return coords
 

@@ -22,7 +22,6 @@ from .almost import (
     almost_quotient,
     contraction_defects,
     serre_adjoint_report,
-    verify_contraction,
 )
 from .derived import check_homological_epi
 from .fixture import FixtureError, FixtureFile

@@ -421,3 +421,24 @@ def probed_operator_matrix(layout_in, layout_out, fn):
     if rows:
         return Mat.from_rows(ring, rows)
     return Mat.zeros(ring, 0, layout_out.dim)
+
+
+def route_trusted_algmats_through_validation(monkeypatch):
+    """Make ``AlgMat._trusted`` build through the validating ``AlgMat(...)``.
+
+    Every summand matrix the engine builds internally then has its shape and
+    corner support checked, as before trusted construction existed.  Returns
+    the set of names of the functions that asked for one.
+    """
+    import sys
+
+    from kbproj.homcat import AlgMat
+
+    callers = set()
+
+    def checked(cls, alg, target_idems, source_idems, entries):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return AlgMat(alg, target_idems, source_idems, entries)
+
+    monkeypatch.setattr(AlgMat, "_trusted", classmethod(checked))
+    return callers

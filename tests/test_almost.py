@@ -17,7 +17,7 @@ from kbproj.almost import (
     perturb_homotopy,
     serre_adjoint_report,
     standard_modules,
-    verify_contraction,
+    verify_contraction_fixture,
 )
 from kbproj.functors import FiniteSubcat
 from kbproj.homcat import AlgMat, chain_map, is_contractible, is_homotopy_equivalence, single_summand_complex
@@ -217,14 +217,14 @@ def test_derived_ideal_requires_witness(A, window):
 
 def test_koszul_contraction_accepts():
     fx = koszul_contraction_fixture()
-    assert verify_contraction(fx)
+    assert verify_contraction_fixture(fx)
     assert contraction_defects(fx) == {}
 
 
 def test_empty_fixture_accepts():
     ring = koszul_contraction_fixture().ring
     fx = ContractionFixture(ring, {}, {}, {}, name="empty")
-    assert verify_contraction(fx)
+    assert verify_contraction_fixture(fx)
 
 
 def test_koszul_rejects_every_single_entry_perturbation():
@@ -237,7 +237,7 @@ def test_koszul_rejects_every_single_entry_perturbation():
             for c in range(m.ncols):
                 for d in deltas:
                     bad = perturb_homotopy(fx, n, r, c, delta=d)
-                    assert not verify_contraction(bad), (n, r, c)
+                    assert not verify_contraction_fixture(bad), (n, r, c)
                     tried += 1
     assert tried == 8
 

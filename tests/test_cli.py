@@ -380,3 +380,34 @@ def test_certificate_against_wrong_problem_refuted(capsys, tmp_path):
                      "--certificate", str(p))
     assert code == 0
     assert json.loads(out)["reports"][0]["verdict"] == "refuted"
+
+
+# -- corner support is checked where data enters ------------------------------
+
+
+def test_fixture_differential_off_its_corner_exits_2(capsys, tmp_path):
+    data = json.load(open(CORNER))
+    data["complexes"]["S1r"]["diff"]["-1"] = [[["1", "1", "0"]]]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    assert main(["run", "--fixture", str(p)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    lines = cap.err.strip().splitlines()
+    assert len(lines) == 1
+    assert "complex S1r" in lines[0]
+    assert "not supported on the corner e11*R*e22" in lines[0]
+
+
+def test_triangle_certificate_off_its_corner_refuted(capsys, tmp_path):
+    cert = _certificate_of(capsys, CORNER, "triangle-canonical")
+    assert cert["problem"] == "canonical"
+    cert["payload"]["rho"]["0"] = [[["1", "1", "0"]]]
+    p = tmp_path / "cert.json"
+    p.write_text(json.dumps(cert))
+    code, out = _cli(capsys, "verify-certificate", "--fixture", CORNER,
+                     "--certificate", str(p))
+    assert code == 0
+    rep = json.loads(out)["reports"][0]
+    assert rep["verdict"] == "refuted"
+    assert "not supported on the corner e11*R*e11" in rep["evidence"]["reason"]

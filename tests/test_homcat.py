@@ -90,8 +90,23 @@ def oracle_hom_dim(X, Y):
 
 def test_entry_outside_corner_rejected(ex):
     A = ex["alg"]
+    e11, e12, e22 = A.basis_vec(0), A.basis_vec(1), A.basis_vec(2)
     with pytest.raises(HomcatError, match="corner"):
-        AlgMat(A, (1,), (0,), [[A.basis_vec(1)]])   # e12 does not sit in e22*R*e11
+        AlgMat(A, (1,), (0,), [[e12]])   # e12 does not sit in e22*R*e11
+    assert AlgMat(A, (0,), (1,), [[e12]]).entries == ((e12,),)
+    # e11 = e11*e11 but e11*e22 = 0: off e11*R*e22 on the right
+    with pytest.raises(HomcatError, match=r"entry \(0,0\) .* corner e11\*R\*e22"):
+        AlgMat(A, (0,), (1,), [[e11]])
+    # e22*e22 = e22 but e11*e22 = 0: off e11*R*e22 on the left
+    with pytest.raises(HomcatError, match=r"corner e11\*R\*e22"):
+        AlgMat(A, (0,), (1,), [[e22]])
+    # one bad entry among good ones, named by its position
+    with pytest.raises(HomcatError, match=r"entry \(1,0\) .* corner e22\*R\*e11"):
+        AlgMat(A, (0, 1), (0,), [[e11], [A.add_vec(e11, e12)]])
+    with pytest.raises(HomcatError, match="rows"):
+        AlgMat(A, (0, 1), (0,), [[e11]])
+    with pytest.raises(HomcatError, match="columns"):
+        AlgMat(A, (0,), (0, 1), [[e11]])
 
 
 def test_differential_must_square_to_zero(ex):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from build_examples import corner_map, split_map, ut2_complexes
+from oracles import route_trusted_algmats_through_validation
 from kbproj.functors import induction_functor, restriction_functor
 from kbproj.homcat import (
     AlgMat,
@@ -30,6 +31,7 @@ from kbproj.lifting import (
     verify_map_lift,
 )
 from kbproj.linalg import QQ
+from kbproj.serialize import complex_lift_cert_to_json
 
 
 @pytest.fixture(scope="module")
@@ -285,3 +287,28 @@ def test_bad_stalk_table_rejected(ctx):
                                 {}))
     with pytest.raises(LiftError, match="not the stalk"):
         lift_complex(G, ctx["kstalk"], {0: wrong})
+
+
+def test_lift_block_sums_pass_the_corner_check(ctx, monkeypatch):
+    # the block-diagonal sums and the comparison map of a complex lift are
+    # built without the corner check; rebuild them with it
+    F, G, k, kk = ctx["F"], ctx["G"], ctx["k"], ctx["kk"]
+    one = (QQ.one,)
+    two_term = ProjComplex(kk, {-1: (1,), 0: (0, 1)},
+                           {-1: AlgMat(kk, (0, 1), (1,), [[kk.zero_vec()], [ctx["u2"]]])},
+                           name="imageish")
+    three = ProjComplex(k, {-2: (0,), -1: (0,), 0: (0,)},
+                        {-2: AlgMat(k, (0,), (0,), [[one]])}, name="three")
+    cases = [(F, two_term, ctx["f_table"], {}),
+             (G, three, ctx["g_table"],
+              {"generators": [ctx["P2s"]], "budget": SearchBudget(max_depth=3)})]
+    fast = [lift_complex(Fn, Y, table, **kw) for Fn, Y, table, kw in cases]
+    callers = route_trusted_algmats_through_validation(monkeypatch)
+    for (Fn, Y, table, kw), rep in zip(cases, fast):
+        checked = lift_complex(Fn, Y, table, **kw)
+        assert checked.verdict == rep.verdict == "found"
+        assert complex_lift_cert_to_json(checked.certificate) == \
+            complex_lift_cert_to_json(rep.certificate)
+        ok, reason = verify_complex_lift(Fn, Y, checked.certificate)
+        assert ok, reason
+    assert {"_sum_map", "_lift_rec", "homotopy_inverse_from_contraction"} <= callers

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kbproj.linalg import (
     GF,
     QQ,
+    LaurentPoly,
     LaurentRing,
     LinalgError,
     Mat,
@@ -178,6 +179,33 @@ def test_laurent_arithmetic_basics():
     p = L.parse([[[0, 1], "2"], [[1, 0], "-1/2"]])
     assert L.fmt(p) == [[[0, 1], "2"], [[1, 0], "-1/2"]]
     assert L.add(p, L.neg(p)) == L.zero
+
+
+def _zero_test_samples():
+    F5 = GF(5)
+    L = LaurentRing(["x", "y"])
+    x, y = L.monomial([1, 0]), L.monomial([0, -1])
+    p = L.add(x, L.monomial([0, 1], Fraction(-3, 2)))
+    return [
+        (QQ, [QQ.zero, QQ.one, QQ.from_int(0), q(-3), Fraction(-2, 7), Fraction(0, 5),
+              QQ.sub(q(4), q(4)), QQ.mul(q(0), q(-9))]),
+        (F5, [F5.zero, F5.one, F5.neg(F5.one), F5.neg(F5.zero)]
+         + [F5.from_int(n) for n in (-10, -5, -3, 0, 4, 5, 10, 26)]
+         + [F5.parse("15"), F5.mul(3, 5), F5.add(2, 3), F5.sub(1, 6)]),
+        (L, [L.zero, L.one, x, L.neg(x), y, p, L.neg(p), L.add(p, L.neg(p)),
+             L.mul(x, L.zero), L.parse([[[1, 0], "1"], [[1, 0], "-1"]]),
+             LaurentPoly({(0, 0): Fraction(0)}),
+             LaurentPoly({(1, 0): Fraction(0), (0, 1): Fraction(2)})]),
+    ]
+
+
+@pytest.mark.parametrize("ring, samples", _zero_test_samples(),
+                         ids=["QQ", "GF5", "Laurent"])
+def test_truthiness_is_the_zero_test(ring, samples):
+    # the engine tests scalars for zero with `not x`
+    for x in samples:
+        assert bool(x) == (x != ring.zero), (ring, x)
+    assert any(not x for x in samples) and any(samples)
 
 
 @settings(max_examples=60, deadline=None)
