@@ -95,11 +95,13 @@ class AlgebraPresentation:
 
     def left_regular(self, x: Sequence) -> Mat:
         """Matrix of m -> x.m in the row convention (rows are images of basis)."""
-        return Mat.from_rows(self.ring, [self.mult(x, self.basis_vec(t)) for t in range(self.dim)])
+        return Mat.from_rows(self.ring, [self.mult(x, self.basis_vec(t)) for t in range(self.dim)],
+                             self.dim)
 
     def right_regular(self, x: Sequence) -> Mat:
         """Matrix of m -> m.x in the row convention."""
-        return Mat.from_rows(self.ring, [self.mult(self.basis_vec(t), x) for t in range(self.dim)])
+        return Mat.from_rows(self.ring, [self.mult(self.basis_vec(t), x) for t in range(self.dim)],
+                             self.dim)
 
     def trace_left_mult(self, x: Sequence):
         ring = self.ring
@@ -248,11 +250,8 @@ class FdModule:
     def times_ideal(self, space: Subspace) -> Subspace:
         """Subspace M . a for an ideal (or any subspace) a of the algebra."""
         vecs = []
-        eye = Mat.identity(self.algebra.ring, self.dim)
         for arow in space.rows:
-            A = self.action_of(arow)
-            for t in range(self.dim):
-                vecs.append(A.row_apply(eye.row(t)))
+            vecs.extend(self.action_of(arow).rows())
         return Subspace.from_spanning(self.algebra.ring, self.dim, vecs)
 
     def annihilated_by(self, space: Subspace) -> Subspace:
@@ -284,8 +283,8 @@ def submodule(M: FdModule, space: Subspace) -> Tuple[FdModule, Mat]:
     action = []
     for i in range(alg.dim):
         rows = [space.coords_of(M.action[i].row_apply(list(r))) for r in space.rows]
-        action.append(Mat.from_rows(ring, rows) if space.dim else Mat.zeros(ring, 0, 0))
-    incl = Mat.from_rows(ring, [list(r) for r in space.rows]) if space.dim else Mat.zeros(ring, 0, M.dim)
+        action.append(Mat.from_rows(ring, rows, space.dim))
+    incl = Mat.from_rows(ring, space.rows, M.dim)
     return FdModule(alg, space.dim, action, name=f"{M.name}|sub"), incl
 
 
@@ -309,9 +308,8 @@ def quotient_module(M: FdModule, space: Subspace) -> Tuple[FdModule, Mat]:
     action = []
     for i in range(alg.dim):
         rows = [project(M.action[i].row_apply(r)) for r in reps]
-        action.append(Mat.from_rows(ring, rows) if qdim else Mat.zeros(ring, 0, 0))
-    proj = Mat.from_rows(ring, [project(list(Mat.identity(ring, M.dim).row(t))) for t in range(M.dim)]) \
-        if M.dim else Mat.zeros(ring, 0, qdim)
+        action.append(Mat.from_rows(ring, rows, qdim))
+    proj = Mat.from_rows(ring, [project(r) for r in Mat.identity(ring, M.dim).rows()], qdim)
     return FdModule(alg, qdim, action, name=f"{M.name}|quo"), proj
 
 
@@ -335,11 +333,11 @@ def hom_modules(M: FdModule, N: FdModule) -> List[Mat]:
                 for l in range(nn):
                     row[i * nn + l] = ring.sub(row[i * nn + l], B.entry(l, j))
                 rows.append(row)
-    big = Mat.from_rows(ring, rows)
+    big = Mat.from_rows(ring, rows, nm * nn)
     _, ker = solve(big, Mat.zeros(ring, big.nrows, 1))
     out = []
     for kv in ker.rows:
-        out.append(Mat.from_rows(ring, [list(kv[i * nn:(i + 1) * nn]) for i in range(nm)]))
+        out.append(Mat.from_rows(ring, [kv[i * nn:(i + 1) * nn] for i in range(nm)], nn))
     return out
 
 
@@ -415,8 +413,7 @@ class Bimodule:
         """Span of e_i . B inside B."""
         e = self.left_alg.idempotent_vec(i)
         E = self.left_of(e)
-        vecs = [E.row_apply(Mat.identity(self.left_alg.ring, self.dim).row(t)) for t in range(self.dim)]
-        return Subspace.from_spanning(self.left_alg.ring, self.dim, vecs)
+        return Subspace.from_spanning(self.left_alg.ring, self.dim, E.rows())
 
     def __repr__(self):
         return f"Bimodule({self.name}: {self.left_alg.name}-{self.right_alg.name}, dim={self.dim})"
@@ -591,7 +588,7 @@ def radical(alg: AlgebraPresentation) -> TwoSidedIdeal:
             prod = alg.mult(alg.basis_vec(i), alg.basis_vec(j))
             row.append(alg.trace_left_mult(prod))
         rows.append(row)
-    T = Mat.from_rows(ring, rows)
+    T = Mat.from_rows(ring, rows, alg.dim)
     _, ker = solve(T.transpose(), Mat.zeros(ring, alg.dim, 1))
     ideal = TwoSidedIdeal(alg, ker, name=f"rad({alg.name})")
     if not ideal.is_nilpotent():
@@ -625,18 +622,16 @@ def module_tensor(M: FdModule, B: Bimodule) -> TensorResult:
     R = M.algebra
     amb = M.dim * B.dim
     rels = []
+    left_rows = [B.left_action[r].rows() for r in range(R.dim)]
     for i in range(M.dim):
-        ei = Mat.identity(ring, M.dim).row(i)
         for r in range(R.dim):
-            mi_r = M.action[r].row_apply(ei)
+            mi_r = M.action[r].row(i)
             for j in range(B.dim):
                 vec = [ring.zero] * amb
                 for u, c in enumerate(mi_r):
                     if c:
                         vec[u * B.dim + j] = ring.add(vec[u * B.dim + j], c)
-                bj = Mat.identity(ring, B.dim).row(j)
-                r_bj = B.left_action[r].row_apply(bj)
-                for v, c in enumerate(r_bj):
+                for v, c in enumerate(left_rows[r][j]):
                     if c:
                         vec[i * B.dim + v] = ring.sub(vec[i * B.dim + v], c)
                 rels.append(vec)
@@ -654,6 +649,7 @@ def module_tensor(M: FdModule, B: Bimodule) -> TensorResult:
     S = B.right_alg
     action = []
     for s in range(S.dim):
+        right_s = B.right_action[s].rows()
         rows = []
         for rep in reps:
             out = [ring.zero] * amb
@@ -661,12 +657,11 @@ def module_tensor(M: FdModule, B: Bimodule) -> TensorResult:
                 if not c:
                     continue
                 i, j = divmod(pos, B.dim)
-                img = B.right_action[s].row_apply(Mat.identity(ring, B.dim).row(j))
-                for v, d in enumerate(img):
+                for v, d in enumerate(right_s[j]):
                     if d:
                         out[i * B.dim + v] = ring.add(out[i * B.dim + v], ring.mul(c, d))
             rows.append(project(out))
-        action.append(Mat.from_rows(ring, rows) if qdim else Mat.zeros(ring, 0, 0))
+        action.append(Mat.from_rows(ring, rows, qdim))
     module = FdModule(S, qdim, action, name=f"{M.name}(x){B.name}")
     return TensorResult(module, relations, reps)
 
@@ -689,23 +684,9 @@ def quotient_algebra(alg: AlgebraPresentation, ideal: TwoSidedIdeal,
         resid = space.reduce(vec)
         return [resid[j] for j in range(alg.dim) if j not in pivset]
 
-    def embed(qvec):
-        out = [ring.zero] * alg.dim
-        for c, rep in zip(qvec, reps):
-            for i, r in enumerate(rep):
-                out[i] = ring.add(out[i], ring.mul(c, r))
-        return out
-
     nonpiv = [j for j in range(alg.dim) if j not in pivset]
     names = [f"{alg.basis_names[j]}~" for j in nonpiv]
-    structure = []
-    eye = Mat.identity(ring, qdim)
-    for a in range(qdim):
-        row = []
-        for b in range(qdim):
-            prod = alg.mult(embed(eye.row(a)), embed(eye.row(b)))
-            row.append(project(prod))
-        structure.append(row)
+    structure = [[project(alg.mult(ra, rb)) for rb in reps] for ra in reps]
     unit = project(alg.unit)
     idems = []
     idem_names = []
@@ -747,6 +728,6 @@ def projective_module(alg: AlgebraPresentation, summands: Sequence[int]) -> Tupl
                 big_rows.append(row)
                 idx += 1
             off += sp.dim
-        action.append(Mat.from_rows(ring, big_rows) if dim else Mat.zeros(ring, 0, 0))
+        action.append(Mat.from_rows(ring, big_rows, dim))
     mod = FdModule(alg, dim, action, name=f"P({list(summands)})")
     return mod, blocks

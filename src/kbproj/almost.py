@@ -44,10 +44,9 @@ from .homcat import (
     ProjComplex,
     chain_map,
     cone,
-    single_summand_complex,
 )
 from .ideals import HomIdeal, is_idempotent_ideal
-from .linalg import Mat, Subspace, hstack, solve_left
+from .linalg import Mat, Subspace, solve_left
 
 
 class AlmostError(ValueError):
@@ -203,9 +202,7 @@ class CornerFunctor:
     corner_basis: Tuple[Tuple, ...]      # corner basis as elements of R
 
     def image_space(self, M: FdModule) -> Subspace:
-        rho = M.action_of(self.e)
-        rows = [rho.row(i) for i in range(rho.nrows)]
-        return Subspace.from_spanning(M.algebra.ring, M.dim, rows)
+        return Subspace.from_spanning(M.algebra.ring, M.dim, M.action_of(self.e).rows())
 
     def apply(self, M: FdModule) -> FdModule:
         sp = self.image_space(M)
@@ -214,8 +211,7 @@ class CornerFunctor:
         for b in self.corner_basis:
             A = M.action_of(b)
             rows = [sp.coords_of(A.row_apply(list(r))) for r in sp.rows]
-            action.append(Mat.from_rows(ring, rows) if sp.dim
-                          else Mat.zeros(ring, 0, 0))
+            action.append(Mat.from_rows(ring, rows, sp.dim))
         return FdModule(self.corner, sp.dim, action, name=f"{M.name}e")
 
 
@@ -302,9 +298,8 @@ def _intersect(a: Subspace, b: Subspace) -> Subspace:
     ring = a.ring
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(ring, a.ambient)
-    A = Mat.from_rows(ring, [list(r) for r in a.rows])
-    S = Mat.from_rows(ring, [list(r) for r in a.rows]
-                      + [list(r) for r in b.rows])
+    A = Mat.from_rows(ring, a.rows, a.ambient)
+    S = Mat.from_rows(ring, a.rows + b.rows, a.ambient)
     _, ker = solve_left(S, Mat.zeros(ring, 1, S.ncols))
     vecs = [A.row_apply(list(kv[:a.dim])) for kv in ker.rows]
     return Subspace.from_spanning(ring, a.ambient, vecs)
@@ -442,7 +437,7 @@ def almost_derived_ideal(alg: AlgebraPresentation, ideal: TwoSidedIdeal,
             if width == 0:
                 comps[(an, bn)] = Subspace.full(ring, H.dim)
                 continue
-            M = Mat.from_rows(ring, rows)
+            M = Mat.from_rows(ring, rows, width)
             _, ker = solve_left(M, Mat.zeros(ring, 1, width))
             comps[(an, bn)] = ker
     I = HomIdeal(subcat, comps)
@@ -473,8 +468,8 @@ def _check_tensor_dim(alg: AlgebraPresentation, ideal: TwoSidedIdeal,
         b = alg.basis_vec(t)
         lrows = [ideal.space.coords_of(alg.mult(b, tuple(r))) for r in rows]
         rrows = [ideal.space.coords_of(alg.mult(tuple(r), b)) for r in rows]
-        left.append(Mat.from_rows(ring, lrows))
-        right.append(Mat.from_rows(ring, rrows))
+        left.append(Mat.from_rows(ring, lrows, d))
+        right.append(Mat.from_rows(ring, rrows, d))
     B = Bimodule(alg, alg, d, left, right, name="a")
     M = FdModule(alg, d, right, name="a")
     got = module_tensor(M, B).module.dim
@@ -573,10 +568,9 @@ def perturb_homotopy(fx: ContractionFixture, degree: int, row: int, col: int,
     delta = ring.one if delta is None else ring.parse(delta)
     h = {n: m for n, m in fx.homotopy.items()}
     base = fx.homotopy_at(degree)
-    rows = [[base.entry(r, c) for c in range(base.ncols)]
-            for r in range(base.nrows)]
+    rows = base.rows()
     rows[row][col] = ring.add(rows[row][col], delta)
-    h[degree] = Mat.from_rows(ring, rows)
+    h[degree] = Mat.from_rows(ring, rows, base.ncols)
     return ContractionFixture(ring, fx.dims, fx.diff, h,
                               name=f"{fx.name}~({degree},{row},{col})")
 
@@ -598,11 +592,11 @@ def koszul_contraction_fixture():
     z = ring.zero
     dims = {-2: 1, -1: 2, 0: 1}
     diff = {
-        -2: Mat.from_rows(ring, [[x, y]]),
-        -1: Mat.from_rows(ring, [[y], [ring.neg(x)]]),
+        -2: Mat.from_rows(ring, [[x, y]], 2),
+        -1: Mat.from_rows(ring, [[y], [ring.neg(x)]], 1),
     }
     homotopy = {
-        0: Mat.from_rows(ring, [[z, ring.neg(xinv)]]),
-        -1: Mat.from_rows(ring, [[xinv], [z]]),
+        0: Mat.from_rows(ring, [[z, ring.neg(xinv)]], 2),
+        -1: Mat.from_rows(ring, [[xinv], [z]], 1),
     }
     return ContractionFixture(ring, dims, diff, homotopy, name="koszul-x-inverted")

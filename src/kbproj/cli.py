@@ -15,7 +15,7 @@ import sys
 from typing import List, Optional
 
 from .fixture import FixtureError, load_fixture
-from .reports import Report, emit_json, emit_text
+from .reports import emit_json, emit_text
 from .runner import TaskError, run_task, run_tasks, worker_count
 
 

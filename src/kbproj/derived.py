@@ -43,11 +43,8 @@ def minimal_generators(M: FdModule, radsp: Subspace) -> List[Tuple[int, List]]:
     mrad = M.times_ideal(radsp)
     chosen: List[Tuple[int, List]] = []
     spanned = mrad
-    eye = Mat.identity(ring, M.dim)
     for j in range(alg.n_idempotents()):
-        ej = alg.idempotent_vec(j)
-        for t in range(M.dim):
-            v = M.act(eye.row(t), ej)
+        for v in M.action_of(alg.idempotent_vec(j)).rows():
             if spanned.contains(v):
                 continue
             chosen.append((j, v))
@@ -72,7 +69,7 @@ def projective_cover(M: FdModule, radsp: Subspace):
     for j, g in gens:
         for x in alg.right_ideal_space(j).rows:
             rows.append(M.act(g, list(x)))
-    cover = Mat.from_rows(alg.ring, rows) if rows else Mat.zeros(alg.ring, 0, M.dim)
+    cover = Mat.from_rows(alg.ring, rows, M.dim)
     if rank(cover) != M.dim:
         raise DerivedError("cover is not surjective")
     _, ker = solve_left(cover, Mat.zeros(alg.ring, 1, M.dim)) if P.dim else (None, Subspace.zero(alg.ring, 0))
@@ -185,7 +182,6 @@ def proj_resolution(M: FdModule, max_len: int) -> Resolution:
 
 
 def _verify_resolution(res: Resolution):
-    ring = res.algebra.ring
     if res.maps:
         if not (res.maps[0] @ res.aug).is_zero():
             raise DerivedError("resolution fails d . aug = 0")
@@ -223,9 +219,7 @@ def tensor_functor_map(phi: Mat, src: TensorResult, tgt: TensorResult, B: Bimodu
                 if w:
                     out[v * bdim + j] = ring.add(out[v * bdim + j], ring.mul(c, w))
         rows.append(tgt.project(out))
-    if rows:
-        return Mat.from_rows(ring, rows)
-    return Mat.zeros(ring, 0, tgt.module.dim)
+    return Mat.from_rows(ring, rows, tgt.module.dim)
 
 
 @dataclass
@@ -301,9 +295,7 @@ def multiplication_matrix(g: RingMap, T: TensorResult) -> Mat:
             prod = S.mult(S.basis_vec(u), S.basis_vec(v))
             out = S.add_vec(out, S.scale_vec(c, prod))
         rows.append(list(out))
-    if rows:
-        return Mat.from_rows(ring, rows)
-    return Mat.zeros(ring, 0, S.dim)
+    return Mat.from_rows(ring, rows, S.dim)
 
 
 def check_homological_epi(g: RingMap, i_max: int = 20,

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 from .algebra import (
     AlgebraPresentation,
     RingMap,
-    TwoSidedIdeal,
     ideal_from_spanning,
     ideal_generated_by_idempotent,
 )
@@ -28,7 +27,7 @@ from .almost import ContractionFixture, ProjectivityWitness
 from .functors import BimoduleFunctor, FiniteSubcat, induction_functor, restriction_functor
 from .homcat import GradedMap, ProjComplex, single_summand_complex
 from .lifting import SearchBudget, StalkLift
-from .linalg import GF, LaurentRing, Mat, QQ
+from .linalg import GF, LaurentRing, QQ
 from .serialize import (
     SerializeError,
     complex_from_json,

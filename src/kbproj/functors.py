@@ -64,7 +64,7 @@ class BimoduleFunctor:
                 rows.append(B.right_of(tuple(s)).row_apply(list(w)))
             blocks.append((j, off, sp.dim))
             off += sp.dim
-        W = Mat.from_rows(ring, rows) if rows else Mat.zeros(ring, 0, B.dim)
+        W = Mat.from_rows(ring, rows, B.dim)
         for r in range(W.nrows):
             if not corner.contains(W.row(r)):
                 raise FunctorError(f"{self.name}: witness span escapes the corner")
@@ -94,9 +94,9 @@ class BimoduleFunctor:
         S = self.target_alg
         La = B.left_of(a)
         cols = []
-        for jv, wv in self.witnesses[src_i]:
+        for _, wv in self.witnesses[src_i]:
             img = La.row_apply(list(wv))
-            x, _ = solve_left(self._wmat[tgt_i], Mat.from_rows(ring, [img]))
+            x, _ = solve_left(self._wmat[tgt_i], Mat.from_rows(ring, [img], B.dim))
             if x is None:
                 raise FunctorError(f"{self.name}: image escaped the witness span")
             coords = x.row(0)
@@ -237,9 +237,7 @@ class FiniteSubcat:
             g = f.shift(1)
             moved = GradedMap(self.objects[sa], self.objects[sb], 0, g.components)
             rows.append(Hs.class_coords(moved))
-        if rows:
-            return Mat.from_rows(ring, rows)
-        return Mat.zeros(ring, 0, Hs.dim)
+        return Mat.from_rows(ring, rows, Hs.dim)
 
 
 def functor_class_matrix(F: BimoduleFunctor, H: HomSpace,
@@ -247,9 +245,7 @@ def functor_class_matrix(F: BimoduleFunctor, H: HomSpace,
     """Matrix (row convention) of the induced map on homotopy classes."""
     ring = F.source_alg.ring
     rows = [FH.class_coords(F.apply_map(f, FX, FY)) for f in H.basis()]
-    if rows:
-        return Mat.from_rows(ring, rows)
-    return Mat.zeros(ring, 0, FH.dim)
+    return Mat.from_rows(ring, rows, FH.dim)
 
 
 def annihilator_classes(F: BimoduleFunctor, H: HomSpace,

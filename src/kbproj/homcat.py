@@ -196,10 +196,7 @@ class AlgMat:
                         img = alg.mult(self.entries[r][c], tuple(v))
                         out.extend(tp.coords_of(img))
                     rows.append(out)
-            if rows:
-                self._lin = Mat.from_rows(ring, rows)
-            else:
-                self._lin = Mat.zeros(ring, 0, tdim)
+            self._lin = Mat.from_rows(ring, rows, tdim)
         return self._lin
 
     def __repr__(self):
@@ -728,9 +725,8 @@ class HomSpace:
         ring = self.ring
         if not self.reps:
             return []
-        rows = [list(r) for r in self.reps] + [list(r) for r in self.boundaries.rows]
-        M = Mat.from_rows(ring, rows)
-        x, _ = solve_left(M, Mat.from_rows(ring, [v]))
+        M = Mat.from_rows(ring, self.reps + list(self.boundaries.rows), self.L0.dim)
+        x, _ = solve_left(M, Mat.from_rows(ring, [v], self.L0.dim))
         if x is None:
             raise HomcatError("internal error: cycle escaped its own span")
         return [x.entry(0, t) for t in range(len(self.reps))]
@@ -746,7 +742,7 @@ class HomSpace:
             return True, zero_map(self.X, self.Y, degree=-1)
         if self.Lm1.dim == 0:
             return False, None
-        x, _ = solve_left(self.Dm1, Mat.from_rows(ring, [v]))
+        x, _ = solve_left(self.Dm1, Mat.from_rows(ring, [v], self.L0.dim))
         if x is None:
             return False, None
         return True, self.Lm1.unpack(x.row(0))
@@ -890,7 +886,7 @@ def recognize_triangle(alpha: GradedMap, beta: GradedMap, gamma: GradedMap) -> T
         mid = hstack([zero(ring, n1, m0), D_yz.neg(), zero(ring, n1, m2)])
         bot = hstack([zero(ring, n2, m0), zero(ring, n2, m1), D_csx.neg()])
         M = vstack([top, mid, bot])
-        x, _ = solve_left(M, Mat.from_rows(ring, [rhs]))
+        x, _ = solve_left(M, Mat.from_rows(ring, [rhs], m0 + m1 + m2))
         if x is None:
             return TriangleVerdict("not_exact", "no comparison map from the cone exists")
         sol = x.row(0)
@@ -916,7 +912,7 @@ def verify_triangle_certificate(alpha: GradedMap, beta: GradedMap, gamma: Graded
         return False
     if verdict.rho is None or verdict.cone_contraction is None:
         return False
-    C, incl, proj = cone(alpha)
+    _, incl, proj = cone(alpha)
     rho = verdict.rho
     if rho.degree != 0 or not rho.delta().is_zero():
         return False

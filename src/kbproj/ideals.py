@@ -266,9 +266,7 @@ def _quotient_matrix(ring, S: Subspace) -> Mat:
     for i in range(S.ambient):
         red = S.reduce(_unit(ring, S.ambient, i))
         rows.append([red[j] for j in free])
-    if S.ambient == 0:
-        return Mat.zeros(ring, 0, 0)
-    return Mat.from_rows(ring, rows)
+    return Mat.from_rows(ring, rows, len(free))
 
 
 def _preimage(subcat, ring, M: Mat, S: Subspace) -> Subspace:
@@ -333,8 +331,7 @@ def saturation_report(I: HomIdeal, triangles: Sequence[TrianglePresentation],
             rows = [compose_coords(subcat, na, nb, y, alpha_coords,
                                    _unit(ring, Hby.dim, i))
                     for i in range(Hby.dim)]
-            M = (Mat.from_rows(ring, rows) if rows
-                 else Mat.zeros(ring, 0, subcat.hom(na, y).dim))
+            M = Mat.from_rows(ring, rows, subcat.hom(na, y).dim)
             lhs = _preimage(subcat, ring, M, I.component(na, y))
             holds = lhs.is_subspace_of(I.component(nb, y))
             checks.append(SaturationCheck(tri.names, y, True, holds))

@@ -105,9 +105,7 @@ def _functor_matrix(F: BimoduleFunctor, layout_in: MapLayout, layout_out: MapLay
         unit[t] = ring.one
         rows.append(layout_out.pack(F.apply_map(layout_in.unpack(unit),
                                                 layout_out.X, layout_out.Y)))
-    if rows:
-        return Mat.from_rows(ring, rows)
-    return Mat.zeros(ring, 0, layout_out.dim)
+    return Mat.from_rows(ring, rows, layout_out.dim)
 
 
 def _try_node(F: BimoduleFunctor, Xc: ProjComplex, Y: ProjComplex,
@@ -128,7 +126,7 @@ def _try_node(F: BimoduleFunctor, Xc: ProjComplex, Y: ProjComplex,
         hstack([DH.neg(), Mat.zeros(ring, lfm.dim, la1.dim)]),
     ])
     target = alpha.compose(Fpi)
-    rhs = Mat.from_rows(ring, [lf0.pack(target) + [ring.zero] * la1.dim])
+    rhs = Mat.from_rows(ring, [lf0.pack(target) + [ring.zero] * la1.dim], M.ncols)
     x, _ = solve_left(M, rhs)
     if x is None:
         return None
@@ -142,7 +140,7 @@ def lift_chain_map(F: BimoduleFunctor, X: ProjComplex, Y: ProjComplex,
                    alpha: GradedMap, generators: Sequence[ProjComplex] = (),
                    budget: SearchBudget = SearchBudget()) -> MapLiftReport:
     """Search for a lift of alpha: F(X) -> F(Y) across the functor."""
-    FX, FY = _check_problem(F, X, Y, alpha)
+    _, FY = _check_problem(F, X, Y, alpha)
     _check_generators(F, generators)
     queue = deque()
     queue.append((X, identity_map(X), 0, ()))
@@ -336,7 +334,7 @@ def _lift_rec(F, Y: ProjComplex, table, generators, budget,
     ok, cA = is_homotopy_equivalence(eA)
     if not ok:
         raise LiftError("internal error: stalk comparison not invertible")
-    invA, _, h_tgt = homotopy_inverse_from_contraction(eA, cA)
+    invA, _, _ = homotopy_inverse_from_contraction(eA, cA)
     XBs = XB.shift(-1)
     FXBs = F.apply_complex(XBs)
     eBs = GradedMap(FXBs, SB, 0, eB.shift(-1).components)

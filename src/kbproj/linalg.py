@@ -8,6 +8,9 @@ Conventions
 -----------
 * A ``Mat`` of shape (nrows, ncols) represents a linear map acting on the
   right of row vectors when used as an operator: ``image = v * M``.
+* A ``Mat`` stores only its nonzero entries, as a dict ``{(i, j): v}``,
+  whatever its density.  ``Mat.from_rows`` takes the width and checks every
+  row against it, so an empty row list is a 0 x ncols matrix.
 * ``solve(A, b)`` solves ``A @ x = b`` (column unknowns), per-column.
 * ``Subspace`` bases are stored in reduced row echelon form, so two equal
   subspaces have identical bases.
@@ -21,11 +24,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 class LinalgError(ValueError):
     """Raised for shape mismatches, non-field division, malformed scalars."""
-
-
-# Density below which a matrix is stored as a dict of nonzero entries.
-# Config knob only; it never affects any computed result.
-SPARSE_THRESHOLD = 0.25
 
 
 def _is_prime(n: int) -> bool:
@@ -279,98 +277,75 @@ class LaurentRing:
 
 
 class Mat:
-    """Immutable exact matrix over a ring, dense or sparse storage.
+    """Immutable exact matrix over a ring.
 
-    Storage is an implementation detail chosen by density at construction;
-    it never changes semantics.
+    The one storage is a dict ``{(i, j): v}`` of the nonzero entries; an
+    entry missing from it is ``ring.zero``.  No zero is ever stored, so a
+    matrix is zero exactly when the dict is empty, and two matrices are
+    equal exactly when their dicts are.
+
+    ``from_rows(ring, rows, ncols)`` takes the width from the caller and
+    checks every row against it, so an empty row list is a 0 x ncols matrix.
     """
 
-    __slots__ = ("ring", "nrows", "ncols", "_dense", "_sparse")
+    __slots__ = ("ring", "nrows", "ncols", "_items")
 
-    def __init__(self, ring, nrows, ncols, dense=None, sparse=None):
+    def __init__(self, ring, nrows, ncols, items: Dict[Tuple[int, int], object]):
         self.ring = ring
         self.nrows = nrows
         self.ncols = ncols
-        self._dense = dense
-        self._sparse = sparse
+        self._items = items
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_rows(cls, ring, rows: Sequence[Sequence]) -> "Mat":
-        rows = [list(r) for r in rows]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise LinalgError("ragged rows")
+    def from_rows(cls, ring, rows: Sequence[Sequence], ncols: int) -> "Mat":
         items = {}
         for i, r in enumerate(rows):
+            if len(r) != ncols:
+                raise LinalgError(f"row {i} has {len(r)} entries, expected {ncols}")
             for j, v in enumerate(r):
                 if v:
                     items[(i, j)] = v
-        return cls._build(ring, nrows, ncols, items)
+        return cls(ring, len(rows), ncols, items)
 
     @classmethod
     def from_entries(cls, ring, nrows, ncols, items: Dict[Tuple[int, int], object]) -> "Mat":
-        items = {k: v for k, v in items.items() if v}
-        return cls._build(ring, nrows, ncols, items)
+        return cls(ring, nrows, ncols, {k: v for k, v in items.items() if v})
 
     @classmethod
     def zeros(cls, ring, nrows, ncols) -> "Mat":
-        return cls._build(ring, nrows, ncols, {})
+        return cls(ring, nrows, ncols, {})
 
     @classmethod
     def identity(cls, ring, n) -> "Mat":
-        return cls._build(ring, n, n, {(i, i): ring.one for i in range(n)})
-
-    @classmethod
-    def _build(cls, ring, nrows, ncols, items: Dict[Tuple[int, int], object]) -> "Mat":
-        size = nrows * ncols
-        if size and len(items) / size < SPARSE_THRESHOLD:
-            return cls(ring, nrows, ncols, sparse=dict(items))
-        dense = [[ring.zero] * ncols for _ in range(nrows)]
-        for (i, j), v in items.items():
-            dense[i][j] = v
-        return cls(ring, nrows, ncols, dense=tuple(tuple(r) for r in dense))
+        return cls(ring, n, n, {(i, i): ring.one for i in range(n)})
 
     # -- access -------------------------------------------------------
 
     def entry(self, i, j):
-        if self._dense is not None:
-            return self._dense[i][j]
-        return self._sparse.get((i, j), self.ring.zero)
+        return self._items.get((i, j), self.ring.zero)
 
     def row(self, i) -> List:
-        if self._dense is not None:
-            return list(self._dense[i])
         r = [self.ring.zero] * self.ncols
-        for (a, b), v in self._sparse.items():
+        for (a, b), v in self._items.items():
             if a == i:
                 r[b] = v
         return r
 
     def rows(self) -> List[List]:
-        return [self.row(i) for i in range(self.nrows)]
+        zero = self.ring.zero
+        out = [[zero] * self.ncols for _ in range(self.nrows)]
+        for (i, j), v in self._items.items():
+            out[i][j] = v
+        return out
 
     def items(self) -> Iterable[Tuple[int, int, object]]:
-        if self._dense is not None:
-            for i, r in enumerate(self._dense):
-                for j, v in enumerate(r):
-                    if v:
-                        yield (i, j, v)
-        else:
-            for (i, j), v in self._sparse.items():
-                yield (i, j, v)
+        for (i, j), v in self._items.items():
+            yield (i, j, v)
 
     def is_zero(self) -> bool:
-        return all(False for _ in self.items())
-
-    def density(self) -> float:
-        size = self.nrows * self.ncols
-        if size == 0:
-            return 0.0
-        return sum(1 for _ in self.items()) / size
+        return not self._items
 
     # -- arithmetic ---------------------------------------------------
 
@@ -380,10 +355,10 @@ class Mat:
 
     def __add__(self, other: "Mat") -> "Mat":
         self._check_same_shape(other)
-        items = {(i, j): v for i, j, v in self.items()}
+        items = dict(self._items)
         ring = self.ring
-        for i, j, v in other.items():
-            items[(i, j)] = ring.add(items.get((i, j), ring.zero), v)
+        for k, v in other._items.items():
+            items[k] = ring.add(items.get(k, ring.zero), v)
         return Mat.from_entries(ring, self.nrows, self.ncols, items)
 
     def __sub__(self, other: "Mat") -> "Mat":
@@ -392,13 +367,13 @@ class Mat:
     def neg(self) -> "Mat":
         ring = self.ring
         return Mat.from_entries(
-            ring, self.nrows, self.ncols, {(i, j): ring.neg(v) for i, j, v in self.items()}
+            ring, self.nrows, self.ncols, {k: ring.neg(v) for k, v in self._items.items()}
         )
 
     def scale(self, c) -> "Mat":
         ring = self.ring
         return Mat.from_entries(
-            ring, self.nrows, self.ncols, {(i, j): ring.mul(v, c) for i, j, v in self.items()}
+            ring, self.nrows, self.ncols, {k: ring.mul(v, c) for k, v in self._items.items()}
         )
 
     def __matmul__(self, other: "Mat") -> "Mat":
@@ -407,9 +382,9 @@ class Mat:
         ring = self.ring
         items: Dict[Tuple[int, int], object] = {}
         other_rows: Dict[int, List[Tuple[int, object]]] = {}
-        for k, j, v in other.items():
+        for (k, j), v in other._items.items():
             other_rows.setdefault(k, []).append((j, v))
-        for i, k, a in self.items():
+        for (i, k), a in self._items.items():
             for j, b in other_rows.get(k, ()):
                 key = (i, j)
                 prod = ring.mul(a, b)
@@ -420,9 +395,8 @@ class Mat:
         return Mat.from_entries(ring, self.nrows, other.ncols, items)
 
     def transpose(self) -> "Mat":
-        return Mat.from_entries(
-            self.ring, self.ncols, self.nrows, {(j, i): v for i, j, v in self.items()}
-        )
+        return Mat(self.ring, self.ncols, self.nrows,
+                   {(j, i): v for (i, j), v in self._items.items()})
 
     def row_apply(self, v: Sequence) -> List:
         """Return v * self for a row vector v of length nrows."""
@@ -430,7 +404,7 @@ class Mat:
             raise LinalgError("row vector length mismatch")
         ring = self.ring
         out = [ring.zero] * self.ncols
-        for i, j, a in self.items():
+        for (i, j), a in self._items.items():
             if v[i]:
                 out[j] = ring.add(out[j], ring.mul(v[i], a))
         return out
@@ -438,12 +412,15 @@ class Mat:
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        if self.ring != other.ring or self.nrows != other.nrows or self.ncols != other.ncols:
-            return False
-        return (self - other).is_zero()
+        return (
+            self.ring == other.ring
+            and self.nrows == other.nrows
+            and self.ncols == other.ncols
+            and self._items == other._items
+        )
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, frozenset((i, j) for i, j, _ in self.items())))
+        return hash((self.nrows, self.ncols, frozenset(self._items)))
 
     def __repr__(self):
         return f"Mat({self.ring}, {self.nrows}x{self.ncols})"
@@ -544,8 +521,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ring, ambient: int) -> "Subspace":
-        eye = Mat.identity(ring, ambient)
-        return cls(ring, ambient, eye.rows(), list(range(ambient)))
+        return cls(ring, ambient, Mat.identity(ring, ambient).rows(), range(ambient))
 
     @property
     def dim(self) -> int:
@@ -589,12 +565,10 @@ class Subspace:
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ring, self.ambient)
         # c = (a | b) with a*V + b*W = 0; intersection is spanned by a*V.
-        stacked = Mat.from_rows(self.ring, list(self.rows) + list(other.rows))
+        stacked = Mat.from_rows(self.ring, self.rows + other.rows, self.ambient)
         _, ker = solve(stacked.transpose(), Mat.zeros(self.ring, self.ambient, 1))
-        vecs = []
-        for kv in ker.rows:
-            a = kv[: self.dim]
-            vecs.append(Mat.from_rows(self.ring, list(self.rows)).row_apply(a))
+        V = Mat.from_rows(self.ring, self.rows, self.ambient)
+        vecs = [V.row_apply(kv[: self.dim]) for kv in ker.rows]
         return Subspace.from_spanning(self.ring, self.ambient, vecs)
 
     def completion(self) -> List[List]:
@@ -652,7 +626,7 @@ def solve(A: Mat, b: Mat) -> Tuple[Optional[Mat], Subspace]:
     if b.nrows != A.nrows or b.ring != ring:
         raise LinalgError("solve: right-hand side shape mismatch")
     n = A.ncols
-    aug = [A.row(i) + b.row(i) for i in range(A.nrows)]
+    aug = [ra + rb for ra, rb in zip(A.rows(), b.rows())]
     red, pivots = rref_rows(ring, aug)
     pivots_in_A = [p for p in pivots if p < n]
     inconsistent = any(p >= n for p in pivots)
@@ -676,7 +650,7 @@ def solve(A: Mat, b: Mat) -> Tuple[Optional[Mat], Subspace]:
     x_rows = [[ring.zero] * b.ncols for _ in range(n)]
     for row, p in zip(red, pivots_in_A):
         x_rows[p] = row[n:]
-    x = Mat.from_rows(ring, x_rows) if n else Mat.zeros(ring, 0, b.ncols)
+    x = Mat.from_rows(ring, x_rows, b.ncols)
     # exactness invariant: residual must vanish identically
     if not (A @ x - b).is_zero():
         raise LinalgError("internal error: nonzero solve residual")

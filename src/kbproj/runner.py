@@ -24,7 +24,7 @@ from .almost import (
     serre_adjoint_report,
 )
 from .derived import check_homological_epi
-from .fixture import FixtureError, FixtureFile
+from .fixture import FixtureFile
 from .homcat import ProjComplex, recognize_triangle, same_complex, verify_triangle_certificate
 from .ideals import (
     HomIdeal,

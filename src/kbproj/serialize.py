@@ -9,11 +9,11 @@ tampered payload fails loudly rather than round-tripping.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from .homcat import AlgMat, GradedMap, ProjComplex
 from .lifting import ComplexLiftCertificate, MapLiftCertificate
-from .linalg import LaurentPoly, Mat
+from .linalg import Mat
 
 
 class SerializeError(ValueError):
@@ -54,12 +54,10 @@ def mat_from_json(ring, payload, nrows: int, ncols: int) -> Mat:
         raise SerializeError(f"matrix needs {nrows} rows")
     rows = []
     for r in payload:
-        rows.append([scalar_from_json(ring, c) for c in r])
-        if len(r) != ncols:
+        if not isinstance(r, list) or len(r) != ncols:
             raise SerializeError(f"matrix row needs {ncols} columns")
-    if not rows:
-        return Mat.zeros(ring, nrows, ncols)
-    return Mat.from_rows(ring, rows)
+        rows.append([scalar_from_json(ring, c) for c in r])
+    return Mat.from_rows(ring, rows, ncols)
 
 
 # -- summand matrices and complexes ------------------------------------------------
@@ -96,8 +94,16 @@ def complex_from_json(alg, payload, name: str = "X") -> ProjComplex:
     if not isinstance(payload, dict):
         raise SerializeError(f"complex {name}: payload must be an object")
     summands = {}
+    n_idems = alg.n_idempotents()
     for k, s in payload.get("summands", {}).items():
-        summands[_int_key(k, f"complex {name} degree")] = tuple(int(i) for i in s)
+        n = _int_key(k, f"complex {name} degree")
+        if not isinstance(s, (list, tuple)):
+            raise SerializeError(f"complex {name} degree {n}: summands must be a list")
+        for i in s:
+            if type(i) is not int or not 0 <= i < n_idems:
+                raise SerializeError(f"complex {name} degree {n}: summand index {i!r} "
+                                     f"is not an idempotent index 0..{n_idems - 1}")
+        summands[n] = tuple(s)
     diff = {}
     for k, d in payload.get("diff", {}).items():
         n = _int_key(k, f"complex {name} differential degree")

@@ -418,9 +418,7 @@ def probed_operator_matrix(layout_in, layout_out, fn):
         unit = [ring.zero] * layout_in.dim
         unit[t] = ring.one
         rows.append(layout_out.pack(fn(layout_in.unpack(unit))))
-    if rows:
-        return Mat.from_rows(ring, rows)
-    return Mat.zeros(ring, 0, layout_out.dim)
+    return Mat.from_rows(ring, rows, layout_out.dim)
 
 
 def route_trusted_algmats_through_validation(monkeypatch):

@@ -313,7 +313,7 @@ def test_regular_bimodule_validates():
 
 def test_noncommuting_actions_rejected():
     A = ground_field()
-    twist = Mat.from_rows(QQ, [[QQ.zero, QQ.one], [QQ.one, QQ.zero]])
+    twist = Mat.from_rows(QQ, [[QQ.zero, QQ.one], [QQ.one, QQ.zero]], 2)
     eye = Mat.identity(QQ, 2)
     # left action of 1 must be identity; sneak the failure in via commutation
     with pytest.raises(AlgebraError):
@@ -381,8 +381,8 @@ def test_ideal_tensor_square_dim_two():
     for t in range(A.dim):
         lrows = [a.space.coords_of(A.mult(A.basis_vec(t), tuple(r))) for r in a.space.rows]
         rrows = [a.space.coords_of(A.mult(tuple(r), A.basis_vec(t))) for r in a.space.rows]
-        left.append(Mat.from_rows(QQ, lrows))
-        right.append(Mat.from_rows(QQ, rrows))
+        left.append(Mat.from_rows(QQ, lrows, a.dim))
+        right.append(Mat.from_rows(QQ, rrows, a.dim))
     bim = Bimodule(A, A, a.dim, left, right, name="a")
     t = module_tensor(asub, bim)
     assert t.module.dim == 2

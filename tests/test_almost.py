@@ -259,8 +259,8 @@ def test_fixture_rejects_non_square_zero():
     y = ring.monomial((0, 1))
     with pytest.raises(AlmostError, match="square"):
         ContractionFixture(ring, {-2: 1, -1: 2, 0: 1},
-                           {-2: Mat.from_rows(ring, [[x, y]]),
-                            -1: Mat.from_rows(ring, [[y], [x]])},
+                           {-2: Mat.from_rows(ring, [[x, y]], 2),
+                            -1: Mat.from_rows(ring, [[y], [x]], 1)},
                            {})
 
 

@@ -399,6 +399,33 @@ def test_fixture_differential_off_its_corner_exits_2(capsys, tmp_path):
     assert "not supported on the corner e11*R*e22" in lines[0]
 
 
+@pytest.mark.parametrize("index", [-1, 5, 1.5, True, "1"])
+def test_fixture_summand_index_not_an_idempotent_exits_2(capsys, tmp_path, index):
+    data = json.load(open(CORNER))
+    data["complexes"]["P2s"]["summands"]["0"] = [index]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    assert main(["run", "--fixture", str(p)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    lines = cap.err.strip().splitlines()
+    assert len(lines) == 1
+    assert f"complex P2s degree 0: summand index {index!r}" in lines[0]
+
+
+def test_contraction_matrix_row_not_a_list_exits_2(capsys, tmp_path):
+    data = json.load(open(KOSZUL))
+    data["contractions"]["koszul-x-inverted"]["diff"]["-1"][1] = 7
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    assert main(["run", "--fixture", str(p)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    lines = cap.err.strip().splitlines()
+    assert len(lines) == 1
+    assert "matrix row needs 1 columns" in lines[0]
+
+
 def test_triangle_certificate_off_its_corner_refuted(capsys, tmp_path):
     cert = _certificate_of(capsys, CORNER, "triangle-canonical")
     assert cert["problem"] == "canonical"

@@ -1,0 +1,61 @@
+"""Source hygiene: no module of the package imports a name it never uses."""
+
+import ast
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "kbproj")
+MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+
+
+def _imported_names(tree):
+    """Map each name bound by an import to its line (``__future__`` excluded)."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return out
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+                if a is not None and a.annotation is not None:
+                    yield a.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree):
+    """Every name read in the module, including those inside string annotations."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for ann in _annotations(tree):
+        for n in ast.walk(ann):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                sub = ast.parse(n.value, mode="eval")
+                used |= {m.id for m in ast.walk(sub) if isinstance(m, ast.Name)}
+    return used
+
+
+def test_every_module_is_scanned():
+    assert "linalg.py" in MODULES and "cli.py" in MODULES
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    with open(os.path.join(SRC, module)) as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    used = _used_names(tree)
+    unused = [f"{module}:{line}: {name}"
+              for name, line in sorted(_imported_names(tree).items(), key=lambda kv: kv[1])
+              if name not in used]
+    assert not unused, "imported but never used: " + ", ".join(unused)

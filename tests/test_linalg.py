@@ -29,7 +29,7 @@ def q(x):
 
 
 def qmat(rows):
-    return Mat.from_rows(QQ, [[Fraction(x) for x in r] for r in rows])
+    return Mat.from_rows(QQ, [[Fraction(x) for x in r] for r in rows], len(rows[0]))
 
 
 def test_solve_scalar_example():
@@ -46,7 +46,7 @@ def test_solve_residual_is_exactly_zero():
     assert ker.dim == 1
     # homogeneous solutions really solve
     for kv in ker.rows:
-        col = Mat.from_rows(QQ, [[c] for c in kv])
+        col = Mat.from_rows(QQ, [[c] for c in kv], 1)
         assert (A @ col).is_zero()
 
 
@@ -69,9 +69,9 @@ def test_rank_nullity_f7_random_rank2():
         A_rows = [[sum(U[i][k] * V[k][j] for k in range(2)) % 7 for j in range(5)] for i in range(3)]
         if plain_rank(A_rows, p=7) == 2:
             break
-    A = Mat.from_rows(F, A_rows)
+    A = Mat.from_rows(F, A_rows, 5)
     assert rank(A) == 2
-    x0 = Mat.from_rows(F, [[rng.randrange(7)] for _ in range(5)])
+    x0 = Mat.from_rows(F, [[rng.randrange(7)] for _ in range(5)], 1)
     b = A @ x0
     x, ker = solve(A, b)
     assert x is not None
@@ -164,7 +164,7 @@ def test_solve_left():
 
 def test_laurent_rejected_by_solvers():
     L = LaurentRing(["x"])
-    M = Mat.from_rows(L, [[L.one]])
+    M = Mat.from_rows(L, [[L.one]], 1)
     with pytest.raises(LinalgError):
         rref_rows(L, M.rows())
     with pytest.raises(LinalgError):
@@ -230,27 +230,77 @@ def test_laurent_ring_axioms(ta, tb, tc):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4), min_size=1, max_size=5))
 def test_rank_matches_plain_oracle(rows):
-    A = Mat.from_rows(QQ, [[Fraction(x) for x in r] for r in rows])
+    A = Mat.from_rows(QQ, [[Fraction(x) for x in r] for r in rows], 4)
     assert rank(A) == plain_rank([[Fraction(x) for x in r] for r in rows])
 
 
-def test_sparse_dense_storage_equivalence():
-    # storage choice must never affect results
-    import kbproj.linalg as la
+def _nonzero_scalar(ring, rnd):
+    if ring is QQ:
+        return Fraction(rnd.choice([-3, -2, -1, 1, 2, 3]), rnd.randint(1, 3))
+    return rnd.randint(1, ring.p - 1)
 
-    rows = [[q(1), q(0), q(0), q(0)], [q(0), q(0), q(0), q(0)], [q(0), q(0), q(2), q(0)]]
-    old = la.SPARSE_THRESHOLD
-    try:
-        la.SPARSE_THRESHOLD = 0.0
-        dense = Mat.from_rows(QQ, rows)
-        la.SPARSE_THRESHOLD = 1.0
-        sparse = Mat.from_rows(QQ, rows)
-    finally:
-        la.SPARSE_THRESHOLD = old
-    assert dense._dense is not None and sparse._sparse is not None
-    assert dense == sparse
-    assert (dense @ dense.transpose()) == (sparse @ sparse.transpose())
-    assert rank(dense) == rank(sparse) == 2
+
+@st.composite
+def _plain_matrix(draw, ring, nrows, ncols):
+    """List-of-lists matrix at a drawn density in [0, 1], maybe with a zero row."""
+    rnd = draw(st.randoms(use_true_random=False))
+    density = draw(st.floats(0, 1))
+    rows = [[_nonzero_scalar(ring, rnd) if rnd.random() < density else ring.zero
+             for _ in range(ncols)] for _ in range(nrows)]
+    if nrows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [ring.zero] * ncols
+    return rows
+
+
+def _plain_mul(ring, a, b, ncols):
+    out = [[ring.zero] * ncols for _ in a]
+    for i, ra in enumerate(a):
+        for k, rb in enumerate(b):
+            for j, y in enumerate(rb):
+                out[i][j] = ring.add(out[i][j], ring.mul(ra[k], y))
+    return out
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(5)], ids=["QQ", "GF5"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), shape=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 3)))
+def test_mat_agrees_with_plain_lists(ring, data, shape):
+    # the one sparse storage must read and compute like plain row lists
+    n, m, k = shape
+    a = data.draw(_plain_matrix(ring, n, m))
+    b = data.draw(_plain_matrix(ring, n, m))
+    c = data.draw(_plain_matrix(ring, m, k))
+    v = data.draw(_plain_matrix(ring, 1, n))[0]
+    s = data.draw(_plain_matrix(ring, 1, 1))[0][0]
+    A, B, C = (Mat.from_rows(ring, a, m), Mat.from_rows(ring, b, m),
+               Mat.from_rows(ring, c, k))
+    assert (A.nrows, A.ncols) == (n, m) and A.rows() == a
+    assert Mat.from_rows(ring, [], m).rows() == [] and Mat.from_rows(ring, [], m).ncols == m
+    assert all(x for _, _, x in A.items())
+    assert {(i, j) for i, j, _ in A.items()} == {(i, j) for i in range(n) for j in range(m) if a[i][j]}
+    assert all(A.entry(i, j) == a[i][j] and A.row(i) == a[i] for i in range(n) for j in range(m))
+    assert A.is_zero() == (not any(map(any, a)))
+    assert (A + B).rows() == [[ring.add(x, y) for x, y in zip(r, t)] for r, t in zip(a, b)]
+    assert (A - B).rows() == [[ring.sub(x, y) for x, y in zip(r, t)] for r, t in zip(a, b)]
+    assert A.neg().rows() == [[ring.neg(x) for x in r] for r in a]
+    assert A.scale(s).rows() == [[ring.mul(x, s) for x in r] for r in a]
+    assert (A @ C).rows() == _plain_mul(ring, a, c, k)
+    assert A.transpose().rows() == [[a[i][j] for i in range(n)] for j in range(m)]
+    assert A.transpose().ncols == n
+    assert A.row_apply(v) == _plain_mul(ring, [v], a, m)[0]
+    assert (A == B) == (a == b)
+    for X, Y in ((A, B), (A + B - B, A), (A.neg().neg(), A)):
+        if X == Y:
+            assert hash(X) == hash(Y)
+    assert rank(A) == plain_rank(a, p=None if ring is QQ else ring.p)
+
+
+@pytest.mark.parametrize("rows, ncols", [([[q(1), q(2)], [q(3)]], 2), ([[q(1), q(2)]], 3),
+                                         ([[q(1)], [q(1), q(2)]], 1)],
+                         ids=["ragged", "too-wide", "later-row-too-wide"])
+def test_from_rows_rejects_a_row_of_the_wrong_width(rows, ncols):
+    with pytest.raises(LinalgError, match="entries, expected"):
+        Mat.from_rows(QQ, rows, ncols)
 
 
 def test_matrix_ops():
