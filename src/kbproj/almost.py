@@ -281,7 +281,7 @@ def almost_quotient(alg: AlgebraPresentation, e: Sequence,
             me = functor.image_space(M)
             sub_e = Subspace.from_spanning(
                 ring, M.dim, [rho.row_apply(list(r)) for r in space.rows])
-            inter = _intersect(me, space)
+            inter = me.intersect(space)
             quo_e_dim = functor.apply(Quo).dim
             checks.append(ExactnessCheck(
                 f"{nm}/{tag}",
@@ -289,20 +289,6 @@ def almost_quotient(alg: AlgebraPresentation, e: Sequence,
                 dims_additive=(me.dim - inter.dim == quo_e_dim)))
     verdict = "certified" if all(c.ok for c in checks) else "inconclusive"
     return AlmostQuotientReport(corner, functor, dims, checks, verdict)
-
-
-def _intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection of two subspaces of the same ambient row space."""
-    if a.ambient != b.ambient or a.ring != b.ring:
-        raise AlmostError("subspace ambient mismatch")
-    ring = a.ring
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(ring, a.ambient)
-    A = Mat.from_rows(ring, a.rows, a.ambient)
-    S = Mat.from_rows(ring, a.rows + b.rows, a.ambient)
-    _, ker = solve_left(S, Mat.zeros(ring, 1, S.ncols))
-    vecs = [A.row_apply(list(kv[:a.dim])) for kv in ker.rows]
-    return Subspace.from_spanning(ring, a.ambient, vecs)
 
 
 # -- the derived ideal of a projective idempotent ideal --------------------------

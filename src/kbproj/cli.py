@@ -141,7 +141,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 if missing:
                     raise TaskError(f"unknown task ids: {', '.join(missing)}")
                 tasks = [by_id[t] for t in args.tasks]
-            workers = args.workers if args.workers is not None else worker_count()
+            workers = worker_count() if args.workers is None else args.workers
+            if workers < 1:
+                raise TaskError("--workers must be at least 1")
             reports = run_tasks(fx, tasks, workers=workers)
         else:
             reports = [run_task(fx, _task_for(args))]

@@ -28,12 +28,15 @@ operator.
 Corner support is checked where summand matrices enter the engine: the
 public ``AlgMat(...)`` constructor, which fixture loading, certificate
 decoding, functor images and the derived and almost layers go through.
-Internal arithmetic builds with ``AlgMat._trusted`` and skips the check:
-sums, products, scalings, cones, direct sums, slices of a contraction and
-unpacked coordinates are made of entries already on their corners,
-idempotents, zeros or combinations of corner-basis rows, so it could never
-fail there, and at two algebra products per entry it cost more than the
-arithmetic itself.
+Internal arithmetic builds with ``AlgMat._trusted``, private to this module,
+and skips the check: sums, products, scalings, blocks, slices and unpacked
+coordinates are made of entries already on their corners, idempotents, zeros
+or combinations of corner-basis rows, so it could never fail there, and at
+two algebra products per entry it cost more than the arithmetic itself.
+Block summand matrices are assembled only by ``AlgMat.block``, which checks
+that each block fits its row and column summands, and cut only by
+``AlgMat.sub``: cones, direct sums, contraction slices and lifting's block
+sums all go through them.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ class AlgMat:
         m.alg = alg
         m.target_idems = tuple(target_idems)
         m.source_idems = tuple(source_idems)
-        m.entries = tuple(tuple(row) for row in entries)
+        m.entries = tuple(map(tuple, entries))
         m._lin = None
         return m
 
@@ -117,6 +120,37 @@ class AlgMat:
         ents = [[alg.idempotent_vec(i) if r == c else z for c, _ in enumerate(idems)]
                 for r, i in enumerate(idems)]
         return cls._trusted(alg, idems, idems, ents)
+
+    @classmethod
+    def block(cls, alg, row_idems: Sequence[Tuple[int, ...]],
+              col_idems: Sequence[Tuple[int, ...]],
+              blocks: Sequence[Sequence[Optional["AlgMat"]]]) -> "AlgMat":
+        """The block matrix of a grid of summand matrices; ``None`` is a zero block.
+
+        Block (i, j) maps the summand tuple ``col_idems[j]`` to ``row_idems[i]``;
+        the result's summands are the concatenations.
+        """
+        if len(blocks) != len(row_idems) or any(len(g) != len(col_idems) for g in blocks):
+            raise HomcatError("block grid does not match the row and column summands")
+        z = alg.zero_vec()
+        zero_rows = [(z,) * len(s) for s in col_idems]
+        ents = []
+        for t, grid_row in zip(row_idems, blocks):
+            for b, s in zip(grid_row, col_idems):
+                if b is not None and (b.alg != alg or b.target_idems != t
+                                      or b.source_idems != s):
+                    raise HomcatError("block does not fit its row and column summands")
+            for r in range(len(t)):
+                row = ()
+                for b, zr in zip(grid_row, zero_rows):
+                    row += zr if b is None else b.entries[r]
+                ents.append(row)
+        return cls._trusted(alg, sum(row_idems, ()), sum(col_idems, ()), ents)
+
+    def sub(self, rows: slice, cols: slice) -> "AlgMat":
+        """The block of the target summands ``rows`` and source summands ``cols``."""
+        return AlgMat._trusted(self.alg, self.target_idems[rows], self.source_idems[cols],
+                               [row[cols] for row in self.entries[rows]])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -420,85 +454,43 @@ def cone(phi: GradedMap) -> Tuple[ProjComplex, GradedMap, GradedMap]:
     if phi.degree != 0 or not phi.delta().is_zero():
         raise HomcatError("cone needs a degree-0 chain map")
     X, Y = phi.source, phi.target
-    alg = X.alg
-    z = alg.zero_vec()
-    summands = {}
-    degs = set()
-    for n in X.degrees():
-        degs.add(n - 1)
-    degs.update(Y.degrees())
-    for n in degs:
-        s = tuple(X.summands_at(n + 1)) + tuple(Y.summands_at(n))
-        if s:
-            summands[n] = s
-    diff = {}
-    for n in sorted(summands):
-        if n + 1 not in summands:
-            continue
-        xs, ys = X.summands_at(n + 1), Y.summands_at(n)
-        xt, yt = X.summands_at(n + 2), Y.summands_at(n + 1)
-        mdX = X.diff_at(n + 1).neg()
-        dY = Y.diff_at(n)
-        ph = phi.component(n + 1)
-        ents = []
-        for r, _ in enumerate(xt):
-            ents.append([mdX.entries[r][c] for c, _ in enumerate(xs)] + [z] * len(ys))
-        for r, _ in enumerate(yt):
-            ents.append([ph.entries[r][c] for c, _ in enumerate(xs)]
-                        + [dY.entries[r][c] for c, _ in enumerate(ys)])
-        diff[n] = AlgMat._trusted(alg, summands[n + 1], summands[n], ents)
-    C = ProjComplex(alg, summands, diff, name=f"cone({phi.name})")
-    # inclusion of Y: (0, id)
-    incl_comps = {}
-    for n in Y.degrees():
-        ys = Y.summands_at(n)
-        xs = X.summands_at(n + 1)
-        ents = []
-        for r, i in enumerate(xs):
-            ents.append([z] * len(ys))
-        for r, i in enumerate(ys):
-            ents.append([alg.idempotent_vec(i) if c == r else z for c, _ in enumerate(ys)])
-        incl_comps[n] = AlgMat._trusted(alg, C.summands_at(n), ys, ents)
-    incl = GradedMap(Y, C, 0, incl_comps, name=f"into_cone({phi.name})")
-    # projection to X[1]: (x, y) -> x
     SX = X.shift(1)
+    C = _glued_sum(SX, Y, {n - 1: m for n, m in phi.components.items()},
+                   f"cone({phi.name})")
+    # inclusion of Y, (0, id), and projection to X[1], (x, y) -> x: the
+    # columns of Y and the rows of X[1] in the identity of C
+    incl_comps = {}
     proj_comps = {}
-    for n in C.degrees():
-        xs = X.summands_at(n + 1)
-        ys = Y.summands_at(n)
-        if not xs:
-            continue
-        ents = []
-        for r, i in enumerate(xs):
-            ents.append([alg.idempotent_vec(i) if c == r else z for c, _ in enumerate(xs)]
-                        + [z] * len(ys))
-        proj_comps[n] = AlgMat._trusted(alg, xs, C.summands_at(n), ents)
+    for n, s in C.summands.items():
+        ident = AlgMat.identity(X.alg, s)
+        nx = len(SX.summands_at(n))
+        incl_comps[n] = ident.sub(slice(None), slice(nx, None))
+        proj_comps[n] = ident.sub(slice(nx), slice(None))
+    incl = GradedMap(Y, C, 0, incl_comps, name=f"into_cone({phi.name})")
     proj = GradedMap(C, SX, 0, proj_comps, name=f"cone_to_shift({phi.name})")
     return C, incl, proj
 
 
 def direct_sum(X: ProjComplex, Y: ProjComplex, name: Optional[str] = None) -> ProjComplex:
     """Degreewise sum with block-diagonal differential (X summands first)."""
-    alg = X.alg
-    if Y.alg != alg:
+    if Y.alg != X.alg:
         raise HomcatError("direct sum of complexes over different algebras")
-    z = alg.zero_vec()
-    summands = {}
-    for n in set(X.degrees()) | set(Y.degrees()):
-        summands[n] = tuple(X.summands_at(n)) + tuple(Y.summands_at(n))
-    diff = {}
-    for n in sorted(summands):
-        if n + 1 not in summands:
-            continue
-        dX, dY = X.diff_at(n), Y.diff_at(n)
-        nxs, nys = len(X.summands_at(n)), len(Y.summands_at(n))
-        ents = []
-        for r, _ in enumerate(X.summands_at(n + 1)):
-            ents.append([dX.entries[r][c] for c in range(nxs)] + [z] * nys)
-        for r, _ in enumerate(Y.summands_at(n + 1)):
-            ents.append([z] * nxs + [dY.entries[r][c] for c in range(nys)])
-        diff[n] = AlgMat._trusted(alg, summands[n + 1], summands[n], ents)
-    return ProjComplex(alg, summands, diff, name=name or f"{X.name}(+){Y.name}")
+    return _glued_sum(X, Y, {}, name or f"{X.name}(+){Y.name}")
+
+
+def _glued_sum(X: ProjComplex, Y: ProjComplex, glue: Dict[int, AlgMat],
+               name: str) -> ProjComplex:
+    """X (+) Y degreewise with differential [[d_X, 0], [glue, d_Y]].
+
+    ``glue[n]`` maps X^n to Y^(n+1); a missing degree is zero.
+    """
+    summands = {n: X.summands_at(n) + Y.summands_at(n)
+                for n in sorted(set(X.degrees()) | set(Y.degrees()))}
+    diff = {n: AlgMat.block(X.alg, [X.summands_at(n + 1), Y.summands_at(n + 1)],
+                            [X.summands_at(n), Y.summands_at(n)],
+                            [[X.diff.get(n), None], [glue.get(n), Y.diff.get(n)]])
+            for n in summands if n + 1 in summands}
+    return ProjComplex(X.alg, summands, diff, name=name)
 
 
 class MapLayout:
@@ -778,7 +770,6 @@ def homotopy_inverse_from_contraction(phi: GradedMap, h: GradedMap):
     delta(h_tgt) = id_Y - phi . inv.
     """
     X, Y = phi.source, phi.target
-    alg = X.alg
     C, _, _ = cone(phi)
     if (h.source.summands != C.summands or h.target.summands != C.summands
             or h.degree != -1):
@@ -786,23 +777,13 @@ def homotopy_inverse_from_contraction(phi: GradedMap, h: GradedMap):
     inv_comps = {}
     a_comps = {}
     e_comps = {}
-    for n in C.degrees():
-        xs_src = X.summands_at(n + 1)
-        ys_src = Y.summands_at(n)
-        xs_tgt = X.summands_at(n)
-        ys_tgt = Y.summands_at(n - 1)
-        m = h.component(n)
-        nxt, nyt = len(xs_tgt), len(ys_tgt)
-        nxs, nys = len(xs_src), len(ys_src)
-        if nxt and nys:
-            ents = [[m.entries[r][nxs + c] for c in range(nys)] for r in range(nxt)]
-            inv_comps[n] = AlgMat._trusted(alg, xs_tgt, ys_src, ents)
-        if nxt and nxs:
-            ents = [[m.entries[r][c] for c in range(nxs)] for r in range(nxt)]
-            a_comps[n + 1] = AlgMat._trusted(alg, xs_tgt, xs_src, ents)
-        if nyt and nys:
-            ents = [[m.entries[nxt + r][nxs + c] for c in range(nys)] for r in range(nyt)]
-            e_comps[n] = AlgMat._trusted(alg, ys_tgt, ys_src, ents)
+    # h^n: X^(n+1) (+) Y^n -> X^n (+) Y^(n-1)
+    for n, m in sorted(h.components.items()):
+        xs, xt = slice(len(X.summands_at(n + 1))), slice(len(X.summands_at(n)))
+        ys, yt = slice(xs.stop, None), slice(xt.stop, None)
+        inv_comps[n] = m.sub(xt, ys)
+        a_comps[n + 1] = m.sub(xt, xs)
+        e_comps[n] = m.sub(yt, ys)
     inv = GradedMap(Y, X, 0, inv_comps, name=f"inv({phi.name})")
     h_src = GradedMap(X, X, -1, a_comps).neg()
     h_tgt = GradedMap(Y, Y, -1, e_comps)

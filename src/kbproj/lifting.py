@@ -251,21 +251,10 @@ def _check_stalk_table(F: BimoduleFunctor, table: Dict[int, StalkLift]):
 
 def _sum_map(f: GradedMap, g: GradedMap, src: ProjComplex,
              tgt: ProjComplex) -> GradedMap:
-    alg = src.alg
-    z = alg.zero_vec()
-    comps = {}
-    for n in src.degrees():
-        t1 = f.target.summands_at(n)
-        t2 = g.target.summands_at(n)
-        s1 = f.source.summands_at(n)
-        s2 = g.source.summands_at(n)
-        mf, mg = f.component(n), g.component(n)
-        ents = []
-        for r in range(len(t1)):
-            ents.append([mf.entries[r][c] for c in range(len(s1))] + [z] * len(s2))
-        for r in range(len(t2)):
-            ents.append([z] * len(s1) + [mg.entries[r][c] for c in range(len(s2))])
-        comps[n] = AlgMat._trusted(alg, t1 + t2, s1 + s2, ents)
+    comps = {n: AlgMat.block(src.alg, [f.target.summands_at(n), g.target.summands_at(n)],
+                             [f.source.summands_at(n), g.source.summands_at(n)],
+                             [[f.components.get(n), None], [None, g.components.get(n)]])
+             for n in src.degrees()}
     return GradedMap(src, tgt, 0, comps)
 
 
@@ -363,23 +352,12 @@ def _lift_rec(F, Y: ProjComplex, table, generators, budget,
     if not ok:
         raise LiftError("internal error: comparison square does not commute "
                         "up to homotopy")
-    z = Y.alg.zero_vec()
-    comps = {}
-    for n in FX.degrees():
-        t1 = SB.summands_at(n + 1)
-        t2 = A.summands_at(n)
-        s1 = p.source.summands_at(n + 1)
-        s2 = q.source.summands_at(n)
-        mp = p.component(n + 1)
-        mH = H.component(n + 1)
-        mq = q.component(n)
-        ents = []
-        for r in range(len(t1)):
-            ents.append([mp.entries[r][c] for c in range(len(s1))] + [z] * len(s2))
-        for r in range(len(t2)):
-            ents.append([mH.entries[r][c] for c in range(len(s1))]
-                        + [mq.entries[r][c] for c in range(len(s2))])
-        comps[n] = AlgMat._trusted(Y.alg, t1 + t2, s1 + s2, ents)
+    # [[p, 0], [H, q]]: F(XBs)^(n+1) (+) F(XA)^n -> SB^(n+1) (+) A^n
+    comps = {n: AlgMat.block(Y.alg, [SB.summands_at(n + 1), A.summands_at(n)],
+                             [p.source.summands_at(n + 1), q.source.summands_at(n)],
+                             [[p.components.get(n + 1), None],
+                              [H.components.get(n + 1), q.components.get(n)]])
+             for n in FX.degrees()}
     e = chain_map(FX, Y, comps, name=f"compare@{h}")
     return X, e
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .homcat import AlgMat, GradedMap, ProjComplex
+from .homcat import AlgMat, GradedMap, ProjComplex, TriangleVerdict, cone
 from .lifting import ComplexLiftCertificate, MapLiftCertificate
 from .linalg import Mat
 
@@ -151,25 +151,39 @@ def map_lift_cert_to_json(cert: MapLiftCertificate) -> Dict:
     }
 
 
+def _cert_fields(payload, kind: str, *keys: str) -> List[Dict]:
+    """The objects under ``keys`` in a certificate payload, each checked present."""
+    if not isinstance(payload, dict):
+        raise SerializeError(f"{kind} certificate: payload must be an object")
+    for key in keys:
+        if key not in payload:
+            raise SerializeError(f"{kind} certificate: payload has no {key!r}")
+        if not isinstance(payload[key], dict):
+            raise SerializeError(f"{kind} certificate: {key!r} must be an object")
+    return [payload[key] for key in keys]
+
+
 def map_lift_cert_from_json(F, X: ProjComplex, Y: ProjComplex,
                             payload) -> MapLiftCertificate:
-    alg = X.alg
-    repl = complex_from_json(alg, payload["replacement"], name="replacement")
-    to_source = map_from_json(repl, X, 0, payload["to_source"], name="pi")
-    lifted = map_from_json(repl, Y, 0, payload["lifted"], name="lift")
+    repl_js, pi_js, lifted_js, contraction_js, defect_js = _cert_fields(
+        payload, "map-lift", "replacement", "to_source", "lifted",
+        "replacement_contraction", "defect_homotopy")
+    steps = payload.get("path", [])
+    if not isinstance(steps, list) or not all(isinstance(st, list) for st in steps):
+        raise SerializeError("map-lift certificate: 'path' must be a list of lists")
+    path = tuple(tuple(_int_key(x, "map-lift certificate 'path' step") for x in step)
+                 for step in steps)
+    depth = _int_key(payload.get("depth", len(path)), "map-lift certificate 'depth'")
+    repl = complex_from_json(X.alg, repl_js, name="replacement")
+    to_source = map_from_json(repl, X, 0, pi_js, name="pi")
+    lifted = map_from_json(repl, Y, 0, lifted_js, name="lift")
     Frepl = F.apply_complex(repl)
-    from .homcat import cone
-
     Cpi, _, _ = cone(F.apply_map(to_source, Frepl, F.apply_complex(X)))
-    contraction = map_from_json(Cpi, Cpi, -1,
-                                payload["replacement_contraction"],
-                                name="contraction")
+    contraction = map_from_json(Cpi, Cpi, -1, contraction_js, name="contraction")
     FY = F.apply_complex(Y)
-    defect = map_from_json(Frepl, FY, -1, payload["defect_homotopy"],
-                           name="defect")
-    path = tuple(tuple(int(x) for x in step) for step in payload.get("path", []))
+    defect = map_from_json(Frepl, FY, -1, defect_js, name="defect")
     return MapLiftCertificate(repl, to_source, lifted, contraction, defect,
-                              int(payload.get("depth", len(path))), path)
+                              depth, path)
 
 
 def complex_lift_cert_to_json(cert: ComplexLiftCertificate) -> Dict:
@@ -181,14 +195,13 @@ def complex_lift_cert_to_json(cert: ComplexLiftCertificate) -> Dict:
 
 
 def complex_lift_cert_from_json(F, Y: ProjComplex, payload) -> ComplexLiftCertificate:
-    lift = complex_from_json(F.source_alg, payload["lift"], name="lift")
+    lift_js, equiv_js, contraction_js = _cert_fields(
+        payload, "complex-lift", "lift", "equivalence", "cone_contraction")
+    lift = complex_from_json(F.source_alg, lift_js, name="lift")
     Flift = F.apply_complex(lift)
-    equiv = map_from_json(Flift, Y, 0, payload["equivalence"], name="compare")
-    from .homcat import cone
-
+    equiv = map_from_json(Flift, Y, 0, equiv_js, name="compare")
     C, _, _ = cone(equiv)
-    contraction = map_from_json(C, C, -1, payload["cone_contraction"],
-                                name="contraction")
+    contraction = map_from_json(C, C, -1, contraction_js, name="contraction")
     return ComplexLiftCertificate(lift, equiv, contraction, [])
 
 
@@ -208,14 +221,13 @@ def triangle_cert_to_json(verdict) -> Optional[Dict]:
 
 def triangle_cert_from_json(alpha: GradedMap, beta: GradedMap,
                             gamma: GradedMap, payload):
-    from .homcat import TriangleVerdict, cone
-
+    rho_js, h_incl_js, h_proj_js, contraction_js = _cert_fields(
+        payload, "triangle", "rho", "h_incl", "h_proj", "cone_contraction")
     C, _, _ = cone(alpha)
     Z = beta.target
-    rho = map_from_json(C, Z, 0, payload["rho"], name="rho")
-    h_incl = map_from_json(beta.source, Z, -1, payload["h_incl"], name="h_incl")
-    h_proj = map_from_json(C, gamma.target, -1, payload["h_proj"], name="h_proj")
+    rho = map_from_json(C, Z, 0, rho_js, name="rho")
+    h_incl = map_from_json(beta.source, Z, -1, h_incl_js, name="h_incl")
+    h_proj = map_from_json(C, gamma.target, -1, h_proj_js, name="h_proj")
     Crho, _, _ = cone(rho)
-    contraction = map_from_json(Crho, Crho, -1, payload["cone_contraction"],
-                                name="contraction")
+    contraction = map_from_json(Crho, Crho, -1, contraction_js, name="contraction")
     return TriangleVerdict("exact", "replayed", rho, h_incl, h_proj, contraction)

@@ -426,16 +426,22 @@ def route_trusted_algmats_through_validation(monkeypatch):
 
     Every summand matrix the engine builds internally then has its shape and
     corner support checked, as before trusted construction existed.  Returns
-    the set of names of the functions that asked for one.
+    the set of names of the functions that asked for one; a matrix built by
+    ``AlgMat.block`` or ``AlgMat.sub``, or in a comprehension, counts for the
+    function that called them.
     """
     import sys
 
     from kbproj.homcat import AlgMat
 
+    assemblers = {AlgMat.block.__func__.__code__, AlgMat.sub.__code__}
     callers = set()
 
     def checked(cls, alg, target_idems, source_idems, entries):
-        callers.add(sys._getframe(1).f_code.co_name)
+        frame = sys._getframe(1)
+        while frame.f_code in assemblers or frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        callers.add(frame.f_code.co_name)
         return AlgMat(alg, target_idems, source_idems, entries)
 
     monkeypatch.setattr(AlgMat, "_trusted", classmethod(checked))

@@ -301,6 +301,14 @@ def test_cli_missing_fixture_file(capsys):
     assert main(["run", "--fixture", "/nonexistent/f.json"]) == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_workers_below_one_exits_2(capsys, workers):
+    assert main(["run", "--fixture", CORNER, "--workers", workers]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.strip().splitlines() == ["kbproj: error: --workers must be at least 1"]
+
+
 def test_cli_text_output(capsys):
     code, out = _cli(capsys, "verify-contraction", "--fixture", KOSZUL,
                      "--name", "koszul-x-inverted", "--out", "text")
@@ -380,6 +388,70 @@ def test_certificate_against_wrong_problem_refuted(capsys, tmp_path):
                      "--certificate", str(p))
     assert code == 0
     assert json.loads(out)["reports"][0]["verdict"] == "refuted"
+
+
+# every required payload key of each certificate kind
+CERT_KEYS = {
+    "lift-corner-id": ["replacement", "to_source", "lifted",
+                       "replacement_contraction", "defect_homotopy"],
+    "rebuild-k3": ["lift", "equivalence", "cone_contraction"],
+    "triangle-rotated": ["rho", "h_incl", "h_proj", "cone_contraction"],
+}
+
+
+@pytest.fixture(scope="module")
+def corner_certificates(corner):
+    tasks = [t for t in corner.tasks if t["id"] in CERT_KEYS]
+    return {r.task: r.evidence["certificate"] for r in run_tasks(corner, tasks, workers=1)}
+
+
+def _replay(capsys, tmp_path, cert):
+    p = tmp_path / "cert.json"
+    p.write_text(json.dumps(cert))
+    code, out = _cli(capsys, "verify-certificate", "--fixture", CORNER,
+                     "--certificate", str(p))
+    assert code == 0
+    rep = json.loads(out)["reports"][0]
+    return rep["verdict"], rep["evidence"]["reason"]
+
+
+@pytest.mark.parametrize("task_id,key", [(t, k) for t, keys in CERT_KEYS.items()
+                                         for k in keys])
+def test_certificate_missing_or_mistyped_key_refuted(capsys, tmp_path,
+                                                     corner_certificates, task_id, key):
+    cert = corner_certificates[task_id]
+    kind = cert["kind"]
+    for value, why in ((None, f"payload has no {key!r}"),
+                       (5, f"{key!r} must be an object"),
+                       ([], f"{key!r} must be an object")):
+        bad = json.loads(json.dumps(cert))
+        if value is None:
+            del bad["payload"][key]
+        else:
+            bad["payload"][key] = value
+        verdict, reason = _replay(capsys, tmp_path, bad)
+        assert verdict == "refuted"
+        assert f"{kind} certificate: {why}" in reason
+
+
+@pytest.mark.parametrize("task_id", sorted(CERT_KEYS))
+def test_certificate_null_payload_refuted(capsys, tmp_path, corner_certificates, task_id):
+    cert = dict(corner_certificates[task_id], payload=None)
+    verdict, reason = _replay(capsys, tmp_path, cert)
+    assert verdict == "refuted"
+    assert f"{cert['kind']} certificate: payload must be an object" in reason
+
+
+@pytest.mark.parametrize("path,why", [(5, "'path' must be a list of lists"),
+                                      ([5], "'path' must be a list of lists"),
+                                      ([[None]], "'path' step: None is not an integer")])
+def test_map_lift_certificate_bad_path_refuted(capsys, tmp_path, corner_certificates,
+                                               path, why):
+    cert = json.loads(json.dumps(corner_certificates["lift-corner-id"]))
+    cert["payload"]["path"] = path
+    verdict, reason = _replay(capsys, tmp_path, cert)
+    assert verdict == "refuted"
+    assert why in reason
 
 
 # -- corner support is checked where data enters ------------------------------

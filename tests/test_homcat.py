@@ -10,6 +10,7 @@ import pytest
 
 from build_examples import upper_triangular_2, ut2_complexes
 from oracles import plain_homotopy_hom_dim
+from test_operators import ALGEBRAS
 
 from kbproj.algebra import hom_modules, projective_module, quotient_module, radical, regular_module, submodule
 from kbproj.homcat import (
@@ -107,6 +108,58 @@ def test_entry_outside_corner_rejected(ex):
         AlgMat(A, (0, 1), (0,), [[e11]])
     with pytest.raises(HomcatError, match="columns"):
         AlgMat(A, (0,), (0, 1), [[e11]])
+
+
+def random_algmat(alg, target, source, rng):
+    """A summand matrix of random corner elements, built with the corner check."""
+    ring = alg.ring
+    ents = []
+    for i in target:
+        row = []
+        for j in source:
+            v = alg.zero_vec()
+            for b in alg.corner_space(i, j).rows:
+                v = alg.add_vec(v, alg.scale_vec(ring.from_int(rng.randint(-3, 3)), tuple(b)))
+            row.append(v)
+        ents.append(row)
+    return AlgMat(alg, target, source, ents)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_block_and_sub_give_back_each_block(name):
+    alg = ALGEBRAS[name]()
+    last = alg.n_idempotents() - 1
+    rows, row_slices = [(0, last), (last,)], [slice(0, 2), slice(2, 3)]
+    cols, col_slices = [(last, 0, 0), (), (0,)], [slice(0, 3), slice(3, 3), slice(3, 4)]
+    rng = random.Random(11)
+    grid = [[random_algmat(alg, t, s, rng) for s in cols] for t in rows]
+    grid[0][2] = None
+    M = AlgMat.block(alg, rows, cols, grid)
+    assert M.target_idems == (0, last, last)
+    assert M.source_idems == (last, 0, 0, 0)
+    assert AlgMat(alg, M.target_idems, M.source_idems, M.entries) == M
+    for t, rs, grid_row in zip(rows, row_slices, grid):
+        for s, cs, b in zip(cols, col_slices, grid_row):
+            assert M.sub(rs, cs) == (AlgMat.zeros(alg, t, s) if b is None else b)
+    # None blocks read as zeros
+    empty = AlgMat.block(alg, rows, cols, [[None] * 3, [None] * 3])
+    assert empty == AlgMat.zeros(alg, M.target_idems, M.source_idems)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_block_rejects_blocks_that_do_not_fit(name):
+    alg = ALGEBRAS[name]()
+    one = AlgMat.identity(alg, (0,))
+    misfits = [([(0, 0)], [(0,)], [[one]]),            # rows of the block
+               ([(0,)], [(0, 0)], [[one]]),            # columns of the block
+               ([(0,), (0,)], [(0,)], [[one]]),        # one block row short
+               ([(0,)], [(0,), (0,)], [[one]])]        # one block column short
+    for rows, cols, grid in misfits:
+        with pytest.raises(HomcatError, match="block"):
+            AlgMat.block(alg, rows, cols, grid)
+    other = ALGEBRAS["kxk" if name != "kxk" else "k[x]/x2"]()
+    with pytest.raises(HomcatError, match="block"):
+        AlgMat.block(other, [(0,)], [(0,)], [[one]])
 
 
 def test_differential_must_square_to_zero(ex):

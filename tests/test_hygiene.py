@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and only ``homcat`` builds summand matrices without the corner check."""
 
 import ast
 import os
@@ -59,3 +60,13 @@ def test_no_unused_imports(module):
               for name, line in sorted(_imported_names(tree).items(), key=lambda kv: kv[1])
               if name not in used]
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "homcat.py"])
+def test_only_homcat_builds_trusted_summand_matrices(module):
+    # elsewhere, block matrices are assembled with AlgMat.block and AlgMat.sub
+    with open(os.path.join(SRC, module)) as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    uses = [f"{module}:{n.lineno}" for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr == "_trusted"]
+    assert not uses, "AlgMat._trusted used outside homcat: " + ", ".join(uses)

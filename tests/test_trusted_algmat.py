@@ -76,4 +76,4 @@ def test_trusted_construction_matches_validation(name, monkeypatch):
     callers = route_trusted_algmats_through_validation(monkeypatch)
     assert outcomes(random_chain_maps(alg, seed=17)) == fast
     assert {"zeros", "identity", "__add__", "__sub__", "neg", "scale",
-            "__matmul__", "cone", "direct_sum", "unpack"} <= callers
+            "__matmul__", "cone", "_glued_sum", "unpack"} <= callers
