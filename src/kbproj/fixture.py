@@ -369,6 +369,6 @@ def load_fixture(path: str) -> FixtureFile:
     except json.JSONDecodeError as exc:
         raise FixtureError(f"{path}: line {exc.lineno} column {exc.colno}: "
                            f"{exc.msg}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FixtureError(f"{path}: {exc}") from exc
     return FixtureFile(data, path=path)

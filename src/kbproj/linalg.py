@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals, prime fields, and Laurent rings.
 
-All arithmetic is exact: rationals are ``fractions.Fraction``, prime-field
-elements are ints in ``[0, p)``, Laurent polynomials are dicts from integer
-exponent vectors to rational coefficients.  No floating point anywhere.
+All arithmetic is exact: an integral rational is an ``int`` and any other is
+a ``fractions.Fraction``, prime-field elements are ints in ``[0, p)``,
+Laurent polynomials are dicts from integer exponent vectors to ``Fraction``
+coefficients.  No floating point anywhere.
 
 Conventions
 -----------
@@ -19,6 +20,7 @@ Conventions
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -38,22 +40,28 @@ def _is_prime(n: int) -> bool:
 
 
 class Rationals:
-    """The field of rational numbers; elements are Fraction."""
+    """The field of rational numbers: an integral element is an ``int``, any
+    other a ``Fraction``, and every operation returns an element in that form."""
 
     kind = "rational"
     is_field = True
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
+    # the int-or-Fraction test is written out in add, sub and mul, the
+    # innermost calls of the engine: a helper call would double its cost
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def neg(self, a):
         return -a
@@ -61,26 +69,27 @@ class Rationals:
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero in QQ")
-        return a / b
+        c = Fraction(a, b)
+        return c if c.denominator != 1 else c.numerator
 
     def inv(self, a):
         return self.div(self.one, a)
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return index(n)
 
     def parse(self, s):
         if isinstance(s, bool):
             raise LinalgError("boolean is not a rational scalar")
         if isinstance(s, int):
-            return Fraction(s)
-        if isinstance(s, Fraction):
-            return s
+            return int(s)
         if isinstance(s, str):
             try:
-                return Fraction(s)
+                s = Fraction(s)
             except (ValueError, ZeroDivisionError) as exc:
                 raise LinalgError(f"cannot parse rational scalar {s!r}") from exc
+        if isinstance(s, Fraction):
+            return s if s.denominator != 1 else s.numerator
         raise LinalgError(f"cannot parse rational scalar {s!r}")
 
     def fmt(self, a) -> str:

@@ -362,16 +362,21 @@ def _run_verify_certificate(fx: FixtureFile, task: Dict) -> Report:
         envelope = path
         label = "<inline>"
     else:
-        if not path:
+        if not isinstance(path, str) or not path:
             raise TaskError("verify-certificate needs a certificate file")
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 envelope = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
             raise TaskError(f"certificate {path}: {exc}") from exc
         label = path
+    if not isinstance(envelope, dict):
+        raise TaskError(f"certificate {label}: envelope must be an object")
     kind = envelope.get("kind")
     problem = envelope.get("problem")
+    for key, value in (("kind", kind), ("problem", problem)):
+        if not isinstance(value, str):
+            raise TaskError(f"certificate {label}: {key!r} must be a string")
     payload = envelope.get("payload")
     evidence = {"certificate": label, "kind": kind, "problem": problem}
     try:

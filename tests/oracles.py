@@ -446,3 +446,69 @@ def route_trusted_algmats_through_validation(monkeypatch):
 
     monkeypatch.setattr(AlgMat, "_trusted", classmethod(checked))
     return callers
+
+
+class FractionRationals:
+    """The rationals with every element a ``Fraction``, integral or not.
+
+    This is the field ``linalg.QQ`` was before integral elements became
+    plain ``int``: the reference its fast path is compared against, value by
+    value and, when a fixture is loaded over it, byte by byte.
+    """
+
+    kind = "rational"
+    is_field = True
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def div(self, a, b):
+        if b == 0:
+            raise ZeroDivisionError("division by zero in QQ")
+        return a / b
+
+    def inv(self, a):
+        return self.div(self.one, a)
+
+    def from_int(self, n):
+        return Fraction(n)
+
+    def parse(self, s):
+        from kbproj.linalg import LinalgError
+
+        if isinstance(s, bool):
+            raise LinalgError("boolean is not a rational scalar")
+        if isinstance(s, int):
+            return Fraction(s)
+        if isinstance(s, Fraction):
+            return s
+        if isinstance(s, str):
+            try:
+                return Fraction(s)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise LinalgError(f"cannot parse rational scalar {s!r}") from exc
+        raise LinalgError(f"cannot parse rational scalar {s!r}")
+
+    def fmt(self, a):
+        return str(a)
+
+    def __repr__(self):
+        return "QQ"
+
+    def __eq__(self, other):
+        return isinstance(other, FractionRationals)
+
+    def __hash__(self):
+        return hash("QQ")

@@ -390,6 +390,50 @@ def test_certificate_against_wrong_problem_refuted(capsys, tmp_path):
     assert json.loads(out)["reports"][0]["verdict"] == "refuted"
 
 
+@pytest.mark.parametrize("envelope,why", [
+    ([1], "envelope must be an object"),
+    ("triangle", "envelope must be an object"),
+    ({"problem": "canonical", "payload": {}}, "'kind' must be a string"),
+    ({"kind": ["triangle"], "problem": "canonical", "payload": {}}, "'kind' must be a string"),
+    ({"kind": "triangle", "problem": ["x"], "payload": {}}, "'problem' must be a string"),
+    ({"kind": "map-lift", "problem": 5, "payload": {}}, "'problem' must be a string"),
+], ids=["list", "string", "no-kind", "kind-list", "problem-list", "problem-int"])
+def test_certificate_envelope_malformed_exits_2(capsys, tmp_path, envelope, why):
+    p = tmp_path / "cert.json"
+    p.write_text(json.dumps(envelope))
+    assert main(["verify-certificate", "--fixture", CORNER, "--certificate", str(p)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.strip().splitlines() == [f"kbproj: error: certificate {p}: {why}"]
+
+
+@pytest.mark.parametrize("argv", [["run", "--fixture"],
+                                  ["verify-certificate", "--fixture", CORNER, "--certificate"]],
+                         ids=["fixture", "certificate"])
+def test_file_not_utf8_exits_2(capsys, tmp_path, argv):
+    p = tmp_path / "bad.json"
+    p.write_bytes(b"\xff\xfe{")
+    assert main(argv + [str(p)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    lines = cap.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("kbproj: error: ") and "can't decode byte 0xff" in lines[0]
+
+
+def test_certificate_task_path_not_a_string_exits_2(capsys, tmp_path):
+    data = json.load(open(CORNER))
+    data["tasks"] = [{"id": "replay", "command": "verify-certificate",
+                      "certificate": ["cert.json"]}]
+    p = tmp_path / "fx.json"
+    p.write_text(json.dumps(data))
+    assert main(["run", "--fixture", str(p)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.strip().splitlines() == [
+        "kbproj: error: verify-certificate needs a certificate file"]
+
+
 # every required payload key of each certificate kind
 CERT_KEYS = {
     "lift-corner-id": ["replacement", "to_source", "lifted",

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and only ``homcat`` builds summand matrices without the corner check."""
+only ``homcat`` builds summand matrices without the corner check, and only
+``linalg`` knows that a non-integral rational is a ``Fraction``."""
 
 import ast
 import os
@@ -8,6 +9,11 @@ import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "kbproj")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+
+
+def _parse(module):
+    with open(os.path.join(SRC, module)) as fh:
+        return ast.parse(fh.read(), filename=module)
 
 
 def _imported_names(tree):
@@ -53,8 +59,7 @@ def test_every_module_is_scanned():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
-    with open(os.path.join(SRC, module)) as fh:
-        tree = ast.parse(fh.read(), filename=module)
+    tree = _parse(module)
     used = _used_names(tree)
     unused = [f"{module}:{line}: {name}"
               for name, line in sorted(_imported_names(tree).items(), key=lambda kv: kv[1])
@@ -65,8 +70,44 @@ def test_no_unused_imports(module):
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "homcat.py"])
 def test_only_homcat_builds_trusted_summand_matrices(module):
     # elsewhere, block matrices are assembled with AlgMat.block and AlgMat.sub
-    with open(os.path.join(SRC, module)) as fh:
-        tree = ast.parse(fh.read(), filename=module)
-    uses = [f"{module}:{n.lineno}" for n in ast.walk(tree)
+    uses = [f"{module}:{n.lineno}" for n in ast.walk(_parse(module))
             if isinstance(n, ast.Attribute) and n.attr == "_trusted"]
     assert not uses, "AlgMat._trusted used outside homcat: " + ", ".join(uses)
+
+
+def _is_fraction(node):
+    return ((isinstance(node, ast.Name) and node.id == "Fraction")
+            or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+            or (isinstance(node, ast.alias) and node.name == "Fraction"))
+
+
+def _mentions_fraction(node):
+    return any(map(_is_fraction, ast.walk(node)))
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "linalg.py"])
+def test_only_linalg_references_fraction(module):
+    # elsewhere a QQ scalar is whatever the ring returns: int or Fraction
+    uses = [f"{module}:{n.lineno}" for n in ast.walk(_parse(module)) if _is_fraction(n)]
+    assert not uses, "Fraction referenced outside linalg: " + ", ".join(uses)
+
+
+def _fraction_type_tests(tree):
+    return [n for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+            and n.func.id == "isinstance" and len(n.args) == 2
+            and _mentions_fraction(n.args[1])]
+
+
+def test_only_rationals_parse_tests_for_fraction():
+    # an integral rational is an int, so the fast path needs no type test;
+    # parse is where outside input is normalized into that form
+    tree = _parse("linalg.py")
+    rationals = next(n for n in tree.body
+                     if isinstance(n, ast.ClassDef) and n.name == "Rationals")
+    parse = next(n for n in rationals.body
+                 if isinstance(n, ast.FunctionDef) and n.name == "parse")
+    allowed = set(map(id, _fraction_type_tests(parse)))
+    assert allowed, "Rationals.parse no longer normalizes Fraction input"
+    stray = [f"linalg.py:{n.lineno}" for n in _fraction_type_tests(tree) if id(n) not in allowed]
+    assert not stray, "isinstance(..., Fraction) outside Rationals.parse: " + ", ".join(stray)

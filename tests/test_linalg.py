@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kbproj.linalg import (
@@ -21,7 +21,7 @@ from kbproj.linalg import (
     solve_left,
 )
 
-from oracles import dim_from_count, plain_rank, span_members
+from oracles import FractionRationals, dim_from_count, plain_rank, span_members
 
 
 def q(x):
@@ -206,6 +206,64 @@ def test_truthiness_is_the_zero_test(ring, samples):
     for x in samples:
         assert bool(x) == (x != ring.zero), (ring, x)
     assert any(not x for x in samples) and any(samples)
+
+
+ORACLE_QQ = FractionRationals()
+
+_NUM, _DEN = st.integers(-40, 40), st.integers(1, 6)
+# a rational as a fixture or a caller may give it: an int, a Fraction (whose
+# denominator may have cancelled to 1) or text, "n/d" or "n"
+_RATIONAL_INPUT = st.one_of(_NUM, st.builds(Fraction, _NUM, _DEN),
+                            st.builds("{}/{}".format, _NUM, _DEN), _NUM.map(str))
+
+
+def _agrees_with_oracle(got, want):
+    assert got == want and QQ.fmt(got) == ORACLE_QQ.fmt(want), (got, want)
+    # an integral result left as a Fraction would be the slow path back
+    assert type(got) is (int if want.denominator == 1 else Fraction), (got, want)
+
+
+def test_rationals_zero_and_one_are_ints():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert (QQ.zero, QQ.one) == (ORACLE_QQ.zero, ORACLE_QQ.one)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RATIONAL_INPUT, _RATIONAL_INPUT)
+@example(0, 0)
+@example("4/2", "-6/3")
+@example(Fraction(3, 2), Fraction(1, 2))
+@example(Fraction(1, 2), Fraction(-1, 2))
+@example(Fraction(2, 3), Fraction(3, 2))
+@example(-7, "0/5")
+def test_rationals_agree_with_the_fraction_oracle(x, y):
+    a, b = QQ.parse(x), QQ.parse(y)
+    fa, fb = ORACLE_QQ.parse(x), ORACLE_QQ.parse(y)
+    _agrees_with_oracle(a, fa)
+    _agrees_with_oracle(b, fb)
+    _agrees_with_oracle(QQ.add(a, b), ORACLE_QQ.add(fa, fb))
+    _agrees_with_oracle(QQ.sub(a, b), ORACLE_QQ.sub(fa, fb))
+    _agrees_with_oracle(QQ.mul(a, b), ORACLE_QQ.mul(fa, fb))
+    _agrees_with_oracle(QQ.neg(a), ORACLE_QQ.neg(fa))
+    _agrees_with_oracle(QQ.parse(QQ.fmt(a)), fa)
+    if fa.denominator == 1:
+        _agrees_with_oracle(QQ.from_int(fa.numerator), ORACLE_QQ.from_int(fa.numerator))
+    if fb:
+        _agrees_with_oracle(QQ.div(a, b), ORACLE_QQ.div(fa, fb))
+        _agrees_with_oracle(QQ.inv(b), ORACLE_QQ.inv(fb))
+    else:
+        for ring, u, v in ((QQ, a, b), (ORACLE_QQ, fa, fb)):
+            with pytest.raises(ZeroDivisionError):
+                ring.div(u, v)
+            with pytest.raises(ZeroDivisionError):
+                ring.inv(v)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, None, "1/0", "x", [1]])
+def test_rationals_parse_rejects_what_the_oracle_rejects(bad):
+    for ring in (QQ, ORACLE_QQ):
+        with pytest.raises(LinalgError):
+            ring.parse(bad)
 
 
 @settings(max_examples=60, deadline=None)
