@@ -2,7 +2,9 @@
 
 An algebra presentation carries a field, a basis, the full multiplication
 table, the unit, and a complete orthogonal idempotent list.  Everything is
-validated up front; later layers may assume the axioms hold.
+validated up front; later layers may assume the axioms hold.  The product
+b_i b_j of two basis elements is the row ``structure[i][j]``, and the checks
+read it there.
 
 Module convention: module elements are row vectors, a right action matrix A_b
 acts as ``m . b = m @ A_b``, so the action map b -> A_b is multiplicative.
@@ -12,7 +14,7 @@ anti-multiplicative; validation checks exactly that.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .linalg import Mat, Subspace, hstack, solve
 
@@ -54,6 +56,9 @@ class AlgebraPresentation:
         self._corner_cache: Dict[Tuple[int, int], Subspace] = {}
         self._corner_mult_cache: Dict[Tuple[int, int, int], Tuple] = {}
         self._right_ideal_cache: Dict[int, Subspace] = {}
+        # projective_module by summand tuple and radical by "radical"; concurrent
+        # first calls may both build, and setdefault keeps one result for all
+        self._built: Dict[object, object] = {}
         self._validate()
 
     # -- element arithmetic --------------------------------------------
@@ -84,6 +89,16 @@ class AlgebraPresentation:
                         out[l] = ring.add(out[l], ring.mul(c, s))
         return tuple(out)
 
+    def combine(self, terms: Iterable[Tuple[object, Sequence]]) -> Tuple:
+        """Sum of c * v over the (scalar, vector) pairs."""
+        ring = self.ring
+        out = [ring.zero] * self.dim
+        for c, v in terms:
+            for n, s in enumerate(v):
+                if s:
+                    out[n] = ring.add(out[n], ring.mul(c, s))
+        return tuple(out)
+
     def add_vec(self, x, y):
         return tuple(self.ring.add(a, b) for a, b in zip(x, y))
 
@@ -106,8 +121,11 @@ class AlgebraPresentation:
     def trace_left_mult(self, x: Sequence):
         ring = self.ring
         t = ring.zero
-        for i in range(self.dim):
-            t = ring.add(t, self.mult(x, self.basis_vec(i))[i])
+        for m, c in enumerate(x):
+            if c:
+                for i, cell in enumerate(self.structure[m]):
+                    if cell[i]:
+                        t = ring.add(t, ring.mul(c, cell[i]))
         return t
 
     # -- idempotent corners --------------------------------------------
@@ -159,11 +177,14 @@ class AlgebraPresentation:
                 raise AlgebraError(f"{name}: structure table is not {dim}x{dim}x{dim}")
         if len(self.unit) != dim:
             raise AlgebraError(f"{name}: unit vector has wrong length")
+        # (b_i b_j) b_l = sum_m c_ij^m b_m b_l and b_i (b_j b_l) = sum_m c_jl^m b_i b_m
+        st = self.structure
+        nonzero = [[[(m, c) for m, c in enumerate(cell) if c] for cell in row] for row in st]
         for i in range(dim):
             for j in range(dim):
                 for l in range(dim):
-                    lhs = self.mult(self.mult(self.basis_vec(i), self.basis_vec(j)), self.basis_vec(l))
-                    rhs = self.mult(self.basis_vec(i), self.mult(self.basis_vec(j), self.basis_vec(l)))
+                    lhs = self.combine((c, st[m][l]) for m, c in nonzero[i][j])
+                    rhs = self.combine((c, st[i][m]) for m, c in nonzero[j][l])
                     if lhs != rhs:
                         raise AlgebraError(
                             f"{name}: associativity fails at basis triple "
@@ -206,7 +227,12 @@ class AlgebraPresentation:
 
 
 class FdModule:
-    """A finite-dimensional right module given by action matrices."""
+    """A finite-dimensional right module given by action matrices.
+
+    Every module is validated when it is built, including those the engine
+    builds itself.  ``projective_module`` and ``radical`` are cached on the
+    algebra, so an algebra and the modules they return are immutable.
+    """
 
     def __init__(self, algebra: AlgebraPresentation, dim: int, action: Sequence[Mat], name: str = "M"):
         self.algebra = algebra
@@ -229,7 +255,7 @@ class FdModule:
         for i in range(alg.dim):
             for j in range(alg.dim):
                 lhs = self.action[i] @ self.action[j]
-                rhs = self.action_of(alg.mult(alg.basis_vec(i), alg.basis_vec(j)))
+                rhs = self.action_of(alg.structure[i][j])
                 if lhs != rhs:
                     raise AlgebraError(
                         f"{self.name}: action not multiplicative at "
@@ -237,12 +263,8 @@ class FdModule:
                     )
 
     def action_of(self, x: Sequence) -> Mat:
-        ring = self.algebra.ring
-        out = Mat.zeros(ring, self.dim, self.dim)
-        for i, c in enumerate(x):
-            if c:
-                out = out + self.action[i].scale(c)
-        return out
+        return Mat.lincomb(self.algebra.ring, self.dim, self.dim,
+                           ((c, a) for c, a in zip(x, self.action) if c))
 
     def act(self, v: Sequence, x: Sequence) -> List:
         return self.action_of(x).row_apply(list(v))
@@ -376,13 +398,13 @@ class Bimodule:
             for j in range(L.dim):
                 # anti-multiplicative: (b_i b_j) . m corresponds to Mat_j @ Mat_i
                 lhs = self.left_action[j] @ self.left_action[i]
-                rhs = self.left_of(L.mult(L.basis_vec(i), L.basis_vec(j)))
+                rhs = self.left_of(L.structure[i][j])
                 if lhs != rhs:
                     raise AlgebraError(f"{self.name}: left action not anti-multiplicative")
         for i in range(R.dim):
             for j in range(R.dim):
                 lhs = self.right_action[i] @ self.right_action[j]
-                rhs = self.right_of(R.mult(R.basis_vec(i), R.basis_vec(j)))
+                rhs = self.right_of(R.structure[i][j])
                 if lhs != rhs:
                     raise AlgebraError(f"{self.name}: right action not multiplicative")
         for a in self.left_action:
@@ -391,20 +413,12 @@ class Bimodule:
                     raise AlgebraError(f"{self.name}: actions do not commute")
 
     def left_of(self, x) -> Mat:
-        ring = self.left_alg.ring
-        out = Mat.zeros(ring, self.dim, self.dim)
-        for i, c in enumerate(x):
-            if c:
-                out = out + self.left_action[i].scale(c)
-        return out
+        return Mat.lincomb(self.left_alg.ring, self.dim, self.dim,
+                           ((c, a) for c, a in zip(x, self.left_action) if c))
 
     def right_of(self, x) -> Mat:
-        ring = self.right_alg.ring
-        out = Mat.zeros(ring, self.dim, self.dim)
-        for i, c in enumerate(x):
-            if c:
-                out = out + self.right_action[i].scale(c)
-        return out
+        return Mat.lincomb(self.right_alg.ring, self.dim, self.dim,
+                           ((c, a) for c, a in zip(x, self.right_action) if c))
 
     def right_module(self) -> FdModule:
         return FdModule(self.right_alg, self.dim, self.right_action, name=f"{self.name}|right")
@@ -436,12 +450,14 @@ class RingMap:
             raise AlgebraError(f"{self.name}: source/target fields differ")
         if len(self.images) != src.dim:
             raise AlgebraError(f"{self.name}: need one image per source basis element")
+        if any(len(im) != tgt.dim for im in self.images):
+            raise AlgebraError(f"{self.name}: image vector has wrong length")
         if self.apply(src.unit) != tgt.unit:
             raise AlgebraError(f"{self.name}: unit is not preserved")
         for i in range(src.dim):
             for j in range(src.dim):
                 lhs = tgt.mult(self.images[i], self.images[j])
-                rhs = self.apply(src.mult(src.basis_vec(i), src.basis_vec(j)))
+                rhs = self.apply(src.structure[i][j])
                 if lhs != rhs:
                     raise AlgebraError(
                         f"{self.name}: multiplicativity fails at "
@@ -449,12 +465,7 @@ class RingMap:
                     )
 
     def apply(self, x: Sequence) -> Tuple:
-        tgt = self.target
-        out = tgt.zero_vec()
-        for i, c in enumerate(x):
-            if c:
-                out = tgt.add_vec(out, tgt.scale_vec(c, self.images[i]))
-        return out
+        return self.target.combine((c, im) for c, im in zip(x, self.images) if c)
 
     def __repr__(self):
         return f"RingMap({self.name}: {self.source.name} -> {self.target.name})"
@@ -573,7 +584,10 @@ def radical(alg: AlgebraPresentation) -> TwoSidedIdeal:
 
     Valid in characteristic 0, or characteristic p > dim (guarded); the
     resulting subspace is re-verified to be a nilpotent two-sided ideal.
+    Computed once and cached on the algebra.
     """
+    if "radical" in alg._built:
+        return alg._built["radical"]
     ring = alg.ring
     if ring.kind == "prime" and ring.p <= alg.dim:
         raise AlgebraError(
@@ -581,19 +595,13 @@ def radical(alg: AlgebraPresentation) -> TwoSidedIdeal:
         )
     if ring.kind == "laurent":
         raise AlgebraError("radical requires a field")
-    rows = []
-    for i in range(alg.dim):
-        row = []
-        for j in range(alg.dim):
-            prod = alg.mult(alg.basis_vec(i), alg.basis_vec(j))
-            row.append(alg.trace_left_mult(prod))
-        rows.append(row)
+    rows = [[alg.trace_left_mult(prod) for prod in row] for row in alg.structure]
     T = Mat.from_rows(ring, rows, alg.dim)
     _, ker = solve(T.transpose(), Mat.zeros(ring, alg.dim, 1))
     ideal = TwoSidedIdeal(alg, ker, name=f"rad({alg.name})")
     if not ideal.is_nilpotent():
         raise AlgebraError("trace-form kernel is not nilpotent; radical unavailable")
-    return ideal
+    return alg._built.setdefault("radical", ideal)
 
 
 class TensorResult:
@@ -703,31 +711,29 @@ def quotient_algebra(alg: AlgebraPresentation, ideal: TwoSidedIdeal,
     return qalg, proj
 
 
-def projective_module(alg: AlgebraPresentation, summands: Sequence[int]) -> Tuple[FdModule, List[Tuple[int, Subspace]]]:
-    """Direct sum of right ideals e_i R as one module, with block data."""
+def projective_module(alg: AlgebraPresentation, summands: Sequence[int]) -> FdModule:
+    """Direct sum of the right ideals e_i R as one module.
+
+    The module is built and validated once per summand tuple and then
+    cached on the algebra, like ``radical``: a repeat call returns the same
+    object, so neither it nor the algebra may be changed after construction.
+    """
+    key = tuple(summands)
+    if key in alg._built:
+        return alg._built[key]
     ring = alg.ring
-    blocks = [(i, alg.right_ideal_space(i)) for i in summands]
-    dim = sum(sp.dim for _, sp in blocks)
+    spaces = [alg.right_ideal_space(i) for i in key]
+    dim = sum(sp.dim for sp in spaces)
     action = []
     for t in range(alg.dim):
-        rows = []
-        for _, sp in blocks:
+        b = alg.basis_vec(t)
+        rows, off = [], 0
+        for sp in spaces:
             for r in sp.rows:
-                img = alg.mult(r, alg.basis_vec(t))
-                rows_local = sp.coords_of(img)
-                rows.append(rows_local)
-        # assemble block-diagonal rows
-        big_rows = []
-        off = 0
-        idx = 0
-        for _, sp in blocks:
-            for _ in range(sp.dim):
                 row = [ring.zero] * dim
-                for c, val in enumerate(rows[idx]):
-                    row[off + c] = val
-                big_rows.append(row)
-                idx += 1
+                row[off:off + sp.dim] = sp.coords_of(alg.mult(r, b))
+                rows.append(row)
             off += sp.dim
-        action.append(Mat.from_rows(ring, big_rows, dim))
-    mod = FdModule(alg, dim, action, name=f"P({list(summands)})")
-    return mod, blocks
+        action.append(Mat.from_rows(ring, rows, dim))
+    mod = FdModule(alg, dim, action, name=f"P({list(key)})")
+    return alg._built.setdefault(key, mod)

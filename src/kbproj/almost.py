@@ -90,10 +90,8 @@ def standard_modules(alg: AlgebraPresentation) -> Dict[str, FdModule]:
     out["0"] = FdModule(alg, 0, [Mat.zeros(alg.ring, 0, 0)] * alg.dim, name="0")
     projs = []
     for i in range(alg.n_idempotents()):
-        P, _ = projective_module(alg, [i])
-        nm = f"P({alg.idempotent_names[i]})"
-        P.name = nm
-        out[nm] = P
+        P = projective_module(alg, [i])
+        out[f"P({alg.idempotent_names[i]})"] = P
         projs.append((i, P))
     try:
         rad = radical(alg)

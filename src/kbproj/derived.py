@@ -64,7 +64,7 @@ def projective_cover(M: FdModule, radsp: Subspace):
     alg = M.algebra
     gens = minimal_generators(M, radsp)
     idxs = [j for j, _ in gens]
-    P, _ = projective_module(alg, idxs)
+    P = projective_module(alg, idxs)
     rows = []
     for j, g in gens:
         for x in alg.right_ideal_space(j).rows:
@@ -96,8 +96,7 @@ class Resolution:
         return len(self.summands) - 1
 
     def proj(self, i: int) -> FdModule:
-        P, _ = projective_module(self.algebra, self.summands[i])
-        return P
+        return projective_module(self.algebra, self.summands[i])
 
     def differential_algmat(self, i: int) -> AlgMat:
         """The map P_i -> P_{i-1} as a matrix of algebra elements."""
@@ -287,14 +286,8 @@ def multiplication_matrix(g: RingMap, T: TensorResult) -> Mat:
     ring = S.ring
     rows = []
     for rep in T.reps:
-        out = list(S.zero_vec())
-        for pos, c in enumerate(rep):
-            if not c:
-                continue
-            u, v = divmod(pos, S.dim)
-            prod = S.mult(S.basis_vec(u), S.basis_vec(v))
-            out = S.add_vec(out, S.scale_vec(c, prod))
-        rows.append(list(out))
+        rows.append(S.combine((c, S.structure[pos // S.dim][pos % S.dim])
+                              for pos, c in enumerate(rep) if c))
     return Mat.from_rows(ring, rows, S.dim)
 
 

@@ -543,12 +543,8 @@ class MapLayout:
             xs = self.X.summands_at(n)
             per_degree[n] = [[alg.zero_vec() for _ in xs] for _ in ys]
         for n, r, c, corner, off in self.slots:
-            acc = alg.zero_vec()
-            for t, row in enumerate(corner.rows):
-                cf = coords[off + t]
-                if cf:
-                    acc = alg.add_vec(acc, alg.scale_vec(cf, tuple(row)))
-            per_degree[n][r][c] = acc
+            per_degree[n][r][c] = alg.combine(
+                (cf, row) for cf, row in zip(coords[off:off + corner.dim], corner.rows) if cf)
         comps = {}
         for n, ents in per_degree.items():
             ys = self.Y.summands_at(n + self.degree)

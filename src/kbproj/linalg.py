@@ -330,6 +330,16 @@ class Mat:
     def identity(cls, ring, n) -> "Mat":
         return cls(ring, n, n, {(i, i): ring.one for i in range(n)})
 
+    @classmethod
+    def lincomb(cls, ring, nrows, ncols, terms: Iterable[Tuple[object, "Mat"]]) -> "Mat":
+        """Sum of c * m over the (c, m) pairs, accumulated in one dict."""
+        items: Dict[Tuple[int, int], object] = {}
+        for c, m in terms:
+            for k, v in m._items.items():
+                prod = ring.mul(v, c)
+                items[k] = ring.add(items[k], prod) if k in items else prod
+        return cls.from_entries(ring, nrows, ncols, items)
+
     # -- access -------------------------------------------------------
 
     def entry(self, i, j):

@@ -58,6 +58,15 @@ class TaskError(ValueError):
     """A task that cannot be executed (bad reference, bad arguments)."""
 
 
+def _task_int(task: Dict, key: str, minimum: int, default: Optional[int] = None) -> int:
+    """The integer field ``key`` of a task (``default`` when absent), at least ``minimum``."""
+    value = task.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise TaskError(f"task {task.get('id')}: {key!r} must be an integer "
+                        f"at least {minimum}, got {value!r}")
+    return value
+
+
 def _locate(subcat, X: ProjComplex, what: str) -> str:
     for name in subcat.names():
         if same_complex(subcat.objects[name], X):
@@ -97,7 +106,7 @@ def _triangle_presentations(fx: FixtureFile, subcat,
 
 def _run_check_hepi(fx: FixtureFile, task: Dict) -> Report:
     g = fx.ring_map(task.get("map"), f"task {task['id']}")
-    i_max = int(task.get("max_degree", 20))
+    i_max = _task_int(task, "max_degree", 0, default=20)
     rep = check_homological_epi(g, i_max=i_max)
     evidence = {
         "map": task.get("map"),
@@ -119,7 +128,7 @@ def _run_lift_map(fx: FixtureFile, task: Dict) -> Report:
     prob = fx.lifts[name]
     budget = prob["budget"]
     if "depth" in task:
-        budget = type(budget)(max_depth=int(task["depth"]),
+        budget = type(budget)(max_depth=_task_int(task, "depth", 0),
                               max_candidates=budget.max_candidates)
     rep = lift_chain_map(prob["functor"], prob["source"], prob["target"],
                          prob["map"], generators=prob["generators"],
@@ -151,7 +160,7 @@ def _run_lift_complex(fx: FixtureFile, task: Dict) -> Report:
     prob = fx.complex_lifts[name]
     budget = prob["budget"]
     if "depth" in task:
-        budget = type(budget)(max_depth=int(task["depth"]),
+        budget = type(budget)(max_depth=_task_int(task, "depth", 0),
                               max_candidates=budget.max_candidates)
     rep = lift_complex(prob["functor"], prob["target"], prob["stalks"],
                        generators=prob["generators"], budget=budget)
@@ -326,7 +335,7 @@ def _run_almost(fx: FixtureFile, task: Dict) -> Report:
                                 f"subcategory window")
             window = None
             if task.get("window") is not None:
-                w = int(task["window"])
+                w = _task_int(task, "window", 0)
                 window = (-w, w)
             rep = almost_derived_ideal(alg, ideal, case["subcat"],
                                        case["a_witness"],

@@ -512,3 +512,120 @@ class FractionRationals:
 
     def __hash__(self):
         return hash("QQ")
+
+
+# -- axiom checks by products of basis vectors ----------------------------------
+#
+# The checks of ``kbproj.algebra`` as they were before they read the structure
+# constants: every product b_i b_j is ``mult`` of two basis vectors, and a
+# combination of action matrices is a chain of ``+`` and ``scale``.  Each
+# returns the message the check raises at its first failure, or None.
+
+
+def basis_product_associativity(alg):
+    """First basis triple with (b_i b_j) b_l != b_i (b_j b_l), as a message."""
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for l in range(alg.dim):
+                lhs = alg.mult(alg.mult(alg.basis_vec(i), alg.basis_vec(j)), alg.basis_vec(l))
+                rhs = alg.mult(alg.basis_vec(i), alg.mult(alg.basis_vec(j), alg.basis_vec(l)))
+                if lhs != rhs:
+                    return (f"{alg.name}: associativity fails at basis triple "
+                            f"({alg.basis_names[i]},{alg.basis_names[j]},{alg.basis_names[l]})")
+    return None
+
+
+def _scaled_sum(ring, n, mats, x):
+    from kbproj.linalg import Mat
+
+    out = Mat.zeros(ring, n, n)
+    for i, c in enumerate(x):
+        if c:
+            out = out + mats[i].scale(c)
+    return out
+
+
+def basis_product_module_check(M):
+    """``FdModule`` validation: shapes, unit, then multiplicativity per pair."""
+    from kbproj.linalg import Mat
+
+    alg = M.algebra
+    ring = alg.ring
+    if len(M.action) != alg.dim:
+        return f"{M.name}: need one action matrix per algebra basis element"
+    for a in M.action:
+        if a.nrows != M.dim or a.ncols != M.dim or a.ring != ring:
+            return f"{M.name}: action matrix shape mismatch"
+    if _scaled_sum(ring, M.dim, M.action, alg.unit) != Mat.identity(ring, M.dim):
+        return f"{M.name}: unit does not act as identity"
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            lhs = M.action[i] @ M.action[j]
+            rhs = _scaled_sum(ring, M.dim, M.action, alg.mult(alg.basis_vec(i), alg.basis_vec(j)))
+            if lhs != rhs:
+                return (f"{M.name}: action not multiplicative at "
+                        f"({alg.basis_names[i]},{alg.basis_names[j]})")
+    return None
+
+
+def basis_product_bimodule_check(B):
+    """``Bimodule`` validation: both units, both sides per pair, commutation."""
+    from kbproj.linalg import Mat
+
+    ring = B.left_alg.ring
+    L, R = B.left_alg, B.right_alg
+    if B.right_alg.ring != ring:
+        return f"{B.name}: bimodule sides over different fields"
+    if len(B.left_action) != L.dim or len(B.right_action) != R.dim:
+        return f"{B.name}: wrong number of action matrices"
+    for m in B.left_action + B.right_action:
+        if m.nrows != B.dim or m.ncols != B.dim:
+            return f"{B.name}: action matrix shape mismatch"
+    if _scaled_sum(ring, B.dim, B.left_action, L.unit) != Mat.identity(ring, B.dim):
+        return f"{B.name}: left unit fails"
+    if _scaled_sum(ring, B.dim, B.right_action, R.unit) != Mat.identity(ring, B.dim):
+        return f"{B.name}: right unit fails"
+    for i in range(L.dim):
+        for j in range(L.dim):
+            lhs = B.left_action[j] @ B.left_action[i]
+            rhs = _scaled_sum(ring, B.dim, B.left_action, L.mult(L.basis_vec(i), L.basis_vec(j)))
+            if lhs != rhs:
+                return f"{B.name}: left action not anti-multiplicative"
+    for i in range(R.dim):
+        for j in range(R.dim):
+            lhs = B.right_action[i] @ B.right_action[j]
+            rhs = _scaled_sum(ring, B.dim, B.right_action, R.mult(R.basis_vec(i), R.basis_vec(j)))
+            if lhs != rhs:
+                return f"{B.name}: right action not multiplicative"
+    for a in B.left_action:
+        for b in B.right_action:
+            if a @ b != b @ a:
+                return f"{B.name}: actions do not commute"
+    return None
+
+
+def basis_product_ring_map_check(f):
+    """``RingMap`` validation: unit, then multiplicativity per pair."""
+    src, tgt = f.source, f.target
+
+    def apply(x):
+        out = tgt.zero_vec()
+        for i, c in enumerate(x):
+            if c:
+                out = tgt.add_vec(out, tgt.scale_vec(c, f.images[i]))
+        return out
+
+    if src.ring != tgt.ring:
+        return f"{f.name}: source/target fields differ"
+    if len(f.images) != src.dim:
+        return f"{f.name}: need one image per source basis element"
+    if apply(src.unit) != tgt.unit:
+        return f"{f.name}: unit is not preserved"
+    for i in range(src.dim):
+        for j in range(src.dim):
+            lhs = tgt.mult(f.images[i], f.images[j])
+            rhs = apply(src.mult(src.basis_vec(i), src.basis_vec(j)))
+            if lhs != rhs:
+                return (f"{f.name}: multiplicativity fails at "
+                        f"({src.basis_names[i]},{src.basis_names[j]})")
+    return None

@@ -289,8 +289,8 @@ def test_times_ideal_and_annihilator():
 
 def test_hom_modules_between_projectives_matches_corner():
     A = upper_triangular_2()
-    P1, _ = projective_module(A, [0])
-    P2, _ = projective_module(A, [1])
+    P1 = projective_module(A, [0])
+    P2 = projective_module(A, [1])
     assert len(hom_modules(P2, P1)) == A.corner_space(0, 1).dim == 1
     assert len(hom_modules(P1, P2)) == A.corner_space(1, 0).dim == 0
     assert len(hom_modules(P1, P1)) == 1

@@ -554,3 +554,53 @@ def test_triangle_certificate_off_its_corner_refuted(capsys, tmp_path):
     rep = json.loads(out)["reports"][0]
     assert rep["verdict"] == "refuted"
     assert "not supported on the corner e11*R*e11" in rep["evidence"]["reason"]
+
+
+# -- integer task fields ------------------------------------------------------
+
+
+@pytest.mark.parametrize("task_id,key,value", [
+    ("hepi-corner", "max_degree", "3"),
+    ("hepi-corner", "max_degree", 2.7),
+    ("hepi-corner", "max_degree", -1),
+    ("hepi-corner", "max_degree", None),
+    ("hepi-corner", "max_degree", True),
+    ("lift-corner-id", "depth", None),
+    ("lift-corner-id", "depth", True),
+    ("lift-corner-id", "depth", "2"),
+    ("lift-corner-id", "depth", -1),
+    ("rebuild-kstalk", "depth", 1.0),
+    ("almost-corner", "window", "x"),
+    ("almost-corner", "window", -1),
+    ("almost-corner", "window", False),
+])
+def test_task_integer_field_not_an_integer_exits_2(capsys, tmp_path, task_id, key, value):
+    with open(CORNER) as fh:
+        data = json.load(fh)
+    task = next(t for t in data["tasks"] if t["id"] == task_id)
+    task[key] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    assert main(["run", "--fixture", str(p), task_id]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.strip().splitlines() == [
+        f"kbproj: error: task {task_id}: {key!r} must be an integer at least 0, "
+        f"got {value!r}"]
+
+
+@pytest.mark.parametrize("task_id,key,value,field,want", [
+    ("hepi-corner", "max_degree", 0, "checked_up_to", 0),
+    ("lift-corner-id", "depth", 0, "max_depth", 0),
+])
+def test_task_integer_field_at_its_minimum_runs(capsys, tmp_path, task_id, key, value,
+                                                field, want):
+    with open(CORNER) as fh:
+        data = json.load(fh)
+    task = next(t for t in data["tasks"] if t["id"] == task_id)
+    task[key] = value
+    p = tmp_path / "edge.json"
+    p.write_text(json.dumps(data))
+    code, out = _cli(capsys, "run", "--fixture", str(p), task_id)
+    assert code == 0
+    assert json.loads(out)["reports"][0]["evidence"][field] == want

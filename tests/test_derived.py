@@ -65,7 +65,7 @@ def test_minimal_resolution_of_top_simple_matches_two_term_complex():
     # the simple at the first vertex: quotient of e11R by its radical
     from kbproj.algebra import projective_module, submodule
 
-    P1mod, _ = projective_module(A, [0])
+    P1mod = projective_module(A, [0])
     S1mod, _ = quotient_module(P1mod, P1mod.times_ideal(radsp))
     res = proj_resolution(S1mod, 5)
     assert res.complete

@@ -132,7 +132,7 @@ def test_induction_dims_match_tensor_oracle(ctx):
     for X in (ctx["P1s"], ctx["P2s"], ctx["S1r"]):
         GX = G.apply_complex(X)
         for n in X.degrees():
-            P, _ = projective_module(A, X.summands_at(n))
+            P = projective_module(A, X.summands_at(n))
             t = module_tensor(P, G.bimodule)
             assert GX.space_dim_at(n) == t.module.dim
 

@@ -52,7 +52,7 @@ def plain_complex_data(X, lo, hi):
     dims, acts, mods = [], [], []
     for n in range(lo, hi + 1):
         idems = list(X.summands_at(n))
-        mod, _ = projective_module(A, idems)
+        mod = projective_module(A, idems)
         mods.append(mod)
         dims.append(mod.dim)
         acts.append([[[m.entry(i, j) for j in range(mod.dim)] for i in range(mod.dim)]
@@ -248,8 +248,8 @@ def test_ext_dimension_agrees_with_module_level_count(ex):
     # module side: maps rad(P1) -> S2 modulo restrictions of maps P1 -> S2
     A = ex["alg"]
     M = regular_module(A)
-    P1, _ = projective_module(A, [0])
-    P2, _ = projective_module(A, [1])
+    P1 = projective_module(A, [0])
+    P2 = projective_module(A, [1])
     radsp = radical(A).space
     P1rad = P1.times_ideal(radsp)
     radmod, _ = submodule(P1, P1rad)

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-only ``homcat`` builds summand matrices without the corner check, and only
-``linalg`` knows that a non-integral rational is a ``Fraction``."""
+only ``homcat`` builds summand matrices without the corner check, only
+``linalg`` knows that a non-integral rational is a ``Fraction``, and no
+module multiplies two basis vectors to read a structure constant."""
 
 import ast
 import os
@@ -111,3 +112,19 @@ def test_only_rationals_parse_tests_for_fraction():
     assert allowed, "Rationals.parse no longer normalizes Fraction input"
     stray = [f"linalg.py:{n.lineno}" for n in _fraction_type_tests(tree) if id(n) not in allowed]
     assert not stray, "isinstance(..., Fraction) outside Rationals.parse: " + ", ".join(stray)
+
+
+def _is_basis_vec_call(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "basis_vec")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_products_of_basis_vectors(module):
+    # b_i b_j is the row structure[i][j] of the algebra: read it, do not multiply
+    lines = sorted(n.lineno for n in ast.walk(_parse(module))
+                   if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                   and n.func.attr == "mult" and len(n.args) == 2
+                   and all(map(_is_basis_vec_call, n.args)))
+    uses = [f"{module}:{line}" for line in lines]
+    assert not uses, "mult of two basis vectors: " + ", ".join(uses)

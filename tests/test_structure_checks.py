@@ -1,0 +1,289 @@
+"""Axiom checks on structure constants against the basis-product oracles, and
+the projective-module and radical caches on an algebra.
+
+``AlgebraPresentation``, ``FdModule``, ``Bimodule`` and ``RingMap`` read the
+product b_i b_j as the row ``structure[i][j]``.  Each object below is built
+unvalidated with one structure constant, action entry or image coordinate
+perturbed; its own ``_validate`` and the matching oracle of ``oracles.py``,
+which multiplies basis vectors, must name the same first failure with the
+same message, or both find none.  The algebras are those of the three
+fixtures and small members of the generated families of ``bench/families.py``.
+"""
+
+import functools
+import importlib.util
+import os
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
+from oracles import (
+    basis_product_associativity,
+    basis_product_bimodule_check,
+    basis_product_module_check,
+    basis_product_ring_map_check,
+)
+
+from kbproj.algebra import (
+    AlgebraError,
+    AlgebraPresentation,
+    Bimodule,
+    FdModule,
+    RingMap,
+    induction_bimodule,
+    module_along_map,
+    projective_module,
+    radical,
+    regular_bimodule,
+    regular_module,
+)
+from kbproj.derived import proj_resolution
+from kbproj.fixture import FixtureFile, load_fixture
+from kbproj.linalg import Mat
+from kbproj.reports import emit_json
+from kbproj.runner import run_tasks
+
+HERE = os.path.dirname(__file__)
+FIXDIR = os.path.join(HERE, "..", "fixtures")
+FIXTURES = ("corner", "split", "koszul")
+FAMILIES = (("UT", 3), ("Alin", 4), ("Acyc", 3), ("kx", 3))
+MAX_DEGREE = 6
+
+
+def _load_families():
+    # the generator is plain Python with no kbproj import; load it by path
+    spec = importlib.util.spec_from_file_location(
+        "families", os.path.join(HERE, "..", "bench", "families.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+families = _load_families()
+
+
+def family_data(fam, n, seed=1):
+    return families.family_fixture(fam, n, MAX_DEGREE, seed)
+
+
+@functools.lru_cache(maxsize=None)
+def source(label):
+    """A loaded fixture by label: a fixture name or a family member like UT3."""
+    if label in FIXTURES:
+        return load_fixture(os.path.join(FIXDIR, f"{label}.json"))
+    fam, n = next((f, n) for f, n in FAMILIES if f"{f}{n}" == label)
+    return FixtureFile(family_data(fam, n))
+
+
+LABELS = FIXTURES + tuple(f"{f}{n}" for f, n in FAMILIES)
+ALGEBRAS = [(label, name) for label in LABELS for name in source(label).algebras]
+RING_MAPS = [(label, name) for label in LABELS for name in source(label).ring_maps]
+
+
+def unvalidated(monkeypatch, cls, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(cls, "_validate", lambda self: None)
+        return cls(*args, **kwargs)
+
+
+def failure(obj):
+    """The message of ``obj._validate()``, or None when it passes."""
+    try:
+        obj._validate()
+    except AlgebraError as exc:
+        return str(exc)
+    return None
+
+
+def perturbed(ring, mat, rng):
+    """``mat`` with one seeded entry increased by one."""
+    i, j = rng.randrange(mat.nrows), rng.randrange(mat.ncols)
+    items = {(a, b): v for a, b, v in mat.items()}
+    items[(i, j)] = ring.add(mat.entry(i, j), ring.one)
+    return Mat.from_entries(ring, mat.nrows, mat.ncols, items)
+
+
+def perturbed_action(ring, action, rng):
+    action = list(action)
+    t = rng.randrange(len(action))
+    action[t] = perturbed(ring, action[t], rng)
+    return action
+
+
+def sample_modules(alg):
+    yield regular_module(alg)
+    for i in range(alg.n_idempotents()):
+        yield projective_module(alg, [i])
+    yield projective_module(alg, list(range(alg.n_idempotents())))
+
+
+# -- unperturbed objects pass both checks --------------------------------------
+
+
+@pytest.mark.parametrize("label,name", ALGEBRAS)
+def test_valid_objects_pass_both_checks(label, name):
+    alg = source(label).algebras[name]
+    assert basis_product_associativity(alg) is None
+    assert failure(alg) is None
+    for M in sample_modules(alg):
+        assert basis_product_module_check(M) is None
+    assert basis_product_bimodule_check(regular_bimodule(alg)) is None
+
+
+# -- one perturbed structure constant --------------------------------------------
+
+
+@pytest.mark.parametrize("label,name", ALGEBRAS)
+def test_perturbed_structure_constant_fails_at_the_same_triple(monkeypatch, label, name):
+    alg = source(label).algebras[name]
+    ring, dim = alg.ring, alg.dim
+    rng = random.Random(f"{label}/{name}")
+    cells = [(i, j, m) for i in range(dim) for j in range(dim) for m in range(dim)]
+    seen = 0
+    for i, j, m in rng.sample(cells, min(len(cells), 15)):
+        structure = [[list(cell) for cell in row] for row in alg.structure]
+        structure[i][j][m] = ring.add(structure[i][j][m], ring.one)
+        bad = unvalidated(monkeypatch, AlgebraPresentation, ring, alg.basis_names, structure,
+                          alg.unit, alg.idempotents, name=f"{name}'")
+        old, new = basis_product_associativity(bad), failure(bad)
+        if old is None:
+            assert new is None or "associativity" not in new
+        else:
+            assert new == old
+            seen += 1
+    # b b = c b spans an associative algebra for every c, so dim 1 cannot fail here
+    assert seen or dim == 1, "no perturbation broke associativity"
+
+
+def test_perturbed_structure_constant_names_a_known_triple():
+    # UT2 with e11 e11 = 2 e11: (e11 e11) e11 = 4 e11 but e11 (e11 e11) = 4 e11,
+    # while (e11 e11) e12 = 2 e12 and e11 (e11 e12) = e12
+    alg = source("corner").algebras["UT2"]
+    structure = [[list(cell) for cell in row] for row in alg.structure]
+    structure[0][0][0] = 2
+    with pytest.raises(AlgebraError) as exc:
+        AlgebraPresentation(alg.ring, alg.basis_names, structure, alg.unit, alg.idempotents,
+                            name="UT2'")
+    assert str(exc.value) == "UT2': associativity fails at basis triple (e11,e11,e12)"
+
+
+# -- one perturbed action entry or image coordinate --------------------------------
+
+
+@pytest.mark.parametrize("label,name", ALGEBRAS)
+def test_perturbed_module_action_fails_at_the_same_pair(monkeypatch, label, name):
+    alg = source(label).algebras[name]
+    rng = random.Random(f"{label}/{name}/module")
+    messages = []
+    for M in sample_modules(alg):
+        for _ in range(6):
+            action = perturbed_action(alg.ring, M.action, rng)
+            bad = unvalidated(monkeypatch, FdModule, alg, M.dim, action, name=M.name)
+            old = basis_product_module_check(bad)
+            assert failure(bad) == old
+            messages.append(old)
+    assert any(messages), "no perturbation broke a module axiom"
+
+
+@pytest.mark.parametrize("label,name", ALGEBRAS)
+def test_perturbed_bimodule_action_fails_at_the_same_pair(monkeypatch, label, name):
+    alg = source(label).algebras[name]
+    B = regular_bimodule(alg)
+    rng = random.Random(f"{label}/{name}/bimodule")
+    messages = []
+    for side in ("left", "right") * 5:
+        left, right = B.left_action, B.right_action
+        if side == "left":
+            left = perturbed_action(alg.ring, left, rng)
+        else:
+            right = perturbed_action(alg.ring, right, rng)
+        bad = unvalidated(monkeypatch, Bimodule, alg, alg, B.dim, left, right, name=B.name)
+        old = basis_product_bimodule_check(bad)
+        assert failure(bad) == old
+        messages.append(old)
+    assert any(messages), "no perturbation broke a bimodule axiom"
+
+
+@pytest.mark.parametrize("label,name", RING_MAPS)
+def test_perturbed_ring_map_fails_at_the_same_pair(monkeypatch, label, name):
+    f = source(label).ring_maps[name]
+    ring = f.target.ring
+    rng = random.Random(f"{label}/{name}/ring-map")
+    messages = []
+    for _ in range(10):
+        images = [list(im) for im in f.images]
+        i, m = rng.randrange(len(images)), rng.randrange(f.target.dim)
+        images[i][m] = ring.add(images[i][m], ring.one)
+        bad = unvalidated(monkeypatch, RingMap, f.source, f.target, images, name=f.name)
+        old = basis_product_ring_map_check(bad)
+        assert failure(bad) == old
+        messages.append(old)
+    B = induction_bimodule(f)
+    assert basis_product_bimodule_check(B) is None
+    assert basis_product_module_check(module_along_map(f)) is None
+    assert any(messages), "no perturbation broke a ring-map axiom"
+
+
+def test_ring_map_image_of_wrong_length_rejected():
+    f = source("corner").ring_maps["corner"]
+    images = [list(im) + [0] for im in f.images]
+    with pytest.raises(AlgebraError, match="corner: image vector has wrong length"):
+        RingMap(f.source, f.target, images, name="corner")
+
+
+# -- caches on the algebra --------------------------------------------------------
+
+
+def test_projective_module_and_radical_are_cached():
+    A = load_fixture(os.path.join(FIXDIR, "corner.json")).algebras["UT2"]
+    P = projective_module(A, [0, 1])
+    assert projective_module(A, (0, 1)) is P
+    assert projective_module(A, [1, 0]) is not P
+    assert projective_module(A, [0]) is projective_module(A, [0])
+    assert radical(A) is radical(A)
+
+
+def test_concurrent_first_calls_get_one_object_per_key():
+    # run_tasks shares a loaded algebra between worker threads; two threads
+    # may both build a module, but every caller must get the one stored
+    alg = next(iter(FixtureFile(family_data("UT", 4)).algebras.values()))
+    keys = [(0,), (1,), (0, 1), (3, 2, 1, 0), (2, 2)] * 6
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            modules = [pool.submit(projective_module, alg, k) for k in keys]
+            radicals = [pool.submit(radical, alg) for _ in range(12)]
+            modules = [f.result(timeout=60) for f in modules]
+            radicals = [f.result(timeout=60) for f in radicals]
+    finally:
+        sys.setswitchinterval(interval)
+    for k, M in zip(keys, modules):
+        assert M is projective_module(alg, k)
+    assert all(r is radical(alg) for r in radicals)
+
+
+@pytest.mark.parametrize("fam,n", FAMILIES + (("UT", 5), ("Acyc", 6)))
+def test_resolution_over_a_warm_cache_matches_a_fresh_one(fam, n):
+    warm = FixtureFile(family_data(fam, n))
+    run_tasks(warm, workers=1)
+    R = next(iter(warm.algebras.values()))
+    assert len(R._built) > 1, "the task run left the projective cache cold"
+    fresh = FixtureFile(family_data(fam, n))
+    a = proj_resolution(module_along_map(warm.ring_maps["corner"]), MAX_DEGREE + 1)
+    b = proj_resolution(module_along_map(fresh.ring_maps["corner"]), MAX_DEGREE + 1)
+    assert a.summands == b.summands
+    assert a.maps == b.maps
+    assert a.aug == b.aug
+    assert a.complete == b.complete
+
+
+@pytest.mark.parametrize("fam,n", FAMILIES)
+def test_two_workers_give_the_report_bytes_of_one(fam, n):
+    one = emit_json(run_tasks(FixtureFile(family_data(fam, n)), workers=1))
+    shared = FixtureFile(family_data(fam, n))
+    cold = emit_json(run_tasks(shared, workers=2))
+    warm = emit_json(run_tasks(shared, workers=2))
+    assert one == cold == warm
