@@ -396,27 +396,26 @@ def almost_derived_ideal(alg: AlgebraPresentation, ideal: TwoSidedIdeal,
                 Cn = C.shift(n)
                 HY = HomSpace(Y, Cn)
                 if HY.dim:
-                    tests.append((n, Cn, HY))
+                    tests.append((n, Cn, HY.basis()))
         for an in subcat.names():
             H = subcat.hom(an, bn)
             if H.dim == 0:
                 continue
             X = subcat.objects[an]
-            rows = []
-            for f in H.basis():
-                row = []
-                for n, Cn, HY in tests:
-                    key = (an, n)
-                    if key not in hom_into:
-                        hom_into[key] = HomSpace(X, Cn)
-                    HX = hom_into[key]
-                    if HX.dim == 0:
-                        continue
-                    for xi in HY.basis():
-                        g = xi.compose(f)
-                        row.extend(HX.class_coords(
-                            GradedMap(X, Cn, 0, g.components)))
-                rows.append(row)
+            fs = H.basis()
+            rows = [[] for _ in fs]
+            for n, Cn, xis in tests:
+                key = (an, n)
+                if key not in hom_into:
+                    hom_into[key] = HomSpace(X, Cn)
+                HX = hom_into[key]
+                if HX.dim == 0:
+                    continue
+                # row i gets the classes of xi . f_i for each xi in turn
+                K = HX.class_matrix([GradedMap(X, Cn, 0, xi.compose(f).components)
+                                     for f in fs for xi in xis])
+                for p, coords in enumerate(K.rows()):
+                    rows[p // len(xis)].extend(coords)
             width = len(rows[0])
             if width == 0:
                 comps[(an, bn)] = Subspace.full(ring, H.dim)

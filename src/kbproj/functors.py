@@ -6,6 +6,12 @@ the constructor demands witnesses, one list per source idempotent, writing
 e_i . B as an explicit direct sum of summands f_j . S, and verifies that the
 witness map is bijective.  Complexes and maps are then transported summand
 by summand, entirely inside projective presentations.
+
+Images come from tables built once per functor: ``corner_table(t, s)`` holds
+the image of each basis row of the corner e_t R e_s, found on first use by
+one solve against the witness span, which is where an image escaping the
+span is caught.  ``apply_algmat`` combines those images by an entry's corner
+coordinates and ``functor_matrix`` assembles g -> F(g) from them.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Bimodule, RingMap, induction_bimodule, restriction_bimodule
-from .homcat import AlgMat, GradedMap, HomSpace, ProjComplex, is_contractible, same_complex
+from .homcat import AlgMat, GradedMap, HomSpace, MapLayout, ProjComplex, is_contractible, same_complex
 from .linalg import Mat, Subspace, rank, solve_left
 
 
@@ -35,6 +41,9 @@ class BimoduleFunctor:
         self.witnesses: Dict[int, List[Tuple[int, Tuple]]] = {}
         self._wmat: Dict[int, Mat] = {}
         self._wblocks: Dict[int, List[Tuple[int, int, int]]] = {}  # (target idem, offset, dim)
+        # corner_table by (target, source) idempotent; concurrent first calls
+        # may both build, and setdefault keeps one result for all
+        self._tables: Dict[Tuple[int, int], List] = {}
         for i in range(self.source_alg.n_idempotents()):
             if i not in witnesses:
                 raise FunctorError(f"{name}: no witness list for source idempotent {i}")
@@ -87,51 +96,49 @@ class BimoduleFunctor:
             out.extend(self.target_summands(i))
         return tuple(out)
 
-    def _entry_block(self, a, tgt_i: int, src_i: int) -> List[List[Tuple]]:
-        """Image of one left-multiplication entry as a grid of target elements."""
-        B = self.bimodule
-        ring = self.source_alg.ring
-        S = self.target_alg
-        La = B.left_of(a)
-        cols = []
-        for _, wv in self.witnesses[src_i]:
-            img = La.row_apply(list(wv))
-            x, _ = solve_left(self._wmat[tgt_i], Mat.from_rows(ring, [img], B.dim))
-            if x is None:
-                raise FunctorError(f"{self.name}: image escaped the witness span")
-            coords = x.row(0)
-            col = []
-            for ju, offu, dimu in self._wblocks[tgt_i]:
-                sp = S.right_ideal_space(ju)
-                vec = [ring.zero] * S.dim
-                for t in range(dimu):
-                    cf = coords[offu + t]
-                    if cf:
-                        for p, b in enumerate(sp.rows[t]):
-                            vec[p] = ring.add(vec[p], ring.mul(cf, b))
-                col.append(tuple(vec))
-            cols.append(col)
-        # transpose: rows = target witness summands, cols = source witness summands
-        nrows = len(self._wblocks[tgt_i])
-        return [[cols[c][r] for c in range(len(cols))] for r in range(nrows)]
+    def corner_table(self, t: int, s: int) -> List[Tuple[int, int, List[Tuple], List[List]]]:
+        """Images of the basis rows of the source corner e_t R e_s, built once.
+
+        One item (u, v, elems, coords) per nonzero block (target witness u,
+        source witness v): ``elems[k]`` is that block of basis row k's image
+        and ``coords[k]`` its coordinates in the target corner.
+        """
+        if (t, s) in self._tables:
+            return self._tables[(t, s)]
+        S, ring = self.target_alg, self.source_alg.ring
+        basis = self.source_alg.corner_space(t, s).rows
+        srcw = self.witnesses[s]
+        imgs = [self.bimodule.left_of(a).row_apply(list(wv)) for a in basis for _, wv in srcw]
+        x, _ = solve_left(self._wmat[t], Mat.from_rows(ring, imgs, self.bimodule.dim))
+        if x is None:
+            raise FunctorError(f"{self.name}: image escaped the witness span")
+        coords = x.rows()
+        table = []
+        for u, (ju, off, dim) in enumerate(self._wblocks[t]):
+            rows = S.right_ideal_space(ju).rows
+            for v, (jv, _) in enumerate(srcw):
+                elems = [S.combine((cf, e) for cf, e in zip(x_kv[off:off + dim], rows) if cf)
+                         for x_kv in coords[v::len(srcw)]]
+                if any(map(any, elems)):
+                    corner = S.corner_space(ju, jv)
+                    table.append((u, v, elems, [corner.coords_of(e) for e in elems]))
+        return self._tables.setdefault((t, s), table)
 
     def apply_algmat(self, m: AlgMat) -> AlgMat:
-        S = self.target_alg
-        tgt = self.image_summands(m.target_idems)
-        src = self.image_summands(m.source_idems)
-        grid: List[List] = [[None] * len(src) for _ in range(len(tgt))]
+        R, S = self.source_alg, self.target_alg
+        tgt, src = self.image_summands(m.target_idems), self.image_summands(m.source_idems)
+        grid = [[S.zero_vec()] * len(src) for _ in tgt]
         roff = 0
-        for r, ti in enumerate(m.target_idems):
-            rspan = len(self.witnesses[ti])
+        for r, t in enumerate(m.target_idems):
             coff = 0
-            for c, si in enumerate(m.source_idems):
-                cspan = len(self.witnesses[si])
-                block = self._entry_block(m.entries[r][c], ti, si)
-                for u in range(rspan):
-                    for v in range(cspan):
-                        grid[roff + u][coff + v] = block[u][v]
-                coff += cspan
-            roff += rspan
+            for c, s in enumerate(m.source_idems):
+                a = m.entries[r][c]
+                if not R.is_zero_vec(a):
+                    x = R.corner_space(t, s).coords_of(a)
+                    for u, v, elems, _ in self.corner_table(t, s):
+                        grid[roff + u][coff + v] = S.combine((cf, e) for cf, e in zip(x, elems) if cf)
+                coff += len(self.witnesses[s])
+            roff += len(self.witnesses[t])
         return AlgMat(S, tgt, src, grid)
 
     def apply_complex(self, X: ProjComplex, name: Optional[str] = None) -> ProjComplex:
@@ -221,7 +228,8 @@ class FiniteSubcat:
         if key not in self._comp:
             Hab, Hbc, Hac = self.hom(a, b), self.hom(b, c), self.hom(a, c)
             fs, gs = Hab.basis(), Hbc.basis()
-            self._comp[key] = [[Hac.class_coords(g.compose(f)) for g in gs] for f in fs]
+            C = Hac.class_matrix([g.compose(f) for f in fs for g in gs]).rows() if fs and gs else []
+            self._comp[key] = [C[i * len(gs):(i + 1) * len(gs)] for i in range(len(fs))]
         return self._comp[key]
 
     def shift_matrix(self, a: str, b: str) -> Mat:
@@ -229,32 +237,50 @@ class FiniteSubcat:
         sa, sb = self.shifts.get(a), self.shifts.get(b)
         if sa is None or sb is None:
             raise FunctorError("shift pairing not declared for both endpoints")
-        Hab = self.hom(a, b)
-        Hs = self.hom(sa, sb)
-        ring = self.alg.ring
-        rows = []
-        for f in Hab.basis():
-            g = f.shift(1)
-            moved = GradedMap(self.objects[sa], self.objects[sb], 0, g.components)
-            rows.append(Hs.class_coords(moved))
-        return Mat.from_rows(ring, rows, Hs.dim)
+        SA, SB = self.objects[sa], self.objects[sb]
+        return self.hom(sa, sb).class_matrix(
+            [GradedMap(SA, SB, 0, f.shift(1).components) for f in self.hom(a, b).basis()])
+
+
+def functor_matrix(F: BimoduleFunctor, layout_in: MapLayout, layout_out: MapLayout) -> Mat:
+    """Matrix (row convention) of g -> F(g) from a layout to the layout of its images.
+
+    Like ``homcat.operator_matrix``, it is assembled block by block: each
+    slot of g feeds the output slots of its corner table's nonzero blocks.
+    """
+    X, Y, s = layout_in.X, layout_in.Y, layout_in.degree
+    if (layout_in.alg != F.source_alg or layout_out.alg != F.target_alg
+            or layout_out.degree != s
+            or any(FA.summands_at(n) != F.image_summands(A.summands_at(n))
+                   for A, FA in ((X, layout_out.X), (Y, layout_out.Y))
+                   for n in set(A.degrees()) | set(FA.degrees()))):
+        raise FunctorError(f"{F.name}: output layout is not the image of the input layout")
+    items = {}
+    for n, r, c, _, off_in in layout_in.slots:
+        ys, xs = Y.summands_at(n + s), X.summands_at(n)
+        roff, coff = len(F.image_summands(ys[:r])), len(F.image_summands(xs[:c]))
+        for u, v, _, coords in F.corner_table(ys[r], xs[c]):
+            off_out = layout_out.index[(n, roff + u, coff + v)]
+            for k, row in enumerate(coords):
+                for w, val in enumerate(row):
+                    if val:
+                        items[(off_in + k, off_out + w)] = val
+    return Mat.from_entries(layout_in.alg.ring, layout_in.dim, layout_out.dim, items)
 
 
 def functor_class_matrix(F: BimoduleFunctor, H: HomSpace,
                          FH: HomSpace, FX: ProjComplex, FY: ProjComplex) -> Mat:
     """Matrix (row convention) of the induced map on homotopy classes."""
-    ring = F.source_alg.ring
-    rows = [FH.class_coords(F.apply_map(f, FX, FY)) for f in H.basis()]
-    return Mat.from_rows(ring, rows, FH.dim)
+    return FH.class_matrix([F.apply_map(f, FX, FY) for f in H.basis()])
 
 
 def annihilator_classes(F: BimoduleFunctor, H: HomSpace,
                         FH: HomSpace, FX: ProjComplex, FY: ProjComplex) -> Subspace:
     """Classes killed by the functor, as a subspace in class coordinates."""
     ring = F.source_alg.ring
-    M = functor_class_matrix(F, H, FH, FX, FY)
     if H.dim == 0:
         return Subspace.zero(ring, 0)
+    M = functor_class_matrix(F, H, FH, FX, FY)
     if FH.dim == 0:
         return Subspace.full(ring, H.dim)
     _, ker = solve_left(M, Mat.zeros(ring, 1, FH.dim))

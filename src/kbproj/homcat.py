@@ -652,7 +652,10 @@ class HomSpace:
 
     Only the degree 0 and -1 layouts are built up front.  The operators,
     cycles, boundaries and class representatives are computed on first use,
-    so a nullhomotopy test costs two operators and one solve.
+    so a nullhomotopy test costs two operators and one solve.  Class
+    coordinates are taken a batch at a time by ``class_matrix``, with one
+    chain-map check and one solve for the batch; ``class_coords`` is its
+    batch of one.
     """
 
     def __init__(self, X: ProjComplex, Y: ProjComplex):
@@ -700,28 +703,32 @@ class HomSpace:
     def basis(self) -> List[GradedMap]:
         return [self.L0.unpack(r) for r in self.reps]
 
-    def _cycle_coords(self, f: GradedMap) -> List:
-        """Coordinates of f, which must be a chain map (v . D0 = 0)."""
-        v = self.L0.pack(f)
-        if any(self.D0.row_apply(v)):
+    def _cycle_coords(self, maps: Sequence[GradedMap]) -> Mat:
+        """Coordinates of the maps, one row each; they must be chain maps (V . D0 = 0)."""
+        V = Mat.from_rows(self.ring, [self.L0.pack(f) for f in maps], self.L0.dim)
+        if not (V @ self.D0).is_zero():
             raise HomcatError("not a chain map")
-        return v
+        return V
+
+    def class_matrix(self, maps: Sequence[GradedMap]) -> Mat:
+        """Row i: coordinates of maps[i]'s homotopy class in the basis of representatives."""
+        V = self._cycle_coords(maps)
+        if not self.reps:
+            return Mat.zeros(self.ring, V.nrows, 0)
+        M = Mat.from_rows(self.ring, self.reps + list(self.boundaries.rows), self.L0.dim)
+        x, _ = solve_left(M, V)
+        if x is None:
+            raise HomcatError("internal error: cycle escaped its own span")
+        return Mat.from_entries(self.ring, V.nrows, self.dim,
+                                {(i, j): v for i, j, v in x.items() if j < self.dim})
 
     def class_coords(self, f: GradedMap) -> List:
         """Coordinates of f's homotopy class in the basis of representatives."""
-        v = self._cycle_coords(f)
-        ring = self.ring
-        if not self.reps:
-            return []
-        M = Mat.from_rows(ring, self.reps + list(self.boundaries.rows), self.L0.dim)
-        x, _ = solve_left(M, Mat.from_rows(ring, [v], self.L0.dim))
-        if x is None:
-            raise HomcatError("internal error: cycle escaped its own span")
-        return [x.entry(0, t) for t in range(len(self.reps))]
+        return self.class_matrix([f]).row(0)
 
     def is_nullhomotopic(self, f: GradedMap) -> Tuple[bool, Optional[GradedMap]]:
         """Decide f ~ 0; on success also return a homotopy h with delta(h) = f."""
-        return self._homotopy(self._cycle_coords(f))
+        return self._homotopy(self._cycle_coords([f]).row(0))
 
     def _homotopy(self, v: List) -> Tuple[bool, Optional[GradedMap]]:
         """Solve delta(h) = v for the coordinates v of a chain map."""

@@ -74,29 +74,9 @@ class HomIdeal:
             raise IdealError("components are not closed under composition")
 
     def _closed(self) -> bool:
-        ring = self.subcat.alg.ring
-        names = self.subcat.names()
-        for a in names:
-            for b in names:
-                I = self.components[(a, b)]
-                if I.dim == 0:
-                    continue
-                for c in names:
-                    Hbc = self.subcat.hom(b, c)
-                    tgt = self.components[(a, c)]
-                    for v in I.rows:
-                        for j in range(Hbc.dim):
-                            w = _unit(ring, Hbc.dim, j)
-                            if not tgt.contains(compose_coords(self.subcat, a, b, c, v, w)):
-                                return False
-                    Hca = self.subcat.hom(c, a)
-                    tgt2 = self.components[(c, b)]
-                    for v in I.rows:
-                        for j in range(Hca.dim):
-                            u = _unit(ring, Hca.dim, j)
-                            if not tgt2.contains(compose_coords(self.subcat, c, a, b, u, v)):
-                                return False
-        return True
+        return all(self.components[key].contains(w)
+                   for (a, b), I in self.components.items() if I.dim
+                   for key, new in _composites(self.subcat, a, b, I.rows) for w in new)
 
     def component(self, a: str, b: str) -> Subspace:
         return self.components[(a, b)]
@@ -132,41 +112,38 @@ def zero_ideal(subcat: FiniteSubcat) -> HomIdeal:
     return HomIdeal(subcat, {}, validate=False)
 
 
+def _composites(subcat: FiniteSubcat, a: str, b: str, rows: Sequence[Sequence]):
+    """Yield ((a, c), classes) and ((c, b), classes) for each object c: the
+    composites of the classes ``rows`` of hom(a, b) with each basis class of
+    hom(b, c) on the left and of hom(c, a) on the right.  A c with both hom
+    spaces zero composes with nothing and is skipped."""
+    ring = subcat.alg.ring
+    for c in subcat.names():
+        Hbc, Hca = subcat.hom(b, c), subcat.hom(c, a)
+        if Hbc.dim:
+            yield (a, c), [compose_coords(subcat, a, b, c, v, _unit(ring, Hbc.dim, j))
+                           for v in rows for j in range(Hbc.dim)]
+        if Hca.dim:
+            yield (c, b), [compose_coords(subcat, c, a, b, _unit(ring, Hca.dim, j), v)
+                           for v in rows for j in range(Hca.dim)]
+
+
 def ideal_closure(subcat: FiniteSubcat,
                   seeds: Dict[Pair, Sequence[Sequence]]) -> HomIdeal:
     """Smallest two-sided ideal containing the seed classes."""
     ring = subcat.alg.ring
     names = subcat.names()
-    spans: Dict[Pair, Subspace] = {}
-    for a in names:
-        for b in names:
-            vecs = list(seeds.get((a, b), ()))
-            spans[(a, b)] = Subspace.from_spanning(ring, subcat.hom(a, b).dim, vecs)
+    spans = {(a, b): Subspace.from_spanning(ring, subcat.hom(a, b).dim, list(seeds.get((a, b), ())))
+             for a in names for b in names}
     changed = True
     while changed:
         changed = False
-        for a in names:
-            for b in names:
-                I = spans[(a, b)]
-                if I.dim == 0:
-                    continue
-                for c in names:
-                    Hbc = subcat.hom(b, c)
-                    new = [compose_coords(subcat, a, b, c, v, _unit(ring, Hbc.dim, j))
-                           for v in I.rows for j in range(Hbc.dim)]
-                    grown = spans[(a, c)].sum_with(
-                        Subspace.from_spanning(ring, subcat.hom(a, c).dim, new))
-                    if grown.dim > spans[(a, c)].dim:
-                        spans[(a, c)] = grown
-                        changed = True
-                    Hca = subcat.hom(c, a)
-                    new2 = [compose_coords(subcat, c, a, b, _unit(ring, Hca.dim, j), v)
-                            for v in I.rows for j in range(Hca.dim)]
-                    grown2 = spans[(c, b)].sum_with(
-                        Subspace.from_spanning(ring, subcat.hom(c, b).dim, new2))
-                    if grown2.dim > spans[(c, b)].dim:
-                        spans[(c, b)] = grown2
-                        changed = True
+        for a, b in spans:
+            if spans[(a, b)].dim:
+                for key, new in _composites(subcat, a, b, spans[(a, b)].rows):
+                    old = spans[key]
+                    spans[key] = Subspace.from_spanning(ring, old.ambient, list(old.rows) + new)
+                    changed = changed or spans[key].dim > old.dim
     return HomIdeal(subcat, spans)
 
 
@@ -218,18 +195,11 @@ def factor_through_ideal(subcat: FiniteSubcat, through: Sequence[str]) -> HomIde
     for t in through:
         if t not in subcat.objects:
             raise IdealError(f"unknown object {t!r} in factoring family")
-    comps = {}
-    for a in names:
-        for c in names:
-            vecs = []
-            for b in through:
-                Hab, Hbc = subcat.hom(a, b), subcat.hom(b, c)
-                for i in range(Hab.dim):
-                    for j in range(Hbc.dim):
-                        vecs.append(compose_coords(
-                            subcat, a, b, c,
-                            _unit(ring, Hab.dim, i), _unit(ring, Hbc.dim, j)))
-            comps[(a, c)] = Subspace.from_spanning(ring, subcat.hom(a, c).dim, vecs)
+    # composite of basis classes i of hom(a, b) and j of hom(b, c): T[i][j]
+    comps = {(a, c): Subspace.from_spanning(
+        ring, subcat.hom(a, c).dim,
+        [t for b in through for row in subcat.composition_tensor(a, b, c) for t in row])
+        for a in names for c in names}
     return HomIdeal(subcat, comps)
 
 

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .functors import BimoduleFunctor
+from .functors import BimoduleFunctor, functor_matrix
 from .homcat import (
     AlgMat,
     GradedMap,
@@ -96,18 +96,6 @@ def _check_generators(F: BimoduleFunctor, generators: Sequence[ProjComplex]):
                             "coning it off cannot keep the replacement invertible")
 
 
-def _functor_matrix(F: BimoduleFunctor, layout_in: MapLayout, layout_out: MapLayout) -> Mat:
-    """Matrix (row convention) of g -> F(g), one unit vector of layout_in per row."""
-    ring = layout_in.alg.ring
-    rows = []
-    for t in range(layout_in.dim):
-        unit = [ring.zero] * layout_in.dim
-        unit[t] = ring.one
-        rows.append(layout_out.pack(F.apply_map(layout_in.unpack(unit),
-                                                layout_out.X, layout_out.Y)))
-    return Mat.from_rows(ring, rows, layout_out.dim)
-
-
 def _try_node(F: BimoduleFunctor, Xc: ProjComplex, Y: ProjComplex,
               FY: ProjComplex, alpha: GradedMap,
               Fpi: GradedMap) -> Optional[Tuple[GradedMap, GradedMap]]:
@@ -118,7 +106,7 @@ def _try_node(F: BimoduleFunctor, Xc: ProjComplex, Y: ProjComplex,
     la1 = MapLayout(Xc, Y, 1)
     lf0 = MapLayout(FXc, FY, 0)
     lfm = MapLayout(FXc, FY, -1)
-    T = _functor_matrix(F, la0, lf0)
+    T = functor_matrix(F, la0, lf0)
     DA = delta_matrix(la0, la1)
     DH = delta_matrix(lfm, lf0)
     M = vstack([

@@ -52,18 +52,26 @@ from .serialize import (
 )
 
 WORKERS_ENV = "KBPROJ_WORKERS"
+# far above any use (default 20, fixtures 4, families 6); each step of either
+# builds one more resolution degree or shifted Hom space, so no cap is a hang
+MAX_DEGREE_CAP = 64
+WINDOW_CAP = 64
 
 
 class TaskError(ValueError):
     """A task that cannot be executed (bad reference, bad arguments)."""
 
 
-def _task_int(task: Dict, key: str, minimum: int, default: Optional[int] = None) -> int:
-    """The integer field ``key`` of a task (``default`` when absent), at least ``minimum``."""
+def _task_int(task: Dict, key: str, minimum: int, default: Optional[int] = None,
+              maximum: Optional[int] = None) -> int:
+    """The integer field ``key`` of a task (``default`` when absent), in [minimum, maximum]."""
     value = task.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise TaskError(f"task {task.get('id')}: {key!r} must be an integer "
                         f"at least {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise TaskError(f"task {task.get('id')}: {key!r} must be at most {maximum}, "
+                        f"got {value!r}")
     return value
 
 
@@ -106,7 +114,7 @@ def _triangle_presentations(fx: FixtureFile, subcat,
 
 def _run_check_hepi(fx: FixtureFile, task: Dict) -> Report:
     g = fx.ring_map(task.get("map"), f"task {task['id']}")
-    i_max = _task_int(task, "max_degree", 0, default=20)
+    i_max = _task_int(task, "max_degree", 0, default=20, maximum=MAX_DEGREE_CAP)
     rep = check_homological_epi(g, i_max=i_max)
     evidence = {
         "map": task.get("map"),
@@ -207,12 +215,13 @@ def _run_check_ideal(fx: FixtureFile, task: Dict) -> Report:
         raise TaskError(f"unknown ideal {name!r}")
     spec = fx.ideals[name]
     subcat = spec["subcat"]
-    seeds: Dict[Tuple[str, str], List] = {}
+    gens: Dict[Tuple[str, str], List] = {}
     for gname, g in spec["generators"]:
         a = _locate(subcat, g.source, f"ideal generator {gname}")
         b = _locate(subcat, g.target, f"ideal generator {gname}")
-        seeds.setdefault((a, b), []).append(subcat.hom(a, b).class_coords(g))
-    I = ideal_closure(subcat, seeds)
+        gens.setdefault((a, b), []).append(g)
+    I = ideal_closure(subcat, {ab: subcat.hom(*ab).class_matrix(gs).rows()
+                               for ab, gs in gens.items()})
     tris = _triangle_presentations(fx, subcat, spec["triangles"])
     rep = exact_ideal_report(I, tris)
     sq_dims = _pair_dims(ideal_product(I, I))
@@ -335,7 +344,7 @@ def _run_almost(fx: FixtureFile, task: Dict) -> Report:
                                 f"subcategory window")
             window = None
             if task.get("window") is not None:
-                w = _task_int(task, "window", 0)
+                w = _task_int(task, "window", 0, maximum=WINDOW_CAP)
                 window = (-w, w)
             rep = almost_derived_ideal(alg, ideal, case["subcat"],
                                        case["a_witness"],

@@ -629,3 +629,85 @@ def basis_product_ring_map_check(f):
                 return (f"{f.name}: multiplicativity fails at "
                         f"({src.basis_names[i]},{src.basis_names[j]})")
     return None
+
+
+def entry_block_by_solving(F, a, tgt_i, src_i):
+    """Image of one left-multiplication entry under a bimodule functor, as a
+    grid of target elements (rows: target witnesses, columns: source ones).
+
+    One witness-span solve per source witness, for this entry alone: the slow
+    path that the functor's per-corner image tables replace.
+    """
+    from kbproj.functors import FunctorError
+    from kbproj.linalg import Mat, solve_left
+
+    B, ring, S = F.bimodule, F.source_alg.ring, F.target_alg
+    La = B.left_of(a)
+    cols = []
+    for _, wv in F.witnesses[src_i]:
+        img = La.row_apply(list(wv))
+        x, _ = solve_left(F._wmat[tgt_i], Mat.from_rows(ring, [img], B.dim))
+        if x is None:
+            raise FunctorError(f"{F.name}: image escaped the witness span")
+        coords = x.row(0)
+        col = []
+        for ju, offu, dimu in F._wblocks[tgt_i]:
+            vec = [ring.zero] * S.dim
+            for t in range(dimu):
+                cf = coords[offu + t]
+                if cf:
+                    for p, b in enumerate(S.right_ideal_space(ju).rows[t]):
+                        vec[p] = ring.add(vec[p], ring.mul(cf, b))
+            col.append(tuple(vec))
+        cols.append(col)
+    return [[cols[c][r] for c in range(len(cols))] for r in range(len(F._wblocks[tgt_i]))]
+
+
+def apply_algmat_by_solving(F, m):
+    """F(m) with one ``entry_block_by_solving`` per entry of m."""
+    from kbproj.homcat import AlgMat
+
+    tgt, src = F.image_summands(m.target_idems), F.image_summands(m.source_idems)
+    grid = [[None] * len(src) for _ in tgt]
+    roff = 0
+    for r, ti in enumerate(m.target_idems):
+        coff = 0
+        for c, si in enumerate(m.source_idems):
+            block = entry_block_by_solving(F, m.entries[r][c], ti, si)
+            for u, brow in enumerate(block):
+                for v, x in enumerate(brow):
+                    grid[roff + u][coff + v] = x
+            coff += len(F.witnesses[si])
+        roff += len(F.witnesses[ti])
+    return AlgMat(F.target_alg, tgt, src, grid)
+
+
+def probed_functor_matrix(F, layout_in, layout_out):
+    """Matrix (row convention) of g -> F(g) by probing: each unit vector of
+    layout_in is unpacked, sent through ``apply_algmat_by_solving`` component
+    by component and packed in layout_out."""
+    from kbproj.homcat import GradedMap
+
+    def image(g):
+        comps = {n: apply_algmat_by_solving(F, m) for n, m in g.components.items()}
+        return GradedMap(layout_out.X, layout_out.Y, g.degree, comps)
+
+    return probed_operator_matrix(layout_in, layout_out, image)
+
+
+def class_coords_by_solving(H, f):
+    """Class coordinates of one chain map in a ``HomSpace``, with a solve of
+    its own against [representatives; boundaries]."""
+    from kbproj.homcat import HomcatError
+    from kbproj.linalg import Mat, solve_left
+
+    v = H.L0.pack(f)
+    if any(H.D0.row_apply(v)):
+        raise HomcatError("not a chain map")
+    if not H.reps:
+        return []
+    M = Mat.from_rows(H.ring, H.reps + list(H.boundaries.rows), H.L0.dim)
+    x, _ = solve_left(M, Mat.from_rows(H.ring, [v], H.L0.dim))
+    if x is None:
+        raise HomcatError("internal error: cycle escaped its own span")
+    return [x.entry(0, t) for t in range(len(H.reps))]

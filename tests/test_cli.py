@@ -604,3 +604,40 @@ def test_task_integer_field_at_its_minimum_runs(capsys, tmp_path, task_id, key, 
     code, out = _cli(capsys, "run", "--fixture", str(p), task_id)
     assert code == 0
     assert json.loads(out)["reports"][0]["evidence"][field] == want
+
+
+@pytest.mark.parametrize("task_id,key,cap", [
+    ("hepi-corner", "max_degree", 64),
+    ("almost-corner", "window", 64),
+])
+def test_task_integer_field_above_its_cap_exits_2(capsys, tmp_path, task_id, key, cap):
+    # an unbounded value was a hang: each unit builds one more resolution
+    # degree or one more shifted Hom space
+    with open(CORNER) as fh:
+        data = json.load(fh)
+    task = next(t for t in data["tasks"] if t["id"] == task_id)
+    for value, code in ((cap, 0), (cap + 1, 2)):
+        task[key] = value
+        p = tmp_path / "edge.json"
+        p.write_text(json.dumps(data))
+        assert main(["run", "--fixture", str(p), task_id]) == code
+        cap_out = capsys.readouterr()
+        if code == 2:
+            assert cap_out.out == ""
+            assert cap_out.err.strip().splitlines() == [
+                f"kbproj: error: task {task_id}: {key!r} must be at most {cap}, "
+                f"got {cap + 1}"]
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["check-hepi", "--fixture", SPLIT, "--map", "split", "--max-degree", "65"],
+     "max_degree"),
+    (["almost-report", "--fixture", CORNER, "--name", "corner-almost", "--window", "65"],
+     "window"),
+], ids=["check-hepi", "almost-report"])
+def test_cli_option_above_its_cap_exits_2(capsys, argv, key):
+    assert main(argv) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.strip().splitlines() == [
+        f"kbproj: error: task cli:{argv[0]}:{argv[-3]}: {key!r} must be at most 64, got 65"]

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 only ``homcat`` builds summand matrices without the corner check, only
-``linalg`` knows that a non-integral rational is a ``Fraction``, and no
-module multiplies two basis vectors to read a structure constant."""
+``linalg`` knows that a non-integral rational is a ``Fraction``, no
+module multiplies two basis vectors to read a structure constant, and no
+loop asks for class coordinates one map at a time."""
 
 import ast
 import os
@@ -128,3 +129,35 @@ def test_no_products_of_basis_vectors(module):
                    and all(map(_is_basis_vec_call, n.args)))
     uses = [f"{module}:{line}" for line in lines]
     assert not uses, "mult of two basis vectors: " + ", ".join(uses)
+
+
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _calls_in_loops(tree, attr):
+    """Lines of calls to ``.attr(...)`` lexically inside a loop or comprehension."""
+    found = set()
+    for loop in ast.walk(tree):
+        if isinstance(loop, _LOOPS):
+            found |= {n.lineno for n in ast.walk(loop)
+                      if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                      and n.func.attr == attr}
+    return sorted(found)
+
+
+# saturation_report converts one map per triangle, each in the Hom space of
+# that triangle's own objects: there is no batch of one space to solve at once
+_ONE_MAP_PER_SPACE = {("ideals.py", "saturation_report")}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_class_coords_per_map_in_a_loop(module):
+    # maps of one Hom space go through HomSpace.class_matrix: one solve per batch
+    tree = _parse(module)
+    allowed = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and (module, fn.name) in _ONE_MAP_PER_SPACE:
+            allowed |= set(range(fn.lineno, fn.end_lineno + 1))
+    uses = [f"{module}:{line}" for line in _calls_in_loops(tree, "class_coords")
+            if line not in allowed]
+    assert not uses, "class_coords called in a loop: " + ", ".join(uses)
