@@ -52,8 +52,8 @@ from .serialize import (
 )
 
 WORKERS_ENV = "KBPROJ_WORKERS"
-# far above any use (default 20, fixtures 4, families 6); each step of either
-# builds one more resolution degree or shifted Hom space, so no cap is a hang
+# Caps far above any use (default 20, fixtures 4, families 6): each step builds one
+# more resolution degree or shifted Hom space, so an uncapped value can hang a run
 MAX_DEGREE_CAP = 64
 WINDOW_CAP = 64
 

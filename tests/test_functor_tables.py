@@ -57,9 +57,8 @@ def _case(fname, gname, sname):
 
 
 def _layouts(F, sub):
-    """Each (source layout, image layout) over pairs of subcategory objects
-    at degrees -1, 0 and 1; the objects are unshifted and shifted once so
-    the pairs meet at every degree offset the window has."""
+    """Each (source layout, image layout) over pairs of the unshifted and
+    once-shifted subcategory objects, at degrees -1, 0 and 1."""
     objs = [X for name, X in sub.objects.items() if "[" not in name or name.endswith("[1]")]
     images = {id(X): F.apply_complex(X) for X in objs}
     for X in objs:
