@@ -25,6 +25,18 @@ computed on first use, so a nullhomotopy test costs the two operators next
 to degree 0 and one solve, and a contractibility test only the degree -1
 operator.
 
+A component a graded map does not store, or a differential a complex does
+not store, is zero, and arithmetic skips it: ``GradedMap.delta``,
+``GradedMap.compose`` and the d^2 check of ``ProjComplex`` form a product
+only when both factors are present, and build no zero matrix to multiply.
+
+``cone(phi)`` stores (C, incl, proj) on phi once phi passes its degree-0
+chain-map check, and a repeat call returns that triple; a map that fails
+the check stores nothing and raises on every call.  Maps are never changed
+after construction, so a stored cone cannot go stale.  A certificate decoded
+from JSON brings new map objects, so its comparison map gets a fresh cone
+and its contraction a fresh check.
+
 Corner support is checked where summand matrices enter the engine: the
 public ``AlgMat(...)`` constructor, which fixture loading, certificate
 decoding, functor images and the derived and almost layers go through.
@@ -262,11 +274,9 @@ class ProjComplex:
             if d.source_idems != self.summands[n] or d.target_idems != self.summands.get(n + 1, ()):
                 raise HomcatError(f"{self.name}: differential at degree {n} has wrong summands")
         for n in self.summands:
-            if n + 2 in self.summands and n + 1 in self.summands:
-                d0 = self.diff_at(n)
-                d1 = self.diff_at(n + 1)
-                if not (d1 @ d0).is_zero():
-                    raise HomcatError(f"{self.name}: differential does not square to zero at {n}")
+            dd = _product(self.diff.get(n + 1), self.diff.get(n))
+            if dd is not None and not dd.is_zero():
+                raise HomcatError(f"{self.name}: differential does not square to zero at {n}")
 
     def is_zero(self) -> bool:
         return not self.summands
@@ -388,9 +398,8 @@ class GradedMap:
             raise HomcatError("composition endpoint mismatch")
         comps = {}
         for n in other.source.degrees():
-            m = n + other.degree
-            a = self.component(m) @ other.component(n)
-            if not a.is_zero():
+            a = _product(self.components.get(n + other.degree), other.components.get(n))
+            if a is not None:
                 comps[n] = a
         return GradedMap(other.source, self.target, self.degree + other.degree, comps,
                          name=f"{self.name}.{other.name}")
@@ -398,12 +407,18 @@ class GradedMap:
     def delta(self) -> "GradedMap":
         """d_target . f - (-1)^deg f . d_source, one degree higher."""
         even = self.degree % 2 == 0
+        f, d_x, d_y = self.components, self.source.diff, self.target.diff
         comps = {}
         for n in self.source.degrees():
-            a = self.target.diff_at(n + self.degree) @ self.component(n)
-            b = self.component(n + 1) @ self.source.diff_at(n)
-            m = a - b if even else a + b
-            if not m.is_zero():
+            a = _product(d_y.get(n + self.degree), f.get(n))
+            b = _product(f.get(n + 1), d_x.get(n))
+            if b is None:
+                m = a
+            elif a is None:
+                m = b.neg() if even else b
+            else:
+                m = a - b if even else a + b
+            if m is not None:
                 comps[n] = m
         return GradedMap(self.source, self.target, self.degree + 1, comps, name=f"delta({self.name})")
 
@@ -429,6 +444,11 @@ class GradedMap:
         return f"GradedMap({self.name}: {self.source.name} -> {self.target.name}, deg {self.degree})"
 
 
+def _product(a: Optional[AlgMat], b: Optional[AlgMat]) -> Optional[AlgMat]:
+    """a @ b, or None when either factor is an absent (zero) block."""
+    return None if a is None or b is None else a @ b
+
+
 def chain_map(source, target, components, name="f") -> GradedMap:
     """Validated degree-0 chain map."""
     f = GradedMap(source, target, 0, components, name=name)
@@ -449,8 +469,14 @@ def zero_map(X: ProjComplex, Y: ProjComplex, degree: int = 0) -> GradedMap:
 def cone(phi: GradedMap) -> Tuple[ProjComplex, GradedMap, GradedMap]:
     """Mapping cone with its inclusion of the target and projection to shift(source).
 
-    Returns (C, incl: Y -> C, proj: C -> X[1]).
+    Returns (C, incl: Y -> C, proj: C -> X[1]).  The triple is stored on phi
+    once phi passes the chain-map check, so a repeat call returns the same
+    objects; a map that fails the check is not stored and raises every time.
+    Concurrent first calls keep one triple.
     """
+    built = phi.__dict__.get("_cone")
+    if built is not None:
+        return built
     if phi.degree != 0 or not phi.delta().is_zero():
         raise HomcatError("cone needs a degree-0 chain map")
     X, Y = phi.source, phi.target
@@ -468,7 +494,7 @@ def cone(phi: GradedMap) -> Tuple[ProjComplex, GradedMap, GradedMap]:
         proj_comps[n] = ident.sub(slice(nx), slice(None))
     incl = GradedMap(Y, C, 0, incl_comps, name=f"into_cone({phi.name})")
     proj = GradedMap(C, SX, 0, proj_comps, name=f"cone_to_shift({phi.name})")
-    return C, incl, proj
+    return phi.__dict__.setdefault("_cone", (C, incl, proj))
 
 
 def direct_sum(X: ProjComplex, Y: ProjComplex, name: Optional[str] = None) -> ProjComplex:

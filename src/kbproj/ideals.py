@@ -312,6 +312,7 @@ def saturation_report(I: HomIdeal, triangles: Sequence[TrianglePresentation],
 
 @dataclass
 class ExactIdealReport:
+    square: HomIdeal                   # I . I, which idempotence compares with I
     idempotent: bool
     shift_stable: bool
     shift_pairs_checked: List[Pair]
@@ -326,13 +327,13 @@ class ExactIdealReport:
 def exact_ideal_report(I: HomIdeal,
                        triangles: Sequence[TrianglePresentation] = (),
                        verify_triangles: bool = True) -> ExactIdealReport:
-    idem = is_idempotent_ideal(I)
+    square = ideal_product(I, I)
     stable, pairs = shift_stability_report(I)
     if triangles:
         sat, checks = saturation_report(I, triangles, verify=verify_triangles)
     else:
         sat, checks = None, []
-    return ExactIdealReport(idem, stable, pairs, sat, checks)
+    return ExactIdealReport(square, square == I, stable, pairs, sat, checks)
 
 
 # -- annihilator versus kernel ------------------------------------------------

@@ -85,6 +85,9 @@ class Rationals:
             return int(s)
         if isinstance(s, str):
             try:
+                # plain integer text, by far the most common, skips Fraction
+                if s.isascii() and (s[1:] if s[:1] == "-" else s).isdigit():
+                    return int(s)
                 s = Fraction(s)
             except (ValueError, ZeroDivisionError) as exc:
                 raise LinalgError(f"cannot parse rational scalar {s!r}") from exc

@@ -31,7 +31,6 @@ from .ideals import (
     TrianglePresentation,
     exact_ideal_report,
     ideal_closure,
-    ideal_product,
     is_idempotent_ideal,
     telescope_report,
 )
@@ -224,7 +223,6 @@ def _run_check_ideal(fx: FixtureFile, task: Dict) -> Report:
                                for ab, gs in gens.items()})
     tris = _triangle_presentations(fx, subcat, spec["triangles"])
     rep = exact_ideal_report(I, tris)
-    sq_dims = _pair_dims(ideal_product(I, I))
     refuted = (not rep.idempotent or not rep.shift_stable
                or rep.saturated is False)
     verdict = "inconsistent" if refuted else "consistent"
@@ -232,7 +230,7 @@ def _run_check_ideal(fx: FixtureFile, task: Dict) -> Report:
         "ideal": name,
         "window": _window_desc(spec["subcat_name"], subcat),
         "pair_dims": _pair_dims(I),
-        "square_pair_dims": sq_dims,
+        "square_pair_dims": _pair_dims(rep.square),
         "idempotent": rep.idempotent,
         "shift_stable": rep.shift_stable,
         "shift_pairs_checked": [f"{a} -> {b}" for a, b in rep.shift_pairs_checked],

@@ -711,3 +711,66 @@ def class_coords_by_solving(H, f):
     if x is None:
         raise HomcatError("internal error: cycle escaped its own span")
     return [x.entry(0, t) for t in range(len(H.reps))]
+
+
+# -- dense graded-map arithmetic ------------------------------------------------
+#
+# ``GradedMap.delta``, ``GradedMap.compose`` and the d^2 check of
+# ``ProjComplex`` as they were before they skipped absent blocks: a missing
+# component or differential is a zero summand matrix, and every product is
+# formed.
+
+
+def dense_delta(f):
+    """d_target . f - (-1)^deg f . d_source, with every block present."""
+    from kbproj.homcat import GradedMap
+
+    even = f.degree % 2 == 0
+    comps = {}
+    for n in f.source.degrees():
+        a = f.target.diff_at(n + f.degree) @ f.component(n)
+        b = f.component(n + 1) @ f.source.diff_at(n)
+        m = a - b if even else a + b
+        if not m.is_zero():
+            comps[n] = m
+    return GradedMap(f.source, f.target, f.degree + 1, comps, name=f"delta({f.name})")
+
+
+def dense_compose(g, f):
+    """g . f (f first), with every block present."""
+    from kbproj.homcat import GradedMap, HomcatError
+
+    if f.target is not g.source and f.target.summands != g.source.summands:
+        raise HomcatError("composition endpoint mismatch")
+    comps = {}
+    for n in f.source.degrees():
+        a = g.component(n + f.degree) @ f.component(n)
+        if not a.is_zero():
+            comps[n] = a
+    return GradedMap(f.source, g.target, g.degree + f.degree, comps,
+                     name=f"{g.name}.{f.name}")
+
+
+def dense_d_squared_defect(alg, summands, diff):
+    """The first degree n, in the order of ``summands``, with d^(n+1) d^n != 0.
+
+    ``summands`` and ``diff`` are what ``ProjComplex`` is given, filtered as
+    it filters them (empty summands and differentials without both ends
+    dropped); a missing differential is a zero matrix.  None when d^2 = 0.
+    """
+    from kbproj.homcat import AlgMat
+
+    summands = {n: tuple(s) for n, s in summands.items() if len(s) > 0}
+    diff = {n: d for n, d in diff.items()
+            if d is not None and n in summands and n + 1 in summands}
+
+    def d_at(n):
+        if n in diff:
+            return diff[n]
+        return AlgMat.zeros(alg, summands.get(n + 1, ()), summands.get(n, ()))
+
+    for n in summands:
+        if n + 2 in summands and n + 1 in summands:
+            if not (d_at(n + 1) @ d_at(n)).is_zero():
+                return n
+    return None

@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 only ``homcat`` builds summand matrices without the corner check, only
 ``linalg`` knows that a non-integral rational is a ``Fraction``, no
-module multiplies two basis vectors to read a structure constant, and no
-loop asks for class coordinates one map at a time."""
+module multiplies two basis vectors to read a structure constant, no
+loop asks for class coordinates one map at a time, and graded-map
+arithmetic builds no zero blocks to multiply."""
 
 import ast
 import os
@@ -161,3 +162,21 @@ def test_no_class_coords_per_map_in_a_loop(module):
     uses = [f"{module}:{line}" for line in _calls_in_loops(tree, "class_coords")
             if line not in allowed]
     assert not uses, "class_coords called in a loop: " + ", ".join(uses)
+
+
+_SKIPS_ABSENT_BLOCKS = {"GradedMap": ("delta", "compose"), "ProjComplex": ("_validate",)}
+_ZERO_BLOCK_BUILDERS = {"component", "diff_at", "zeros"}
+
+
+@pytest.mark.parametrize("cls, method", [(c, m) for c, ms in _SKIPS_ABSENT_BLOCKS.items()
+                                         for m in ms])
+def test_graded_arithmetic_builds_no_zero_blocks(cls, method):
+    # an absent component or differential is a zero block: skip its product
+    # (components.get, diff.get) instead of materializing it
+    tree = _parse("homcat.py")
+    body = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
+    fn = next(n for n in body.body if isinstance(n, ast.FunctionDef) and n.name == method)
+    uses = [f"homcat.py:{n.lineno}: {n.func.attr}" for n in ast.walk(fn)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr in _ZERO_BLOCK_BUILDERS]
+    assert not uses, f"{cls}.{method} builds zero blocks: " + ", ".join(uses)

@@ -1,8 +1,12 @@
 """Ideal calculus on the standard window of complexes over UT2."""
 
+import os
+
 import pytest
 
 from build_examples import corner_map, split_map, ut2_complexes
+from kbproj import ideals, runner
+from kbproj.fixture import load_fixture
 from kbproj.functors import FiniteSubcat, induction_functor, restriction_functor
 from kbproj.homcat import identity_map, rotate_triangle
 from kbproj.ideals import (
@@ -190,6 +194,35 @@ def test_exact_ideal_report_without_triangles(ctx):
     assert rep.idempotent and rep.shift_stable
     assert rep.saturated is None
     assert not rep.exact_on_window
+
+
+def test_exact_ideal_report_carries_the_square(ctx):
+    for I in (annihilator_ideal(ctx["G"], ctx["sub"]),
+              principal_ideal(ctx["sub"], "S1r", "P2s[1]", ctx["gamma"])):
+        rep = exact_ideal_report(I)
+        assert rep.square == ideal_product(I, I)
+        assert rep.idempotent == (rep.square == I)
+
+
+@pytest.mark.parametrize("fixture, task_id", [("corner", "ideal-ann-g"),
+                                              ("split", "ideal-gamma")])
+def test_check_ideal_task_squares_its_ideal_once(fixture, task_id, monkeypatch):
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", f"{fixture}.json")
+    fx = load_fixture(path)
+    task = next(t for t in fx.tasks if t["id"] == task_id)
+    calls = []
+
+    def counted(I, J):
+        calls.append((I, J))
+        return product(I, J)
+
+    product = ideals.ideal_product
+    monkeypatch.setattr(ideals, "ideal_product", counted)
+    # and wherever the runner may have imported it by name
+    monkeypatch.setattr(runner, "ideal_product", counted, raising=False)
+    report = runner.run_task(fx, task)
+    assert len(calls) == 1
+    assert {"square_pair_dims", "idempotent"} <= set(report.evidence)
 
 
 # -- structural checks --------------------------------------------------------

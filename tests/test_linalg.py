@@ -266,6 +266,47 @@ def test_rationals_parse_rejects_what_the_oracle_rejects(bad):
             ring.parse(bad)
 
 
+def _parsed(ring, text):
+    """``ring.parse(text)``, or ``LinalgError`` when the text is rejected."""
+    try:
+        return ring.parse(text)
+    except LinalgError:
+        return LinalgError
+
+
+# text close to the plain-integer fast path: signs, padding, underscores,
+# decimal points, exponents, slashes and non-ASCII digits around digit runs
+_NEAR_INTEGER_TEXT = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", "-", "+", " ", "--", "-+"]),
+    st.text("0123456789_\u0663\u06f7\uff11", max_size=6),
+    st.sampled_from(["", " ", ".0", ".5", "e2", "/3", "/0", "-"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_NEAR_INTEGER_TEXT, st.text(max_size=6)))
+@example("")
+@example("-")
+@example("-0")
+@example("007")
+@example("+3")
+@example(" 3 ")
+@example("1_0")
+@example("1.0")
+@example("1e2")
+@example("\u0663")
+@example("-\u0663")
+@example("9" * 5000)
+def test_rationals_parse_text_agrees_with_the_fraction_oracle(text):
+    # plain integer text becomes int(text) without a Fraction; everything
+    # else must still be accepted or rejected exactly as Fraction(text) is
+    got, want = _parsed(QQ, text), _parsed(ORACLE_QQ, text)
+    if want is LinalgError:
+        assert got is LinalgError, (text, got)
+    else:
+        _agrees_with_oracle(got, want)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=0, max_size=4),
        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=0, max_size=4),
