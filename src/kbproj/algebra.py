@@ -316,17 +316,7 @@ def quotient_module(M: FdModule, space: Subspace) -> Tuple[FdModule, Mat]:
     ring = alg.ring
     reps = space.completion()
     qdim = len(reps)
-
-    def project(vec):
-        resid = space.reduce(vec)
-        # residual is supported on non-pivot coordinates = rep coordinates
-        out = []
-        pivset = set(space.pivots)
-        for j in range(M.dim):
-            if j not in pivset:
-                out.append(resid[j])
-        return out
-
+    project = space.quotient_coords
     action = []
     for i in range(alg.dim):
         rows = [project(M.action[i].row_apply(r)) for r in reps]
@@ -607,19 +597,15 @@ def radical(alg: AlgebraPresentation) -> TwoSidedIdeal:
 class TensorResult:
     """M tensor_R B as a right module over B's right-acting algebra.
 
-    ``project`` maps M (x) B coordinates (index i*dimB + j) onto quotient
-    coordinates; ``reps`` are coset representatives back in M (x) B.
+    ``relations.quotient_coords`` maps M (x) B coordinates (index i*dimB + j)
+    onto quotient coordinates; ``reps`` are coset representatives back in
+    M (x) B.
     """
 
     def __init__(self, module: FdModule, relations: Subspace, reps: List[List]):
         self.module = module
         self.relations = relations
         self.reps = reps
-
-    def project(self, vec: Sequence) -> List:
-        resid = self.relations.reduce(vec)
-        pivset = set(self.relations.pivots)
-        return [resid[j] for j in range(self.relations.ambient) if j not in pivset]
 
 
 def module_tensor(M: FdModule, B: Bimodule) -> TensorResult:
@@ -646,13 +632,6 @@ def module_tensor(M: FdModule, B: Bimodule) -> TensorResult:
     relations = Subspace.from_spanning(ring, amb, rels)
     reps = relations.completion()
     qdim = len(reps)
-
-    pivset = set(relations.pivots)
-
-    def project(vec):
-        resid = relations.reduce(vec)
-        return [resid[j] for j in range(amb) if j not in pivset]
-
     # right action of B's right algebra on the quotient: (m (x) b) . s = m (x) (b.s)
     S = B.right_alg
     action = []
@@ -668,7 +647,7 @@ def module_tensor(M: FdModule, B: Bimodule) -> TensorResult:
                 for v, d in enumerate(right_s[j]):
                     if d:
                         out[i * B.dim + v] = ring.add(out[i * B.dim + v], ring.mul(c, d))
-            rows.append(project(out))
+            rows.append(relations.quotient_coords(out))
         action.append(Mat.from_rows(ring, rows, qdim))
     module = FdModule(S, qdim, action, name=f"{M.name}(x){B.name}")
     return TensorResult(module, relations, reps)
@@ -685,15 +664,8 @@ def quotient_algebra(alg: AlgebraPresentation, ideal: TwoSidedIdeal,
     ring = alg.ring
     space = ideal.space
     reps = space.completion()
-    qdim = len(reps)
-    pivset = set(space.pivots)
-
-    def project(vec):
-        resid = space.reduce(vec)
-        return [resid[j] for j in range(alg.dim) if j not in pivset]
-
-    nonpiv = [j for j in range(alg.dim) if j not in pivset]
-    names = [f"{alg.basis_names[j]}~" for j in nonpiv]
+    project = space.quotient_coords
+    names = [f"{alg.basis_names[j]}~" for j in range(alg.dim) if j not in space.pivots]
     structure = [[project(alg.mult(ra, rb)) for rb in reps] for ra in reps]
     unit = project(alg.unit)
     idems = []

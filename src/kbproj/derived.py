@@ -217,7 +217,7 @@ def tensor_functor_map(phi: Mat, src: TensorResult, tgt: TensorResult, B: Bimodu
                 w = phi.entry(u, v)
                 if w:
                     out[v * bdim + j] = ring.add(out[v * bdim + j], ring.mul(c, w))
-        rows.append(tgt.project(out))
+        rows.append(tgt.relations.quotient_coords(out))
     return Mat.from_rows(ring, rows, tgt.module.dim)
 
 

@@ -44,6 +44,13 @@ class FixtureError(ValueError):
 _SHIFT_RE = re.compile(r"^(.*)\[(-?\d+)\]$")
 FORMAT_VERSION = 1
 
+# what one entry of each built section is called in messages
+_KIND = {"algebras": "algebra", "ring_maps": "ring map", "functors": "functor",
+         "complexes": "complex", "maps": "map", "subcategories": "subcategory",
+         "triangles": "triangle", "ideals": "ideal", "lifts": "lift",
+         "complex_lifts": "complex lift", "contractions": "contraction",
+         "almost_cases": "almost case"}
+
 
 class FixtureFile:
     """A parsed and fully validated fixture."""
@@ -78,73 +85,62 @@ class FixtureFile:
     def _parse_field(spec):
         if spec == "QQ":
             return QQ
-        if isinstance(spec, dict) and "p" in spec:
+        try:
             return GF(int(spec["p"]))
-        raise FixtureError(f"unknown field spec {spec!r}")
+        except Exception as exc:
+            raise FixtureError(f"unknown field spec {spec!r}: {exc}") from exc
 
     def _build(self, data):
-        for name, a in _section(data, "algebras").items():
-            try:
-                self.algebras[name] = AlgebraPresentation(
-                    self.ring, a["basis"], a["structure"], a["unit"],
-                    a["idempotents"],
-                    idempotent_names=a.get("idempotent_names"),
-                    primitive=a.get("primitive", True), name=name)
-            except KeyError as exc:
-                raise FixtureError(f"algebra {name}: missing field {exc}") from exc
-            except Exception as exc:
-                raise FixtureError(f"algebra {name}: {exc}") from exc
-        for name, m in _section(data, "ring_maps").items():
-            src = self._algebra(m.get("source"), f"ring map {name}")
-            tgt = self._algebra(m.get("target"), f"ring map {name}")
-            try:
-                self.ring_maps[name] = RingMap(src, tgt, m["images"], name=name)
-            except Exception as exc:
-                raise FixtureError(f"ring map {name}: {exc}") from exc
-        for name, f in _section(data, "functors").items():
-            self.functors[name] = self._build_functor(name, f)
-        for name, c in _section(data, "complexes").items():
-            alg = self._algebra(c.get("algebra"), f"complex {name}")
-            try:
-                self.complexes[name] = complex_from_json(alg, c, name=name)
-            except Exception as exc:
-                raise FixtureError(f"complex {name}: {exc}") from exc
-        for name, m in _section(data, "maps").items():
-            self.maps[name] = self._build_map(name, m)
-        for name, s in _section(data, "subcategories").items():
-            self.subcategories[name] = self._build_subcat(name, s)
-        for name, t in _section(data, "triangles").items():
-            self.triangles[name] = {
-                "alpha": self.map(t.get("alpha"), f"triangle {name}"),
-                "beta": self.map(t.get("beta"), f"triangle {name}"),
-                "gamma": self.map(t.get("gamma"), f"triangle {name}"),
-                "objects": t.get("objects"),
-            }
-        for name, i in _section(data, "ideals").items():
-            subcat = self.subcat(i.get("subcat"), f"ideal {name}")
-            gens = [(g, self.map(g, f"ideal {name}")) for g in i.get("generators", [])]
-            self.ideals[name] = {"subcat": subcat, "subcat_name": i.get("subcat"),
-                                 "generators": gens,
-                                 "triangles": list(i.get("triangles", []))}
-        for name, l in _section(data, "lifts").items():
-            self.lifts[name] = self._build_lift(name, l)
-        for name, l in _section(data, "complex_lifts").items():
-            self.complex_lifts[name] = self._build_complex_lift(name, l)
-        for name, c in _section(data, "contractions").items():
-            self.contractions[name] = self._build_contraction(name, c)
-        for name, a in _section(data, "almost").items():
-            self.almost_cases[name] = self._build_almost(name, a)
+        # every entry is built inside one try, so a malformed one exits as a
+        # FixtureError naming its section and entry, never as a traceback
+        for key, attr, build in (
+                ("algebras", "algebras", self._build_algebra),
+                ("ring_maps", "ring_maps", self._build_ring_map),
+                ("functors", "functors", self._build_functor),
+                ("complexes", "complexes", self._build_complex),
+                ("maps", "maps", self._build_map),
+                ("subcategories", "subcategories", self._build_subcat),
+                ("triangles", "triangles", self._build_triangle),
+                ("ideals", "ideals", self._build_ideal),
+                ("lifts", "lifts", self._build_lift),
+                ("complex_lifts", "complex_lifts", self._build_complex_lift),
+                ("contractions", "contractions", self._build_contraction),
+                ("almost", "almost_cases", self._build_almost)):
+            table, what = getattr(self, attr), _KIND[attr]
+            for name, entry in _section(data, key).items():
+                if not isinstance(entry, dict):
+                    raise FixtureError(f"{what} {name}: entry must be an object")
+                try:
+                    table[name] = build(name, entry)
+                except FixtureError:
+                    raise
+                except KeyError as exc:
+                    raise FixtureError(f"{what} {name}: missing field {exc}") from exc
+                except Exception as exc:
+                    raise FixtureError(f"{what} {name}: {exc}") from exc
         tasks = data.get("tasks", [])
         if not isinstance(tasks, list):
             raise FixtureError("tasks must be a list")
         seen = set()
         for t in tasks:
-            if not isinstance(t, dict) or "id" not in t or "command" not in t:
-                raise FixtureError(f"task entries need id and command: {t!r}")
+            if not (isinstance(t, dict) and isinstance(t.get("id"), str)
+                    and isinstance(t.get("command"), str)):
+                raise FixtureError(f"task entries need a string id and command: {t!r}")
             if t["id"] in seen:
                 raise FixtureError(f"duplicate task id {t['id']!r}")
             seen.add(t["id"])
             self.tasks.append(dict(t))
+
+    def _build_algebra(self, name, a) -> AlgebraPresentation:
+        return AlgebraPresentation(self.ring, a["basis"], a["structure"], a["unit"],
+                                   a["idempotents"],
+                                   idempotent_names=a.get("idempotent_names"),
+                                   primitive=a.get("primitive", True), name=name)
+
+    def _build_ring_map(self, name, m) -> RingMap:
+        src = self.lookup("algebras", m.get("source"), f"ring map {name}")
+        tgt = self.lookup("algebras", m.get("target"), f"ring map {name}")
+        return RingMap(src, tgt, m["images"], name=name)
 
     def _build_functor(self, name, f) -> BimoduleFunctor:
         kind = f.get("kind")
@@ -152,10 +148,6 @@ class FixtureFile:
         witnesses = {}
         bim_dim = rm.target.dim
         for k, lst in f.get("witnesses", {}).items():
-            try:
-                idx = int(k)
-            except ValueError:
-                raise FixtureError(f"functor {name}: witness key {k!r}") from None
             pairs = []
             for item in lst:
                 if not (isinstance(item, list) and len(item) == 2):
@@ -163,29 +155,25 @@ class FixtureFile:
                                        f"[idempotent, element] pairs")
                 j, vec = item
                 pairs.append((int(j), vec_from_json(self.ring, vec, bim_dim)))
-            witnesses[idx] = pairs
-        try:
-            if kind == "induction":
-                return induction_functor(rm, witnesses)
-            if kind == "restriction":
-                return restriction_functor(rm, witnesses)
-        except Exception as exc:
-            raise FixtureError(f"functor {name}: {exc}") from exc
+            witnesses[int(k)] = pairs
+        if kind == "induction":
+            return induction_functor(rm, witnesses)
+        if kind == "restriction":
+            return restriction_functor(rm, witnesses)
         raise FixtureError(f"functor {name}: kind must be induction or "
                            f"restriction, got {kind!r}")
+
+    def _build_complex(self, name, c) -> ProjComplex:
+        alg = self.lookup("algebras", c.get("algebra"), f"complex {name}")
+        return complex_from_json(alg, c, name=name)
 
     def _build_map(self, name, m) -> GradedMap:
         src = self.complex(m.get("source"), f"map {name}")
         tgt = self.complex(m.get("target"), f"map {name}")
         degree = int(m.get("degree", 0))
-        try:
-            f = map_from_json(src, tgt, degree, m.get("components", {}), name=name)
-        except Exception as exc:
-            raise FixtureError(f"map {name}: {exc}") from exc
-        if m.get("chain", True) and degree == 0:
-            if not f.delta().is_zero():
-                raise FixtureError(f"map {name}: does not commute with the "
-                                   f"differentials")
+        f = map_from_json(src, tgt, degree, m.get("components", {}), name=name)
+        if m.get("chain", True) and degree == 0 and not f.is_chain_map():
+            raise FixtureError(f"map {name}: does not commute with the differentials")
         return f
 
     def _build_subcat(self, name, s) -> FiniteSubcat:
@@ -202,20 +190,28 @@ class FixtureFile:
                 objs[_shift_name(b, n)] = X.shift(n) if n else X
                 if n > lo:
                     shifts[_shift_name(b, n - 1)] = _shift_name(b, n)
-        try:
-            return FiniteSubcat(objs, shifts)
-        except Exception as exc:
-            raise FixtureError(f"subcategory {name}: {exc}") from exc
+        return FiniteSubcat(objs, shifts)
+
+    def _build_triangle(self, name, t) -> Dict:
+        objects = t.get("objects")
+        if objects is not None and not (isinstance(objects, list) and len(objects) == 3
+                                        and all(isinstance(o, str) for o in objects)):
+            raise FixtureError(f"triangle {name}: objects must be a list of three names")
+        legs = {k: self.map(t.get(k), f"triangle {name}") for k in ("alpha", "beta", "gamma")}
+        return dict(legs, objects=objects)
+
+    def _build_ideal(self, name, i) -> Dict:
+        subcat = self.subcat(i.get("subcat"), f"ideal {name}")
+        gens = [(g, self.map(g, f"ideal {name}")) for g in i.get("generators", [])]
+        return {"subcat": subcat, "subcat_name": i.get("subcat"), "generators": gens,
+                "triangles": list(i.get("triangles", []))}
 
     def _build_lift(self, name, l) -> Dict:
         F = self.functor(l.get("functor"), f"lift {name}")
         X = self.complex(l.get("source"), f"lift {name}")
         Y = self.complex(l.get("target"), f"lift {name}")
         FX, FY = F.apply_complex(X), F.apply_complex(Y)
-        try:
-            alpha = map_from_json(FX, FY, 0, l.get("map", {}), name=f"{name}.map")
-        except Exception as exc:
-            raise FixtureError(f"lift {name}: {exc}") from exc
+        alpha = map_from_json(FX, FY, 0, l.get("map", {}), name=f"{name}.map")
         gens = [self.complex(g, f"lift {name}") for g in l.get("generators", [])]
         return {"functor": F, "source": X, "target": Y, "map": alpha,
                 "generators": gens, "budget": _budget(l)}
@@ -229,11 +225,8 @@ class FixtureFile:
             src = self.complex(entry.get("source"), f"complex lift {name}")
             Fsrc = F.apply_complex(src)
             stalk = single_summand_complex(F.target_alg, j, 0)
-            try:
-                eq = map_from_json(Fsrc, stalk, 0, entry.get("equivalence", {}),
-                                   name=f"{name}.stalk{j}")
-            except Exception as exc:
-                raise FixtureError(f"complex lift {name}: {exc}") from exc
+            eq = map_from_json(Fsrc, stalk, 0, entry.get("equivalence", {}),
+                               name=f"{name}.stalk{j}")
             stalks[j] = StalkLift(src, eq)
         gens = [self.complex(g, f"complex lift {name}")
                 for g in l.get("generators", [])]
@@ -261,13 +254,10 @@ class FixtureFile:
                     lambda n: (dims.get(n, 0), dims.get(n + 1, 0)))
         hom = load(c.get("homotopy", {}), "homotopy",
                    lambda n: (dims.get(n, 0), dims.get(n - 1, 0)))
-        try:
-            return ContractionFixture(ring, dims, diff, hom, name=name)
-        except Exception as exc:
-            raise FixtureError(f"contraction {name}: {exc}") from exc
+        return ContractionFixture(ring, dims, diff, hom, name=name)
 
     def _build_almost(self, name, a) -> Dict:
-        alg = self._algebra(a.get("algebra"), f"almost {name}")
+        alg = self.lookup("algebras", a.get("algebra"), f"almost case {name}")
         if "idempotent" in a:
             e = vec_from_json(self.ring, a["idempotent"], alg.dim)
             ideal = ideal_generated_by_idempotent(alg, e)
@@ -276,10 +266,10 @@ class FixtureFile:
             gens = [vec_from_json(self.ring, g, alg.dim) for g in a["generators"]]
             ideal = ideal_from_spanning(alg, gens)
         else:
-            raise FixtureError(f"almost {name}: needs idempotent or generators")
+            raise FixtureError(f"almost case {name}: needs idempotent or generators")
         subcat = None
         if a.get("subcat"):
-            subcat = self.subcat(a["subcat"], f"almost {name}")
+            subcat = self.subcat(a["subcat"], f"almost case {name}")
         aw = None
         if a.get("a_witness") is not None:
             aw = ProjectivityWitness(
@@ -299,45 +289,37 @@ class FixtureFile:
 
     # -- accessors --------------------------------------------------------
 
-    def _algebra(self, name, what) -> AlgebraPresentation:
-        if name not in self.algebras:
-            raise FixtureError(f"{what}: unknown algebra {name!r}")
-        return self.algebras[name]
+    def lookup(self, section: str, name, what: str = "task", error=FixtureError):
+        """The entry ``name`` of a built section, given by its attribute name.
+
+        The one lookup behind every accessor and every task reference: a
+        name that is not a string, or names no entry, raises ``error``.
+        """
+        table = getattr(self, section)
+        if not isinstance(name, str) or name not in table:
+            raise error(f"{what}: unknown {_KIND[section]} {name!r}")
+        return table[name]
 
     def ring_map(self, name, what="task") -> RingMap:
-        if name not in self.ring_maps:
-            raise FixtureError(f"{what}: unknown ring map {name!r}")
-        return self.ring_maps[name]
+        return self.lookup("ring_maps", name, what)
 
     def functor(self, name, what="task") -> BimoduleFunctor:
-        if name not in self.functors:
-            raise FixtureError(f"{what}: unknown functor {name!r}")
-        return self.functors[name]
+        return self.lookup("functors", name, what)
 
     def complex(self, name, what="task") -> ProjComplex:
-        if not isinstance(name, str):
-            raise FixtureError(f"{what}: complex reference must be a name")
-        if name in self.complexes:
-            return self.complexes[name]
-        m = _SHIFT_RE.match(name)
+        m = isinstance(name, str) and name not in self.complexes and _SHIFT_RE.match(name)
         if m and m.group(1) in self.complexes:
             return self.complexes[m.group(1)].shift(int(m.group(2)))
-        raise FixtureError(f"{what}: unknown complex {name!r}")
+        return self.lookup("complexes", name, what)
 
     def map(self, name, what="task") -> GradedMap:
-        if name not in self.maps:
-            raise FixtureError(f"{what}: unknown map {name!r}")
-        return self.maps[name]
+        return self.lookup("maps", name, what)
 
     def subcat(self, name, what="task") -> FiniteSubcat:
-        if name not in self.subcategories:
-            raise FixtureError(f"{what}: unknown subcategory {name!r}")
-        return self.subcategories[name]
+        return self.lookup("subcategories", name, what)
 
     def contraction(self, name, what="task") -> ContractionFixture:
-        if name not in self.contractions:
-            raise FixtureError(f"{what}: unknown contraction {name!r}")
-        return self.contractions[name]
+        return self.lookup("contractions", name, what)
 
 
 def _shift_name(base: str, n: int) -> str:

@@ -26,9 +26,16 @@ to degree 0 and one solve, and a contractibility test only the degree -1
 operator.
 
 A component a graded map does not store, or a differential a complex does
-not store, is zero, and arithmetic skips it: ``GradedMap.delta``,
-``GradedMap.compose`` and the d^2 check of ``ProjComplex`` form a product
-only when both factors are present, and build no zero matrix to multiply.
+not store, is zero, and arithmetic skips it: every reader of a graded map
+goes through ``components.get``, so ``delta``, ``compose``, sums,
+differences, equality, the d^2 check of ``ProjComplex`` and
+``MapLayout.pack`` build no zero matrix to add, multiply or read.  A
+``GradedMap`` never stores a zero component, so two maps are equal exactly
+when their degrees and component dicts are.
+
+``GradedMap.is_chain_map`` is the one chain-map test: ``chain_map``,
+``cone``, triangle recognition and certificate replay, the lifting checks
+and fixture loading all ask it.
 
 ``cone(phi)`` stores (C, incl, proj) on phi once phi passes its degree-0
 chain-map check, and a repeat call returns that triple; a map that fails
@@ -357,14 +364,8 @@ class GradedMap:
             comps[n] = m
         self.components = comps
 
-    def component(self, n: int) -> AlgMat:
-        if n in self.components:
-            return self.components[n]
-        return AlgMat.zeros(self.source.alg, self.target.summands_at(n + self.degree),
-                            self.source.summands_at(n))
-
     def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.components.values())
+        return not self.components
 
     def _check_parallel(self, other: "GradedMap"):
         if (self.degree != other.degree
@@ -374,14 +375,18 @@ class GradedMap:
 
     def __add__(self, other: "GradedMap") -> "GradedMap":
         self._check_parallel(other)
-        degs = set(self.components) | set(other.components)
-        comps = {n: self.component(n) + other.component(n) for n in degs}
+        comps = dict(self.components)
+        for n, m in other.components.items():
+            a = comps.get(n)
+            comps[n] = m if a is None else a + m
         return GradedMap(self.source, self.target, self.degree, comps)
 
     def __sub__(self, other: "GradedMap") -> "GradedMap":
         self._check_parallel(other)
-        degs = set(self.components) | set(other.components)
-        comps = {n: self.component(n) - other.component(n) for n in degs}
+        comps = dict(self.components)
+        for n, m in other.components.items():
+            a = comps.get(n)
+            comps[n] = m.neg() if a is None else a - m
         return GradedMap(self.source, self.target, self.degree, comps)
 
     def neg(self) -> "GradedMap":
@@ -423,6 +428,7 @@ class GradedMap:
         return GradedMap(self.source, self.target, self.degree + 1, comps, name=f"delta({self.name})")
 
     def is_chain_map(self) -> bool:
+        """Degree 0 and delta(f) = 0: the engine's only chain-map test."""
         return self.degree == 0 and self.delta().is_zero()
 
     def shift(self, k: int = 1) -> "GradedMap":
@@ -433,10 +439,8 @@ class GradedMap:
     def __eq__(self, other):
         if not isinstance(other, GradedMap):
             return NotImplemented
-        if self.degree != other.degree:
-            return False
-        degs = set(self.components) | set(other.components)
-        return all(self.component(n) == other.component(n) for n in degs)
+        # exact: the constructor stores no zero component
+        return self.degree == other.degree and self.components == other.components
 
     __hash__ = None
 
@@ -452,7 +456,7 @@ def _product(a: Optional[AlgMat], b: Optional[AlgMat]) -> Optional[AlgMat]:
 def chain_map(source, target, components, name="f") -> GradedMap:
     """Validated degree-0 chain map."""
     f = GradedMap(source, target, 0, components, name=name)
-    if not f.delta().is_zero():
+    if not f.is_chain_map():
         raise HomcatError(f"{name}: does not commute with the differentials")
     return f
 
@@ -477,7 +481,7 @@ def cone(phi: GradedMap) -> Tuple[ProjComplex, GradedMap, GradedMap]:
     built = phi.__dict__.get("_cone")
     if built is not None:
         return built
-    if phi.degree != 0 or not phi.delta().is_zero():
+    if not phi.is_chain_map():
         raise HomcatError("cone needs a degree-0 chain map")
     X, Y = phi.source, phi.target
     SX = X.shift(1)
@@ -555,9 +559,9 @@ class MapLayout:
             raise HomcatError("map does not fit this layout")
         out = [ring.zero] * self.dim
         for n, r, c, corner, off in self.slots:
-            a = g.component(n).entries[r][c]
-            for t, v in enumerate(corner.coords_of(a)):
-                out[off + t] = v
+            m = g.components.get(n)
+            if m is not None:
+                out[off:off + corner.dim] = corner.coords_of(m.entries[r][c])
         # anything outside the slots must be zero (corner dimension zero forces it)
         return out
 
@@ -855,7 +859,7 @@ def recognize_triangle(alpha: GradedMap, beta: GradedMap, gamma: GradedMap) -> T
     if gamma.target.summands != SX.summands:
         raise HomcatError("third leg must land in the shifted first object")
     for leg, nm in ((alpha, "first"), (beta, "second"), (gamma, "third")):
-        if leg.degree != 0 or not leg.delta().is_zero():
+        if not leg.is_chain_map():
             return TriangleVerdict("not_exact", f"{nm} leg is not a chain map")
 
     H_xz = HomSpace(X, Z)
@@ -924,7 +928,7 @@ def verify_triangle_certificate(alpha: GradedMap, beta: GradedMap, gamma: Graded
         return False
     _, incl, proj = cone(alpha)
     rho = verdict.rho
-    if rho.degree != 0 or not rho.delta().is_zero():
+    if not rho.is_chain_map():
         return False
     if not (rho.compose(incl) - beta - verdict.h_incl.delta()).is_zero():
         return False

@@ -229,24 +229,15 @@ def shift_stability_report(I: HomIdeal) -> Tuple[bool, List[Pair]]:
     return ok, checked
 
 
-def _quotient_matrix(ring, S: Subspace) -> Mat:
-    """Row-convention matrix of the projection onto coordinates modulo S."""
-    free = [j for j in range(S.ambient) if j not in set(S.pivots)]
-    rows = []
-    for i in range(S.ambient):
-        red = S.reduce(_unit(ring, S.ambient, i))
-        rows.append([red[j] for j in free])
-    return Mat.from_rows(ring, rows, len(free))
-
-
 def _preimage(subcat, ring, M: Mat, S: Subspace) -> Subspace:
     """Subspace {v : v @ M lies in S}."""
     if M.nrows == 0:
         return Subspace.zero(ring, 0)
-    Q = _quotient_matrix(ring, S)
-    if Q.ncols == 0:
+    qdim = S.ambient - S.dim
+    if qdim == 0:
         return Subspace.full(ring, M.nrows)
-    _, ker = solve_left(M @ Q, Mat.zeros(ring, 1, Q.ncols))
+    MQ = Mat.from_rows(ring, [S.quotient_coords(r) for r in M.rows()], qdim)
+    _, ker = solve_left(MQ, Mat.zeros(ring, 1, qdim))
     return ker
 
 

@@ -77,7 +77,7 @@ def _check_problem(F: BimoduleFunctor, X: ProjComplex, Y: ProjComplex,
     if X.alg != F.source_alg or Y.alg != F.source_alg:
         raise LiftError("endpoints live over the wrong algebra")
     FX, FY = F.apply_complex(X), F.apply_complex(Y)
-    if alpha.degree != 0 or not alpha.delta().is_zero():
+    if not alpha.is_chain_map():
         raise LiftError("the map to lift must be a degree-0 chain map")
     if not same_complex(alpha.source, FX) or not same_complex(alpha.target, FY):
         raise LiftError("the map to lift does not connect the functor images")
@@ -177,9 +177,9 @@ def verify_map_lift(F: BimoduleFunctor, X: ProjComplex, Y: ProjComplex,
         return False, "replacement map has wrong endpoints"
     if not same_complex(lifted.source, cert.replacement) or not same_complex(lifted.target, Y):
         return False, "lifted map has wrong endpoints"
-    if pi.degree != 0 or not pi.delta().is_zero():
+    if not pi.is_chain_map():
         return False, "replacement map is not a chain map"
-    if lifted.degree != 0 or not lifted.delta().is_zero():
+    if not lifted.is_chain_map():
         return False, "lifted map is not a chain map"
     Fpi = F.apply_map(pi)
     Cpi, _, _ = cone(Fpi)
@@ -230,7 +230,7 @@ def _check_stalk_table(F: BimoduleFunctor, table: Dict[int, StalkLift]):
                             "functor image")
         if not same_complex(sl.equivalence.target, stalk):
             raise LiftError(f"stalk lift {j}: equivalence target is not the stalk")
-        if sl.equivalence.degree != 0 or not sl.equivalence.delta().is_zero():
+        if not sl.equivalence.is_chain_map():
             raise LiftError(f"stalk lift {j}: equivalence is not a chain map")
         ok, _ = is_homotopy_equivalence(sl.equivalence)
         if not ok:
@@ -359,7 +359,7 @@ def verify_complex_lift(F: BimoduleFunctor, Y: ProjComplex,
         return False, "comparison map does not start at the functor image"
     if not same_complex(e.target, Y):
         return False, "comparison map does not end at the target"
-    if e.degree != 0 or not e.delta().is_zero():
+    if not e.is_chain_map():
         return False, "comparison map is not a chain map"
     C, _, _ = cone(e)
     if not verify_contraction(C, cert.cone_contraction):

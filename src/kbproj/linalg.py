@@ -15,6 +15,10 @@ Conventions
 * ``solve(A, b)`` solves ``A @ x = b`` (column unknowns), per-column.
 * ``Subspace`` bases are stored in reduced row echelon form, so two equal
   subspaces have identical bases.
+* Quotients V/S are taken in one basis: ``S.completion()``, the unit vectors
+  at S's non-pivot coordinates.  ``S.quotient_coords(v)`` gives the
+  coordinates of v + S in it (reduce v, keep the non-pivot entries); every
+  quotient module, algebra, tensor product and preimage uses this pair.
 """
 
 from __future__ import annotations
@@ -605,10 +609,19 @@ class Subspace:
                 out.append(v)
         return out
 
-    def quotient_reps(self, within: Optional["Subspace"] = None) -> List[List]:
-        """Coset representatives of (within / self); ambient/self when within is None."""
-        if within is None:
-            return self.completion()
+    def quotient_coords(self, vec: Sequence) -> List:
+        """Coordinates of vec + self in the basis ``completion()`` of ambient/self.
+
+        The reduced vector is zero at the pivots, so its non-pivot entries are
+        the coefficients c with vec - sum c[k] completion()[k] in self.
+        """
+        v = self.reduce(vec)
+        for p in reversed(self.pivots):
+            del v[p]
+        return v
+
+    def quotient_reps(self, within: "Subspace") -> List[List]:
+        """Coset representatives of within/self, for self inside within."""
         vecs = [self.reduce(r) for r in within.rows]
         rows, _ = rref_rows(self.ring, vecs)
         return rows

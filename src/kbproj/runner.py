@@ -89,13 +89,11 @@ def _window_desc(name: Optional[str], subcat) -> Dict:
     return {"subcat": name, "objects": list(subcat.names())}
 
 
-def _triangle_presentations(fx: FixtureFile, subcat,
-                            names: Sequence[str]) -> List[TrianglePresentation]:
+def _triangle_presentations(fx: FixtureFile, subcat, names: Sequence[str],
+                            what: str) -> List[TrianglePresentation]:
     out = []
     for tn in names:
-        if tn not in fx.triangles:
-            raise TaskError(f"unknown triangle {tn!r}")
-        tri = fx.triangles[tn]
+        tri = fx.lookup("triangles", tn, what, TaskError)
         objs = tri.get("objects")
         if objs:
             na, nb, nc = objs
@@ -130,9 +128,7 @@ def _run_check_hepi(fx: FixtureFile, task: Dict) -> Report:
 
 def _run_lift_map(fx: FixtureFile, task: Dict) -> Report:
     name = task.get("name")
-    if name not in fx.lifts:
-        raise TaskError(f"unknown lift problem {name!r}")
-    prob = fx.lifts[name]
+    prob = fx.lookup("lifts", name, f"task {task['id']}", TaskError)
     budget = prob["budget"]
     if "depth" in task:
         budget = type(budget)(max_depth=_task_int(task, "depth", 0),
@@ -162,9 +158,7 @@ def _run_lift_map(fx: FixtureFile, task: Dict) -> Report:
 
 def _run_lift_complex(fx: FixtureFile, task: Dict) -> Report:
     name = task.get("name")
-    if name not in fx.complex_lifts:
-        raise TaskError(f"unknown complex lift problem {name!r}")
-    prob = fx.complex_lifts[name]
+    prob = fx.lookup("complex_lifts", name, f"task {task['id']}", TaskError)
     budget = prob["budget"]
     if "depth" in task:
         budget = type(budget)(max_depth=_task_int(task, "depth", 0),
@@ -190,9 +184,7 @@ def _run_lift_complex(fx: FixtureFile, task: Dict) -> Report:
 
 def _run_recognize_triangle(fx: FixtureFile, task: Dict) -> Report:
     name = task.get("name")
-    if name not in fx.triangles:
-        raise TaskError(f"unknown triangle {name!r}")
-    tri = fx.triangles[name]
+    tri = fx.lookup("triangles", name, f"task {task['id']}", TaskError)
     verdict = recognize_triangle(tri["alpha"], tri["beta"], tri["gamma"])
     evidence = {"triangle": name, "reason": verdict.reason}
     cert = triangle_cert_to_json(verdict)
@@ -210,9 +202,7 @@ def _run_recognize_triangle(fx: FixtureFile, task: Dict) -> Report:
 
 def _run_check_ideal(fx: FixtureFile, task: Dict) -> Report:
     name = task.get("name")
-    if name not in fx.ideals:
-        raise TaskError(f"unknown ideal {name!r}")
-    spec = fx.ideals[name]
+    spec = fx.lookup("ideals", name, f"task {task['id']}", TaskError)
     subcat = spec["subcat"]
     gens: Dict[Tuple[str, str], List] = {}
     for gname, g in spec["generators"]:
@@ -221,7 +211,7 @@ def _run_check_ideal(fx: FixtureFile, task: Dict) -> Report:
         gens.setdefault((a, b), []).append(g)
     I = ideal_closure(subcat, {ab: subcat.hom(*ab).class_matrix(gs).rows()
                                for ab, gs in gens.items()})
-    tris = _triangle_presentations(fx, subcat, spec["triangles"])
+    tris = _triangle_presentations(fx, subcat, spec["triangles"], f"ideal {name}")
     rep = exact_ideal_report(I, tris)
     refuted = (not rep.idempotent or not rep.shift_stable
                or rep.saturated is False)
@@ -318,9 +308,7 @@ _RANK = {"refuted": 0, "inconclusive": 1, "certified": 2}
 
 def _run_almost(fx: FixtureFile, task: Dict) -> Report:
     name = task.get("name")
-    if name not in fx.almost_cases:
-        raise TaskError(f"unknown almost case {name!r}")
-    case = fx.almost_cases[name]
+    case = fx.lookup("almost_cases", name, f"task {task['id']}", TaskError)
     alg, ideal = case["algebra"], case["ideal"]
     evidence: Dict = {"case": name, "parts": list(case["include"])}
     verdicts = []
@@ -395,36 +383,28 @@ def _run_verify_certificate(fx: FixtureFile, task: Dict) -> Report:
             raise TaskError(f"certificate {label}: {key!r} must be a string")
     payload = envelope.get("payload")
     evidence = {"certificate": label, "kind": kind, "problem": problem}
+    section = _CERT_SECTIONS.get(kind)
+    if section is None:
+        raise TaskError(f"certificate kind {kind!r} is not recognized")
+    # outside the try: an unknown problem cannot be executed, it is not refuted
+    prob = fx.lookup(section, problem, f"certificate {label}", TaskError)
     try:
         if kind == "map-lift":
-            if problem not in fx.lifts:
-                raise TaskError(f"unknown lift problem {problem!r}")
-            prob = fx.lifts[problem]
             cert = map_lift_cert_from_json(prob["functor"], prob["source"],
                                            prob["target"], payload)
             ok, why = verify_map_lift(prob["functor"], prob["source"],
                                       prob["target"], prob["map"], cert)
         elif kind == "complex-lift":
-            if problem not in fx.complex_lifts:
-                raise TaskError(f"unknown complex lift problem {problem!r}")
-            prob = fx.complex_lifts[problem]
             cert = complex_lift_cert_from_json(prob["functor"],
                                                prob["target"], payload)
             ok, why = verify_complex_lift(prob["functor"], prob["target"],
                                           cert)
-        elif kind == "triangle":
-            if problem not in fx.triangles:
-                raise TaskError(f"unknown triangle {problem!r}")
-            tri = fx.triangles[problem]
-            verdict = triangle_cert_from_json(tri["alpha"], tri["beta"],
-                                              tri["gamma"], payload)
-            ok = verify_triangle_certificate(tri["alpha"], tri["beta"],
-                                             tri["gamma"], verdict)
-            why = "replayed" if ok else "certificate arithmetic failed"
         else:
-            raise TaskError(f"certificate kind {kind!r} is not recognized")
-    except TaskError:
-        raise
+            verdict = triangle_cert_from_json(prob["alpha"], prob["beta"],
+                                              prob["gamma"], payload)
+            ok = verify_triangle_certificate(prob["alpha"], prob["beta"],
+                                             prob["gamma"], verdict)
+            why = "replayed" if ok else "certificate arithmetic failed"
     except ValueError as exc:
         # a certificate that cannot be rebuilt against the named problem
         # is refuted, not an execution failure
@@ -433,6 +413,9 @@ def _run_verify_certificate(fx: FixtureFile, task: Dict) -> Report:
     return Report(task["id"], "verify-certificate",
                   "certified" if ok else "refuted", evidence)
 
+
+_CERT_SECTIONS = {"map-lift": "lifts", "complex-lift": "complex_lifts",
+                  "triangle": "triangles"}
 
 _HANDLERS = {
     "check-hepi": _run_check_hepi,

@@ -23,12 +23,6 @@ class SerializeError(ValueError):
 # -- scalars ---------------------------------------------------------------------
 
 
-def scalar_to_json(ring, c):
-    if ring.kind == "laurent":
-        return [[list(e), str(coeff)] for e, coeff in sorted(c.terms.items())]
-    return str(c)
-
-
 def scalar_from_json(ring, payload):
     try:
         return ring.parse(payload)
@@ -37,7 +31,7 @@ def scalar_from_json(ring, payload):
 
 
 def vec_to_json(ring, v) -> List:
-    return [scalar_to_json(ring, c) for c in v]
+    return [ring.fmt(c) for c in v]
 
 
 def vec_from_json(ring, payload, length: Optional[int] = None):

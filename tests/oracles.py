@@ -715,10 +715,21 @@ def class_coords_by_solving(H, f):
 
 # -- dense graded-map arithmetic ------------------------------------------------
 #
-# ``GradedMap.delta``, ``GradedMap.compose`` and the d^2 check of
-# ``ProjComplex`` as they were before they skipped absent blocks: a missing
-# component or differential is a zero summand matrix, and every product is
-# formed.
+# ``GradedMap.delta``, ``GradedMap.compose``, sums, differences, equality,
+# ``MapLayout.pack`` and the d^2 check of ``ProjComplex`` as they were before
+# they skipped absent blocks: a missing component or differential is a zero
+# summand matrix, and every product, sum and read is formed.
+
+
+def _block(f, n):
+    """Component n of the graded map f, a zero summand matrix when absent."""
+    from kbproj.homcat import AlgMat
+
+    m = f.components.get(n)
+    if m is not None:
+        return m
+    return AlgMat.zeros(f.source.alg, f.target.summands_at(n + f.degree),
+                        f.source.summands_at(n))
 
 
 def dense_delta(f):
@@ -728,8 +739,8 @@ def dense_delta(f):
     even = f.degree % 2 == 0
     comps = {}
     for n in f.source.degrees():
-        a = f.target.diff_at(n + f.degree) @ f.component(n)
-        b = f.component(n + 1) @ f.source.diff_at(n)
+        a = f.target.diff_at(n + f.degree) @ _block(f, n)
+        b = _block(f, n + 1) @ f.source.diff_at(n)
         m = a - b if even else a + b
         if not m.is_zero():
             comps[n] = m
@@ -744,11 +755,38 @@ def dense_compose(g, f):
         raise HomcatError("composition endpoint mismatch")
     comps = {}
     for n in f.source.degrees():
-        a = g.component(n + f.degree) @ f.component(n)
+        a = _block(g, n + f.degree) @ _block(f, n)
         if not a.is_zero():
             comps[n] = a
     return GradedMap(f.source, g.target, g.degree + f.degree, comps,
                      name=f"{g.name}.{f.name}")
+
+
+def dense_sum(f, g, subtract=False):
+    """f + g (f - g when ``subtract``) over every degree either stores."""
+    from kbproj.homcat import GradedMap
+
+    comps = {}
+    for n in sorted(set(f.components) | set(g.components)):
+        m = _block(f, n) - _block(g, n) if subtract else _block(f, n) + _block(g, n)
+        if not m.is_zero():
+            comps[n] = m
+    return GradedMap(f.source, f.target, f.degree, comps)
+
+
+def dense_equal(f, g):
+    """f == g, comparing a zero block for every degree that either stores."""
+    return f.degree == g.degree and all(
+        _block(f, n) == _block(g, n) for n in set(f.components) | set(g.components))
+
+
+def dense_pack(layout, g):
+    """``MapLayout.pack``, reading every slot of g through a zero block when absent."""
+    out = [layout.alg.ring.zero] * layout.dim
+    for n, r, c, corner, off in layout.slots:
+        for t, v in enumerate(corner.coords_of(_block(g, n).entries[r][c])):
+            out[off + t] = v
+    return out
 
 
 def dense_d_squared_defect(alg, summands, diff):
@@ -774,3 +812,24 @@ def dense_d_squared_defect(alg, summands, diff):
             if not (d_at(n + 1) @ d_at(n)).is_zero():
                 return n
     return None
+
+
+# -- quotient coordinates --------------------------------------------------------
+
+
+def quotient_matrix(ring, S):
+    """Row-convention matrix of V -> V/S in the basis ``S.completion()``.
+
+    Row i is the reduced unit vector e_i at S's non-pivot coordinates, so
+    ``quotient_matrix(ring, S).row_apply(v)`` is v's quotient coordinates.
+    """
+    from kbproj.linalg import Mat
+
+    free = [j for j in range(S.ambient) if j not in set(S.pivots)]
+    rows = []
+    for i in range(S.ambient):
+        unit = [ring.zero] * S.ambient
+        unit[i] = ring.one
+        red = S.reduce(unit)
+        rows.append([red[j] for j in free])
+    return Mat.from_rows(ring, rows, len(free))

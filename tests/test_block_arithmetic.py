@@ -1,9 +1,12 @@
 """Graded-map arithmetic that skips absent blocks, against the dense oracle.
 
 ``GradedMap.delta``, ``GradedMap.compose`` and the d^2 check of
-``ProjComplex`` form a product only when both of its factors are present.
-``oracles.dense_delta``, ``dense_compose`` and ``dense_d_squared_defect``
-form every product, with zero matrices for the missing blocks.  They must
+``ProjComplex`` form a product only when both of its factors are present;
+sums, differences, equality and ``MapLayout.pack`` read a component only
+where it is stored.  ``oracles.dense_delta``, ``dense_compose``,
+``dense_sum``, ``dense_equal``, ``dense_pack`` and ``dense_d_squared_defect``
+form every product, sum and read, with zero matrices for the missing
+blocks.  They must
 agree on random maps of degree -1, 0 and 1 between the complexes of the
 corner fixture (over UT2 and k) and Koszul complexes over k[x]/(x^2) (the
 koszul fixture holds a Laurent contraction, not complexes of projectives),
@@ -19,11 +22,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from build_examples import dual_numbers
-from oracles import dense_compose, dense_d_squared_defect, dense_delta
+from oracles import (
+    dense_compose,
+    dense_d_squared_defect,
+    dense_delta,
+    dense_equal,
+    dense_pack,
+    dense_sum,
+)
 
 from kbproj.fixture import load_fixture
 from kbproj.homcat import (
     AlgMat,
+    GradedMap,
     HomcatError,
     HomSpace,
     MapLayout,
@@ -132,6 +143,26 @@ def test_delta_and_compose_match_the_dense_oracle(data):
     _same(g.delta(), dense_delta(g))
     _same(g.compose(f), dense_compose(g, f))
     assert f.is_chain_map() == (s == 0 and not dense_delta(f).components)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sums_equality_and_pack_match_the_dense_oracle(data):
+    pool = POOLS[data.draw(st.sampled_from(sorted(POOLS)))]
+    X, Y = (data.draw(st.sampled_from(pool)) for _ in range(2))
+    s = data.draw(st.sampled_from(DEGREES))
+    f = _random_map(data.draw, X, Y, s)
+    # half the time g is a rebuilt copy of f, so equal maps are compared too
+    if data.draw(st.booleans()):
+        g = GradedMap(X, Y, s, dict(f.components))
+    else:
+        g = _random_map(data.draw, X, Y, s)
+    for got, want in ((f + g, dense_sum(f, g)), (f - g, dense_sum(f, g, subtract=True))):
+        assert got.degree == want.degree and got.components == want.components
+    assert (f == g) == dense_equal(f, g)
+    L = MapLayout(X, Y, s)
+    assert L.pack(f) == dense_pack(L, f)
+    assert L.unpack(L.pack(g)) == g
 
 
 def _random_differential(rng, alg, target, source):

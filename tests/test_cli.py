@@ -641,3 +641,94 @@ def test_cli_option_above_its_cap_exits_2(capsys, argv, key):
     assert cap.out == ""
     assert cap.err.strip().splitlines() == [
         f"kbproj: error: task cli:{argv[0]}:{argv[-3]}: {key!r} must be at most 64, got 65"]
+
+
+# -- malformed fixture entries and task names -----------------------------------
+
+
+def _set(path, value):
+    """A mutation of the corner fixture that sets the entry at ``path``."""
+    def mutate(data):
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
+MALFORMED_ENTRIES = [
+    ("map-degree", _set(["maps", "iota", "degree"], "x"), "map iota: "),
+    ("shift-range-text", _set(["subcategories", "S", "shift_range"], ["a", 1]),
+     "subcategory S: "),
+    ("shift-range-short", _set(["subcategories", "S", "shift_range"], [0]),
+     "subcategory S: "),
+    ("lift-depth", _set(["lifts", "corner-id", "depth"], "x"), "lift corner-id: "),
+    ("stalk-key", _set(["complex_lifts", "rebuild-k3", "stalks"],
+                       {"x": {"source": "P1s", "equivalence": {}}}),
+     "complex lift rebuild-k3: "),
+    ("witness-idempotent", _set(["functors", "G", "witnesses", "0"], [["a", ["1"]]]),
+     "functor G: "),
+    ("a-witness-idempotent", _set(["almost", "corner-almost", "a_witness"],
+                                  [["a", ["1", "0", "0"]]]),
+     "almost case corner-almost: "),
+    ("field-text", _set(["field"], {"p": "x"}), "unknown field spec"),
+    ("field-not-prime", _set(["field"], {"p": 4}), "unknown field spec"),
+    ("entry-not-object", _set(["maps", "iota"], 5), "map iota: entry must be an object"),
+    ("triangle-two-objects", _set(["triangles", "canonical", "objects"], ["P2s", "P1s"]),
+     "triangle canonical: objects must be a list of three names"),
+    ("triangle-objects-not-names", _set(["triangles", "canonical", "objects"], [1, 2, 3]),
+     "triangle canonical: objects must be a list of three names"),
+]
+
+
+@pytest.mark.parametrize("mutate,want", [m[1:] for m in MALFORMED_ENTRIES],
+                         ids=[m[0] for m in MALFORMED_ENTRIES])
+def test_malformed_fixture_entry_exits_2(capsys, tmp_path, mutate, want):
+    with open(CORNER) as fh:
+        data = json.load(fh)
+    mutate(data)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    assert main(["run", "--fixture", str(p)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    lines = cap.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("kbproj: error: ") and want in lines[0]
+
+
+@pytest.mark.parametrize("task_id,key,value,kind", [
+    ("hepi-corner", "map", ["corner"], "ring map"),
+    ("hepi-corner", "map", {"corner": 1}, "ring map"),
+    ("triangle-canonical", "name", ["canonical"], "triangle"),
+    ("ideal-ann-g", "name", {"ann-g": 1}, "ideal"),
+    ("lift-corner-id", "name", ["corner-id"], "lift"),
+    ("rebuild-k3", "name", ["rebuild-k3"], "complex lift"),
+    ("almost-corner", "name", ["corner-almost"], "almost case"),
+    ("telescope-g", "functor", ["G"], "functor"),
+    ("telescope-g", "subcat", ["S"], "subcategory"),
+])
+def test_task_name_not_a_string_exits_2(capsys, tmp_path, task_id, key, value, kind):
+    with open(CORNER) as fh:
+        data = json.load(fh)
+    task = next(t for t in data["tasks"] if t["id"] == task_id)
+    task[key] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    assert main(["run", "--fixture", str(p), task_id]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.strip().splitlines() == [
+        f"kbproj: error: task {task_id}: unknown {kind} {value!r}"]
+
+
+@pytest.mark.parametrize("problem", ["nosuch", "canonical"])
+def test_certificate_for_an_unknown_problem_exits_2(capsys, tmp_path, problem):
+    # an unknown problem cannot be executed: exit 2, not a refuted replay
+    p = tmp_path / "cert.json"
+    p.write_text(json.dumps({"kind": "map-lift", "problem": problem, "payload": {}}))
+    assert main(["verify-certificate", "--fixture", CORNER, "--certificate", str(p)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.strip().splitlines() == [
+        f"kbproj: error: certificate {p}: unknown lift {problem!r}"]

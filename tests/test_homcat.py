@@ -187,8 +187,8 @@ def test_cone_of_corner_inclusion_is_the_two_term_resolution(ex):
     assert C.summands == S1.summands
     assert C.diff_at(-1) == S1.diff_at(-1)
     # and the canonical legs equal beta and gamma on the nose
-    assert incl.component(0) == ex["beta"].component(0)
-    assert proj.component(-1) == ex["gamma"].component(-1)
+    assert incl.components[0] == ex["beta"].components[0]
+    assert proj.components[-1] == ex["gamma"].components[-1]
 
 
 def test_chain_map_validation_rejects_noncommuting(ex):

@@ -2,8 +2,9 @@
 only ``homcat`` builds summand matrices without the corner check, only
 ``linalg`` knows that a non-integral rational is a ``Fraction``, no
 module multiplies two basis vectors to read a structure constant, no
-loop asks for class coordinates one map at a time, and graded-map
-arithmetic builds no zero blocks to multiply."""
+loop asks for class coordinates one map at a time, graded-map
+arithmetic builds no zero blocks to multiply, and ``GradedMap.is_chain_map``
+is the only chain-map test."""
 
 import ast
 import os
@@ -164,7 +165,8 @@ def test_no_class_coords_per_map_in_a_loop(module):
     assert not uses, "class_coords called in a loop: " + ", ".join(uses)
 
 
-_SKIPS_ABSENT_BLOCKS = {"GradedMap": ("delta", "compose"), "ProjComplex": ("_validate",)}
+_SKIPS_ABSENT_BLOCKS = {"GradedMap": ("delta", "compose", "__add__", "__sub__", "__eq__"),
+                        "ProjComplex": ("_validate",), "MapLayout": ("pack",)}
 _ZERO_BLOCK_BUILDERS = {"component", "diff_at", "zeros"}
 
 
@@ -180,3 +182,27 @@ def test_graded_arithmetic_builds_no_zero_blocks(cls, method):
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
             and n.func.attr in _ZERO_BLOCK_BUILDERS]
     assert not uses, f"{cls}.{method} builds zero blocks: " + ", ".join(uses)
+
+
+def _delta_is_zero_calls(tree):
+    """Calls of the form ``<expr>.delta().is_zero()``."""
+    return [n for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "is_zero" and isinstance(n.func.value, ast.Call)
+            and isinstance(n.func.value.func, ast.Attribute)
+            and n.func.value.func.attr == "delta"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_is_chain_map_tests_for_a_chain_map(module):
+    # a map is a chain map when GradedMap.is_chain_map says so, and nowhere else
+    tree = _parse(module)
+    allowed = set()
+    if module == "homcat.py":
+        graded = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "GradedMap")
+        test = next(n for n in graded.body
+                    if isinstance(n, ast.FunctionDef) and n.name == "is_chain_map")
+        allowed = set(map(id, _delta_is_zero_calls(test)))
+        assert allowed, "GradedMap.is_chain_map no longer tests delta(f) = 0"
+    uses = [f"{module}:{n.lineno}" for n in _delta_is_zero_calls(tree) if id(n) not in allowed]
+    assert not uses, ".delta().is_zero() outside GradedMap.is_chain_map: " + ", ".join(uses)

@@ -21,7 +21,7 @@ from kbproj.linalg import (
     solve_left,
 )
 
-from oracles import FractionRationals, dim_from_count, plain_rank, span_members
+from oracles import FractionRationals, dim_from_count, plain_rank, quotient_matrix, span_members
 
 
 def q(x):
@@ -129,7 +129,7 @@ def test_subspace_canonical_basis():
 
 def test_subspace_quotient_reps():
     V = Subspace.from_spanning(QQ, 3, [[q(1), q(1), q(0)]])
-    reps = V.quotient_reps()
+    reps = V.completion()
     assert len(reps) == 2
     # unit vectors at non-pivot coordinates
     assert reps[0][1] == 1 or reps[0][2] == 1
@@ -138,6 +138,26 @@ def test_subspace_quotient_reps():
     assert len(rel) == 2
     for r in rel:
         assert W.contains(r) and not V.contains(r)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(5)], ids=["QQ", "GF5"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), shape=st.tuples(st.integers(0, 4), st.integers(1, 5)))
+def test_quotient_coords_complete_the_subspace(ring, data, shape):
+    # v - sum c[k] completion()[k] lies in S, for c the quotient coordinates
+    k, n = shape
+    span = data.draw(_plain_matrix(ring, k, n))
+    S = Subspace.from_spanning(ring, n, span)
+    v = data.draw(_plain_matrix(ring, 1, n))[0]
+    c = S.quotient_coords(v)
+    reps = S.completion()
+    assert len(c) == len(reps) == n - S.dim
+    rest = list(v)
+    for ck, rep in zip(c, reps):
+        rest = [ring.sub(x, ring.mul(ck, y)) for x, y in zip(rest, rep)]
+    p = None if ring is QQ else ring.p
+    assert plain_rank(span + [rest], p) == plain_rank(span, p)
+    assert c == quotient_matrix(ring, S).row_apply(v)
 
 
 def test_member_and_coords():

@@ -75,5 +75,5 @@ def test_trusted_construction_matches_validation(name, monkeypatch):
     assert all(o[3] == (o[0] == "exact") for o in fast)
     callers = route_trusted_algmats_through_validation(monkeypatch)
     assert outcomes(random_chain_maps(alg, seed=17)) == fast
-    assert {"zeros", "identity", "__add__", "__sub__", "neg", "scale",
+    assert {"identity", "__add__", "__sub__", "neg", "scale",
             "__matmul__", "cone", "_glued_sum", "unpack"} <= callers
