@@ -93,19 +93,19 @@ class FixtureFile:
     def _build(self, data):
         # every entry is built inside one try, so a malformed one exits as a
         # FixtureError naming its section and entry, never as a traceback
-        for key, attr, build in (
-                ("algebras", "algebras", self._build_algebra),
-                ("ring_maps", "ring_maps", self._build_ring_map),
-                ("functors", "functors", self._build_functor),
-                ("complexes", "complexes", self._build_complex),
-                ("maps", "maps", self._build_map),
-                ("subcategories", "subcategories", self._build_subcat),
-                ("triangles", "triangles", self._build_triangle),
-                ("ideals", "ideals", self._build_ideal),
-                ("lifts", "lifts", self._build_lift),
-                ("complex_lifts", "complex_lifts", self._build_complex_lift),
-                ("contractions", "contractions", self._build_contraction),
-                ("almost", "almost_cases", self._build_almost)):
+        for attr, build in (("algebras", self._build_algebra),
+                            ("ring_maps", self._build_ring_map),
+                            ("functors", self._build_functor),
+                            ("complexes", self._build_complex),
+                            ("maps", self._build_map),
+                            ("subcategories", self._build_subcat),
+                            ("triangles", self._build_triangle),
+                            ("ideals", self._build_ideal),
+                            ("lifts", self._build_lift),
+                            ("complex_lifts", self._build_complex_lift),
+                            ("contractions", self._build_contraction),
+                            ("almost_cases", self._build_almost)):
+            key = "almost" if attr == "almost_cases" else attr
             table, what = getattr(self, attr), _KIND[attr]
             for name, entry in _section(data, key).items():
                 if not isinstance(entry, dict):
@@ -144,7 +144,7 @@ class FixtureFile:
 
     def _build_functor(self, name, f) -> BimoduleFunctor:
         kind = f.get("kind")
-        rm = self.ring_map(f.get("ring_map"), f"functor {name}")
+        rm = self.lookup("ring_maps", f.get("ring_map"), f"functor {name}")
         witnesses = {}
         bim_dim = rm.target.dim
         for k, lst in f.get("witnesses", {}).items():
@@ -197,17 +197,19 @@ class FixtureFile:
         if objects is not None and not (isinstance(objects, list) and len(objects) == 3
                                         and all(isinstance(o, str) for o in objects)):
             raise FixtureError(f"triangle {name}: objects must be a list of three names")
-        legs = {k: self.map(t.get(k), f"triangle {name}") for k in ("alpha", "beta", "gamma")}
+        legs = {k: self.lookup("maps", t.get(k), f"triangle {name}")
+                for k in ("alpha", "beta", "gamma")}
         return dict(legs, objects=objects)
 
     def _build_ideal(self, name, i) -> Dict:
-        subcat = self.subcat(i.get("subcat"), f"ideal {name}")
-        gens = [(g, self.map(g, f"ideal {name}")) for g in i.get("generators", [])]
+        subcat = self.lookup("subcategories", i.get("subcat"), f"ideal {name}")
+        gens = [(g, self.lookup("maps", g, f"ideal {name}"))
+                for g in i.get("generators", [])]
         return {"subcat": subcat, "subcat_name": i.get("subcat"), "generators": gens,
                 "triangles": list(i.get("triangles", []))}
 
     def _build_lift(self, name, l) -> Dict:
-        F = self.functor(l.get("functor"), f"lift {name}")
+        F = self.lookup("functors", l.get("functor"), f"lift {name}")
         X = self.complex(l.get("source"), f"lift {name}")
         Y = self.complex(l.get("target"), f"lift {name}")
         FX, FY = F.apply_complex(X), F.apply_complex(Y)
@@ -217,7 +219,7 @@ class FixtureFile:
                 "generators": gens, "budget": _budget(l)}
 
     def _build_complex_lift(self, name, l) -> Dict:
-        F = self.functor(l.get("functor"), f"complex lift {name}")
+        F = self.lookup("functors", l.get("functor"), f"complex lift {name}")
         Y = self.complex(l.get("target"), f"complex lift {name}")
         stalks = {}
         for k, entry in l.get("stalks", {}).items():
@@ -269,7 +271,7 @@ class FixtureFile:
             raise FixtureError(f"almost case {name}: needs idempotent or generators")
         subcat = None
         if a.get("subcat"):
-            subcat = self.subcat(a["subcat"], f"almost case {name}")
+            subcat = self.lookup("subcategories", a["subcat"], f"almost case {name}")
         aw = None
         if a.get("a_witness") is not None:
             aw = ProjectivityWitness(
@@ -289,37 +291,23 @@ class FixtureFile:
 
     # -- accessors --------------------------------------------------------
 
-    def lookup(self, section: str, name, what: str = "task", error=FixtureError):
+    def lookup(self, section: str, name, what: str = "task"):
         """The entry ``name`` of a built section, given by its attribute name.
 
-        The one lookup behind every accessor and every task reference: a
-        name that is not a string, or names no entry, raises ``error``.
+        The one lookup behind every name reference in the fixture and its
+        tasks: a name that is not a string, or names no entry, raises
+        ``FixtureError``.
         """
         table = getattr(self, section)
         if not isinstance(name, str) or name not in table:
-            raise error(f"{what}: unknown {_KIND[section]} {name!r}")
+            raise FixtureError(f"{what}: unknown {_KIND[section]} {name!r}")
         return table[name]
-
-    def ring_map(self, name, what="task") -> RingMap:
-        return self.lookup("ring_maps", name, what)
-
-    def functor(self, name, what="task") -> BimoduleFunctor:
-        return self.lookup("functors", name, what)
 
     def complex(self, name, what="task") -> ProjComplex:
         m = isinstance(name, str) and name not in self.complexes and _SHIFT_RE.match(name)
         if m and m.group(1) in self.complexes:
             return self.complexes[m.group(1)].shift(int(m.group(2)))
         return self.lookup("complexes", name, what)
-
-    def map(self, name, what="task") -> GradedMap:
-        return self.lookup("maps", name, what)
-
-    def subcat(self, name, what="task") -> FiniteSubcat:
-        return self.lookup("subcategories", name, what)
-
-    def contraction(self, name, what="task") -> ContractionFixture:
-        return self.lookup("contractions", name, what)
 
 
 def _shift_name(base: str, n: int) -> str:

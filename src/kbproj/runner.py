@@ -93,7 +93,7 @@ def _triangle_presentations(fx: FixtureFile, subcat, names: Sequence[str],
                             what: str) -> List[TrianglePresentation]:
     out = []
     for tn in names:
-        tri = fx.lookup("triangles", tn, what, TaskError)
+        tri = fx.lookup("triangles", tn, what)
         objs = tri.get("objects")
         if objs:
             na, nb, nc = objs
@@ -110,7 +110,7 @@ def _triangle_presentations(fx: FixtureFile, subcat, names: Sequence[str],
 
 
 def _run_check_hepi(fx: FixtureFile, task: Dict) -> Report:
-    g = fx.ring_map(task.get("map"), f"task {task['id']}")
+    g = fx.lookup("ring_maps", task.get("map"), f"task {task['id']}")
     i_max = _task_int(task, "max_degree", 0, default=20, maximum=MAX_DEGREE_CAP)
     rep = check_homological_epi(g, i_max=i_max)
     evidence = {
@@ -128,7 +128,7 @@ def _run_check_hepi(fx: FixtureFile, task: Dict) -> Report:
 
 def _run_lift_map(fx: FixtureFile, task: Dict) -> Report:
     name = task.get("name")
-    prob = fx.lookup("lifts", name, f"task {task['id']}", TaskError)
+    prob = fx.lookup("lifts", name, f"task {task['id']}")
     budget = prob["budget"]
     if "depth" in task:
         budget = type(budget)(max_depth=_task_int(task, "depth", 0),
@@ -158,7 +158,7 @@ def _run_lift_map(fx: FixtureFile, task: Dict) -> Report:
 
 def _run_lift_complex(fx: FixtureFile, task: Dict) -> Report:
     name = task.get("name")
-    prob = fx.lookup("complex_lifts", name, f"task {task['id']}", TaskError)
+    prob = fx.lookup("complex_lifts", name, f"task {task['id']}")
     budget = prob["budget"]
     if "depth" in task:
         budget = type(budget)(max_depth=_task_int(task, "depth", 0),
@@ -184,7 +184,7 @@ def _run_lift_complex(fx: FixtureFile, task: Dict) -> Report:
 
 def _run_recognize_triangle(fx: FixtureFile, task: Dict) -> Report:
     name = task.get("name")
-    tri = fx.lookup("triangles", name, f"task {task['id']}", TaskError)
+    tri = fx.lookup("triangles", name, f"task {task['id']}")
     verdict = recognize_triangle(tri["alpha"], tri["beta"], tri["gamma"])
     evidence = {"triangle": name, "reason": verdict.reason}
     cert = triangle_cert_to_json(verdict)
@@ -202,7 +202,7 @@ def _run_recognize_triangle(fx: FixtureFile, task: Dict) -> Report:
 
 def _run_check_ideal(fx: FixtureFile, task: Dict) -> Report:
     name = task.get("name")
-    spec = fx.lookup("ideals", name, f"task {task['id']}", TaskError)
+    spec = fx.lookup("ideals", name, f"task {task['id']}")
     subcat = spec["subcat"]
     gens: Dict[Tuple[str, str], List] = {}
     for gname, g in spec["generators"]:
@@ -236,9 +236,9 @@ def _run_check_ideal(fx: FixtureFile, task: Dict) -> Report:
 
 
 def _run_telescope(fx: FixtureFile, task: Dict) -> Report:
-    F = fx.functor(task.get("functor"), f"task {task['id']}")
+    F = fx.lookup("functors", task.get("functor"), f"task {task['id']}")
     sname = task.get("subcat")
-    subcat = fx.subcat(sname, f"task {task['id']}")
+    subcat = fx.lookup("subcategories", sname, f"task {task['id']}")
     rep = telescope_report(F, subcat)
     verdict = "consistent" if rep.consistent else "inconsistent"
     evidence = {
@@ -308,7 +308,7 @@ _RANK = {"refuted": 0, "inconclusive": 1, "certified": 2}
 
 def _run_almost(fx: FixtureFile, task: Dict) -> Report:
     name = task.get("name")
-    case = fx.lookup("almost_cases", name, f"task {task['id']}", TaskError)
+    case = fx.lookup("almost_cases", name, f"task {task['id']}")
     alg, ideal = case["algebra"], case["ideal"]
     evidence: Dict = {"case": name, "parts": list(case["include"])}
     verdicts = []
@@ -348,7 +348,7 @@ def _run_almost(fx: FixtureFile, task: Dict) -> Report:
 
 def _run_verify_contraction(fx: FixtureFile, task: Dict) -> Report:
     name = task.get("name")
-    fxt = fx.contraction(name, f"task {task['id']}")
+    fxt = fx.lookup("contractions", name, f"task {task['id']}")
     defects = contraction_defects(fxt)
     ok = not defects
     evidence = {
@@ -386,8 +386,9 @@ def _run_verify_certificate(fx: FixtureFile, task: Dict) -> Report:
     section = _CERT_SECTIONS.get(kind)
     if section is None:
         raise TaskError(f"certificate kind {kind!r} is not recognized")
-    # outside the try: an unknown problem cannot be executed, it is not refuted
-    prob = fx.lookup(section, problem, f"certificate {label}", TaskError)
+    # outside the try, which would take the FixtureError for a ValueError:
+    # an unknown problem cannot be executed, it is not refuted
+    prob = fx.lookup(section, problem, f"certificate {label}")
     try:
         if kind == "map-lift":
             cert = map_lift_cert_from_json(prob["functor"], prob["source"],

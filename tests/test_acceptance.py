@@ -143,7 +143,7 @@ def test_02_split_map_refuted(split):
 
 def test_03_annihilator_without_kernel_on_window(split):
     fx, reports = split
-    S = fx.subcat("S")
+    S = fx.lookup("subcategories", "S")
     assert len(S.names()) == 15  # three complexes, shifts -2..2
     # the connecting class is killed by the functor
     F = fx.functors["F"]
@@ -174,7 +174,7 @@ def test_04_corner_annihilator_factors_through_kernel(corner):
         ["P2s[-2]", "P2s[-1]", "P2s", "P2s[1]", "P2s[2]"])
     assert tel.evidence["annihilator_idempotent"] is True
     # exact equality of the two ideals at the library level
-    S = fx.subcat("S")
+    S = fx.lookup("subcategories", "S")
     ann = annihilator_ideal(fx.functors["G"], S)
     fac = factor_through_ideal(S, tel.evidence["kernel_objects"])
     assert ann == fac
@@ -294,7 +294,7 @@ def test_07_almost_module_suite(corner):
     e11 = A.basis_vec(0)
     a = ideal_generated_by_idempotent(A, e11)
     rep = almost_derived_ideal(
-        A, a, fx.subcat("S"),
+        A, a, fx.lookup("subcategories", "S"),
         a_witness=ProjectivityWitness([(0, e11)]),
         square_witnesses={0: ProjectivityWitness([(0, e11)])})
     assert rep.verdict == "certified"
@@ -317,7 +317,7 @@ def test_07_almost_module_suite(corner):
 def test_08_contraction_certificate_and_mutations(koszul):
     fx, reports = koszul
     assert reports["koszul-contracts"].verdict == "certified"
-    cfx = fx.contraction("koszul-x-inverted")
+    cfx = fx.lookup("contractions", "koszul-x-inverted")
     assert verify_contraction_fixture(cfx)
     ring = cfx.ring
     mutations = 0

@@ -39,7 +39,7 @@ def test_fixture_files_load(corner, split):
     assert len(split.tasks) == 6
     assert len(koszul.tasks) == 1
     assert set(corner.subcategories) == {"S"}
-    assert len(corner.subcat("S").names()) == 15
+    assert len(corner.lookup("subcategories", "S").names()) == 15
 
 
 def test_loaded_algebra_matches_programmatic_construction(corner):
@@ -78,7 +78,7 @@ def test_shift_suffix_resolves_complex_references(corner):
 
 
 def test_subcategory_materializes_shifted_objects(corner):
-    S = corner.subcat("S")
+    S = corner.lookup("subcategories", "S")
     assert "P1s[-2]" in S.objects and "S1r[2]" in S.objects
     assert S.objects["S1r[1]"].summands == {-2: (1,), -1: (0,)}
     # declared shift pairings chain each object to its translate
