@@ -34,7 +34,6 @@ class AlgebraPresentation:
         unit: Sequence,
         idempotents: Sequence[Sequence],
         idempotent_names: Optional[Sequence[str]] = None,
-        primitive: bool = True,
         name: str = "A",
     ):
         self.ring = ring
@@ -52,7 +51,6 @@ class AlgebraPresentation:
         if idempotent_names is None:
             idempotent_names = [f"e{k}" for k in range(len(self.idempotents))]
         self.idempotent_names = tuple(idempotent_names)
-        self.primitive = bool(primitive)
         self._corner_cache: Dict[Tuple[int, int], Subspace] = {}
         self._corner_mult_cache: Dict[Tuple[int, int, int], Tuple] = {}
         self._right_ideal_cache: Dict[int, Subspace] = {}
@@ -677,7 +675,7 @@ def quotient_algebra(alg: AlgebraPresentation, ideal: TwoSidedIdeal,
             idem_names.append(alg.idempotent_names[k])
     qname = name or f"{alg.name}/{ideal.name}"
     qalg = AlgebraPresentation(ring, names, structure, unit, idems,
-                               idempotent_names=idem_names, primitive=alg.primitive, name=qname)
+                               idempotent_names=idem_names, name=qname)
     proj = RingMap(alg, qalg, [project(alg.basis_vec(i)) for i in range(alg.dim)],
                    name=f"proj:{alg.name}->{qname}")
     return qalg, proj

@@ -37,14 +37,7 @@ from .algebra import (
     submodule,
 )
 from .functors import FiniteSubcat
-from .homcat import (
-    AlgMat,
-    GradedMap,
-    HomSpace,
-    ProjComplex,
-    chain_map,
-    cone,
-)
+from .homcat import AlgMat, HomSpace, ProjComplex, chain_map, cone
 from .ideals import HomIdeal, is_idempotent_ideal
 from .linalg import Mat, Subspace, solve_left
 
@@ -412,8 +405,7 @@ def almost_derived_ideal(alg: AlgebraPresentation, ideal: TwoSidedIdeal,
                 if HX.dim == 0:
                     continue
                 # row i gets the classes of xi . f_i for each xi in turn
-                K = HX.class_matrix([GradedMap(X, Cn, 0, xi.compose(f).components)
-                                     for f in fs for xi in xis])
+                K = HX.class_matrix([xi.compose(f) for f in fs for xi in xis])
                 for p, coords in enumerate(K.rows()):
                     rows[p // len(xis)].extend(coords)
             width = len(rows[0])

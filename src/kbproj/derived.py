@@ -228,7 +228,6 @@ class TorReport:
     dims: Dict[int, int]
     complete: bool
     checked_up_to: int
-    tensor_dims: List[int]
 
 
 def tor_with_bimodule(M: FdModule, B: Bimodule, i_max: int,
@@ -262,8 +261,7 @@ def tor_with_bimodule(M: FdModule, B: Bimodule, i_max: int,
         dims[i] = ker - rank_in
         if dims[i] < 0:
             raise DerivedError("negative homology dimension: tensored complex inconsistent")
-    return TorReport(dims=dims, complete=res.complete, checked_up_to=top,
-                     tensor_dims=[t.module.dim for t in tens])
+    return TorReport(dims=dims, complete=res.complete, checked_up_to=top)
 
 
 @dataclass

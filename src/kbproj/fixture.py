@@ -50,6 +50,9 @@ _KIND = {"algebras": "algebra", "ring_maps": "ring map", "functors": "functor",
          "triangles": "triangle", "ideals": "ideal", "lifts": "lift",
          "complex_lifts": "complex lift", "contractions": "contraction",
          "almost_cases": "almost case"}
+# a section's JSON key is its attribute name, except for almost_cases
+_TOP_KEYS = ({"format_version", "field", "tasks", "almost"}
+             | set(_KIND) - {"almost_cases"})
 
 
 class FixtureFile:
@@ -61,6 +64,9 @@ class FixtureFile:
         version = data.get("format_version")
         if version != FORMAT_VERSION:
             raise FixtureError(f"unsupported format_version {version!r}")
+        unknown = sorted(set(data) - _TOP_KEYS)
+        if unknown:
+            raise FixtureError(f"unknown top-level key {unknown[0]!r}")
         self.path = path
         self.raw = data
         self.ring = self._parse_field(data.get("field", "QQ"))
@@ -134,8 +140,7 @@ class FixtureFile:
     def _build_algebra(self, name, a) -> AlgebraPresentation:
         return AlgebraPresentation(self.ring, a["basis"], a["structure"], a["unit"],
                                    a["idempotents"],
-                                   idempotent_names=a.get("idempotent_names"),
-                                   primitive=a.get("primitive", True), name=name)
+                                   idempotent_names=a.get("idempotent_names"), name=name)
 
     def _build_ring_map(self, name, m) -> RingMap:
         src = self.lookup("algebras", m.get("source"), f"ring map {name}")
@@ -197,9 +202,15 @@ class FixtureFile:
         if objects is not None and not (isinstance(objects, list) and len(objects) == 3
                                         and all(isinstance(o, str) for o in objects)):
             raise FixtureError(f"triangle {name}: objects must be a list of three names")
-        legs = {k: self.lookup("maps", t.get(k), f"triangle {name}")
-                for k in ("alpha", "beta", "gamma")}
-        return dict(legs, objects=objects)
+        alpha, beta, gamma = (self.lookup("maps", t.get(k), f"triangle {name}")
+                              for k in ("alpha", "beta", "gamma"))
+        # legs compose under the one complex-equality rule (ProjComplex.__eq__),
+        # so recognition and certificate replay only see X -> Y -> Z -> X[1]
+        if (beta.source != alpha.target or gamma.source != beta.target
+                or gamma.target != alpha.source.shift(1)):
+            raise FixtureError(f"triangle {name}: legs do not compose as "
+                               f"X -> Y -> Z -> X[1]")
+        return {"alpha": alpha, "beta": beta, "gamma": gamma, "objects": objects}
 
     def _build_ideal(self, name, i) -> Dict:
         subcat = self.lookup("subcategories", i.get("subcat"), f"ideal {name}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Bimodule, RingMap, induction_bimodule, restriction_bimodule
-from .homcat import AlgMat, GradedMap, HomSpace, MapLayout, ProjComplex, is_contractible, same_complex
+from .homcat import AlgMat, GradedMap, HomSpace, MapLayout, ProjComplex, is_contractible
 from .linalg import Mat, Subspace, rank, solve_left
 
 
@@ -198,17 +198,14 @@ class FiniteSubcat:
         self.order = list(objects)
         if not self.objects:
             raise FunctorError("empty object family")
-        algs = {id(X.alg) for X in self.objects.values()}
-        if len(algs) != 1:
-            raise FunctorError("objects live over different algebras")
         self.alg = next(iter(self.objects.values())).alg
+        if any(X.alg != self.alg for X in self.objects.values()):
+            raise FunctorError("objects live over different algebras")
         self.shifts = dict(shifts or {})
         for a, sa in self.shifts.items():
             if a not in self.objects or sa not in self.objects:
                 raise FunctorError(f"shift pairing mentions unknown object {a} or {sa}")
-            X, SX = self.objects[a], self.objects[sa]
-            lit = X.shift(1)
-            if not same_complex(SX, lit):
+            if self.objects[sa] != self.objects[a].shift(1):
                 raise FunctorError(f"{sa} is not literally the translation of {a}")
         self._homs: Dict[Tuple[str, str], HomSpace] = {}
         self._comp: Dict[Tuple[str, str, str], List[List[List]]] = {}
@@ -237,9 +234,7 @@ class FiniteSubcat:
         sa, sb = self.shifts.get(a), self.shifts.get(b)
         if sa is None or sb is None:
             raise FunctorError("shift pairing not declared for both endpoints")
-        SA, SB = self.objects[sa], self.objects[sb]
-        return self.hom(sa, sb).class_matrix(
-            [GradedMap(SA, SB, 0, f.shift(1).components) for f in self.hom(a, b).basis()])
+        return self.hom(sa, sb).class_matrix([f.shift(1) for f in self.hom(a, b).basis()])
 
 
 def functor_matrix(F: BimoduleFunctor, layout_in: MapLayout, layout_out: MapLayout) -> Mat:

@@ -31,7 +31,14 @@ goes through ``components.get``, so ``delta``, ``compose``, sums,
 differences, equality, the d^2 check of ``ProjComplex`` and
 ``MapLayout.pack`` build no zero matrix to add, multiply or read.  A
 ``GradedMap`` never stores a zero component, so two maps are equal exactly
-when their degrees and component dicts are.
+when their degrees, component dicts and endpoints are.
+
+Two complexes are equal when they have the same algebra, the same summands
+and the same differentials, an absent differential counting as zero.
+``ProjComplex.__eq__`` is the one complex-equality rule: every endpoint check
+here (sums, composition, layouts, operators, contractions and the legs of a
+triangle) asks it, so a map may sit on any equal copy of its endpoints, and
+one whose endpoints merely share summands with the expected ones is refused.
 
 ``GradedMap.is_chain_map`` is the one chain-map test: ``chain_map``,
 ``cone``, triangle recognition and certificate replay, the lifting checks
@@ -322,15 +329,23 @@ class ProjComplex:
         diff = {m: d for m, d in self.diff.items() if m + 1 <= n}
         return ProjComplex(self.alg, summands, diff, name=f"{self.name}|<={n}")
 
+    def __eq__(self, other):
+        """Same algebra, summands and differentials; the name is not compared."""
+        if self is other:
+            return True
+        if not isinstance(other, ProjComplex):
+            return NotImplemented
+        # an absent differential is zero: test the stored one, build no zero block
+        return (self.alg == other.alg and self.summands == other.summands
+                and all(d == other.diff[n] if n in other.diff else d.is_zero()
+                        for n, d in self.diff.items())
+                and all(n in self.diff or d.is_zero() for n, d in other.diff.items()))
+
+    __hash__ = None
+
     def __repr__(self):
         parts = ", ".join(f"{n}:{list(s)}" for n, s in sorted(self.summands.items()))
         return f"ProjComplex({self.name}: {parts or 'zero'})"
-
-
-def same_complex(X: ProjComplex, Y: ProjComplex) -> bool:
-    """Literal equality: same summands and the same differentials."""
-    return X.summands == Y.summands and all(
-        X.diff_at(n) == Y.diff_at(n) for n in X.degrees())
 
 
 def single_summand_complex(alg, idem: int, degree: int = 0, name: Optional[str] = None) -> ProjComplex:
@@ -368,9 +383,8 @@ class GradedMap:
         return not self.components
 
     def _check_parallel(self, other: "GradedMap"):
-        if (self.degree != other.degree
-                or self.source.summands != other.source.summands
-                or self.target.summands != other.target.summands):
+        if (self.degree != other.degree or self.source != other.source
+                or self.target != other.target):
             raise HomcatError("maps are not parallel")
 
     def __add__(self, other: "GradedMap") -> "GradedMap":
@@ -399,7 +413,7 @@ class GradedMap:
 
     def compose(self, other: "GradedMap") -> "GradedMap":
         """self . other: apply other first.  Degrees add."""
-        if other.target is not self.source and other.target.summands != self.source.summands:
+        if other.target != self.source:
             raise HomcatError("composition endpoint mismatch")
         comps = {}
         for n in other.source.degrees():
@@ -440,7 +454,8 @@ class GradedMap:
         if not isinstance(other, GradedMap):
             return NotImplemented
         # exact: the constructor stores no zero component
-        return self.degree == other.degree and self.components == other.components
+        return (self.degree == other.degree and self.components == other.components
+                and self.source == other.source and self.target == other.target)
 
     __hash__ = None
 
@@ -554,8 +569,7 @@ class MapLayout:
 
     def pack(self, g: GradedMap) -> List:
         ring = self.alg.ring
-        if g.source.summands != self.X.summands or g.target.summands != self.Y.summands \
-                or g.degree != self.degree:
+        if g.source != self.X or g.target != self.Y or g.degree != self.degree:
             raise HomcatError("map does not fit this layout")
         out = [ring.zero] * self.dim
         for n, r, c, corner, off in self.slots:
@@ -631,13 +645,11 @@ def operator_matrix(layout_in: MapLayout, layout_out: MapLayout,
     ring = layout_in.alg.ring
     X, Y, s = layout_in.X, layout_in.Y, layout_in.degree
     if post is not None and (
-            post.source.summands != Y.summands or layout_out.X.summands != X.summands
-            or layout_out.Y.summands != post.target.summands
+            post.source != Y or layout_out.X != X or layout_out.Y != post.target
             or layout_out.degree != s + post.degree):
         raise HomcatError("post-composition does not fit the layouts")
     if pre is not None and (
-            pre.target.summands != X.summands or layout_out.X.summands != pre.source.summands
-            or layout_out.Y.summands != Y.summands
+            pre.target != X or layout_out.X != pre.source or layout_out.Y != Y
             or layout_out.degree != s + pre.degree):
         raise HomcatError("pre-composition does not fit the layouts")
     items: Dict[Tuple[int, int], object] = {}
@@ -804,8 +816,7 @@ def homotopy_inverse_from_contraction(phi: GradedMap, h: GradedMap):
     """
     X, Y = phi.source, phi.target
     C, _, _ = cone(phi)
-    if (h.source.summands != C.summands or h.target.summands != C.summands
-            or h.degree != -1):
+    if h.source != C or h.target != C or h.degree != -1:
         raise HomcatError("not a contraction of the cone")
     inv_comps = {}
     a_comps = {}
@@ -851,12 +862,12 @@ def recognize_triangle(alpha: GradedMap, beta: GradedMap, gamma: GradedMap) -> T
     """
     X, Y = alpha.source, alpha.target
     Z = beta.target
-    if beta.source.summands != Y.summands:
+    if beta.source != Y:
         raise HomcatError("triangle legs do not compose: target of first != source of second")
-    if gamma.source.summands != Z.summands:
+    if gamma.source != Z:
         raise HomcatError("triangle legs do not compose: target of second != source of third")
     SX = X.shift(1)
-    if gamma.target.summands != SX.summands:
+    if gamma.target != SX:
         raise HomcatError("third leg must land in the shifted first object")
     for leg, nm in ((alpha, "first"), (beta, "second"), (gamma, "third")):
         if not leg.is_chain_map():

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .functors import BimoduleFunctor, FiniteSubcat, annihilator_classes, kernel_objects
-from .homcat import GradedMap, HomSpace, recognize_triangle, same_complex
+from .homcat import GradedMap, HomSpace, recognize_triangle
 from .linalg import Mat, Subspace, solve_left
 
 
@@ -52,7 +52,7 @@ class HomIdeal:
     """Per-pair subspaces of hom classes, verified two-sided."""
 
     def __init__(self, subcat: FiniteSubcat,
-                 components: Dict[Pair, Subspace], validate: bool = True):
+                 components: Dict[Pair, Subspace]):
         self.subcat = subcat
         ring = subcat.alg.ring
         self.components: Dict[Pair, Subspace] = {}
@@ -70,7 +70,7 @@ class HomIdeal:
         for key in components:
             if key not in self.components:
                 raise IdealError(f"component at unknown pair {key}")
-        if validate and not self._closed():
+        if not self._closed():
             raise IdealError("components are not closed under composition")
 
     def _closed(self) -> bool:
@@ -109,7 +109,7 @@ class HomIdeal:
 
 
 def zero_ideal(subcat: FiniteSubcat) -> HomIdeal:
-    return HomIdeal(subcat, {}, validate=False)
+    return HomIdeal(subcat, {})
 
 
 def _composites(subcat: FiniteSubcat, a: str, b: str, rows: Sequence[Sequence]):
@@ -259,8 +259,8 @@ class SaturationCheck:
     holds: bool
 
 
-def saturation_report(I: HomIdeal, triangles: Sequence[TrianglePresentation],
-                      verify: bool = True) -> Tuple[bool, List[SaturationCheck]]:
+def saturation_report(I: HomIdeal, triangles: Sequence[TrianglePresentation]
+                      ) -> Tuple[bool, List[SaturationCheck]]:
     """Test saturation against the supplied triangles.
 
     For a triangle (alpha, beta) with the middle leg beta inside the
@@ -275,13 +275,12 @@ def saturation_report(I: HomIdeal, triangles: Sequence[TrianglePresentation],
         na, nb, nc = tri.names
         for name, obj in ((na, tri.alpha.source), (nb, tri.alpha.target),
                           (nc, tri.beta.target)):
-            if name not in subcat.objects or not same_complex(subcat.objects[name], obj):
+            if name not in subcat.objects or subcat.objects[name] != obj:
                 raise IdealError(f"triangle object does not match {name!r}")
-        if verify:
-            verdict = recognize_triangle(tri.alpha, tri.beta, tri.gamma)
-            if verdict.verdict != "exact":
-                raise IdealError(f"triangle on {tri.names} failed verification: "
-                                 f"{verdict.reason}")
+        verdict = recognize_triangle(tri.alpha, tri.beta, tri.gamma)
+        if verdict.verdict != "exact":
+            raise IdealError(f"triangle on {tri.names} failed verification: "
+                             f"{verdict.reason}")
         beta_in = I.contains_map(nb, nc, tri.beta)
         alpha_coords = subcat.hom(na, nb).class_coords(tri.alpha)
         for y in subcat.names():
@@ -316,12 +315,11 @@ class ExactIdealReport:
 
 
 def exact_ideal_report(I: HomIdeal,
-                       triangles: Sequence[TrianglePresentation] = (),
-                       verify_triangles: bool = True) -> ExactIdealReport:
+                       triangles: Sequence[TrianglePresentation] = ()) -> ExactIdealReport:
     square = ideal_product(I, I)
     stable, pairs = shift_stability_report(I)
     if triangles:
-        sat, checks = saturation_report(I, triangles, verify=verify_triangles)
+        sat, checks = saturation_report(I, triangles)
     else:
         sat, checks = None, []
     return ExactIdealReport(square, square == I, stable, pairs, sat, checks)

@@ -36,7 +36,6 @@ from .homcat import (
     identity_map,
     is_contractible,
     is_homotopy_equivalence,
-    same_complex,
     verify_contraction,
     zero_complex,
 )
@@ -79,7 +78,7 @@ def _check_problem(F: BimoduleFunctor, X: ProjComplex, Y: ProjComplex,
     FX, FY = F.apply_complex(X), F.apply_complex(Y)
     if not alpha.is_chain_map():
         raise LiftError("the map to lift must be a degree-0 chain map")
-    if not same_complex(alpha.source, FX) or not same_complex(alpha.target, FY):
+    if alpha.source != FX or alpha.target != FY:
         raise LiftError("the map to lift does not connect the functor images")
     return FX, FY
 
@@ -159,12 +158,9 @@ def lift_chain_map(F: BimoduleFunctor, X: ProjComplex, Y: ProjComplex,
                 SK = K.shift(n)
                 H = HomSpace(Xc, SK)
                 for b_idx, psi in enumerate(H.basis()):
-                    C, _, proj = cone(psi)
-                    Xn = C.shift(-1)
-                    step = GradedMap(Xn, Xc, 0,
-                                     proj.shift(-1).neg().components,
-                                     name="step")
-                    queue.append((Xn, pi.compose(step), depth + 1,
+                    _, _, proj = cone(psi)
+                    step = proj.shift(-1).neg()
+                    queue.append((step.source, pi.compose(step), depth + 1,
                                   path + ((g_idx, n, b_idx),)))
     return MapLiftReport("not_found", None, tried, depth_reached)
 
@@ -173,9 +169,9 @@ def verify_map_lift(F: BimoduleFunctor, X: ProjComplex, Y: ProjComplex,
                     alpha: GradedMap, cert: MapLiftCertificate) -> Tuple[bool, str]:
     """Re-check a lift certificate by direct arithmetic only."""
     pi, lifted = cert.to_source, cert.lifted
-    if not same_complex(pi.source, cert.replacement) or not same_complex(pi.target, X):
+    if pi.source != cert.replacement or pi.target != X:
         return False, "replacement map has wrong endpoints"
-    if not same_complex(lifted.source, cert.replacement) or not same_complex(lifted.target, Y):
+    if lifted.source != cert.replacement or lifted.target != Y:
         return False, "lifted map has wrong endpoints"
     if not pi.is_chain_map():
         return False, "replacement map is not a chain map"
@@ -225,10 +221,10 @@ def _check_stalk_table(F: BimoduleFunctor, table: Dict[int, StalkLift]):
     for j, sl in table.items():
         FL = F.apply_complex(sl.source)
         stalk = single_summand_complex(F.target_alg, j, 0)
-        if not same_complex(sl.equivalence.source, FL):
+        if sl.equivalence.source != FL:
             raise LiftError(f"stalk lift {j}: equivalence source is not the "
                             "functor image")
-        if not same_complex(sl.equivalence.target, stalk):
+        if sl.equivalence.target != stalk:
             raise LiftError(f"stalk lift {j}: equivalence target is not the stalk")
         if not sl.equivalence.is_chain_map():
             raise LiftError(f"stalk lift {j}: equivalence is not a chain map")
@@ -258,16 +254,13 @@ def _lift_stalk_layer(F, Y: ProjComplex, h: int, table) -> Tuple[ProjComplex, Gr
         sl = table[j]
         parts.append((sl.source.shift(-h), sl.equivalence.shift(-h)))
     X, e = parts[0]
-    FX = F.apply_complex(X)
-    e = GradedMap(FX, e.target, 0, e.components)
     for Xi, ei in parts[1:]:
         X2 = direct_sum(X, Xi)
         FX2 = F.apply_complex(X2)
         tgt = direct_sum(e.target, ei.target)
         e = _sum_map(e, ei, FX2, tgt)
         X = X2
-    # re-anchor the comparison map on the literal truncation of Y
-    return X, chain_map(e.source, Y, e.components, name=f"stalks@{h}")
+    return X, e
 
 
 def lift_complex(F: BimoduleFunctor, Y: ProjComplex,
@@ -313,10 +306,8 @@ def _lift_rec(F, Y: ProjComplex, table, generators, budget,
         raise LiftError("internal error: stalk comparison not invertible")
     invA, _, _ = homotopy_inverse_from_contraction(eA, cA)
     XBs = XB.shift(-1)
-    FXBs = F.apply_complex(XBs)
-    eBs = GradedMap(FXBs, SB, 0, eB.shift(-1).components)
+    eBs = eB.shift(-1)
     m = invA.compose(dmap).compose(eBs)
-    m = GradedMap(FXBs, eA.source, 0, m.components)
     rep = lift_chain_map(F, XBs, XA, m, generators, budget)
     inner.append(rep)
     if rep.verdict != "found":
@@ -328,7 +319,7 @@ def _lift_rec(F, Y: ProjComplex, table, generators, budget,
     FX = F.apply_complex(X)
     Fd = F.apply_map(dhat)
     CFd, _, _ = cone(Fd)
-    if not same_complex(FX, CFd):
+    if FX != CFd:
         raise LiftError("internal error: functor image of the cone is not "
                         "the cone of the image")
     Fpi = F.apply_map(cert.to_source)
@@ -336,7 +327,7 @@ def _lift_rec(F, Y: ProjComplex, table, generators, budget,
     q = eA
     g = q.compose(Fd) - dmap.compose(p)
     Hsp = HomSpace(p.source, A)
-    ok, H = Hsp.is_nullhomotopic(GradedMap(p.source, A, 0, g.components))
+    ok, H = Hsp.is_nullhomotopic(g)
     if not ok:
         raise LiftError("internal error: comparison square does not commute "
                         "up to homotopy")
@@ -355,9 +346,9 @@ def verify_complex_lift(F: BimoduleFunctor, Y: ProjComplex,
     """Re-check a complex lift certificate by direct arithmetic only."""
     FX = F.apply_complex(cert.lift)
     e = cert.equivalence
-    if not same_complex(e.source, FX):
+    if e.source != FX:
         return False, "comparison map does not start at the functor image"
-    if not same_complex(e.target, Y):
+    if e.target != Y:
         return False, "comparison map does not end at the target"
     if not e.is_chain_map():
         return False, "comparison map is not a chain map"

@@ -25,7 +25,7 @@ from .almost import (
 )
 from .derived import check_homological_epi
 from .fixture import FixtureFile
-from .homcat import ProjComplex, recognize_triangle, same_complex, verify_triangle_certificate
+from .homcat import ProjComplex, recognize_triangle, verify_triangle_certificate
 from .ideals import (
     HomIdeal,
     TrianglePresentation,
@@ -76,7 +76,7 @@ def _task_int(task: Dict, key: str, minimum: int, default: Optional[int] = None,
 
 def _locate(subcat, X: ProjComplex, what: str) -> str:
     for name in subcat.names():
-        if same_complex(subcat.objects[name], X):
+        if subcat.objects[name] == X:
             return name
     raise TaskError(f"{what}: object is not in the subcategory window")
 
@@ -94,14 +94,16 @@ def _triangle_presentations(fx: FixtureFile, subcat, names: Sequence[str],
     out = []
     for tn in names:
         tri = fx.lookup("triangles", tn, what)
-        objs = tri.get("objects")
-        if objs:
-            na, nb, nc = objs
-        else:
-            na = _locate(subcat, tri["alpha"].source, f"triangle {tn}")
-            nb = _locate(subcat, tri["alpha"].target, f"triangle {tn}")
-            nc = _locate(subcat, tri["beta"].target, f"triangle {tn}")
-        out.append(TrianglePresentation((na, nb, nc), tri["alpha"],
+        legs = (tri["alpha"].source, tri["alpha"].target, tri["beta"].target)
+        objs = tri.get("objects") or [_locate(subcat, X, f"triangle {tn}") for X in legs]
+        for nm, X in zip(objs, legs):
+            if nm not in subcat.objects:
+                raise TaskError(f"triangle {tn}: object {nm!r} is not in the "
+                                f"subcategory window")
+            if subcat.objects[nm] != X:
+                raise TaskError(f"triangle {tn}: window object {nm!r} is not the "
+                                f"triangle's object")
+        out.append(TrianglePresentation(tuple(objs), tri["alpha"],
                                         tri["beta"], tri["gamma"]))
     return out
 

@@ -128,6 +128,16 @@ def test_rejects_unknown_field():
         FixtureFile({"format_version": 1, "field": "R"})
 
 
+def test_rejects_unknown_top_level_key():
+    data = dict(_base(), bogus_section={})
+    with pytest.raises(FixtureError, match="unknown top-level key 'bogus_section'"):
+        FixtureFile(data)
+    # every documented key loads, the almost cases under "almost"
+    sections = ["algebras", "ring_maps", "functors", "complexes", "maps", "subcategories",
+                "triangles", "ideals", "lifts", "complex_lifts", "contractions", "almost"]
+    FixtureFile(dict({k: {} for k in sections}, format_version=1, field="QQ", tasks=[]))
+
+
 def test_rejects_unknown_algebra_reference():
     data = _base()
     data["complexes"] = {"X": {"algebra": "nosuch", "summands": {"0": [0]}}}
@@ -678,6 +688,11 @@ MALFORMED_ENTRIES = [
      "triangle canonical: objects must be a list of three names"),
     ("triangle-objects-not-names", _set(["triangles", "canonical", "objects"], [1, 2, 3]),
      "triangle canonical: objects must be a list of three names"),
+    ("triangle-legs-do-not-compose", _set(["triangles", "canonical", "gamma"], "idP2_0"),
+     "triangle canonical: legs do not compose as X -> Y -> Z -> X[1]"),
+    ("triangle-third-leg-lands-elsewhere", _set(["maps", "gammazero", "target"], "P1s[1]"),
+     "triangle corrupt: legs do not compose"),
+    ("unknown-top-level-key", _set(["bogus_section"], {}), "unknown top-level key 'bogus_section'"),
 ]
 
 
@@ -732,3 +747,43 @@ def test_certificate_for_an_unknown_problem_exits_2(capsys, tmp_path, problem):
     assert cap.out == ""
     assert cap.err.strip().splitlines() == [
         f"kbproj: error: certificate {p}: unknown lift {problem!r}"]
+
+
+def _one_error_line(capsys, data, tmp_path, *task_ids):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    assert main(["run", "--fixture", str(p), *task_ids]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    lines = cap.err.strip().splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
+def test_triangle_whose_legs_share_only_summands_exits_2(capsys, tmp_path):
+    # S1z has the summands of S1r and a zero differential; beta lands in
+    # S1r and gsplit starts at S1z, so (iota, beta, gsplit) is no triangle
+    with open(CORNER) as fh:
+        data = json.load(fh)
+    data["complexes"]["S1z"] = dict(data["complexes"]["S1r"], diff={})
+    data["maps"]["gsplit"] = dict(data["maps"]["gamma"], source="S1z")
+    data["triangles"]["mixed"] = {"alpha": "iota", "beta": "beta", "gamma": "gsplit"}
+    data["tasks"].append({"id": "triangle-mixed", "command": "recognize-triangle",
+                          "name": "mixed"})
+    line = _one_error_line(capsys, data, tmp_path)
+    assert line == ("kbproj: error: triangle mixed: legs do not compose as "
+                    "X -> Y -> Z -> X[1]")
+
+
+@pytest.mark.parametrize("objects,want", [
+    (["x", "y", "z"], "triangle canonical: object 'x' is not in the subcategory window"),
+    (["P2s", "P1s", "nosuch"],
+     "triangle canonical: object 'nosuch' is not in the subcategory window"),
+    (["P1s", "P2s", "S1r"],
+     "triangle canonical: window object 'P1s' is not the triangle's object"),
+], ids=["unknown", "unknown-last", "wrong-position"])
+def test_ideal_triangle_objects_outside_the_window_exit_2(capsys, tmp_path, objects, want):
+    with open(CORNER) as fh:
+        data = json.load(fh)
+    data["triangles"]["canonical"]["objects"] = objects
+    assert _one_error_line(capsys, data, tmp_path, "ideal-ann-g") == f"kbproj: error: {want}"

@@ -24,7 +24,7 @@ from oracles import (
 
 from kbproj.fixture import load_fixture
 from kbproj.functors import BimoduleFunctor, FunctorError, functor_matrix
-from kbproj.homcat import AlgMat, HomcatError, HomSpace, MapLayout, direct_sum, same_complex
+from kbproj.homcat import AlgMat, HomcatError, HomSpace, MapLayout, direct_sum
 from kbproj.linalg import Mat
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -189,7 +189,7 @@ def test_threads_racing_on_a_fresh_functor_get_identical_images():
     assert not any(th.is_alive() for th in threads)
     assert all(r is not None for r in results)
     assert all(img == want for img, _ in results)
-    assert all(same_complex(FX, results[0][1]) for _, FX in results)
+    assert all(FX == results[0][1] for _, FX in results)
 
 
 def test_witness_span_is_checked_when_a_table_is_built():

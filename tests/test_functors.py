@@ -219,6 +219,16 @@ def test_subcat_rejects_false_shift_pairing(ctx):
                      shifts={"P1s": "P2s"})
 
 
+def test_subcat_compares_algebras_by_equality(ctx):
+    # an equal copy of the algebra is the same algebra; a different one is not
+    copy = ut2_complexes()
+    assert copy["alg"] is not ctx["P1s"].alg
+    mixed = FiniteSubcat({"P1s": ctx["P1s"], "P2s": copy["P2s"]})
+    assert mixed.hom("P2s", "P1s").dim == 1
+    with pytest.raises(FunctorError, match="different algebras"):
+        FiniteSubcat({"P1s": ctx["P1s"], "k": single_summand_complex(ground_field(), 0)})
+
+
 def test_subcat_hom_cache_and_dims(subcat):
     assert subcat.hom("P1s", "S1r") is subcat.hom("P1s", "S1r")
     assert subcat.hom("P1s", "S1r").dim == 1

@@ -27,6 +27,7 @@ from kbproj.homcat import (
     is_contractible,
     is_homotopy_equivalence,
     homotopy_inverse_from_contraction,
+    operator_matrix,
     recognize_triangle,
     rotate_triangle,
     single_summand_complex,
@@ -389,3 +390,59 @@ def test_recognizer_on_random_cone_triangles(ex):
             assert verify_triangle_certificate(phi, incl, proj, v)
             tried += 1
     assert tried >= 4
+
+
+# -- one equality rule for complexes and maps --------------------------------
+
+
+@pytest.fixture(scope="module")
+def split_leg(ex):
+    """S1z: the summands of S1r with a zero differential; gsplit: gamma's
+    component on S1z -> P2s[1], a chain map."""
+    S1r = ex["S1r"]
+    S1z = ProjComplex(ex["alg"], S1r.summands, {}, name="S1z")
+    gsplit = chain_map(S1z, ex["P2s"].shift(1), dict(ex["gamma"].components), name="gsplit")
+    return S1z, gsplit
+
+
+def test_complexes_are_equal_by_summands_and_differentials(ex, split_leg):
+    A, S1r = ex["alg"], ex["S1r"]
+    S1z, _ = split_leg
+    assert S1r == S1r.shift(1).shift(-1) and S1r.shift(1).shift(-1) is not S1r
+    assert S1z != S1r and S1r != S1z
+    # a stored zero differential is the absent one
+    assert S1z == ProjComplex(A, S1r.summands, {-1: AlgMat.zeros(A, (0,), (1,))})
+    assert S1r != ex["P1s"] and S1r != S1r.shift(1)
+    with pytest.raises(TypeError):
+        hash(S1r)
+
+
+def test_maps_with_equal_components_and_different_endpoints_are_unequal(ex, split_leg):
+    gamma = ex["gamma"]
+    _, gsplit = split_leg
+    assert gsplit.components == gamma.components and gsplit.degree == gamma.degree
+    assert gsplit != gamma
+    twin = GradedMap(ex["S1r"].shift(1).shift(-1), ex["P2s"].shift(1), 0,
+                     dict(gamma.components))
+    assert twin == gamma
+
+
+def test_endpoint_checks_compare_differentials(ex, split_leg):
+    S1r, P2s1 = ex["S1r"], ex["P2s"].shift(1)
+    _, gsplit = split_leg
+    with pytest.raises(HomcatError, match="parallel"):
+        ex["gamma"] - gsplit
+    with pytest.raises(HomcatError, match="endpoint"):
+        gsplit.compose(ex["beta"])
+    with pytest.raises(HomcatError, match="layout"):
+        MapLayout(S1r, P2s1, 0).pack(gsplit)
+    with pytest.raises(HomcatError, match="post-composition"):
+        operator_matrix(MapLayout(ex["P1s"], S1r, 0), MapLayout(ex["P1s"], P2s1, 0),
+                        post=gsplit)
+
+
+def test_recognizer_rejects_legs_that_share_only_summands(ex, split_leg):
+    # beta lands in S1r, gsplit starts at S1z: the legs do not compose
+    _, gsplit = split_leg
+    with pytest.raises(HomcatError, match="do not compose"):
+        recognize_triangle(ex["iota"], ex["beta"], gsplit)

@@ -3,8 +3,9 @@ only ``homcat`` builds summand matrices without the corner check, only
 ``linalg`` knows that a non-integral rational is a ``Fraction``, no
 module multiplies two basis vectors to read a structure constant, no
 loop asks for class coordinates one map at a time, graded-map
-arithmetic builds no zero blocks to multiply, and ``GradedMap.is_chain_map``
-is the only chain-map test."""
+arithmetic builds no zero blocks to multiply, ``GradedMap.is_chain_map``
+is the only chain-map test, and ``ProjComplex.__eq__`` is the only
+complex-equality rule."""
 
 import ast
 import os
@@ -166,7 +167,7 @@ def test_no_class_coords_per_map_in_a_loop(module):
 
 
 _SKIPS_ABSENT_BLOCKS = {"GradedMap": ("delta", "compose", "__add__", "__sub__", "__eq__"),
-                        "ProjComplex": ("_validate",), "MapLayout": ("pack",)}
+                        "ProjComplex": ("_validate", "__eq__"), "MapLayout": ("pack",)}
 _ZERO_BLOCK_BUILDERS = {"component", "diff_at", "zeros"}
 
 
@@ -206,3 +207,35 @@ def test_only_is_chain_map_tests_for_a_chain_map(module):
         assert allowed, "GradedMap.is_chain_map no longer tests delta(f) = 0"
     uses = [f"{module}:{n.lineno}" for n in _delta_is_zero_calls(tree) if id(n) not in allowed]
     assert not uses, ".delta().is_zero() outside GradedMap.is_chain_map: " + ", ".join(uses)
+
+
+def _summand_comparisons(tree):
+    """Comparisons with a ``.summands`` attribute on two of their sides."""
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Compare)
+            and sum(isinstance(x, ast.Attribute) and x.attr == "summands"
+                    for x in [n.left, *n.comparators]) >= 2]
+
+
+def _mentions(node, name):
+    return ((isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and name in (node.name, node.asname))
+            or (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_projcomplex_eq_compares_complexes(module):
+    # two complexes are equal when ProjComplex.__eq__ says so: summands and
+    # differentials together, never the summands alone
+    tree = _parse(module)
+    allowed = set()
+    if module == "homcat.py":
+        cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ProjComplex")
+        eq = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__eq__")
+        allowed = set(map(id, _summand_comparisons(eq)))
+        assert allowed, "ProjComplex.__eq__ no longer compares summands"
+    uses = [f"{module}:{n.lineno}: same_complex" for n in ast.walk(tree)
+            if _mentions(n, "same_complex")]
+    uses += [f"{module}:{n.lineno}: .summands compared" for n in _summand_comparisons(tree)
+             if id(n) not in allowed]
+    assert not uses, "complexes compared outside ProjComplex.__eq__: " + ", ".join(uses)
