@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import Mat, Subspace, hstack, solve
+from .linalg import Mat, Subspace, hstack, left_kernel
 
 
 class AlgebraError(ValueError):
@@ -276,12 +276,9 @@ class FdModule:
 
     def annihilated_by(self, space: Subspace) -> Subspace:
         """Largest submodule killed by the given ideal: {m : m.a = 0 for all a}."""
-        ring = self.algebra.ring
         if space.dim == 0:
-            return Subspace.full(ring, self.dim)
-        blocks = [self.action_of(arow) for arow in space.rows]
-        _, ker = solve(hstack(blocks).transpose(), Mat.zeros(ring, space.dim * self.dim, 1))
-        return ker
+            return Subspace.full(self.algebra.ring, self.dim)
+        return left_kernel(hstack([self.action_of(arow) for arow in space.rows]))
 
     def __repr__(self):
         return f"FdModule({self.name}, dim={self.dim} over {self.algebra.name})"
@@ -329,26 +326,22 @@ def hom_modules(M: FdModule, N: FdModule) -> List[Mat]:
         raise AlgebraError("modules over different algebras")
     ring = M.algebra.ring
     nm, nn = M.dim, N.dim
-    if nm == 0 or nn == 0:
-        return []
-    # unknown F (nm x nn), constraints rhoM(b) F = F rhoN(b), flattened rows
-    rows = []
+    # unknown F (nm x nn), constraints rhoM(b) F = F rhoN(b): row k*nn + j is
+    # the unknown F[k][j], column (b*nm + i)*nn + j the constraint's entry (i, j)
+    items: Dict[Tuple[int, int], object] = {}
     for b in range(M.algebra.dim):
-        A, B = M.action[b], N.action[b]
-        for i in range(nm):
+        off = b * nm * nn
+        for i, k, a in M.action[b].items():
             for j in range(nn):
-                row = [ring.zero] * (nm * nn)
-                for k in range(nm):
-                    row[k * nn + j] = ring.add(row[k * nn + j], A.entry(i, k))
-                for l in range(nn):
-                    row[i * nn + l] = ring.sub(row[i * nn + l], B.entry(l, j))
-                rows.append(row)
-    big = Mat.from_rows(ring, rows, nm * nn)
-    _, ker = solve(big, Mat.zeros(ring, big.nrows, 1))
-    out = []
-    for kv in ker.rows:
-        out.append(Mat.from_rows(ring, [kv[i * nn:(i + 1) * nn] for i in range(nm)], nn))
-    return out
+                key = (k * nn + j, off + i * nn + j)
+                items[key] = ring.add(items[key], a) if key in items else a
+        for l, j, c in N.action[b].items():
+            for i in range(nm):
+                key = (i * nn + l, off + i * nn + j)
+                items[key] = ring.sub(items[key], c) if key in items else ring.neg(c)
+    ker = left_kernel(Mat.from_entries(ring, nm * nn, M.algebra.dim * nm * nn, items))
+    return [Mat.from_rows(ring, [kv[i * nn:(i + 1) * nn] for i in range(nm)], nn)
+            for kv in ker.rows]
 
 
 class Bimodule:
@@ -585,8 +578,7 @@ def radical(alg: AlgebraPresentation) -> TwoSidedIdeal:
         raise AlgebraError("radical requires a field")
     rows = [[alg.trace_left_mult(prod) for prod in row] for row in alg.structure]
     T = Mat.from_rows(ring, rows, alg.dim)
-    _, ker = solve(T.transpose(), Mat.zeros(ring, alg.dim, 1))
-    ideal = TwoSidedIdeal(alg, ker, name=f"rad({alg.name})")
+    ideal = TwoSidedIdeal(alg, left_kernel(T), name=f"rad({alg.name})")
     if not ideal.is_nilpotent():
         raise AlgebraError("trace-form kernel is not nilpotent; radical unavailable")
     return alg._built.setdefault("radical", ideal)

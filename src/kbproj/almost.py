@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
+    AlgebraError,
     AlgebraPresentation,
     FdModule,
     TwoSidedIdeal,
@@ -39,7 +40,7 @@ from .algebra import (
 from .functors import FiniteSubcat
 from .homcat import AlgMat, HomSpace, ProjComplex, chain_map, cone
 from .ideals import HomIdeal, is_idempotent_ideal
-from .linalg import Mat, Subspace, solve_left
+from .linalg import Mat, Subspace, left_kernel
 
 
 class AlmostError(ValueError):
@@ -88,7 +89,7 @@ def standard_modules(alg: AlgebraPresentation) -> Dict[str, FdModule]:
         projs.append((i, P))
     try:
         rad = radical(alg)
-    except Exception:
+    except AlgebraError:
         return out
     for i, P in projs:
         S, _ = quotient_module(P, P.times_ideal(rad.space))
@@ -408,13 +409,7 @@ def almost_derived_ideal(alg: AlgebraPresentation, ideal: TwoSidedIdeal,
                 K = HX.class_matrix([xi.compose(f) for f in fs for xi in xis])
                 for p, coords in enumerate(K.rows()):
                     rows[p // len(xis)].extend(coords)
-            width = len(rows[0])
-            if width == 0:
-                comps[(an, bn)] = Subspace.full(ring, H.dim)
-                continue
-            M = Mat.from_rows(ring, rows, width)
-            _, ker = solve_left(M, Mat.zeros(ring, 1, width))
-            comps[(an, bn)] = ker
+            comps[(an, bn)] = left_kernel(Mat.from_rows(ring, rows, len(rows[0])))
     I = HomIdeal(subcat, comps)
     note = ("right projectivity of the ideal and its tensor square is "
             "witness-certified; flatness of the square as a left module "

@@ -25,7 +25,7 @@ from .algebra import (
     submodule,
 )
 from .homcat import AlgMat, ProjComplex
-from .linalg import Mat, Subspace, rank, solve_left
+from .linalg import Mat, Subspace, left_kernel, rank
 
 
 class DerivedError(ValueError):
@@ -56,7 +56,8 @@ def minimal_generators(M: FdModule, radsp: Subspace) -> List[Tuple[int, List]]:
 
 
 def projective_cover(M: FdModule, radsp: Subspace):
-    """Minimal cover P -> M.  Returns (summand indices, P module, cover Mat).
+    """Minimal cover P -> M.  Returns (summand indices, P module, cover Mat,
+    kernel of the cover as a subspace of P).
 
     The cover matrix is in row convention (P.dim x M.dim).  Surjectivity and
     minimality (kernel inside P.rad) are verified, not assumed.
@@ -72,7 +73,7 @@ def projective_cover(M: FdModule, radsp: Subspace):
     cover = Mat.from_rows(alg.ring, rows, M.dim)
     if rank(cover) != M.dim:
         raise DerivedError("cover is not surjective")
-    _, ker = solve_left(cover, Mat.zeros(alg.ring, 1, M.dim)) if P.dim else (None, Subspace.zero(alg.ring, 0))
+    ker = left_kernel(cover)
     if not ker.is_subspace_of(P.times_ideal(radsp)):
         raise DerivedError("cover is not minimal: kernel escapes the radical")
     return idxs, P, cover, ker

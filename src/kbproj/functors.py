@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Bimodule, RingMap, induction_bimodule, restriction_bimodule
 from .homcat import AlgMat, GradedMap, HomSpace, MapLayout, ProjComplex, is_contractible
-from .linalg import Mat, Subspace, rank, solve_left
+from .linalg import Mat, Subspace, left_kernel, rank, solve_left
 
 
 class FunctorError(ValueError):
@@ -109,7 +109,7 @@ class BimoduleFunctor:
         basis = self.source_alg.corner_space(t, s).rows
         srcw = self.witnesses[s]
         imgs = [self.bimodule.left_of(a).row_apply(list(wv)) for a in basis for _, wv in srcw]
-        x, _ = solve_left(self._wmat[t], Mat.from_rows(ring, imgs, self.bimodule.dim))
+        x = solve_left(self._wmat[t], Mat.from_rows(ring, imgs, self.bimodule.dim))
         if x is None:
             raise FunctorError(f"{self.name}: image escaped the witness span")
         coords = x.rows()
@@ -272,14 +272,9 @@ def functor_class_matrix(F: BimoduleFunctor, H: HomSpace,
 def annihilator_classes(F: BimoduleFunctor, H: HomSpace,
                         FH: HomSpace, FX: ProjComplex, FY: ProjComplex) -> Subspace:
     """Classes killed by the functor, as a subspace in class coordinates."""
-    ring = F.source_alg.ring
     if H.dim == 0:
-        return Subspace.zero(ring, 0)
-    M = functor_class_matrix(F, H, FH, FX, FY)
-    if FH.dim == 0:
-        return Subspace.full(ring, H.dim)
-    _, ker = solve_left(M, Mat.zeros(ring, 1, FH.dim))
-    return ker
+        return Subspace.zero(F.source_alg.ring, 0)
+    return left_kernel(functor_class_matrix(F, H, FH, FX, FY))
 
 
 def kernel_objects(F: BimoduleFunctor, subcat: FiniteSubcat) -> List[str]:

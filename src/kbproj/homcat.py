@@ -72,7 +72,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraPresentation
-from .linalg import Mat, Subspace, hstack, solve_left, vstack
+from .linalg import Mat, Subspace, hstack, left_kernel, solve_left, vstack
 
 
 class HomcatError(ValueError):
@@ -726,10 +726,7 @@ class HomSpace:
 
     @cached_property
     def cycles(self) -> Subspace:
-        if self.L0.dim:
-            _, cycles = solve_left(self.D0, Mat.zeros(self.ring, 1, self.L1.dim))
-        else:
-            cycles = Subspace.zero(self.ring, 0)
+        cycles = left_kernel(self.D0) if self.L0.dim else Subspace.zero(self.ring, 0)
         if not self.boundaries.is_subspace_of(cycles):
             raise HomcatError("internal error: boundaries not inside cycles")
         return cycles
@@ -758,7 +755,7 @@ class HomSpace:
         if not self.reps:
             return Mat.zeros(self.ring, V.nrows, 0)
         M = Mat.from_rows(self.ring, self.reps + list(self.boundaries.rows), self.L0.dim)
-        x, _ = solve_left(M, V)
+        x = solve_left(M, V)
         if x is None:
             raise HomcatError("internal error: cycle escaped its own span")
         return Mat.from_entries(self.ring, V.nrows, self.dim,
@@ -779,7 +776,7 @@ class HomSpace:
             return True, zero_map(self.X, self.Y, degree=-1)
         if self.Lm1.dim == 0:
             return False, None
-        x, _ = solve_left(self.Dm1, Mat.from_rows(ring, [v], self.L0.dim))
+        x = solve_left(self.Dm1, Mat.from_rows(ring, [v], self.L0.dim))
         if x is None:
             return False, None
         return True, self.Lm1.unpack(x.row(0))
@@ -911,7 +908,7 @@ def recognize_triangle(alpha: GradedMap, beta: GradedMap, gamma: GradedMap) -> T
         mid = hstack([zero(ring, n1, m0), D_yz.neg(), zero(ring, n1, m2)])
         bot = hstack([zero(ring, n2, m0), zero(ring, n2, m1), D_csx.neg()])
         M = vstack([top, mid, bot])
-        x, _ = solve_left(M, Mat.from_rows(ring, [rhs], m0 + m1 + m2))
+        x = solve_left(M, Mat.from_rows(ring, [rhs], m0 + m1 + m2))
         if x is None:
             return TriangleVerdict("not_exact", "no comparison map from the cone exists")
         sol = x.row(0)

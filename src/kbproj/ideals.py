@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .functors import BimoduleFunctor, FiniteSubcat, annihilator_classes, kernel_objects
 from .homcat import GradedMap, HomSpace, recognize_triangle
-from .linalg import Mat, Subspace, solve_left
+from .linalg import Mat, Subspace, left_kernel
 
 
 class IdealError(ValueError):
@@ -229,16 +229,10 @@ def shift_stability_report(I: HomIdeal) -> Tuple[bool, List[Pair]]:
     return ok, checked
 
 
-def _preimage(subcat, ring, M: Mat, S: Subspace) -> Subspace:
+def _preimage(M: Mat, S: Subspace) -> Subspace:
     """Subspace {v : v @ M lies in S}."""
-    if M.nrows == 0:
-        return Subspace.zero(ring, 0)
-    qdim = S.ambient - S.dim
-    if qdim == 0:
-        return Subspace.full(ring, M.nrows)
-    MQ = Mat.from_rows(ring, [S.quotient_coords(r) for r in M.rows()], qdim)
-    _, ker = solve_left(MQ, Mat.zeros(ring, 1, qdim))
-    return ker
+    return left_kernel(Mat.from_rows(M.ring, [S.quotient_coords(r) for r in M.rows()],
+                                     S.ambient - S.dim))
 
 
 @dataclass
@@ -292,7 +286,7 @@ def saturation_report(I: HomIdeal, triangles: Sequence[TrianglePresentation]
                                    _unit(ring, Hby.dim, i))
                     for i in range(Hby.dim)]
             M = Mat.from_rows(ring, rows, subcat.hom(na, y).dim)
-            lhs = _preimage(subcat, ring, M, I.component(na, y))
+            lhs = _preimage(M, I.component(na, y))
             holds = lhs.is_subspace_of(I.component(nb, y))
             checks.append(SaturationCheck(tri.names, y, True, holds))
             if not holds:

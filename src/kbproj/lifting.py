@@ -114,7 +114,7 @@ def _try_node(F: BimoduleFunctor, Xc: ProjComplex, Y: ProjComplex,
     ])
     target = alpha.compose(Fpi)
     rhs = Mat.from_rows(ring, [lf0.pack(target) + [ring.zero] * la1.dim], M.ncols)
-    x, _ = solve_left(M, rhs)
+    x = solve_left(M, rhs)
     if x is None:
         return None
     coords = x.row(0)

@@ -12,7 +12,10 @@ Conventions
 * A ``Mat`` stores only its nonzero entries, as a dict ``{(i, j): v}``,
   whatever its density.  ``Mat.from_rows`` takes the width and checks every
   row against it, so an empty row list is a 0 x ncols matrix.
-* ``solve(A, b)`` solves ``A @ x = b`` (column unknowns), per-column.
+* ``solve(A, b)`` solves ``A @ x = b`` (column unknowns) and ``solve_left``
+  solves ``x @ A = b``; each returns one solution, or None when there is
+  none.  ``left_kernel(A)`` is the subspace {v : v @ A = 0}: the one way to
+  ask for a kernel.
 * ``Subspace`` bases are stored in reduced row echelon form, so two equal
   subspaces have identical bases.
 * Quotients V/S are taken in one basis: ``S.completion()``, the unit vectors
@@ -591,8 +594,7 @@ class Subspace:
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ring, self.ambient)
         # c = (a | b) with a*V + b*W = 0; intersection is spanned by a*V.
-        stacked = Mat.from_rows(self.ring, self.rows + other.rows, self.ambient)
-        _, ker = solve(stacked.transpose(), Mat.zeros(self.ring, self.ambient, 1))
+        ker = left_kernel(Mat.from_rows(self.ring, self.rows + other.rows, self.ambient))
         V = Mat.from_rows(self.ring, self.rows, self.ambient)
         vecs = [V.row_apply(kv[: self.dim]) for kv in ker.rows]
         return Subspace.from_spanning(self.ring, self.ambient, vecs)
@@ -650,12 +652,8 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
-def solve(A: Mat, b: Mat) -> Tuple[Optional[Mat], Subspace]:
-    """Solve A @ x = b exactly.
-
-    Returns (x, kernel): x is None when inconsistent; kernel is the subspace
-    {v : A @ v = 0} of ring^ncols (spans all homogeneous solutions).
-    """
+def solve(A: Mat, b: Mat) -> Optional[Mat]:
+    """Solve A @ x = b exactly: one solution x, or None when inconsistent."""
     _require_field(A.ring)
     ring = A.ring
     if b.nrows != A.nrows or b.ring != ring:
@@ -663,36 +661,36 @@ def solve(A: Mat, b: Mat) -> Tuple[Optional[Mat], Subspace]:
     n = A.ncols
     aug = [ra + rb for ra, rb in zip(A.rows(), b.rows())]
     red, pivots = rref_rows(ring, aug)
-    pivots_in_A = [p for p in pivots if p < n]
-    inconsistent = any(p >= n for p in pivots)
-
-    # kernel of A from the reduced rows restricted to A's columns
-    pivset = set(pivots_in_A)
-    free_cols = [j for j in range(n) if j not in pivset]
-    ker_vecs = []
-    arows = [r[:n] for r in red[: len(pivots_in_A)]]
-    for f in free_cols:
-        v = [ring.zero] * n
-        v[f] = ring.one
-        for row, p in zip(arows, pivots_in_A):
-            v[p] = ring.neg(row[f])
-        ker_vecs.append(v)
-    kernel = Subspace.from_spanning(ring, n, ker_vecs)
-
-    if inconsistent:
-        return None, kernel
-
+    if pivots and pivots[-1] >= n:
+        return None
     x_rows = [[ring.zero] * b.ncols for _ in range(n)]
-    for row, p in zip(red, pivots_in_A):
+    for row, p in zip(red, pivots):
         x_rows[p] = row[n:]
     x = Mat.from_rows(ring, x_rows, b.ncols)
     # exactness invariant: residual must vanish identically
     if not (A @ x - b).is_zero():
         raise LinalgError("internal error: nonzero solve residual")
-    return x, kernel
+    return x
 
 
-def solve_left(A: Mat, b: Mat) -> Tuple[Optional[Mat], Subspace]:
-    """Solve x @ A = b; kernel is the left null space {v : v @ A = 0}."""
-    xt, ker = solve(A.transpose(), b.transpose())
-    return (None if xt is None else xt.transpose()), ker
+def solve_left(A: Mat, b: Mat) -> Optional[Mat]:
+    """Solve x @ A = b exactly: one solution x, or None when inconsistent."""
+    xt = solve(A.transpose(), b.transpose())
+    return None if xt is None else xt.transpose()
+
+
+def left_kernel(A: Mat) -> Subspace:
+    """The left null space {v : v @ A = 0}, a subspace of ring^nrows."""
+    ring = A.ring
+    n = A.nrows
+    red, pivots = rref_rows(ring, A.transpose().rows())
+    pivset = set(pivots)
+    vecs = []
+    for f in range(n):
+        if f not in pivset:
+            v = [ring.zero] * n
+            v[f] = ring.one
+            for row, p in zip(red, pivots):
+                v[p] = ring.neg(row[f])
+            vecs.append(v)
+    return Subspace.from_spanning(ring, n, vecs)

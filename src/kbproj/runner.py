@@ -28,6 +28,7 @@ from .fixture import FixtureFile
 from .homcat import ProjComplex, recognize_triangle, verify_triangle_certificate
 from .ideals import (
     HomIdeal,
+    IdealError,
     TrianglePresentation,
     exact_ideal_report,
     ideal_closure,
@@ -214,7 +215,10 @@ def _run_check_ideal(fx: FixtureFile, task: Dict) -> Report:
     I = ideal_closure(subcat, {ab: subcat.hom(*ab).class_matrix(gs).rows()
                                for ab, gs in gens.items()})
     tris = _triangle_presentations(fx, subcat, spec["triangles"], f"ideal {name}")
-    rep = exact_ideal_report(I, tris)
+    try:
+        rep = exact_ideal_report(I, tris)
+    except IdealError as exc:
+        raise TaskError(f"ideal {name}: {exc}") from exc
     refuted = (not rep.idempotent or not rep.shift_stable
                or rep.saturated is False)
     verdict = "inconsistent" if refuted else "consistent"

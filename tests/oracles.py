@@ -639,14 +639,14 @@ def entry_block_by_solving(F, a, tgt_i, src_i):
     path that the functor's per-corner image tables replace.
     """
     from kbproj.functors import FunctorError
-    from kbproj.linalg import Mat, solve_left
+    from kbproj.linalg import Mat
 
     B, ring, S = F.bimodule, F.source_alg.ring, F.target_alg
     La = B.left_of(a)
     cols = []
     for _, wv in F.witnesses[src_i]:
         img = La.row_apply(list(wv))
-        x, _ = solve_left(F._wmat[tgt_i], Mat.from_rows(ring, [img], B.dim))
+        x, _ = solve_left_and_kernel(F._wmat[tgt_i], Mat.from_rows(ring, [img], B.dim))
         if x is None:
             raise FunctorError(f"{F.name}: image escaped the witness span")
         coords = x.row(0)
@@ -699,7 +699,7 @@ def class_coords_by_solving(H, f):
     """Class coordinates of one chain map in a ``HomSpace``, with a solve of
     its own against [representatives; boundaries]."""
     from kbproj.homcat import HomcatError
-    from kbproj.linalg import Mat, solve_left
+    from kbproj.linalg import Mat
 
     v = H.L0.pack(f)
     if any(H.D0.row_apply(v)):
@@ -707,7 +707,7 @@ def class_coords_by_solving(H, f):
     if not H.reps:
         return []
     M = Mat.from_rows(H.ring, H.reps + list(H.boundaries.rows), H.L0.dim)
-    x, _ = solve_left(M, Mat.from_rows(H.ring, [v], H.L0.dim))
+    x, _ = solve_left_and_kernel(M, Mat.from_rows(H.ring, [v], H.L0.dim))
     if x is None:
         raise HomcatError("internal error: cycle escaped its own span")
     return [x.entry(0, t) for t in range(len(H.reps))]
@@ -833,3 +833,45 @@ def quotient_matrix(ring, S):
         red = S.reduce(unit)
         rows.append([red[j] for j in free])
     return Mat.from_rows(ring, rows, len(free))
+
+
+# -- the solver that returned both answers -----------------------------------------
+
+
+def solve_and_kernel(A, b):
+    """Solve A @ x = b exactly, as ``linalg.solve`` did before it returned
+    one answer: (x, kernel), x None when inconsistent, kernel the subspace
+    {v : A @ v = 0} of ring^ncols, both read off one row reduction of [A | b].
+    """
+    from kbproj.linalg import LinalgError, Mat, Subspace, rref_rows
+
+    ring = A.ring
+    if b.nrows != A.nrows or b.ring != ring:
+        raise LinalgError("solve: right-hand side shape mismatch")
+    n = A.ncols
+    aug = [ra + rb for ra, rb in zip(A.rows(), b.rows())]
+    red, pivots = rref_rows(ring, aug)
+    pivots_in_A = [p for p in pivots if p < n]
+    pivset = set(pivots_in_A)
+    ker_vecs = []
+    for f in range(n):
+        if f not in pivset:
+            v = [ring.zero] * n
+            v[f] = ring.one
+            for row, p in zip(red, pivots_in_A):
+                v[p] = ring.neg(row[f])
+            ker_vecs.append(v)
+    kernel = Subspace.from_spanning(ring, n, ker_vecs)
+    if len(pivots_in_A) < len(pivots):
+        return None, kernel
+    x_rows = [[ring.zero] * b.ncols for _ in range(n)]
+    for row, p in zip(red, pivots_in_A):
+        x_rows[p] = row[n:]
+    return Mat.from_rows(ring, x_rows, b.ncols), kernel
+
+
+def solve_left_and_kernel(A, b):
+    """x @ A = b by ``solve_and_kernel`` on the transposes; the kernel is the
+    left null space {v : v @ A = 0}."""
+    xt, ker = solve_and_kernel(A.transpose(), b.transpose())
+    return (None if xt is None else xt.transpose()), ker

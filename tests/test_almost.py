@@ -2,6 +2,7 @@
 
 import pytest
 
+import kbproj.almost
 from build_examples import upper_triangular_2, ut2_complexes
 from kbproj.algebra import ideal_from_spanning, ideal_generated_by_idempotent, radical
 from kbproj.almost import (
@@ -22,7 +23,7 @@ from kbproj.almost import (
 from kbproj.functors import FiniteSubcat
 from kbproj.homcat import AlgMat, chain_map, is_contractible, is_homotopy_equivalence, single_summand_complex
 from kbproj.ideals import factor_through_ideal
-from kbproj.linalg import Mat
+from kbproj.linalg import GF, LinalgError, Mat
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +65,21 @@ def test_standard_modules_dims(A):
     dims = {nm: M.dim for nm, M in mods.items()}
     assert dims == {"R": 3, "0": 0, "P(e11)": 2, "P(e22)": 1,
                     "S(e11)": 1, "S(e22)": 1}
+
+
+def test_standard_modules_without_a_radical_omit_the_simples():
+    # UT2 over GF(3): the trace form needs p > dim = 3, so radical raises AlgebraError
+    mods = standard_modules(upper_triangular_2(GF(3)))
+    assert sorted(mods) == ["0", "P(e11)", "P(e22)", "R"]
+
+
+def test_standard_modules_propagate_an_internal_radical_error(A, monkeypatch):
+    def broken(alg):
+        raise LinalgError("internal error: nonzero solve residual")
+
+    monkeypatch.setattr(kbproj.almost, "radical", broken)
+    with pytest.raises(LinalgError, match="nonzero solve residual"):
+        standard_modules(A)
 
 
 def test_perp_membership(A):

@@ -787,3 +787,13 @@ def test_ideal_triangle_objects_outside_the_window_exit_2(capsys, tmp_path, obje
         data = json.load(fh)
     data["triangles"]["canonical"]["objects"] = objects
     assert _one_error_line(capsys, data, tmp_path, "ideal-ann-g") == f"kbproj: error: {want}"
+
+
+def test_ideal_triangle_that_is_not_exact_exits_2(capsys, tmp_path):
+    # the corrupt triangle's legs compose but no comparison map from the cone exists
+    with open(CORNER) as fh:
+        data = json.load(fh)
+    data["ideals"]["ann-g"]["triangles"] = ["corrupt"]
+    assert _one_error_line(capsys, data, tmp_path, "ideal-ann-g") == (
+        "kbproj: error: ideal ann-g: triangle on ('P2s', 'P1s', 'S1r') failed "
+        "verification: no comparison map from the cone exists")

@@ -4,8 +4,10 @@ only ``homcat`` builds summand matrices without the corner check, only
 module multiplies two basis vectors to read a structure constant, no
 loop asks for class coordinates one map at a time, graded-map
 arithmetic builds no zero blocks to multiply, ``GradedMap.is_chain_map``
-is the only chain-map test, and ``ProjComplex.__eq__`` is the only
-complex-equality rule."""
+is the only chain-map test, ``ProjComplex.__eq__`` is the only
+complex-equality rule, and no solve is asked for a kernel: ``solve`` and
+``solve_left`` get no ``Mat.zeros`` right-hand side and return no tuple to
+unpack, so kernels come only from ``left_kernel``."""
 
 import ast
 import os
@@ -239,3 +241,30 @@ def test_only_projcomplex_eq_compares_complexes(module):
     uses += [f"{module}:{n.lineno}: .summands compared" for n in _summand_comparisons(tree)
              if id(n) not in allowed]
     assert not uses, "complexes compared outside ProjComplex.__eq__: " + ", ".join(uses)
+
+
+_SOLVERS = {"solve", "solve_left"}
+
+
+def _is_solver_call(node):
+    return isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Name) and node.func.id in _SOLVERS)
+        or (isinstance(node.func, ast.Attribute) and node.func.attr in _SOLVERS))
+
+
+def _is_mat_zeros(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "zeros" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "Mat")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_kernels_come_only_from_left_kernel(module):
+    # a solver returns one solution: a homogeneous system is a left_kernel call
+    tree = _parse(module)
+    uses = [f"{module}:{n.lineno}: Mat.zeros right-hand side" for n in ast.walk(tree)
+            if _is_solver_call(n) and any(map(_is_mat_zeros, n.args))]
+    uses += [f"{module}:{n.lineno}: solver result unpacked" for n in ast.walk(tree)
+             if isinstance(n, ast.Assign) and _is_solver_call(n.value)
+             and any(isinstance(t, ast.Tuple) for t in n.targets)]
+    assert not uses, "kernel asked of a solver: " + ", ".join(uses)

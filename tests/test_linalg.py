@@ -15,13 +15,15 @@ from kbproj.linalg import (
     LinalgError,
     Mat,
     Subspace,
+    left_kernel,
     rank,
     rref_rows,
     solve,
     solve_left,
 )
 
-from oracles import FractionRationals, dim_from_count, plain_rank, quotient_matrix, span_members
+from oracles import (FractionRationals, dim_from_count, plain_rank, quotient_matrix,
+                     solve_and_kernel, solve_left_and_kernel, span_members)
 
 
 def q(x):
@@ -33,16 +35,17 @@ def qmat(rows):
 
 
 def test_solve_scalar_example():
-    x, ker = solve(qmat([[2]]), qmat([[1]]))
-    assert x.rows() == [[Fraction(1, 2)]]
-    assert ker.dim == 0
+    A = qmat([[2]])
+    assert solve(A, qmat([[1]])).rows() == [[Fraction(1, 2)]]
+    assert left_kernel(A.transpose()).dim == 0
 
 
 def test_solve_residual_is_exactly_zero():
     A = qmat([[1, 2, 3], [4, 5, 6]])
     b = qmat([[1], [1]])
-    x, ker = solve(A, b)
+    x = solve(A, b)
     assert (A @ x - b).is_zero()
+    ker = left_kernel(A.transpose())
     assert ker.dim == 1
     # homogeneous solutions really solve
     for kv in ker.rows:
@@ -53,9 +56,8 @@ def test_solve_residual_is_exactly_zero():
 def test_solve_inconsistent():
     A = qmat([[1, 1], [1, 1]])
     b = qmat([[0], [1]])
-    x, ker = solve(A, b)
-    assert x is None
-    assert ker.dim == 1
+    assert solve(A, b) is None
+    assert left_kernel(A.transpose()).dim == 1
 
 
 def test_rank_nullity_f7_random_rank2():
@@ -73,9 +75,10 @@ def test_rank_nullity_f7_random_rank2():
     assert rank(A) == 2
     x0 = Mat.from_rows(F, [[rng.randrange(7)] for _ in range(5)], 1)
     b = A @ x0
-    x, ker = solve(A, b)
+    x = solve(A, b)
     assert x is not None
     assert (A @ x - b).is_zero()
+    ker = left_kernel(A.transpose())
     assert ker.dim == 5 - plain_rank(A_rows, p=7)
     assert ker.dim == 3
 
@@ -176,10 +179,40 @@ def test_member_and_coords():
 def test_solve_left():
     A = qmat([[1, 2], [0, 1], [1, 0]])
     b = qmat([[2, 3]])
-    x, ker = solve_left(A, b)
+    x = solve_left(A, b)
     assert x is not None
     assert (x @ A - b).is_zero()
-    assert ker.ambient == 3
+    assert left_kernel(A).ambient == 3
+
+
+def _random_mat(ring, rnd, nrows, ncols):
+    rows = [[_nonzero_scalar(ring, rnd) if rnd.random() < 0.7 else ring.zero
+             for _ in range(ncols)] for _ in range(nrows)]
+    return Mat.from_rows(ring, rows, ncols)
+
+
+_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 4), (4, 2), (4, 4), (5, 3)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("ring", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_solvers_agree_with_the_two_answer_oracle(ring, seed):
+    # each n x m shape at every rank r <= min(n, m), as an n x r by r x m product
+    rnd = random.Random(seed)
+    for n, m in _SHAPES:
+        for r in range(min(n, m) + 1):
+            A = _random_mat(ring, rnd, n, r) @ _random_mat(ring, rnd, r, m)
+            ker = left_kernel(A)
+            assert ker == solve_and_kernel(A.transpose(), Mat.zeros(ring, m, 1))[1]
+            if n == 0:
+                assert ker == Subspace.zero(ring, 0)
+            if m == 0:
+                assert ker == Subspace.full(ring, n)
+            reachable = _random_mat(ring, rnd, 2, n) @ A
+            for b in (reachable, _random_mat(ring, rnd, 2, m)):
+                x = solve_left(A, b)
+                assert x == solve_left_and_kernel(A, b)[0]
+                assert x is not None or b is not reachable
 
 
 def test_laurent_rejected_by_solvers():
@@ -189,6 +222,8 @@ def test_laurent_rejected_by_solvers():
         rref_rows(L, M.rows())
     with pytest.raises(LinalgError):
         solve(M, M)
+    with pytest.raises(LinalgError):
+        left_kernel(M)
 
 
 def test_laurent_arithmetic_basics():
