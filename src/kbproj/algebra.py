@@ -401,9 +401,6 @@ class Bimodule:
         return Mat.lincomb(self.right_alg.ring, self.dim, self.dim,
                            ((c, a) for c, a in zip(x, self.right_action) if c))
 
-    def right_module(self) -> FdModule:
-        return FdModule(self.right_alg, self.dim, self.right_action, name=f"{self.name}|right")
-
     def left_space_of_idempotent(self, i: int) -> Subspace:
         """Span of e_i . B inside B."""
         e = self.left_alg.idempotent_vec(i)

@@ -13,7 +13,7 @@ module makes the pieces auditable:
 * ``almost_derived_ideal`` builds the mapping cone of the multiplication
   map (ideal tensor ideal -> algebra) as a complex of projectives and
   computes the maps a finite subcategory cannot see through its shifts.
-* ``ContractionFixture`` / ``verify_contraction_fixture`` re-check explicit
+* ``ContractionFixture`` / ``contraction_defects`` re-check explicit
   null-homotopy certificates for matrix complexes over exact rings,
   including Laurent-polynomial rings where no solver is available.
 """
@@ -29,7 +29,6 @@ from .algebra import (
     FdModule,
     TwoSidedIdeal,
     hom_modules,
-    ideal_from_spanning,
     ideal_generated_by_idempotent,
     projective_module,
     quotient_module,
@@ -45,34 +44,6 @@ from .linalg import Mat, Subspace, left_kernel
 
 class AlmostError(ValueError):
     pass
-
-
-# -- setup ---------------------------------------------------------------------
-
-
-@dataclass
-class AlmostSetup:
-    """An algebra together with a verified idempotent two-sided ideal."""
-
-    algebra: AlgebraPresentation
-    ideal: TwoSidedIdeal
-    idempotent: Optional[Tuple] = None
-
-
-def almost_setup(alg: AlgebraPresentation, e: Optional[Sequence] = None,
-                 generators: Optional[Sequence[Sequence]] = None) -> AlmostSetup:
-    """Build a setup from an idempotent element (ideal = ReR) or generators."""
-    if e is not None:
-        e = tuple(alg.ring.parse(c) for c in e)
-        ideal = ideal_generated_by_idempotent(alg, e)
-    elif generators is not None:
-        ideal = ideal_from_spanning(alg, generators)
-        e = None
-    else:
-        raise AlmostError("supply an idempotent element or ideal generators")
-    if not ideal.is_idempotent():
-        raise AlmostError(f"ideal {ideal.name} is not idempotent")
-    return AlmostSetup(alg, ideal, e)
 
 
 # -- sample modules ------------------------------------------------------------
@@ -141,9 +112,8 @@ class SerreAdjointReport:
     witness: Optional[SerreFailureWitness] = None
 
 
-def serre_adjoint_report(alg: AlgebraPresentation, ideal: TwoSidedIdeal,
-                         modules: Optional[Dict[str, FdModule]] = None
-                         ) -> SerreAdjointReport:
+def serre_adjoint_report(alg: AlgebraPresentation,
+                         ideal: TwoSidedIdeal) -> SerreAdjointReport:
     """Certify the killed-module class is a Serre subcategory, or refute it.
 
     For an idempotent ideal the modules it kills form a Serre subcategory
@@ -166,7 +136,7 @@ def serre_adjoint_report(alg: AlgebraPresentation, ideal: TwoSidedIdeal,
         verdict = "refuted" if witness.exhibits_failure else "inconclusive"
         return SerreAdjointReport(False, verdict, [], witness)
 
-    samples = modules if modules is not None else standard_modules(alg)
+    samples = standard_modules(alg)
     perp = {nm: N for nm, N in samples.items() if in_perp(N, ideal)}
     checks: List[AdjunctionCheck] = []
     for mname, M in samples.items():
@@ -227,9 +197,7 @@ class AlmostQuotientReport:
     verdict: str
 
 
-def almost_quotient(alg: AlgebraPresentation, e: Sequence,
-                    modules: Optional[Dict[str, FdModule]] = None
-                    ) -> AlmostQuotientReport:
+def almost_quotient(alg: AlgebraPresentation, e: Sequence) -> AlmostQuotientReport:
     """Present the quotient by the killed modules of ReR as corner modules."""
     ring = alg.ring
     e = tuple(ring.parse(c) for c in e)
@@ -256,16 +224,12 @@ def almost_quotient(alg: AlgebraPresentation, e: Sequence,
                                  name=f"corner({alg.name})")
     functor = CornerFunctor(alg, e, corner, basis)
 
-    samples = modules if modules is not None else standard_modules(alg)
+    samples = standard_modules(alg)
     dims = {nm: functor.apply(M).dim for nm, M in samples.items()}
 
     ideal = ideal_generated_by_idempotent(alg, e)
     checks: List[ExactnessCheck] = []
-    rho_checked = set()
     for nm, M in samples.items():
-        if id(M) in rho_checked:
-            continue
-        rho_checked.add(id(M))
         rho = M.action_of(e)
         for tag, space in (("ideal-image", M.times_ideal(ideal.space)),
                            ("ideal-kernel", M.annihilated_by(ideal.space))):
@@ -458,7 +422,7 @@ class ContractionFixture:
     composition reads left to right.  ``diff[n]`` maps degree n to n+1 and
     ``homotopy[n]`` maps degree n to n-1.  Squaring to zero is checked at
     construction; the contraction identity is checked by
-    ``verify_contraction_fixture`` only.
+    ``contraction_defects`` only.
     """
 
     def __init__(self, ring, dims: Dict[int, int], diff: Dict[int, Mat],
@@ -526,11 +490,6 @@ def contraction_defects(fx: ContractionFixture) -> Dict[int, Mat]:
     return out
 
 
-def verify_contraction_fixture(fx: ContractionFixture) -> bool:
-    """Exact check that the homotopy contracts the complex in every degree."""
-    return not contraction_defects(fx)
-
-
 def perturb_homotopy(fx: ContractionFixture, degree: int, row: int, col: int,
                      delta=None) -> ContractionFixture:
     """Copy the fixture with one homotopy entry shifted (default by one)."""
@@ -543,30 +502,3 @@ def perturb_homotopy(fx: ContractionFixture, degree: int, row: int, col: int,
     h[degree] = Mat.from_rows(ring, rows, base.ncols)
     return ContractionFixture(ring, fx.dims, fx.diff, h,
                               name=f"{fx.name}~({degree},{row},{col})")
-
-
-def koszul_contraction_fixture():
-    """Two-variable Koszul complex with the first variable inverted.
-
-    Inverting one of the two variables makes the complex on
-    R -> R^2 -> R exact, and the contraction is given by explicit
-    monomial matrices; the certificate is frozen here and re-checked
-    by plain Laurent arithmetic.
-    """
-    from .linalg import LaurentRing
-
-    ring = LaurentRing(["x", "y"])
-    x = ring.monomial((1, 0))
-    y = ring.monomial((0, 1))
-    xinv = ring.monomial((-1, 0))
-    z = ring.zero
-    dims = {-2: 1, -1: 2, 0: 1}
-    diff = {
-        -2: Mat.from_rows(ring, [[x, y]], 2),
-        -1: Mat.from_rows(ring, [[y], [ring.neg(x)]], 1),
-    }
-    homotopy = {
-        0: Mat.from_rows(ring, [[z, ring.neg(xinv)]], 2),
-        -1: Mat.from_rows(ring, [[xinv], [z]], 1),
-    }
-    return ContractionFixture(ring, dims, diff, homotopy, name="koszul-x-inverted")

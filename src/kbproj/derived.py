@@ -231,38 +231,36 @@ class TorReport:
     checked_up_to: int
 
 
-def tor_with_bimodule(M: FdModule, B: Bimodule, i_max: int,
-                      max_len: Optional[int] = None) -> TorReport:
-    res = proj_resolution(M, max_len if max_len is not None else i_max + 1)
+def tor_with_bimodule(M: FdModule, B: Bimodule, i_max: int) -> TorReport:
+    """Tor_i(M, B) for i <= i_max, from a resolution of length at most i_max + 1.
+
+    A complete resolution of length L has Tor zero above L, so every degree
+    up to L is computed; a nonzero degree above ``i_max`` is listed too, and
+    ``checked_up_to`` reaches it.
+    """
+    res = proj_resolution(M, i_max + 1)
     tens = [module_tensor(res.proj(i), B) for i in range(len(res.summands))]
     tmaps = [tensor_functor_map(res.maps[i], tens[i + 1], tens[i], B)
              for i in range(len(res.maps))]
     for i in range(1, len(tmaps)):
         if not (tmaps[i] @ tmaps[i - 1]).is_zero():
             raise DerivedError("tensored resolution lost d . d = 0")
-    dims: Dict[int, int] = {}
+    ranks = [rank(t) for t in tmaps]      # ranks[i]: degree i + 1 -> degree i
     L = len(res.summands) - 1
-    if res.complete:
-        top = i_max
-    else:
-        top = min(i_max, L - 1) if L >= 1 else 0
     # degree zero never depends on how far the resolution got
-    t0_direct = module_tensor(M, B).module.dim
-    if L >= 1:
-        if tens[0].module.dim - rank(tmaps[0]) != t0_direct:
-            raise DerivedError("tensoring broke right exactness")
-    dims[0] = t0_direct
-    for i in range(1, top + 1):
-        qi = tens[i].module.dim if i <= L else 0
-        rank_in = rank(tmaps[i]) if i + 1 <= L else 0
-        if i <= L:
-            ker = qi - rank(tmaps[i - 1])
-        else:
-            ker = 0
-        dims[i] = ker - rank_in
+    dims: Dict[int, int] = {0: module_tensor(M, B).module.dim}
+    if L >= 1 and tens[0].module.dim - ranks[0] != dims[0]:
+        raise DerivedError("tensoring broke right exactness")
+    # an incomplete resolution has length i_max + 1, whose top degree lacks
+    # its incoming map
+    for i in range(1, i_max + 2 if res.complete else i_max + 1):
+        ker = tens[i].module.dim - ranks[i - 1] if i <= L else 0
+        dims[i] = ker - (ranks[i] if i < L else 0)
         if dims[i] < 0:
             raise DerivedError("negative homology dimension: tensored complex inconsistent")
-    return TorReport(dims=dims, complete=res.complete, checked_up_to=top)
+    if dims.get(i_max + 1) == 0:
+        del dims[i_max + 1]
+    return TorReport(dims=dims, complete=res.complete, checked_up_to=max(dims))
 
 
 @dataclass
@@ -290,8 +288,7 @@ def multiplication_matrix(g: RingMap, T: TensorResult) -> Mat:
     return Mat.from_rows(ring, rows, S.dim)
 
 
-def check_homological_epi(g: RingMap, i_max: int = 20,
-                          max_len: Optional[int] = None) -> HepiVerdict:
+def check_homological_epi(g: RingMap, i_max: int = 20) -> HepiVerdict:
     """Certify, refute, or give up (with the bound reached) on R -> S."""
     S = g.target
     M = module_along_map(g)
@@ -307,7 +304,7 @@ def check_homological_epi(g: RingMap, i_max: int = 20,
             tensor_square_dim=T.module.dim, target_dim=S.dim, mu_is_iso=False,
             tor={}, checked_up_to=-1, resolution_complete=False,
         )
-    tor = tor_with_bimodule(M, B, i_max, max_len=max_len)
+    tor = tor_with_bimodule(M, B, i_max)
     if tor.dims.get(0) != S.dim:
         raise DerivedError("degree-zero homology disagrees with the tensor square")
     for i in sorted(tor.dims):

@@ -68,7 +68,6 @@ class FixtureFile:
         if unknown:
             raise FixtureError(f"unknown top-level key {unknown[0]!r}")
         self.path = path
-        self.raw = data
         self.ring = self._parse_field(data.get("field", "QQ"))
         self.algebras: Dict[str, AlgebraPresentation] = {}
         self.ring_maps: Dict[str, RingMap] = {}

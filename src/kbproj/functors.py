@@ -141,11 +141,10 @@ class BimoduleFunctor:
             roff += len(self.witnesses[t])
         return AlgMat(S, tgt, src, grid)
 
-    def apply_complex(self, X: ProjComplex, name: Optional[str] = None) -> ProjComplex:
+    def apply_complex(self, X: ProjComplex) -> ProjComplex:
         summands = {n: self.image_summands(X.summands_at(n)) for n in X.degrees()}
         diff = {n: self.apply_algmat(d) for n, d in X.diff.items()}
-        return ProjComplex(self.target_alg, summands, diff,
-                           name=name or f"{self.name}({X.name})")
+        return ProjComplex(self.target_alg, summands, diff, name=f"{self.name}({X.name})")
 
     def apply_map(self, f: GradedMap, FX: Optional[ProjComplex] = None,
                   FY: Optional[ProjComplex] = None) -> GradedMap:
@@ -153,21 +152,6 @@ class BimoduleFunctor:
         FY = FY or self.apply_complex(f.target)
         comps = {n: self.apply_algmat(m) for n, m in f.components.items()}
         return GradedMap(FX, FY, f.degree, comps, name=f"{self.name}({f.name})")
-
-    def k0_matrix(self) -> List[List[int]]:
-        """Multiplicity matrix on summand classes, consistent with dimensions."""
-        S = self.target_alg
-        out = []
-        for i in range(self.source_alg.n_idempotents()):
-            row = [0] * S.n_idempotents()
-            total = 0
-            for j, _ in self.witnesses[i]:
-                row[j] += 1
-                total += S.right_ideal_space(j).dim
-            if total != self.bimodule.left_space_of_idempotent(i).dim:
-                raise FunctorError("witness multiplicities disagree with corner dimension")
-            out.append(row)
-        return out
 
     def __repr__(self):
         return (f"BimoduleFunctor({self.name}: {self.source_alg.name} -> "

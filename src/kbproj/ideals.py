@@ -303,10 +303,6 @@ class ExactIdealReport:
     saturated: Optional[bool]
     saturation_checks: List[SaturationCheck] = field(default_factory=list)
 
-    @property
-    def exact_on_window(self) -> bool:
-        return self.idempotent and self.shift_stable and self.saturated is True
-
 
 def exact_ideal_report(I: HomIdeal,
                        triangles: Sequence[TrianglePresentation] = ()) -> ExactIdealReport:

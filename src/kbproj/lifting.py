@@ -18,8 +18,8 @@ arithmetic, with no linear solving: see ``verify_map_lift`` and
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 from .functors import BimoduleFunctor, functor_matrix
 from .homcat import (
@@ -205,7 +205,6 @@ class ComplexLiftCertificate:
     lift: ProjComplex
     equivalence: GradedMap       # F(lift) -> target
     cone_contraction: GradedMap
-    inner: List[MapLiftReport] = field(default_factory=list)
 
 
 @dataclass
@@ -272,21 +271,19 @@ def lift_complex(F: BimoduleFunctor, Y: ProjComplex,
         raise LiftError("target complex lives over the wrong algebra")
     _check_stalk_table(F, stalk_table)
     _check_generators(F, generators)
-    inner: List[MapLiftReport] = []
     try:
-        X, e = _lift_rec(F, Y, stalk_table, generators, budget, inner)
+        X, e = _lift_rec(F, Y, stalk_table, generators, budget)
     except _NotLiftable as stop:
         return ComplexLiftReport("not_found", None, str(stop))
     ok, contraction = is_homotopy_equivalence(e)
     if not ok:
         raise LiftError("internal error: assembled comparison map is not "
                         "an equivalence")
-    cert = ComplexLiftCertificate(X, e, contraction, inner)
+    cert = ComplexLiftCertificate(X, e, contraction)
     return ComplexLiftReport("found", cert)
 
 
-def _lift_rec(F, Y: ProjComplex, table, generators, budget,
-              inner: List[MapLiftReport]) -> Tuple[ProjComplex, GradedMap]:
+def _lift_rec(F, Y: ProjComplex, table, generators, budget) -> Tuple[ProjComplex, GradedMap]:
     if Y.is_zero():
         Z = zero_complex(F.source_alg)
         FZ = F.apply_complex(Z)
@@ -297,8 +294,8 @@ def _lift_rec(F, Y: ProjComplex, table, generators, budget,
         return _lift_stalk_layer(F, Y, h, table)
     A = Y.hard_truncate_ge(h)
     B = Y.hard_truncate_le(h - 1)
-    XA, eA = _lift_rec(F, A, table, generators, budget, inner)
-    XB, eB = _lift_rec(F, B, table, generators, budget, inner)
+    XA, eA = _lift_rec(F, A, table, generators, budget)
+    XB, eB = _lift_rec(F, B, table, generators, budget)
     SB = B.shift(-1)
     dmap = chain_map(SB, A, {h: Y.diff_at(h - 1)}, name="attach")
     ok, cA = is_homotopy_equivalence(eA)
@@ -309,7 +306,6 @@ def _lift_rec(F, Y: ProjComplex, table, generators, budget,
     eBs = eB.shift(-1)
     m = invA.compose(dmap).compose(eBs)
     rep = lift_chain_map(F, XBs, XA, m, generators, budget)
-    inner.append(rep)
     if rep.verdict != "found":
         raise _NotLiftable(
             f"attaching map into degree {h} has no lift within the budget")

@@ -14,8 +14,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .algebra import AlgebraError
 from .almost import (
     AlmostDerivedReport,
+    AlmostError,
     AlmostQuotientReport,
     SerreAdjointReport,
     almost_derived_ideal,
@@ -36,6 +38,7 @@ from .ideals import (
     telescope_report,
 )
 from .lifting import (
+    LiftError,
     lift_chain_map,
     lift_complex,
     verify_complex_lift,
@@ -115,7 +118,10 @@ def _triangle_presentations(fx: FixtureFile, subcat, names: Sequence[str],
 def _run_check_hepi(fx: FixtureFile, task: Dict) -> Report:
     g = fx.lookup("ring_maps", task.get("map"), f"task {task['id']}")
     i_max = _task_int(task, "max_degree", 0, default=20, maximum=MAX_DEGREE_CAP)
-    rep = check_homological_epi(g, i_max=i_max)
+    try:
+        rep = check_homological_epi(g, i_max=i_max)
+    except AlgebraError as exc:   # e.g. no radical over a small prime field
+        raise TaskError(f"ring map {task['map']}: {exc}") from exc
     evidence = {
         "map": task.get("map"),
         "reason": rep.reason,
@@ -136,9 +142,12 @@ def _run_lift_map(fx: FixtureFile, task: Dict) -> Report:
     if "depth" in task:
         budget = type(budget)(max_depth=_task_int(task, "depth", 0),
                               max_candidates=budget.max_candidates)
-    rep = lift_chain_map(prob["functor"], prob["source"], prob["target"],
-                         prob["map"], generators=prob["generators"],
-                         budget=budget)
+    try:
+        rep = lift_chain_map(prob["functor"], prob["source"], prob["target"],
+                             prob["map"], generators=prob["generators"],
+                             budget=budget)
+    except LiftError as exc:
+        raise TaskError(f"lift {name}: {exc}") from exc
     evidence = {
         "problem": name,
         "candidates_tried": rep.candidates_tried,
@@ -166,8 +175,11 @@ def _run_lift_complex(fx: FixtureFile, task: Dict) -> Report:
     if "depth" in task:
         budget = type(budget)(max_depth=_task_int(task, "depth", 0),
                               max_candidates=budget.max_candidates)
-    rep = lift_complex(prob["functor"], prob["target"], prob["stalks"],
-                       generators=prob["generators"], budget=budget)
+    try:
+        rep = lift_complex(prob["functor"], prob["target"], prob["stalks"],
+                           generators=prob["generators"], budget=budget)
+    except LiftError as exc:
+        raise TaskError(f"complex lift {name}: {exc}") from exc
     evidence = {"problem": name, "reason": rep.reason}
     if rep.certificate is not None:
         ok, why = verify_complex_lift(prob["functor"], prob["target"],
@@ -338,10 +350,13 @@ def _run_almost(fx: FixtureFile, task: Dict) -> Report:
             if task.get("window") is not None:
                 w = _task_int(task, "window", 0, maximum=WINDOW_CAP)
                 window = (-w, w)
-            rep = almost_derived_ideal(alg, ideal, case["subcat"],
-                                       case["a_witness"],
-                                       case["square_witnesses"],
-                                       window=window)
+            try:
+                rep = almost_derived_ideal(alg, ideal, case["subcat"],
+                                           case["a_witness"],
+                                           case["square_witnesses"],
+                                           window=window)
+            except AlmostError as exc:
+                raise TaskError(f"almost {name}: {exc}") from exc
             ev = _derived_evidence(rep)
             ev["window_desc"] = _window_desc(case["subcat_name"], case["subcat"])
             evidence["derived"] = ev

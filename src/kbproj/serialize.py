@@ -196,7 +196,7 @@ def complex_lift_cert_from_json(F, Y: ProjComplex, payload) -> ComplexLiftCertif
     equiv = map_from_json(Flift, Y, 0, equiv_js, name="compare")
     C, _, _ = cone(equiv)
     contraction = map_from_json(C, C, -1, contraction_js, name="contraction")
-    return ComplexLiftCertificate(lift, equiv, contraction, [])
+    return ComplexLiftCertificate(lift, equiv, contraction)
 
 
 # -- triangle certificates ------------------------------------------------------------

@@ -308,7 +308,6 @@ def test_regular_bimodule_validates():
     A = upper_triangular_2()
     B = regular_bimodule(A)
     assert B.dim == 3
-    assert B.right_module().dim == 3
 
 
 def test_noncommuting_actions_rejected():

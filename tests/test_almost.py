@@ -11,19 +11,18 @@ from kbproj.almost import (
     ProjectivityWitness,
     almost_derived_ideal,
     almost_quotient,
-    almost_setup,
     contraction_defects,
     in_perp,
-    koszul_contraction_fixture,
     perturb_homotopy,
     serre_adjoint_report,
     standard_modules,
-    verify_contraction_fixture,
 )
+from kbproj.fixture import load_fixture
 from kbproj.functors import FiniteSubcat
 from kbproj.homcat import AlgMat, chain_map, is_contractible, is_homotopy_equivalence, single_summand_complex
 from kbproj.ideals import factor_through_ideal
 from kbproj.linalg import GF, LinalgError, Mat
+from test_cli import KOSZUL
 
 
 @pytest.fixture(scope="module")
@@ -47,17 +46,12 @@ def _e(A, name):
     return A.basis_vec(A.basis_names.index(name))
 
 
-# -- setup and samples ---------------------------------------------------------
+def _koszul():
+    """The two-variable Koszul complex with x inverted, as the fixture stores it."""
+    return load_fixture(KOSZUL).lookup("contractions", "koszul-x-inverted")
 
 
-def test_setup_from_idempotent(A):
-    s = almost_setup(A, e=_e(A, "e11"))
-    assert s.ideal.dim == 2 and s.ideal.is_idempotent()
-
-
-def test_setup_rejects_non_idempotent_ideal(A):
-    with pytest.raises(AlmostError, match="not idempotent"):
-        almost_setup(A, generators=[_e(A, "e12")])
+# -- samples --------------------------------------------------------------------
 
 
 def test_standard_modules_dims(A):
@@ -232,19 +226,17 @@ def test_derived_ideal_requires_witness(A, window):
 
 
 def test_koszul_contraction_accepts():
-    fx = koszul_contraction_fixture()
-    assert verify_contraction_fixture(fx)
-    assert contraction_defects(fx) == {}
+    assert contraction_defects(_koszul()) == {}
 
 
 def test_empty_fixture_accepts():
-    ring = koszul_contraction_fixture().ring
+    ring = _koszul().ring
     fx = ContractionFixture(ring, {}, {}, {}, name="empty")
-    assert verify_contraction_fixture(fx)
+    assert contraction_defects(fx) == {}
 
 
 def test_koszul_rejects_every_single_entry_perturbation():
-    fx = koszul_contraction_fixture()
+    fx = _koszul()
     ring = fx.ring
     deltas = [None, ring.monomial((2, 1))]
     tried = 0
@@ -253,13 +245,13 @@ def test_koszul_rejects_every_single_entry_perturbation():
             for c in range(m.ncols):
                 for d in deltas:
                     bad = perturb_homotopy(fx, n, r, c, delta=d)
-                    assert not verify_contraction_fixture(bad), (n, r, c)
+                    assert contraction_defects(bad), (n, r, c)
                     tried += 1
     assert tried == 8
 
 
 def test_zeroed_homotopy_defects_localized():
-    fx = koszul_contraction_fixture()
+    fx = _koszul()
     ring = fx.ring
     h = dict(fx.homotopy)
     h[0] = Mat.zeros(ring, 1, 2)
@@ -270,7 +262,7 @@ def test_zeroed_homotopy_defects_localized():
 
 
 def test_fixture_rejects_non_square_zero():
-    ring = koszul_contraction_fixture().ring
+    ring = _koszul().ring
     x = ring.monomial((1, 0))
     y = ring.monomial((0, 1))
     with pytest.raises(AlmostError, match="square"):
@@ -281,6 +273,6 @@ def test_fixture_rejects_non_square_zero():
 
 
 def test_fixture_rejects_bad_shapes():
-    ring = koszul_contraction_fixture().ring
+    ring = _koszul().ring
     with pytest.raises(AlmostError, match="shape"):
         ContractionFixture(ring, {0: 2}, {}, {0: Mat.zeros(ring, 1, 1)})

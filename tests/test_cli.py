@@ -18,6 +18,7 @@ FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 CORNER = os.path.join(FIXDIR, "corner.json")
 SPLIT = os.path.join(FIXDIR, "split.json")
 KOSZUL = os.path.join(FIXDIR, "koszul.json")
+TWO_CYCLE = os.path.join(FIXDIR, "two_cycle.json")
 
 
 @pytest.fixture(scope="module")
@@ -681,6 +682,8 @@ MALFORMED_ENTRIES = [
     ("a-witness-idempotent", _set(["almost", "corner-almost", "a_witness"],
                                   [["a", ["1", "0", "0"]]]),
      "almost case corner-almost: "),
+    ("almost-without-ideal", _set(["almost", "bare"], {"algebra": "UT2"}),
+     "almost case bare: needs idempotent or generators"),
     ("field-text", _set(["field"], {"p": "x"}), "unknown field spec"),
     ("field-not-prime", _set(["field"], {"p": 4}), "unknown field spec"),
     ("entry-not-object", _set(["maps", "iota"], 5), "map iota: entry must be an object"),
@@ -797,3 +800,36 @@ def test_ideal_triangle_that_is_not_exact_exits_2(capsys, tmp_path):
     assert _one_error_line(capsys, data, tmp_path, "ideal-ann-g") == (
         "kbproj: error: ideal ann-g: triangle on ('P2s', 'P1s', 'S1r') failed "
         "verification: no comparison map from the cone exists")
+
+
+def test_hepi_top_degree_refutes_at_either_max_degree(capsys):
+    # the resolution completes at length 2 = max_degree + 1 for the first
+    # task; its Tor_2 is nonzero, so both tasks report the same refutation
+    code, out = _cli(capsys, "run", "--fixture", TWO_CYCLE)
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [r["verdict"] for r in reports] == ["refuted", "refuted"]
+    assert reports[0]["evidence"] == reports[1]["evidence"]
+    assert reports[0]["evidence"]["tor_dims"] == [1, 0, 1]
+    assert reports[0]["evidence"]["checked_up_to"] == 2
+
+
+@pytest.mark.parametrize("mutate,task_id,want", [
+    (lambda d: d["almost"]["corner-almost"].pop("a_witness"), "almost-corner",
+     "almost corner-almost: projectivity witness absent for ideal"),
+    (_set(["almost", "corner-almost", "a_witness"], [[1, ["1", "0", "0"]]]), "almost-corner",
+     "almost corner-almost: ideal: witness element not supported at idempotent 1"),
+    (lambda d: d["almost"]["rad-almost"].update(include=["derived"], subcat="S"),
+     "almost-rad", "almost rad-almost: the ideal must be idempotent"),
+    (_set(["lifts", "corner-id", "generators"], ["P1s"]), "lift-corner-id",
+     "lift corner-id: generator P1s is not killed by the functor"),
+    (_set(["field"], {"p": 2}), "hepi-corner",
+     "ring map corner: radical needs characteristic 0 or p > dim; GF(2) with dim 3"),
+], ids=["no-a-witness", "a-witness-wrong-idempotent", "derived-not-idempotent",
+        "generator-not-killed", "hepi-no-radical"])
+def test_task_the_engine_cannot_run_exits_2(capsys, tmp_path, mutate, task_id, want):
+    with open(CORNER) as fh:
+        data = json.load(fh)
+    mutate(data)
+    assert _one_error_line(capsys, data, tmp_path, task_id).startswith(
+        f"kbproj: error: {want}")

@@ -32,7 +32,9 @@ from kbproj.derived import (
     proj_resolution,
     tor_with_bimodule,
 )
+from kbproj.fixture import load_fixture
 from kbproj.linalg import QQ
+from test_cli import TWO_CYCLE
 
 
 def bar_dims_for_map(g, i_max):
@@ -162,11 +164,26 @@ def test_quotient_by_radical_is_refuted():
 
 
 def test_undecided_when_resolution_is_capped():
-    g = corner_map()
-    v = check_homological_epi(g, i_max=4, max_len=0)
+    # k has an infinite resolution over k[x]/(x^2), and Tor_1 is never reached
+    g = RingMap(dual_numbers(), ground_field(), [["1"], ["0"]], name="x_to_0")
+    v = check_homological_epi(g, i_max=0)
     assert v.verdict == "inconclusive"
     assert v.checked_up_to == 0
     assert not v.resolution_complete
+
+
+@pytest.mark.parametrize("i_max", [1, 2, 3])
+def test_top_degree_of_a_resolution_that_just_completes_is_checked(i_max):
+    # k at vertex 1 of the quiver 1 <-> 2 with ab = 0 is resolved by
+    # P1 <- P2 <- P1, of length 2; at i_max 1 that length is i_max + 1,
+    # and Tor_2 = 1 must still refute
+    g = load_fixture(TWO_CYCLE).lookup("ring_maps", "top1")
+    v = check_homological_epi(g, i_max=i_max)
+    assert v.verdict == "refuted" and "Tor_2" in v.reason
+    assert v.resolution_complete
+    assert tor_list(v, max(i_max, 2)) == [1, 0, 1] + [0] * (i_max - 2)
+    assert v.checked_up_to == max(i_max, 2)
+    assert bar_dims_for_map(g, 2) == [1, 0, 1]
 
 
 def test_general_tor_against_bar_on_corner_bimodule():

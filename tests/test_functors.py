@@ -194,11 +194,6 @@ def test_corner_functor_kills_second_projective(ctx):
     assert Gi.is_zero()
 
 
-def test_k0_matrices(ctx):
-    assert ctx["F"].k0_matrix() == [[1, 1], [0, 1]]
-    assert ctx["G"].k0_matrix() == [[1], [0]]
-
-
 # -- subcategory cache, kernels, annihilators --------------------------------
 
 

@@ -5,9 +5,13 @@ module multiplies two basis vectors to read a structure constant, no
 loop asks for class coordinates one map at a time, graded-map
 arithmetic builds no zero blocks to multiply, ``GradedMap.is_chain_map``
 is the only chain-map test, ``ProjComplex.__eq__`` is the only
-complex-equality rule, and no solve is asked for a kernel: ``solve`` and
+complex-equality rule, no solve is asked for a kernel: ``solve`` and
 ``solve_left`` get no ``Mat.zeros`` right-hand side and return no tuple to
-unpack, so kernels come only from ``left_kernel``."""
+unpack, so kernels come only from ``left_kernel``, and there are no dead
+helpers: every function, method and class of the package is referenced,
+as a name or an attribute outside its own definition, somewhere in the
+package or in ``bench/``.  Dunder methods are exempt, and so are the few
+public helpers in ``_KEPT``, each with the reason it stays."""
 
 import ast
 import os
@@ -15,6 +19,7 @@ import os
 import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "kbproj")
+BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
 
 
@@ -268,3 +273,88 @@ def test_kernels_come_only_from_left_kernel(module):
              if isinstance(n, ast.Assign) and _is_solver_call(n.value)
              and any(isinstance(t, ast.Tuple) for t in n.targets)]
     assert not uses, "kernel asked of a solver: " + ", ".join(uses)
+
+
+# Public helpers that no code path in the package or bench/ calls, kept for a reason
+_KEPT = {
+    "derived.Resolution.as_complex":
+        "the resolution as a complex of projectives: the payload of the planned "
+        "check-hepi certificate (ROADMAP item 1)",
+    "algebra.quotient_algebra":
+        "R -> R/ReR for the planned stratifying-ideal property test (ROADMAP item 5)",
+    "algebra.regular_bimodule":
+        "R as an (R, R)-bimodule, the identity functor's bimodule and the "
+        "structure-check tests' reference case",
+    "almost.perturb_homotopy":
+        "builds the single-entry mutants behind the README's homotopy-perturbation "
+        "rejections (acceptance test 8)",
+    "linalg.LaurentRing.monomial":
+        "the constructor of a Laurent monomial for library users, who cannot "
+        "reach the fixture's JSON parse",
+    "ideals.principal_ideal":
+        "the ideal generated by one map, the library form of a check-ideal "
+        "generator list",
+    "ideals.zero_ideal":
+        "the zero ideal of a window, the unit of ideal sums for library users",
+}
+
+
+def _definitions(tree, module):
+    """(qualified name, node) for every function, method and class, nested ones too."""
+    stack = [(module[:-3], tree)]
+    while stack:
+        prefix, parent = stack.pop()
+        for node in ast.iter_child_nodes(parent):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qual = f"{prefix}.{node.name}"
+                yield qual, node
+                stack.append((qual, node))
+            else:
+                stack.append((prefix, node))
+
+
+def _references():
+    """Map each name read as a Name or Attribute in src/kbproj or bench/ to its
+    (path, line) sites."""
+    paths = [os.path.join(SRC, m) for m in MODULES]
+    for root, _, files in os.walk(BENCH):
+        paths += [os.path.join(root, f) for f in sorted(files) if f.endswith(".py")]
+    out = {}
+    for path in paths:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for n in ast.walk(tree):
+            name = n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else None
+            if name is not None:
+                out.setdefault(name, []).append((os.path.realpath(path), n.lineno))
+    return out
+
+
+def _unreferenced():
+    refs = _references()
+    out = {}
+    for module in MODULES:
+        path = os.path.realpath(os.path.join(SRC, module))
+        for qual, node in _definitions(_parse(module), module):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            outside = [(p, line) for p, line in refs.get(name, ())
+                       if not (p == path and node.lineno <= line <= node.end_lineno)]
+            if not outside:
+                out[qual] = f"{module}:{node.lineno}"
+    return out
+
+
+def test_no_dead_helpers():
+    # a definition nothing references is deleted, or kept in _KEPT with a reason
+    dead = _unreferenced()
+    unkept = [f"{where}: {qual}" for qual, where in sorted(dead.items()) if qual not in _KEPT]
+    assert not unkept, "defined but never referenced: " + ", ".join(unkept)
+
+
+def test_kept_helpers_are_still_unreferenced():
+    # an entry whose name gained a caller, or whose definition is gone, leaves _KEPT
+    stale = sorted(set(_KEPT) - set(_unreferenced()))
+    assert not stale, "no longer needs a _KEPT entry: " + ", ".join(stale)
+    assert all(reason.strip() for reason in _KEPT.values())

@@ -177,7 +177,6 @@ def test_exact_ideal_report_corner(ctx):
     rep = exact_ideal_report(ann, ctx["tris"])
     assert isinstance(rep, ExactIdealReport)
     assert rep.idempotent and rep.shift_stable and rep.saturated is True
-    assert rep.exact_on_window
 
 
 def test_exact_ideal_report_connecting_class(ctx):
@@ -185,7 +184,6 @@ def test_exact_ideal_report_connecting_class(ctx):
     rep = exact_ideal_report(J, ctx["tris"])
     assert rep.saturated is True
     assert not rep.idempotent
-    assert not rep.exact_on_window
 
 
 def test_exact_ideal_report_without_triangles(ctx):
@@ -193,7 +191,6 @@ def test_exact_ideal_report_without_triangles(ctx):
     rep = exact_ideal_report(J)
     assert rep.idempotent and rep.shift_stable
     assert rep.saturated is None
-    assert not rep.exact_on_window
 
 
 def test_exact_ideal_report_carries_the_square(ctx):

@@ -246,7 +246,6 @@ def test_lift_three_term_target(ctx):
     assert rep.verdict == "found"
     ok, reason = verify_complex_lift(G, Y, rep.certificate)
     assert ok, reason
-    assert all(r.verdict == "found" for r in rep.certificate.inner)
 
 
 def test_lift_restriction_simple_stalk(ctx):
