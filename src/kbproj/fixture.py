@@ -282,6 +282,9 @@ class FixtureFile:
         subcat = None
         if a.get("subcat"):
             subcat = self.lookup("subcategories", a["subcat"], f"almost case {name}")
+            if subcat.alg != alg:
+                raise FixtureError(f"almost case {name}: subcategory {a['subcat']} lives "
+                                   f"over {subcat.alg.name}, not {alg.name}")
         aw = None
         if a.get("a_witness") is not None:
             aw = ProjectivityWitness(

@@ -12,6 +12,12 @@ the image of each basis row of the corner e_t R e_s, found on first use by
 one solve against the witness span, which is where an image escaping the
 span is caught.  ``apply_algmat`` combines those images by an entry's corner
 coordinates and ``functor_matrix`` assembles g -> F(g) from them.
+
+``image_window(subcat)`` applies the functor to a window's objects once and
+stores the images on the functor, as a ``FiniteSubcat`` with its own Hom
+cache; ``kernel_objects`` and ``ideals.annihilator_ideal`` read them there.
+Tables and windows are stored with ``dict.setdefault``, so threads racing on
+a first call may both build, and all of them keep one result.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Bimodule, RingMap, induction_bimodule, restriction_bimodule
-from .homcat import AlgMat, GradedMap, HomSpace, MapLayout, ProjComplex, is_contractible
+from .homcat import AlgMat, GradedMap, HomSpace, MapLayout, ProjComplex
 from .linalg import Mat, Subspace, left_kernel, rank, solve_left
 
 
@@ -44,6 +50,8 @@ class BimoduleFunctor:
         # corner_table by (target, source) idempotent; concurrent first calls
         # may both build, and setdefault keeps one result for all
         self._tables: Dict[Tuple[int, int], List] = {}
+        # image_window by source window (identity), kept the same way
+        self._windows: Dict[FiniteSubcat, FiniteSubcat] = {}
         for i in range(self.source_alg.n_idempotents()):
             if i not in witnesses:
                 raise FunctorError(f"{name}: no witness list for source idempotent {i}")
@@ -146,6 +154,18 @@ class BimoduleFunctor:
         diff = {n: self.apply_algmat(d) for n, d in X.diff.items()}
         return ProjComplex(self.target_alg, summands, diff, name=f"{self.name}({X.name})")
 
+    def image_window(self, subcat: FiniteSubcat) -> FiniteSubcat:
+        """The images F(X) of a window's objects, under the objects' names,
+        as a window over the target algebra; built once per window."""
+        W = self._windows.get(subcat)
+        if W is None:
+            if subcat.alg != self.source_alg:
+                raise FunctorError(f"{self.name} starts at {self.source_alg.name}, "
+                                   f"the window lives over {subcat.alg.name}")
+            W = self._windows.setdefault(subcat, FiniteSubcat(
+                {name: self.apply_complex(X) for name, X in subcat.objects.items()}))
+        return W
+
     def apply_map(self, f: GradedMap, FX: Optional[ProjComplex] = None,
                   FY: Optional[ProjComplex] = None) -> GradedMap:
         FX = FX or self.apply_complex(f.source)
@@ -169,7 +189,10 @@ def restriction_functor(f: RingMap, witnesses, name: Optional[str] = None) -> Bi
 
 
 class FiniteSubcat:
-    """A finite family of complexes with cached hom spaces and compositions.
+    """A finite family of complexes whose ``hom``, ``composition_tensor`` and
+    ``shift_matrix`` are each built on first use and stored on the window,
+    so every ideal on it shares them.  The stored data stay valid because a
+    window is immutable after construction.
 
     ``shifts`` optionally declares that one object is literally the
     translation of another (same summands, same differentials); ideal-side
@@ -193,6 +216,7 @@ class FiniteSubcat:
                 raise FunctorError(f"{sa} is not literally the translation of {a}")
         self._homs: Dict[Tuple[str, str], HomSpace] = {}
         self._comp: Dict[Tuple[str, str, str], List[List[List]]] = {}
+        self._shift: Dict[Tuple[str, str], Mat] = {}
 
     def names(self) -> List[str]:
         return list(self.order)
@@ -215,10 +239,14 @@ class FiniteSubcat:
 
     def shift_matrix(self, a: str, b: str) -> Mat:
         """Class-coordinate matrix of the translation Hom(a,b) -> Hom(sa, sb)."""
-        sa, sb = self.shifts.get(a), self.shifts.get(b)
-        if sa is None or sb is None:
-            raise FunctorError("shift pairing not declared for both endpoints")
-        return self.hom(sa, sb).class_matrix([f.shift(1) for f in self.hom(a, b).basis()])
+        key = (a, b)
+        if key not in self._shift:
+            sa, sb = self.shifts.get(a), self.shifts.get(b)
+            if sa is None or sb is None:
+                raise FunctorError("shift pairing not declared for both endpoints")
+            self._shift[key] = self.hom(sa, sb).class_matrix(
+                [f.shift(1) for f in self.hom(a, b).basis()])
+        return self._shift[key]
 
 
 def functor_matrix(F: BimoduleFunctor, layout_in: MapLayout, layout_out: MapLayout) -> Mat:
@@ -256,16 +284,14 @@ def functor_class_matrix(F: BimoduleFunctor, H: HomSpace,
 def annihilator_classes(F: BimoduleFunctor, H: HomSpace,
                         FH: HomSpace, FX: ProjComplex, FY: ProjComplex) -> Subspace:
     """Classes killed by the functor, as a subspace in class coordinates."""
-    if H.dim == 0:
-        return Subspace.zero(F.source_alg.ring, 0)
     return left_kernel(functor_class_matrix(F, H, FH, FX, FY))
 
 
 def kernel_objects(F: BimoduleFunctor, subcat: FiniteSubcat) -> List[str]:
-    """Names of objects sent to a contractible complex."""
-    out = []
-    for name, X in subcat.objects.items():
-        ok, _ = is_contractible(F.apply_complex(X))
-        if ok:
-            out.append(name)
-    return out
+    """Names of objects sent to a contractible complex.
+
+    F(X) is contractible exactly when its identity, and so every endomorphism,
+    is nullhomotopic: when Hom(F(X), F(X)) in the image window is zero.
+    """
+    W = F.image_window(subcat)
+    return [name for name in W.names() if W.hom(name, name).dim == 0]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .functors import BimoduleFunctor, FiniteSubcat, annihilator_classes, kernel_objects
-from .homcat import GradedMap, HomSpace, recognize_triangle
+from .homcat import GradedMap, recognize_triangle
 from .linalg import Mat, Subspace, left_kernel
 
 
@@ -158,18 +158,18 @@ def ideal_product(I: HomIdeal, J: HomIdeal) -> HomIdeal:
     if I.subcat is not J.subcat:
         raise IdealError("ideal product across different subcategories")
     subcat = I.subcat
+    vecs: Dict[Pair, List] = {}
+    # a zero component composes to nothing, and most components are zero
+    for (a, b), S in I.components.items():
+        if S.dim:
+            for c in subcat.names():
+                T = J.components[(b, c)]
+                if T.dim:
+                    vecs.setdefault((a, c), []).extend(
+                        compose_coords(subcat, a, b, c, v, w) for v in S.rows for w in T.rows)
     ring = subcat.alg.ring
-    names = subcat.names()
-    comps = {}
-    for a in names:
-        for c in names:
-            vecs = []
-            for b in names:
-                for v in I.component(a, b).rows:
-                    for w in J.component(b, c).rows:
-                        vecs.append(compose_coords(subcat, a, b, c, v, w))
-            comps[(a, c)] = Subspace.from_spanning(ring, subcat.hom(a, c).dim, vecs)
-    return HomIdeal(subcat, comps)
+    return HomIdeal(subcat, {key: Subspace.from_spanning(ring, subcat.hom(*key).dim, vs)
+                             for key, vs in vecs.items()})
 
 
 def is_idempotent_ideal(I: HomIdeal) -> bool:
@@ -177,14 +177,18 @@ def is_idempotent_ideal(I: HomIdeal) -> bool:
 
 
 def annihilator_ideal(F: BimoduleFunctor, subcat: FiniteSubcat) -> HomIdeal:
-    """Classes sent to a nullhomotopic map by the functor."""
-    images = {name: F.apply_complex(X) for name, X in subcat.objects.items()}
+    """Classes sent to a nullhomotopic map by the functor.
+
+    Images and their Hom spaces come from ``F.image_window(subcat)``, and
+    only pairs with a nonzero source Hom space ask for an image Hom space.
+    """
+    W = F.image_window(subcat)
     comps = {}
     for a in subcat.names():
         for b in subcat.names():
-            FH = HomSpace(images[a], images[b])
-            comps[(a, b)] = annihilator_classes(F, subcat.hom(a, b), FH,
-                                                images[a], images[b])
+            H = subcat.hom(a, b)
+            if H.dim:
+                comps[(a, b)] = annihilator_classes(F, H, W.hom(a, b), W.objects[a], W.objects[b])
     return HomIdeal(subcat, comps)
 
 

@@ -27,6 +27,7 @@ from .almost import (
 )
 from .derived import check_homological_epi
 from .fixture import FixtureFile
+from .functors import FunctorError
 from .homcat import ProjComplex, recognize_triangle, verify_triangle_certificate
 from .ideals import (
     HomIdeal,
@@ -257,7 +258,11 @@ def _run_telescope(fx: FixtureFile, task: Dict) -> Report:
     F = fx.lookup("functors", task.get("functor"), f"task {task['id']}")
     sname = task.get("subcat")
     subcat = fx.lookup("subcategories", sname, f"task {task['id']}")
-    rep = telescope_report(F, subcat)
+    try:
+        rep = telescope_report(F, subcat)
+    except FunctorError as exc:
+        raise TaskError(f"task {task['id']}: functor {task.get('functor')} on "
+                        f"subcategory {sname}: {exc}") from exc
     verdict = "consistent" if rep.consistent else "inconsistent"
     evidence = {
         "functor": task.get("functor"),

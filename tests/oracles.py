@@ -875,3 +875,48 @@ def solve_left_and_kernel(A, b):
     left null space {v : v @ A = 0}."""
     xt, ker = solve_and_kernel(A.transpose(), b.transpose())
     return (None if xt is None else xt.transpose()), ker
+
+
+# -- window ideal calculus without stored images ----------------------------------
+
+
+def annihilator_ideal_fresh(F, subcat):
+    """The annihilator of F on a window as ``ideals.annihilator_ideal`` built it
+    before image windows were stored: every call applies F to each object
+    again and builds a fresh ``HomSpace`` between the images of every pair,
+    zero source Hom spaces included."""
+    from kbproj.homcat import HomSpace
+    from kbproj.ideals import HomIdeal
+    from kbproj.linalg import Subspace, left_kernel
+
+    images = {name: F.apply_complex(X) for name, X in subcat.objects.items()}
+    comps = {}
+    for a in subcat.names():
+        for b in subcat.names():
+            H = subcat.hom(a, b)
+            FH = HomSpace(images[a], images[b])
+            if H.dim == 0:
+                comps[(a, b)] = Subspace.zero(F.source_alg.ring, 0)
+            else:
+                M = FH.class_matrix([F.apply_map(f, images[a], images[b]) for f in H.basis()])
+                comps[(a, b)] = left_kernel(M)
+    return HomIdeal(subcat, comps)
+
+
+def dense_ideal_product(I, J):
+    """I . J visiting every triple (a, b, c) of window objects, zero
+    components included, as ``ideals.ideal_product`` did before it looped
+    over the nonzero components of I alone."""
+    from kbproj.ideals import HomIdeal, compose_coords
+    from kbproj.linalg import Subspace
+
+    subcat = I.subcat
+    names = subcat.names()
+    comps = {}
+    for a in names:
+        for c in names:
+            vecs = [compose_coords(subcat, a, b, c, v, w)
+                    for b in names for v in I.component(a, b).rows
+                    for w in J.component(b, c).rows]
+            comps[(a, c)] = Subspace.from_spanning(subcat.alg.ring, subcat.hom(a, c).dim, vecs)
+    return HomIdeal(subcat, comps)

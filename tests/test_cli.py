@@ -833,3 +833,28 @@ def test_task_the_engine_cannot_run_exits_2(capsys, tmp_path, mutate, task_id, w
     mutate(data)
     assert _one_error_line(capsys, data, tmp_path, task_id).startswith(
         f"kbproj: error: {want}")
+
+
+def _window_over_k(data):
+    # kstalk and kcone are complexes over k, not over UT2 where G starts
+    data["subcategories"]["K"] = {"objects": ["kstalk", "kcone"]}
+
+
+def test_telescope_over_a_window_of_another_algebra_exits_2(capsys, tmp_path):
+    with open(CORNER) as fh:
+        data = json.load(fh)
+    _window_over_k(data)
+    data["tasks"].append({"id": "telescope-k", "command": "telescope-report",
+                          "functor": "G", "subcat": "K"})
+    assert _one_error_line(capsys, data, tmp_path, "telescope-k") == (
+        "kbproj: error: task telescope-k: functor G on subcategory K: "
+        "ind(corner) starts at UT2, the window lives over k")
+
+
+def test_almost_case_over_a_window_of_another_algebra_exits_2(capsys, tmp_path):
+    with open(CORNER) as fh:
+        data = json.load(fh)
+    _window_over_k(data)
+    data["almost"]["corner-almost"]["subcat"] = "K"
+    assert _one_error_line(capsys, data, tmp_path, "almost-corner") == (
+        "kbproj: error: almost case corner-almost: subcategory K lives over k, not UT2")

@@ -1,0 +1,153 @@
+"""Window ideal calculus from stored data against the paths it replaces.
+
+``annihilator_ideal`` and ``kernel_objects`` read the images of a window and
+their Hom spaces from the functor's stored image window, and ask for an image
+Hom space only where the source Hom space is nonzero; ``ideal_product`` loops
+over the nonzero components of its left factor; ``FiniteSubcat.shift_matrix``
+is stored.  ``oracles.py`` keeps the fresh-image annihilator and the dense
+product.  Both sides must agree on every functor of the fixtures, and the
+reports must not depend on what the caches already hold.
+"""
+
+import os
+import sys
+import threading
+
+import pytest
+
+from oracles import annihilator_ideal_fresh, dense_ideal_product
+
+from kbproj.fixture import load_fixture
+from kbproj.functors import BimoduleFunctor, kernel_objects
+from kbproj.homcat import HomSpace, is_contractible
+from kbproj.ideals import (
+    annihilator_ideal,
+    factor_through_ideal,
+    ideal_closure,
+    ideal_product,
+    telescope_report,
+)
+from kbproj.reports import emit_json
+from kbproj.runner import run_task
+
+FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+CASES = [("corner", "G", "S"), ("split", "F", "S")]
+WINDOW_COMMANDS = ("telescope-report", "check-ideal")
+
+
+def _load(fname):
+    return load_fixture(os.path.join(FIXDIR, f"{fname}.json"))
+
+
+def _case(fname, gname, sname):
+    fx = _load(fname)
+    return fx.functors[gname], fx.subcategories[sname]
+
+
+def _check_ideal(fx, name):
+    """The ideal of a check-ideal entry, generated as the runner generates it."""
+    spec = fx.ideals[name]
+    sub = spec["subcat"]
+    gens = {}
+    for _, g in spec["generators"]:
+        ab = tuple(next(n for n in sub.names() if sub.objects[n] == X)
+                   for X in (g.source, g.target))
+        gens.setdefault(ab, []).append(g)
+    return ideal_closure(sub, {ab: sub.hom(*ab).class_matrix(gs).rows()
+                               for ab, gs in gens.items()})
+
+
+@pytest.mark.parametrize("fname,gname,sname", CASES)
+def test_annihilator_and_kernel_match_fresh_images(fname, gname, sname):
+    F, S = _case(fname, gname, sname)
+    slow = annihilator_ideal_fresh(F, S)
+    for _ in range(2):  # cold, then from the stored window
+        assert annihilator_ideal(F, S).components == slow.components
+        assert kernel_objects(F, S) == [name for name, X in S.objects.items()
+                                        if is_contractible(F.apply_complex(X))[0]]
+
+
+@pytest.mark.parametrize("fname,gname,sname", CASES)
+def test_sparse_product_matches_dense(fname, gname, sname):
+    fx = _load(fname)
+    F, S = fx.functors[gname], fx.subcategories[sname]
+    ann = annihilator_ideal(F, S)
+    fac = factor_through_ideal(S, kernel_objects(F, S))
+    ideals = [_check_ideal(fx, name) for name in fx.ideals] + [ann, fac]
+    assert any(not I.is_zero() for I in ideals)
+    for I in ideals:
+        for J in ideals:
+            assert ideal_product(I, J).components == dense_ideal_product(I, J).components
+
+
+@pytest.mark.parametrize("fname", ["corner", "split"])
+def test_window_reports_are_the_same_cold_and_warm(fname):
+    fx = _load(fname)
+    tasks = [t for t in fx.tasks if t["command"] in WINDOW_COMMANDS]
+    assert {t["command"] for t in tasks} == set(WINDOW_COMMANDS)
+    cold = [emit_json([run_task(_load(fname), t)]) for t in tasks]
+    first = [emit_json([run_task(fx, t)]) for t in reversed(tasks)][::-1]
+    warm = [emit_json([run_task(fx, t)]) for t in tasks]
+    assert first == cold
+    assert warm == cold
+
+
+def test_second_telescope_report_builds_no_hom_space(monkeypatch):
+    F, S = _case("corner", "G", "S")
+    built = []
+    init = HomSpace.__init__
+
+    def counted(self, X, Y):
+        built.append((X, Y))
+        init(self, X, Y)
+
+    monkeypatch.setattr(HomSpace, "__init__", counted)
+    telescope_report(F, S)
+    W = F.image_window(S)
+    images = {id(X) for X in W.objects.values()}
+    between_images = {(id(X), id(Y)) for X, Y in built
+                      if id(X) in images and id(Y) in images}
+    # annihilator pairs with a nonzero source Hom, plus the endomorphisms
+    # that decide the kernel objects
+    wanted = {(a, b) for a in S.names() for b in S.names()
+              if S.hom(a, b).dim or a == b}
+    assert between_images == {(id(W.objects[a]), id(W.objects[b])) for a, b in wanted}
+    assert len(wanted) < len(S.names()) ** 2
+    built.clear()
+    telescope_report(F, S)
+    assert built == []
+
+
+def test_shift_matrix_is_stored():
+    _, S = _case("corner", "G", "S")
+    a, b = next((a, b) for a in S.shifts for b in S.shifts if S.hom(a, b).dim)
+    M = S.shift_matrix(a, b)
+    assert S.shift_matrix(a, b) is M
+
+
+def test_threads_racing_on_a_first_image_window_keep_one():
+    loaded, S = _case("split", "F", "S")
+    F = BimoduleFunctor(loaded.bimodule, loaded.witnesses, loaded.name)
+    assert not F._windows
+    results = [None] * 8
+    barrier = threading.Barrier(8, timeout=30)
+
+    def work(i):
+        barrier.wait()
+        results[i] = F.image_window(S)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert all(W is results[0] for W in results)
+    assert list(F._windows.values()) == [results[0]]
+    assert F.image_window(S) is results[0]
+    assert list(results[0].objects) == S.names()
