@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import Mat, Subspace, hstack, left_kernel
+from .linalg import LinalgError, Mat, Subspace, hstack, left_kernel, rank
 
 
 class AlgebraError(ValueError):
@@ -227,9 +227,18 @@ class AlgebraPresentation:
 class FdModule:
     """A finite-dimensional right module given by action matrices.
 
-    Every module is validated when it is built, including those the engine
-    builds itself.  ``projective_module`` and ``radical`` are cached on the
-    algebra, so an algebra and the modules they return are immutable.
+    ``FdModule(...)`` checks the shapes, the unit and every product of two
+    action matrices.  Modules built from outside data, by ``module_tensor``,
+    ``projective_module`` and ``CornerFunctor.apply`` go through it.  The
+    constructors that derive a module from a checked one build through
+    ``_inherited``, which checks the shapes only, because what they inherit
+    proves the rest: ``submodule`` and ``quotient_module`` first check that
+    the subspace is invariant, and a sub or quotient of a checked module by
+    an invariant subspace is a module; ``regular_module`` and
+    ``module_along_map`` act by right multiplication in a checked algebra,
+    along a checked ``RingMap``.  ``projective_module`` and ``radical`` are
+    cached on the algebra, so an algebra and the modules they return are
+    immutable.
     """
 
     def __init__(self, algebra: AlgebraPresentation, dim: int, action: Sequence[Mat], name: str = "M"):
@@ -239,16 +248,27 @@ class FdModule:
         self.name = name
         self._validate()
 
-    def _validate(self):
+    @classmethod
+    def _inherited(cls, algebra, dim, action, name) -> "FdModule":
+        """A module whose axioms its caller has proved: only shapes are checked."""
+        M = object.__new__(cls)
+        M.algebra, M.dim, M.action, M.name = algebra, dim, tuple(action), name
+        M._check_shapes()
+        return M
+
+    def _check_shapes(self):
         alg = self.algebra
-        ring = alg.ring
         if len(self.action) != alg.dim:
             raise AlgebraError(f"{self.name}: need one action matrix per algebra basis element")
         for a in self.action:
-            if a.nrows != self.dim or a.ncols != self.dim or a.ring != ring:
+            if a.nrows != self.dim or a.ncols != self.dim or a.ring != alg.ring:
                 raise AlgebraError(f"{self.name}: action matrix shape mismatch")
+
+    def _validate(self):
+        self._check_shapes()
+        alg = self.algebra
         unit = self.action_of(alg.unit)
-        if unit != Mat.identity(ring, self.dim):
+        if unit != Mat.identity(alg.ring, self.dim):
             raise AlgebraError(f"{self.name}: unit does not act as identity")
         for i in range(alg.dim):
             for j in range(alg.dim):
@@ -285,30 +305,44 @@ class FdModule:
 
 
 def regular_module(alg: AlgebraPresentation) -> FdModule:
-    return FdModule(alg, alg.dim, [alg.right_regular(alg.basis_vec(i)) for i in range(alg.dim)], name=alg.name)
+    # right multiplication in the checked algebra: associativity and the unit
+    # prove the axioms
+    action = [alg.right_regular(alg.basis_vec(i)) for i in range(alg.dim)]
+    return FdModule._inherited(alg, alg.dim, action, name=alg.name)
+
+
+def _invariant_coords(M: FdModule, space: Subspace) -> List[List[List]]:
+    """Coordinates in ``space`` of the images of its basis under each action
+    matrix; raises AlgebraError unless space . rho(b_i) lies in space for
+    every basis element b_i, that is unless space is a submodule of M."""
+    out = []
+    for a in M.action:
+        rows = []
+        for r in space.rows:
+            img = a.row_apply(list(r))
+            try:
+                rows.append(space.coords_of(img))
+            except LinalgError:
+                raise AlgebraError(
+                    f"{M.name}: subspace is not closed under the module action") from None
+        out.append(rows)
+    return out
 
 
 def submodule(M: FdModule, space: Subspace) -> Tuple[FdModule, Mat]:
     """Submodule on a subspace closed under the action.  Returns (module, inclusion)."""
-    alg = M.algebra
-    ring = alg.ring
-    for row in space.rows:
-        for i in range(alg.dim):
-            img = M.action[i].row_apply(list(row))
-            if not space.contains(img):
-                raise AlgebraError("subspace is not closed under the module action")
-    action = []
-    for i in range(alg.dim):
-        rows = [space.coords_of(M.action[i].row_apply(list(r))) for r in space.rows]
-        action.append(Mat.from_rows(ring, rows, space.dim))
+    ring = M.algebra.ring
+    action = [Mat.from_rows(ring, rows, space.dim) for rows in _invariant_coords(M, space)]
     incl = Mat.from_rows(ring, space.rows, M.dim)
-    return FdModule(alg, space.dim, action, name=f"{M.name}|sub"), incl
+    # an invariant subspace of a checked module is a module
+    return FdModule._inherited(M.algebra, space.dim, action, name=f"{M.name}|sub"), incl
 
 
 def quotient_module(M: FdModule, space: Subspace) -> Tuple[FdModule, Mat]:
     """Quotient by a subspace closed under the action.  Returns (module, projection)."""
     alg = M.algebra
     ring = alg.ring
+    _invariant_coords(M, space)
     reps = space.completion()
     qdim = len(reps)
     project = space.quotient_coords
@@ -317,11 +351,12 @@ def quotient_module(M: FdModule, space: Subspace) -> Tuple[FdModule, Mat]:
         rows = [project(M.action[i].row_apply(r)) for r in reps]
         action.append(Mat.from_rows(ring, rows, qdim))
     proj = Mat.from_rows(ring, [project(r) for r in Mat.identity(ring, M.dim).rows()], qdim)
-    return FdModule(alg, qdim, action, name=f"{M.name}|quo"), proj
+    # the quotient of a checked module by an invariant subspace is a module
+    return FdModule._inherited(alg, qdim, action, name=f"{M.name}|quo"), proj
 
 
-def hom_modules(M: FdModule, N: FdModule) -> List[Mat]:
-    """Basis of right-module homomorphisms M -> N (matrices in row convention)."""
+def hom_dim(M: FdModule, N: FdModule) -> int:
+    """Dimension of the space of right-module homomorphisms M -> N."""
     if M.algebra != N.algebra:
         raise AlgebraError("modules over different algebras")
     ring = M.algebra.ring
@@ -339,9 +374,7 @@ def hom_modules(M: FdModule, N: FdModule) -> List[Mat]:
             for i in range(nm):
                 key = (i * nn + l, off + i * nn + j)
                 items[key] = ring.sub(items[key], c) if key in items else ring.neg(c)
-    ker = left_kernel(Mat.from_entries(ring, nm * nn, M.algebra.dim * nm * nn, items))
-    return [Mat.from_rows(ring, [kv[i * nn:(i + 1) * nn] for i in range(nm)], nn)
-            for kv in ker.rows]
+    return nm * nn - rank(Mat.from_entries(ring, nm * nn, M.algebra.dim * nm * nn, items))
 
 
 class Bimodule:
@@ -349,7 +382,12 @@ class Bimodule:
 
     Both actions are stored as matrices acting on the right of row vectors,
     so the right action is multiplicative and the left action is
-    anti-multiplicative; validation enforces both plus commutation.
+    anti-multiplicative; ``Bimodule(...)`` checks both, the units and
+    commutation.  ``induction_bimodule``, ``restriction_bimodule`` and
+    ``regular_bimodule`` build through ``_inherited``, which checks the
+    shapes only: they act by left and right multiplication in a checked
+    algebra, along a checked ``RingMap``, so associativity and the map's unit
+    and multiplicativity prove the axioms and the commutation.
     """
 
     def __init__(self, left_alg, right_alg, dim, left_action, right_action, name="B"):
@@ -361,16 +399,29 @@ class Bimodule:
         self.name = name
         self._validate()
 
-    def _validate(self):
-        ring = self.left_alg.ring
-        if self.right_alg.ring != ring:
-            raise AlgebraError(f"{self.name}: bimodule sides over different fields")
+    @classmethod
+    def _inherited(cls, left_alg, right_alg, dim, left_action, right_action, name) -> "Bimodule":
+        """A bimodule whose axioms its caller has proved: only shapes are checked."""
+        B = object.__new__(cls)
+        B.left_alg, B.right_alg, B.dim, B.name = left_alg, right_alg, dim, name
+        B.left_action, B.right_action = tuple(left_action), tuple(right_action)
+        B._check_shapes()
+        return B
+
+    def _check_shapes(self):
         L, R = self.left_alg, self.right_alg
+        if R.ring != L.ring:
+            raise AlgebraError(f"{self.name}: bimodule sides over different fields")
         if len(self.left_action) != L.dim or len(self.right_action) != R.dim:
             raise AlgebraError(f"{self.name}: wrong number of action matrices")
-        for m in list(self.left_action) + list(self.right_action):
+        for m in self.left_action + self.right_action:
             if m.nrows != self.dim or m.ncols != self.dim:
                 raise AlgebraError(f"{self.name}: action matrix shape mismatch")
+
+    def _validate(self):
+        self._check_shapes()
+        ring = self.left_alg.ring
+        L, R = self.left_alg, self.right_alg
         if self.left_of(L.unit) != Mat.identity(ring, self.dim):
             raise AlgebraError(f"{self.name}: left unit fails")
         if self.right_of(R.unit) != Mat.identity(ring, self.dim):
@@ -449,12 +500,18 @@ class RingMap:
         return f"RingMap({self.name}: {self.source.name} -> {self.target.name})"
 
 
+# The four constructors below act by left and right multiplication in the
+# checked algebra S (or A), along the checked ring map f: associativity, the
+# unit of the algebra and the unit and multiplicativity of f prove the module
+# axioms and, for bimodules, that the two actions commute.
+
+
 def induction_bimodule(f: RingMap) -> Bimodule:
     """Target algebra S as an (R, S)-bimodule along f: R -> S."""
     S = f.target
     left = [S.left_regular(f.images[i]) for i in range(f.source.dim)]
     right = [S.right_regular(S.basis_vec(j)) for j in range(S.dim)]
-    return Bimodule(f.source, S, S.dim, left, right, name=f"ind({f.name})")
+    return Bimodule._inherited(f.source, S, S.dim, left, right, name=f"ind({f.name})")
 
 
 def restriction_bimodule(f: RingMap) -> Bimodule:
@@ -462,20 +519,20 @@ def restriction_bimodule(f: RingMap) -> Bimodule:
     A = f.target
     left = [A.left_regular(A.basis_vec(i)) for i in range(A.dim)]
     right = [A.right_regular(f.images[j]) for j in range(f.source.dim)]
-    return Bimodule(A, f.source, A.dim, left, right, name=f"res({f.name})")
+    return Bimodule._inherited(A, f.source, A.dim, left, right, name=f"res({f.name})")
 
 
 def regular_bimodule(alg: AlgebraPresentation) -> Bimodule:
     left = [alg.left_regular(alg.basis_vec(i)) for i in range(alg.dim)]
     right = [alg.right_regular(alg.basis_vec(i)) for i in range(alg.dim)]
-    return Bimodule(alg, alg, alg.dim, left, right, name=alg.name)
+    return Bimodule._inherited(alg, alg, alg.dim, left, right, name=alg.name)
 
 
 def module_along_map(f: RingMap) -> FdModule:
     """The target algebra as a right module over the source, via f."""
     S, R = f.target, f.source
     action = [S.right_regular(f.images[i]) for i in range(R.dim)]
-    return FdModule(R, S.dim, action, name=f"{S.name} as {R.name}-mod")
+    return FdModule._inherited(R, S.dim, action, name=f"{S.name} as {R.name}-mod")
 
 
 class TwoSidedIdeal:

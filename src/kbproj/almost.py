@@ -28,7 +28,7 @@ from .algebra import (
     AlgebraPresentation,
     FdModule,
     TwoSidedIdeal,
-    hom_modules,
+    hom_dim,
     ideal_generated_by_idempotent,
     projective_module,
     quotient_module,
@@ -143,8 +143,8 @@ def serre_adjoint_report(alg: AlgebraPresentation,
         Mco, _ = quotient_module(M, M.times_ideal(ideal.space))
         Mre, _ = submodule(M, M.annihilated_by(ideal.space))
         for nname, N in perp.items():
-            co = (len(hom_modules(Mco, N)), len(hom_modules(M, N)))
-            re = (len(hom_modules(N, Mre)), len(hom_modules(N, M)))
+            co = (hom_dim(Mco, N), hom_dim(M, N))
+            re = (hom_dim(N, Mre), hom_dim(N, M))
             checks.append(AdjunctionCheck(mname, nname, co, re,
                                           co[0] == co[1] and re[0] == re[1]))
     verdict = "certified" if all(c.ok for c in checks) else "inconclusive"

@@ -448,6 +448,63 @@ def route_trusted_algmats_through_validation(monkeypatch):
     return callers
 
 
+def route_inherited_modules_through_validation(monkeypatch):
+    """Make ``FdModule._inherited`` and ``Bimodule._inherited`` build through
+    the validating ``FdModule(...)`` and ``Bimodule(...)``.
+
+    Every module and bimodule the engine derives from a checked one then has
+    its unit, multiplicativity and commutation checked as well as its shapes,
+    as before inherited construction existed.  Returns the set of names of
+    the functions that asked for one.
+    """
+    import sys
+
+    from kbproj.algebra import Bimodule, FdModule
+
+    callers = set()
+
+    def module(cls, algebra, dim, action, name):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return FdModule(algebra, dim, action, name=name)
+
+    def bimodule(cls, left_alg, right_alg, dim, left_action, right_action, name):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return Bimodule(left_alg, right_alg, dim, left_action, right_action, name=name)
+
+    monkeypatch.setattr(FdModule, "_inherited", classmethod(module))
+    monkeypatch.setattr(Bimodule, "_inherited", classmethod(bimodule))
+    return callers
+
+
+def hom_modules(M, N):
+    """Basis of right-module homomorphisms M -> N (matrices in row convention).
+
+    The kernel of the constraint matrix whose rank ``algebra.hom_dim``
+    takes: each basis vector unpacked to a matrix, so its length is the
+    dimension and each member can be checked to be a module map.
+    """
+    from kbproj.linalg import Mat, left_kernel
+
+    ring = M.algebra.ring
+    nm, nn = M.dim, N.dim
+    # unknown F (nm x nn), constraints rhoM(b) F = F rhoN(b): row k*nn + j is
+    # the unknown F[k][j], column (b*nm + i)*nn + j the constraint's entry (i, j)
+    items = {}
+    for b in range(M.algebra.dim):
+        off = b * nm * nn
+        for i, k, a in M.action[b].items():
+            for j in range(nn):
+                key = (k * nn + j, off + i * nn + j)
+                items[key] = ring.add(items[key], a) if key in items else a
+        for l, j, c in N.action[b].items():
+            for i in range(nm):
+                key = (i * nn + l, off + i * nn + j)
+                items[key] = ring.sub(items[key], c) if key in items else ring.neg(c)
+    ker = left_kernel(Mat.from_entries(ring, nm * nn, M.algebra.dim * nm * nn, items))
+    return [Mat.from_rows(ring, [kv[i * nn:(i + 1) * nn] for i in range(nm)], nn)
+            for kv in ker.rows]
+
+
 class FractionRationals:
     """The rationals with every element a ``Fraction``, integral or not.
 

@@ -16,7 +16,14 @@ from build_examples import (
     upper_triangular_2,
     ut2_structure_plain,
 )
-from oracles import all_subspaces_gf, coequalizer_dim, gf_set_closure, span_members, structure_mult
+from oracles import (
+    all_subspaces_gf,
+    coequalizer_dim,
+    gf_set_closure,
+    hom_modules,
+    span_members,
+    structure_mult,
+)
 
 from kbproj.algebra import (
     AlgebraError,
@@ -25,7 +32,6 @@ from kbproj.algebra import (
     FdModule,
     RingMap,
     TwoSidedIdeal,
-    hom_modules,
     ideal_from_spanning,
     ideal_generated_by_idempotent,
     induction_bimodule,

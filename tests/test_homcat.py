@@ -9,10 +9,10 @@ import random
 import pytest
 
 from build_examples import upper_triangular_2, ut2_complexes
-from oracles import plain_homotopy_hom_dim
+from oracles import hom_modules, plain_homotopy_hom_dim
 from test_operators import ALGEBRAS
 
-from kbproj.algebra import hom_modules, projective_module, quotient_module, radical, regular_module, submodule
+from kbproj.algebra import projective_module, quotient_module, radical, regular_module, submodule
 from kbproj.homcat import (
     AlgMat,
     GradedMap,

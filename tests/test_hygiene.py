@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
-only ``homcat`` builds summand matrices without the corner check, only
-``linalg`` knows that a non-integral rational is a ``Fraction``, no
-module multiplies two basis vectors to read a structure constant, no
-loop asks for class coordinates one map at a time, graded-map
+only ``homcat`` builds summand matrices without the corner check, only the
+seven constructors that derive a module from a checked one skip its axiom
+checks, only ``linalg`` knows that a non-integral rational is a
+``Fraction``, no module multiplies two basis vectors to read a structure
+constant, no loop asks for class coordinates one map at a time, graded-map
 arithmetic builds no zero blocks to multiply, ``GradedMap.is_chain_map``
 is the only chain-map test, ``ProjComplex.__eq__`` is the only
 complex-equality rule, no solve is asked for a kernel: ``solve`` and
@@ -85,6 +86,36 @@ def test_only_homcat_builds_trusted_summand_matrices(module):
     uses = [f"{module}:{n.lineno}" for n in ast.walk(_parse(module))
             if isinstance(n, ast.Attribute) and n.attr == "_trusted"]
     assert not uses, "AlgMat._trusted used outside homcat: " + ", ".join(uses)
+
+
+# the constructors whose result is a module because what it is derived from
+# is checked: an invariant subspace of a checked module, or multiplication in
+# a checked algebra along a checked ring map
+_INHERITS_ITS_CHECK = {"submodule", "quotient_module", "regular_module", "module_along_map",
+                       "induction_bimodule", "restriction_bimodule", "regular_bimodule"}
+
+
+def _inherited_calls(tree):
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute) and n.func.attr == "_inherited"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_derived_constructors_skip_module_axioms(module):
+    # every other module or bimodule is built by FdModule(...) or Bimodule(...),
+    # which check the unit, multiplicativity and commutation
+    tree = _parse(module)
+    allowed, seen = set(), set()
+    if module == "algebra.py":
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name in _INHERITS_ITS_CHECK:
+                calls = _inherited_calls(fn)
+                allowed |= set(map(id, calls))
+                seen |= {fn.name} if calls else set()
+        assert seen == _INHERITS_ITS_CHECK, \
+            "no longer built by _inherited: " + ", ".join(sorted(_INHERITS_ITS_CHECK - seen))
+    uses = [f"{module}:{n.lineno}" for n in _inherited_calls(tree) if id(n) not in allowed]
+    assert not uses, "_inherited called outside the derived constructors: " + ", ".join(uses)
 
 
 def _is_fraction(node):
