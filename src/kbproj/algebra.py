@@ -228,7 +228,7 @@ class FdModule:
     """A finite-dimensional right module given by action matrices.
 
     ``FdModule(...)`` checks the shapes, the unit and every product of two
-    action matrices.  Modules built from outside data, by ``module_tensor``,
+    action matrices.  Modules built from outside data, by
     ``projective_module`` and ``CornerFunctor.apply`` go through it.  The
     constructors that derive a module from a checked one build through
     ``_inherited``, which checks the shapes only, because what they inherit
@@ -236,7 +236,9 @@ class FdModule:
     the subspace is invariant, and a sub or quotient of a checked module by
     an invariant subspace is a module; ``regular_module`` and
     ``module_along_map`` act by right multiplication in a checked algebra,
-    along a checked ``RingMap``.  ``projective_module`` and ``radical`` are
+    along a checked ``RingMap``; ``module_tensor`` divides M (x)_k B, a
+    module through B's right action, by relations that action keeps, since
+    B is a checked bimodule.  ``projective_module`` and ``radical`` are
     cached on the algebra, so an algebra and the modules they return are
     immutable.
     """
@@ -693,7 +695,10 @@ def module_tensor(M: FdModule, B: Bimodule) -> TensorResult:
                         out[i * B.dim + v] = ring.add(out[i * B.dim + v], ring.mul(c, d))
             rows.append(relations.quotient_coords(out))
         action.append(Mat.from_rows(ring, rows, qdim))
-    module = FdModule(S, qdim, action, name=f"{M.name}(x){B.name}")
+    # id (x) rho_s makes M (x)_k B a module, and it keeps the relations
+    # m.r (x) b - m (x) r.b invariant, since (r.b).s = r.(b.s) in a checked
+    # bimodule: the quotient by an invariant subspace is a module
+    module = FdModule._inherited(S, qdim, action, name=f"{M.name}(x){B.name}")
     return TensorResult(module, relations, reps)
 
 

@@ -37,9 +37,9 @@ from .algebra import (
     submodule,
 )
 from .functors import FiniteSubcat
-from .homcat import AlgMat, HomSpace, ProjComplex, chain_map, cone
-from .ideals import HomIdeal, is_idempotent_ideal
-from .linalg import Mat, Subspace, left_kernel
+from .homcat import AlgMat, ProjComplex, chain_map, cone
+from .ideals import HomIdeal, is_idempotent_ideal, kernel_ideal
+from .linalg import Mat, Subspace
 
 
 class AlmostError(ValueError):
@@ -309,7 +309,11 @@ def almost_derived_ideal(alg: AlgebraPresentation, ideal: TwoSidedIdeal,
                          window: Optional[Tuple[int, int]] = None
                          ) -> AlmostDerivedReport:
     """Cone of the multiplication map of an idempotent projective ideal,
-    plus the ideal of window maps invisible to all shifts of that cone."""
+    plus the ideal of window maps invisible to all shifts of that cone.
+
+    The shifts C[n], under the keys n, extend the window to one whose
+    composition tensors give every xi . f; the window stores the extension.
+    """
     if not ideal.is_idempotent():
         raise AlmostError("the ideal must be idempotent")
     ring = alg.ring
@@ -327,61 +331,41 @@ def almost_derived_ideal(alg: AlgebraPresentation, ideal: TwoSidedIdeal,
             sq_pairs.append((i, alg.mult(g, h)))
     _check_tensor_dim(alg, ideal, tensor_dim)
 
-    n_idem = alg.n_idempotents()
-    tgt_idems = tuple(range(n_idem))
+    tgt_idems = tuple(range(alg.n_idempotents()))
     src_idems = tuple(i for i, _ in sq_pairs)
-    src = ProjComplex(alg, {0: src_idems}, {}, name="sq") if src_idems else \
-        ProjComplex(alg, {}, {}, name="sq")
+    # a complex drops an empty degree, so the zero ideal gives the zero complex
+    src = ProjComplex(alg, {0: src_idems}, {}, name="sq")
     tgt = ProjComplex(alg, {0: tgt_idems}, {}, name="ring")
-    entries = []
-    for i in range(n_idem):
-        ei = alg.idempotent_vec(i)
-        entries.append([alg.mult(ei, m) for _, m in sq_pairs])
+    entries = [[alg.mult(alg.idempotent_vec(i), m) for _, m in sq_pairs] for i in tgt_idems]
     comp = {0: AlgMat(alg, tgt_idems, src_idems, entries)} if src_idems else {}
-    mu = chain_map(src, tgt, comp, name="mult")
-    C, _, _ = cone(mu)
+    C, _, _ = cone(chain_map(src, tgt, comp, name="mult"))
 
-    comps = {}
-    hom_into: Dict[Tuple[str, int], HomSpace] = {}
-    hull_lo, hull_hi = 0, 0
-    for bn in subcat.names():
-        Y = subcat.objects[bn]
-        tests = []
-        if not C.is_zero() and not Y.is_zero():
-            lo, hi = window if window is not None else (C.lo - Y.hi, C.hi - Y.lo)
-            hull_lo, hull_hi = min(hull_lo, lo), max(hull_hi, hi)
-            for n in range(lo, hi + 1):
-                Cn = C.shift(n)
-                HY = HomSpace(Y, Cn)
-                if HY.dim:
-                    tests.append((n, Cn, HY.basis()))
-        for an in subcat.names():
-            H = subcat.hom(an, bn)
-            if H.dim == 0:
-                continue
-            X = subcat.objects[an]
-            fs = H.basis()
-            rows = [[] for _ in fs]
-            for n, Cn, xis in tests:
-                key = (an, n)
-                if key not in hom_into:
-                    hom_into[key] = HomSpace(X, Cn)
-                HX = hom_into[key]
-                if HX.dim == 0:
-                    continue
-                # row i gets the classes of xi . f_i for each xi in turn
-                K = HX.class_matrix([xi.compose(f) for f in fs for xi in xis])
-                for p, coords in enumerate(K.rows()):
-                    rows[p // len(xis)].extend(coords)
-            comps[(an, bn)] = left_kernel(Mat.from_rows(ring, rows, len(rows[0])))
-    I = HomIdeal(subcat, comps)
+    shifts = {}
+    for bn, Y in subcat.objects.items():
+        # the n with Hom(Y, C[n]) possibly nonzero, or the task's window
+        lo, hi = (0, -1) if C.is_zero() or Y.is_zero() else window or (C.lo - Y.hi, C.hi - Y.lo)
+        shifts[bn] = range(lo, hi + 1)
+    used = sorted({n for r in shifts.values() for n in r})
+    W = subcat.extended({n: C.shift(n) for n in used})
+
+    def probe(an: str, bn: str) -> Mat:
+        # row i gets the classes of xi . f_i for each xi: bn -> C[n] in turn
+        rows = [[] for _ in range(subcat.hom(an, bn).dim)]
+        for n in shifts[bn]:
+            if W.hom(bn, n).dim and W.hom(an, n).dim:
+                for row, T in zip(rows, W.composition_tensor(an, bn, n)):
+                    row.extend(c for coords in T for c in coords)
+        return Mat.from_rows(ring, rows, len(rows[0]))
+
+    # xi . (h . f) = (xi . h) . f, and xi . h: Y -> C[n] is zero or a probe of f
+    I = kernel_ideal(subcat, probe)
     note = ("right projectivity of the ideal and its tensor square is "
             "witness-certified; flatness of the square as a left module "
             "is recorded on that basis (left action by algebra elements, "
             "right structure projective)")
     return AlmostDerivedReport(
         cone=C, ideal=I, idempotent_on_window=is_idempotent_ideal(I),
-        window=(hull_lo, hull_hi), tensor_square_dim=tensor_dim,
+        window=(min([0] + used), max([0] + used)), tensor_square_dim=tensor_dim,
         projective_right=True, flatness_note=note, verdict="certified")
 
 

@@ -17,16 +17,18 @@ coordinates and ``functor_matrix`` assembles g -> F(g) from them.
 stores the images on the functor, as a ``FiniteSubcat`` with its own Hom
 cache; ``kernel_objects`` and ``ideals.annihilator_ideal`` read them there.
 Tables and windows are stored with ``dict.setdefault``, so threads racing on
-a first call may both build, and all of them keep one result.
+a first call may both build, and all of them keep one result; a window
+finds a stored ``extended`` window by equality, as complexes are unhashable.
 """
 
 from __future__ import annotations
 
+from collections import ChainMap
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Bimodule, RingMap, induction_bimodule, restriction_bimodule
 from .homcat import AlgMat, GradedMap, HomSpace, MapLayout, ProjComplex
-from .linalg import Mat, Subspace, left_kernel, rank, solve_left
+from .linalg import Mat, rank, solve_left
 
 
 class FunctorError(ValueError):
@@ -217,6 +219,7 @@ class FiniteSubcat:
         self._homs: Dict[Tuple[str, str], HomSpace] = {}
         self._comp: Dict[Tuple[str, str, str], List[List[List]]] = {}
         self._shift: Dict[Tuple[str, str], Mat] = {}
+        self._extensions: List[Tuple[Dict[int, ProjComplex], FiniteSubcat]] = []
 
     def names(self) -> List[str]:
         return list(self.order)
@@ -236,6 +239,18 @@ class FiniteSubcat:
             C = Hac.class_matrix([g.compose(f) for f in fs for g in gs]).rows() if fs and gs else []
             self._comp[key] = [C[i * len(gs):(i + 1) * len(gs)] for i in range(len(fs))]
         return self._comp[key]
+
+    def extended(self, extra: Dict[int, ProjComplex]) -> "FiniteSubcat":
+        """This window with more objects under integer keys, apart from the
+        string names; built once per equal family of extra objects.  It reads
+        this window's stored Hom spaces and tensors and keeps its own apart."""
+        for known, W in self._extensions:
+            if known == extra:
+                return W
+        W = FiniteSubcat({**self.objects, **extra})
+        W._homs, W._comp = ChainMap({}, self._homs), ChainMap({}, self._comp)
+        self._extensions.append((extra, W))
+        return W
 
     def shift_matrix(self, a: str, b: str) -> Mat:
         """Class-coordinate matrix of the translation Hom(a,b) -> Hom(sa, sb)."""
@@ -279,12 +294,6 @@ def functor_class_matrix(F: BimoduleFunctor, H: HomSpace,
                          FH: HomSpace, FX: ProjComplex, FY: ProjComplex) -> Mat:
     """Matrix (row convention) of the induced map on homotopy classes."""
     return FH.class_matrix([F.apply_map(f, FX, FY) for f in H.basis()])
-
-
-def annihilator_classes(F: BimoduleFunctor, H: HomSpace,
-                        FH: HomSpace, FX: ProjComplex, FY: ProjComplex) -> Subspace:
-    """Classes killed by the functor, as a subspace in class coordinates."""
-    return left_kernel(functor_class_matrix(F, H, FH, FX, FY))
 
 
 def kernel_objects(F: BimoduleFunctor, subcat: FiniteSubcat) -> List[str]:

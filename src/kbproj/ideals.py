@@ -10,9 +10,9 @@ to exact linear algebra over the ground field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .functors import BimoduleFunctor, FiniteSubcat, annihilator_classes, kernel_objects
+from .functors import BimoduleFunctor, FiniteSubcat, functor_class_matrix, kernel_objects
 from .homcat import GradedMap, recognize_triangle
 from .linalg import Mat, Subspace, left_kernel
 
@@ -49,10 +49,30 @@ def _unit(ring, n: int, i: int) -> List:
 
 
 class HomIdeal:
-    """Per-pair subspaces of hom classes, verified two-sided."""
+    """Per-pair subspaces of hom classes, closed under composition.
+
+    ``HomIdeal(...)`` checks the shapes, and the closure by composing each
+    basis class with every class on either side.  ``ideal_closure``,
+    ``ideal_product``, ``factor_through_ideal`` and ``kernel_ideal`` build
+    through ``_constructed``, which checks the shapes only: each proves the
+    closure of what it builds, in one line at the call.
+    """
 
     def __init__(self, subcat: FiniteSubcat,
                  components: Dict[Pair, Subspace]):
+        self._fill(subcat, components)
+        if not self._closed():
+            raise IdealError("components are not closed under composition")
+
+    @classmethod
+    def _constructed(cls, subcat: FiniteSubcat,
+                     components: Dict[Pair, Subspace]) -> "HomIdeal":
+        """An ideal whose closure its caller has proved: only shapes are checked."""
+        I = object.__new__(cls)
+        I._fill(subcat, components)
+        return I
+
+    def _fill(self, subcat: FiniteSubcat, components: Dict[Pair, Subspace]):
         self.subcat = subcat
         ring = subcat.alg.ring
         self.components: Dict[Pair, Subspace] = {}
@@ -70,8 +90,6 @@ class HomIdeal:
         for key in components:
             if key not in self.components:
                 raise IdealError(f"component at unknown pair {key}")
-        if not self._closed():
-            raise IdealError("components are not closed under composition")
 
     def _closed(self) -> bool:
         return all(self.components[key].contains(w)
@@ -144,7 +162,8 @@ def ideal_closure(subcat: FiniteSubcat,
                     old = spans[key]
                     spans[key] = Subspace.from_spanning(ring, old.ambient, list(old.rows) + new)
                     changed = changed or spans[key].dim > old.dim
-    return HomIdeal(subcat, spans)
+    # the last pass added no composite, and that pass is the closure check
+    return HomIdeal._constructed(subcat, spans)
 
 
 def principal_ideal(subcat: FiniteSubcat, a: str, b: str, f: GradedMap) -> HomIdeal:
@@ -168,28 +187,33 @@ def ideal_product(I: HomIdeal, J: HomIdeal) -> HomIdeal:
                     vecs.setdefault((a, c), []).extend(
                         compose_coords(subcat, a, b, c, v, w) for v in S.rows for w in T.rows)
     ring = subcat.alg.ring
-    return HomIdeal(subcat, {key: Subspace.from_spanning(ring, subcat.hom(*key).dim, vs)
-                             for key, vs in vecs.items()})
+    comps = {key: Subspace.from_spanning(ring, subcat.hom(*key).dim, vs)
+             for key, vs in vecs.items()}
+    # h . (j . i) = (h . j) . i and (j . i) . g = j . (i . g), with h . j in J and i . g in I
+    return HomIdeal._constructed(subcat, comps)
 
 
 def is_idempotent_ideal(I: HomIdeal) -> bool:
     return ideal_product(I, I) == I
 
 
-def annihilator_ideal(F: BimoduleFunctor, subcat: FiniteSubcat) -> HomIdeal:
-    """Classes sent to a nullhomotopic map by the functor.
+def kernel_ideal(subcat: FiniteSubcat, probe: Callable[[str, str], Mat]) -> HomIdeal:
+    """The classes a probe kills: where hom(a, b) is nonzero, the left kernel
+    of ``probe(a, b)``, whose row i is the image of basis class i.  The probe
+    must kill h . f and f . g whenever it kills f; each caller says why."""
+    names = subcat.names()
+    return HomIdeal._constructed(subcat, {(a, b): left_kernel(probe(a, b))
+                                          for a in names for b in names
+                                          if subcat.hom(a, b).dim})
 
-    Images and their Hom spaces come from ``F.image_window(subcat)``, and
-    only pairs with a nonzero source Hom space ask for an image Hom space.
-    """
+
+def annihilator_ideal(F: BimoduleFunctor, subcat: FiniteSubcat) -> HomIdeal:
+    """Classes sent to a nullhomotopic map by the functor, read in the images
+    and Hom spaces of ``F.image_window(subcat)``."""
     W = F.image_window(subcat)
-    comps = {}
-    for a in subcat.names():
-        for b in subcat.names():
-            H = subcat.hom(a, b)
-            if H.dim:
-                comps[(a, b)] = annihilator_classes(F, H, W.hom(a, b), W.objects[a], W.objects[b])
-    return HomIdeal(subcat, comps)
+    # F(h . f) = F(h) . F(f) is nullhomotopic when F(f) is
+    return kernel_ideal(subcat, lambda a, b: functor_class_matrix(
+        F, subcat.hom(a, b), W.hom(a, b), W.objects[a], W.objects[b]))
 
 
 def factor_through_ideal(subcat: FiniteSubcat, through: Sequence[str]) -> HomIdeal:
@@ -204,7 +228,8 @@ def factor_through_ideal(subcat: FiniteSubcat, through: Sequence[str]) -> HomIde
         ring, subcat.hom(a, c).dim,
         [t for b in through for row in subcat.composition_tensor(a, b, c) for t in row])
         for a in names for c in names}
-    return HomIdeal(subcat, comps)
+    # a composite with a map through t still passes through t
+    return HomIdeal._constructed(subcat, comps)
 
 
 # -- stability and saturation -------------------------------------------------

@@ -71,11 +71,12 @@ class MapLiftReport:
     depth_reached: int
 
 
-def _check_problem(F: BimoduleFunctor, X: ProjComplex, Y: ProjComplex,
-                   alpha: GradedMap) -> Tuple[ProjComplex, ProjComplex]:
+def _check_problem(F: BimoduleFunctor, X: ProjComplex, Y: ProjComplex, alpha: GradedMap,
+                   FX: Optional[ProjComplex], FY: Optional[ProjComplex]
+                   ) -> Tuple[ProjComplex, ProjComplex]:
     if X.alg != F.source_alg or Y.alg != F.source_alg:
         raise LiftError("endpoints live over the wrong algebra")
-    FX, FY = F.apply_complex(X), F.apply_complex(Y)
+    FX, FY = FX or F.apply_complex(X), FY or F.apply_complex(Y)
     if not alpha.is_chain_map():
         raise LiftError("the map to lift must be a degree-0 chain map")
     if alpha.source != FX or alpha.target != FY:
@@ -125,9 +126,13 @@ def _try_node(F: BimoduleFunctor, Xc: ProjComplex, Y: ProjComplex,
 
 def lift_chain_map(F: BimoduleFunctor, X: ProjComplex, Y: ProjComplex,
                    alpha: GradedMap, generators: Sequence[ProjComplex] = (),
-                   budget: SearchBudget = SearchBudget()) -> MapLiftReport:
-    """Search for a lift of alpha: F(X) -> F(Y) across the functor."""
-    _, FY = _check_problem(F, X, Y, alpha)
+                   budget: SearchBudget = SearchBudget(), FX: Optional[ProjComplex] = None,
+                   FY: Optional[ProjComplex] = None) -> MapLiftReport:
+    """Search for a lift of alpha: F(X) -> F(Y) across the functor.  F(X)
+    and F(Y) are computed here unless the caller has them, as in ``apply_map``;
+    images a caller passes are trusted to be F(X) and F(Y), so alpha's
+    endpoints are checked against them and not against a fresh image."""
+    FX, FY = _check_problem(F, X, Y, alpha, FX, FY)
     _check_generators(F, generators)
     queue = deque()
     queue.append((X, identity_map(X), 0, ()))
@@ -139,7 +144,8 @@ def lift_chain_map(F: BimoduleFunctor, X: ProjComplex, Y: ProjComplex,
             break
         tried += 1
         depth_reached = max(depth_reached, depth)
-        Fpi = F.apply_map(pi)
+        # the root candidate is X itself; every other is a new complex
+        Fpi = F.apply_map(pi, FX if depth == 0 else None, FX)
         got = _try_node(F, Xc, Y, FY, alpha, Fpi)
         if got is not None:
             lifted, homot = got
@@ -177,11 +183,12 @@ def verify_map_lift(F: BimoduleFunctor, X: ProjComplex, Y: ProjComplex,
         return False, "replacement map is not a chain map"
     if not lifted.is_chain_map():
         return False, "lifted map is not a chain map"
-    Fpi = F.apply_map(pi)
+    FR = F.apply_complex(cert.replacement)
+    Fpi = F.apply_map(pi, FR, F.apply_complex(X))
     Cpi, _, _ = cone(Fpi)
     if not verify_contraction(Cpi, cert.replacement_contraction):
         return False, "contraction does not invert the replacement image"
-    want = F.apply_map(lifted) - alpha.compose(Fpi)
+    want = F.apply_map(lifted, FR, F.apply_complex(Y)) - alpha.compose(Fpi)
     if cert.defect_homotopy.degree != -1:
         return False, "defect witness has wrong degree"
     if not (cert.defect_homotopy.delta() - want).is_zero():
@@ -305,7 +312,9 @@ def _lift_rec(F, Y: ProjComplex, table, generators, budget) -> Tuple[ProjComplex
     XBs = XB.shift(-1)
     eBs = eB.shift(-1)
     m = invA.compose(dmap).compose(eBs)
-    rep = lift_chain_map(F, XBs, XA, m, generators, budget)
+    # m runs from F(XBs) = eBs.source to F(XA) = eA.source; these images are
+    # trusted here, and the cone check below compares F(X) with a fresh image
+    rep = lift_chain_map(F, XBs, XA, m, generators, budget, eBs.source, eA.source)
     if rep.verdict != "found":
         raise _NotLiftable(
             f"attaching map into degree {h} has no lift within the budget")
@@ -313,12 +322,13 @@ def _lift_rec(F, Y: ProjComplex, table, generators, budget) -> Tuple[ProjComplex
     dhat = cert.lifted
     X, _, _ = cone(dhat)
     FX = F.apply_complex(X)
-    Fd = F.apply_map(dhat)
+    FR = F.apply_complex(cert.replacement)
+    Fd = F.apply_map(dhat, FR, eA.source)
     CFd, _, _ = cone(Fd)
     if FX != CFd:
         raise LiftError("internal error: functor image of the cone is not "
                         "the cone of the image")
-    Fpi = F.apply_map(cert.to_source)
+    Fpi = F.apply_map(cert.to_source, FR, eBs.source)
     p = eBs.compose(Fpi)
     q = eA
     g = q.compose(Fd) - dmap.compose(p)

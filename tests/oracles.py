@@ -977,3 +977,74 @@ def dense_ideal_product(I, J):
                     for w in J.component(b, c).rows]
             comps[(a, c)] = Subspace.from_spanning(subcat.alg.ring, subcat.hom(a, c).dim, vecs)
     return HomIdeal(subcat, comps)
+
+
+# -- constructed ideals and the derived almost ideal -----------------------------
+
+
+def route_constructed_ideals_through_closure_check(monkeypatch):
+    """Make ``HomIdeal._constructed`` build through the public ``HomIdeal(...)``.
+
+    Every ideal the engine builds then has its closure under composition
+    checked as well as its shapes, as before constructed ideals skipped that
+    check.  Returns the set of names of the functions that asked for one.
+    """
+    import sys
+
+    from kbproj.ideals import HomIdeal
+
+    callers = set()
+
+    def checked(cls, subcat, components):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return HomIdeal(subcat, components)
+
+    monkeypatch.setattr(HomIdeal, "_constructed", classmethod(checked))
+    return callers
+
+
+def derived_ideal_fresh(C, subcat, window=None):
+    """The ideal of window maps f: X -> Y with xi . f nullhomotopic for every
+    xi: Y -> C[n], as ``almost.almost_derived_ideal`` built it before its cone
+    window was stored: fresh ``HomSpace(Y, C[n])`` and ``HomSpace(X, C[n])``
+    on every call, kept in a local dict, and a kernel loop of its own.
+    Returns the ideal, through the checking constructor, and the hull of the
+    shifts used (which always contains 0)."""
+    from kbproj.homcat import HomSpace
+    from kbproj.ideals import HomIdeal
+    from kbproj.linalg import Mat, left_kernel
+
+    ring = subcat.alg.ring
+    comps = {}
+    hom_into = {}
+    hull_lo, hull_hi = 0, 0
+    for bn in subcat.names():
+        Y = subcat.objects[bn]
+        tests = []
+        if not C.is_zero() and not Y.is_zero():
+            lo, hi = window if window is not None else (C.lo - Y.hi, C.hi - Y.lo)
+            hull_lo, hull_hi = min(hull_lo, lo), max(hull_hi, hi)
+            for n in range(lo, hi + 1):
+                Cn = C.shift(n)
+                HY = HomSpace(Y, Cn)
+                if HY.dim:
+                    tests.append((n, Cn, HY.basis()))
+        for an in subcat.names():
+            H = subcat.hom(an, bn)
+            if H.dim == 0:
+                continue
+            X = subcat.objects[an]
+            fs = H.basis()
+            rows = [[] for _ in fs]
+            for n, Cn, xis in tests:
+                key = (an, n)
+                if key not in hom_into:
+                    hom_into[key] = HomSpace(X, Cn)
+                HX = hom_into[key]
+                if HX.dim == 0:
+                    continue
+                K = HX.class_matrix([xi.compose(f) for f in fs for xi in xis])
+                for p, coords in enumerate(K.rows()):
+                    rows[p // len(xis)].extend(coords)
+            comps[(an, bn)] = left_kernel(Mat.from_rows(ring, rows, len(rows[0])))
+    return HomIdeal(subcat, comps), (hull_lo, hull_hi)

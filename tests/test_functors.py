@@ -16,7 +16,6 @@ from kbproj.functors import (
     BimoduleFunctor,
     FiniteSubcat,
     FunctorError,
-    annihilator_classes,
     functor_class_matrix,
     induction_functor,
     kernel_objects,
@@ -30,7 +29,7 @@ from kbproj.homcat import (
     is_homotopy_equivalence,
     single_summand_complex,
 )
-from kbproj.linalg import QQ
+from kbproj.linalg import QQ, left_kernel
 
 
 @pytest.fixture(scope="module")
@@ -260,14 +259,14 @@ def test_annihilator_classes_restriction(ctx, subcat):
     from kbproj.homcat import HomSpace
 
     FH = HomSpace(FX, FY)
-    ann = annihilator_classes(F, H, FH, FX, FY)
+    ann = left_kernel(functor_class_matrix(F, H, FH, FX, FY))
     assert ann.dim == 1
 
     H2 = subcat.hom("P2s", "P1s")
     FX2 = F.apply_complex(subcat.objects["P2s"])
     FY2 = F.apply_complex(subcat.objects["P1s"])
     FH2 = HomSpace(FX2, FY2)
-    assert annihilator_classes(F, H2, FH2, FX2, FY2).dim == 0
+    assert left_kernel(functor_class_matrix(F, H2, FH2, FX2, FY2)).dim == 0
     M = functor_class_matrix(F, H2, FH2, FX2, FY2)
     assert M.nrows == 1 and not M.is_zero()
 
@@ -281,7 +280,7 @@ def test_annihilator_classes_corner(ctx, subcat):
     GY = G.apply_complex(subcat.objects["P1s"])
     GH = HomSpace(GX, GY)
     assert GH.dim == 0
-    assert annihilator_classes(G, H, GH, GX, GY).dim == 1
+    assert left_kernel(functor_class_matrix(G, H, GH, GX, GY)).dim == 1
 
 
 def test_functors_between_declared_algebras(ctx):

@@ -1,7 +1,10 @@
 """Source hygiene: no module of the package imports a name it never uses,
 only ``homcat`` builds summand matrices without the corner check, only the
-seven constructors that derive a module from a checked one skip its axiom
-checks, only ``linalg`` knows that a non-integral rational is a
+eight constructors that derive a module from a checked one skip its axiom
+checks, only the four constructors of an ideal that is closed by
+construction skip the closure check, and only the two probes that kill
+composites reach ``kernel_ideal``, ``almost`` builds no Hom space of its
+own, only ``linalg`` knows that a non-integral rational is a
 ``Fraction``, no module multiplies two basis vectors to read a structure
 constant, no loop asks for class coordinates one map at a time, graded-map
 arithmetic builds no zero blocks to multiply, ``GradedMap.is_chain_map``
@@ -89,10 +92,12 @@ def test_only_homcat_builds_trusted_summand_matrices(module):
 
 
 # the constructors whose result is a module because what it is derived from
-# is checked: an invariant subspace of a checked module, or multiplication in
-# a checked algebra along a checked ring map
+# is checked: an invariant subspace of a checked module, multiplication in a
+# checked algebra along a checked ring map, or relations a checked bimodule's
+# right action keeps
 _INHERITS_ITS_CHECK = {"submodule", "quotient_module", "regular_module", "module_along_map",
-                       "induction_bimodule", "restriction_bimodule", "regular_bimodule"}
+                       "induction_bimodule", "restriction_bimodule", "regular_bimodule",
+                       "module_tensor"}
 
 
 def _inherited_calls(tree):
@@ -116,6 +121,63 @@ def test_only_the_derived_constructors_skip_module_axioms(module):
             "no longer built by _inherited: " + ", ".join(sorted(_INHERITS_ITS_CHECK - seen))
     uses = [f"{module}:{n.lineno}" for n in _inherited_calls(tree) if id(n) not in allowed]
     assert not uses, "_inherited called outside the derived constructors: " + ", ".join(uses)
+
+
+# the constructors whose result is an ideal by construction (see HomIdeal):
+# the closure loop ends on a pass that is the closure check, a product composes
+# elements of two ideals, factoring composites stay composites, and a kernel
+# is taken of a probe that kills every composite with a killed class
+_CLOSED_BY_CONSTRUCTION = {"ideal_closure", "ideal_product", "factor_through_ideal",
+                           "kernel_ideal"}
+# the callers of kernel_ideal, each with a probe that kills composites: a
+# functor, and the composites with every map into the shifts of a cone
+_PROBES_KILL_COMPOSITES = {("ideals.py", "annihilator_ideal"),
+                           ("almost.py", "almost_derived_ideal")}
+
+
+def _calls_named(tree, name):
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Call) and _mentions(n.func, name)]
+
+
+def _calls_only_in(module, name, functions):
+    """Lines of calls to ``name`` in ``module`` outside the top-level functions
+    ``functions``, and the set of those functions that make one."""
+    tree = _parse(module)
+    allowed, seen = set(), set()
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in functions:
+            calls = _calls_named(fn, name)
+            allowed |= set(map(id, calls))
+            seen |= {fn.name} if calls else set()
+    stray = [f"{module}:{n.lineno}" for n in _calls_named(tree, name) if id(n) not in allowed]
+    return stray, seen
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_closed_constructors_skip_the_closure_check(module):
+    # every other ideal is built by HomIdeal(...), which checks closure
+    names = _CLOSED_BY_CONSTRUCTION if module == "ideals.py" else set()
+    stray, seen = _calls_only_in(module, "_constructed", names)
+    assert seen == names, "no longer built by _constructed: " + ", ".join(sorted(names - seen))
+    assert not stray, "_constructed called outside the closed constructors: " + ", ".join(stray)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_probes_that_kill_composites_reach_kernel_ideal(module):
+    names = {fn for m, fn in _PROBES_KILL_COMPOSITES if m == module}
+    stray, seen = _calls_only_in(module, "kernel_ideal", names)
+    assert seen == names, "no longer calls kernel_ideal: " + ", ".join(sorted(names - seen))
+    assert not stray, "kernel_ideal called by another function: " + ", ".join(stray)
+
+
+def test_almost_builds_no_hom_space_of_its_own():
+    # its Hom spaces come from a FiniteSubcat: the window and its cone window
+    tree = _parse("almost.py")
+    uses = [f"almost.py:{n.lineno}" for n in ast.walk(tree) if _mentions(n, "HomSpace")]
+    assert not uses, "HomSpace named in almost.py: " + ", ".join(uses)
+    derived = next(n for n in tree.body
+                   if isinstance(n, ast.FunctionDef) and n.name == "almost_derived_ideal")
+    assert _calls_named(derived, "extended"), "the cone window is no longer a FiniteSubcat"
 
 
 def _is_fraction(node):

@@ -1,15 +1,15 @@
 """Inherited module construction against the validating constructors.
 
-``submodule``, ``quotient_module``, ``regular_module``, ``module_along_map``
-and the three regular bimodules build through ``FdModule._inherited`` and
-``Bimodule._inherited``, which check shapes only.  With those routed through
-``FdModule(...)`` and ``Bimodule(...)``, every module the engine derives has
-its unit, multiplicativity and commutation checked again: on the three
-fixtures and the two smallest members of each generated family, every
-construction must pass and the report bytes must equal those of the normal
-run.  A subspace that is not invariant is refused by ``submodule`` and by
-``quotient_module`` in both modes, and ``hom_dim`` counts the basis the
-oracle ``hom_modules`` returns.
+``submodule``, ``quotient_module``, ``regular_module``, ``module_along_map``,
+``module_tensor`` and the three regular bimodules build through
+``FdModule._inherited`` and ``Bimodule._inherited``, which check shapes
+only.  With those routed through ``FdModule(...)`` and ``Bimodule(...)``,
+every module the engine derives has its unit, multiplicativity and
+commutation checked again: on the three fixtures and the two smallest
+members of each generated family, every construction must pass and the
+report bytes must equal those of the normal run.  A subspace that is not
+invariant is refused by ``submodule`` and by ``quotient_module`` in both
+modes, and ``hom_dim`` counts the basis the oracle ``hom_modules`` returns.
 """
 
 import os
@@ -58,11 +58,11 @@ def test_validated_construction_gives_the_same_report(label, monkeypatch):
     assert [_actions(regular_bimodule(A)) for A in fx.algebras.values()] == bimodules
     if label == "corner":
         assert {"submodule", "quotient_module", "regular_module", "module_along_map",
-                "induction_bimodule", "regular_bimodule"} <= callers
+                "induction_bimodule", "regular_bimodule", "module_tensor"} <= callers
     elif label == "split":
         assert "restriction_bimodule" in callers
     elif label in MEMBERS:
-        assert {"submodule", "module_along_map", "induction_bimodule"} <= callers
+        assert {"submodule", "module_along_map", "induction_bimodule", "module_tensor"} <= callers
 
 
 def _not_invariant():
