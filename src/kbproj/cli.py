@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from .fixture import FixtureError, load_fixture
 from .reports import emit_json, emit_text
-from .runner import TaskError, run_task, run_tasks, worker_count
+from .runner import TaskError, run_task, run_tasks
 
 
 def _parent() -> argparse.ArgumentParser:
@@ -103,30 +103,17 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# the options that become task fields, and those whose value names the task
+_TASK_FIELDS = ("map", "max_degree", "name", "depth", "functor", "subcat", "window",
+                "certificate")
+_TASK_LABELS = ("map", "name", "functor")
+
+
 def _task_for(args) -> dict:
-    c = args.command
-    if c == "check-hepi":
-        return {"id": f"cli:{c}:{args.map}", "command": c, "map": args.map,
-                "max_degree": args.max_degree}
-    if c in ("lift-map", "lift-complex"):
-        t = {"id": f"cli:{c}:{args.name}", "command": c, "name": args.name}
-        if args.depth is not None:
-            t["depth"] = args.depth
-        return t
-    if c in ("recognize-triangle", "check-ideal", "verify-contraction"):
-        return {"id": f"cli:{c}:{args.name}", "command": c, "name": args.name}
-    if c == "telescope-report":
-        return {"id": f"cli:{c}:{args.functor}", "command": c,
-                "functor": args.functor, "subcat": args.subcat}
-    if c == "almost-report":
-        t = {"id": f"cli:{c}:{args.name}", "command": c, "name": args.name}
-        if args.window is not None:
-            t["window"] = args.window
-        return t
-    if c == "verify-certificate":
-        return {"id": f"cli:{c}", "command": c,
-                "certificate": args.certificate}
-    raise TaskError(f"unknown command {c!r}")
+    task = {k: getattr(args, k) for k in _TASK_FIELDS
+            if getattr(args, k, None) is not None}
+    label = "".join(f":{task[k]}" for k in _TASK_LABELS if k in task)
+    return dict(task, id=f"cli:{args.command}{label}", command=args.command)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -141,10 +128,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 if missing:
                     raise TaskError(f"unknown task ids: {', '.join(missing)}")
                 tasks = [by_id[t] for t in args.tasks]
-            workers = worker_count() if args.workers is None else args.workers
-            if workers < 1:
+            if args.workers is not None and args.workers < 1:
                 raise TaskError("--workers must be at least 1")
-            reports = run_tasks(fx, tasks, workers=workers)
+            reports = run_tasks(fx, tasks, workers=args.workers)
         else:
             reports = [run_task(fx, _task_for(args))]
     except (FixtureError, TaskError) as exc:

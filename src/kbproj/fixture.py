@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from .algebra import (
     AlgebraPresentation,
@@ -43,6 +43,9 @@ class FixtureError(ValueError):
 
 _SHIFT_RE = re.compile(r"^(.*)\[(-?\d+)\]$")
 FORMAT_VERSION = 1
+# far above any use (fixtures 4): every shift of a window is one more object
+# and one more row of Hom spaces, so an uncapped shift range can hang a load
+WINDOW_CAP = 64
 
 # what one entry of each built section is called in messages
 _KIND = {"algebras": "algebra", "ring_maps": "ring map", "functors": "functor",
@@ -182,8 +185,8 @@ class FixtureFile:
 
     def _build_subcat(self, name, s) -> FiniteSubcat:
         base = s.get("objects", [])
-        lo, hi = s.get("shift_range", [0, 0])
-        lo, hi = int(lo), int(hi)
+        lo, hi = (checked_int(n, "shift_range", -WINDOW_CAP, WINDOW_CAP)
+                  for n in s.get("shift_range", [0, 0]))
         if lo > hi:
             raise FixtureError(f"subcategory {name}: empty shift range")
         objs = {}
@@ -327,15 +330,23 @@ def _shift_name(base: str, n: int) -> str:
     return base if n == 0 else f"{base}[{n}]"
 
 
+def checked_int(value, key: str, minimum: int, maximum: Optional[int] = None) -> int:
+    """``value`` if it is an integer (not a bool) in [minimum, maximum], else a
+    ``ValueError`` naming ``key``: the one rule for fixture and task integers."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{key!r} must be an integer at least {minimum}, "
+                         f"got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{key!r} must be at most {maximum}, got {value!r}")
+    return value
+
+
 def _budget(entry) -> SearchBudget:
     b = SearchBudget()
-    if "depth" in entry:
-        b = SearchBudget(max_depth=int(entry["depth"]),
-                         max_candidates=b.max_candidates)
-    if "max_candidates" in entry:
-        b = SearchBudget(max_depth=b.max_depth,
-                         max_candidates=int(entry["max_candidates"]))
-    return b
+    return SearchBudget(
+        max_depth=checked_int(entry.get("depth", b.max_depth), "depth", 0),
+        max_candidates=checked_int(entry.get("max_candidates", b.max_candidates),
+                                   "max_candidates", 0))
 
 
 def _section(data, key) -> Dict:

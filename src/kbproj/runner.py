@@ -12,7 +12,8 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import AlgebraError
 from .almost import (
@@ -26,7 +27,7 @@ from .almost import (
     serre_adjoint_report,
 )
 from .derived import check_homological_epi
-from .fixture import FixtureFile
+from .fixture import WINDOW_CAP, FixtureFile, checked_int
 from .functors import FunctorError
 from .homcat import ProjComplex, recognize_triangle, verify_triangle_certificate
 from .ideals import (
@@ -40,6 +41,7 @@ from .ideals import (
 )
 from .lifting import (
     LiftError,
+    SearchBudget,
     lift_chain_map,
     lift_complex,
     verify_complex_lift,
@@ -56,10 +58,9 @@ from .serialize import (
 )
 
 WORKERS_ENV = "KBPROJ_WORKERS"
-# Caps far above any use (default 20, fixtures 4, families 6): each step builds one
-# more resolution degree or shifted Hom space, so an uncapped value can hang a run
+# far above any use (default 20, families 6): each step builds one more
+# resolution degree, so an uncapped value can hang a run
 MAX_DEGREE_CAP = 64
-WINDOW_CAP = 64
 
 
 class TaskError(ValueError):
@@ -69,14 +70,16 @@ class TaskError(ValueError):
 def _task_int(task: Dict, key: str, minimum: int, default: Optional[int] = None,
               maximum: Optional[int] = None) -> int:
     """The integer field ``key`` of a task (``default`` when absent), in [minimum, maximum]."""
-    value = task.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise TaskError(f"task {task.get('id')}: {key!r} must be an integer "
-                        f"at least {minimum}, got {value!r}")
-    if maximum is not None and value > maximum:
-        raise TaskError(f"task {task.get('id')}: {key!r} must be at most {maximum}, "
-                        f"got {value!r}")
-    return value
+    try:
+        return checked_int(task.get(key, default), key, minimum, maximum)
+    except ValueError as exc:
+        raise TaskError(f"task {task.get('id')}: {exc}") from None
+
+
+def _task_budget(task: Dict, budget: SearchBudget) -> SearchBudget:
+    """A lift problem's search budget, with the task's ``depth`` if it gives one."""
+    return (replace(budget, max_depth=_task_int(task, "depth", 0))
+            if "depth" in task else budget)
 
 
 def _locate(subcat, X: ProjComplex, what: str) -> str:
@@ -113,6 +116,57 @@ def _triangle_presentations(fx: FixtureFile, subcat, names: Sequence[str],
     return out
 
 
+# -- certificates --------------------------------------------------------
+
+
+class _CertKind(NamedTuple):
+    section: str         # the fixture section that names its problems
+    encode: Callable     # certificate -> JSON payload, None when there is none
+    decode: Callable     # (problem, payload) -> certificate, ValueError if it does not fit
+    replay: Callable     # (problem, certificate) -> (ok, the reason if not ok)
+
+
+# The one home of each certificate kind: its producer replays through the
+# entry, and verify-certificate decodes and replays through it.  The lambdas
+# read the codecs and verifiers from the module globals at call time, so a
+# rebinding of those names (as bench/tracing.py wraps functions) reaches them.
+_CERTS: Dict[str, _CertKind] = {
+    "triangle": _CertKind(
+        "triangles",
+        lambda c: triangle_cert_to_json(c),
+        lambda t, js: triangle_cert_from_json(t["alpha"], t["beta"], t["gamma"], js),
+        lambda t, c: (verify_triangle_certificate(t["alpha"], t["beta"], t["gamma"], c),
+                      "certificate arithmetic failed")),
+    "map-lift": _CertKind(
+        "lifts",
+        lambda c: map_lift_cert_to_json(c),
+        lambda p, js: map_lift_cert_from_json(p["functor"], p["source"], p["target"], js),
+        lambda p, c: verify_map_lift(p["functor"], p["source"], p["target"], p["map"], c)),
+    "complex-lift": _CertKind(
+        "complex_lifts",
+        lambda c: complex_lift_cert_to_json(c),
+        lambda p, js: complex_lift_cert_from_json(p["functor"], p["target"], js),
+        lambda p, c: verify_complex_lift(p["functor"], p["target"], c)),
+}
+
+
+def _certify(evidence: Dict, kind: str, name: str, prob: Dict, cert) -> None:
+    """Replay a produced certificate through its ``_CERTS`` entry, the one
+    ``verify-certificate`` uses, then attach it to ``evidence`` as an envelope
+    marked ``reverified``.  No certificate (no lift, a triangle that is not
+    exact) attaches nothing."""
+    entry = _CERTS[kind]
+    payload = None if cert is None else entry.encode(cert)
+    if payload is None:
+        return
+    ok, why = entry.replay(prob, cert)
+    if not ok:
+        raise TaskError(f"{kind} {name}: produced certificate failed "
+                        f"re-verification: {why}")
+    evidence["reverified"] = True
+    evidence["certificate"] = {"kind": kind, "problem": name, "payload": payload}
+
+
 # -- command handlers ----------------------------------------------------
 
 
@@ -139,10 +193,7 @@ def _run_check_hepi(fx: FixtureFile, task: Dict) -> Report:
 def _run_lift_map(fx: FixtureFile, task: Dict) -> Report:
     name = task.get("name")
     prob = fx.lookup("lifts", name, f"task {task['id']}")
-    budget = prob["budget"]
-    if "depth" in task:
-        budget = type(budget)(max_depth=_task_int(task, "depth", 0),
-                              max_candidates=budget.max_candidates)
+    budget = _task_budget(task, prob["budget"])
     try:
         rep = lift_chain_map(prob["functor"], prob["source"], prob["target"],
                              prob["map"], generators=prob["generators"],
@@ -155,46 +206,24 @@ def _run_lift_map(fx: FixtureFile, task: Dict) -> Report:
         "depth_reached": rep.depth_reached,
         "max_depth": budget.max_depth,
     }
-    if rep.certificate is not None:
-        ok, why = verify_map_lift(prob["functor"], prob["source"],
-                                  prob["target"], prob["map"], rep.certificate)
-        if not ok:
-            raise TaskError(f"lift {name}: produced certificate failed "
-                            f"re-verification: {why}")
-        evidence["reverified"] = True
-        evidence["certificate"] = {
-            "kind": "map-lift", "problem": name,
-            "payload": map_lift_cert_to_json(rep.certificate),
-        }
+    _certify(evidence, "map-lift", name, prob, rep.certificate)
     return Report(task["id"], "lift-map", rep.verdict, evidence)
 
 
 def _run_lift_complex(fx: FixtureFile, task: Dict) -> Report:
     name = task.get("name")
     prob = fx.lookup("complex_lifts", name, f"task {task['id']}")
-    budget = prob["budget"]
-    if "depth" in task:
-        budget = type(budget)(max_depth=_task_int(task, "depth", 0),
-                              max_candidates=budget.max_candidates)
     try:
         rep = lift_complex(prob["functor"], prob["target"], prob["stalks"],
-                           generators=prob["generators"], budget=budget)
+                           generators=prob["generators"],
+                           budget=_task_budget(task, prob["budget"]))
     except LiftError as exc:
         raise TaskError(f"complex lift {name}: {exc}") from exc
     evidence = {"problem": name, "reason": rep.reason}
+    _certify(evidence, "complex-lift", name, prob, rep.certificate)
     if rep.certificate is not None:
-        ok, why = verify_complex_lift(prob["functor"], prob["target"],
-                                      rep.certificate)
-        if not ok:
-            raise TaskError(f"complex lift {name}: produced certificate "
-                            f"failed re-verification: {why}")
-        evidence["reverified"] = True
         evidence["lift_summands"] = {
             str(n): list(s) for n, s in rep.certificate.lift.summands.items()}
-        evidence["certificate"] = {
-            "kind": "complex-lift", "problem": name,
-            "payload": complex_lift_cert_to_json(rep.certificate),
-        }
     return Report(task["id"], "lift-complex", rep.verdict, evidence)
 
 
@@ -203,16 +232,7 @@ def _run_recognize_triangle(fx: FixtureFile, task: Dict) -> Report:
     tri = fx.lookup("triangles", name, f"task {task['id']}")
     verdict = recognize_triangle(tri["alpha"], tri["beta"], tri["gamma"])
     evidence = {"triangle": name, "reason": verdict.reason}
-    cert = triangle_cert_to_json(verdict)
-    if cert is not None:
-        if not verify_triangle_certificate(tri["alpha"], tri["beta"],
-                                           tri["gamma"], verdict):
-            raise TaskError(f"triangle {name}: certificate failed "
-                            f"re-verification")
-        evidence["reverified"] = True
-        evidence["certificate"] = {
-            "kind": "triangle", "problem": name, "payload": cert,
-        }
+    _certify(evidence, "triangle", name, tri, verdict)
     return Report(task["id"], "recognize-triangle", verdict.verdict, evidence)
 
 
@@ -409,40 +429,22 @@ def _run_verify_certificate(fx: FixtureFile, task: Dict) -> Report:
             raise TaskError(f"certificate {label}: {key!r} must be a string")
     payload = envelope.get("payload")
     evidence = {"certificate": label, "kind": kind, "problem": problem}
-    section = _CERT_SECTIONS.get(kind)
-    if section is None:
+    entry = _CERTS.get(kind)
+    if entry is None:
         raise TaskError(f"certificate kind {kind!r} is not recognized")
     # outside the try, which would take the FixtureError for a ValueError:
     # an unknown problem cannot be executed, it is not refuted
-    prob = fx.lookup(section, problem, f"certificate {label}")
+    prob = fx.lookup(entry.section, problem, f"certificate {label}")
     try:
-        if kind == "map-lift":
-            cert = map_lift_cert_from_json(prob["functor"], prob["source"],
-                                           prob["target"], payload)
-            ok, why = verify_map_lift(prob["functor"], prob["source"],
-                                      prob["target"], prob["map"], cert)
-        elif kind == "complex-lift":
-            cert = complex_lift_cert_from_json(prob["functor"],
-                                               prob["target"], payload)
-            ok, why = verify_complex_lift(prob["functor"], prob["target"],
-                                          cert)
-        else:
-            verdict = triangle_cert_from_json(prob["alpha"], prob["beta"],
-                                              prob["gamma"], payload)
-            ok = verify_triangle_certificate(prob["alpha"], prob["beta"],
-                                             prob["gamma"], verdict)
-            why = "replayed" if ok else "certificate arithmetic failed"
+        ok, why = entry.replay(prob, entry.decode(prob, payload))
     except ValueError as exc:
         # a certificate that cannot be rebuilt against the named problem
         # is refuted, not an execution failure
         ok, why = False, f"certificate does not fit the problem: {exc}"
-    evidence["reason"] = why or ("replayed" if ok else "rejected")
+    evidence["reason"] = "replayed" if ok else why
     return Report(task["id"], "verify-certificate",
                   "certified" if ok else "refuted", evidence)
 
-
-_CERT_SECTIONS = {"map-lift": "lifts", "complex-lift": "complex_lifts",
-                  "triangle": "triangles"}
 
 _HANDLERS = {
     "check-hepi": _run_check_hepi,

@@ -673,7 +673,28 @@ MALFORMED_ENTRIES = [
      "subcategory S: "),
     ("shift-range-short", _set(["subcategories", "S", "shift_range"], [0]),
      "subcategory S: "),
+    # a shift range is built shift by shift, so an unbounded one hung the load
+    ("shift-range-huge", _set(["subcategories", "S", "shift_range"], [-200000, 200000]),
+     "subcategory S: 'shift_range' must be an integer at least -64, got -200000"),
+    ("shift-range-above-cap", _set(["subcategories", "S", "shift_range"], [0, 65]),
+     "subcategory S: 'shift_range' must be at most 64, got 65"),
+    ("shift-range-bool", _set(["subcategories", "S", "shift_range"], [False, 1]),
+     "subcategory S: 'shift_range' must be an integer at least -64, got False"),
+    ("shift-range-float", _set(["subcategories", "S", "shift_range"], [-1.0, 1]),
+     "subcategory S: 'shift_range' must be an integer at least -64, got -1.0"),
     ("lift-depth", _set(["lifts", "corner-id", "depth"], "x"), "lift corner-id: "),
+    # a lift's budget follows the task's integer rule
+    ("lift-depth-bool", _set(["lifts", "corner-id", "depth"], True),
+     "lift corner-id: 'depth' must be an integer at least 0, got True"),
+    ("lift-depth-float", _set(["lifts", "corner-id", "depth"], 2.9),
+     "lift corner-id: 'depth' must be an integer at least 0, got 2.9"),
+    ("lift-depth-negative", _set(["complex_lifts", "rebuild-k3", "depth"], -1),
+     "complex lift rebuild-k3: 'depth' must be an integer at least 0, got -1"),
+    ("lift-max-candidates-text", _set(["lifts", "corner-id", "max_candidates"], "7"),
+     "lift corner-id: 'max_candidates' must be an integer at least 0, got '7'"),
+    ("lift-max-candidates-bool", _set(["complex_lifts", "rebuild-k3", "max_candidates"],
+                                      True),
+     "complex lift rebuild-k3: 'max_candidates' must be an integer at least 0, got True"),
     ("stalk-key", _set(["complex_lifts", "rebuild-k3", "stalks"],
                        {"x": {"source": "P1s", "equivalence": {}}}),
      "complex lift rebuild-k3: "),

@@ -11,10 +11,11 @@ arithmetic builds no zero blocks to multiply, ``GradedMap.is_chain_map``
 is the only chain-map test, ``ProjComplex.__eq__`` is the only
 complex-equality rule, no solve is asked for a kernel: ``solve`` and
 ``solve_left`` get no ``Mat.zeros`` right-hand side and return no tuple to
-unpack, so kernels come only from ``left_kernel``, and there are no dead
-helpers: every function, method and class of the package is referenced,
-as a name or an attribute outside its own definition, somewhere in the
-package or in ``bench/``.  Dunder methods are exempt, and so are the few
+unpack, so kernels come only from ``left_kernel``, ``runner`` names the
+certificate codecs and verifiers only inside its ``_CERTS`` table, and
+there are no dead helpers: every function, method and class of the
+package is referenced, as a name or an attribute outside its own
+definition, somewhere in the package or in ``bench/``.  Dunder methods are exempt, and so are the few
 public helpers in ``_KEPT``, each with the reason it stays."""
 
 import ast
@@ -366,6 +367,28 @@ def test_kernels_come_only_from_left_kernel(module):
              if isinstance(n, ast.Assign) and _is_solver_call(n.value)
              and any(isinstance(t, ast.Tuple) for t in n.targets)]
     assert not uses, "kernel asked of a solver: " + ", ".join(uses)
+
+
+# the certificate codecs and verifiers, which runner reaches only through _CERTS
+_CERT_VERIFIERS = {"verify_triangle_certificate", "verify_map_lift", "verify_complex_lift"}
+
+
+def _is_cert_routine(name):
+    return name.endswith(("_cert_to_json", "_cert_from_json")) or name in _CERT_VERIFIERS
+
+
+def test_runner_reaches_certificate_routines_only_through_its_table():
+    tree = _parse("runner.py")
+    table = next(n for n in tree.body if isinstance(n, ast.AnnAssign)
+                 and _mentions(n.target, "_CERTS"))
+    inside = set(map(id, ast.walk(table)))
+    refs = [(n, n.id if isinstance(n, ast.Name) else n.attr) for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+    refs = [(n, name) for n, name in refs if _is_cert_routine(name)]
+    stray = [f"runner.py:{n.lineno}: {name}" for n, name in refs if id(n) not in inside]
+    assert not stray, "certificate routine named outside _CERTS: " + ", ".join(stray)
+    named = {name for _, name in refs}
+    assert len(named) == 9 and _CERT_VERIFIERS <= named, sorted(named)
 
 
 # Public helpers that no code path in the package or bench/ calls, kept for a reason
