@@ -94,7 +94,7 @@ class FixtureFile:
         if spec == "QQ":
             return QQ
         try:
-            return GF(int(spec["p"]))
+            return GF(checked_int(spec["p"], "p", 2))
         except Exception as exc:
             raise FixtureError(f"unknown field spec {spec!r}: {exc}") from exc
 
@@ -161,7 +161,8 @@ class FixtureFile:
                     raise FixtureError(f"functor {name}: witness entries are "
                                        f"[idempotent, element] pairs")
                 j, vec = item
-                pairs.append((int(j), vec_from_json(self.ring, vec, bim_dim)))
+                pairs.append((checked_int(j, "idempotent", 0),
+                              vec_from_json(self.ring, vec, bim_dim)))
             witnesses[int(k)] = pairs
         if kind == "induction":
             return induction_functor(rm, witnesses)
@@ -177,7 +178,7 @@ class FixtureFile:
     def _build_map(self, name, m) -> GradedMap:
         src = self.complex(m.get("source"), f"map {name}")
         tgt = self.complex(m.get("target"), f"map {name}")
-        degree = int(m.get("degree", 0))
+        degree = checked_int(m.get("degree", 0), "degree", -WINDOW_CAP, WINDOW_CAP)
         f = map_from_json(src, tgt, degree, m.get("components", {}), name=name)
         if m.get("chain", True) and degree == 0 and not f.is_chain_map():
             raise FixtureError(f"map {name}: does not commute with the differentials")
@@ -251,7 +252,7 @@ class FixtureFile:
     def _build_contraction(self, name, c) -> ContractionFixture:
         vars_ = c.get("vars")
         ring = LaurentRing(vars_) if vars_ else self.ring
-        dims = {int(k): int(v) for k, v in c.get("dims", {}).items()}
+        dims = {int(k): checked_int(v, "dims", 0) for k, v in c.get("dims", {}).items()}
 
         def load(table, kind, shape):
             out = {}
@@ -288,18 +289,17 @@ class FixtureFile:
             if subcat.alg != alg:
                 raise FixtureError(f"almost case {name}: subcategory {a['subcat']} lives "
                                    f"over {subcat.alg.name}, not {alg.name}")
+        def witness(lst) -> ProjectivityWitness:
+            return ProjectivityWitness([(checked_int(j, "idempotent", 0),
+                                         vec_from_json(self.ring, v, alg.dim))
+                                        for j, v in lst])
+
         aw = None
         if a.get("a_witness") is not None:
-            aw = ProjectivityWitness(
-                [(int(j), vec_from_json(self.ring, v, alg.dim))
-                 for j, v in a["a_witness"]])
+            aw = witness(a["a_witness"])
         sw = None
         if a.get("square_witnesses") is not None:
-            sw = {}
-            for k, lst in a["square_witnesses"].items():
-                sw[int(k)] = ProjectivityWitness(
-                    [(int(j), vec_from_json(self.ring, v, alg.dim))
-                     for j, v in lst])
+            sw = {int(k): witness(lst) for k, lst in a["square_witnesses"].items()}
         include = a.get("include", ["serre"])
         return {"algebra": alg, "ideal": ideal, "idempotent": e,
                 "subcat": subcat, "subcat_name": a.get("subcat"),

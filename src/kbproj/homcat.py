@@ -306,12 +306,6 @@ class ProjComplex:
             return self.diff[n]
         return AlgMat.zeros(self.alg, self.summands_at(n + 1), self.summands_at(n))
 
-    def space_dim_at(self, n: int) -> int:
-        return sum(self.alg.right_ideal_space(i).dim for i in self.summands_at(n))
-
-    def total_dim(self) -> int:
-        return sum(self.space_dim_at(n) for n in self.summands)
-
     def shift(self, k: int = 1) -> "ProjComplex":
         """Translation by k: degree n picks up the old degree n + k, sign (-1)^k on d."""
         summands = {n - k: s for n, s in self.summands.items()}

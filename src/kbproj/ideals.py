@@ -10,6 +10,7 @@ to exact linear algebra over the ground field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .functors import BimoduleFunctor, FiniteSubcat, functor_class_matrix, kernel_objects
@@ -51,7 +52,10 @@ def _unit(ring, n: int, i: int) -> List:
 class HomIdeal:
     """Per-pair subspaces of hom classes, closed under composition.
 
-    ``HomIdeal(...)`` checks the shapes, and the closure by composing each
+    Only nonzero components are stored: ``components`` maps a pair to a
+    subspace of positive dimension, and ``component`` gives the zero
+    subspace at every other pair of the window.  ``HomIdeal(...)`` checks
+    the shapes of the pairs it is given, and the closure by composing each
     basis class with every class on either side.  ``ideal_closure``,
     ``ideal_product``, ``factor_through_ideal`` and ``kernel_ideal`` build
     through ``_constructed``, which checks the shapes only: each proves the
@@ -74,42 +78,34 @@ class HomIdeal:
 
     def _fill(self, subcat: FiniteSubcat, components: Dict[Pair, Subspace]):
         self.subcat = subcat
-        ring = subcat.alg.ring
         self.components: Dict[Pair, Subspace] = {}
-        names = subcat.names()
-        for a in names:
-            for b in names:
-                got = components.get((a, b))
-                want = subcat.hom(a, b).dim
-                if got is None:
-                    got = Subspace.zero(ring, want)
-                if got.ambient != want:
-                    raise IdealError(f"component at ({a}, {b}) has ambient "
-                                     f"{got.ambient}, hom space has dim {want}")
-                self.components[(a, b)] = got
-        for key in components:
-            if key not in self.components:
-                raise IdealError(f"component at unknown pair {key}")
+        for key, got in components.items():
+            want = subcat.hom(*_window_pair(subcat, key, "component")).dim
+            if got.ambient != want:
+                raise IdealError(f"component at ({key[0]}, {key[1]}) has ambient "
+                                 f"{got.ambient}, hom space has dim {want}")
+            if got.dim:
+                self.components[key] = got
 
     def _closed(self) -> bool:
-        return all(self.components[key].contains(w)
-                   for (a, b), I in self.components.items() if I.dim
+        return all(self.component(*key).contains(w)
+                   for (a, b), I in self.components.items()
                    for key, new in _composites(self.subcat, a, b, I.rows) for w in new)
 
     def component(self, a: str, b: str) -> Subspace:
-        return self.components[(a, b)]
+        got = self.components.get((a, b))
+        if got is None:
+            return Subspace.zero(self.subcat.alg.ring, self.subcat.hom(a, b).dim)
+        return got
 
     def contains_map(self, a: str, b: str, f: GradedMap) -> bool:
-        return self.components[(a, b)].contains(self.subcat.hom(a, b).class_coords(f))
+        return self.component(a, b).contains(self.subcat.hom(a, b).class_coords(f))
 
     def dims(self) -> Dict[Pair, int]:
-        return {k: s.dim for k, s in self.components.items() if s.dim > 0}
-
-    def total_dim(self) -> int:
-        return sum(s.dim for s in self.components.values())
+        return {k: s.dim for k, s in self.components.items()}
 
     def is_zero(self) -> bool:
-        return self.total_dim() == 0
+        return not self.components
 
     def __eq__(self, other):
         if not isinstance(other, HomIdeal):
@@ -124,6 +120,13 @@ class HomIdeal:
     def __repr__(self):
         nz = ", ".join(f"{a}->{b}:{d}" for (a, b), d in sorted(self.dims().items()))
         return f"HomIdeal({nz or 'zero'})"
+
+
+def _window_pair(subcat: FiniteSubcat, key, what: str) -> Pair:
+    if not (isinstance(key, tuple) and len(key) == 2
+            and all(x in subcat.objects for x in key)):
+        raise IdealError(f"{what} at unknown pair {key}")
+    return key
 
 
 def zero_ideal(subcat: FiniteSubcat) -> HomIdeal:
@@ -150,25 +153,22 @@ def ideal_closure(subcat: FiniteSubcat,
                   seeds: Dict[Pair, Sequence[Sequence]]) -> HomIdeal:
     """Smallest two-sided ideal containing the seed classes."""
     ring = subcat.alg.ring
-    names = subcat.names()
-    spans = {(a, b): Subspace.from_spanning(ring, subcat.hom(a, b).dim, list(seeds.get((a, b), ())))
-             for a in names for b in names}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in spans:
-            if spans[(a, b)].dim:
-                for key, new in _composites(subcat, a, b, spans[(a, b)].rows):
-                    old = spans[key]
-                    spans[key] = Subspace.from_spanning(ring, old.ambient, list(old.rows) + new)
-                    changed = changed or spans[key].dim > old.dim
-    # the last pass added no composite, and that pass is the closure check
+    spans: Dict[Pair, Subspace] = {}
+    todo = [(_window_pair(subcat, key, "seed"), vecs) for key, vecs in seeds.items()]
+    while todo:
+        key, vecs = todo.pop()
+        old = spans[key] if key in spans else Subspace.zero(ring, subcat.hom(*key).dim)
+        new = [v for v in vecs if not old.contains(v)]
+        if new:
+            spans[key] = Subspace.from_spanning(ring, old.ambient, list(old.rows) + new)
+            todo.extend(_composites(subcat, *key, new))
+    # every class added is composed with every basis class on either side
     return HomIdeal._constructed(subcat, spans)
 
 
 def principal_ideal(subcat: FiniteSubcat, a: str, b: str, f: GradedMap) -> HomIdeal:
     """Ideal generated by the class of one map."""
-    coords = subcat.hom(a, b).class_coords(f)
+    coords = subcat.hom(*_window_pair(subcat, (a, b), "seed")).class_coords(f)
     return ideal_closure(subcat, {(a, b): [coords]})
 
 
@@ -178,14 +178,11 @@ def ideal_product(I: HomIdeal, J: HomIdeal) -> HomIdeal:
         raise IdealError("ideal product across different subcategories")
     subcat = I.subcat
     vecs: Dict[Pair, List] = {}
-    # a zero component composes to nothing, and most components are zero
     for (a, b), S in I.components.items():
-        if S.dim:
-            for c in subcat.names():
-                T = J.components[(b, c)]
-                if T.dim:
-                    vecs.setdefault((a, c), []).extend(
-                        compose_coords(subcat, a, b, c, v, w) for v in S.rows for w in T.rows)
+        for (b2, c), T in J.components.items():
+            if b2 == b:
+                vecs.setdefault((a, c), []).extend(
+                    compose_coords(subcat, a, b, c, v, w) for v in S.rows for w in T.rows)
     ring = subcat.alg.ring
     comps = {key: Subspace.from_spanning(ring, subcat.hom(*key).dim, vs)
              for key, vs in vecs.items()}
@@ -246,13 +243,14 @@ def shift_stability_report(I: HomIdeal) -> Tuple[bool, List[Pair]]:
     ring = subcat.alg.ring
     checked = []
     ok = True
-    for (a, b), S in I.components.items():
+    for a, b in product(subcat.names(), repeat=2):
         sa, sb = subcat.shifts.get(a), subcat.shifts.get(b)
         if sa is None or sb is None:
             continue
         checked.append((a, b))
         M = subcat.shift_matrix(a, b)
-        image = Subspace.from_spanning(ring, M.ncols, [M.row_apply(r) for r in S.rows])
+        rows = I.component(a, b).rows
+        image = Subspace.from_spanning(ring, M.ncols, [M.row_apply(r) for r in rows])
         if image != I.component(sa, sb):
             ok = False
     return ok, checked
@@ -369,10 +367,10 @@ def telescope_report(F: BimoduleFunctor, subcat: FiniteSubcat) -> TelescopeRepor
     kern = kernel_objects(F, subcat)
     fac = factor_through_ideal(subcat, kern)
     mismatches = []
-    for key in ann.components:
-        A, T = ann.components[key], fac.components[key]
+    for key in sorted(ann.components.keys() | fac.components.keys()):
+        A, T = ann.component(*key), fac.component(*key)
         if not T.is_subspace_of(A):
             raise IdealError(f"factoring classes at {key} escape the annihilator")
         if A != T:
             mismatches.append(key)
-    return TelescopeReport(ann, kern, fac, not mismatches, sorted(mismatches))
+    return TelescopeReport(ann, kern, fac, not mismatches, mismatches)

@@ -979,6 +979,31 @@ def dense_ideal_product(I, J):
     return HomIdeal(subcat, comps)
 
 
+def fixpoint_ideal_closure(subcat, seeds):
+    """The smallest ideal containing the seed classes, as ``ideals.ideal_closure``
+    built it before its worklist: a subspace at every pair of the window, zero
+    ones included, grown by full passes over all pairs until a pass adds no
+    composite.  Returned through the checking ``HomIdeal(...)``."""
+    from kbproj.ideals import HomIdeal, _composites
+    from kbproj.linalg import Subspace
+
+    ring = subcat.alg.ring
+    names = subcat.names()
+    spans = {(a, b): Subspace.from_spanning(ring, subcat.hom(a, b).dim,
+                                            list(seeds.get((a, b), ())))
+             for a in names for b in names}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in spans:
+            if spans[(a, b)].dim:
+                for key, new in _composites(subcat, a, b, spans[(a, b)].rows):
+                    old = spans[key]
+                    spans[key] = Subspace.from_spanning(ring, old.ambient, list(old.rows) + new)
+                    changed = changed or spans[key].dim > old.dim
+    return HomIdeal(subcat, spans)
+
+
 # -- constructed ideals and the derived almost ideal -----------------------------
 
 
@@ -987,7 +1012,8 @@ def route_constructed_ideals_through_closure_check(monkeypatch):
 
     Every ideal the engine builds then has its closure under composition
     checked as well as its shapes, as before constructed ideals skipped that
-    check.  Returns the set of names of the functions that asked for one.
+    check, and must store no zero component.  Returns the set of names of the
+    functions that asked for one.
     """
     import sys
 
@@ -997,7 +1023,9 @@ def route_constructed_ideals_through_closure_check(monkeypatch):
 
     def checked(cls, subcat, components):
         callers.add(sys._getframe(1).f_code.co_name)
-        return HomIdeal(subcat, components)
+        I = HomIdeal(subcat, components)
+        assert all(S.dim for S in I.components.values()), "a zero component is stored"
+        return I
 
     monkeypatch.setattr(HomIdeal, "_constructed", classmethod(checked))
     return callers

@@ -736,6 +736,43 @@ def test_malformed_fixture_entry_exits_2(capsys, tmp_path, mutate, want):
     assert lines[0].startswith("kbproj: error: ") and want in lines[0]
 
 
+# each integer a fixture entry holds, with a float that a bare int() once
+# truncated to a value the fixture accepts
+FIXTURE_INTEGERS = [
+    ("map-degree", CORNER, ["maps", "iota", "degree"], 0.5, "map iota: 'degree'"),
+    ("field-p", CORNER, ["field", "p"], 7.5, "unknown field spec"),
+    ("functor-witness", CORNER, ["functors", "G", "witnesses", "0", 0, 0], 0.5,
+     "functor G: 'idempotent'"),
+    ("a-witness", CORNER, ["almost", "corner-almost", "a_witness", 0, 0], 0.5,
+     "almost case corner-almost: 'idempotent'"),
+    ("square-witness", CORNER, ["almost", "corner-almost", "square_witnesses", "0", 0, 0],
+     0.5, "almost case corner-almost: 'idempotent'"),
+    ("contraction-dims", KOSZUL, ["contractions", "koszul-x-inverted", "dims", "-1"], 2.5,
+     "contraction koszul-x-inverted: 'dims'"),
+]
+
+
+@pytest.mark.parametrize("kind", ["float", "bool"])
+@pytest.mark.parametrize("fixture,path,value,want", [f[1:] for f in FIXTURE_INTEGERS],
+                         ids=[f[0] for f in FIXTURE_INTEGERS])
+def test_fixture_integer_not_an_integer_exits_2(capsys, tmp_path, fixture, path, value,
+                                                want, kind):
+    with open(fixture) as fh:
+        data = json.load(fh)
+    if path[0] == "field":
+        data["field"] = {"p": 7}
+    _set(path, value if kind == "float" else True)(data)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    assert main(["run", "--fixture", str(p)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    lines = cap.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("kbproj: error: ") and want in lines[0]
+    assert "must be an integer" in lines[0]
+
+
 @pytest.mark.parametrize("task_id,key,value,kind", [
     ("hepi-corner", "map", ["corner"], "ring map"),
     ("hepi-corner", "map", {"corner": 1}, "ring map"),

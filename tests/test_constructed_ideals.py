@@ -10,8 +10,10 @@ ideal must pass the closure check and the window reports must not change a
 byte.  ``oracles.derived_ideal_fresh`` keeps the derived ideal built from
 fresh Hom spaces on every call, and the new path must equal it cold and warm.
 On windows of shifted projectives over generated algebras, closures,
-products and factoring ideals must pass the closure check, and the sparse
-product must equal the dense one.
+products and factoring ideals must pass the closure check, the sparse
+product must equal the dense one, and the worklist closure must equal the
+all-pairs fixpoint of ``oracles.fixpoint_ideal_closure``.  An ideal stores
+only its nonzero components.
 """
 
 import os
@@ -22,6 +24,7 @@ import pytest
 from oracles import (
     dense_ideal_product,
     derived_ideal_fresh,
+    fixpoint_ideal_closure,
     route_constructed_ideals_through_closure_check,
 )
 from test_structure_checks import family_data
@@ -36,6 +39,7 @@ from kbproj.ideals import (
     factor_through_ideal,
     ideal_closure,
     ideal_product,
+    principal_ideal,
 )
 from kbproj.linalg import Subspace
 from kbproj.reports import emit_json
@@ -161,6 +165,33 @@ def test_the_public_constructor_refuses_a_family_that_is_not_closed(mode, monkey
         HomIdeal._constructed(S, {("nope", "P1s"): Subspace.zero(ring, 0)})
 
 
+def test_an_ideal_stores_only_its_nonzero_components():
+    S = _load("corner").subcategories["S"]
+    ring = S.alg.ring
+    fac = factor_through_ideal(S, ["P1s"])
+    zeros = {(a, b): Subspace.zero(ring, S.hom(a, b).dim)
+             for a in S.names() for b in S.names() if (a, b) not in fac.components}
+    padded = HomIdeal(S, {**zeros, **fac.components})
+    assert padded == HomIdeal(S, fac.components) == fac
+    assert padded.components == fac.components
+    assert all(I.dim for I in padded.components.values())
+    assert padded.component("P2s", "S1r") == Subspace.zero(ring, S.hom("P2s", "S1r").dim)
+    assert HomIdeal(S, zeros).is_zero() and HomIdeal(S, zeros).components == {}
+
+
+def test_a_seed_outside_the_window_is_refused():
+    fx = _load("corner")
+    S = fx.subcategories["S"]
+    iota = fx.maps["iota"]
+    coords = S.hom("P2s", "P1s").class_coords(iota)
+    assert ideal_closure(S, {("P2s", "P1s"): [coords]}) == principal_ideal(S, "P2s", "P1s", iota)
+    for key in (("P2s", "nope"), ("nope", "P1s"), ("P2s",)):
+        with pytest.raises(IdealError, match="seed at unknown pair"):
+            ideal_closure(S, {("P2s", "P1s"): [coords], key: [coords]})
+    with pytest.raises(IdealError, match="seed at unknown pair"):
+        principal_ideal(S, "P2s", "nope", iota)
+
+
 # -- generated windows ------------------------------------------------------------
 
 
@@ -189,9 +220,11 @@ def test_generated_window_ideals_are_closed(label):
     assert fac._closed() and not fac.is_zero()
     sizes = []
     for _ in range(3):
-        I = ideal_closure(W, _random_seeds(W, rng, 2))
+        seeds = _random_seeds(W, rng, 2)
+        I = ideal_closure(W, seeds)
         assert I._closed()
-        sizes.append(I.total_dim())
+        assert I.components == fixpoint_ideal_closure(W, seeds).components
+        sizes.append(sum(I.dims().values()))
         for J in (I, fac):
             P = ideal_product(I, J)
             assert P._closed()

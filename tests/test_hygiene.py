@@ -125,9 +125,10 @@ def test_only_the_derived_constructors_skip_module_axioms(module):
 
 
 # the constructors whose result is an ideal by construction (see HomIdeal):
-# the closure loop ends on a pass that is the closure check, a product composes
-# elements of two ideals, factoring composites stay composites, and a kernel
-# is taken of a probe that kills every composite with a killed class
+# the closure worklist composes every class it adds with every basis class on
+# either side, a product composes elements of two ideals, factoring composites
+# stay composites, and a kernel is taken of a probe that kills every composite
+# with a killed class
 _CLOSED_BY_CONSTRUCTION = {"ideal_closure", "ideal_product", "factor_through_ideal",
                            "kernel_ideal"}
 # the callers of kernel_ideal, each with a probe that kills composites: a

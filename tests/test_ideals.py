@@ -69,7 +69,7 @@ def test_restriction_annihilator_is_principal_on_connecting_class(ctx):
 
 def test_connecting_class_ideal_square_vanishes(ctx):
     J = principal_ideal(ctx["sub"], "S1r", "P2s[1]", ctx["gamma"])
-    assert J.total_dim() == 1
+    assert sum(J.dims().values()) == 1
     assert ideal_product(J, J).is_zero()
     assert not is_idempotent_ideal(J)
 

@@ -3,9 +3,10 @@
 ``annihilator_ideal`` and ``kernel_objects`` read the images of a window and
 their Hom spaces from the functor's stored image window, and ask for an image
 Hom space only where the source Hom space is nonzero; ``ideal_product`` loops
-over the nonzero components of its left factor; ``FiniteSubcat.shift_matrix``
-is stored.  ``oracles.py`` keeps the fresh-image annihilator and the dense
-product.  Both sides must agree on every functor of the fixtures, and the
+over the stored components of both factors; ``ideal_closure`` is a worklist
+from its seeds; ``FiniteSubcat.shift_matrix`` is stored.  ``oracles.py`` keeps
+the fresh-image annihilator, the dense product and the all-pairs fixpoint
+closure.  Both sides must agree on every functor of the fixtures, and the
 reports must not depend on what the caches already hold.
 """
 
@@ -15,7 +16,7 @@ import threading
 
 import pytest
 
-from oracles import annihilator_ideal_fresh, dense_ideal_product
+from oracles import annihilator_ideal_fresh, dense_ideal_product, fixpoint_ideal_closure
 
 from kbproj.fixture import load_fixture
 from kbproj.functors import BimoduleFunctor, kernel_objects
@@ -44,8 +45,8 @@ def _case(fname, gname, sname):
     return fx.functors[gname], fx.subcategories[sname]
 
 
-def _check_ideal(fx, name):
-    """The ideal of a check-ideal entry, generated as the runner generates it."""
+def _check_seeds(fx, name):
+    """The window and seed classes of a check-ideal entry, as the runner reads them."""
     spec = fx.ideals[name]
     sub = spec["subcat"]
     gens = {}
@@ -53,8 +54,12 @@ def _check_ideal(fx, name):
         ab = tuple(next(n for n in sub.names() if sub.objects[n] == X)
                    for X in (g.source, g.target))
         gens.setdefault(ab, []).append(g)
-    return ideal_closure(sub, {ab: sub.hom(*ab).class_matrix(gs).rows()
-                               for ab, gs in gens.items()})
+    return sub, {ab: sub.hom(*ab).class_matrix(gs).rows() for ab, gs in gens.items()}
+
+
+def _check_ideal(fx, name):
+    """The ideal of a check-ideal entry, generated as the runner generates it."""
+    return ideal_closure(*_check_seeds(fx, name))
 
 
 @pytest.mark.parametrize("fname,gname,sname", CASES)
@@ -65,6 +70,17 @@ def test_annihilator_and_kernel_match_fresh_images(fname, gname, sname):
         assert annihilator_ideal(F, S).components == slow.components
         assert kernel_objects(F, S) == [name for name, X in S.objects.items()
                                         if is_contractible(F.apply_complex(X))[0]]
+
+
+@pytest.mark.parametrize("fname", ["corner", "split"])
+def test_worklist_closure_matches_the_fixpoint(fname):
+    fx = _load(fname)
+    assert fx.ideals
+    for name in fx.ideals:
+        sub, seeds = _check_seeds(fx, name)
+        I = ideal_closure(sub, seeds)
+        assert I.components == fixpoint_ideal_closure(sub, seeds).components
+        assert not I.is_zero()
 
 
 @pytest.mark.parametrize("fname,gname,sname", CASES)
