@@ -219,6 +219,9 @@ class FixtureFile:
         subcat = self.lookup("subcategories", i.get("subcat"), f"ideal {name}")
         gens = [(g, self.lookup("maps", g, f"ideal {name}"))
                 for g in i.get("generators", [])]
+        for g, f in gens:
+            if not f.is_chain_map():  # a class of Hom(X, Y) is a degree-0 chain map
+                raise FixtureError(f"ideal {name}: generator {g} is not a degree-0 chain map")
         return {"subcat": subcat, "subcat_name": i.get("subcat"), "generators": gens,
                 "triangles": list(i.get("triangles", []))}
 

@@ -16,6 +16,8 @@ coordinates and ``functor_matrix`` assembles g -> F(g) from them.
 ``image_window(subcat)`` applies the functor to a window's objects once and
 stores the images on the functor, as a ``FiniteSubcat`` with its own Hom
 cache; ``kernel_objects`` and ``ideals.annihilator_ideal`` read them there.
+The annihilator's probe is "F(f) is a boundary of Hom(FX, FY)": the images
+of a Hom space's representatives are one product with ``functor_matrix``.
 Tables and windows are stored with ``dict.setdefault``, so threads racing on
 a first call may both build, and all of them keep one result; a window
 finds a stored ``extended`` window by equality, as complexes are unhashable.
@@ -288,12 +290,6 @@ def functor_matrix(F: BimoduleFunctor, layout_in: MapLayout, layout_out: MapLayo
                     if val:
                         items[(off_in + k, off_out + w)] = val
     return Mat.from_entries(layout_in.alg.ring, layout_in.dim, layout_out.dim, items)
-
-
-def functor_class_matrix(F: BimoduleFunctor, H: HomSpace,
-                         FH: HomSpace, FX: ProjComplex, FY: ProjComplex) -> Mat:
-    """Matrix (row convention) of the induced map on homotopy classes."""
-    return FH.class_matrix([F.apply_map(f, FX, FY) for f in H.basis()])
 
 
 def kernel_objects(F: BimoduleFunctor, subcat: FiniteSubcat) -> List[str]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .functors import BimoduleFunctor, FiniteSubcat, functor_class_matrix, kernel_objects
+from .functors import BimoduleFunctor, FiniteSubcat, functor_matrix, kernel_objects
 from .homcat import GradedMap, recognize_triangle
 from .linalg import Mat, Subspace, left_kernel
 
@@ -103,9 +103,6 @@ class HomIdeal:
 
     def dims(self) -> Dict[Pair, int]:
         return {k: s.dim for k, s in self.components.items()}
-
-    def is_zero(self) -> bool:
-        return not self.components
 
     def __eq__(self, other):
         if not isinstance(other, HomIdeal):
@@ -205,12 +202,18 @@ def kernel_ideal(subcat: FiniteSubcat, probe: Callable[[str, str], Mat]) -> HomI
 
 
 def annihilator_ideal(F: BimoduleFunctor, subcat: FiniteSubcat) -> HomIdeal:
-    """Classes sent to a nullhomotopic map by the functor, read in the images
-    and Hom spaces of ``F.image_window(subcat)``."""
+    """The classes F kills, by the probe "F(f) is a boundary of Hom(FX, FY)",
+    read in the images and Hom spaces of ``F.image_window(subcat)``."""
     W = F.image_window(subcat)
+
+    def probe(a, b):
+        H, FH = subcat.hom(a, b), W.hom(a, b)
+        # F of a chain map is a chain map, and F(f) ~ 0 exactly when F(f) is a
+        # boundary: the images of the representatives need no check and no solve
+        images = Mat.from_rows(H.ring, H.reps, H.L0.dim) @ functor_matrix(F, H.L0, FH.L0)
+        return _modulo(images, FH.boundaries)
     # F(h . f) = F(h) . F(f) is nullhomotopic when F(f) is
-    return kernel_ideal(subcat, lambda a, b: functor_class_matrix(
-        F, subcat.hom(a, b), W.hom(a, b), W.objects[a], W.objects[b]))
+    return kernel_ideal(subcat, probe)
 
 
 def factor_through_ideal(subcat: FiniteSubcat, through: Sequence[str]) -> HomIdeal:
@@ -224,7 +227,7 @@ def factor_through_ideal(subcat: FiniteSubcat, through: Sequence[str]) -> HomIde
     comps = {(a, c): Subspace.from_spanning(
         ring, subcat.hom(a, c).dim,
         [t for b in through for row in subcat.composition_tensor(a, b, c) for t in row])
-        for a in names for c in names}
+        for a in names for c in names if subcat.hom(a, c).dim}
     # a composite with a map through t still passes through t
     return HomIdeal._constructed(subcat, comps)
 
@@ -248,18 +251,26 @@ def shift_stability_report(I: HomIdeal) -> Tuple[bool, List[Pair]]:
         if sa is None or sb is None:
             continue
         checked.append((a, b))
+        S = I.components.get((a, b))
+        if S is None:
+            # the translation of a zero component is zero
+            ok = ok and (sa, sb) not in I.components
+            continue
         M = subcat.shift_matrix(a, b)
-        rows = I.component(a, b).rows
-        image = Subspace.from_spanning(ring, M.ncols, [M.row_apply(r) for r in rows])
+        image = Subspace.from_spanning(ring, M.ncols, [M.row_apply(r) for r in S.rows])
         if image != I.component(sa, sb):
             ok = False
     return ok, checked
 
 
+def _modulo(M: Mat, S: Subspace) -> Mat:
+    """The rows of M, read in the quotient coordinates of ring^ambient / S."""
+    return Mat.from_rows(M.ring, [S.quotient_coords(r) for r in M.rows()], S.ambient - S.dim)
+
+
 def _preimage(M: Mat, S: Subspace) -> Subspace:
     """Subspace {v : v @ M lies in S}."""
-    return left_kernel(Mat.from_rows(M.ring, [S.quotient_coords(r) for r in M.rows()],
-                                     S.ambient - S.dim))
+    return left_kernel(_modulo(M, S))
 
 
 @dataclass

@@ -399,12 +399,6 @@ class Mat:
             ring, self.nrows, self.ncols, {k: ring.neg(v) for k, v in self._items.items()}
         )
 
-    def scale(self, c) -> "Mat":
-        ring = self.ring
-        return Mat.from_entries(
-            ring, self.nrows, self.ncols, {k: ring.mul(v, c) for k, v in self._items.items()}
-        )
-
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ring != other.ring or self.ncols != other.nrows:
             raise LinalgError("matrix product shape mismatch")

@@ -598,7 +598,8 @@ def _scaled_sum(ring, n, mats, x):
     out = Mat.zeros(ring, n, n)
     for i, c in enumerate(x):
         if c:
-            out = out + mats[i].scale(c)
+            out = out + Mat.from_entries(ring, n, n, {(r, k): ring.mul(v, c)
+                                                      for r, k, v in mats[i].items()})
     return out
 
 
@@ -955,9 +956,68 @@ def annihilator_ideal_fresh(F, subcat):
             if H.dim == 0:
                 comps[(a, b)] = Subspace.zero(F.source_alg.ring, 0)
             else:
-                M = FH.class_matrix([F.apply_map(f, images[a], images[b]) for f in H.basis()])
-                comps[(a, b)] = left_kernel(M)
+                comps[(a, b)] = left_kernel(functor_class_matrix(F, H, FH, images[a], images[b]))
     return HomIdeal(subcat, comps)
+
+
+def functor_class_matrix(F, H, FH, FX, FY):
+    """Matrix (row convention) of the map F induces from the classes of H to
+    those of FH, as ``functors.functor_class_matrix`` built it before the
+    annihilator read its images as one matrix product: F applied to each basis
+    map as a ``GradedMap``, then one ``class_matrix`` solve with its chain-map
+    check."""
+    return FH.class_matrix([F.apply_map(f, FX, FY) for f in H.basis()])
+
+
+def annihilator_ideal_by_class_matrix(F, subcat):
+    """The annihilator as ``ideals.annihilator_ideal`` built it from the stored
+    image window before its probe became "F(f) is a boundary": the left kernel
+    of ``functor_class_matrix`` at every pair with a nonzero Hom space.
+    Returned through the checking ``HomIdeal(...)``."""
+    from kbproj.ideals import HomIdeal
+    from kbproj.linalg import left_kernel
+
+    W = F.image_window(subcat)
+    names = subcat.names()
+    return HomIdeal(subcat, {(a, b): left_kernel(functor_class_matrix(
+        F, subcat.hom(a, b), W.hom(a, b), W.objects[a], W.objects[b]))
+        for a in names for b in names if subcat.hom(a, b).dim})
+
+
+def factor_through_ideal_all_pairs(subcat, through):
+    """The classes factoring through the named objects, as
+    ``ideals.factor_through_ideal`` built them before it skipped zero Hom
+    spaces: a spanned subspace at every pair of the window.  Returned through
+    the checking ``HomIdeal(...)``."""
+    from kbproj.ideals import HomIdeal
+    from kbproj.linalg import Subspace
+
+    names = subcat.names()
+    return HomIdeal(subcat, {(a, c): Subspace.from_spanning(
+        subcat.alg.ring, subcat.hom(a, c).dim,
+        [t for b in through for row in subcat.composition_tensor(a, b, c) for t in row])
+        for a in names for c in names})
+
+
+def shift_stability_all_pairs(I):
+    """(all matched, checked pairs) as ``ideals.shift_stability_report`` found
+    them before it skipped zero components: at every pair with a declared
+    translation on both sides, the image of the component under the shift
+    matrix against the component at the translated pair."""
+    from kbproj.linalg import Subspace
+
+    subcat = I.subcat
+    checked, ok = [], True
+    for a, b in product(subcat.names(), repeat=2):
+        sa, sb = subcat.shifts.get(a), subcat.shifts.get(b)
+        if sa is None or sb is None:
+            continue
+        checked.append((a, b))
+        M = subcat.shift_matrix(a, b)
+        image = Subspace.from_spanning(subcat.alg.ring, M.ncols,
+                                       [M.row_apply(r) for r in I.component(a, b).rows])
+        ok = ok and image == I.component(sa, sb)
+    return ok, checked
 
 
 def dense_ideal_product(I, J):

@@ -667,6 +667,15 @@ def _set(path, value):
     return mutate
 
 
+def _ideal_generator(name, spec):
+    """A mutation of the corner fixture that adds the map ``name`` and makes it
+    a generator of the ideal ann-g."""
+    def mutate(data):
+        data["maps"][name] = spec
+        data["ideals"]["ann-g"]["generators"].append(name)
+    return mutate
+
+
 MALFORMED_ENTRIES = [
     ("map-degree", _set(["maps", "iota", "degree"], "x"), "map iota: "),
     ("shift-range-text", _set(["subcategories", "S", "shift_range"], ["a", 1]),
@@ -717,6 +726,15 @@ MALFORMED_ENTRIES = [
     ("triangle-third-leg-lands-elsewhere", _set(["maps", "gammazero", "target"], "P1s[1]"),
      "triangle corrupt: legs do not compose"),
     ("unknown-top-level-key", _set(["bogus_section"], {}), "unknown top-level key 'bogus_section'"),
+    # an ideal generator is a class of Hom(X, Y); both ended in a traceback
+    ("ideal-generator-degree-1",
+     _ideal_generator("up", {"source": "S1r", "target": "S1r", "degree": 1,
+                             "components": {"-1": [[["0", "1", "0"]]]}}),
+     "ideal ann-g: generator up is not a degree-0 chain map"),
+    ("ideal-generator-not-a-chain-map",
+     _ideal_generator("bump", {"source": "S1r", "target": "S1r", "chain": False,
+                               "components": {"0": [[["1", "0", "0"]]]}}),
+     "ideal ann-g: generator bump is not a degree-0 chain map"),
 ]
 
 

@@ -11,9 +11,11 @@ byte.  ``oracles.derived_ideal_fresh`` keeps the derived ideal built from
 fresh Hom spaces on every call, and the new path must equal it cold and warm.
 On windows of shifted projectives over generated algebras, closures,
 products and factoring ideals must pass the closure check, the sparse
-product must equal the dense one, and the worklist closure must equal the
-all-pairs fixpoint of ``oracles.fixpoint_ideal_closure``.  An ideal stores
-only its nonzero components.
+product must equal the dense one, the worklist closure must equal the
+all-pairs fixpoint of ``oracles.fixpoint_ideal_closure``, and the factoring
+ideal and shift stability, which walk only nonzero pairs, must equal their
+all-pairs forms in ``oracles``.  An ideal stores only its nonzero
+components.
 """
 
 import os
@@ -24,8 +26,10 @@ import pytest
 from oracles import (
     dense_ideal_product,
     derived_ideal_fresh,
+    factor_through_ideal_all_pairs,
     fixpoint_ideal_closure,
     route_constructed_ideals_through_closure_check,
+    shift_stability_all_pairs,
 )
 from test_structure_checks import family_data
 
@@ -40,6 +44,7 @@ from kbproj.ideals import (
     ideal_closure,
     ideal_product,
     principal_ideal,
+    shift_stability_report,
 )
 from kbproj.linalg import Subspace
 from kbproj.reports import emit_json
@@ -66,7 +71,7 @@ def test_derived_ideal_matches_fresh_hom_spaces(w):
     window = None if w is None else (-w, w)
     cold = _derived(case, window)
     slow, hull = derived_ideal_fresh(cold.cone, case["subcat"], window)
-    assert not slow.is_zero()
+    assert slow.components
     for rep in (cold, _derived(case, window)):  # cold, then from the stored extension
         assert rep.ideal.components == slow.components
         assert rep.window == hull
@@ -176,7 +181,7 @@ def test_an_ideal_stores_only_its_nonzero_components():
     assert padded.components == fac.components
     assert all(I.dim for I in padded.components.values())
     assert padded.component("P2s", "S1r") == Subspace.zero(ring, S.hom("P2s", "S1r").dim)
-    assert HomIdeal(S, zeros).is_zero() and HomIdeal(S, zeros).components == {}
+    assert HomIdeal(S, zeros).components == {}
 
 
 def test_a_seed_outside_the_window_is_refused():
@@ -195,12 +200,15 @@ def test_a_seed_outside_the_window_is_refused():
 # -- generated windows ------------------------------------------------------------
 
 
-def _projective_window(label):
-    """The indecomposable projectives of a family member, shifted over -1..1."""
-    fx = FixtureFile(family_data(label[:-1], int(label[-1])))
+def _projective_window(label, fx=None):
+    """The indecomposable projectives of a family member, shifted over -1..1,
+    with P{i}[s + 1] declared the translation of P{i}[s]."""
+    fx = fx or FixtureFile(family_data(label[:-1], int(label[-1])))
     alg = fx.algebras[next(n for n in fx.algebras if n != "k")]
+    n = alg.n_idempotents()
     return FiniteSubcat({f"P{i}[{s}]": single_summand_complex(alg, i, 0).shift(s)
-                         for s in (-1, 0, 1) for i in range(alg.n_idempotents())})
+                         for s in (-1, 0, 1) for i in range(n)},
+                        shifts={f"P{i}[{s}]": f"P{i}[{s + 1}]" for s in (-1, 0) for i in range(n)})
 
 
 def _random_seeds(W, rng, count):
@@ -216,17 +224,24 @@ def _random_seeds(W, rng, count):
 def test_generated_window_ideals_are_closed(label):
     W = _projective_window(label)
     rng = random.Random(f"ideals:{label}")
-    fac = factor_through_ideal(W, rng.sample(W.names(), 2))
-    assert fac._closed() and not fac.is_zero()
-    sizes = []
+    through = rng.sample(W.names(), 2)
+    fac = factor_through_ideal(W, through)
+    assert fac._closed() and fac.components
+    assert fac.components == factor_through_ideal_all_pairs(W, through).components
+    sizes, stable = [], set()
     for _ in range(3):
         seeds = _random_seeds(W, rng, 2)
         I = ideal_closure(W, seeds)
         assert I._closed()
         assert I.components == fixpoint_ideal_closure(W, seeds).components
         sizes.append(sum(I.dims().values()))
-        for J in (I, fac):
-            P = ideal_product(I, J)
+        products = [ideal_product(I, J) for J in (I, fac)]
+        for J, P in zip((I, fac), products):
             assert P._closed()
             assert P.components == dense_ideal_product(I, J).components
+        for K in [I, fac] + products:
+            ok, pairs = shift_stability_report(K)
+            assert (ok, pairs) == shift_stability_all_pairs(K) and len(pairs) == len(W.shifts) ** 2
+            stable.add(ok)
     assert max(sizes) > 0
+    assert stable == {True, False}

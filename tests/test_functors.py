@@ -11,12 +11,12 @@ from build_examples import (
     split_map,
     ut2_complexes,
 )
+from oracles import functor_class_matrix
 from kbproj.algebra import module_tensor, projective_module
 from kbproj.functors import (
     BimoduleFunctor,
     FiniteSubcat,
     FunctorError,
-    functor_class_matrix,
     induction_functor,
     kernel_objects,
     restriction_functor,

@@ -1,22 +1,25 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-only ``homcat`` builds summand matrices without the corner check, only the
-eight constructors that derive a module from a checked one skip its axiom
-checks, only the four constructors of an ideal that is closed by
-construction skip the closure check, and only the two probes that kill
-composites reach ``kernel_ideal``, ``almost`` builds no Hom space of its
-own, only ``linalg`` knows that a non-integral rational is a
+"""Source hygiene: no module of the package imports a name it never uses, only
+``homcat`` builds summand matrices without the corner check, only the eight
+constructors that derive a module from a checked one skip its axiom checks,
+only the four constructors of an ideal that is closed by construction skip
+the closure check, and only the two probes that kill composites reach
+``kernel_ideal``, ``annihilator_ideal`` builds no image as a graded map (it
+calls neither ``apply_map`` nor ``class_matrix``), ``almost`` builds no Hom
+space of its own, only ``linalg`` knows that a non-integral rational is a
 ``Fraction``, no module multiplies two basis vectors to read a structure
 constant, no loop asks for class coordinates one map at a time, graded-map
-arithmetic builds no zero blocks to multiply, ``GradedMap.is_chain_map``
-is the only chain-map test, ``ProjComplex.__eq__`` is the only
-complex-equality rule, no solve is asked for a kernel: ``solve`` and
-``solve_left`` get no ``Mat.zeros`` right-hand side and return no tuple to
-unpack, so kernels come only from ``left_kernel``, ``runner`` names the
-certificate codecs and verifiers only inside its ``_CERTS`` table, and
-there are no dead helpers: every function, method and class of the
-package is referenced, as a name or an attribute outside its own
-definition, somewhere in the package or in ``bench/``.  Dunder methods are exempt, and so are the few
-public helpers in ``_KEPT``, each with the reason it stays."""
+arithmetic builds no zero blocks to multiply, ``GradedMap.is_chain_map`` is
+the only chain-map test, ``ProjComplex.__eq__`` is the only complex-equality
+rule, no solve is asked for a kernel: ``solve`` and ``solve_left`` get no
+``Mat.zeros`` right-hand side and return no tuple to unpack, so kernels come
+only from ``left_kernel``, ``runner`` names the certificate codecs and
+verifiers only inside its ``_CERTS`` table, and there are no dead helpers:
+every function, method and class of the package is referenced, as a name or
+an attribute outside its own definition, somewhere in the package or in
+``bench/``. Dunder methods are exempt, and so are the few public helpers in
+``_KEPT``, each with the reason it stays. A reference names no class, so the
+method names two classes share are recorded in ``_SHARED_METHOD_NAMES`` once
+each namesake has been checked for a caller."""
 
 import ast
 import os
@@ -170,6 +173,19 @@ def test_only_probes_that_kill_composites_reach_kernel_ideal(module):
     stray, seen = _calls_only_in(module, "kernel_ideal", names)
     assert seen == names, "no longer calls kernel_ideal: " + ", ".join(sorted(names - seen))
     assert not stray, "kernel_ideal called by another function: " + ", ".join(stray)
+
+
+def test_the_annihilator_builds_no_graded_map():
+    # its probe reads F(f) as rows of one product with functor_matrix, in
+    # degree-0 coordinates: no image is built as a GradedMap and no class
+    # matrix is solved for
+    tree = _parse("ideals.py")
+    fn = next(n for n in tree.body
+              if isinstance(n, ast.FunctionDef) and n.name == "annihilator_ideal")
+    assert _calls_named(fn, "functor_matrix"), "the annihilator no longer uses functor_matrix"
+    uses = [f"ideals.py:{n.lineno}: {name}" for name in ("apply_map", "class_matrix")
+            for n in _calls_named(fn, name)]
+    assert not uses, "annihilator_ideal builds images as maps: " + ", ".join(uses)
 
 
 def test_almost_builds_no_hom_space_of_its_own():
@@ -413,6 +429,19 @@ _KEPT = {
         "generator list",
     "ideals.zero_ideal":
         "the zero ideal of a window, the unit of ideal sums for library users",
+    "homcat.GradedMap.scale":
+        "the scalar action on maps of the linear homotopy category; tests build "
+        "scaled legs and mutated certificates with it",
+}
+
+# Method names that two or more classes define.  The dead-helper test counts
+# a call of any of them as a reference to every namesake, so each namesake
+# here has been checked for a caller of its own: GradedMap.scale had none and
+# is kept above, Mat.scale and HomIdeal.is_zero had none and are gone.
+_SHARED_METHOD_NAMES = {
+    "_check_shapes", "_inherited", "_validate", "add", "apply", "diff_at", "dim", "div",
+    "fmt", "from_int", "identity", "inv", "is_zero", "mul", "neg", "parse", "scale",
+    "shift", "sub", "zeros",
 }
 
 
@@ -470,8 +499,35 @@ def test_no_dead_helpers():
     assert not unkept, "defined but never referenced: " + ", ".join(unkept)
 
 
+def _method_owners():
+    """Map each non-dunder method name to the qualified names of its classes."""
+    out = {}
+    for module in MODULES:
+        for qual, node in _definitions(_parse(module), module):
+            if isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (fn.name.startswith("__") and fn.name.endswith("__"))):
+                        out.setdefault(fn.name, []).append(qual)
+    return out
+
+
 def test_kept_helpers_are_still_unreferenced():
-    # an entry whose name gained a caller, or whose definition is gone, leaves _KEPT
-    stale = sorted(set(_KEPT) - set(_unreferenced()))
+    # an entry whose name gained a caller, or whose definition is gone, leaves
+    # _KEPT; a method whose name another class shares is referenced by its
+    # namesakes' calls, so it stays while its class still defines it
+    owners = _method_owners()
+    shared = {f"{cls}.{name}" for name, classes in owners.items() if len(classes) > 1
+              for cls in classes}
+    stale = sorted(set(_KEPT) - set(_unreferenced()) - shared)
     assert not stale, "no longer needs a _KEPT entry: " + ", ".join(stale)
     assert all(reason.strip() for reason in _KEPT.values())
+
+
+def test_shared_method_names_are_recorded():
+    # a new shared name can hide a dead namesake: check each one for a caller
+    # of its own before recording the name
+    shared = {name for name, classes in _method_owners().items() if len(classes) > 1}
+    assert shared == _SHARED_METHOD_NAMES, (
+        f"newly shared: {sorted(shared - _SHARED_METHOD_NAMES)}, "
+        f"no longer shared: {sorted(_SHARED_METHOD_NAMES - shared)}")

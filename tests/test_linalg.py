@@ -437,7 +437,7 @@ def test_mat_agrees_with_plain_lists(ring, data, shape):
     assert (A + B).rows() == [[ring.add(x, y) for x, y in zip(r, t)] for r, t in zip(a, b)]
     assert (A - B).rows() == [[ring.sub(x, y) for x, y in zip(r, t)] for r, t in zip(a, b)]
     assert A.neg().rows() == [[ring.neg(x) for x in r] for r in a]
-    assert A.scale(s).rows() == [[ring.mul(x, s) for x in r] for r in a]
+    assert Mat.lincomb(ring, n, m, [(s, A)]).rows() == [[ring.mul(x, s) for x in r] for r in a]
     assert (A @ C).rows() == _plain_mul(ring, a, c, k)
     assert A.transpose().rows() == [[a[i][j] for i in range(n)] for j in range(m)]
     assert A.transpose().ncols == n
@@ -462,6 +462,6 @@ def test_matrix_ops():
     B = qmat([[0, 1], [1, 0]])
     assert (A @ B).rows() == [[q(2), q(1)], [q(4), q(3)]]
     assert (A + B - B) == A
-    assert A.scale(q(2)).rows() == [[q(2), q(4)], [q(6), q(8)]]
+    assert Mat.lincomb(QQ, 2, 2, [(q(2), A), (q(-1), B)]).rows() == [[q(2), q(3)], [q(5), q(8)]]
     assert A.transpose().transpose() == A
     assert A.row_apply([q(1), q(1)]) == [q(4), q(6)]

@@ -2,12 +2,17 @@
 
 ``annihilator_ideal`` and ``kernel_objects`` read the images of a window and
 their Hom spaces from the functor's stored image window, and ask for an image
-Hom space only where the source Hom space is nonzero; ``ideal_product`` loops
-over the stored components of both factors; ``ideal_closure`` is a worklist
-from its seeds; ``FiniteSubcat.shift_matrix`` is stored.  ``oracles.py`` keeps
-the fresh-image annihilator, the dense product and the all-pairs fixpoint
-closure.  Both sides must agree on every functor of the fixtures, and the
-reports must not depend on what the caches already hold.
+Hom space only where the source Hom space is nonzero; the annihilator's probe
+is "F(f) is a boundary of Hom(FX, FY)", one matrix product per pair;
+``factor_through_ideal`` spans only nonzero Hom spaces and
+``shift_stability_report`` computes images only of nonzero components;
+``ideal_product`` loops over the stored components of both factors;
+``ideal_closure`` is a worklist from its seeds; ``FiniteSubcat.shift_matrix``
+is stored.  ``oracles.py`` keeps the fresh-image annihilator, the class-matrix
+probe, the all-pairs factoring ideal and shift stability, the dense product
+and the all-pairs fixpoint closure.  Both sides must agree on every functor of
+the fixtures, and on induction along the corner map of generated algebras,
+and the reports must not depend on what the caches already hold.
 """
 
 import os
@@ -16,16 +21,27 @@ import threading
 
 import pytest
 
-from oracles import annihilator_ideal_fresh, dense_ideal_product, fixpoint_ideal_closure
+from oracles import (
+    annihilator_ideal_by_class_matrix,
+    annihilator_ideal_fresh,
+    dense_ideal_product,
+    factor_through_ideal_all_pairs,
+    fixpoint_ideal_closure,
+    shift_stability_all_pairs,
+)
+from test_constructed_ideals import _projective_window
+from test_structure_checks import family_data
 
-from kbproj.fixture import load_fixture
-from kbproj.functors import BimoduleFunctor, kernel_objects
+from kbproj.fixture import FixtureFile, load_fixture
+from kbproj.functors import BimoduleFunctor, induction_functor, kernel_objects
 from kbproj.homcat import HomSpace, is_contractible
 from kbproj.ideals import (
     annihilator_ideal,
     factor_through_ideal,
     ideal_closure,
     ideal_product,
+    principal_ideal,
+    shift_stability_report,
     telescope_report,
 )
 from kbproj.reports import emit_json
@@ -33,6 +49,9 @@ from kbproj.runner import run_task
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 CASES = [("corner", "G", "S"), ("split", "F", "S")]
+# induction along the corner map R -> k of a generated algebra, on its
+# projectives shifted over -1..1
+GENERATED = [pytest.param(label, "corner", None, id=label) for label in ("UT3", "Alin4", "kx2")]
 WINDOW_COMMANDS = ("telescope-report", "check-ideal")
 
 
@@ -41,6 +60,14 @@ def _load(fname):
 
 
 def _case(fname, gname, sname):
+    if sname is None:
+        fx = FixtureFile(family_data(fname[:-1], int(fname[-1])))
+        g = fx.ring_maps[gname]
+        W = _projective_window(fname, fx)
+        # e_i R (x) k is k where the map sends e_i to 1, and zero elsewhere
+        witnesses = {i: [(0, (1,))] if any(g.apply(W.alg.idempotent_vec(i))) else []
+                     for i in range(W.alg.n_idempotents())}
+        return induction_functor(g, witnesses), W
     fx = _load(fname)
     return fx.functors[gname], fx.subcategories[sname]
 
@@ -62,7 +89,7 @@ def _check_ideal(fx, name):
     return ideal_closure(*_check_seeds(fx, name))
 
 
-@pytest.mark.parametrize("fname,gname,sname", CASES)
+@pytest.mark.parametrize("fname,gname,sname", CASES + GENERATED)
 def test_annihilator_and_kernel_match_fresh_images(fname, gname, sname):
     F, S = _case(fname, gname, sname)
     slow = annihilator_ideal_fresh(F, S)
@@ -70,6 +97,25 @@ def test_annihilator_and_kernel_match_fresh_images(fname, gname, sname):
         assert annihilator_ideal(F, S).components == slow.components
         assert kernel_objects(F, S) == [name for name, X in S.objects.items()
                                         if is_contractible(F.apply_complex(X))[0]]
+    assert annihilator_ideal_by_class_matrix(F, S).components == slow.components
+
+
+@pytest.mark.parametrize("fname,gname,sname", CASES + GENERATED)
+def test_nonzero_pairs_match_all_pairs(fname, gname, sname):
+    F, S = _case(fname, gname, sname)
+    kern = kernel_objects(F, S)
+    fac = factor_through_ideal(S, kern)
+    assert fac.components == factor_through_ideal_all_pairs(S, kern).components
+    # one class at one pair, with none at its translate: not shift stable
+    a, b = next((a, b) for a in S.shifts for b in S.shifts if S.hom(a, b).dim)
+    one = principal_ideal(S, a, b, S.hom(a, b).basis()[0])
+    stable = set()
+    for I in (annihilator_ideal(F, S), fac, one):
+        ok, pairs = shift_stability_report(I)
+        assert (ok, pairs) == shift_stability_all_pairs(I)
+        assert len(pairs) == len(S.shifts) ** 2
+        stable.add(ok)
+    assert stable == {True, False}
 
 
 @pytest.mark.parametrize("fname", ["corner", "split"])
@@ -80,7 +126,7 @@ def test_worklist_closure_matches_the_fixpoint(fname):
         sub, seeds = _check_seeds(fx, name)
         I = ideal_closure(sub, seeds)
         assert I.components == fixpoint_ideal_closure(sub, seeds).components
-        assert not I.is_zero()
+        assert I.components
 
 
 @pytest.mark.parametrize("fname,gname,sname", CASES)
@@ -90,7 +136,7 @@ def test_sparse_product_matches_dense(fname, gname, sname):
     ann = annihilator_ideal(F, S)
     fac = factor_through_ideal(S, kernel_objects(F, S))
     ideals = [_check_ideal(fx, name) for name in fx.ideals] + [ann, fac]
-    assert any(not I.is_zero() for I in ideals)
+    assert any(I.components for I in ideals)
     for I in ideals:
         for J in ideals:
             assert ideal_product(I, J).components == dense_ideal_product(I, J).components
