@@ -1,10 +1,10 @@
 """Finite-dimensional algebras given by structure constants, and their modules.
 
-An algebra presentation carries a field, a basis, the full multiplication
-table, the unit, and a complete orthogonal idempotent list.  Everything is
-validated up front; later layers may assume the axioms hold.  The product
-b_i b_j of two basis elements is the row ``structure[i][j]``, and the checks
-read it there.
+An algebra presentation carries a field, a basis, the multiplication table,
+the unit, and a complete orthogonal idempotent list.  Everything is
+validated up front; later layers may assume the axioms hold.  The dense
+structure constants are read once into ``products[i][j]``, the nonzero
+coordinates (m, c) of b_i b_j; only this module reads that table.
 
 Module convention: module elements are row vectors, a right action matrix A_b
 acts as ``m . b = m @ A_b``, so the action map b -> A_b is multiplicative.
@@ -14,6 +14,7 @@ anti-multiplicative; validation checks exactly that.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .linalg import LinalgError, Mat, Subspace, hstack, left_kernel, rank
@@ -39,13 +40,14 @@ class AlgebraPresentation:
         self.ring = ring
         self.name = name
         self.basis_names = tuple(basis_names)
-        self.dim = len(self.basis_names)
-        if self.dim == 0:
+        self.dim = dim = len(self.basis_names)
+        if dim == 0:
             raise AlgebraError(f"{name}: empty basis")
-        self.structure = tuple(
-            tuple(tuple(ring.parse(c) for c in structure[i][j]) for j in range(self.dim))
-            for i in range(self.dim)
-        )
+        if len(structure) != dim or any(len(row) != dim or any(len(cell) != dim for cell in row)
+                                        for row in structure):
+            raise AlgebraError(f"{name}: structure table is not {dim}x{dim}x{dim}")
+        self.products = tuple(tuple(tuple((m, c) for m, c in enumerate(map(ring.parse, cell)) if c)
+                                    for cell in row) for row in structure)
         self.unit = tuple(ring.parse(c) for c in unit)
         self.idempotents = tuple(tuple(ring.parse(c) for c in e) for e in idempotents)
         if idempotent_names is None:
@@ -72,19 +74,14 @@ class AlgebraPresentation:
     def mult(self, x: Sequence, y: Sequence) -> Tuple:
         ring = self.ring
         out = [ring.zero] * self.dim
-        for i in range(self.dim):
-            xi = x[i]
-            if not xi:
-                continue
-            row = self.structure[i]
-            for j in range(self.dim):
-                yj = y[j]
-                if not yj:
-                    continue
-                c = ring.mul(xi, yj)
-                for l, s in enumerate(row[j]):
-                    if s:
-                        out[l] = ring.add(out[l], ring.mul(c, s))
+        for i, xi in enumerate(x):
+            if xi:
+                row = self.products[i]
+                for j, yj in enumerate(y):
+                    if yj and row[j]:
+                        c = ring.mul(xi, yj)
+                        for m, s in row[j]:
+                            out[m] = ring.add(out[m], ring.mul(c, s))
         return tuple(out)
 
     def combine(self, terms: Iterable[Tuple[object, Sequence]]) -> Tuple:
@@ -115,16 +112,6 @@ class AlgebraPresentation:
         """Matrix of m -> m.x in the row convention."""
         return Mat.from_rows(self.ring, [self.mult(self.basis_vec(t), x) for t in range(self.dim)],
                              self.dim)
-
-    def trace_left_mult(self, x: Sequence):
-        ring = self.ring
-        t = ring.zero
-        for m, c in enumerate(x):
-            if c:
-                for i, cell in enumerate(self.structure[m]):
-                    if cell[i]:
-                        t = ring.add(t, ring.mul(c, cell[i]))
-        return t
 
     # -- idempotent corners --------------------------------------------
 
@@ -170,20 +157,25 @@ class AlgebraPresentation:
 
     def _validate(self):
         ring, dim, name = self.ring, self.dim, self.name
-        for row in self.structure:
-            if len(row) != dim or any(len(c) != dim for c in row):
-                raise AlgebraError(f"{name}: structure table is not {dim}x{dim}x{dim}")
         if len(self.unit) != dim:
             raise AlgebraError(f"{name}: unit vector has wrong length")
-        # (b_i b_j) b_l = sum_m c_ij^m b_m b_l and b_i (b_j b_l) = sum_m c_jl^m b_i b_m
-        st = self.structure
-        nonzero = [[[(m, c) for m, c in enumerate(cell) if c] for cell in row] for row in st]
+        if len(self.idempotent_names) != len(self.idempotents):
+            raise AlgebraError(f"{name}: need one name per idempotent")
+        # (b_i b_j) b_l = sum_m c_ij^m b_m b_l and b_i (b_j b_l) = sum_m c_jl^m b_i b_m;
+        # both are 0 when b_i b_j = 0 = b_j b_l, so those l are skipped, in order
+        P = self.products
+        nonzero = [[l for l, cell in enumerate(row) if cell] for row in P]
         for i in range(dim):
-            for j in range(dim):
-                for l in range(dim):
-                    lhs = self.combine((c, st[m][l]) for m, c in nonzero[i][j])
-                    rhs = self.combine((c, st[i][m]) for m, c in nonzero[j][l])
-                    if lhs != rhs:
+            for j, pij in enumerate(P[i]):
+                for l in range(dim) if pij else nonzero[j]:
+                    diff = {}
+                    for m, c in pij:
+                        for n, s in P[m][l]:
+                            diff[n] = ring.add(diff.get(n, ring.zero), ring.mul(c, s))
+                    for m, c in P[j][l]:
+                        for n, s in P[i][m]:
+                            diff[n] = ring.sub(diff.get(n, ring.zero), ring.mul(c, s))
+                    if any(diff.values()):
                         raise AlgebraError(
                             f"{name}: associativity fails at basis triple "
                             f"({self.basis_names[i]},{self.basis_names[j]},{self.basis_names[l]})"
@@ -212,13 +204,13 @@ class AlgebraPresentation:
             return NotImplemented
         return (
             self.ring == other.ring
-            and self.structure == other.structure
+            and self.products == other.products
             and self.unit == other.unit
             and self.idempotents == other.idempotents
         )
 
     def __hash__(self):
-        return hash((self.structure, self.unit, self.idempotents))
+        return hash((self.products, self.unit, self.idempotents))
 
     def __repr__(self):
         return f"AlgebraPresentation({self.name}, dim={self.dim})"
@@ -268,14 +260,14 @@ class FdModule:
 
     def _validate(self):
         self._check_shapes()
-        alg = self.algebra
+        alg, act, n = self.algebra, self.action, self.dim
         unit = self.action_of(alg.unit)
-        if unit != Mat.identity(alg.ring, self.dim):
+        if unit != Mat.identity(alg.ring, n):
             raise AlgebraError(f"{self.name}: unit does not act as identity")
         for i in range(alg.dim):
             for j in range(alg.dim):
-                lhs = self.action[i] @ self.action[j]
-                rhs = self.action_of(alg.structure[i][j])
+                lhs = act[i] @ act[j]
+                rhs = Mat.lincomb(alg.ring, n, n, ((c, act[m]) for m, c in alg.products[i][j]))
                 if lhs != rhs:
                     raise AlgebraError(
                         f"{self.name}: action not multiplicative at "
@@ -422,27 +414,28 @@ class Bimodule:
 
     def _validate(self):
         self._check_shapes()
-        ring = self.left_alg.ring
+        ring, n = self.left_alg.ring, self.dim
         L, R = self.left_alg, self.right_alg
-        if self.left_of(L.unit) != Mat.identity(ring, self.dim):
+        left, right = self.left_action, self.right_action
+        if self.left_of(L.unit) != Mat.identity(ring, n):
             raise AlgebraError(f"{self.name}: left unit fails")
-        if self.right_of(R.unit) != Mat.identity(ring, self.dim):
+        if self.right_of(R.unit) != Mat.identity(ring, n):
             raise AlgebraError(f"{self.name}: right unit fails")
         for i in range(L.dim):
             for j in range(L.dim):
                 # anti-multiplicative: (b_i b_j) . m corresponds to Mat_j @ Mat_i
-                lhs = self.left_action[j] @ self.left_action[i]
-                rhs = self.left_of(L.structure[i][j])
+                lhs = left[j] @ left[i]
+                rhs = Mat.lincomb(ring, n, n, ((c, left[m]) for m, c in L.products[i][j]))
                 if lhs != rhs:
                     raise AlgebraError(f"{self.name}: left action not anti-multiplicative")
         for i in range(R.dim):
             for j in range(R.dim):
-                lhs = self.right_action[i] @ self.right_action[j]
-                rhs = self.right_of(R.structure[i][j])
+                lhs = right[i] @ right[j]
+                rhs = Mat.lincomb(ring, n, n, ((c, right[m]) for m, c in R.products[i][j]))
                 if lhs != rhs:
                     raise AlgebraError(f"{self.name}: right action not multiplicative")
-        for a in self.left_action:
-            for b in self.right_action:
+        for a in left:
+            for b in right:
                 if a @ b != b @ a:
                     raise AlgebraError(f"{self.name}: actions do not commute")
 
@@ -488,7 +481,7 @@ class RingMap:
         for i in range(src.dim):
             for j in range(src.dim):
                 lhs = tgt.mult(self.images[i], self.images[j])
-                rhs = self.apply(src.structure[i][j])
+                rhs = tgt.combine((c, self.images[m]) for m, c in src.products[i][j])
                 if lhs != rhs:
                     raise AlgebraError(
                         f"{self.name}: multiplicativity fails at "
@@ -632,7 +625,14 @@ def radical(alg: AlgebraPresentation) -> TwoSidedIdeal:
         )
     if ring.kind == "laurent":
         raise AlgebraError("radical requires a field")
-    rows = [[alg.trace_left_mult(prod) for prod in row] for row in alg.structure]
+
+    def total(terms):
+        return reduce(ring.add, terms, ring.zero)
+
+    # tr L(b_i b_j) = sum_m c_ij^m tau_m, with tau_m = tr L(b_m) = sum_k c_mk^k
+    P = alg.products
+    tau = [total(c for k, cell in enumerate(row) for n, c in cell if n == k) for row in P]
+    rows = [[total(ring.mul(c, tau[m]) for m, c in cell) for cell in row] for row in P]
     T = Mat.from_rows(ring, rows, alg.dim)
     ideal = TwoSidedIdeal(alg, left_kernel(T), name=f"rad({alg.name})")
     if not ideal.is_nilpotent():

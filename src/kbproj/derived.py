@@ -10,6 +10,7 @@ was actually checked, and says so.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
@@ -280,12 +281,11 @@ class HepiVerdict:
 def multiplication_matrix(g: RingMap, T: TensorResult) -> Mat:
     """S (x)_R S -> S on coequalizer coordinates, via the product of S."""
     S = g.target
-    ring = S.ring
-    rows = []
-    for rep in T.reps:
-        rows.append(S.combine((c, S.structure[pos // S.dim][pos % S.dim])
-                              for pos, c in enumerate(rep) if c))
-    return Mat.from_rows(ring, rows, S.dim)
+    d = S.dim
+    # a representative is sum_i b_i (x) y_i, y_i its i-th block of d coordinates
+    rows = [reduce(S.add_vec, (S.mult(S.basis_vec(i), rep[i * d:(i + 1) * d]) for i in range(d)))
+            for rep in T.reps]
+    return Mat.from_rows(S.ring, rows, d)
 
 
 def check_homological_epi(g: RingMap, i_max: int = 20) -> HepiVerdict:

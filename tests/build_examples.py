@@ -4,6 +4,10 @@ Kept separate from the package: tests build these directly so that the
 JSON fixture loader can be cross-checked against them later.
 """
 
+from fractions import Fraction
+
+from oracles import structure_mult
+
 from kbproj.algebra import AlgebraPresentation, RingMap
 from kbproj.linalg import GF, QQ
 
@@ -80,6 +84,27 @@ def split_map(ut2=None) -> RingMap:
     z = "0"
     o = "1"
     return RingMap(kk, ut2, [[o, z, z], [z, z, o]], name="split")
+
+
+def sheared(entry):
+    """A fixture algebra entry rewritten in the basis b'_i = b_i + b_(i+1)
+    (b'_(n-1) = b_(n-1)), so that most products have several nonzero terms.
+
+    Old coordinates v become w_k = sum_(a <= k) (-1)^(k-a) v_a."""
+    old = [[[Fraction(c) for c in cell] for cell in row] for row in entry["structure"]]
+    n = len(old)
+
+    def new(v):
+        return [str(sum((-1) ** (k - a) * Fraction(v[a]) for a in range(k + 1)))
+                for k in range(n)]
+
+    def shear(i):
+        return [1 if t in (i, i + 1) else 0 for t in range(n)]
+
+    return dict(entry, basis=[f"{b}'" for b in entry["basis"]],
+                structure=[[new(structure_mult(old, shear(i), shear(j))) for j in range(n)]
+                           for i in range(n)],
+                unit=new(entry["unit"]), idempotents=[new(e) for e in entry["idempotents"]])
 
 
 def ut2_structure_plain(p=None):

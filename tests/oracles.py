@@ -133,6 +133,13 @@ def structure_mult(structure, x, y, p=None):
     return out
 
 
+def dense_structure(alg):
+    """The dense table of ``alg``'s structure constants, as nested lists:
+    entry [i][j][m] is the coefficient of b_m in b_i b_j, read by ``mult``."""
+    return [[list(alg.mult(alg.basis_vec(i), alg.basis_vec(j))) for j in range(alg.dim)]
+            for i in range(alg.dim)]
+
+
 def coequalizer_dim(m_dim, b_dim, r_dim, m_action, left_action):
     """dim(M tensor_R B) by brute-force relation span over QQ.
 

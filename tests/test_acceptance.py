@@ -49,7 +49,7 @@ from kbproj.lifting import SearchBudget, lift_chain_map, verify_map_lift
 from kbproj.linalg import QQ
 from kbproj.runner import run_tasks
 from kbproj.derived import tor_with_bimodule
-from oracles import bar_tor_dims, coequalizer_dim
+from oracles import bar_tor_dims, coequalizer_dim, dense_structure
 
 from test_cli import CORNER, KOSZUL, SPLIT
 
@@ -83,8 +83,7 @@ def koszul():
 
 def _bar_dims(g, i_max):
     R, S = g.source, g.target
-    structure = [[list(R.structure[i][j]) for j in range(R.dim)]
-                 for i in range(R.dim)]
+    structure = dense_structure(R)
 
     def plain(M):
         return [[M.entry(i, j) for j in range(M.ncols)]

@@ -19,6 +19,7 @@ from build_examples import (
 from oracles import (
     all_subspaces_gf,
     coequalizer_dim,
+    dense_structure,
     gf_set_closure,
     hom_modules,
     span_members,
@@ -106,7 +107,7 @@ def test_nonorthogonal_idempotents_rejected():
         AlgebraPresentation(
             QQ,
             list(A.basis_names),
-            [[list(map(QQ.fmt, c)) for c in row] for row in A.structure],
+            [[list(map(QQ.fmt, c)) for c in row] for row in dense_structure(A)],
             list(map(QQ.fmt, A.unit)),
             [["1", "0", "0"], ["1", "0", "1"]],
             name="bad",

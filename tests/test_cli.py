@@ -146,16 +146,54 @@ def test_rejects_unknown_algebra_reference():
         FixtureFile(data)
 
 
-def test_rejects_bad_structure_constants():
-    data = _base()
+def _run_mutated(capsys, tmp_path, mutate):
+    """Run a copy of the corner fixture changed by ``mutate``; it must exit 2
+    with one line on stderr and nothing on stdout.  Returns that line."""
+    with open(CORNER) as fh:
+        data = json.load(fh)
+    mutate(data)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    assert main(["run", "--fixture", str(p)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    lines = cap.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("kbproj: error: ")
+    return lines[0]
+
+
+def _ut2(edit):
+    """A mutation of the corner fixture that edits its algebra UT2."""
+    return lambda data: edit(data["algebras"]["UT2"])
+
+
+BAD_STRUCTURES = [
     # the declared unit is not a unit for this multiplication
-    data["algebras"]["bad"] = {
-        "basis": ["a", "b"],
-        "structure": [[["0", "1"], ["0", "0"]], [["0", "0"], ["0", "0"]]],
-        "unit": ["1", "0"], "idempotents": [["1", "0"]],
-    }
-    with pytest.raises(FixtureError, match="algebra bad"):
-        FixtureFile(data)
+    ("unit-fails",
+     lambda data: data["algebras"].update(bad={
+         "basis": ["a", "b"],
+         "structure": [[["0", "1"], ["0", "0"]], [["0", "0"], ["0", "0"]]],
+         "unit": ["1", "0"], "idempotents": [["1", "0"]]}),
+     "algebra bad: bad: unit fails on basis element a"),
+    # a table of the wrong shape: the first two loaded with their extra data
+    # ignored, the last two failed with "list index out of range"
+    ("extra-row", _ut2(lambda a: a["structure"].append(a["structure"][0])),
+     "algebra UT2: UT2: structure table is not 3x3x3"),
+    ("extra-column", _ut2(lambda a: [row.append(["0", "0", "0"]) for row in a["structure"]]),
+     "algebra UT2: UT2: structure table is not 3x3x3"),
+    ("missing-row", _ut2(lambda a: a["structure"].pop()),
+     "algebra UT2: UT2: structure table is not 3x3x3"),
+    ("extra-basis-name", _ut2(lambda a: a["basis"].append("x")),
+     "algebra UT2: UT2: structure table is not 4x4x4"),
+    ("short-cell", _ut2(lambda a: a["structure"][1][2].pop()),
+     "algebra UT2: UT2: structure table is not 3x3x3"),
+]
+
+
+@pytest.mark.parametrize("mutate,want", [b[1:] for b in BAD_STRUCTURES],
+                         ids=[b[0] for b in BAD_STRUCTURES])
+def test_rejects_bad_structure_constants(capsys, tmp_path, mutate, want):
+    assert _run_mutated(capsys, tmp_path, mutate) == f"kbproj: error: {want}"
 
 
 def test_rejects_non_chain_map():
@@ -726,6 +764,11 @@ MALFORMED_ENTRIES = [
     ("triangle-third-leg-lands-elsewhere", _set(["maps", "gammazero", "target"], "P1s[1]"),
      "triangle corrupt: legs do not compose"),
     ("unknown-top-level-key", _set(["bogus_section"], {}), "unknown top-level key 'bogus_section'"),
+    # one name short crashed almost-report with an IndexError; one too many loaded
+    ("idempotent-names-short", _set(["algebras", "UT2", "idempotent_names"], ["e11"]),
+     "algebra UT2: UT2: need one name per idempotent"),
+    ("idempotent-names-long", _set(["algebras", "UT2", "idempotent_names"], ["e11", "e22", "e33"]),
+     "algebra UT2: UT2: need one name per idempotent"),
     # an ideal generator is a class of Hom(X, Y); both ended in a traceback
     ("ideal-generator-degree-1",
      _ideal_generator("up", {"source": "S1r", "target": "S1r", "degree": 1,
@@ -741,17 +784,7 @@ MALFORMED_ENTRIES = [
 @pytest.mark.parametrize("mutate,want", [m[1:] for m in MALFORMED_ENTRIES],
                          ids=[m[0] for m in MALFORMED_ENTRIES])
 def test_malformed_fixture_entry_exits_2(capsys, tmp_path, mutate, want):
-    with open(CORNER) as fh:
-        data = json.load(fh)
-    mutate(data)
-    p = tmp_path / "bad.json"
-    p.write_text(json.dumps(data))
-    assert main(["run", "--fixture", str(p)]) == 2
-    cap = capsys.readouterr()
-    assert cap.out == ""
-    lines = cap.err.strip().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("kbproj: error: ") and want in lines[0]
+    assert want in _run_mutated(capsys, tmp_path, mutate)
 
 
 # each integer a fixture entry holds, with a float that a bare int() once

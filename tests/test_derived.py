@@ -5,19 +5,23 @@ plain lists; the package computes it from a minimal resolution.  Both routes
 must agree dimension by dimension.
 """
 
+import json
+
 import pytest
 
 from build_examples import (
     corner_map,
     dual_numbers,
     ground_field,
+    sheared,
     split_map,
     upper_triangular_2,
     ut2_complexes,
 )
-from oracles import bar_tor_dims
+from oracles import bar_tor_dims, dense_structure
 
 from kbproj.algebra import (
+    AlgebraPresentation,
     RingMap,
     induction_bimodule,
     module_along_map,
@@ -29,18 +33,19 @@ from kbproj.algebra import (
 from kbproj.derived import (
     DerivedError,
     check_homological_epi,
+    multiplication_matrix,
     proj_resolution,
     tor_with_bimodule,
 )
 from kbproj.fixture import load_fixture
 from kbproj.linalg import QQ
-from test_cli import TWO_CYCLE
+from test_cli import CORNER, TWO_CYCLE
 
 
 def bar_dims_for_map(g, i_max):
     """Tor_i^R(S, S) for a ring map R -> S via the plain bar-complex oracle."""
     R, S = g.source, g.target
-    structure = [[list(R.structure[i][j]) for j in range(R.dim)] for i in range(R.dim)]
+    structure = dense_structure(R)
     unit = list(R.unit)
 
     def plain(M):
@@ -150,6 +155,28 @@ def test_identity_map_certified():
     assert v.tensor_square_dim == 3
     assert tor_list(v, 3) == [3, 0, 0, 0]
     assert bar_dims_for_map(ident, 2) == [3, 0, 0]
+
+
+def identity_of_sheared_ut2():
+    """The identity of UT2 in a basis where most products have two terms."""
+    with open(CORNER) as fh:
+        a = sheared(json.load(fh)["algebras"]["UT2"])
+    A = AlgebraPresentation(QQ, a["basis"], a["structure"], a["unit"], a["idempotents"],
+                            idempotent_names=a["idempotent_names"], name="UT2'")
+    return RingMap(A, A, [list(A.basis_vec(i)) for i in range(A.dim)], name="id")
+
+
+@pytest.mark.parametrize("make", [corner_map, split_map, identity_of_sheared_ut2])
+def test_multiplication_matrix_against_the_dense_table(make):
+    # row r is the product of T.reps[r] = sum c_ij b_i (x) b_j, read off the dense table
+    g = make()
+    S = g.target
+    T = module_tensor(module_along_map(g), induction_bimodule(g))
+    table = dense_structure(S)
+    want = [[sum(c * table[pos // S.dim][pos % S.dim][m] for pos, c in enumerate(rep))
+             for m in range(S.dim)] for rep in T.reps]
+    mu = multiplication_matrix(g, T)
+    assert [[mu.entry(r, m) for m in range(S.dim)] for r in range(mu.nrows)] == want
 
 
 def test_quotient_by_radical_is_refuted():

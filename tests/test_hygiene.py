@@ -7,7 +7,8 @@ the closure check, and only the two probes that kill composites reach
 calls neither ``apply_map`` nor ``class_matrix``), ``almost`` builds no Hom
 space of its own, only ``linalg`` knows that a non-integral rational is a
 ``Fraction``, no module multiplies two basis vectors to read a structure
-constant, no loop asks for class coordinates one map at a time, graded-map
+constant, only ``algebra`` reads an algebra's sparse product table and no
+file reads a ``.structure`` attribute, no loop asks for class coordinates one map at a time, graded-map
 arithmetic builds no zero blocks to multiply, ``GradedMap.is_chain_map`` is
 the only chain-map test, ``ProjComplex.__eq__`` is the only complex-equality
 rule, no solve is asked for a kernel: ``solve`` and ``solve_left`` get no
@@ -243,13 +244,39 @@ def _is_basis_vec_call(node):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_products_of_basis_vectors(module):
-    # b_i b_j is the row structure[i][j] of the algebra: read it, do not multiply
+    # b_i b_j is a cell of the algebra's sparse product table, which only
+    # algebra.py reads; a product of two basis vectors is a lookup done the
+    # long way, so no module asks mult for one
     lines = sorted(n.lineno for n in ast.walk(_parse(module))
                    if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
                    and n.func.attr == "mult" and len(n.args) == 2
                    and all(map(_is_basis_vec_call, n.args)))
     uses = [f"{module}:{line}" for line in lines]
     assert not uses, "mult of two basis vectors: " + ", ".join(uses)
+
+
+def _python_files():
+    """Every module of the package, of tests/ and of bench/, as (label, path)."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    out = [(m, os.path.join(SRC, m)) for m in MODULES]
+    for root in (tests, BENCH):
+        for where, _, files in os.walk(root):
+            out += [(os.path.relpath(os.path.join(where, f), os.path.dirname(root)),
+                     os.path.join(where, f)) for f in sorted(files) if f.endswith(".py")]
+    return out
+
+
+def test_only_algebra_reads_the_product_table():
+    # the layout of AlgebraPresentation.products is algebra.py's alone, and the
+    # dense structure cube it replaced is read nowhere
+    uses = []
+    for label, path in _python_files():
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        uses += [f"{label}:{n.lineno}: .{n.attr}" for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and (n.attr == "structure" or (
+                     n.attr == "products" and path != os.path.join(SRC, "algebra.py")))]
+    assert not uses, "product table read outside algebra.py: " + ", ".join(uses)
 
 
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)

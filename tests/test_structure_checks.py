@@ -1,17 +1,22 @@
-"""Axiom checks on structure constants against the basis-product oracles, and
-the projective-module and radical caches on an algebra.
+"""Axiom checks on structure constants against the basis-product oracles, the
+sparse product table against the dense one, and the projective-module and
+radical caches on an algebra.
 
 ``AlgebraPresentation``, ``FdModule``, ``Bimodule`` and ``RingMap`` read the
-product b_i b_j as the row ``structure[i][j]``.  Each object below is built
-unvalidated with one structure constant, action entry or image coordinate
-perturbed; its own ``_validate`` and the matching oracle of ``oracles.py``,
-which multiplies basis vectors, must name the same first failure with the
-same message, or both find none.  The algebras are those of the three
-fixtures and small members of the generated families of ``bench/families.py``.
+product b_i b_j from the algebra's sparse table of nonzero coordinates, and
+the associativity check skips the triples where b_i b_j = 0 = b_j b_l.  Each
+object below is built unvalidated with one structure constant, action entry
+or image coordinate perturbed; its own ``_validate`` and the matching oracle
+of ``oracles.py``, which multiplies basis vectors, must name the same first
+failure with the same message, or both find none.  The algebras are those of
+the three fixtures and small members of the generated families of
+``bench/families.py``, with UT5, where most triples are skipped, and two
+rewritten in a sheared basis, where most products have several terms.
 """
 
 import functools
 import importlib.util
+import json
 import os
 import random
 import sys
@@ -19,11 +24,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from build_examples import sheared
 from oracles import (
     basis_product_associativity,
     basis_product_bimodule_check,
     basis_product_module_check,
     basis_product_ring_map_check,
+    dense_structure,
+    structure_mult,
 )
 
 from kbproj.algebra import (
@@ -41,7 +49,7 @@ from kbproj.algebra import (
 )
 from kbproj.derived import proj_resolution
 from kbproj.fixture import FixtureFile, load_fixture
-from kbproj.linalg import Mat
+from kbproj.linalg import GF, QQ, Mat
 from kbproj.reports import emit_json
 from kbproj.runner import run_tasks
 
@@ -49,6 +57,9 @@ HERE = os.path.dirname(__file__)
 FIXDIR = os.path.join(HERE, "..", "fixtures")
 FIXTURES = ("corner", "split", "koszul")
 FAMILIES = (("UT", 3), ("Alin", 4), ("Acyc", 3), ("kx", 3))
+# 980 of UT5's 3375 basis triples have a nonzero side; the rest are skipped
+SPARSE = (("UT", 5),)
+SHEARED = ("corner'", "Alin4'")
 MAX_DEGREE = 6
 
 
@@ -68,16 +79,31 @@ def family_data(fam, n, seed=1):
     return families.family_fixture(fam, n, MAX_DEGREE, seed)
 
 
+def dense_algebras(label):
+    """The algebra entries, dense JSON tables and all, of a fixture or of one
+    family member like UT8, in the sheared basis when the label ends in '."""
+    if label.endswith("'"):
+        return {f"{name}'": sheared(a) for name, a in dense_algebras(label[:-1]).items()}
+    if label in FIXTURES:
+        with open(os.path.join(FIXDIR, f"{label}.json")) as fh:
+            return json.load(fh)["algebras"]
+    fam = label.rstrip("0123456789")
+    return {label: families.build_algebra(fam, int(label[len(fam):])).to_json()}
+
+
 @functools.lru_cache(maxsize=None)
 def source(label):
-    """A loaded fixture by label: a fixture name or a family member like UT3."""
+    """A loaded fixture by label: a fixture name, a family member like UT3, or
+    either with a trailing ' for its algebras alone in the sheared basis."""
     if label in FIXTURES:
         return load_fixture(os.path.join(FIXDIR, f"{label}.json"))
-    fam, n = next((f, n) for f, n in FAMILIES if f"{f}{n}" == label)
+    if label.endswith("'"):
+        return FixtureFile({"format_version": 1, "field": "QQ", "algebras": dense_algebras(label)})
+    fam, n = next((f, n) for f, n in FAMILIES + SPARSE if f"{f}{n}" == label)
     return FixtureFile(family_data(fam, n))
 
 
-LABELS = FIXTURES + tuple(f"{f}{n}" for f, n in FAMILIES)
+LABELS = FIXTURES + tuple(f"{f}{n}" for f, n in FAMILIES + SPARSE) + SHEARED
 ALGEBRAS = [(label, name) for label in LABELS for name in source(label).algebras]
 RING_MAPS = [(label, name) for label in LABELS for name in source(label).ring_maps]
 
@@ -143,7 +169,7 @@ def test_perturbed_structure_constant_fails_at_the_same_triple(monkeypatch, labe
     cells = [(i, j, m) for i in range(dim) for j in range(dim) for m in range(dim)]
     seen = 0
     for i, j, m in rng.sample(cells, min(len(cells), 15)):
-        structure = [[list(cell) for cell in row] for row in alg.structure]
+        structure = dense_structure(alg)
         structure[i][j][m] = ring.add(structure[i][j][m], ring.one)
         bad = unvalidated(monkeypatch, AlgebraPresentation, ring, alg.basis_names, structure,
                           alg.unit, alg.idempotents, name=f"{name}'")
@@ -161,12 +187,60 @@ def test_perturbed_structure_constant_names_a_known_triple():
     # UT2 with e11 e11 = 2 e11: (e11 e11) e11 = 4 e11 but e11 (e11 e11) = 4 e11,
     # while (e11 e11) e12 = 2 e12 and e11 (e11 e12) = e12
     alg = source("corner").algebras["UT2"]
-    structure = [[list(cell) for cell in row] for row in alg.structure]
+    structure = dense_structure(alg)
     structure[0][0][0] = 2
     with pytest.raises(AlgebraError) as exc:
         AlgebraPresentation(alg.ring, alg.basis_names, structure, alg.unit, alg.idempotents,
                             name="UT2'")
     assert str(exc.value) == "UT2': associativity fails at basis triple (e11,e11,e12)"
+
+
+# -- the sparse table against the dense one ---------------------------------------
+
+
+def build(ring, name, a):
+    return AlgebraPresentation(ring, a["basis"], a["structure"], a["unit"], a["idempotents"],
+                               idempotent_names=a.get("idempotent_names"), name=name)
+
+
+def random_vector(ring, dim, rng):
+    """A seeded vector with about half its coordinates zero."""
+    return tuple(ring.parse(f"{rng.randint(-4, 4)}/{rng.choice((1, 2, 3))}")
+                 if rng.random() < 0.5 else ring.zero for _ in range(dim))
+
+
+# members up to the sizes of the ROADMAP's size ladder: UT8 (dim 36), Alin24 (dim 47)
+@pytest.mark.parametrize("ring", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("label", FIXTURES + ("UT3", "UT8", "Alin4", "Alin24", "Acyc6", "kx3")
+                         + ("corner'", "UT5'", "Acyc3'", "kx3'"))
+def test_sparse_mult_matches_the_dense_table(ring, label):
+    p = getattr(ring, "p", None)
+    rng = random.Random(f"{label}/{ring}")
+    for name, a in dense_algebras(label).items():
+        alg = build(ring, name, a)
+        table = [[[ring.parse(c) for c in cell] for cell in row] for row in a["structure"]]
+        for _ in range(12):
+            x, y = random_vector(ring, alg.dim, rng), random_vector(ring, alg.dim, rng)
+            assert list(alg.mult(x, y)) == structure_mult(table, x, y, p)
+        for t in range(alg.dim):
+            b = alg.basis_vec(t)
+            assert list(alg.mult(b, y)) == structure_mult(table, b, y, p)
+
+
+def test_zero_written_either_way_gives_one_algebra(monkeypatch):
+    a = dense_algebras("corner")["UT2"]
+    alg = build(QQ, "UT2", a)
+    zeros = [[["0/1" if c == "0" else c for c in cell] for cell in row] for row in a["structure"]]
+    same = build(QQ, "UT2", dict(a, structure=zeros))
+    assert same == alg and hash(same) == hash(alg)
+    rng = random.Random("UT2/eq")
+    for _ in range(6):
+        i, j, m = (rng.randrange(alg.dim) for _ in range(3))
+        bumped = [[list(cell) for cell in row] for row in zeros]
+        bumped[i][j][m] = QQ.add(QQ.parse(bumped[i][j][m]), QQ.one)
+        bad = unvalidated(monkeypatch, AlgebraPresentation, QQ, a["basis"], bumped, a["unit"],
+                          a["idempotents"], name="UT2")
+        assert bad != alg and alg != bad
 
 
 # -- one perturbed action entry or image coordinate --------------------------------
