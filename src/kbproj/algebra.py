@@ -220,19 +220,19 @@ class FdModule:
     """A finite-dimensional right module given by action matrices.
 
     ``FdModule(...)`` checks the shapes, the unit and every product of two
-    action matrices.  Modules built from outside data, by
-    ``projective_module`` and ``CornerFunctor.apply`` go through it.  The
-    constructors that derive a module from a checked one build through
-    ``_inherited``, which checks the shapes only, because what they inherit
-    proves the rest: ``submodule`` and ``quotient_module`` first check that
-    the subspace is invariant, and a sub or quotient of a checked module by
-    an invariant subspace is a module; ``regular_module`` and
+    action matrices.  Modules built from outside data, as by
+    ``CornerFunctor.apply``, go through it.  The constructors that derive a
+    module from a checked one build through ``_inherited``, which checks the
+    shapes only, because what they inherit proves the rest: ``submodule``
+    and ``quotient_module`` first check that the subspace is invariant, and
+    a sub or quotient of a checked module by an invariant subspace is a
+    module; ``regular_module``, ``projective_module`` and
     ``module_along_map`` act by right multiplication in a checked algebra,
-    along a checked ``RingMap``; ``module_tensor`` divides M (x)_k B, a
-    module through B's right action, by relations that action keeps, since
-    B is a checked bimodule.  ``projective_module`` and ``radical`` are
-    cached on the algebra, so an algebra and the modules they return are
-    immutable.
+    on right ideals e_i R or along a checked ``RingMap``; ``module_tensor``
+    divides M (x)_k B, a module through B's right action, by relations that
+    action keeps, since B is a checked bimodule.  ``projective_module`` and
+    ``radical`` are cached on the algebra, so an algebra and the modules they
+    return are immutable.
     """
 
     def __init__(self, algebra: AlgebraPresentation, dim: int, action: Sequence[Mat], name: str = "M"):
@@ -735,9 +735,9 @@ def quotient_algebra(alg: AlgebraPresentation, ideal: TwoSidedIdeal,
 def projective_module(alg: AlgebraPresentation, summands: Sequence[int]) -> FdModule:
     """Direct sum of the right ideals e_i R as one module.
 
-    The module is built and validated once per summand tuple and then
-    cached on the algebra, like ``radical``: a repeat call returns the same
-    object, so neither it nor the algebra may be changed after construction.
+    The module is built once per summand tuple and then cached on the
+    algebra, like ``radical``: a repeat call returns the same object, so
+    neither it nor the algebra may be changed after construction.
     """
     key = tuple(summands)
     if key in alg._built:
@@ -756,5 +756,6 @@ def projective_module(alg: AlgebraPresentation, summands: Sequence[int]) -> FdMo
                 rows.append(row)
             off += sp.dim
         action.append(Mat.from_rows(ring, rows, dim))
-    mod = FdModule(alg, dim, action, name=f"P({list(key)})")
+    # right multiplication on right ideals of the checked algebra, like regular_module
+    mod = FdModule._inherited(alg, dim, action, name=f"P({list(key)})")
     return alg._built.setdefault(key, mod)

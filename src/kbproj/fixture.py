@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
     AlgebraPresentation,
@@ -26,7 +26,8 @@ from .algebra import (
 from .almost import ContractionFixture, ProjectivityWitness
 from .functors import BimoduleFunctor, FiniteSubcat, induction_functor, restriction_functor
 from .homcat import GradedMap, ProjComplex, single_summand_complex
-from .lifting import SearchBudget, StalkLift
+from .ideals import TrianglePresentation
+from .lifting import ComplexLiftProblem, MapLiftProblem, SearchBudget, StalkLift
 from .linalg import GF, LaurentRing, QQ
 from .serialize import (
     SerializeError,
@@ -56,6 +57,7 @@ _KIND = {"algebras": "algebra", "ring_maps": "ring map", "functors": "functor",
 # a section's JSON key is its attribute name, except for almost_cases
 _TOP_KEYS = ({"format_version", "field", "tasks", "almost"}
              | set(_KIND) - {"almost_cases"})
+_ALMOST_PARTS = ("serre", "quotient", "derived")
 
 
 class FixtureFile:
@@ -80,8 +82,8 @@ class FixtureFile:
         self.subcategories: Dict[str, FiniteSubcat] = {}
         self.triangles: Dict[str, Dict] = {}
         self.ideals: Dict[str, Dict] = {}
-        self.lifts: Dict[str, Dict] = {}
-        self.complex_lifts: Dict[str, Dict] = {}
+        self.lifts: Dict[str, Tuple[MapLiftProblem, SearchBudget]] = {}
+        self.complex_lifts: Dict[str, Tuple[ComplexLiftProblem, SearchBudget]] = {}
         self.contractions: Dict[str, ContractionFixture] = {}
         self.almost_cases: Dict[str, Dict] = {}
         self.tasks: List[Dict] = []
@@ -152,8 +154,9 @@ class FixtureFile:
     def _build_functor(self, name, f) -> BimoduleFunctor:
         kind = f.get("kind")
         rm = self.lookup("ring_maps", f.get("ring_map"), f"functor {name}")
+        # keyed by the source idempotents of F: of R along R -> S, of A along C -> A
+        n_source = (rm.target if kind == "restriction" else rm.source).n_idempotents()
         witnesses = {}
-        bim_dim = rm.target.dim
         for k, lst in f.get("witnesses", {}).items():
             pairs = []
             for item in lst:
@@ -162,8 +165,8 @@ class FixtureFile:
                                        f"[idempotent, element] pairs")
                 j, vec = item
                 pairs.append((checked_int(j, "idempotent", 0),
-                              vec_from_json(self.ring, vec, bim_dim)))
-            witnesses[int(k)] = pairs
+                              vec_from_json(self.ring, vec, rm.target.dim)))
+            witnesses[_index_key(k, "witness", n_source)] = pairs
         if kind == "induction":
             return induction_functor(rm, witnesses)
         if kind == "restriction":
@@ -217,40 +220,52 @@ class FixtureFile:
 
     def _build_ideal(self, name, i) -> Dict:
         subcat = self.lookup("subcategories", i.get("subcat"), f"ideal {name}")
-        gens = [(g, self.lookup("maps", g, f"ideal {name}"))
-                for g in i.get("generators", [])]
-        for g, f in gens:
+        gens: Dict[Tuple[str, str], List[GradedMap]] = {}
+        for g in i.get("generators", []):
+            f = self.lookup("maps", g, f"ideal {name}")
             if not f.is_chain_map():  # a class of Hom(X, Y) is a degree-0 chain map
                 raise FixtureError(f"ideal {name}: generator {g} is not a degree-0 chain map")
+            pair = tuple(_locate(subcat, X, f"generator {g}") for X in (f.source, f.target))
+            gens.setdefault(pair, []).append(f)
+        tris = []
+        for tn in i.get("triangles", []):
+            tri = self.lookup("triangles", tn, f"ideal {name}")
+            legs = (tri["alpha"].source, tri["alpha"].target, tri["beta"].target)
+            objs = tri["objects"] or [_locate(subcat, X, f"triangle {tn}") for X in legs]
+            for nm, X in zip(objs, legs):
+                if nm not in subcat.objects:
+                    raise ValueError(f"triangle {tn}: object {nm!r} is not in the "
+                                     f"subcategory window")
+                if subcat.objects[nm] != X:
+                    raise ValueError(f"triangle {tn}: window object {nm!r} is not the "
+                                     f"triangle's object")
+            tris.append(TrianglePresentation(tuple(objs), tri["alpha"], tri["beta"], tri["gamma"]))
         return {"subcat": subcat, "subcat_name": i.get("subcat"), "generators": gens,
-                "triangles": list(i.get("triangles", []))}
+                "triangles": tris}
 
-    def _build_lift(self, name, l) -> Dict:
+    def _build_lift(self, name, l) -> Tuple[MapLiftProblem, SearchBudget]:
         F = self.lookup("functors", l.get("functor"), f"lift {name}")
         X = self.complex(l.get("source"), f"lift {name}")
         Y = self.complex(l.get("target"), f"lift {name}")
         FX, FY = F.apply_complex(X), F.apply_complex(Y)
         alpha = map_from_json(FX, FY, 0, l.get("map", {}), name=f"{name}.map")
         gens = [self.complex(g, f"lift {name}") for g in l.get("generators", [])]
-        return {"functor": F, "source": X, "target": Y, "map": alpha,
-                "generators": gens, "budget": _budget(l)}
+        return MapLiftProblem(F, X, Y, alpha, gens), _budget(l)
 
-    def _build_complex_lift(self, name, l) -> Dict:
+    def _build_complex_lift(self, name, l) -> Tuple[ComplexLiftProblem, SearchBudget]:
         F = self.lookup("functors", l.get("functor"), f"complex lift {name}")
         Y = self.complex(l.get("target"), f"complex lift {name}")
         stalks = {}
         for k, entry in l.get("stalks", {}).items():
-            j = int(k)
+            j = _index_key(k, "stalk", F.target_alg.n_idempotents())
             src = self.complex(entry.get("source"), f"complex lift {name}")
-            Fsrc = F.apply_complex(src)
             stalk = single_summand_complex(F.target_alg, j, 0)
-            eq = map_from_json(Fsrc, stalk, 0, entry.get("equivalence", {}),
+            eq = map_from_json(F.apply_complex(src), stalk, 0, entry.get("equivalence", {}),
                                name=f"{name}.stalk{j}")
             stalks[j] = StalkLift(src, eq)
         gens = [self.complex(g, f"complex lift {name}")
                 for g in l.get("generators", [])]
-        return {"functor": F, "target": Y, "stalks": stalks,
-                "generators": gens, "budget": _budget(l)}
+        return ComplexLiftProblem(F, Y, stalks, gens), _budget(l)
 
     def _build_contraction(self, name, c) -> ContractionFixture:
         vars_ = c.get("vars")
@@ -297,13 +312,22 @@ class FixtureFile:
                                          vec_from_json(self.ring, v, alg.dim))
                                         for j, v in lst])
 
-        aw = None
+        # square witnesses are keyed by the pairs of the a_witness, so they are
+        # read with it; the derived part refuses a case that has none
+        aw = sw = None
         if a.get("a_witness") is not None:
             aw = witness(a["a_witness"])
-        sw = None
-        if a.get("square_witnesses") is not None:
-            sw = {int(k): witness(lst) for k, lst in a["square_witnesses"].items()}
+            sw = {_index_key(k, "square_witnesses", len(aw.summands)): witness(lst)
+                  for k, lst in (a.get("square_witnesses") or {}).items()}
         include = a.get("include", ["serre"])
+        if not (isinstance(include, list) and all(p in _ALMOST_PARTS for p in include)):
+            raise FixtureError(f"almost case {name}: include must list parts among "
+                               f"{', '.join(_ALMOST_PARTS)}, got {include!r}")
+        if "quotient" in include and e is None:
+            raise FixtureError(f"almost case {name}: corner presentation needs an "
+                               f"idempotent element")
+        if "derived" in include and subcat is None:
+            raise FixtureError(f"almost case {name}: derived part needs a subcategory window")
         return {"algebra": alg, "ideal": ideal, "idempotent": e,
                 "subcat": subcat, "subcat_name": a.get("subcat"),
                 "a_witness": aw, "square_witnesses": sw, "include": include}
@@ -331,6 +355,20 @@ class FixtureFile:
 
 def _shift_name(base: str, n: int) -> str:
     return base if n == 0 else f"{base}[{n}]"
+
+
+def _locate(subcat: FiniteSubcat, X: ProjComplex, what: str) -> str:
+    for name in subcat.names():
+        if subcat.objects[name] == X:
+            return name
+    raise ValueError(f"{what}: object is not in the subcategory window")
+
+
+def _index_key(key: str, what: str, count: int) -> int:
+    """The index in 0..count-1 that a JSON key names, written as ``str`` writes it."""
+    if key not in {str(n) for n in range(count)}:
+        raise ValueError(f"{what} key {key!r} must be an index from 0 to {count - 1}")
+    return int(key)
 
 
 def checked_int(value, key: str, minimum: int, maximum: Optional[int] = None) -> int:

@@ -275,12 +275,17 @@ def _preimage(M: Mat, S: Subspace) -> Subspace:
 
 @dataclass
 class TrianglePresentation:
-    """A verified exact triangle whose three objects carry subcat names."""
+    """An exact triangle whose objects carry subcat names, recognized when built."""
 
     names: Tuple[str, str, str]
     alpha: GradedMap
     beta: GradedMap
     gamma: GradedMap
+
+    def __post_init__(self):
+        verdict = recognize_triangle(self.alpha, self.beta, self.gamma)
+        if verdict.verdict != "exact":
+            raise IdealError(f"triangle on {self.names} failed verification: {verdict.reason}")
 
 
 @dataclass
@@ -309,10 +314,6 @@ def saturation_report(I: HomIdeal, triangles: Sequence[TrianglePresentation]
                           (nc, tri.beta.target)):
             if name not in subcat.objects or subcat.objects[name] != obj:
                 raise IdealError(f"triangle object does not match {name!r}")
-        verdict = recognize_triangle(tri.alpha, tri.beta, tri.gamma)
-        if verdict.verdict != "exact":
-            raise IdealError(f"triangle on {tri.names} failed verification: "
-                             f"{verdict.reason}")
         beta_in = I.contains_map(nb, nc, tri.beta)
         alpha_coords = subcat.hom(na, nb).class_coords(tri.alpha)
         for y in subcat.names():
@@ -346,10 +347,7 @@ def exact_ideal_report(I: HomIdeal,
                        triangles: Sequence[TrianglePresentation] = ()) -> ExactIdealReport:
     square = ideal_product(I, I)
     stable, pairs = shift_stability_report(I)
-    if triangles:
-        sat, checks = saturation_report(I, triangles)
-    else:
-        sat, checks = None, []
+    sat, checks = saturation_report(I, triangles) if triangles else (None, [])
     return ExactIdealReport(square, square == I, stable, pairs, sat, checks)
 
 

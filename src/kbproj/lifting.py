@@ -8,7 +8,8 @@ built by coning off maps into shifted generator complexes that F
 kills, so the search space is a tree ordered by (depth, generator,
 shift, basis element).  Given a complex over the target, ``lift_complex``
 rebuilds it degree by degree from supplied stalk lifts, lifting each
-attaching map with the same search.
+attaching map with the same search.  Both problems are records, checked
+once when they are built.
 
 Every positive answer carries a certificate that re-verifies by direct
 arithmetic, with no linear solving: see ``verify_map_lift`` and
@@ -36,6 +37,7 @@ from .homcat import (
     identity_map,
     is_contractible,
     is_homotopy_equivalence,
+    single_summand_complex,
     verify_contraction,
     zero_complex,
 )
@@ -71,17 +73,38 @@ class MapLiftReport:
     depth_reached: int
 
 
-def _check_problem(F: BimoduleFunctor, X: ProjComplex, Y: ProjComplex, alpha: GradedMap,
-                   FX: Optional[ProjComplex], FY: Optional[ProjComplex]
-                   ) -> Tuple[ProjComplex, ProjComplex]:
-    if X.alg != F.source_alg or Y.alg != F.source_alg:
-        raise LiftError("endpoints live over the wrong algebra")
-    FX, FY = FX or F.apply_complex(X), FY or F.apply_complex(Y)
-    if not alpha.is_chain_map():
-        raise LiftError("the map to lift must be a degree-0 chain map")
-    if alpha.source != FX or alpha.target != FY:
-        raise LiftError("the map to lift does not connect the functor images")
-    return FX, FY
+@dataclass(eq=False)
+class MapLiftProblem:
+    """Lift alpha: F(X) -> F(Y) across F, coning off generators F kills.  The
+    constructor checks the problem, so the solver and the verifier take
+    alpha's endpoints as F(X) and F(Y).  ``_checked`` skips the checks for
+    ``lift_complex``'s attaching maps: chain maps between images by
+    construction, whose generators the complex problem has checked."""
+
+    functor: BimoduleFunctor
+    source: ProjComplex                      # X
+    target: ProjComplex                      # Y
+    map: GradedMap                           # alpha: F(X) -> F(Y)
+    generators: Sequence[ProjComplex] = ()
+
+    def __post_init__(self):
+        F, alpha = self.functor, self.map
+        if self.source.alg != F.source_alg or self.target.alg != F.source_alg:
+            raise LiftError("endpoints live over the wrong algebra")
+        if not alpha.is_chain_map():
+            raise LiftError("the map to lift must be a degree-0 chain map")
+        FX, FY = F.apply_complex(self.source), F.apply_complex(self.target)
+        if alpha.source != FX or alpha.target != FY:
+            raise LiftError("the map to lift does not connect the functor images")
+        _check_generators(F, self.generators)
+
+    @classmethod
+    def _checked(cls, functor, source, target, map, generators) -> "MapLiftProblem":
+        """A problem whose checks its caller has proved."""
+        P = object.__new__(cls)
+        P.functor, P.source, P.target, P.map, P.generators = \
+            functor, source, target, map, generators
+        return P
 
 
 def _check_generators(F: BimoduleFunctor, generators: Sequence[ProjComplex]):
@@ -96,16 +119,15 @@ def _check_generators(F: BimoduleFunctor, generators: Sequence[ProjComplex]):
                             "coning it off cannot keep the replacement invertible")
 
 
-def _try_node(F: BimoduleFunctor, Xc: ProjComplex, Y: ProjComplex,
-              FY: ProjComplex, alpha: GradedMap,
+def _try_node(F: BimoduleFunctor, Xc: ProjComplex, Y: ProjComplex, alpha: GradedMap,
               Fpi: GradedMap) -> Optional[Tuple[GradedMap, GradedMap]]:
     """Solve for (lifted, homotopy) with F(lifted) - alpha . F(pi) = delta(h)."""
     ring = F.source_alg.ring
     FXc = Fpi.source
     la0 = MapLayout(Xc, Y, 0)
     la1 = MapLayout(Xc, Y, 1)
-    lf0 = MapLayout(FXc, FY, 0)
-    lfm = MapLayout(FXc, FY, -1)
+    lf0 = MapLayout(FXc, alpha.target, 0)
+    lfm = MapLayout(FXc, alpha.target, -1)
     T = functor_matrix(F, la0, lf0)
     DA = delta_matrix(la0, la1)
     DH = delta_matrix(lfm, lf0)
@@ -124,16 +146,11 @@ def _try_node(F: BimoduleFunctor, Xc: ProjComplex, Y: ProjComplex,
     return lifted, homot
 
 
-def lift_chain_map(F: BimoduleFunctor, X: ProjComplex, Y: ProjComplex,
-                   alpha: GradedMap, generators: Sequence[ProjComplex] = (),
-                   budget: SearchBudget = SearchBudget(), FX: Optional[ProjComplex] = None,
-                   FY: Optional[ProjComplex] = None) -> MapLiftReport:
-    """Search for a lift of alpha: F(X) -> F(Y) across the functor.  F(X)
-    and F(Y) are computed here unless the caller has them, as in ``apply_map``;
-    images a caller passes are trusted to be F(X) and F(Y), so alpha's
-    endpoints are checked against them and not against a fresh image."""
-    FX, FY = _check_problem(F, X, Y, alpha, FX, FY)
-    _check_generators(F, generators)
+def lift_chain_map(problem: MapLiftProblem,
+                   budget: SearchBudget = SearchBudget()) -> MapLiftReport:
+    """Search for a lift of the problem's map across its functor."""
+    F, X, Y, alpha = problem.functor, problem.source, problem.target, problem.map
+    FX = alpha.source
     queue = deque()
     queue.append((X, identity_map(X), 0, ()))
     tried = 0
@@ -146,7 +163,7 @@ def lift_chain_map(F: BimoduleFunctor, X: ProjComplex, Y: ProjComplex,
         depth_reached = max(depth_reached, depth)
         # the root candidate is X itself; every other is a new complex
         Fpi = F.apply_map(pi, FX if depth == 0 else None, FX)
-        got = _try_node(F, Xc, Y, FY, alpha, Fpi)
+        got = _try_node(F, Xc, Y, alpha, Fpi)
         if got is not None:
             lifted, homot = got
             Cpi, _, _ = cone(Fpi)
@@ -159,7 +176,7 @@ def lift_chain_map(F: BimoduleFunctor, X: ProjComplex, Y: ProjComplex,
             return MapLiftReport("found", cert, tried, depth_reached)
         if depth >= budget.max_depth or Xc.is_zero():
             continue
-        for g_idx, K in enumerate(generators):
+        for g_idx, K in enumerate(problem.generators):
             for n in range(K.lo - Xc.hi, K.hi - Xc.lo + 1):
                 SK = K.shift(n)
                 H = HomSpace(Xc, SK)
@@ -171,9 +188,9 @@ def lift_chain_map(F: BimoduleFunctor, X: ProjComplex, Y: ProjComplex,
     return MapLiftReport("not_found", None, tried, depth_reached)
 
 
-def verify_map_lift(F: BimoduleFunctor, X: ProjComplex, Y: ProjComplex,
-                    alpha: GradedMap, cert: MapLiftCertificate) -> Tuple[bool, str]:
+def verify_map_lift(problem: MapLiftProblem, cert: MapLiftCertificate) -> Tuple[bool, str]:
     """Re-check a lift certificate by direct arithmetic only."""
+    F, X, Y, alpha = problem.functor, problem.source, problem.target, problem.map
     pi, lifted = cert.to_source, cert.lifted
     if pi.source != cert.replacement or pi.target != X:
         return False, "replacement map has wrong endpoints"
@@ -184,11 +201,11 @@ def verify_map_lift(F: BimoduleFunctor, X: ProjComplex, Y: ProjComplex,
     if not lifted.is_chain_map():
         return False, "lifted map is not a chain map"
     FR = F.apply_complex(cert.replacement)
-    Fpi = F.apply_map(pi, FR, F.apply_complex(X))
+    Fpi = F.apply_map(pi, FR, alpha.source)
     Cpi, _, _ = cone(Fpi)
     if not verify_contraction(Cpi, cert.replacement_contraction):
         return False, "contraction does not invert the replacement image"
-    want = F.apply_map(lifted, FR, F.apply_complex(Y)) - alpha.compose(Fpi)
+    want = F.apply_map(lifted, FR, alpha.target) - alpha.compose(Fpi)
     if cert.defect_homotopy.degree != -1:
         return False, "defect witness has wrong degree"
     if not (cert.defect_homotopy.delta() - want).is_zero():
@@ -221,16 +238,28 @@ class ComplexLiftReport:
     reason: str = ""
 
 
-def _check_stalk_table(F: BimoduleFunctor, table: Dict[int, StalkLift]):
-    from .homcat import single_summand_complex
+@dataclass(eq=False)
+class ComplexLiftProblem:
+    """Rebuild Y as F of a source complex from stalk lifts, one per summand
+    index, and generators F kills.  The constructor checks the problem."""
 
+    functor: BimoduleFunctor
+    target: ProjComplex                      # Y
+    stalks: Dict[int, StalkLift]
+    generators: Sequence[ProjComplex] = ()
+
+    def __post_init__(self):
+        if self.target.alg != self.functor.target_alg:
+            raise LiftError("target complex lives over the wrong algebra")
+        _check_stalk_table(self.functor, self.stalks)
+        _check_generators(self.functor, self.generators)
+
+
+def _check_stalk_table(F: BimoduleFunctor, table: Dict[int, StalkLift]):
     for j, sl in table.items():
-        FL = F.apply_complex(sl.source)
-        stalk = single_summand_complex(F.target_alg, j, 0)
-        if sl.equivalence.source != FL:
-            raise LiftError(f"stalk lift {j}: equivalence source is not the "
-                            "functor image")
-        if sl.equivalence.target != stalk:
+        if sl.equivalence.source != F.apply_complex(sl.source):
+            raise LiftError(f"stalk lift {j}: equivalence source is not the functor image")
+        if sl.equivalence.target != single_summand_complex(F.target_alg, j, 0):
             raise LiftError(f"stalk lift {j}: equivalence target is not the stalk")
         if not sl.equivalence.is_chain_map():
             raise LiftError(f"stalk lift {j}: equivalence is not a chain map")
@@ -261,25 +290,16 @@ def _lift_stalk_layer(F, Y: ProjComplex, h: int, table) -> Tuple[ProjComplex, Gr
         parts.append((sl.source.shift(-h), sl.equivalence.shift(-h)))
     X, e = parts[0]
     for Xi, ei in parts[1:]:
-        X2 = direct_sum(X, Xi)
-        FX2 = F.apply_complex(X2)
-        tgt = direct_sum(e.target, ei.target)
-        e = _sum_map(e, ei, FX2, tgt)
-        X = X2
+        X = direct_sum(X, Xi)
+        e = _sum_map(e, ei, F.apply_complex(X), direct_sum(e.target, ei.target))
     return X, e
 
 
-def lift_complex(F: BimoduleFunctor, Y: ProjComplex,
-                 stalk_table: Dict[int, StalkLift],
-                 generators: Sequence[ProjComplex] = (),
+def lift_complex(problem: ComplexLiftProblem,
                  budget: SearchBudget = SearchBudget()) -> ComplexLiftReport:
-    """Rebuild Y as the functor image of a source complex, with certificate."""
-    if Y.alg != F.target_alg:
-        raise LiftError("target complex lives over the wrong algebra")
-    _check_stalk_table(F, stalk_table)
-    _check_generators(F, generators)
+    """Rebuild the problem's target as a functor image, with certificate."""
     try:
-        X, e = _lift_rec(F, Y, stalk_table, generators, budget)
+        X, e = _lift_rec(problem, problem.target, budget)
     except _NotLiftable as stop:
         return ComplexLiftReport("not_found", None, str(stop))
     ok, contraction = is_homotopy_equivalence(e)
@@ -290,7 +310,8 @@ def lift_complex(F: BimoduleFunctor, Y: ProjComplex,
     return ComplexLiftReport("found", cert)
 
 
-def _lift_rec(F, Y: ProjComplex, table, generators, budget) -> Tuple[ProjComplex, GradedMap]:
+def _lift_rec(problem, Y: ProjComplex, budget) -> Tuple[ProjComplex, GradedMap]:
+    F = problem.functor
     if Y.is_zero():
         Z = zero_complex(F.source_alg)
         FZ = F.apply_complex(Z)
@@ -298,11 +319,11 @@ def _lift_rec(F, Y: ProjComplex, table, generators, budget) -> Tuple[ProjComplex
     degs = Y.degrees()
     h = degs[-1]
     if len(degs) == 1:
-        return _lift_stalk_layer(F, Y, h, table)
+        return _lift_stalk_layer(F, Y, h, problem.stalks)
     A = Y.hard_truncate_ge(h)
     B = Y.hard_truncate_le(h - 1)
-    XA, eA = _lift_rec(F, A, table, generators, budget)
-    XB, eB = _lift_rec(F, B, table, generators, budget)
+    XA, eA = _lift_rec(problem, A, budget)
+    XB, eB = _lift_rec(problem, B, budget)
     SB = B.shift(-1)
     dmap = chain_map(SB, A, {h: Y.diff_at(h - 1)}, name="attach")
     ok, cA = is_homotopy_equivalence(eA)
@@ -312,9 +333,9 @@ def _lift_rec(F, Y: ProjComplex, table, generators, budget) -> Tuple[ProjComplex
     XBs = XB.shift(-1)
     eBs = eB.shift(-1)
     m = invA.compose(dmap).compose(eBs)
-    # m runs from F(XBs) = eBs.source to F(XA) = eA.source; these images are
-    # trusted here, and the cone check below compares F(X) with a fresh image
-    rep = lift_chain_map(F, XBs, XA, m, generators, budget, eBs.source, eA.source)
+    # m is a chain map F(XBs) = eBs.source -> F(XA) = eA.source, and the generators
+    # are the checked problem's; the cone check below compares F(X) with a fresh image
+    rep = lift_chain_map(MapLiftProblem._checked(F, XBs, XA, m, problem.generators), budget)
     if rep.verdict != "found":
         raise _NotLiftable(
             f"attaching map into degree {h} has no lift within the budget")
@@ -347,14 +368,14 @@ def _lift_rec(F, Y: ProjComplex, table, generators, budget) -> Tuple[ProjComplex
     return X, e
 
 
-def verify_complex_lift(F: BimoduleFunctor, Y: ProjComplex,
+def verify_complex_lift(problem: ComplexLiftProblem,
                         cert: ComplexLiftCertificate) -> Tuple[bool, str]:
     """Re-check a complex lift certificate by direct arithmetic only."""
-    FX = F.apply_complex(cert.lift)
+    FX = problem.functor.apply_complex(cert.lift)
     e = cert.equivalence
     if e.source != FX:
         return False, "comparison map does not start at the functor image"
-    if e.target != Y:
+    if e.target != problem.target:
         return False, "comparison map does not end at the target"
     if not e.is_chain_map():
         return False, "comparison map is not a chain map"

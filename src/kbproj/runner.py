@@ -13,7 +13,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from .algebra import AlgebraError
 from .almost import (
@@ -29,18 +29,15 @@ from .almost import (
 from .derived import check_homological_epi
 from .fixture import WINDOW_CAP, FixtureFile, checked_int
 from .functors import FunctorError
-from .homcat import ProjComplex, recognize_triangle, verify_triangle_certificate
+from .homcat import recognize_triangle, verify_triangle_certificate
 from .ideals import (
     HomIdeal,
-    IdealError,
-    TrianglePresentation,
     exact_ideal_report,
     ideal_closure,
     is_idempotent_ideal,
     telescope_report,
 )
 from .lifting import (
-    LiftError,
     SearchBudget,
     lift_chain_map,
     lift_complex,
@@ -82,13 +79,6 @@ def _task_budget(task: Dict, budget: SearchBudget) -> SearchBudget:
             if "depth" in task else budget)
 
 
-def _locate(subcat, X: ProjComplex, what: str) -> str:
-    for name in subcat.names():
-        if subcat.objects[name] == X:
-            return name
-    raise TaskError(f"{what}: object is not in the subcategory window")
-
-
 def _pair_dims(I: HomIdeal) -> Dict[str, int]:
     return {f"{a} -> {b}": d for (a, b), d in I.dims().items()}
 
@@ -97,37 +87,19 @@ def _window_desc(name: Optional[str], subcat) -> Dict:
     return {"subcat": name, "objects": list(subcat.names())}
 
 
-def _triangle_presentations(fx: FixtureFile, subcat, names: Sequence[str],
-                            what: str) -> List[TrianglePresentation]:
-    out = []
-    for tn in names:
-        tri = fx.lookup("triangles", tn, what)
-        legs = (tri["alpha"].source, tri["alpha"].target, tri["beta"].target)
-        objs = tri.get("objects") or [_locate(subcat, X, f"triangle {tn}") for X in legs]
-        for nm, X in zip(objs, legs):
-            if nm not in subcat.objects:
-                raise TaskError(f"triangle {tn}: object {nm!r} is not in the "
-                                f"subcategory window")
-            if subcat.objects[nm] != X:
-                raise TaskError(f"triangle {tn}: window object {nm!r} is not the "
-                                f"triangle's object")
-        out.append(TrianglePresentation(tuple(objs), tri["alpha"],
-                                        tri["beta"], tri["gamma"]))
-    return out
-
-
 # -- certificates --------------------------------------------------------
 
 
 class _CertKind(NamedTuple):
     section: str         # the fixture section that names its problems
     encode: Callable     # certificate -> JSON payload, None when there is none
-    decode: Callable     # (problem, payload) -> certificate, ValueError if it does not fit
-    replay: Callable     # (problem, certificate) -> (ok, the reason if not ok)
+    decode: Callable     # (entry, payload) -> certificate, ValueError if it does not fit
+    replay: Callable     # (entry, certificate) -> (ok, the reason if not ok)
 
 
 # The one home of each certificate kind: its producer replays through the
-# entry, and verify-certificate decodes and replays through it.  The lambdas
+# entry, and verify-certificate decodes and replays through it.  A lift
+# section's entry is the pair (checked problem, budget).  The lambdas
 # read the codecs and verifiers from the module globals at call time, so a
 # rebinding of those names (as bench/tracing.py wraps functions) reaches them.
 _CERTS: Dict[str, _CertKind] = {
@@ -140,17 +112,17 @@ _CERTS: Dict[str, _CertKind] = {
     "map-lift": _CertKind(
         "lifts",
         lambda c: map_lift_cert_to_json(c),
-        lambda p, js: map_lift_cert_from_json(p["functor"], p["source"], p["target"], js),
-        lambda p, c: verify_map_lift(p["functor"], p["source"], p["target"], p["map"], c)),
+        lambda p, js: map_lift_cert_from_json(p[0], js),
+        lambda p, c: verify_map_lift(p[0], c)),
     "complex-lift": _CertKind(
         "complex_lifts",
         lambda c: complex_lift_cert_to_json(c),
-        lambda p, js: complex_lift_cert_from_json(p["functor"], p["target"], js),
-        lambda p, c: verify_complex_lift(p["functor"], p["target"], c)),
+        lambda p, js: complex_lift_cert_from_json(p[0], js),
+        lambda p, c: verify_complex_lift(p[0], c)),
 }
 
 
-def _certify(evidence: Dict, kind: str, name: str, prob: Dict, cert) -> None:
+def _certify(evidence: Dict, kind: str, name: str, prob, cert) -> None:
     """Replay a produced certificate through its ``_CERTS`` entry, the one
     ``verify-certificate`` uses, then attach it to ``evidence`` as an envelope
     marked ``reverified``.  No certificate (no lift, a triangle that is not
@@ -192,35 +164,25 @@ def _run_check_hepi(fx: FixtureFile, task: Dict) -> Report:
 
 def _run_lift_map(fx: FixtureFile, task: Dict) -> Report:
     name = task.get("name")
-    prob = fx.lookup("lifts", name, f"task {task['id']}")
-    budget = _task_budget(task, prob["budget"])
-    try:
-        rep = lift_chain_map(prob["functor"], prob["source"], prob["target"],
-                             prob["map"], generators=prob["generators"],
-                             budget=budget)
-    except LiftError as exc:
-        raise TaskError(f"lift {name}: {exc}") from exc
+    posed = fx.lookup("lifts", name, f"task {task['id']}")     # (problem, budget)
+    budget = _task_budget(task, posed[1])
+    rep = lift_chain_map(posed[0], budget)
     evidence = {
         "problem": name,
         "candidates_tried": rep.candidates_tried,
         "depth_reached": rep.depth_reached,
         "max_depth": budget.max_depth,
     }
-    _certify(evidence, "map-lift", name, prob, rep.certificate)
+    _certify(evidence, "map-lift", name, posed, rep.certificate)
     return Report(task["id"], "lift-map", rep.verdict, evidence)
 
 
 def _run_lift_complex(fx: FixtureFile, task: Dict) -> Report:
     name = task.get("name")
-    prob = fx.lookup("complex_lifts", name, f"task {task['id']}")
-    try:
-        rep = lift_complex(prob["functor"], prob["target"], prob["stalks"],
-                           generators=prob["generators"],
-                           budget=_task_budget(task, prob["budget"]))
-    except LiftError as exc:
-        raise TaskError(f"complex lift {name}: {exc}") from exc
+    posed = fx.lookup("complex_lifts", name, f"task {task['id']}")     # (problem, budget)
+    rep = lift_complex(posed[0], _task_budget(task, posed[1]))
     evidence = {"problem": name, "reason": rep.reason}
-    _certify(evidence, "complex-lift", name, prob, rep.certificate)
+    _certify(evidence, "complex-lift", name, posed, rep.certificate)
     if rep.certificate is not None:
         evidence["lift_summands"] = {
             str(n): list(s) for n, s in rep.certificate.lift.summands.items()}
@@ -240,20 +202,10 @@ def _run_check_ideal(fx: FixtureFile, task: Dict) -> Report:
     name = task.get("name")
     spec = fx.lookup("ideals", name, f"task {task['id']}")
     subcat = spec["subcat"]
-    gens: Dict[Tuple[str, str], List] = {}
-    for gname, g in spec["generators"]:
-        a = _locate(subcat, g.source, f"ideal generator {gname}")
-        b = _locate(subcat, g.target, f"ideal generator {gname}")
-        gens.setdefault((a, b), []).append(g)
     I = ideal_closure(subcat, {ab: subcat.hom(*ab).class_matrix(gs).rows()
-                               for ab, gs in gens.items()})
-    tris = _triangle_presentations(fx, subcat, spec["triangles"], f"ideal {name}")
-    try:
-        rep = exact_ideal_report(I, tris)
-    except IdealError as exc:
-        raise TaskError(f"ideal {name}: {exc}") from exc
-    refuted = (not rep.idempotent or not rep.shift_stable
-               or rep.saturated is False)
+                               for ab, gs in spec["generators"].items()})
+    rep = exact_ideal_report(I, spec["triangles"])
+    refuted = not rep.idempotent or not rep.shift_stable or rep.saturated is False
     verdict = "inconsistent" if refuted else "consistent"
     evidence = {
         "ideal": name,
@@ -355,22 +307,14 @@ def _run_almost(fx: FixtureFile, task: Dict) -> Report:
     alg, ideal = case["algebra"], case["ideal"]
     evidence: Dict = {"case": name, "parts": list(case["include"])}
     verdicts = []
-    for part in case["include"]:
+    for part in case["include"]:     # the fixture admits only these three
         if part == "serre":
             rep = serre_adjoint_report(alg, ideal)
-            evidence["serre"] = _serre_evidence(rep)
-            verdicts.append(rep.verdict)
+            ev = _serre_evidence(rep)
         elif part == "quotient":
-            if case["idempotent"] is None:
-                raise TaskError(f"almost {name}: corner presentation needs "
-                                f"an idempotent element")
             rep = almost_quotient(alg, case["idempotent"])
-            evidence["quotient"] = _quotient_evidence(rep)
-            verdicts.append(rep.verdict)
-        elif part == "derived":
-            if case["subcat"] is None:
-                raise TaskError(f"almost {name}: derived part needs a "
-                                f"subcategory window")
+            ev = _quotient_evidence(rep)
+        else:
             window = None
             if task.get("window") is not None:
                 w = _task_int(task, "window", 0, maximum=WINDOW_CAP)
@@ -384,10 +328,8 @@ def _run_almost(fx: FixtureFile, task: Dict) -> Report:
                 raise TaskError(f"almost {name}: {exc}") from exc
             ev = _derived_evidence(rep)
             ev["window_desc"] = _window_desc(case["subcat_name"], case["subcat"])
-            evidence["derived"] = ev
-            verdicts.append(rep.verdict)
-        else:
-            raise TaskError(f"almost {name}: unknown part {part!r}")
+        evidence[part] = ev
+        verdicts.append(rep.verdict)
     overall = min(verdicts, key=lambda v: _RANK[v]) if verdicts else "inconclusive"
     return Report(task["id"], "almost-report", overall, evidence)
 

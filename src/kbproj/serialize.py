@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from .homcat import AlgMat, GradedMap, ProjComplex, TriangleVerdict, cone
-from .lifting import ComplexLiftCertificate, MapLiftCertificate
+from .lifting import ComplexLiftCertificate, ComplexLiftProblem, MapLiftCertificate, MapLiftProblem
 from .linalg import Mat
 
 
@@ -157,8 +157,7 @@ def _cert_fields(payload, kind: str, *keys: str) -> List[Dict]:
     return [payload[key] for key in keys]
 
 
-def map_lift_cert_from_json(F, X: ProjComplex, Y: ProjComplex,
-                            payload) -> MapLiftCertificate:
+def map_lift_cert_from_json(problem: MapLiftProblem, payload) -> MapLiftCertificate:
     repl_js, pi_js, lifted_js, contraction_js, defect_js = _cert_fields(
         payload, "map-lift", "replacement", "to_source", "lifted",
         "replacement_contraction", "defect_homotopy")
@@ -168,14 +167,14 @@ def map_lift_cert_from_json(F, X: ProjComplex, Y: ProjComplex,
     path = tuple(tuple(_int_key(x, "map-lift certificate 'path' step") for x in step)
                  for step in steps)
     depth = _int_key(payload.get("depth", len(path)), "map-lift certificate 'depth'")
-    repl = complex_from_json(X.alg, repl_js, name="replacement")
-    to_source = map_from_json(repl, X, 0, pi_js, name="pi")
-    lifted = map_from_json(repl, Y, 0, lifted_js, name="lift")
+    F, alpha = problem.functor, problem.map
+    repl = complex_from_json(problem.source.alg, repl_js, name="replacement")
+    to_source = map_from_json(repl, problem.source, 0, pi_js, name="pi")
+    lifted = map_from_json(repl, problem.target, 0, lifted_js, name="lift")
     Frepl = F.apply_complex(repl)
-    Cpi, _, _ = cone(F.apply_map(to_source, Frepl, F.apply_complex(X)))
+    Cpi, _, _ = cone(F.apply_map(to_source, Frepl, alpha.source))
     contraction = map_from_json(Cpi, Cpi, -1, contraction_js, name="contraction")
-    FY = F.apply_complex(Y)
-    defect = map_from_json(Frepl, FY, -1, defect_js, name="defect")
+    defect = map_from_json(Frepl, alpha.target, -1, defect_js, name="defect")
     return MapLiftCertificate(repl, to_source, lifted, contraction, defect,
                               depth, path)
 
@@ -188,12 +187,12 @@ def complex_lift_cert_to_json(cert: ComplexLiftCertificate) -> Dict:
     }
 
 
-def complex_lift_cert_from_json(F, Y: ProjComplex, payload) -> ComplexLiftCertificate:
+def complex_lift_cert_from_json(problem: ComplexLiftProblem, payload) -> ComplexLiftCertificate:
     lift_js, equiv_js, contraction_js = _cert_fields(
         payload, "complex-lift", "lift", "equivalence", "cone_contraction")
-    lift = complex_from_json(F.source_alg, lift_js, name="lift")
-    Flift = F.apply_complex(lift)
-    equiv = map_from_json(Flift, Y, 0, equiv_js, name="compare")
+    lift = complex_from_json(problem.functor.source_alg, lift_js, name="lift")
+    Flift = problem.functor.apply_complex(lift)
+    equiv = map_from_json(Flift, problem.target, 0, equiv_js, name="compare")
     C, _, _ = cone(equiv)
     contraction = map_from_json(C, C, -1, contraction_js, name="contraction")
     return ComplexLiftCertificate(lift, equiv, contraction)

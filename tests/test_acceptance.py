@@ -45,7 +45,7 @@ from kbproj.homcat import (
     zero_map,
 )
 from kbproj.ideals import annihilator_ideal, factor_through_ideal
-from kbproj.lifting import SearchBudget, lift_chain_map, verify_map_lift
+from kbproj.lifting import MapLiftProblem, SearchBudget, lift_chain_map, verify_map_lift
 from kbproj.linalg import QQ
 from kbproj.runner import run_tasks
 from kbproj.derived import tor_with_bimodule
@@ -206,10 +206,10 @@ def test_05_lift_certificates_sound(corner, split):
         alpha = zero_map(GX, GY, 0)
         for b in H.basis():
             alpha = alpha + b.scale(QQ.from_int(rng.randint(-2, 2)))
-        rep = lift_chain_map(G, X, Y, alpha, generators=[P2s],
-                             budget=SearchBudget(max_depth=3))
+        problem = MapLiftProblem(G, X, Y, alpha, generators=[P2s])
+        rep = lift_chain_map(problem, budget=SearchBudget(max_depth=3))
         assert rep.verdict == "found"
-        ok, reason = verify_map_lift(G, X, Y, alpha, rep.certificate)
+        ok, reason = verify_map_lift(problem, rep.certificate)
         assert ok, reason
         rounds += 1
         verified += 1

@@ -1,0 +1,126 @@
+"""Lift problems and ideal triangles are checked once, when they are built.
+
+``MapLiftProblem`` and ``ComplexLiftProblem`` check their problem in the
+constructor, and ``TrianglePresentation`` recognizes its triangle there; the
+fixture builds all three at load.  The solvers take them as checked: no
+solver calls a check, only ``lifting`` builds a problem through the
+unchecked ``_checked``, and a warm task makes no check at all, while
+``lift_complex`` still reaches the public ``lift_chain_map``.
+"""
+
+import ast
+import os
+import sys
+
+import pytest
+
+from build_examples import corner_map, ut2_complexes
+from kbproj import lifting, runner
+from kbproj.fixture import load_fixture
+from kbproj.functors import induction_functor
+from kbproj.homcat import zero_map
+from kbproj.lifting import ComplexLiftProblem, LiftError, MapLiftProblem
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "kbproj")
+MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+CORNER = os.path.join(os.path.dirname(__file__), "..", "fixtures", "corner.json")
+
+# the problem checks, which run in the constructors only
+CHECKS = ("recognize_triangle", "_check_generators", "_check_stalk_table")
+SOLVERS = (("ideals.py", "saturation_report"), ("lifting.py", "lift_chain_map"),
+           ("lifting.py", "lift_complex"), ("lifting.py", "_lift_rec"))
+
+
+def _parse(module):
+    with open(os.path.join(SRC, module)) as fh:
+        return ast.parse(fh.read(), filename=module)
+
+
+def _called(node):
+    """Names of the functions and methods called inside ``node``."""
+    return {n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+            for n in ast.walk(node) if isinstance(n, ast.Call)
+            and isinstance(n.func, (ast.Name, ast.Attribute))}
+
+
+@pytest.mark.parametrize("module,function", SOLVERS, ids=[f for _, f in SOLVERS])
+def test_solvers_call_no_problem_check(module, function):
+    fn = next(n for n in _parse(module).body
+              if isinstance(n, ast.FunctionDef) and n.name == function)
+    assert not _called(fn) & set(CHECKS), sorted(_called(fn) & set(CHECKS))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_lift_rec_builds_an_unchecked_problem(module):
+    # an attaching map is a chain map between images by construction, and the
+    # complex problem has checked the generators; every other problem is checked
+    tree = _parse(module)
+    allowed = set()
+    if module == "lifting.py":
+        rec = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_lift_rec")
+        allowed = {id(n) for n in ast.walk(rec) if isinstance(n, ast.Call)
+                   and isinstance(n.func, ast.Attribute) and n.func.attr == "_checked"}
+        assert allowed, "_lift_rec no longer builds its problems through _checked"
+    uses = [f"{module}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute) and n.func.attr == "_checked"
+            and id(n) not in allowed]
+    assert not uses, "_checked called outside _lift_rec: " + ", ".join(uses)
+
+
+def _count(monkeypatch, calls, module, name):
+    """Wrap ``name`` in every loaded kbproj module that binds the function
+    ``module.name``, counting its calls."""
+    original = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    for mod in [m for n, m in sys.modules.items() if n.startswith("kbproj") and m is not None]:
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, wrapped)
+
+
+def test_a_warm_corner_pass_checks_nothing(monkeypatch):
+    fx = load_fixture(CORNER)
+    tasks = {t["id"]: t for t in fx.tasks}
+    runner.run_tasks(fx, workers=1)        # warm: every stored Hom space is built
+    calls = {}
+    for name in CHECKS:
+        _count(monkeypatch, calls, sys.modules["kbproj.homcat"] if name == "recognize_triangle"
+               else lifting, name)
+    _count(monkeypatch, calls, lifting, "lift_chain_map")
+    assert runner.run_task(fx, tasks["ideal-ann-g"]).evidence["saturated"] is True
+    assert calls == {}
+    assert runner.run_task(fx, tasks["rebuild-k3"]).verdict == "found"
+    # each attaching map is lifted through the public search, and nothing is
+    # checked again
+    assert set(calls) == {"lift_chain_map"} and calls["lift_chain_map"] > 0
+
+
+@pytest.fixture(scope="module")
+def corner():
+    data = ut2_complexes()
+    G = induction_functor(corner_map(data["alg"]), {0: [(0, (1,))], 1: []})
+    return dict(data, G=G)
+
+
+def test_map_problem_refuses_a_map_between_other_images(corner):
+    # G kills P2, so G(P2s) is zero and G(P1s) is not
+    G, P1s, P2s = corner["G"], corner["P1s"], corner["P2s"]
+    alpha = zero_map(G.apply_complex(P1s), G.apply_complex(P1s), 0)
+    with pytest.raises(LiftError, match="does not connect the functor images"):
+        MapLiftProblem(G, P2s, P1s, alpha)
+
+
+def test_map_problem_refuses_endpoints_over_another_algebra(corner):
+    G, P1s = corner["G"], corner["P1s"]
+    FP1 = G.apply_complex(P1s)
+    with pytest.raises(LiftError, match="endpoints live over the wrong algebra"):
+        MapLiftProblem(G, FP1, FP1, zero_map(FP1, FP1, 0))
+
+
+def test_complex_problem_refuses_a_target_over_the_source_algebra(corner):
+    with pytest.raises(LiftError, match="target complex lives over the wrong algebra"):
+        ComplexLiftProblem(corner["G"], corner["P1s"], {})

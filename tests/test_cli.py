@@ -778,6 +778,42 @@ MALFORMED_ENTRIES = [
      _ideal_generator("bump", {"source": "S1r", "target": "S1r", "chain": False,
                                "components": {"0": [[["1", "0", "0"]]]}}),
      "ideal ann-g: generator bump is not a degree-0 chain map"),
+    # an ideal's generators and triangles are placed in its window at load,
+    # not when check-ideal runs
+    ("ideal-generator-outside-the-window",
+     _ideal_generator("idP2_p3", {"source": "P2s[3]", "target": "P2s[3]",
+                                  "components": {"-3": [[["0", "0", "1"]]]}}),
+     "ideal ann-g: generator idP2_p3: object is not in the subcategory window"),
+    # a lift problem is checked when it is built, so a generator the functor
+    # does not keep invertible fails the load, not the lift-map task
+    ("lift-generator-not-killed", _set(["lifts", "corner-id", "generators"], ["P1s"]),
+     "lift corner-id: generator P1s is not killed by the functor"),
+    # keys that name an index follow one rule: the decimal digits of an index
+    # in range.  "-1" loaded and found no stalk; "5" ended in an IndexError
+    ("stalk-key-negative", _set(["complex_lifts", "rebuild-kstalk", "stalks"],
+                                {"-1": {"source": "P1s", "equivalence": {"0": [[["1"]]]}}}),
+     "complex lift rebuild-kstalk: stalk key '-1' must be an index from 0 to 0"),
+    ("stalk-key-too-large", _set(["complex_lifts", "rebuild-kstalk", "stalks"],
+                                 {"5": {"source": "P1s", "equivalence": {"0": [[["1"]]]}}}),
+     "complex lift rebuild-kstalk: stalk key '5' must be an index from 0 to 0"),
+    # a witness list for no source idempotent was ignored
+    ("witness-key-for-no-idempotent", _set(["functors", "G", "witnesses", "7"], []),
+     "functor G: witness key '7' must be an index from 0 to 1"),
+    ("square-witness-key-for-no-pair",
+     _set(["almost", "corner-almost", "square_witnesses", "1"], [[0, ["1", "0", "0"]]]),
+     "almost case corner-almost: square_witnesses key '1' must be an index from 0 to 0"),
+    # an almost case's parts are checked at load, not when almost-report runs
+    ("almost-include-not-a-list", _set(["almost", "corner-almost", "include"], "serre"),
+     "almost case corner-almost: include must list parts among serre, quotient, derived, "
+     "got 'serre'"),
+    ("almost-include-misspelt", _set(["almost", "rad-almost", "include"], ["sere"]),
+     "almost case rad-almost: include must list parts among serre, quotient, derived, "
+     "got ['sere']"),
+    ("almost-quotient-without-idempotent",
+     _set(["almost", "rad-almost", "include"], ["quotient"]),
+     "almost case rad-almost: corner presentation needs an idempotent element"),
+    ("almost-derived-without-window", _set(["almost", "rad-almost", "include"], ["derived"]),
+     "almost case rad-almost: derived part needs a subcategory window"),
 ]
 
 
@@ -887,12 +923,15 @@ def test_triangle_whose_legs_share_only_summands_exits_2(capsys, tmp_path):
                     "X -> Y -> Z -> X[1]")
 
 
+# an ideal's triangles are placed in its window and recognized at load, so
+# these fail before the named task runs, with the ideal named
 @pytest.mark.parametrize("objects,want", [
-    (["x", "y", "z"], "triangle canonical: object 'x' is not in the subcategory window"),
+    (["x", "y", "z"],
+     "ideal ann-g: triangle canonical: object 'x' is not in the subcategory window"),
     (["P2s", "P1s", "nosuch"],
-     "triangle canonical: object 'nosuch' is not in the subcategory window"),
+     "ideal ann-g: triangle canonical: object 'nosuch' is not in the subcategory window"),
     (["P1s", "P2s", "S1r"],
-     "triangle canonical: window object 'P1s' is not the triangle's object"),
+     "ideal ann-g: triangle canonical: window object 'P1s' is not the triangle's object"),
 ], ids=["unknown", "unknown-last", "wrong-position"])
 def test_ideal_triangle_objects_outside_the_window_exit_2(capsys, tmp_path, objects, want):
     with open(CORNER) as fh:
@@ -909,6 +948,16 @@ def test_ideal_triangle_that_is_not_exact_exits_2(capsys, tmp_path):
     assert _one_error_line(capsys, data, tmp_path, "ideal-ann-g") == (
         "kbproj: error: ideal ann-g: triangle on ('P2s', 'P1s', 'S1r') failed "
         "verification: no comparison map from the cone exists")
+
+
+def test_ideal_triangle_name_typo_fails_the_load(capsys, tmp_path):
+    # the fixture resolves an ideal's triangles at load, so a task that does
+    # not read the ideal cannot run either
+    with open(CORNER) as fh:
+        data = json.load(fh)
+    data["ideals"]["ann-g"]["triangles"] = ["canonical", "canonicl"]
+    assert _one_error_line(capsys, data, tmp_path, "lift-corner-id") == (
+        "kbproj: error: ideal ann-g: unknown triangle 'canonicl'")
 
 
 def test_hepi_top_degree_refutes_at_either_max_degree(capsys):
@@ -930,12 +979,10 @@ def test_hepi_top_degree_refutes_at_either_max_degree(capsys):
      "almost corner-almost: ideal: witness element not supported at idempotent 1"),
     (lambda d: d["almost"]["rad-almost"].update(include=["derived"], subcat="S"),
      "almost-rad", "almost rad-almost: the ideal must be idempotent"),
-    (_set(["lifts", "corner-id", "generators"], ["P1s"]), "lift-corner-id",
-     "lift corner-id: generator P1s is not killed by the functor"),
     (_set(["field"], {"p": 2}), "hepi-corner",
      "ring map corner: radical needs characteristic 0 or p > dim; GF(2) with dim 3"),
 ], ids=["no-a-witness", "a-witness-wrong-idempotent", "derived-not-idempotent",
-        "generator-not-killed", "hepi-no-radical"])
+        "hepi-no-radical"])
 def test_task_the_engine_cannot_run_exits_2(capsys, tmp_path, mutate, task_id, want):
     with open(CORNER) as fh:
         data = json.load(fh)

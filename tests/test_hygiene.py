@@ -1,5 +1,5 @@
 """Source hygiene: no module of the package imports a name it never uses, only
-``homcat`` builds summand matrices without the corner check, only the eight
+``homcat`` builds summand matrices without the corner check, only the nine
 constructors that derive a module from a checked one skip its axiom checks,
 only the four constructors of an ideal that is closed by construction skip
 the closure check, and only the two probes that kill composites reach
@@ -98,11 +98,11 @@ def test_only_homcat_builds_trusted_summand_matrices(module):
 
 # the constructors whose result is a module because what it is derived from
 # is checked: an invariant subspace of a checked module, multiplication in a
-# checked algebra along a checked ring map, or relations a checked bimodule's
-# right action keeps
-_INHERITS_ITS_CHECK = {"submodule", "quotient_module", "regular_module", "module_along_map",
-                       "induction_bimodule", "restriction_bimodule", "regular_bimodule",
-                       "module_tensor"}
+# checked algebra (on its right ideals e_i R, or along a checked ring map), or
+# relations a checked bimodule's right action keeps
+_INHERITS_ITS_CHECK = {"submodule", "quotient_module", "regular_module", "projective_module",
+                       "module_along_map", "induction_bimodule", "restriction_bimodule",
+                       "regular_bimodule", "module_tensor"}
 
 
 def _inherited_calls(tree):

@@ -154,11 +154,11 @@ def test_two_leg_ideal_fails_saturation(ctx):
 
 
 def test_saturation_rejects_unverified_triangle(ctx):
-    ann = annihilator_ideal(ctx["G"], ctx["sub"])
-    fake = TrianglePresentation(("P2s", "P1s", "S1r"), ctx["iota"], ctx["beta"],
-                                ctx["gamma"].scale(QQ.from_int(2)))
+    # a presentation recognizes its triangle when it is built, so saturation
+    # never sees one that is not exact
     with pytest.raises(IdealError, match="failed verification"):
-        saturation_report(ann, [fake])
+        TrianglePresentation(("P2s", "P1s", "S1r"), ctx["iota"], ctx["beta"],
+                             ctx["gamma"].scale(QQ.from_int(2)))
 
 
 def test_saturation_rejects_mismatched_names(ctx):

@@ -1,9 +1,9 @@
 """Inherited module construction against the validating constructors.
 
-``submodule``, ``quotient_module``, ``regular_module``, ``module_along_map``,
-``module_tensor`` and the three regular bimodules build through
-``FdModule._inherited`` and ``Bimodule._inherited``, which check shapes
-only.  With those routed through ``FdModule(...)`` and ``Bimodule(...)``,
+``submodule``, ``quotient_module``, ``regular_module``, ``projective_module``,
+``module_along_map``, ``module_tensor`` and the three regular bimodules
+build through ``FdModule._inherited`` and ``Bimodule._inherited``, which
+check shapes only.  With those routed through ``FdModule(...)`` and ``Bimodule(...)``,
 every module the engine derives has its unit, multiplicativity and
 commutation checked again: on the three fixtures and the two smallest
 members of each generated family, every construction must pass and the
@@ -57,12 +57,14 @@ def test_validated_construction_gives_the_same_report(label, monkeypatch):
     assert emit_json(run_tasks(fx, workers=1)) == report
     assert [_actions(regular_bimodule(A)) for A in fx.algebras.values()] == bimodules
     if label == "corner":
-        assert {"submodule", "quotient_module", "regular_module", "module_along_map",
-                "induction_bimodule", "regular_bimodule", "module_tensor"} <= callers
+        assert {"submodule", "quotient_module", "regular_module", "projective_module",
+                "module_along_map", "induction_bimodule", "regular_bimodule",
+                "module_tensor"} <= callers
     elif label == "split":
         assert "restriction_bimodule" in callers
     elif label in MEMBERS:
-        assert {"submodule", "module_along_map", "induction_bimodule", "module_tensor"} <= callers
+        assert {"submodule", "projective_module", "module_along_map", "induction_bimodule",
+                "module_tensor"} <= callers
 
 
 def _not_invariant():

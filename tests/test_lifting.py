@@ -21,8 +21,10 @@ from kbproj.homcat import (
     zero_map,
 )
 from kbproj.lifting import (
+    ComplexLiftProblem,
     ComplexLiftReport,
     LiftError,
+    MapLiftProblem,
     SearchBudget,
     StalkLift,
     lift_chain_map,
@@ -70,10 +72,11 @@ def test_depth_zero_lift(ctx):
     X, Y = ctx["P1s"], ctx["S1r"]
     alpha = G.apply_map(ctx["beta"])
     alpha = GradedMap(G.apply_complex(X), G.apply_complex(Y), 0, alpha.components)
-    rep = lift_chain_map(G, X, Y, alpha)
+    problem = MapLiftProblem(G, X, Y, alpha)
+    rep = lift_chain_map(problem)
     assert rep.verdict == "found"
     assert rep.certificate.depth == 0 and rep.certificate.path == ()
-    ok, reason = verify_map_lift(G, X, Y, alpha, rep.certificate)
+    ok, reason = verify_map_lift(problem, rep.certificate)
     assert ok, reason
 
 
@@ -81,7 +84,7 @@ def test_zero_map_lifts_trivially(ctx):
     G = ctx["G"]
     X, Y = ctx["S1r"], ctx["P1s"]
     alpha = zero_map(G.apply_complex(X), G.apply_complex(Y), 0)
-    rep = lift_chain_map(G, X, Y, alpha)
+    rep = lift_chain_map(MapLiftProblem(G, X, Y, alpha))
     assert rep.verdict == "found" and rep.certificate.depth == 0
 
 
@@ -93,15 +96,16 @@ def test_corner_lift_at_depth_one(ctx):
     GX, GY = G.apply_complex(X), G.apply_complex(Y)
     alpha = chain_map(GX, GY, {0: AlgMat(ctx["k"], (0,), (0,), [[(QQ.one,)]])})
 
-    bare = lift_chain_map(G, X, Y, alpha)
+    bare = lift_chain_map(MapLiftProblem(G, X, Y, alpha))
     assert bare.verdict == "not_found" and bare.candidates_tried == 1
 
-    rep = lift_chain_map(G, X, Y, alpha, generators=[ctx["P2s"]])
+    problem = MapLiftProblem(G, X, Y, alpha, generators=[ctx["P2s"]])
+    rep = lift_chain_map(problem)
     assert rep.verdict == "found"
     assert rep.certificate.depth == 1
     assert rep.certificate.path == ((0, 1, 0),)
     assert rep.candidates_tried == 2
-    ok, reason = verify_map_lift(G, X, Y, alpha, rep.certificate)
+    ok, reason = verify_map_lift(problem, rep.certificate)
     assert ok, reason
 
 
@@ -122,7 +126,7 @@ def test_section_of_image_does_not_lift(ctx):
     ok, _ = H.is_nullhomotopic(Fbeta.compose(sigma) - identity_map(FX))
     assert ok  # sigma really is a section up to homotopy
 
-    rep = lift_chain_map(F, X, Y, sigma, generators=(),
+    rep = lift_chain_map(MapLiftProblem(F, X, Y, sigma, generators=()),
                          budget=SearchBudget(max_depth=4))
     assert rep.verdict == "not_found"
     assert rep.candidates_tried == 1  # nothing to cone off, search is exhausted
@@ -133,7 +137,7 @@ def test_unkilled_generator_rejected(ctx):
     X, Y = ctx["S1r"], ctx["P1s"]
     alpha = zero_map(F.apply_complex(X), F.apply_complex(Y), 0)
     with pytest.raises(LiftError, match="not killed"):
-        lift_chain_map(F, X, Y, alpha, generators=[ctx["P2s"]])
+        MapLiftProblem(F, X, Y, alpha, generators=[ctx["P2s"]])
 
 
 def test_budget_exhaustion(ctx):
@@ -141,7 +145,7 @@ def test_budget_exhaustion(ctx):
     X, Y = ctx["S1r"], ctx["P1s"]
     alpha = chain_map(G.apply_complex(X), G.apply_complex(Y),
                       {0: AlgMat(ctx["k"], (0,), (0,), [[(QQ.one,)]])})
-    rep = lift_chain_map(G, X, Y, alpha, generators=[ctx["P2s"]],
+    rep = lift_chain_map(MapLiftProblem(G, X, Y, alpha, generators=[ctx["P2s"]]),
                          budget=SearchBudget(max_depth=0))
     assert rep.verdict == "not_found" and rep.depth_reached == 0
 
@@ -161,10 +165,10 @@ def test_randomized_corner_lifts_all_verify(ctx):
         alpha = zero_map(GX, GY, 0)
         for b in H.basis():
             alpha = alpha + b.scale(QQ.from_int(rng.randint(-2, 2)))
-        rep = lift_chain_map(G, X, Y, alpha, generators=[ctx["P2s"]],
-                             budget=SearchBudget(max_depth=3))
+        problem = MapLiftProblem(G, X, Y, alpha, generators=[ctx["P2s"]])
+        rep = lift_chain_map(problem, budget=SearchBudget(max_depth=3))
         assert rep.verdict == "found"
-        ok, reason = verify_map_lift(G, X, Y, alpha, rep.certificate)
+        ok, reason = verify_map_lift(problem, rep.certificate)
         assert ok, reason
         rounds += 1
     assert rounds >= 10
@@ -175,14 +179,15 @@ def test_verify_rejects_tampered_certificates(ctx):
     X, Y = ctx["P1s"], ctx["S1r"]
     alpha = G.apply_map(ctx["beta"])
     alpha = GradedMap(G.apply_complex(X), G.apply_complex(Y), 0, alpha.components)
-    rep = lift_chain_map(G, X, Y, alpha)
+    problem = MapLiftProblem(G, X, Y, alpha)
+    rep = lift_chain_map(problem)
     cert = rep.certificate
     bad1 = dataclasses.replace(cert, lifted=cert.lifted.scale(QQ.from_int(2)))
-    ok, reason = verify_map_lift(G, X, Y, alpha, bad1)
+    ok, reason = verify_map_lift(problem, bad1)
     assert not ok and "defect" in reason
     bad2 = dataclasses.replace(
         cert, replacement_contraction=cert.replacement_contraction.scale(QQ.from_int(2)))
-    ok, reason = verify_map_lift(G, X, Y, alpha, bad2)
+    ok, reason = verify_map_lift(problem, bad2)
     assert not ok and "contraction" in reason
 
 
@@ -205,14 +210,14 @@ def _kcomplex(k, dims_and_diffs):
 
 def test_lift_zero_and_single_stalk(ctx):
     G = ctx["G"]
-    rep = lift_complex(G, zero_complex(ctx["k"]), ctx["g_table"])
+    rep = lift_complex(ComplexLiftProblem(G, zero_complex(ctx["k"]), ctx["g_table"]))
     assert rep.verdict == "found" and rep.certificate.lift.is_zero()
 
-    stalk = single_summand_complex(ctx["k"], 0, 2)
-    rep = lift_complex(G, stalk, ctx["g_table"])
+    problem = ComplexLiftProblem(G, single_summand_complex(ctx["k"], 0, 2), ctx["g_table"])
+    rep = lift_complex(problem)
     assert rep.verdict == "found"
     assert rep.certificate.lift.summands == {2: (0,)}
-    ok, reason = verify_complex_lift(G, stalk, rep.certificate)
+    ok, reason = verify_complex_lift(problem, rep.certificate)
     assert ok, reason
 
 
@@ -221,18 +226,20 @@ def test_lift_two_term_contractible_target(ctx):
     one = (QQ.one,)
     Y = ProjComplex(k, {-1: (0,), 0: (0,)},
                     {-1: AlgMat(k, (0,), (0,), [[one]])}, name="unit-cone")
-    rep = lift_complex(G, Y, ctx["g_table"], generators=[ctx["P2s"]])
+    problem = ComplexLiftProblem(G, Y, ctx["g_table"], generators=[ctx["P2s"]])
+    rep = lift_complex(problem)
     assert rep.verdict == "found"
-    ok, reason = verify_complex_lift(G, Y, rep.certificate)
+    ok, reason = verify_complex_lift(problem, rep.certificate)
     assert ok, reason
 
 
 def test_lift_two_term_split_target(ctx):
     k, G = ctx["k"], ctx["G"]
     Y = ProjComplex(k, {-1: (0,), 0: (0,)}, {}, name="split")
-    rep = lift_complex(G, Y, ctx["g_table"], generators=[ctx["P2s"]])
+    problem = ComplexLiftProblem(G, Y, ctx["g_table"], generators=[ctx["P2s"]])
+    rep = lift_complex(problem)
     assert rep.verdict == "found"
-    ok, reason = verify_complex_lift(G, Y, rep.certificate)
+    ok, reason = verify_complex_lift(problem, rep.certificate)
     assert ok, reason
 
 
@@ -241,20 +248,21 @@ def test_lift_three_term_target(ctx):
     one = (QQ.one,)
     Y = ProjComplex(k, {-2: (0,), -1: (0,), 0: (0,)},
                     {-2: AlgMat(k, (0,), (0,), [[one]])}, name="three")
-    rep = lift_complex(G, Y, ctx["g_table"], generators=[ctx["P2s"]],
-                       budget=SearchBudget(max_depth=3))
+    problem = ComplexLiftProblem(G, Y, ctx["g_table"], generators=[ctx["P2s"]])
+    rep = lift_complex(problem, budget=SearchBudget(max_depth=3))
     assert rep.verdict == "found"
-    ok, reason = verify_complex_lift(G, Y, rep.certificate)
+    ok, reason = verify_complex_lift(problem, rep.certificate)
     assert ok, reason
 
 
 def test_lift_restriction_simple_stalk(ctx):
     F, kk = ctx["F"], ctx["kk"]
     Q1 = single_summand_complex(kk, 0, 0, name="Q1")
-    rep = lift_complex(F, Q1, ctx["f_table"])
+    problem = ComplexLiftProblem(F, Q1, ctx["f_table"])
+    rep = lift_complex(problem)
     assert rep.verdict == "found"
     assert rep.certificate.lift.summands == ctx["S1r"].summands
-    ok, reason = verify_complex_lift(F, Q1, rep.certificate)
+    ok, reason = verify_complex_lift(problem, rep.certificate)
     assert ok, reason
 
 
@@ -264,15 +272,16 @@ def test_lift_restriction_two_term(ctx):
     Y = ProjComplex(kk, {-1: (1,), 0: (0, 1)},
                     {-1: AlgMat(kk, (0, 1), (1,), [[z], [ctx["u2"]]])},
                     name="imageish")
-    rep = lift_complex(F, Y, ctx["f_table"])
+    problem = ComplexLiftProblem(F, Y, ctx["f_table"])
+    rep = lift_complex(problem)
     assert rep.verdict == "found"
-    ok, reason = verify_complex_lift(F, Y, rep.certificate)
+    ok, reason = verify_complex_lift(problem, rep.certificate)
     assert ok, reason
 
 
 def test_lift_missing_stalk_reports_not_found(ctx):
     G = ctx["G"]
-    rep = lift_complex(G, ctx["kstalk"], {})
+    rep = lift_complex(ComplexLiftProblem(G, ctx["kstalk"], {}))
     assert rep.verdict == "not_found"
     assert "no stalk lift" in rep.reason
 
@@ -285,7 +294,7 @@ def test_bad_stalk_table_rejected(ctx):
                                 single_summand_complex(ctx["k"], 0, 1),
                                 {}))
     with pytest.raises(LiftError, match="not the stalk"):
-        lift_complex(G, ctx["kstalk"], {0: wrong})
+        ComplexLiftProblem(G, ctx["kstalk"], {0: wrong})
 
 
 def test_lift_block_sums_pass_the_corner_check(ctx, monkeypatch):
@@ -298,16 +307,16 @@ def test_lift_block_sums_pass_the_corner_check(ctx, monkeypatch):
                            name="imageish")
     three = ProjComplex(k, {-2: (0,), -1: (0,), 0: (0,)},
                         {-2: AlgMat(k, (0,), (0,), [[one]])}, name="three")
-    cases = [(F, two_term, ctx["f_table"], {}),
-             (G, three, ctx["g_table"],
-              {"generators": [ctx["P2s"]], "budget": SearchBudget(max_depth=3)})]
-    fast = [lift_complex(Fn, Y, table, **kw) for Fn, Y, table, kw in cases]
+    cases = [(ComplexLiftProblem(F, two_term, ctx["f_table"]), SearchBudget()),
+             (ComplexLiftProblem(G, three, ctx["g_table"], generators=[ctx["P2s"]]),
+              SearchBudget(max_depth=3))]
+    fast = [lift_complex(problem, budget) for problem, budget in cases]
     callers = route_trusted_algmats_through_validation(monkeypatch)
-    for (Fn, Y, table, kw), rep in zip(cases, fast):
-        checked = lift_complex(Fn, Y, table, **kw)
+    for (problem, budget), rep in zip(cases, fast):
+        checked = lift_complex(problem, budget)
         assert checked.verdict == rep.verdict == "found"
         assert complex_lift_cert_to_json(checked.certificate) == \
             complex_lift_cert_to_json(rep.certificate)
-        ok, reason = verify_complex_lift(Fn, Y, checked.certificate)
+        ok, reason = verify_complex_lift(problem, checked.certificate)
         assert ok, reason
     assert {"_sum_map", "_lift_rec", "homotopy_inverse_from_contraction"} <= callers
