@@ -100,9 +100,6 @@ class AlgebraPresentation:
     def scale_vec(self, c, x):
         return tuple(self.ring.mul(c, a) for a in x)
 
-    def is_zero_vec(self, x) -> bool:
-        return not any(x)
-
     def left_regular(self, x: Sequence) -> Mat:
         """Matrix of m -> x.m in the row convention (rows are images of basis)."""
         return Mat.from_rows(self.ring, [self.mult(x, self.basis_vec(t)) for t in range(self.dim)],
@@ -191,7 +188,7 @@ class AlgebraPresentation:
             if self.mult(e, e) != e:
                 raise AlgebraError(f"{name}: idempotent {k} is not idempotent")
             for m, f in enumerate(self.idempotents):
-                if m != k and not self.is_zero_vec(self.mult(e, f)):
+                if m != k and any(self.mult(e, f)):
                     raise AlgebraError(f"{name}: idempotents {k},{m} are not orthogonal")
             total = self.add_vec(total, e)
         if total != self.unit:

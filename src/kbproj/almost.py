@@ -212,7 +212,7 @@ def almost_quotient(alg: AlgebraPresentation, e: Sequence) -> AlmostQuotientRepo
     idem_names = []
     for k in range(alg.n_idempotents()):
         c = alg.mult(alg.mult(e, alg.idempotent_vec(k)), e)
-        if alg.is_zero_vec(c):
+        if not any(c):
             continue
         if alg.mult(c, c) != c:
             raise AlmostError("corner does not inherit the idempotent system; "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
@@ -123,35 +124,19 @@ def linear_to_algmat(alg, target_idems, source_idems, linmap: Mat) -> AlgMat:
     Determined by the images of the idempotent generators; round-trip
     equality with the input is re-checked.
     """
-    ring = alg.ring
     tgt_spaces = [alg.right_ideal_space(i) for i in target_idems]
     src_spaces = [alg.right_ideal_space(j) for j in source_idems]
-    ents = []
-    offs_t = []
-    off = 0
-    for sp in tgt_spaces:
-        offs_t.append(off)
-        off += sp.dim
-    rows_by_src = []
-    off = 0
-    for j, sp in zip(source_idems, src_spaces):
-        gen_coords = sp.coords_of(alg.idempotent_vec(j))
-        full = [ring.zero] * linmap.nrows
-        for t, c in enumerate(gen_coords):
-            full[off + t] = c
-        rows_by_src.append(linmap.row_apply(full))
-        off += sp.dim
-    for r, (i, tsp) in enumerate(zip(target_idems, tgt_spaces)):
-        row = []
-        for c, j in enumerate(source_idems):
-            img = rows_by_src[c][offs_t[r]:offs_t[r] + tsp.dim]
-            vec = [ring.zero] * alg.dim
-            for t, cf in enumerate(img):
-                if cf:
-                    for u, b in enumerate(tsp.rows[t]):
-                        vec[u] = ring.add(vec[u], ring.mul(cf, b))
-            row.append(alg.mult(tuple(vec), alg.idempotent_vec(j)))
-        ents.append(row)
+    offs_t = [0, *accumulate(sp.dim for sp in tgt_spaces)]
+    offs_s = [0, *accumulate(sp.dim for sp in src_spaces)]
+    ents = {}
+    for c, (j, sp) in enumerate(zip(source_idems, src_spaces)):
+        gen = [alg.ring.zero] * linmap.nrows
+        gen[offs_s[c]:offs_s[c + 1]] = sp.coords_of(alg.idempotent_vec(j))
+        img = linmap.row_apply(gen)
+        for r, tsp in enumerate(tgt_spaces):
+            vec = alg.combine((cf, b) for cf, b in zip(img[offs_t[r]:offs_t[r + 1]], tsp.rows)
+                              if cf)
+            ents[(r, c)] = alg.mult(vec, alg.idempotent_vec(j))
     out = AlgMat(alg, tuple(target_idems), tuple(source_idems), ents)
     if out.linearize() != linmap:
         raise DerivedError("left-multiplication form does not reproduce the map")

@@ -17,7 +17,8 @@ coordinates and ``functor_matrix`` assembles g -> F(g) from them.
 stores the images on the functor, as a ``FiniteSubcat`` with its own Hom
 cache; ``kernel_objects`` and ``ideals.annihilator_ideal`` read them there.
 The annihilator's probe is "F(f) is a boundary of Hom(FX, FY)": the images
-of a Hom space's representatives are one product with ``functor_matrix``.
+of a Hom space's representatives are one product with ``window_matrix``,
+the ``functor_matrix`` of the pair, stored on the functor beside the window.
 Tables and windows are stored with ``dict.setdefault``, so threads racing on
 a first call may both build, and all of them keep one result; a window
 finds a stored ``extended`` window by equality, as complexes are unhashable.
@@ -26,6 +27,7 @@ finds a stored ``extended`` window by equality, as complexes are unhashable.
 from __future__ import annotations
 
 from collections import ChainMap
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Bimodule, RingMap, induction_bimodule, restriction_bimodule
@@ -56,7 +58,13 @@ class BimoduleFunctor:
         self._tables: Dict[Tuple[int, int], List] = {}
         # image_window by source window (identity), kept the same way
         self._windows: Dict[FiniteSubcat, FiniteSubcat] = {}
-        for i in range(self.source_alg.n_idempotents()):
+        # window_matrix by (source window, a, b), kept the same way
+        self._matrices: Dict[Tuple[FiniteSubcat, str, str], Mat] = {}
+        n = self.source_alg.n_idempotents()
+        for k in witnesses:
+            if k not in range(n):
+                raise FunctorError(f"{name}: witness key {k!r} is not an index 0..{n - 1}")
+        for i in range(n):
             if i not in witnesses:
                 raise FunctorError(f"{name}: no witness list for source idempotent {i}")
             pairs = [(int(j), tuple(ring.parse(c) for c in w)) for j, w in witnesses[i]]
@@ -139,19 +147,16 @@ class BimoduleFunctor:
     def apply_algmat(self, m: AlgMat) -> AlgMat:
         R, S = self.source_alg, self.target_alg
         tgt, src = self.image_summands(m.target_idems), self.image_summands(m.source_idems)
-        grid = [[S.zero_vec()] * len(src) for _ in tgt]
-        roff = 0
-        for r, t in enumerate(m.target_idems):
-            coff = 0
-            for c, s in enumerate(m.source_idems):
-                a = m.entries[r][c]
-                if not R.is_zero_vec(a):
-                    x = R.corner_space(t, s).coords_of(a)
-                    for u, v, elems, _ in self.corner_table(t, s):
-                        grid[roff + u][coff + v] = S.combine((cf, e) for cf, e in zip(x, elems) if cf)
-                coff += len(self.witnesses[s])
-            roff += len(self.witnesses[t])
-        return AlgMat(S, tgt, src, grid)
+        roff = [0, *accumulate(len(self.witnesses[t]) for t in m.target_idems)]
+        coff = [0, *accumulate(len(self.witnesses[s]) for s in m.source_idems)]
+        ents = {}
+        for (r, c), a in m.nonzero_entries():
+            t, s = m.target_idems[r], m.source_idems[c]
+            x = R.corner_space(t, s).coords_of(a)
+            for u, v, elems, _ in self.corner_table(t, s):
+                ents[(roff[r] + u, coff[c] + v)] = S.combine(
+                    (cf, e) for cf, e in zip(x, elems) if cf)
+        return AlgMat(S, tgt, src, ents)
 
     def apply_complex(self, X: ProjComplex) -> ProjComplex:
         summands = {n: self.image_summands(X.summands_at(n)) for n in X.degrees()}
@@ -169,6 +174,14 @@ class BimoduleFunctor:
             W = self._windows.setdefault(subcat, FiniteSubcat(
                 {name: self.apply_complex(X) for name, X in subcat.objects.items()}))
         return W
+
+    def window_matrix(self, subcat: FiniteSubcat, a: str, b: str) -> Mat:
+        """``functor_matrix`` of Hom(a, b) in a window into its image window, built once."""
+        key = (subcat, a, b)
+        if key not in self._matrices:
+            self._matrices.setdefault(key, functor_matrix(
+                self, subcat.hom(a, b).L0, self.image_window(subcat).hom(a, b).L0))
+        return self._matrices[key]
 
     def apply_map(self, f: GradedMap, FX: Optional[ProjComplex] = None,
                   FY: Optional[ProjComplex] = None) -> GradedMap:

@@ -25,13 +25,16 @@ computed on first use, so a nullhomotopy test costs the two operators next
 to degree 0 and one solve, and a contractibility test only the degree -1
 operator.
 
-A component a graded map does not store, or a differential a complex does
-not store, is zero, and arithmetic skips it: every reader of a graded map
-goes through ``components.get``, so ``delta``, ``compose``, sums,
-differences, equality, the d^2 check of ``ProjComplex`` and
-``MapLayout.pack`` build no zero matrix to add, multiply or read.  A
-``GradedMap`` never stores a zero component, so two maps are equal exactly
-when their degrees, component dicts and endpoints are.
+A component a graded map does not store, a differential a complex does not
+store, or an entry a summand matrix does not store is zero, and arithmetic
+skips it.  Every reader of a graded map goes through ``components.get``, so
+``delta``, ``compose``, sums, differences, equality, the d^2 check of
+``ProjComplex`` and ``MapLayout.pack`` build no zero matrix to add, multiply
+or read.  An ``AlgMat`` keeps only its nonzero entries, as full algebra
+vectors keyed by (row, column): a product pairs only the stored entries of a
+row and a column, packing and operator assembly visit only stored entries,
+and ``is_zero`` asks whether any is stored.  Neither stores a zero, so two
+maps are equal exactly when their degrees, component dicts and endpoints are.
 
 Two complexes are equal when they have the same algebra, the same summands
 and the same differentials, an absent differential counting as zero.
@@ -42,7 +45,7 @@ one whose endpoints merely share summands with the expected ones is refused.
 
 ``GradedMap.is_chain_map`` is the one chain-map test: ``chain_map``,
 ``cone``, triangle recognition and certificate replay, the lifting checks
-and fixture loading all ask it.
+and fixture loading all ask it.  A map keeps its verdict after the first ask.
 
 ``cone(phi)`` stores (C, incl, proj) on phi once phi passes its degree-0
 chain-map check, and a repeat call returns that triple; a map that fails
@@ -51,14 +54,15 @@ after construction, so a stored cone cannot go stale.  A certificate decoded
 from JSON brings new map objects, so its comparison map gets a fresh cone
 and its contraction a fresh check.
 
-Corner support is checked where summand matrices enter the engine: the
-public ``AlgMat(...)`` constructor, which fixture loading, certificate
-decoding, functor images and the derived and almost layers go through.
-Internal arithmetic builds with ``AlgMat._trusted``, private to this module,
-and skips the check: sums, products, scalings, blocks, slices and unpacked
-coordinates are made of entries already on their corners, idempotents, zeros
-or combinations of corner-basis rows, so it could never fail there, and at
-two algebra products per entry it cost more than the arithmetic itself.
+Corner support and summand indices are checked where summand matrices enter
+the engine: the public ``AlgMat(...)`` constructor, which fixture loading,
+certificate decoding, functor images and the derived and almost layers go
+through; ``ProjComplex`` checks its summand indices too.  Internal arithmetic
+builds with ``AlgMat._trusted``, private to this module, and skips the check:
+sums, products, scalings, blocks, slices and unpacked coordinates are made of
+entries already on their corners, idempotents or combinations of corner-basis
+rows, so it could never fail there, and at two algebra products per entry it
+cost more than the arithmetic itself.
 Block summand matrices are assembled only by ``AlgMat.block``, which checks
 that each block fits its row and column summands, and cut only by
 ``AlgMat.sub``: cones, direct sums, contraction slices and lifting's block
@@ -69,6 +73,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraPresentation
@@ -83,68 +88,67 @@ class AlgMat:
     """A matrix of algebra elements: a map of projective sums.
 
     Rows index target summands, columns source summands; the entry at (r, c)
-    acts by left multiplication e_{target[r]} R e_{source[c]} -> embeds the
-    module map Hom(e_{source[c]} R, e_{target[r]} R).
+    lies in e_{target[r]} R e_{source[c]} and acts by left multiplication.
+    Only nonzero entries are stored, keyed by (r, c); other modules read them
+    through ``nonzero_entries()``.
 
-    ``AlgMat(...)`` checks the shape and that every entry lies on its corner,
+    ``AlgMat(...)`` takes a grid of rows or a dict {(r, c): entry} and checks
+    the shape, the idempotent indices and that every entry lies on its corner,
     at two algebra products per entry, so data from outside the engine goes
     through it.  Internal arithmetic builds through ``_trusted``, which skips
-    the check (see the module docstring for why that is safe).
+    the checks (see the module docstring for why that is safe).
     """
 
-    __slots__ = ("alg", "target_idems", "source_idems", "entries", "_lin")
+    __slots__ = ("alg", "target_idems", "source_idems", "_nz", "_lin")
 
     def __init__(self, alg: AlgebraPresentation, target_idems: Sequence[int],
-                 source_idems: Sequence[int], entries: Sequence[Sequence]):
+                 source_idems: Sequence[int], entries):
         self.alg = alg
-        self.target_idems = tuple(target_idems)
-        self.source_idems = tuple(source_idems)
-        rows = []
-        if len(entries) != len(self.target_idems):
-            raise HomcatError("entry rows do not match target summands")
-        for r, row in enumerate(entries):
-            if len(row) != len(self.source_idems):
-                raise HomcatError("entry columns do not match source summands")
-            prow = []
-            for c, a in enumerate(row):
-                a = tuple(a)
-                ei = alg.idempotent_vec(self.target_idems[r])
-                ej = alg.idempotent_vec(self.source_idems[c])
-                if alg.mult(ei, a) != a or alg.mult(a, ej) != a:
-                    raise HomcatError(
-                        f"entry ({r},{c}) is not supported on the corner "
-                        f"{alg.idempotent_names[self.target_idems[r]]}"
-                        f"*R*{alg.idempotent_names[self.source_idems[c]]}"
-                    )
-                prow.append(a)
-            rows.append(tuple(prow))
-        self.entries = tuple(rows)
+        self.target_idems = _checked_idems(alg, target_idems, "target summand")
+        self.source_idems = _checked_idems(alg, source_idems, "source summand")
+        rows, cols = range(len(self.target_idems)), range(len(self.source_idems))
+        if not isinstance(entries, dict):
+            if len(entries) != len(rows) or any(len(row) != len(cols) for row in entries):
+                raise HomcatError("entry rows and columns do not match the summands")
+            entries = {(r, c): a for r, row in enumerate(entries) for c, a in enumerate(row)}
+        if any(r not in rows or c not in cols for r, c in entries):
+            raise HomcatError("entry key outside the rows and columns of the summands")
+        nz = {}
+        for (r, c), a in entries.items():
+            a = tuple(a)
+            ei = alg.idempotent_vec(self.target_idems[r])
+            ej = alg.idempotent_vec(self.source_idems[c])
+            if alg.mult(ei, a) != a or alg.mult(a, ej) != a:
+                raise HomcatError(
+                    f"entry ({r},{c}) is not supported on the corner "
+                    f"{alg.idempotent_names[self.target_idems[r]]}"
+                    f"*R*{alg.idempotent_names[self.source_idems[c]]}"
+                )
+            if any(a):
+                nz[(r, c)] = a
+        self._nz = nz
         self._lin = None
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def _trusted(cls, alg, target_idems, source_idems, entries) -> "AlgMat":
-        """No shape or corner check: each entry, a tuple, must lie on its corner."""
+    def _trusted(cls, alg, target_idems, source_idems, nz) -> "AlgMat":
+        """No checks: ``nz`` maps (r, c) to nonzero entry tuples on their corners."""
         m = object.__new__(cls)
         m.alg = alg
         m.target_idems = tuple(target_idems)
         m.source_idems = tuple(source_idems)
-        m.entries = tuple(map(tuple, entries))
+        m._nz = nz
         m._lin = None
         return m
 
     @classmethod
     def zeros(cls, alg, target_idems, source_idems) -> "AlgMat":
-        z = alg.zero_vec()
-        return cls._trusted(alg, target_idems, source_idems,
-                            [[z for _ in source_idems] for _ in target_idems])
+        return cls._trusted(alg, target_idems, source_idems, {})
 
     @classmethod
     def identity(cls, alg, idems) -> "AlgMat":
-        z = alg.zero_vec()
-        ents = [[alg.idempotent_vec(i) if r == c else z for c, _ in enumerate(idems)]
-                for r, i in enumerate(idems)]
+        ents = {(r, r): e for r, e in enumerate(map(alg.idempotent_vec, idems)) if any(e)}
         return cls._trusted(alg, idems, idems, ents)
 
     @classmethod
@@ -158,25 +162,31 @@ class AlgMat:
         """
         if len(blocks) != len(row_idems) or any(len(g) != len(col_idems) for g in blocks):
             raise HomcatError("block grid does not match the row and column summands")
-        z = alg.zero_vec()
-        zero_rows = [(z,) * len(s) for s in col_idems]
-        ents = []
+        nz = {}
+        r0 = 0
         for t, grid_row in zip(row_idems, blocks):
+            c0 = 0
             for b, s in zip(grid_row, col_idems):
-                if b is not None and (b.alg != alg or b.target_idems != t
-                                      or b.source_idems != s):
-                    raise HomcatError("block does not fit its row and column summands")
-            for r in range(len(t)):
-                row = ()
-                for b, zr in zip(grid_row, zero_rows):
-                    row += zr if b is None else b.entries[r]
-                ents.append(row)
-        return cls._trusted(alg, sum(row_idems, ()), sum(col_idems, ()), ents)
+                if b is not None:
+                    if b.alg != alg or b.target_idems != t or b.source_idems != s:
+                        raise HomcatError("block does not fit its row and column summands")
+                    for (r, c), a in b._nz.items():
+                        nz[(r0 + r, c0 + c)] = a
+                c0 += len(s)
+            r0 += len(t)
+        return cls._trusted(alg, sum(row_idems, ()), sum(col_idems, ()), nz)
 
     def sub(self, rows: slice, cols: slice) -> "AlgMat":
         """The block of the target summands ``rows`` and source summands ``cols``."""
+        r0, r1, _ = rows.indices(len(self.target_idems))
+        c0, c1, _ = cols.indices(len(self.source_idems))
         return AlgMat._trusted(self.alg, self.target_idems[rows], self.source_idems[cols],
-                               [row[cols] for row in self.entries[rows]])
+                               {(r - r0, c - c0): a for (r, c), a in self._nz.items()
+                                if r0 <= r < r1 and c0 <= c < c1})
+
+    def nonzero_entries(self):
+        """The ((r, c), entry) pairs of the nonzero entries."""
+        return self._nz.items()
 
     # -- arithmetic --------------------------------------------------------
 
@@ -187,56 +197,58 @@ class AlgMat:
 
     def __add__(self, other: "AlgMat") -> "AlgMat":
         self._check_shape(other)
-        alg = self.alg
-        ents = [[alg.add_vec(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)]
-        return AlgMat._trusted(alg, self.target_idems, self.source_idems, ents)
+        add, nz = self.alg.ring.add, dict(self._nz)
+        for k, b in other._nz.items():
+            nz[k] = tuple(map(add, nz[k], b)) if k in nz else b
+        return AlgMat._trusted(self.alg, self.target_idems, self.source_idems,
+                               {k: v for k, v in nz.items() if any(v)})
 
     def __sub__(self, other: "AlgMat") -> "AlgMat":
         self._check_shape(other)
-        sub = self.alg.ring.sub
-        ents = [[tuple(map(sub, a, b)) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)]
-        return AlgMat._trusted(self.alg, self.target_idems, self.source_idems, ents)
+        ring, nz = self.alg.ring, dict(self._nz)
+        for k, b in other._nz.items():
+            nz[k] = tuple(map(ring.sub, nz[k], b)) if k in nz else tuple(map(ring.neg, b))
+        return AlgMat._trusted(self.alg, self.target_idems, self.source_idems,
+                               {k: v for k, v in nz.items() if any(v)})
 
     def neg(self) -> "AlgMat":
         neg = self.alg.ring.neg
-        ents = [[tuple(map(neg, a)) for a in row] for row in self.entries]
-        return AlgMat._trusted(self.alg, self.target_idems, self.source_idems, ents)
+        return AlgMat._trusted(self.alg, self.target_idems, self.source_idems,
+                               {k: tuple(map(neg, a)) for k, a in self._nz.items()})
 
     def scale(self, c) -> "AlgMat":
-        alg = self.alg
-        ents = [[alg.scale_vec(c, a) for a in row] for row in self.entries]
-        return AlgMat._trusted(alg, self.target_idems, self.source_idems, ents)
+        if not c:
+            return AlgMat.zeros(self.alg, self.target_idems, self.source_idems)
+        return AlgMat._trusted(self.alg, self.target_idems, self.source_idems,
+                               {k: self.alg.scale_vec(c, a) for k, a in self._nz.items()})
 
     def __matmul__(self, other: "AlgMat") -> "AlgMat":
-        """Composition: self after other (other's source is the composite source)."""
+        """Composition: self after other (other's source is the composite source).
+
+        As in Gustavson's sparse product, entry (r, k) meets only row k of other."""
         if self.alg != other.alg or self.source_idems != other.target_idems:
             raise HomcatError("summand mismatch in composition")
         alg = self.alg
-        z = alg.zero_vec()
-        ents = []
-        for left in self.entries:
-            row = []
-            for c in range(len(other.source_idems)):
-                acc = z
-                for a, right in zip(left, other.entries):
-                    b = right[c]
-                    if any(a) and any(b):
-                        p = alg.mult(a, b)
-                        acc = p if acc is z else alg.add_vec(acc, p)
-                row.append(acc)
-            ents.append(row)
-        return AlgMat._trusted(alg, self.target_idems, other.source_idems, ents)
+        right: Dict[int, List] = {}
+        for (k, c), b in other._nz.items():
+            right.setdefault(k, []).append((c, b))
+        nz: Dict[Tuple[int, int], Tuple] = {}
+        for (r, k), a in self._nz.items():
+            for c, b in right.get(k, ()):
+                p = alg.mult(a, b)
+                key = (r, c)
+                nz[key] = alg.add_vec(nz[key], p) if key in nz else p
+        return AlgMat._trusted(alg, self.target_idems, other.source_idems,
+                               {k: v for k, v in nz.items() if any(v)})
 
     def is_zero(self) -> bool:
-        return all(self.alg.is_zero_vec(a) for row in self.entries for a in row)
+        return not self._nz
 
     def __eq__(self, other):
         if not isinstance(other, AlgMat):
             return NotImplemented
         return (self.alg == other.alg and self.target_idems == other.target_idems
-                and self.source_idems == other.source_idems and self.entries == other.entries)
+                and self.source_idems == other.source_idems and self._nz == other._nz)
 
     __hash__ = None
 
@@ -244,23 +256,29 @@ class AlgMat:
         """Underlying field-linear map on row vectors, source dim x target dim."""
         if self._lin is None:
             alg = self.alg
-            ring = alg.ring
-            src_spaces = [alg.right_ideal_space(j) for j in self.source_idems]
-            tgt_spaces = [alg.right_ideal_space(i) for i in self.target_idems]
-            tdim = sum(s.dim for s in tgt_spaces)
-            rows = []
-            for c, sp in enumerate(src_spaces):
-                for v in sp.rows:
-                    out = []
-                    for r, tp in enumerate(tgt_spaces):
-                        img = alg.mult(self.entries[r][c], tuple(v))
-                        out.extend(tp.coords_of(img))
-                    rows.append(out)
-            self._lin = Mat.from_rows(ring, rows, tdim)
+            src = [alg.right_ideal_space(j) for j in self.source_idems]
+            tgt = [alg.right_ideal_space(i) for i in self.target_idems]
+            row_off = [0, *accumulate(s.dim for s in src)]
+            col_off = [0, *accumulate(s.dim for s in tgt)]
+            items = {}
+            for (r, c), a in self._nz.items():
+                for t, v in enumerate(src[c].rows):
+                    for w, x in enumerate(tgt[r].coords_of(alg.mult(a, v))):
+                        items[(row_off[c] + t, col_off[r] + w)] = x
+            self._lin = Mat.from_entries(alg.ring, row_off[-1], col_off[-1], items)
         return self._lin
 
     def __repr__(self):
         return f"AlgMat({len(self.target_idems)}x{len(self.source_idems)} over {self.alg.name})"
+
+
+def _checked_idems(alg, idems: Sequence[int], what: str) -> Tuple[int, ...]:
+    """The summand indices as a tuple, each an idempotent index 0..n-1."""
+    n = alg.n_idempotents()
+    for i in idems:
+        if type(i) is not int or not 0 <= i < n:
+            raise HomcatError(f"{what} index {i!r} is not an idempotent index 0..{n - 1}")
+    return tuple(idems)
 
 
 class ProjComplex:
@@ -269,7 +287,8 @@ class ProjComplex:
     def __init__(self, alg: AlgebraPresentation, summands: Dict[int, Sequence[int]],
                  diff: Dict[int, AlgMat], name: str = "X"):
         self.alg = alg
-        self.summands = {n: tuple(s) for n, s in summands.items() if len(s) > 0}
+        self.summands = {n: _checked_idems(alg, s, f"{name}: degree {n} summand")
+                         for n, s in summands.items() if len(s) > 0}
         self.name = name
         degs = sorted(self.summands)
         self.lo = degs[0] if degs else None
@@ -343,6 +362,7 @@ class ProjComplex:
 
 
 def single_summand_complex(alg, idem: int, degree: int = 0, name: Optional[str] = None) -> ProjComplex:
+    idem, = _checked_idems(alg, (idem,), "summand")
     nm = name or f"P({alg.idempotent_names[idem]})@{degree}"
     return ProjComplex(alg, {degree: (idem,)}, {}, name=nm)
 
@@ -436,8 +456,10 @@ class GradedMap:
         return GradedMap(self.source, self.target, self.degree + 1, comps, name=f"delta({self.name})")
 
     def is_chain_map(self) -> bool:
-        """Degree 0 and delta(f) = 0: the engine's only chain-map test."""
-        return self.degree == 0 and self.delta().is_zero()
+        """Degree 0 and delta(f) = 0: the engine's only chain-map test, kept on the map."""
+        if "_chain" not in self.__dict__:
+            self.__dict__["_chain"] = self.degree == 0 and self.delta().is_zero()
+        return self.__dict__["_chain"]
 
     def shift(self, k: int = 1) -> "GradedMap":
         comps = {n - k: m for n, m in self.components.items()}
@@ -562,34 +584,29 @@ class MapLayout:
         self.dim = off
 
     def pack(self, g: GradedMap) -> List:
-        ring = self.alg.ring
+        alg = self.alg
         if g.source != self.X or g.target != self.Y or g.degree != self.degree:
             raise HomcatError("map does not fit this layout")
-        out = [ring.zero] * self.dim
-        for n, r, c, corner, off in self.slots:
-            m = g.components.get(n)
-            if m is not None:
-                out[off:off + corner.dim] = corner.coords_of(m.entries[r][c])
-        # anything outside the slots must be zero (corner dimension zero forces it)
+        out = [alg.ring.zero] * self.dim
+        # a nonzero entry lies on a nonzero corner, so it has a slot
+        for n, m in g.components.items():
+            for (r, c), a in m._nz.items():
+                off = self.index[(n, r, c)]
+                coords = alg.corner_space(m.target_idems[r], m.source_idems[c]).coords_of(a)
+                out[off:off + len(coords)] = coords
         return out
 
     def unpack(self, coords: Sequence) -> GradedMap:
         alg = self.alg
-        per_degree: Dict[int, List[List]] = {}
-        for n in self.X.degrees():
-            ys = self.Y.summands_at(n + self.degree)
-            xs = self.X.summands_at(n)
-            per_degree[n] = [[alg.zero_vec() for _ in xs] for _ in ys]
+        per_degree: Dict[int, Dict] = {}
         for n, r, c, corner, off in self.slots:
-            per_degree[n][r][c] = alg.combine(
-                (cf, row) for cf, row in zip(coords[off:off + corner.dim], corner.rows) if cf)
-        comps = {}
-        for n, ents in per_degree.items():
-            ys = self.Y.summands_at(n + self.degree)
-            xs = self.X.summands_at(n)
-            m = AlgMat._trusted(alg, ys, xs, ents)
-            if not m.is_zero():
-                comps[n] = m
+            cfs = coords[off:off + corner.dim]
+            if any(cfs):
+                per_degree.setdefault(n, {})[(r, c)] = alg.combine(
+                    (cf, row) for cf, row in zip(cfs, corner.rows) if cf)
+        comps = {n: AlgMat._trusted(alg, self.Y.summands_at(n + self.degree),
+                                    self.X.summands_at(n), nz)
+                 for n, nz in per_degree.items()}
         return GradedMap(self.X, self.Y, self.degree, comps)
 
 
@@ -603,28 +620,25 @@ def _entry_blocks(layout_in: MapLayout, layout_out: MapLayout, F: GradedMap, pos
     alg = layout_in.alg
     s = layout_in.degree
     for n, Fn in F.components.items():
-        for q, i in enumerate(Fn.target_idems):
-            for c, j in enumerate(Fn.source_idems):
-                a = Fn.entries[q][c]
-                if alg.is_zero_vec(a):
-                    continue
-                f = alg.corner_space(i, j).coords_of(a)
-                if post:
-                    # F . g: g^(n-s) lands on F's source summand c
-                    g_deg = n - s
-                    for x, l in enumerate(layout_in.X.summands_at(g_deg)):
-                        off_in = layout_in.index.get((g_deg, c, x))
-                        off_out = layout_out.index.get((g_deg, q, x))
-                        if off_in is not None and off_out is not None:
-                            yield f, alg.corner_mult_table(i, j, l), off_in, off_out
-                else:
-                    # g . F: g^(n+deg F) leaves F's target summand q
-                    g_deg = n + F.degree
-                    for y, k in enumerate(layout_in.Y.summands_at(g_deg + s)):
-                        off_in = layout_in.index.get((g_deg, y, q))
-                        off_out = layout_out.index.get((n, y, c))
-                        if off_in is not None and off_out is not None:
-                            yield f, alg.corner_mult_table(k, i, j), off_in, off_out
+        for (q, c), a in Fn._nz.items():
+            i, j = Fn.target_idems[q], Fn.source_idems[c]
+            f = alg.corner_space(i, j).coords_of(a)
+            if post:
+                # F . g: g^(n-s) lands on F's source summand c
+                g_deg = n - s
+                for x, l in enumerate(layout_in.X.summands_at(g_deg)):
+                    off_in = layout_in.index.get((g_deg, c, x))
+                    off_out = layout_out.index.get((g_deg, q, x))
+                    if off_in is not None and off_out is not None:
+                        yield f, alg.corner_mult_table(i, j, l), off_in, off_out
+            else:
+                # g . F: g^(n+deg F) leaves F's target summand q
+                g_deg = n + F.degree
+                for y, k in enumerate(layout_in.Y.summands_at(g_deg + s)):
+                    off_in = layout_in.index.get((g_deg, y, q))
+                    off_out = layout_out.index.get((n, y, c))
+                    if off_in is not None and off_out is not None:
+                        yield f, alg.corner_mult_table(k, i, j), off_in, off_out
 
 
 def operator_matrix(layout_in: MapLayout, layout_out: MapLayout,

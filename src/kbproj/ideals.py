@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .functors import BimoduleFunctor, FiniteSubcat, functor_matrix, kernel_objects
+from .functors import BimoduleFunctor, FiniteSubcat, kernel_objects
 from .homcat import GradedMap, recognize_triangle
 from .linalg import Mat, Subspace, left_kernel
 
@@ -210,7 +210,7 @@ def annihilator_ideal(F: BimoduleFunctor, subcat: FiniteSubcat) -> HomIdeal:
         H, FH = subcat.hom(a, b), W.hom(a, b)
         # F of a chain map is a chain map, and F(f) ~ 0 exactly when F(f) is a
         # boundary: the images of the representatives need no check and no solve
-        images = Mat.from_rows(H.ring, H.reps, H.L0.dim) @ functor_matrix(F, H.L0, FH.L0)
+        images = Mat.from_rows(H.ring, H.reps, H.L0.dim) @ F.window_matrix(subcat, a, b)
         return _modulo(images, FH.boundaries)
     # F(h . f) = F(h) . F(f) is nullhomotopic when F(f) is
     return kernel_ideal(subcat, probe)

@@ -483,34 +483,44 @@ def _require_field(ring):
 
 
 def rref_rows(ring, rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
+
+    Works on sparse rows (dicts of nonzero entries): each row is reduced by
+    the pivot rows so far, and if nonzero, scaled to 1 at its first column,
+    which is cleared from the others.  The form is unique, so it is that of
+    dense Gauss-Jordan elimination."""
     _require_field(ring)
-    work = [list(r) for r in rows]
-    if not work:
+    if not rows:
         return [], []
-    ncols = len(work[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = ring.inv(work[r][c])
-        work[r] = [ring.mul(inv, x) for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
+    ncols = len(rows[0])
+    zero, sub, mul = ring.zero, ring.sub, ring.mul
+
+    def take(v, f, row):
+        # v -= f * row, keeping only the nonzero entries
+        for j, y in row.items():
+            x = sub(v.get(j, zero), mul(f, y))
+            if x:
+                v[j] = x
+            else:
+                del v[j]
+
+    basis: Dict[int, Dict] = {}   # pivot column -> its row
+    for r in rows:
+        if len(basis) == ncols:
             break
-    return work[:r], pivots
+        v = {j: x for j, x in enumerate(r) if x}
+        for p in (basis.keys() & v.keys() if basis else ()):
+            take(v, v[p], basis[p])
+        if v:
+            q = min(v)
+            inv = ring.inv(v[q])
+            v = {j: mul(inv, x) for j, x in v.items()}
+            for row in basis.values():
+                if q in row:
+                    take(row, row[q], v)
+            basis[q] = v
+    pivots = sorted(basis)
+    return [[basis[p].get(j, zero) for j in range(ncols)] for p in pivots], pivots
 
 
 def rank(A: Mat) -> int:

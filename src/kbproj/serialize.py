@@ -58,8 +58,9 @@ def mat_from_json(ring, payload, nrows: int, ncols: int) -> Mat:
 
 
 def algmat_entries_to_json(m: AlgMat) -> List[List[List]]:
-    ring = m.alg.ring
-    return [[vec_to_json(ring, e) for e in row] for row in m.entries]
+    ring, ents, zero = m.alg.ring, dict(m.nonzero_entries()), m.alg.zero_vec()
+    return [[vec_to_json(ring, ents.get((r, c), zero)) for c in range(len(m.source_idems))]
+            for r in range(len(m.target_idems))]
 
 
 def algmat_entries_from_json(alg, target_idems, source_idems, payload) -> AlgMat:

@@ -41,6 +41,37 @@ def plain_rank(rows, p=None):
     return rk
 
 
+def dense_rref_rows(ring, rows):
+    """Gauss-Jordan elimination on dense rows, column by column: the
+    reference for ``linalg.rref_rows``.  Returns (nonzero rows, pivot columns)."""
+    work = [list(r) for r in rows]
+    if not work:
+        return [], []
+    ncols = len(work[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(work)):
+            if work[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = ring.inv(work[r][c])
+        work[r] = [ring.mul(inv, x) for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work[:r], pivots
+
+
 def span_members(p, vectors, ambient):
     """All members of the GF(p)-span of the given vectors, as a set of tuples."""
     vecs = [tuple(v) for v in vectors]
@@ -432,7 +463,8 @@ def route_trusted_algmats_through_validation(monkeypatch):
     """Make ``AlgMat._trusted`` build through the validating ``AlgMat(...)``.
 
     Every summand matrix the engine builds internally then has its shape and
-    corner support checked, as before trusted construction existed.  Returns
+    corner support checked, as before trusted construction existed, and must
+    store no zero entry.  Returns
     the set of names of the functions that asked for one; a matrix built by
     ``AlgMat.block`` or ``AlgMat.sub``, or in a comprehension, counts for the
     function that called them.
@@ -445,6 +477,8 @@ def route_trusted_algmats_through_validation(monkeypatch):
     callers = set()
 
     def checked(cls, alg, target_idems, source_idems, entries):
+        if not all(map(any, entries.values())):
+            raise AssertionError("a zero entry is stored")
         frame = sys._getframe(1)
         while frame.f_code in assemblers or frame.f_code.co_name.startswith("<"):
             frame = frame.f_back
@@ -738,7 +772,7 @@ def apply_algmat_by_solving(F, m):
     for r, ti in enumerate(m.target_idems):
         coff = 0
         for c, si in enumerate(m.source_idems):
-            block = entry_block_by_solving(F, m.entries[r][c], ti, si)
+            block = entry_block_by_solving(F, dense_grid(m)[r][c], ti, si)
             for u, brow in enumerate(block):
                 for v, x in enumerate(brow):
                     grid[roff + u][coff + v] = x
@@ -782,33 +816,82 @@ def class_coords_by_solving(H, f):
 #
 # ``GradedMap.delta``, ``GradedMap.compose``, sums, differences, equality,
 # ``MapLayout.pack`` and the d^2 check of ``ProjComplex`` as they were before
-# they skipped absent blocks: a missing component or differential is a zero
-# summand matrix, and every product, sum and read is formed.
+# they skipped absent blocks and zero entries: a summand matrix is a full grid
+# of algebra vectors, a missing component or differential is a grid of zero
+# vectors, and every entry product, sum and read is formed.  None of this uses
+# ``AlgMat`` arithmetic; results become ``AlgMat``s through the validating
+# constructor.
+
+
+def dense_grid(m):
+    """The full grid of rows of a summand matrix, zero vectors included."""
+    grid = [[m.alg.zero_vec()] * len(m.source_idems) for _ in m.target_idems]
+    for (r, c), a in m.nonzero_entries():
+        grid[r][c] = a
+    return grid
+
+
+def _grid_product(alg, A, B, ncols):
+    """A . B on grids: every entry pair multiplied, every product added."""
+    out = []
+    for left in A:
+        row = []
+        for c in range(ncols):
+            acc = alg.zero_vec()
+            for a, right in zip(left, B):
+                acc = alg.add_vec(acc, alg.mult(a, right[c]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _grid_sum(alg, A, B, sign):
+    return [[alg.add_vec(a, alg.scale_vec(sign, b)) for a, b in zip(ra, rb)]
+            for ra, rb in zip(A, B)]
+
+
+def _grid_is_zero(G):
+    return not any(any(a) for row in G for a in row)
 
 
 def _block(f, n):
-    """Component n of the graded map f, a zero summand matrix when absent."""
-    from kbproj.homcat import AlgMat
-
+    """Component n of the graded map f as a dense grid, zero when absent."""
     m = f.components.get(n)
     if m is not None:
-        return m
-    return AlgMat.zeros(f.source.alg, f.target.summands_at(n + f.degree),
-                        f.source.summands_at(n))
+        return dense_grid(m)
+    z = f.source.alg.zero_vec()
+    return [[z] * len(f.source.summands_at(n)) for _ in f.target.summands_at(n + f.degree)]
+
+
+def _diff_grid(X, n):
+    """The differential X^n -> X^(n+1) as a dense grid, zero when absent."""
+    d = X.diff.get(n)
+    if d is not None:
+        return dense_grid(d)
+    z = X.alg.zero_vec()
+    return [[z] * len(X.summands_at(n)) for _ in X.summands_at(n + 1)]
+
+
+def _algmat(alg, target, source, grid):
+    from kbproj.homcat import AlgMat
+
+    return AlgMat(alg, target, source, grid)
 
 
 def dense_delta(f):
     """d_target . f - (-1)^deg f . d_source, with every block present."""
     from kbproj.homcat import GradedMap
 
-    even = f.degree % 2 == 0
+    alg = f.source.alg
+    sign = alg.ring.neg(alg.ring.one) if f.degree % 2 == 0 else alg.ring.one
     comps = {}
     for n in f.source.degrees():
-        a = f.target.diff_at(n + f.degree) @ _block(f, n)
-        b = _block(f, n + 1) @ f.source.diff_at(n)
-        m = a - b if even else a + b
-        if not m.is_zero():
-            comps[n] = m
+        tgt, src = f.target.summands_at(n + f.degree + 1), f.source.summands_at(n)
+        a = _grid_product(alg, _diff_grid(f.target, n + f.degree), _block(f, n), len(src))
+        b = _grid_product(alg, _block(f, n + 1), _diff_grid(f.source, n), len(src))
+        m = _grid_sum(alg, a, b, sign)
+        if not _grid_is_zero(m):
+            comps[n] = _algmat(alg, tgt, src, m)
     return GradedMap(f.source, f.target, f.degree + 1, comps, name=f"delta({f.name})")
 
 
@@ -818,11 +901,13 @@ def dense_compose(g, f):
 
     if f.target is not g.source and f.target.summands != g.source.summands:
         raise HomcatError("composition endpoint mismatch")
+    alg = f.source.alg
     comps = {}
     for n in f.source.degrees():
-        a = _block(g, n + f.degree) @ _block(f, n)
-        if not a.is_zero():
-            comps[n] = a
+        src = f.source.summands_at(n)
+        a = _grid_product(alg, _block(g, n + f.degree), _block(f, n), len(src))
+        if not _grid_is_zero(a):
+            comps[n] = _algmat(alg, g.target.summands_at(n + f.degree + g.degree), src, a)
     return GradedMap(f.source, g.target, g.degree + f.degree, comps,
                      name=f"{g.name}.{f.name}")
 
@@ -831,25 +916,28 @@ def dense_sum(f, g, subtract=False):
     """f + g (f - g when ``subtract``) over every degree either stores."""
     from kbproj.homcat import GradedMap
 
+    alg = f.source.alg
+    sign = alg.ring.neg(alg.ring.one) if subtract else alg.ring.one
     comps = {}
     for n in sorted(set(f.components) | set(g.components)):
-        m = _block(f, n) - _block(g, n) if subtract else _block(f, n) + _block(g, n)
-        if not m.is_zero():
-            comps[n] = m
+        m = _grid_sum(alg, _block(f, n), _block(g, n), sign)
+        if not _grid_is_zero(m):
+            comps[n] = _algmat(alg, f.target.summands_at(n + f.degree),
+                               f.source.summands_at(n), m)
     return GradedMap(f.source, f.target, f.degree, comps)
 
 
 def dense_equal(f, g):
-    """f == g, comparing a zero block for every degree that either stores."""
+    """f == g, comparing a zero grid for every degree that either stores."""
     return f.degree == g.degree and all(
         _block(f, n) == _block(g, n) for n in set(f.components) | set(g.components))
 
 
 def dense_pack(layout, g):
-    """``MapLayout.pack``, reading every slot of g through a zero block when absent."""
+    """``MapLayout.pack``, reading every slot of g through a zero grid when absent."""
     out = [layout.alg.ring.zero] * layout.dim
     for n, r, c, corner, off in layout.slots:
-        for t, v in enumerate(corner.coords_of(_block(g, n).entries[r][c])):
+        for t, v in enumerate(corner.coords_of(_block(g, n)[r][c])):
             out[off + t] = v
     return out
 
@@ -859,22 +947,21 @@ def dense_d_squared_defect(alg, summands, diff):
 
     ``summands`` and ``diff`` are what ``ProjComplex`` is given, filtered as
     it filters them (empty summands and differentials without both ends
-    dropped); a missing differential is a zero matrix.  None when d^2 = 0.
+    dropped); a missing differential is a zero grid.  None when d^2 = 0.
     """
-    from kbproj.homcat import AlgMat
-
     summands = {n: tuple(s) for n, s in summands.items() if len(s) > 0}
     diff = {n: d for n, d in diff.items()
             if d is not None and n in summands and n + 1 in summands}
 
     def d_at(n):
         if n in diff:
-            return diff[n]
-        return AlgMat.zeros(alg, summands.get(n + 1, ()), summands.get(n, ()))
+            return dense_grid(diff[n])
+        z = alg.zero_vec()
+        return [[z] * len(summands.get(n, ())) for _ in summands.get(n + 1, ())]
 
     for n in summands:
         if n + 2 in summands and n + 1 in summands:
-            if not (d_at(n + 1) @ d_at(n)).is_zero():
+            if not _grid_is_zero(_grid_product(alg, d_at(n + 1), d_at(n), len(summands[n]))):
                 return n
     return None
 

@@ -11,7 +11,10 @@ agree on random maps of degree -1, 0 and 1 between the complexes of the
 corner fixture (over UT2 and k) and Koszul complexes over k[x]/(x^2) (the
 koszul fixture holds a Laurent contraction, not complexes of projectives),
 their shifts, direct sums and cones, where some components of the maps and
-some differentials of the complexes are missing.
+some differentials of the complexes are missing.  The oracles work on full
+grids of algebra vectors, so they also check ``AlgMat``'s sparse storage: a
+seeded test runs them over the complexes and algebras of ``test_operators``
+with maps whose entries are zero about half the time.
 """
 
 import os
@@ -30,6 +33,7 @@ from oracles import (
     dense_pack,
     dense_sum,
 )
+from test_operators import ALGEBRAS, complexes
 
 from kbproj.fixture import load_fixture
 from kbproj.homcat import (
@@ -206,3 +210,42 @@ def test_d_squared_check_matches_the_dense_oracle(pool):
         outcomes.add(want is None)
     assert outcomes == {True, False}
 
+
+def _sparse_family(X, Y, degree, rng):
+    """A degree-``degree`` family X -> Y whose slots are zero about half the time."""
+    L = MapLayout(X, Y, degree)
+    ring = X.alg.ring
+    return L.unpack([ring.from_int(rng.randint(-2, 2)) if rng.random() < 0.5 else ring.zero
+                     for _ in range(L.dim)])
+
+
+def _stores_no_zero(f):
+    return all(any(a) for m in f.components.values() for _, a in m.nonzero_entries())
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_sparse_summand_matrices_match_the_dense_oracle(name):
+    rng = random.Random(29)
+    cx = complexes(ALGEBRAS[name](), rng)
+    products = 0
+    for _ in range(400):
+        X, Y, Z = (rng.choice(cx) for _ in range(3))
+        s, t = rng.choice(DEGREES), rng.choice(DEGREES)
+        f, g = _sparse_family(X, Y, s, rng), _sparse_family(Y, Z, t, rng)
+        if rng.random() < 0.3:
+            h = GradedMap(X, Y, s, dict(f.components))
+        else:
+            h = _sparse_family(X, Y, s, rng)
+        zero = GradedMap(X, Y, s, {})
+        pairs = [(f.delta(), dense_delta(f)), (g.compose(f), dense_compose(g, f)),
+                 (f + h, dense_sum(f, h)), (f - h, dense_sum(f, h, subtract=True)),
+                 (f.neg(), dense_sum(zero, f, subtract=True)),
+                 (f.scale(X.alg.ring.zero), zero)]
+        for got, want in pairs:
+            assert got.degree == want.degree and got.components == want.components
+            assert _stores_no_zero(got)
+        assert (f == h) == dense_equal(f, h)
+        L = MapLayout(X, Y, s)
+        assert L.pack(f) == dense_pack(L, f)
+        products += bool(pairs[1][0].components)
+    assert products >= 10, products

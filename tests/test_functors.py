@@ -144,8 +144,8 @@ def test_restriction_image_of_resolution(ctx):
     FX = F.apply_complex(ctx["S1r"])
     assert FX.summands == {-1: (1,), 0: (0, 1)}
     d = FX.diff_at(-1)
-    assert d.entries[0][0] == kk.zero_vec()
-    assert d.entries[1][0] == u2
+    # the (0, 0) entry is zero, so it is not stored
+    assert dict(d.nonzero_entries()) == {(1, 0): u2}
 
 
 def test_restriction_image_equivalent_to_simple_stalk(ctx):
@@ -291,3 +291,25 @@ def test_functors_between_declared_algebras(ctx):
     assert G.source_alg is ctx["alg"] and G.target_alg is ctx["k"]
     assert ctx["kk"] == product_of_two_fields()
     assert ctx["k"] == ground_field()
+
+
+def test_witness_key_outside_the_idempotents_rejected(ctx):
+    with pytest.raises(FunctorError, match=r"witness key 7 is not an index 0\.\.1"):
+        induction_functor(ctx["g"], {0: [(0, (1,))], 1: [], 7: [(0, (1,))]})
+
+
+def test_annihilator_builds_each_functor_matrix_once(ctx, subcat, monkeypatch):
+    import kbproj.functors as functors
+    from kbproj.ideals import annihilator_ideal
+
+    G = induction_functor(ctx["g"], {0: [(0, (1,))], 1: []})
+    built = []
+    real = functors.functor_matrix
+    monkeypatch.setattr(functors, "functor_matrix",
+                        lambda F, li, lo: built.append(1) or real(F, li, lo))
+    first = annihilator_ideal(G, subcat)
+    count = len(built)
+    assert count == sum(1 for a in subcat.names() for b in subcat.names()
+                        if subcat.hom(a, b).dim)
+    assert annihilator_ideal(G, subcat) == first
+    assert len(built) == count

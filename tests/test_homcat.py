@@ -9,7 +9,7 @@ import random
 import pytest
 
 from build_examples import upper_triangular_2, ut2_complexes
-from oracles import hom_modules, plain_homotopy_hom_dim
+from oracles import dense_grid, hom_modules, plain_homotopy_hom_dim
 from test_operators import ALGEBRAS
 
 from kbproj.algebra import projective_module, quotient_module, radical, regular_module, submodule
@@ -72,7 +72,7 @@ def plain_complex_data(X, lo, hi):
             for v in sp.rows:
                 out = []
                 for r, tp in enumerate(tgt_spaces):
-                    out.extend(tp.coords_of(A.mult(d.entries[r][c], tuple(v))))
+                    out.extend(tp.coords_of(A.mult(dense_grid(d)[r][c], tuple(v))))
                 rows.append(out)
         diffs.append(rows)
     return dims, diffs, acts
@@ -95,7 +95,7 @@ def test_entry_outside_corner_rejected(ex):
     e11, e12, e22 = A.basis_vec(0), A.basis_vec(1), A.basis_vec(2)
     with pytest.raises(HomcatError, match="corner"):
         AlgMat(A, (1,), (0,), [[e12]])   # e12 does not sit in e22*R*e11
-    assert AlgMat(A, (0,), (1,), [[e12]]).entries == ((e12,),)
+    assert dict(AlgMat(A, (0,), (1,), [[e12]]).nonzero_entries()) == {(0, 0): e12}
     # e11 = e11*e11 but e11*e22 = 0: off e11*R*e22 on the right
     with pytest.raises(HomcatError, match=r"entry \(0,0\) .* corner e11\*R\*e22"):
         AlgMat(A, (0,), (1,), [[e11]])
@@ -138,7 +138,8 @@ def test_block_and_sub_give_back_each_block(name):
     M = AlgMat.block(alg, rows, cols, grid)
     assert M.target_idems == (0, last, last)
     assert M.source_idems == (last, 0, 0, 0)
-    assert AlgMat(alg, M.target_idems, M.source_idems, M.entries) == M
+    assert AlgMat(alg, M.target_idems, M.source_idems, dense_grid(M)) == M
+    assert AlgMat(alg, M.target_idems, M.source_idems, dict(M.nonzero_entries())) == M
     for t, rs, grid_row in zip(rows, row_slices, grid):
         for s, cs, b in zip(cols, col_slices, grid_row):
             assert M.sub(rs, cs) == (AlgMat.zeros(alg, t, s) if b is None else b)
@@ -446,3 +447,28 @@ def test_recognizer_rejects_legs_that_share_only_summands(ex, split_leg):
     _, gsplit = split_leg
     with pytest.raises(HomcatError, match="do not compose"):
         recognize_triangle(ex["iota"], ex["beta"], gsplit)
+
+
+@pytest.mark.parametrize("idem", [-1, 5, 1.0, True])
+def test_summand_index_outside_the_idempotents_rejected(ex, idem):
+    A = ex["alg"]
+    with pytest.raises(HomcatError, match=rf"summand index {idem!r} is not an idempotent index 0\.\.1"):
+        single_summand_complex(A, idem, 0)
+    with pytest.raises(HomcatError, match=r"degree 1 summand index .* 0\.\.1"):
+        ProjComplex(A, {0: (0,), 1: (idem,)}, {})
+    with pytest.raises(HomcatError, match="idempotent index"):
+        AlgMat(A, (0,), (idem,), [[A.zero_vec()]])
+
+
+def test_a_map_keeps_its_chain_map_verdict(ex, monkeypatch):
+    # recognizing and replaying a cone triangle computes delta of each map once
+    phi = ex["iota"]
+    alpha = GradedMap(phi.source, phi.target, 0, dict(phi.components))
+    seen = []
+    real = GradedMap.delta
+    monkeypatch.setattr(GradedMap, "delta", lambda f: seen.append(f) or real(f))
+    _, incl, proj = cone(alpha)
+    v = recognize_triangle(alpha, incl, proj)
+    assert v.verdict == "exact" and verify_triangle_certificate(alpha, incl, proj, v)
+    assert alpha.is_chain_map() and len(seen) > 3
+    assert len(set(map(id, seen))) == len(seen)

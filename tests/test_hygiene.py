@@ -1,5 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses, only
-``homcat`` builds summand matrices without the corner check, only the nine
+``homcat`` builds summand matrices without the corner check or reads their
+stored entries (elsewhere, in tests and ``bench/`` too, they are read through
+``AlgMat.nonzero_entries``), only the nine
 constructors that derive a module from a checked one skip its axiom checks,
 only the four constructors of an ideal that is closed by construction skip
 the closure check, and only the two probes that kill composites reach
@@ -86,6 +88,26 @@ def test_no_unused_imports(module):
               for name, line in sorted(_imported_names(tree).items(), key=lambda kv: kv[1])
               if name not in used]
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+def _readers_of_summand_storage():
+    """Lines outside ``homcat`` that read an ``AlgMat``'s stored entries
+    (``_nz``) or the dense grid it replaced (``entries``)."""
+    files = [os.path.join(SRC, m) for m in MODULES if m != "homcat.py"]
+    for d in (os.path.dirname(__file__), BENCH):
+        files += [os.path.join(d, f) for f in sorted(os.listdir(d)) if f.endswith(".py")]
+    for path in files:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and n.attr in ("_nz", "entries"):
+                yield f"{os.path.basename(path)}:{n.lineno}"
+
+
+def test_only_homcat_reads_summand_matrix_storage():
+    # other code reads a summand matrix through AlgMat.nonzero_entries()
+    uses = list(_readers_of_summand_storage())
+    assert not uses, "AlgMat storage read outside homcat: " + ", ".join(uses)
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "homcat.py"])
@@ -177,13 +199,18 @@ def test_only_probes_that_kill_composites_reach_kernel_ideal(module):
 
 
 def test_the_annihilator_builds_no_graded_map():
-    # its probe reads F(f) as rows of one product with functor_matrix, in
-    # degree-0 coordinates: no image is built as a GradedMap and no class
-    # matrix is solved for
+    # its probe reads F(f) as rows of one product with functor_matrix (stored
+    # per pair by window_matrix), in degree-0 coordinates: no image is built
+    # as a GradedMap and no class matrix is solved for
     tree = _parse("ideals.py")
     fn = next(n for n in tree.body
               if isinstance(n, ast.FunctionDef) and n.name == "annihilator_ideal")
-    assert _calls_named(fn, "functor_matrix"), "the annihilator no longer uses functor_matrix"
+    assert _calls_named(fn, "window_matrix"), "the annihilator no longer uses window_matrix"
+    functor = next(n for n in _parse("functors.py").body
+                   if isinstance(n, ast.ClassDef) and n.name == "BimoduleFunctor")
+    stored = next(n for n in functor.body
+                  if isinstance(n, ast.FunctionDef) and n.name == "window_matrix")
+    assert _calls_named(stored, "functor_matrix"), "window_matrix no longer uses functor_matrix"
     uses = [f"ideals.py:{n.lineno}: {name}" for name in ("apply_map", "class_matrix")
             for n in _calls_named(fn, name)]
     assert not uses, "annihilator_ideal builds images as maps: " + ", ".join(uses)

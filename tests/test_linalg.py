@@ -22,8 +22,8 @@ from kbproj.linalg import (
     solve_left,
 )
 
-from oracles import (FractionRationals, dim_from_count, plain_rank, quotient_matrix,
-                     solve_and_kernel, solve_left_and_kernel, span_members)
+from oracles import (FractionRationals, dense_rref_rows, dim_from_count, plain_rank,
+                     quotient_matrix, solve_and_kernel, solve_left_and_kernel, span_members)
 
 
 def q(x):
@@ -465,3 +465,26 @@ def test_matrix_ops():
     assert Mat.lincomb(QQ, 2, 2, [(q(2), A), (q(-1), B)]).rows() == [[q(2), q(3)], [q(5), q(8)]]
     assert A.transpose().transpose() == A
     assert A.row_apply([q(1), q(1)]) == [q(4), q(6)]
+
+
+# shapes the triangle sweep eliminates on, up to 44 x 25, and their transposes
+SWEEP_SHAPES = [(44, 25), (25, 44), (20, 12), (12, 9), (9, 12), (6, 6), (1, 25), (44, 1)]
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(5), GF(101)], ids=repr)
+@pytest.mark.parametrize("seed", range(3))
+def test_sparse_rref_matches_dense_elimination(ring, seed):
+    # same rows (values and their int-or-Fraction form) and same pivots
+    rng = random.Random(seed)
+    for nrows, ncols in SWEEP_SHAPES:
+        for density in (0.16, 0.4, 1.0):
+            rows = [[ring.div(ring.from_int(rng.randint(-4, 4)), ring.from_int(rng.choice((1, 3))))
+                     if rng.random() < density else ring.zero for _ in range(ncols)]
+                    for _ in range(nrows)]
+            if nrows > 3:
+                # a repeated row and a sum of two rows lower the rank
+                rows[-1] = list(rows[0])
+                rows[-2] = [ring.add(a, b) for a, b in zip(rows[1], rows[2])]
+            got, want = rref_rows(ring, rows), dense_rref_rows(ring, rows)
+            assert got == want
+            assert [list(map(type, r)) for r in got[0]] == [list(map(type, r)) for r in want[0]]
