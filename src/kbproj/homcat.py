@@ -23,7 +23,9 @@ is built per column.  ``HomSpace`` builds only its degree 0 and -1 layouts
 up front; the operators, cycles, boundaries and class representatives are
 computed on first use, so a nullhomotopy test costs the two operators next
 to degree 0 and one solve, and a contractibility test only the degree -1
-operator.
+operator.  Triangle recognition assembles five operators for one solve: an
+exact triangle builds one ``HomSpace``, for the cone of its comparison map,
+and only one with no comparison map two more, to test its composites.
 
 A component a graded map does not store, a differential a complex does not
 store, or an entry a summand matrix does not store is zero, and arithmetic
@@ -93,10 +95,11 @@ class AlgMat:
     through ``nonzero_entries()``.
 
     ``AlgMat(...)`` takes a grid of rows or a dict {(r, c): entry} and checks
-    the shape, the idempotent indices and that every entry lies on its corner,
-    at two algebra products per entry, so data from outside the engine goes
-    through it.  Internal arithmetic builds through ``_trusted``, which skips
-    the checks (see the module docstring for why that is safe).
+    the shape, the idempotent indices and that every nonzero entry lies on its
+    corner, at two algebra products per entry (a zero entry is dropped
+    unchecked), so data from outside the engine goes through it.  Internal
+    arithmetic builds through ``_trusted``, which skips the checks (see the
+    module docstring for why that is safe).
     """
 
     __slots__ = ("alg", "target_idems", "source_idems", "_nz", "_lin")
@@ -116,6 +119,10 @@ class AlgMat:
         nz = {}
         for (r, c), a in entries.items():
             a = tuple(a)
+            if len(a) != alg.dim:
+                raise HomcatError(f"entry ({r},{c}) has {len(a)} coordinates, not {alg.dim}")
+            if not any(a):
+                continue    # dropped: zero lies on every corner
             ei = alg.idempotent_vec(self.target_idems[r])
             ej = alg.idempotent_vec(self.source_idems[c])
             if alg.mult(ei, a) != a or alg.mult(a, ej) != a:
@@ -124,8 +131,7 @@ class AlgMat:
                     f"{alg.idempotent_names[self.target_idems[r]]}"
                     f"*R*{alg.idempotent_names[self.source_idems[c]]}"
                 )
-            if any(a):
-                nz[(r, c)] = a
+            nz[(r, c)] = a
         self._nz = nz
         self._lin = None
 
@@ -864,6 +870,10 @@ def recognize_triangle(alpha: GradedMap, beta: GradedMap, gamma: GradedMap) -> T
     an equivalence.  Any comparison map between two exact triangles over the
     identity on X and Y is automatically an equivalence, so a failed
     contraction refutes exactness just as a missing rho does.
+
+    A comparison map makes b.a and c.b null (b.a ~ rho.incl.a ~ 0, c.b ~
+    c.rho.incl ~ proj.incl = 0), so the composites are tested, in that order,
+    only when no rho exists, to name the first that is not null.
     """
     X, Y = alpha.source, alpha.target
     Z = beta.target
@@ -877,15 +887,6 @@ def recognize_triangle(alpha: GradedMap, beta: GradedMap, gamma: GradedMap) -> T
     for leg, nm in ((alpha, "first"), (beta, "second"), (gamma, "third")):
         if not leg.is_chain_map():
             return TriangleVerdict("not_exact", f"{nm} leg is not a chain map")
-
-    H_xz = HomSpace(X, Z)
-    ok, _ = H_xz.is_nullhomotopic(beta.compose(alpha))
-    if not ok:
-        return TriangleVerdict("not_exact", "composite of the first two legs is not nullhomotopic")
-    H_ysx = HomSpace(Y, SX)
-    ok, _ = H_ysx.is_nullhomotopic(gamma.compose(beta))
-    if not ok:
-        return TriangleVerdict("not_exact", "composite of the last two legs is not nullhomotopic")
 
     C, incl, proj = cone(alpha)
     ring = X.alg.ring
@@ -907,9 +908,7 @@ def recognize_triangle(alpha: GradedMap, beta: GradedMap, gamma: GradedMap) -> T
 
     rhs = [ring.zero] * m0 + L_yz0.pack(beta) + L_csx0.pack(proj)
     if n0 + n1 + n2 == 0:
-        if any(rhs):
-            return TriangleVerdict("not_exact", "no comparison map from the cone exists")
-        sol = []
+        sol = None if any(rhs) else []
     else:
         zero = Mat.zeros
         top = hstack([D_chain, C_incl, C_gamma])
@@ -917,9 +916,13 @@ def recognize_triangle(alpha: GradedMap, beta: GradedMap, gamma: GradedMap) -> T
         bot = hstack([zero(ring, n2, m0), zero(ring, n2, m1), D_csx.neg()])
         M = vstack([top, mid, bot])
         x = solve_left(M, Mat.from_rows(ring, [rhs], m0 + m1 + m2))
-        if x is None:
-            return TriangleVerdict("not_exact", "no comparison map from the cone exists")
-        sol = x.row(0)
+        sol = None if x is None else x.row(0)
+    if sol is None:
+        if not HomSpace(X, Z).is_nullhomotopic(beta.compose(alpha))[0]:
+            return TriangleVerdict("not_exact", "composite of the first two legs is not nullhomotopic")
+        if not HomSpace(Y, SX).is_nullhomotopic(gamma.compose(beta))[0]:
+            return TriangleVerdict("not_exact", "composite of the last two legs is not nullhomotopic")
+        return TriangleVerdict("not_exact", "no comparison map from the cone exists")
     rho = L_cz0.unpack(sol[:n0])
     h_incl = L_yzm1.unpack(sol[n0:n0 + n1])
     h_proj = L_csxm1.unpack(sol[n0 + n1:])
@@ -940,7 +943,8 @@ def verify_triangle_certificate(alpha: GradedMap, beta: GradedMap, gamma: Graded
     """Re-check an exactness certificate by direct arithmetic, no solving."""
     if verdict.verdict != "exact":
         return False
-    if verdict.rho is None or verdict.cone_contraction is None:
+    if any(m is None for m in (verdict.rho, verdict.h_incl, verdict.h_proj,
+                                verdict.cone_contraction)):
         return False
     _, incl, proj = cone(alpha)
     rho = verdict.rho

@@ -16,6 +16,9 @@ Conventions
   solves ``x @ A = b``; each returns one solution, or None when there is
   none.  ``left_kernel(A)`` is the subspace {v : v @ A = 0}: the one way to
   ask for a kernel.
+* Every elimination is ``_reduce``, Gauss-Jordan on sparse rows.  ``solve``,
+  ``rank`` and ``left_kernel`` read those rows straight from the matrix's
+  entry dict; ``rref_rows`` takes and gives dense rows, for ``Subspace``.
 * ``Subspace`` bases are stored in reduced row echelon form, so two equal
   subspaces have identical bases.
 * Quotients V/S are taken in one basis: ``S.completion()``, the unit vectors
@@ -482,18 +485,14 @@ def _require_field(ring):
         raise LinalgError(f"operation requires a field, got {ring!r}")
 
 
-def rref_rows(ring, rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
-
-    Works on sparse rows (dicts of nonzero entries): each row is reduced by
-    the pivot rows so far, and if nonzero, scaled to 1 at its first column,
-    which is cleared from the others.  The form is unique, so it is that of
-    dense Gauss-Jordan elimination."""
+def _reduce(ring, rows: Iterable[Dict[int, object]], stop: Optional[int] = None):
+    """Gauss-Jordan elimination on sparse rows {column: nonzero entry}, which
+    it consumes.  Each row is cleared at the pivots so far and, if not zero,
+    scaled to 1 at its first column, which is cleared from the earlier pivot
+    rows.  Returns {pivot column: row}, the reduced echelon form (unique, so
+    that of dense elimination), or None at a pivot at or past ``stop``."""
     _require_field(ring)
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    zero, sub, mul = ring.zero, ring.sub, ring.mul
+    zero, one, sub, mul = ring.zero, ring.one, ring.sub, ring.mul
 
     def take(v, f, row):
         # v -= f * row, keeping only the nonzero entries
@@ -504,28 +503,46 @@ def rref_rows(ring, rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
             else:
                 del v[j]
 
-    basis: Dict[int, Dict] = {}   # pivot column -> its row
-    for r in rows:
-        if len(basis) == ncols:
-            break
-        v = {j: x for j, x in enumerate(r) if x}
+    basis: Dict[int, Dict] = {}
+    for v in rows:
+        # a pivot row is zero at the other pivots, so v keeps its pivot columns
         for p in (basis.keys() & v.keys() if basis else ()):
             take(v, v[p], basis[p])
         if v:
             q = min(v)
-            inv = ring.inv(v[q])
-            v = {j: mul(inv, x) for j, x in v.items()}
+            if stop is not None and q >= stop:
+                return None
+            if v[q] != one:
+                inv = ring.inv(v[q])
+                v = {j: mul(inv, x) for j, x in v.items()}
             for row in basis.values():
                 if q in row:
                     take(row, row[q], v)
             basis[q] = v
+    return basis
+
+
+def rref_rows(ring, rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
+    """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
+
+    Dense rows in and out, for the ``Subspace`` bases; the elimination is
+    ``_reduce`` on the rows' nonzero entries."""
+    if not rows:    # most calls in a fixture pass: an empty span
+        _require_field(ring)
+        return [], []
+    basis = _reduce(ring, [{j: x for j, x in enumerate(r) if x} for r in rows])
     pivots = sorted(basis)
+    zero, ncols = ring.zero, len(rows[0])
     return [[basis[p].get(j, zero) for j in range(ncols)] for p in pivots], pivots
 
 
 def rank(A: Mat) -> int:
-    rows, _ = rref_rows(A.ring, A.rows())
-    return len(rows)
+    """Rank of A, eliminating its rows or its columns, whichever are fewer."""
+    lines: Dict[int, Dict[int, object]] = {}
+    for k, v in A._items.items():
+        i, j = k if A.nrows <= A.ncols else k[::-1]
+        lines.setdefault(i, {})[j] = v
+    return len(_reduce(A.ring, lines.values()))
 
 
 class Subspace:
@@ -657,20 +674,22 @@ class Subspace:
 
 
 def solve(A: Mat, b: Mat) -> Optional[Mat]:
-    """Solve A @ x = b exactly: one solution x, or None when inconsistent."""
-    _require_field(A.ring)
+    """Solve A @ x = b exactly: one solution x (free unknowns zero), or None
+    when a pivot of [A | b] falls in b's columns, which is inconsistency."""
     ring = A.ring
     if b.nrows != A.nrows or b.ring != ring:
         raise LinalgError("solve: right-hand side shape mismatch")
     n = A.ncols
-    aug = [ra + rb for ra, rb in zip(A.rows(), b.rows())]
-    red, pivots = rref_rows(ring, aug)
-    if pivots and pivots[-1] >= n:
+    rows: List[Dict[int, object]] = [{} for _ in range(A.nrows)]
+    for (i, j), v in A._items.items():
+        rows[i][j] = v
+    for (i, j), v in b._items.items():
+        rows[i][n + j] = v
+    basis = _reduce(ring, rows, stop=n)
+    if basis is None:
         return None
-    x_rows = [[ring.zero] * b.ncols for _ in range(n)]
-    for row, p in zip(red, pivots):
-        x_rows[p] = row[n:]
-    x = Mat.from_rows(ring, x_rows, b.ncols)
+    x = Mat(ring, n, b.ncols, {(p, j - n): v for p, row in basis.items()
+                               for j, v in row.items() if j >= n})
     # exactness invariant: residual must vanish identically
     if not (A @ x - b).is_zero():
         raise LinalgError("internal error: nonzero solve residual")
@@ -684,17 +703,22 @@ def solve_left(A: Mat, b: Mat) -> Optional[Mat]:
 
 
 def left_kernel(A: Mat) -> Subspace:
-    """The left null space {v : v @ A = 0}, a subspace of ring^nrows."""
+    """The left null space {v : v @ A = 0}, a subspace of ring^nrows.
+
+    A's columns are reduced in reversed coordinates, so a pivot row's other
+    entries sit at free coordinates before its pivot: the kernel vector of a
+    free f starts at f, and these vectors are the reduced basis as they are."""
     ring = A.ring
     n = A.nrows
-    red, pivots = rref_rows(ring, A.transpose().rows())
-    pivset = set(pivots)
-    vecs = []
-    for f in range(n):
-        if f not in pivset:
-            v = [ring.zero] * n
-            v[f] = ring.one
-            for row, p in zip(red, pivots):
-                v[p] = ring.neg(row[f])
-            vecs.append(v)
-    return Subspace.from_spanning(ring, n, vecs)
+    last = n - 1
+    cols: List[Dict[int, object]] = [{} for _ in range(A.ncols)]
+    for (i, j), v in A._items.items():
+        cols[j][last - i] = v
+    basis = _reduce(ring, cols)
+    free = [f for f in range(n) if last - f not in basis]
+    vecs = {f: [ring.zero] * f + [ring.one] + [ring.zero] * (last - f) for f in free}
+    for q, row in basis.items():
+        for k, x in row.items():
+            if k != q:
+                vecs[last - k][last - q] = ring.neg(x)
+    return Subspace(ring, n, list(vecs.values()), free)

@@ -990,30 +990,40 @@ def quotient_matrix(ring, S):
 # -- the solver that returned both answers -----------------------------------------
 
 
+def _dense_kernel(ring, red, pivots, n):
+    """{v in ring^n : the reduced system (red, pivots) kills v}, its basis
+    reduced again by ``dense_rref_rows``."""
+    from kbproj.linalg import Subspace
+
+    pivset = set(pivots)
+    vecs = []
+    for f in range(n):
+        if f not in pivset:
+            v = [ring.zero] * n
+            v[f] = ring.one
+            for row, p in zip(red, pivots):
+                v[p] = ring.neg(row[f])
+            vecs.append(v)
+    rows, piv = dense_rref_rows(ring, vecs)
+    return Subspace(ring, n, rows, piv)
+
+
 def solve_and_kernel(A, b):
     """Solve A @ x = b exactly, as ``linalg.solve`` did before it returned
     one answer: (x, kernel), x None when inconsistent, kernel the subspace
-    {v : A @ v = 0} of ring^ncols, both read off one row reduction of [A | b].
+    {v : A @ v = 0} of ring^ncols, both read off one dense row reduction of
+    [A | b] (``dense_rref_rows``: no code shared with ``linalg._reduce``).
     """
-    from kbproj.linalg import LinalgError, Mat, Subspace, rref_rows
+    from kbproj.linalg import LinalgError, Mat
 
     ring = A.ring
     if b.nrows != A.nrows or b.ring != ring:
         raise LinalgError("solve: right-hand side shape mismatch")
     n = A.ncols
     aug = [ra + rb for ra, rb in zip(A.rows(), b.rows())]
-    red, pivots = rref_rows(ring, aug)
+    red, pivots = dense_rref_rows(ring, aug)
     pivots_in_A = [p for p in pivots if p < n]
-    pivset = set(pivots_in_A)
-    ker_vecs = []
-    for f in range(n):
-        if f not in pivset:
-            v = [ring.zero] * n
-            v[f] = ring.one
-            for row, p in zip(red, pivots_in_A):
-                v[p] = ring.neg(row[f])
-            ker_vecs.append(v)
-    kernel = Subspace.from_spanning(ring, n, ker_vecs)
+    kernel = _dense_kernel(ring, red, pivots_in_A, n)
     if len(pivots_in_A) < len(pivots):
         return None, kernel
     x_rows = [[ring.zero] * b.ncols for _ in range(n)]
@@ -1027,6 +1037,84 @@ def solve_left_and_kernel(A, b):
     left null space {v : v @ A = 0}."""
     xt, ker = solve_and_kernel(A.transpose(), b.transpose())
     return (None if xt is None else xt.transpose()), ker
+
+
+def dense_left_kernel(A):
+    """{v : v @ A = 0} from a dense reduction of A's columns: the reference
+    for ``linalg.left_kernel``."""
+    red, pivots = dense_rref_rows(A.ring, A.transpose().rows())
+    return _dense_kernel(A.ring, red, pivots, A.nrows)
+
+
+# -- triangle recognition that tests the composites first --------------------------
+
+
+def recognize_triangle_composites_first(alpha, beta, gamma):
+    """``homcat.recognize_triangle`` as it was before it skipped the composite
+    tests: beta.alpha ~ 0 and gamma.beta ~ 0 are decided first, each with a
+    ``HomSpace`` of its own, and only then is the comparison system solved."""
+    from kbproj.homcat import (HomcatError, HomSpace, MapLayout, TriangleVerdict, cone,
+                               delta_matrix, is_homotopy_equivalence, operator_matrix)
+    from kbproj.linalg import Mat, hstack, solve_left, vstack
+
+    X, Y = alpha.source, alpha.target
+    Z = beta.target
+    if beta.source != Y:
+        raise HomcatError("triangle legs do not compose: target of first != source of second")
+    if gamma.source != Z:
+        raise HomcatError("triangle legs do not compose: target of second != source of third")
+    SX = X.shift(1)
+    if gamma.target != SX:
+        raise HomcatError("third leg must land in the shifted first object")
+    for leg, nm in ((alpha, "first"), (beta, "second"), (gamma, "third")):
+        if not leg.is_chain_map():
+            return TriangleVerdict("not_exact", f"{nm} leg is not a chain map")
+
+    ok, _ = HomSpace(X, Z).is_nullhomotopic(beta.compose(alpha))
+    if not ok:
+        return TriangleVerdict("not_exact", "composite of the first two legs is not nullhomotopic")
+    ok, _ = HomSpace(Y, SX).is_nullhomotopic(gamma.compose(beta))
+    if not ok:
+        return TriangleVerdict("not_exact", "composite of the last two legs is not nullhomotopic")
+
+    C, incl, proj = cone(alpha)
+    ring = X.alg.ring
+    L_cz0, L_cz1 = MapLayout(C, Z, 0), MapLayout(C, Z, 1)
+    L_yzm1, L_yz0 = MapLayout(Y, Z, -1), MapLayout(Y, Z, 0)
+    L_csxm1, L_csx0 = MapLayout(C, SX, -1), MapLayout(C, SX, 0)
+    D_chain = delta_matrix(L_cz0, L_cz1)
+    C_incl = operator_matrix(L_cz0, L_yz0, pre=incl)
+    C_gamma = operator_matrix(L_cz0, L_csx0, post=gamma)
+    D_yz = delta_matrix(L_yzm1, L_yz0)
+    D_csx = delta_matrix(L_csxm1, L_csx0)
+    n0, n1, n2 = L_cz0.dim, L_yzm1.dim, L_csxm1.dim
+    m0, m1, m2 = L_cz1.dim, L_yz0.dim, L_csx0.dim
+
+    rhs = [ring.zero] * m0 + L_yz0.pack(beta) + L_csx0.pack(proj)
+    if n0 + n1 + n2 == 0:
+        if any(rhs):
+            return TriangleVerdict("not_exact", "no comparison map from the cone exists")
+        sol = []
+    else:
+        zero = Mat.zeros
+        top = hstack([D_chain, C_incl, C_gamma])
+        mid = hstack([zero(ring, n1, m0), D_yz.neg(), zero(ring, n1, m2)])
+        bot = hstack([zero(ring, n2, m0), zero(ring, n2, m1), D_csx.neg()])
+        x = solve_left(vstack([top, mid, bot]), Mat.from_rows(ring, [rhs], m0 + m1 + m2))
+        if x is None:
+            return TriangleVerdict("not_exact", "no comparison map from the cone exists")
+        sol = x.row(0)
+    rho = L_cz0.unpack(sol[:n0])
+    h_incl = L_yzm1.unpack(sol[n0:n0 + n1])
+    h_proj = L_csxm1.unpack(sol[n0 + n1:])
+    ok, contraction = is_homotopy_equivalence(rho)
+    if not ok:
+        return TriangleVerdict(
+            "not_exact", "a comparison map from the cone exists but is not an equivalence",
+            rho=rho, h_incl=h_incl, h_proj=h_proj)
+    return TriangleVerdict("exact", "cone comparison map is an equivalence",
+                           rho=rho, h_incl=h_incl, h_proj=h_proj,
+                           cone_contraction=contraction)
 
 
 # -- window ideal calculus without stored images ----------------------------------

@@ -4,12 +4,15 @@ Hom dimensions are cross-checked against a plain-list oracle that works with
 raw module matrices and never touches the summand-matrix machinery.
 """
 
+import dataclasses
+import os
 import random
 
 import pytest
 
 from build_examples import upper_triangular_2, ut2_complexes
-from oracles import dense_grid, hom_modules, plain_homotopy_hom_dim
+from oracles import (dense_grid, hom_modules, plain_homotopy_hom_dim,
+                     recognize_triangle_composites_first)
 from test_operators import ALGEBRAS
 
 from kbproj.algebra import projective_module, quotient_module, radical, regular_module, submodule
@@ -36,7 +39,9 @@ from kbproj.homcat import (
     zero_complex,
     zero_map,
 )
+from kbproj.fixture import load_fixture
 from kbproj.linalg import QQ
+from kbproj.serialize import algmat_entries_from_json
 
 
 @pytest.fixture(scope="module")
@@ -105,10 +110,31 @@ def test_entry_outside_corner_rejected(ex):
     # one bad entry among good ones, named by its position
     with pytest.raises(HomcatError, match=r"entry \(1,0\) .* corner e22\*R\*e11"):
         AlgMat(A, (0, 1), (0,), [[e11], [A.add_vec(e11, e12)]])
+    # a vector of the wrong length is refused, zero or not
+    for short in ((0, 0), (0, 1)):
+        with pytest.raises(HomcatError, match=r"entry \(0,0\) has 2 coordinates, not 3"):
+            AlgMat(A, (0,), (1,), {(0, 0): short})
     with pytest.raises(HomcatError, match="rows"):
         AlgMat(A, (0, 1), (0,), [[e11]])
     with pytest.raises(HomcatError, match="columns"):
         AlgMat(A, (0,), (0, 1), [[e11]])
+
+
+def test_zero_entries_skip_the_corner_check(ex, monkeypatch):
+    # a zero lies on every corner: a decoded grid of zeros multiplies nothing
+    A = ex["alg"]
+    calls = []
+    real = type(A).mult
+    monkeypatch.setattr(type(A), "mult", lambda alg, x, y: calls.append(1) or real(alg, x, y))
+    zero = ["0"] * A.dim
+    M = algmat_entries_from_json(A, (0, 1), (1, 0), [[zero, zero], [zero, zero]])
+    assert M.is_zero() and not calls
+    e12 = ["0", "1", "0"]
+    assert dict(algmat_entries_from_json(A, (0, 1), (1, 0), [[e12, zero], [zero, zero]])
+                .nonzero_entries()) == {(0, 0): (0, 1, 0)}
+    assert len(calls) == 2
+    with pytest.raises(HomcatError, match=r"entry \(1,1\) .* corner e22\*R\*e11"):
+        algmat_entries_from_json(A, (0, 1), (1, 0), [[zero, zero], [zero, e12]])
 
 
 def random_algmat(alg, target, source, rng):
@@ -391,6 +417,96 @@ def test_recognizer_on_random_cone_triangles(ex):
             assert verify_triangle_certificate(phi, incl, proj, v)
             tried += 1
     assert tried >= 4
+
+
+@pytest.mark.parametrize("field", ["h_incl", "h_proj"])
+def test_certificate_without_a_homotopy_is_refused(ex, field):
+    legs = (ex["iota"], ex["beta"], ex["gamma"])
+    v = recognize_triangle(*legs)
+    assert verify_triangle_certificate(*legs, v)
+    assert not verify_triangle_certificate(*legs, dataclasses.replace(v, **{field: None}))
+
+
+# -- the comparison system is solved before the composites are tested --------
+
+
+def _cone_triangles(ex, seed):
+    """Cone triangles of seeded random chain maps, each with two rotations."""
+    rng = random.Random(seed)
+    S1, P1s, P2s = ex["S1r"], ex["P1s"], ex["P2s"]
+    sources = [P1s, P2s, S1, P2s.shift(1), direct_sum(P1s, P2s)]
+    targets = [S1, P1s, P2s.shift(1), direct_sum(S1, P2s)]
+    for X in sources:
+        for Y in targets:
+            H = HomSpace(X, Y)
+            for _ in range(2 if H.dim else 0):
+                coords = [QQ.from_int(rng.randint(-3, 3)) for _ in range(H.dim)]
+                phi = H.L0.unpack([sum((c * r[t] for c, r in zip(coords, H.reps)), QQ.zero)
+                                   for t in range(H.L0.dim)])
+                _, incl, proj = cone(phi)
+                t1 = rotate_triangle(phi, incl, proj)
+                yield from ((phi, incl, proj), t1, rotate_triangle(*t1))
+
+
+def _broken_triangles(ex):
+    """(legs, reason) for triangles that fail at each step of the recognizer."""
+    P1s, P2s, S1r = ex["P1s"], ex["P2s"], ex["S1r"]
+    iota, beta, gamma = ex["iota"], ex["beta"], ex["gamma"]
+    first = "composite of the first two legs is not nullhomotopic"
+    last = "composite of the last two legs is not nullhomotopic"
+    none = "no comparison map from the cone exists"
+    for X in (P1s, S1r):
+        # X = X = X -0-> X[1]: b.a = id
+        yield (identity_map(X), identity_map(X), zero_map(X, X.shift(1))), first
+        # X -0-> X[1] = X[1] = X[1]: c.b = id
+        SX = X.shift(1)
+        yield (zero_map(X, SX), identity_map(SX), identity_map(SX)), last
+    # first composite not null, second null
+    yield (iota, identity_map(P1s), zero_map(P1s, P2s.shift(1))), first
+    # both composites null, no comparison map
+    yield (iota, beta, zero_map(S1r, P2s.shift(1))), none
+    yield (zero_map(P2s, P1s), beta, gamma), none
+    yield (zero_map(P1s, P2s), zero_map(P2s, P2s), zero_map(P2s, P1s.shift(1))), none
+
+
+def _assert_same_verdict(v, w):
+    assert (v.verdict, v.reason) == (w.verdict, w.reason)
+    for field in ("rho", "h_incl", "h_proj", "cone_contraction"):
+        assert getattr(v, field) == getattr(w, field), field
+
+
+def test_recognizer_matches_the_composites_first_oracle(ex):
+    fx = load_fixture(os.path.join(os.path.dirname(__file__), "..", "fixtures", "corner.json"))
+    fixture_legs = [(t["alpha"], t["beta"], t["gamma"]) for t in fx.triangles.values()]
+    swept = list(_cone_triangles(ex, 5))
+    # a doubled third leg, and a zero second leg (every outcome but a failed composite)
+    perturbed = ([(a, b, c.scale(QQ.from_int(2))) for a, b, c in swept[:6]]
+                 + [(a, b.scale(QQ.zero), c) for a, b, c in swept])
+    assert len(fixture_legs) >= 2 and len(swept) >= 40
+    for legs in fixture_legs + swept + perturbed:
+        _assert_same_verdict(recognize_triangle(*legs), recognize_triangle_composites_first(*legs))
+    for legs, reason in _broken_triangles(ex):
+        v = recognize_triangle(*legs)
+        assert v.reason == reason
+        _assert_same_verdict(v, recognize_triangle_composites_first(*legs))
+
+
+def test_an_exact_triangle_builds_one_hom_space(ex, monkeypatch):
+    built = []
+    real = HomSpace.__init__
+    monkeypatch.setattr(HomSpace, "__init__", lambda H, X, Y: built.append((X, Y)) or real(H, X, Y))
+    legs = (ex["iota"], ex["beta"], ex["gamma"])
+    for t in (legs, rotate_triangle(*legs)):
+        built.clear()
+        v = recognize_triangle(*t)
+        assert v.verdict == "exact" and len(built) == 1
+        assert built[0][0] == built[0][1] == cone(v.rho)[0]
+    built.clear()
+    assert recognize_triangle_composites_first(*legs).verdict == "exact" and len(built) == 3
+    for broken, reason in _broken_triangles(ex):
+        built.clear()
+        recognize_triangle(*broken)
+        assert len(built) == (1 if reason.startswith("composite of the first") else 2)
 
 
 # -- one equality rule for complexes and maps --------------------------------

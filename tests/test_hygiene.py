@@ -4,7 +4,9 @@ stored entries (elsewhere, in tests and ``bench/`` too, they are read through
 ``AlgMat.nonzero_entries``), only the nine
 constructors that derive a module from a checked one skip its axiom checks,
 only the four constructors of an ideal that is closed by construction skip
-the closure check, and only the two probes that kill composites reach
+the closure check, ``linalg._reduce`` is the one elimination loop (``solve``,
+``rank`` and ``left_kernel`` reach it without dense rows), and only the two
+probes that kill composites reach
 ``kernel_ideal``, ``annihilator_ideal`` builds no image as a graded map (it
 calls neither ``apply_map`` nor ``class_matrix``), ``almost`` builds no Hom
 space of its own, only ``linalg`` knows that a non-integral rational is a
@@ -438,6 +440,34 @@ def test_kernels_come_only_from_left_kernel(module):
              if isinstance(n, ast.Assign) and _is_solver_call(n.value)
              and any(isinstance(t, ast.Tuple) for t in n.targets)]
     assert not uses, "kernel asked of a solver: " + ", ".join(uses)
+
+
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _divides_in_a_loop(fn):
+    """Whether ``fn`` calls a ring's ``inv`` or ``div`` inside a loop: scaling
+    pivot after pivot, which is what an elimination does."""
+    return any(isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+               and c.func.attr in ("inv", "div")
+               for loop in ast.walk(fn) if isinstance(loop, _LOOPS) for c in ast.walk(loop))
+
+
+def test_reduce_is_the_one_elimination_loop():
+    # every solve, kernel, rank and row echelon form eliminates through
+    # linalg._reduce; solve, rank and left_kernel read the matrix's entry dict,
+    # not dense rows; solve_left calls solve by its module name, which the
+    # bench tracer wraps
+    loops = sorted(qual for module in MODULES for qual, node in _definitions(_parse(module), module)
+                   if isinstance(node, ast.FunctionDef) and _divides_in_a_loop(node))
+    assert loops == ["linalg._reduce"], f"elimination loops: {loops}"
+    fns = {n.name: n for n in _parse("linalg.py").body if isinstance(n, ast.FunctionDef)}
+    for name in ("rref_rows", "rank", "solve", "left_kernel"):
+        assert _calls_named(fns[name], "_reduce"), f"{name} no longer calls _reduce"
+    dense = [f"{name}:{n.lineno}" for name in ("solve", "rank", "left_kernel")
+             for n in _calls_named(fns[name], "rows") + _calls_named(fns[name], "rref_rows")]
+    assert not dense, "dense rows read by: " + ", ".join(dense)
+    assert any(isinstance(c.func, ast.Name) for c in _calls_named(fns["solve_left"], "solve"))
 
 
 # the certificate codecs and verifiers, which runner reaches only through _CERTS

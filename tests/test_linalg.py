@@ -22,8 +22,9 @@ from kbproj.linalg import (
     solve_left,
 )
 
-from oracles import (FractionRationals, dense_rref_rows, dim_from_count, plain_rank,
-                     quotient_matrix, solve_and_kernel, solve_left_and_kernel, span_members)
+from oracles import (FractionRationals, dense_left_kernel, dense_rref_rows, dim_from_count,
+                     plain_rank, quotient_matrix, solve_and_kernel, solve_left_and_kernel,
+                     span_members)
 
 
 def q(x):
@@ -488,3 +489,69 @@ def test_sparse_rref_matches_dense_elimination(ring, seed):
             got, want = rref_rows(ring, rows), dense_rref_rows(ring, rows)
             assert got == want
             assert [list(map(type, r)) for r in got[0]] == [list(map(type, r)) for r in want[0]]
+
+
+def _typed(m):
+    """A matrix's entries with the type of each value: int or Fraction."""
+    return None if m is None else sorted((i, j, v, type(v)) for i, j, v in m.items())
+
+
+def _sparse_mat(ring, rng, nrows, ncols, density):
+    # over QQ each entry an int or a Fraction, about half the time each
+    def entry():
+        x = ring.from_int(rng.choice([-3, -2, -1, 1, 2, 3, 4]))
+        return ring.div(x, ring.from_int(rng.choice([1, 1, 2, 3]))) if ring is QQ else x
+    return [[entry() if rng.random() < density else ring.zero for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(7), GF(101)], ids=repr)
+@pytest.mark.parametrize("seed", range(3))
+def test_sparse_solvers_match_the_dense_oracles(ring, seed):
+    # solve, solve_left, left_kernel and rank against dense Gauss-Jordan
+    # (oracles.dense_rref_rows), values and their int-or-Fraction form alike
+    rng = random.Random(seed)
+    # the three seeds share out the sweep's shapes
+    shapes = SWEEP_SHAPES[seed::3] + [(0, 0), (0, 4), (4, 0)] + [
+        (rng.randint(0, 9), rng.randint(0, 9)) for _ in range(12)]
+    inconsistent = 0
+    for n, m in shapes:
+        # dense only when small: the sweep's large operators are sparse
+        rows = _sparse_mat(ring, rng, n, m, rng.choice([0.16, 0.4] + [1.0] * (n * m <= 100)))
+        if n > 3:
+            # a repeated row and a sum of two rows lower the rank
+            rows[-1] = list(rows[0])
+            rows[-2] = [ring.add(a, b) for a, b in zip(rows[1], rows[2])]
+        if n > 2:
+            rows[rng.randrange(n)] = [ring.zero] * m
+        if m > 2:
+            j = rng.randrange(m)
+            for row in rows:
+                row[j] = ring.zero
+        A = Mat.from_rows(ring, rows, m)
+        assert rank(A) == rank(A.transpose()) == len(dense_rref_rows(ring, rows)[1])
+        ker, want = left_kernel(A), dense_left_kernel(A)
+        assert ker == want and ker.pivots == want.pivots
+        assert [list(map(type, v)) for v in ker.rows] == [list(map(type, v)) for v in want.rows]
+        k = rng.randint(1, 3)
+        reachable_right = A @ Mat.from_rows(ring, _sparse_mat(ring, rng, m, k, 0.5), k)
+        reachable_left = Mat.from_rows(ring, _sparse_mat(ring, rng, k, n, 0.5), n) @ A
+        for b in (reachable_right, Mat.from_rows(ring, _sparse_mat(ring, rng, n, k, 0.5), k)):
+            x = solve(A, b)
+            assert _typed(x) == _typed(solve_and_kernel(A, b)[0])
+            assert x is not None or b is not reachable_right
+            inconsistent += x is None
+        for b in (reachable_left, Mat.from_rows(ring, _sparse_mat(ring, rng, k, m, 0.5), m)):
+            x = solve_left(A, b)
+            assert _typed(x) == _typed(solve_left_and_kernel(A, b)[0])
+            assert x is not None or b is not reachable_left
+            inconsistent += x is None
+    assert inconsistent >= 5
+
+
+def test_solve_reports_inconsistency_in_any_right_hand_column():
+    # only the last of three columns has no solution
+    A = qmat([[1, 0], [0, 1], [1, 1]])
+    b = qmat([[1, 0, 0], [1, 1, 0], [2, 1, 1]])
+    assert solve(A, b) is None
+    assert solve(A, qmat([[1, 0], [1, 1], [2, 1]])).rows() == [[1, 0], [1, 1]]
