@@ -528,13 +528,21 @@ def module_along_map(f: RingMap) -> FdModule:
 
 
 class TwoSidedIdeal:
-    """A two-sided ideal presented by its underlying subspace."""
+    """A two-sided ideal presented by its underlying subspace.  The constructor
+    checks closure; only ``radical`` skips it, through ``_proved`` (see there)."""
 
     def __init__(self, algebra: AlgebraPresentation, space: Subspace, name: str = "a"):
         self.algebra = algebra
         self.space = space
         self.name = name
         self._validate()
+
+    @classmethod
+    def _proved(cls, algebra, space, name) -> "TwoSidedIdeal":
+        """An ideal whose closure its caller has proved: nothing is checked."""
+        ideal = object.__new__(cls)
+        ideal.algebra, ideal.space, ideal.name = algebra, space, name
+        return ideal
 
     def _validate(self):
         alg = self.algebra
@@ -557,19 +565,6 @@ class TwoSidedIdeal:
 
     def is_idempotent(self) -> bool:
         return self.square().space == self.space
-
-    def is_nilpotent(self, cap: int = 64) -> bool:
-        alg = self.algebra
-        cur = self.space
-        for _ in range(cap):
-            if cur.dim == 0:
-                return True
-            vecs = [alg.mult(u, v) for u in cur.rows for v in cur.rows]
-            nxt = Subspace.from_spanning(alg.ring, alg.dim, vecs)
-            if nxt == cur:
-                return cur.dim == 0
-            cur = nxt
-        return cur.dim == 0
 
     def __repr__(self):
         return f"TwoSidedIdeal({self.name}, dim={self.dim} of {self.algebra.name})"
@@ -607,10 +602,18 @@ def ideal_generated_by_idempotent(alg: AlgebraPresentation, e: Sequence, name="R
 
 
 def radical(alg: AlgebraPresentation) -> TwoSidedIdeal:
-    """Jacobson radical via the trace form of the left regular representation.
+    """Jacobson radical: the kernel of the trace form (x, y) -> tr L(xy) of
+    the left regular representation.
 
-    Valid in characteristic 0, or characteristic p > dim (guarded); the
-    resulting subspace is re-verified to be a nilpotent two-sided ideal.
+    Valid in characteristic 0, or characteristic p > dim (guarded), where the
+    kernel is the radical by theorem and is not re-checked (see e.g.
+    R. S. Pierce, *Associative Algebras*, 1982).  It is a two-sided ideal,
+    since tr L((zx)y) = tr L(x(yz)) and tr L((xz)y) = tr L(x(zy)).  It is
+    nilpotent: for x in it, tr L(x^k) = 0 for every k, and Newton's
+    identities, which divide only by k <= dim < p, make L(x) nilpotent; an
+    ideal of nilpotent elements of a finite-dimensional algebra is nilpotent
+    (Wedderburn).  Associativity, which both arguments use, is checked when
+    the algebra is built.
     Computed once and cached on the algebra.
     """
     if "radical" in alg._built:
@@ -631,23 +634,19 @@ def radical(alg: AlgebraPresentation) -> TwoSidedIdeal:
     tau = [total(c for k, cell in enumerate(row) for n, c in cell if n == k) for row in P]
     rows = [[total(ring.mul(c, tau[m]) for m, c in cell) for cell in row] for row in P]
     T = Mat.from_rows(ring, rows, alg.dim)
-    ideal = TwoSidedIdeal(alg, left_kernel(T), name=f"rad({alg.name})")
-    if not ideal.is_nilpotent():
-        raise AlgebraError("trace-form kernel is not nilpotent; radical unavailable")
+    ideal = TwoSidedIdeal._proved(alg, left_kernel(T), name=f"rad({alg.name})")
     return alg._built.setdefault("radical", ideal)
 
 
 class TensorResult:
     """M tensor_R B as a right module over B's right-acting algebra.
 
-    ``relations.quotient_coords`` maps M (x) B coordinates (index i*dimB + j)
-    onto quotient coordinates; ``reps`` are coset representatives back in
-    M (x) B.
+    ``reps`` are coset representatives in M (x)_k B (coordinate i*dimB + j
+    for m_i (x) b_j) of the module's basis.
     """
 
-    def __init__(self, module: FdModule, relations: Subspace, reps: List[List]):
+    def __init__(self, module: FdModule, reps: List[List]):
         self.module = module
-        self.relations = relations
         self.reps = reps
 
 
@@ -696,7 +695,7 @@ def module_tensor(M: FdModule, B: Bimodule) -> TensorResult:
     # m.r (x) b - m (x) r.b invariant, since (r.b).s = r.(b.s) in a checked
     # bimodule: the quotient by an invariant subspace is a module
     module = FdModule._inherited(S, qdim, action, name=f"{M.name}(x){B.name}")
-    return TensorResult(module, relations, reps)
+    return TensorResult(module, reps)
 
 
 def quotient_algebra(alg: AlgebraPresentation, ideal: TwoSidedIdeal,

@@ -1318,3 +1318,106 @@ def derived_ideal_fresh(C, subcat, window=None):
                     rows[p // len(xis)].extend(coords)
             comps[(an, bn)] = left_kernel(Mat.from_rows(ring, rows, len(rows[0])))
     return HomIdeal(subcat, comps), (hull_lo, hull_hi)
+
+
+# -- the radical's re-checks ----------------------------------------------------
+
+
+def is_two_sided(alg, space):
+    """Whether ``space`` is closed under multiplication by every basis element
+    on either side: the check ``TwoSidedIdeal(...)`` makes, and that
+    ``radical`` made of its trace-form kernel before it trusted the theorem."""
+    for row in space.rows:
+        for t in range(alg.dim):
+            b = alg.basis_vec(t)
+            if not (space.contains(alg.mult(b, row)) and space.contains(alg.mult(row, b))):
+                return False
+    return True
+
+
+def is_nilpotent(ideal, cap=64):
+    """Whether some power of the ideal is zero, by squaring its span until it
+    stops shrinking: ``TwoSidedIdeal.is_nilpotent`` as ``radical`` called it."""
+    from kbproj.linalg import Subspace
+
+    alg = ideal.algebra
+    cur = ideal.space
+    for _ in range(cap):
+        if cur.dim == 0:
+            return True
+        nxt = Subspace.from_spanning(alg.ring, alg.dim,
+                                     [alg.mult(u, v) for u in cur.rows for v in cur.rows])
+        if nxt == cur:
+            return False
+        cur = nxt
+    return cur.dim == 0
+
+
+# -- Tor through a coequalizer per term -------------------------------------------
+
+
+def coequalizer_relations(M, B):
+    """The relations m.r (x) b - m (x) r.b of M (x)_R B, for the basis of M,
+    of R and of B, as a subspace of M (x)_k B (coordinate i*dimB + j for
+    m_i (x) b_j): the relation span of ``algebra.module_tensor``."""
+    from kbproj.linalg import Subspace
+
+    R, ring, n = M.algebra, M.algebra.ring, B.dim
+    left_rows = [B.left_action[r].rows() for r in range(R.dim)]
+    rels = []
+    for i in range(M.dim):
+        for r in range(R.dim):
+            mi_r = M.action[r].row(i)
+            for j in range(n):
+                vec = [ring.zero] * (M.dim * n)
+                for u, c in enumerate(mi_r):
+                    vec[u * n + j] = ring.add(vec[u * n + j], c)
+                for v, c in enumerate(left_rows[r][j]):
+                    vec[i * n + v] = ring.sub(vec[i * n + v], c)
+                rels.append(vec)
+    return Subspace.from_spanning(ring, M.dim * n, rels)
+
+
+def tor_by_coequalizers(M, B, i_max):
+    """``derived.tor_with_bimodule`` as it was before it read P (x)_R B as
+    blocks e_j B: every term of the resolution is tensored as the quotient of
+    P (x)_k B by its relations, each differential is induced on quotient
+    coordinates through coset representatives, and Tor_0 is the coequalizer
+    of M itself, checked against the cokernel of the first map."""
+    from kbproj.algebra import projective_module
+    from kbproj.derived import DerivedError, TorReport, proj_resolution
+    from kbproj.linalg import Mat, rank
+
+    ring, n = M.algebra.ring, B.dim
+    res = proj_resolution(M, i_max + 1)
+    rels = [coequalizer_relations(projective_module(M.algebra, s), B) for s in res.summands]
+    tdims = [rel.ambient - rel.dim for rel in rels]
+    tmaps = []
+    for i, phi in enumerate(res.maps):        # phi: P_{i+1} -> P_i
+        rows = []
+        for rep in rels[i + 1].completion():
+            out = [ring.zero] * (phi.ncols * n)
+            for pos, c in enumerate(rep):
+                if c:
+                    u, j = divmod(pos, n)
+                    for v in range(phi.ncols):
+                        out[v * n + j] = ring.add(out[v * n + j], ring.mul(c, phi.entry(u, v)))
+            rows.append(rels[i].quotient_coords(out))
+        tmaps.append(Mat.from_rows(ring, rows, tdims[i]))
+    for i in range(1, len(tmaps)):
+        if not (tmaps[i] @ tmaps[i - 1]).is_zero():
+            raise DerivedError("tensored resolution lost d . d = 0")
+    ranks = [rank(t) for t in tmaps]
+    L = len(res.summands) - 1
+    top = coequalizer_relations(M, B)
+    dims = {0: top.ambient - top.dim}
+    if L >= 1 and tdims[0] - ranks[0] != dims[0]:
+        raise DerivedError("tensoring broke right exactness")
+    for i in range(1, i_max + 2 if res.complete else i_max + 1):
+        ker = tdims[i] - ranks[i - 1] if i <= L else 0
+        dims[i] = ker - (ranks[i] if i < L else 0)
+        if dims[i] < 0:
+            raise DerivedError("negative homology dimension: tensored complex inconsistent")
+    if dims.get(i_max + 1) == 0:
+        del dims[i_max + 1]
+    return TorReport(dims=dims, complete=res.complete, checked_up_to=max(dims))

@@ -22,6 +22,8 @@ from oracles import (
     dense_structure,
     gf_set_closure,
     hom_modules,
+    is_nilpotent,
+    is_two_sided,
     span_members,
     structure_mult,
 )
@@ -191,7 +193,7 @@ def test_radical_square_and_quotient():
     rad = radical(A)
     assert rad.square().dim == 0
     assert not rad.is_idempotent()
-    assert rad.is_nilpotent()
+    assert is_two_sided(A, rad.space) and is_nilpotent(rad)
     qalg, proj = quotient_algebra(A, rad)
     assert qalg.dim == 2
     assert radical(qalg).dim == 0

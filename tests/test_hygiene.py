@@ -4,7 +4,10 @@ stored entries (elsewhere, in tests and ``bench/`` too, they are read through
 ``AlgMat.nonzero_entries``), only the nine
 constructors that derive a module from a checked one skip its axiom checks,
 only the four constructors of an ideal that is closed by construction skip
-the closure check, ``linalg._reduce`` is the one elimination loop (``solve``,
+the closure check, and of an algebra's two-sided ideals only ``radical``'s
+trace-form kernel does, ``tor_with_bimodule`` and the ``derived`` helpers it
+reaches build no coequalizer (and ``tensor_functor_map`` stays deleted),
+``linalg._reduce`` is the one elimination loop (``solve``,
 ``rank`` and ``left_kernel`` reach it without dense rows), and only the two
 probes that kill composites reach
 ``kernel_ideal``, ``annihilator_ideal`` builds no image as a graded map (it
@@ -150,6 +153,16 @@ def test_only_the_derived_constructors_skip_module_axioms(module):
             "no longer built by _inherited: " + ", ".join(sorted(_INHERITS_ITS_CHECK - seen))
     uses = [f"{module}:{n.lineno}" for n in _inherited_calls(tree) if id(n) not in allowed]
     assert not uses, "_inherited called outside the derived constructors: " + ", ".join(uses)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_radical_skips_the_ideal_closure_check(module):
+    # a trace-form kernel is a two-sided ideal by theorem (see radical); every
+    # other TwoSidedIdeal is built by TwoSidedIdeal(...), which checks closure
+    names = {"radical"} if module == "algebra.py" else set()
+    stray, seen = _calls_only_in(module, "_proved", names)
+    assert seen == names, "radical no longer builds through _proved"
+    assert not stray, "_proved called outside radical: " + ", ".join(stray)
 
 
 # the constructors whose result is an ideal by construction (see HomIdeal):
@@ -468,6 +481,42 @@ def test_reduce_is_the_one_elimination_loop():
              for n in _calls_named(fns[name], "rows") + _calls_named(fns[name], "rref_rows")]
     assert not dense, "dense rows read by: " + ", ".join(dense)
     assert any(isinstance(c.func, ast.Name) for c in _calls_named(fns["solve_left"], "solve"))
+
+
+# what a coequalizer presentation of a tensor product is made of
+_COEQUALIZER_NAMES = ("module_tensor", "TensorResult", "quotient_coords", "completion")
+
+
+def _reached_from(module, root):
+    """The functions and methods of ``module`` that ``root`` calls, directly or
+    through one another, matched by name; ``root`` is one of them."""
+    defs = {}
+    for _, node in _definitions(_parse(module), module):
+        if isinstance(node, ast.FunctionDef):
+            defs.setdefault(node.name, []).append(node)
+    seen, todo = set(), [root]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo += [callee for fn in defs[name] for c in ast.walk(fn) if isinstance(c, ast.Call)
+                     for callee in [getattr(c.func, "id", getattr(c.func, "attr", None))]
+                     if callee in defs]
+    return [fn for name in sorted(seen) for fn in defs[name]]
+
+
+def test_tor_tensors_projectives_as_blocks_without_a_coequalizer():
+    # P (x)_R B is the sum of the blocks e_j B for P = sum of e_j R, so
+    # neither Tor nor a helper it reaches in derived builds a coequalizer;
+    # the multiplication map's S (x)_R S is the one check-hepi builds
+    reached = _reached_from("derived.py", "tor_with_bimodule")
+    named = [f"derived.py:{n.lineno} ({fn.name} names {name})" for fn in reached
+             for n in ast.walk(fn) for name in _COEQUALIZER_NAMES if _mentions(n, name)]
+    assert not named, "Tor reaches a coequalizer: " + ", ".join(named)
+    assert {"proj_resolution", "_tensored_differential"} <= {fn.name for fn in reached}
+    defined = [qual for module in MODULES for qual, _ in _definitions(_parse(module), module)
+               if qual.endswith(".tensor_functor_map")]
+    assert not defined, "tensor_functor_map is back: " + ", ".join(defined)
 
 
 # the certificate codecs and verifiers, which runner reaches only through _CERTS
