@@ -46,8 +46,13 @@ class AlgebraPresentation:
         if len(structure) != dim or any(len(row) != dim or any(len(cell) != dim for cell in row)
                                         for row in structure):
             raise AlgebraError(f"{name}: structure table is not {dim}x{dim}x{dim}")
-        self.products = tuple(tuple(tuple((m, c) for m, c in enumerate(map(ring.parse, cell)) if c)
-                                    for cell in row) for row in structure)
+
+        def nonzero(cell):
+            # "0", nearly every entry of a dense table, is skipped unparsed
+            parsed = ((m, ring.parse(c)) for m, c in enumerate(cell) if c != "0")
+            return tuple((m, c) for m, c in parsed if c)
+
+        self.products = tuple(tuple(map(nonzero, row)) for row in structure)
         self.unit = tuple(ring.parse(c) for c in unit)
         self.idempotents = tuple(tuple(ring.parse(c) for c in e) for e in idempotents)
         if idempotent_names is None:
@@ -56,8 +61,9 @@ class AlgebraPresentation:
         self._corner_cache: Dict[Tuple[int, int], Subspace] = {}
         self._corner_mult_cache: Dict[Tuple[int, int, int], Tuple] = {}
         self._right_ideal_cache: Dict[int, Subspace] = {}
-        # projective_module by summand tuple and radical by "radical"; concurrent
-        # first calls may both build, and setdefault keeps one result for all
+        # projective_module by summand tuple, projective_radical by ("rad", *tuple),
+        # radical by "radical" and almost.standard_modules by "samples";
+        # concurrent first calls may both build, and setdefault keeps one result
         self._built: Dict[object, object] = {}
         self._validate()
 
@@ -227,9 +233,10 @@ class FdModule:
     ``module_along_map`` act by right multiplication in a checked algebra,
     on right ideals e_i R or along a checked ``RingMap``; ``module_tensor``
     divides M (x)_k B, a module through B's right action, by relations that
-    action keeps, since B is a checked bimodule.  ``projective_module`` and
-    ``radical`` are cached on the algebra, so an algebra and the modules they
-    return are immutable.
+    action keeps, since B is a checked bimodule.  ``projective_module``, its
+    radical layer ``projective_radical``, ``radical`` and the sample modules
+    of ``almost.standard_modules`` are cached on the algebra, so an algebra
+    and the modules they return are immutable.
     """
 
     def __init__(self, algebra: AlgebraPresentation, dim: int, action: Sequence[Mat], name: str = "M"):
@@ -755,3 +762,13 @@ def projective_module(alg: AlgebraPresentation, summands: Sequence[int]) -> FdMo
     # right multiplication on right ideals of the checked algebra, like regular_module
     mod = FdModule._inherited(alg, dim, action, name=f"P({list(key)})")
     return alg._built.setdefault(key, mod)
+
+
+def projective_radical(alg: AlgebraPresentation, summands: Sequence[int]) -> Subspace:
+    """The radical layer P . rad(R) of P = ``projective_module(alg, summands)``,
+    cached on the algebra with P, under ("rad", *summands)."""
+    key = ("rad", *summands)
+    if key not in alg._built:
+        P = projective_module(alg, summands)
+        alg._built.setdefault(key, P.times_ideal(radical(alg).space))
+    return alg._built[key]

@@ -4,12 +4,18 @@ An idempotent two-sided ideal of a finite-dimensional algebra cuts the
 module category into the modules it kills and a quotient category.  This
 module makes the pieces auditable:
 
+* ``standard_modules`` is the algebra's sample catalogue: its named fixture
+  modules, built once and cached on the algebra, with a memo of dim Hom
+  between any two of them.
 * ``serre_adjoint_report`` checks the adjunction dimension identities that
   characterise the killed modules as a Serre subcategory when the ideal is
   idempotent, and produces an explicit two-step extension witnessing the
-  failure of closure when it is not.
+  failure of closure when it is not.  It reads dim Hom(M, N) and
+  dim Hom(N, M) from the memo; when M.a = 0, M/Ma and ann_M(a) are M
+  itself, so no module is built for them and their dims are memoised too.
 * ``almost_quotient`` realises the quotient category as modules over a
-  corner algebra and verifies the corner functor is exact on fixtures.
+  corner algebra and verifies the corner functor is exact on the same
+  samples.
 * ``almost_derived_ideal`` builds the mapping cone of the multiplication
   map (ideal tensor ideal -> algebra) as a complex of projectives and
   computes the maps a finite subcategory cannot see through its shifts.
@@ -49,25 +55,41 @@ class AlmostError(ValueError):
 # -- sample modules ------------------------------------------------------------
 
 
-def standard_modules(alg: AlgebraPresentation) -> Dict[str, FdModule]:
-    """Named fixture modules: regular, projectives, simple quotients, zero."""
-    out: Dict[str, FdModule] = {"R": regular_module(alg)}
-    out["0"] = FdModule(alg, 0, [Mat.zeros(alg.ring, 0, 0)] * alg.dim, name="0")
-    projs = []
-    for i in range(alg.n_idempotents()):
-        P = projective_module(alg, [i])
-        out[f"P({alg.idempotent_names[i]})"] = P
-        projs.append((i, P))
-    try:
-        rad = radical(alg)
-    except AlgebraError:
-        return out
-    for i, P in projs:
-        S, _ = quotient_module(P, P.times_ideal(rad.space))
-        nm = f"S({alg.idempotent_names[i]})"
-        S.name = nm
-        out[nm] = S
-    return out
+class SampleModules(dict):
+    """Named fixture modules of one algebra: regular, projectives, simple
+    quotients (when the radical is defined), zero; and a memo of
+    dim Hom(M, N) between any two of them, filled as reports ask."""
+
+    def __init__(self, alg: AlgebraPresentation):
+        super().__init__(R=regular_module(alg))
+        self["0"] = FdModule(alg, 0, [Mat.zeros(alg.ring, 0, 0)] * alg.dim, name="0")
+        projs = [(i, projective_module(alg, [i])) for i in range(alg.n_idempotents())]
+        self.update((f"P({alg.idempotent_names[i]})", P) for i, P in projs)
+        self._homs: Dict[Tuple[str, str], int] = {}
+        try:
+            rad = radical(alg)
+        except AlgebraError:
+            return
+        for i, P in projs:
+            S, _ = quotient_module(P, P.times_ideal(rad.space))
+            S.name = f"S({alg.idempotent_names[i]})"
+            self[S.name] = S
+
+    def hom_dim(self, m: str, n: str) -> int:
+        """dim Hom(M, N) for the samples named m and n, computed once."""
+        if (m, n) not in self._homs:
+            self._homs.setdefault((m, n), hom_dim(self[m], self[n]))
+        return self._homs[(m, n)]
+
+
+def standard_modules(alg: AlgebraPresentation) -> SampleModules:
+    """The algebra's sample catalogue, built on the first call and then
+    cached on the algebra like ``radical``: an error while building it
+    propagates and caches nothing, and the catalogue and its modules are
+    never changed, so every report on the algebra shares its memo."""
+    if "samples" not in alg._built:
+        alg._built.setdefault("samples", SampleModules(alg))
+    return alg._built["samples"]
 
 
 def in_perp(M: FdModule, ideal: TwoSidedIdeal) -> bool:
@@ -137,14 +159,21 @@ def serre_adjoint_report(alg: AlgebraPresentation,
         return SerreAdjointReport(False, verdict, [], witness)
 
     samples = standard_modules(alg)
-    perp = {nm: N for nm, N in samples.items() if in_perp(N, ideal)}
+    images = {nm: M.times_ideal(ideal.space) for nm, M in samples.items()}
+    perp = [nm for nm, Ma in images.items() if Ma.dim == 0]
     checks: List[AdjunctionCheck] = []
     for mname, M in samples.items():
-        Mco, _ = quotient_module(M, M.times_ideal(ideal.space))
-        Mre, _ = submodule(M, M.annihilated_by(ideal.space))
-        for nname, N in perp.items():
-            co = (hom_dim(Mco, N), hom_dim(M, N))
-            re = (hom_dim(N, Mre), hom_dim(N, M))
+        # M.a = 0 exactly when ann_M(a) = M: then M/Ma and ann_M(a) are M
+        # itself, with M's action matrices, and their dims are memoised
+        Mco = Mre = None
+        if images[mname].dim:
+            Mco, _ = quotient_module(M, images[mname])
+            Mre, _ = submodule(M, M.annihilated_by(ideal.space))
+        for nname in perp:
+            N = samples[nname]
+            to_n, from_n = samples.hom_dim(mname, nname), samples.hom_dim(nname, mname)
+            co = (to_n if Mco is None else hom_dim(Mco, N), to_n)
+            re = (from_n if Mre is None else hom_dim(N, Mre), from_n)
             checks.append(AdjunctionCheck(mname, nname, co, re,
                                           co[0] == co[1] and re[0] == re[1]))
     verdict = "certified" if all(c.ok for c in checks) else "inconclusive"
@@ -231,10 +260,10 @@ def almost_quotient(alg: AlgebraPresentation, e: Sequence) -> AlmostQuotientRepo
     checks: List[ExactnessCheck] = []
     for nm, M in samples.items():
         rho = M.action_of(e)
+        me = functor.image_space(M)
         for tag, space in (("ideal-image", M.times_ideal(ideal.space)),
                            ("ideal-kernel", M.annihilated_by(ideal.space))):
             Quo, _ = quotient_module(M, space)
-            me = functor.image_space(M)
             sub_e = Subspace.from_spanning(
                 ring, M.dim, [rho.row_apply(list(r)) for r in space.rows])
             inter = me.intersect(space)

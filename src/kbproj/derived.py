@@ -29,6 +29,7 @@ from .algebra import (
     module_along_map,
     module_tensor,
     projective_module,
+    projective_radical,
     radical,
     submodule,
 )
@@ -67,8 +68,9 @@ def projective_cover(M: FdModule, radsp: Subspace):
     """Minimal cover P -> M.  Returns (summand indices, P module, cover Mat,
     kernel of the cover as a subspace of P).
 
-    The cover matrix is in row convention (P.dim x M.dim).  Surjectivity and
-    minimality (kernel inside P.rad) are verified, not assumed.
+    The cover matrix is in row convention (P.dim x M.dim).  Surjectivity (the
+    rank, read off the one kernel) and minimality (kernel inside P.rad, cached
+    with P) are verified, not assumed.
     """
     alg = M.algebra
     gens = minimal_generators(M, radsp)
@@ -79,10 +81,10 @@ def projective_cover(M: FdModule, radsp: Subspace):
         for x in alg.right_ideal_space(j).rows:
             rows.append(M.act(g, list(x)))
     cover = Mat.from_rows(alg.ring, rows, M.dim)
-    if rank(cover) != M.dim:
-        raise DerivedError("cover is not surjective")
     ker = left_kernel(cover)
-    if not ker.is_subspace_of(P.times_ideal(radsp)):
+    if cover.nrows - ker.dim != M.dim:
+        raise DerivedError("cover is not surjective")
+    if not ker.is_subspace_of(projective_radical(alg, idxs)):
         raise DerivedError("cover is not minimal: kernel escapes the radical")
     return idxs, P, cover, ker
 

@@ -1421,3 +1421,127 @@ def tor_by_coequalizers(M, B, i_max):
     if dims.get(i_max + 1) == 0:
         del dims[i_max + 1]
     return TorReport(dims=dims, complete=res.complete, checked_up_to=max(dims))
+
+
+# -- almost reports without the sample catalogue ----------------------------------
+
+
+def standard_modules_fresh(alg):
+    """The named sample modules as ``almost.standard_modules`` built them before
+    the catalogue: a new dict of new modules on every call, with no memo."""
+    from kbproj.algebra import (AlgebraError, FdModule, projective_module,
+                                quotient_module, radical, regular_module)
+    from kbproj.linalg import Mat
+
+    out = {"R": regular_module(alg)}
+    out["0"] = FdModule(alg, 0, [Mat.zeros(alg.ring, 0, 0)] * alg.dim, name="0")
+    projs = []
+    for i in range(alg.n_idempotents()):
+        P = projective_module(alg, [i])
+        out[f"P({alg.idempotent_names[i]})"] = P
+        projs.append((i, P))
+    try:
+        rad = radical(alg)
+    except AlgebraError:
+        return out
+    for i, P in projs:
+        S, _ = quotient_module(P, P.times_ideal(rad.space))
+        nm = f"S({alg.idempotent_names[i]})"
+        S.name = nm
+        out[nm] = S
+    return out
+
+
+def serre_adjoint_report_fresh(alg, ideal):
+    """``almost.serre_adjoint_report`` before the catalogue: every sample is
+    built again, M/Ma and ann_M(a) are built for every M, even where they are
+    M itself, and each of the four Hom dimensions per pair is computed."""
+    from kbproj.algebra import hom_dim, quotient_module, regular_module, submodule
+    from kbproj.almost import (AdjunctionCheck, SerreAdjointReport,
+                               SerreFailureWitness, in_perp)
+    from kbproj.linalg import Subspace
+
+    if not ideal.is_idempotent():
+        square = ideal.square()
+        W, proj = quotient_module(regular_module(alg), square.space)
+        imgs = [proj.row_apply(list(r)) for r in ideal.space.rows]
+        sub_space = Subspace.from_spanning(alg.ring, W.dim, imgs)
+        Sub, _ = submodule(W, sub_space)
+        Quo, _ = quotient_module(W, sub_space)
+        witness = SerreFailureWitness(
+            extension_dim=W.dim, sub_dim=Sub.dim, quotient_dim=Quo.dim,
+            sub_killed=in_perp(Sub, ideal), quotient_killed=in_perp(Quo, ideal),
+            extension_killed=in_perp(W, ideal))
+        verdict = "refuted" if witness.exhibits_failure else "inconclusive"
+        return SerreAdjointReport(False, verdict, [], witness)
+
+    samples = standard_modules_fresh(alg)
+    perp = {nm: N for nm, N in samples.items() if in_perp(N, ideal)}
+    checks = []
+    for mname, M in samples.items():
+        Mco, _ = quotient_module(M, M.times_ideal(ideal.space))
+        Mre, _ = submodule(M, M.annihilated_by(ideal.space))
+        for nname, N in perp.items():
+            co = (hom_dim(Mco, N), hom_dim(M, N))
+            re = (hom_dim(N, Mre), hom_dim(N, M))
+            checks.append(AdjunctionCheck(mname, nname, co, re,
+                                          co[0] == co[1] and re[0] == re[1]))
+    verdict = "certified" if all(c.ok for c in checks) else "inconclusive"
+    return SerreAdjointReport(True, verdict, checks, None)
+
+
+def almost_quotient_fresh(alg, e):
+    """``almost.almost_quotient`` before the catalogue: new samples on every
+    call, and M's corner image space computed again for each of its two tags."""
+    from kbproj.algebra import (AlgebraPresentation, ideal_generated_by_idempotent,
+                                quotient_module)
+    from kbproj.almost import (AlmostError, AlmostQuotientReport, CornerFunctor,
+                               ExactnessCheck)
+    from kbproj.linalg import Subspace
+
+    ring = alg.ring
+    e = tuple(ring.parse(c) for c in e)
+    if alg.mult(e, e) != e:
+        raise AlmostError("corner element is not idempotent")
+    vecs = [alg.mult(alg.mult(e, alg.basis_vec(i)), e) for i in range(alg.dim)]
+    sp = Subspace.from_spanning(ring, alg.dim, vecs)
+    basis = tuple(tuple(r) for r in sp.rows)
+    names = [f"c{u}" for u in range(len(basis))]
+    structure = [[list(sp.coords_of(alg.mult(x, y))) for y in basis] for x in basis]
+    idems = []
+    idem_names = []
+    for k in range(alg.n_idempotents()):
+        c = alg.mult(alg.mult(e, alg.idempotent_vec(k)), e)
+        if not any(c):
+            continue
+        if alg.mult(c, c) != c:
+            raise AlmostError("corner does not inherit the idempotent system; "
+                              "supply a presentation")
+        idems.append(list(sp.coords_of(c)))
+        idem_names.append(alg.idempotent_names[k])
+    corner = AlgebraPresentation(ring, names, structure, list(sp.coords_of(e)),
+                                 idems, idempotent_names=idem_names,
+                                 name=f"corner({alg.name})")
+    functor = CornerFunctor(alg, e, corner, basis)
+
+    samples = standard_modules_fresh(alg)
+    dims = {nm: functor.apply(M).dim for nm, M in samples.items()}
+
+    ideal = ideal_generated_by_idempotent(alg, e)
+    checks = []
+    for nm, M in samples.items():
+        rho = M.action_of(e)
+        for tag, space in (("ideal-image", M.times_ideal(ideal.space)),
+                           ("ideal-kernel", M.annihilated_by(ideal.space))):
+            Quo, _ = quotient_module(M, space)
+            me = functor.image_space(M)
+            sub_e = Subspace.from_spanning(
+                ring, M.dim, [rho.row_apply(list(r)) for r in space.rows])
+            inter = me.intersect(space)
+            quo_e_dim = functor.apply(Quo).dim
+            checks.append(ExactnessCheck(
+                f"{nm}/{tag}",
+                sub_matches_kernel=(sub_e == inter),
+                dims_additive=(me.dim - inter.dim == quo_e_dim)))
+    verdict = "certified" if all(c.ok for c in checks) else "inconclusive"
+    return AlmostQuotientReport(corner, functor, dims, checks, verdict)

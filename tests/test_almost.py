@@ -67,13 +67,19 @@ def test_standard_modules_without_a_radical_omit_the_simples():
     assert sorted(mods) == ["0", "P(e11)", "P(e22)", "R"]
 
 
-def test_standard_modules_propagate_an_internal_radical_error(A, monkeypatch):
+def test_standard_modules_propagate_an_internal_radical_error(monkeypatch):
+    # a fresh algebra: the module-scoped one may already hold its catalogue
+    B = upper_triangular_2()
+
     def broken(alg):
         raise LinalgError("internal error: nonzero solve residual")
 
-    monkeypatch.setattr(kbproj.almost, "radical", broken)
-    with pytest.raises(LinalgError, match="nonzero solve residual"):
-        standard_modules(A)
+    with monkeypatch.context() as m:
+        m.setattr(kbproj.almost, "radical", broken)
+        with pytest.raises(LinalgError, match="nonzero solve residual"):
+            standard_modules(B)
+    # nothing was cached: the next call builds the whole catalogue
+    assert sorted(standard_modules(B)) == ["0", "P(e11)", "P(e22)", "R", "S(e11)", "S(e22)"]
 
 
 def test_perp_membership(A):
