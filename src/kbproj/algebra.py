@@ -583,13 +583,13 @@ def ideal_from_spanning(alg: AlgebraPresentation, vectors: Sequence[Sequence], n
     vecs = [tuple(ring.parse(c) for c in v) for v in vectors]
     space = Subspace.from_spanning(ring, alg.dim, vecs)
     while True:
-        new_vecs = list(space.rows)
+        new_vecs = []
         for row in space.rows:
             for t in range(alg.dim):
                 b = alg.basis_vec(t)
                 new_vecs.append(alg.mult(b, row))
                 new_vecs.append(alg.mult(row, b))
-        bigger = Subspace.from_spanning(ring, alg.dim, new_vecs)
+        bigger = space.span_with(new_vecs)
         if bigger == space:
             break
         space = bigger

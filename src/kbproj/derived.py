@@ -48,7 +48,6 @@ def minimal_generators(M: FdModule, radsp: Subspace) -> List[Tuple[int, List]]:
     a basis of the top and each lies in the corresponding weight space.
     """
     alg = M.algebra
-    ring = alg.ring
     mrad = M.times_ideal(radsp)
     chosen: List[Tuple[int, List]] = []
     spanned = mrad
@@ -57,7 +56,7 @@ def minimal_generators(M: FdModule, radsp: Subspace) -> List[Tuple[int, List]]:
             if spanned.contains(v):
                 continue
             chosen.append((j, v))
-            spanned = spanned.sum_with(Subspace.from_spanning(ring, M.dim, [v]))
+            spanned = spanned.span_with([v])
     top_dim = M.dim - mrad.dim
     if len(chosen) != top_dim:
         raise DerivedError("generator count does not match the top dimension")

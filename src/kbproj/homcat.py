@@ -746,7 +746,7 @@ class HomSpace:
         return cycles
 
     @cached_property
-    def reps(self) -> List[List]:
+    def reps(self) -> List[Tuple]:
         return self.boundaries.quotient_reps(within=self.cycles)
 
     @cached_property

@@ -157,7 +157,7 @@ def ideal_closure(subcat: FiniteSubcat,
         old = spans[key] if key in spans else Subspace.zero(ring, subcat.hom(*key).dim)
         new = [v for v in vecs if not old.contains(v)]
         if new:
-            spans[key] = Subspace.from_spanning(ring, old.ambient, list(old.rows) + new)
+            spans[key] = old.span_with(new)
             todo.extend(_composites(subcat, *key, new))
     # every class added is composed with every basis class on either side
     return HomIdeal._constructed(subcat, spans)

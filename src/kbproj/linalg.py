@@ -16,11 +16,13 @@ Conventions
   solves ``x @ A = b``; each returns one solution, or None when there is
   none.  ``left_kernel(A)`` is the subspace {v : v @ A = 0}: the one way to
   ask for a kernel.
-* Every elimination is ``_reduce``, Gauss-Jordan on sparse rows.  ``solve``,
-  ``rank`` and ``left_kernel`` read those rows straight from the matrix's
-  entry dict; ``rref_rows`` takes and gives dense rows, for ``Subspace``.
-* ``Subspace`` bases are stored in reduced row echelon form, so two equal
-  subspaces have identical bases.
+* There is one sparse row form, {column: nonzero entry}, and every
+  elimination is ``_reduce``, Gauss-Jordan on such rows.  ``solve``, ``rank``
+  and ``left_kernel`` read them from the matrix's entry dict, ``rref_rows``
+  from dense spanning vectors.
+* A ``Subspace`` stores only its reduced echelon basis {pivot: sparse row},
+  so equal subspaces store equal bases, and grows through ``span_with``;
+  its ``rows`` are a dense view of the basis, built on first read.
 * Quotients V/S are taken in one basis: ``S.completion()``, the unit vectors
   at S's non-pivot coordinates.  ``S.quotient_coords(v)`` gives the
   coordinates of v + S in it (reduce v, keep the non-pivot entries); every
@@ -172,13 +174,11 @@ class PrimeField:
             return s % self.p
         if isinstance(s, str):
             try:
-                return int(s) % self.p
-            except ValueError:
                 # allow "a/b" with invertible b
-                if "/" in s:
-                    num, den = s.split("/", 1)
-                    return self.div(int(num) % self.p, int(den) % self.p)
-                raise LinalgError(f"cannot parse GF({self.p}) scalar {s!r}")
+                num, slash, den = s.partition("/")
+                return self.div(int(num), int(den)) if slash else int(s) % self.p
+            except (ValueError, ZeroDivisionError) as exc:
+                raise LinalgError(f"cannot parse GF({self.p}) scalar {s!r}") from exc
         raise LinalgError(f"cannot parse GF({self.p}) scalar {s!r}")
 
     def fmt(self, a) -> str:
@@ -522,18 +522,19 @@ def _reduce(ring, rows: Iterable[Dict[int, object]], stop: Optional[int] = None)
     return basis
 
 
-def rref_rows(ring, rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
-
-    Dense rows in and out, for the ``Subspace`` bases; the elimination is
-    ``_reduce`` on the rows' nonzero entries."""
-    if not rows:    # most calls in a fixture pass: an empty span
+def rref_rows(ring, rows: Iterable[Sequence],
+              start: Iterable[Dict[int, object]] = ()) -> Dict[int, Dict[int, object]]:
+    """The reduced echelon basis {pivot: sparse row}, in pivot order, of the
+    span of the sparse rows ``start`` and the dense ``rows``: the one step from
+    spanning vectors to a ``Subspace`` basis.  ``start`` goes to ``_reduce``
+    first; reduced rows, as a basis's are, cost it no elimination steps."""
+    sparse = [dict(row) for row in start]
+    sparse += [{j: x for j, x in enumerate(r) if x} for r in rows]
+    if not sparse:    # most calls on a cold fixture pass: an empty span
         _require_field(ring)
-        return [], []
-    basis = _reduce(ring, [{j: x for j, x in enumerate(r) if x} for r in rows])
-    pivots = sorted(basis)
-    zero, ncols = ring.zero, len(rows[0])
-    return [[basis[p].get(j, zero) for j in range(ncols)] for p in pivots], pivots
+        return {}
+    basis = _reduce(ring, sparse)
+    return basis if len(basis) < 2 else {p: basis[p] for p in sorted(basis)}
 
 
 def rank(A: Mat) -> int:
@@ -546,74 +547,83 @@ def rank(A: Mat) -> int:
 
 
 class Subspace:
-    """A subspace of ring^ambient with canonical RREF basis rows."""
+    """A subspace of ring^ambient, stored as its reduced echelon basis {pivot: sparse row}."""
 
-    __slots__ = ("ring", "ambient", "rows", "pivots")
+    __slots__ = ("ring", "ambient", "_basis", "_rows")
 
-    def __init__(self, ring, ambient: int, rows: Sequence[Sequence], pivots: Sequence[int]):
+    def __init__(self, ring, ambient: int, basis: Dict[int, Dict[int, object]]):
         self.ring = ring
         self.ambient = ambient
-        self.rows = tuple(tuple(r) for r in rows)
-        self.pivots = tuple(pivots)
+        self._basis = basis
+        self._rows = None
 
     @classmethod
     def from_spanning(cls, ring, ambient: int, vectors: Sequence[Sequence]) -> "Subspace":
-        _require_field(ring)
-        for v in vectors:
-            if len(v) != ambient:
-                raise LinalgError("spanning vector has wrong length")
-        rows, pivots = rref_rows(ring, vectors)
-        return cls(ring, ambient, rows, pivots)
+        return cls.zero(ring, ambient).span_with(vectors)
 
     @classmethod
     def zero(cls, ring, ambient: int) -> "Subspace":
-        return cls(ring, ambient, [], [])
+        return cls(ring, ambient, {})
 
     @classmethod
     def full(cls, ring, ambient: int) -> "Subspace":
-        return cls(ring, ambient, Mat.identity(ring, ambient).rows(), range(ambient))
+        return cls(ring, ambient, {j: {j: ring.one} for j in range(ambient)})
+
+    @property
+    def rows(self) -> Tuple[Tuple, ...]:
+        # two threads that race here build equal tuples; either may be kept
+        if self._rows is None:
+            zero, n = self.ring.zero, self.ambient
+            rows = []
+            for row in self._basis.values():
+                r = [zero] * n
+                for j, x in row.items():
+                    r[j] = x
+                rows.append(tuple(r))
+            self._rows = tuple(rows)
+        return self._rows
+
+    @property
+    def pivots(self) -> Tuple[int, ...]:
+        return tuple(self._basis)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._basis)
+
+    def span_with(self, vectors: Sequence[Sequence]) -> "Subspace":
+        """The span of self and the dense ``vectors``."""
+        for v in vectors:
+            if len(v) != self.ambient:
+                raise LinalgError("spanning vector has wrong length")
+        return Subspace(self.ring, self.ambient,
+                        rref_rows(self.ring, vectors, self._basis.values()))
 
     def reduce(self, vec: Sequence) -> List:
         """Eliminate pivot coordinates of vec; residual is the canonical coset rep."""
-        ring = self.ring
         v = list(vec)
         if len(v) != self.ambient:
             raise LinalgError("vector length mismatch")
-        for row, p in zip(self.rows, self.pivots):
+        sub, mul = self.ring.sub, self.ring.mul
+        # a basis row is zero at the other pivots, so they clear in any order
+        for p, row in self._basis.items():
             c = v[p]
             if c:
-                v = [ring.sub(x, ring.mul(c, y)) for x, y in zip(v, row)]
+                for j, y in row.items():
+                    v[j] = sub(v[j], mul(c, y))
         return v
 
     def contains(self, vec: Sequence) -> bool:
         return not any(self.reduce(vec))
 
     def coords_of(self, vec: Sequence) -> List:
-        """Coefficients of vec in the canonical basis; vec must be a member."""
-        ring = self.ring
-        v = list(vec)
-        coords = []
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            coords.append(c)
-            if c:
-                v = [ring.sub(x, ring.mul(c, y)) for x, y in zip(v, row)]
-        if any(v):
+        """Coefficients of vec in the canonical basis: its pivot entries."""
+        if any(self.reduce(vec)):
             raise LinalgError("vector is not in the subspace")
-        return coords
-
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        self._check_compat(other)
-        return Subspace.from_spanning(self.ring, self.ambient, list(self.rows) + list(other.rows))
+        return [vec[p] for p in self._basis]
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compat(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ring, self.ambient)
         # c = (a | b) with a*V + b*W = 0; intersection is spanned by a*V.
         ker = left_kernel(Mat.from_rows(self.ring, self.rows + other.rows, self.ambient))
         V = Mat.from_rows(self.ring, self.rows, self.ambient)
@@ -622,15 +632,8 @@ class Subspace:
 
     def completion(self) -> List[List]:
         """Unit vectors at non-pivot coordinates: coset reps completing the basis."""
-        ring = self.ring
-        out = []
-        pivset = set(self.pivots)
-        for j in range(self.ambient):
-            if j not in pivset:
-                v = [ring.zero] * self.ambient
-                v[j] = ring.one
-                out.append(v)
-        return out
+        zero, one, n = self.ring.zero, self.ring.one, self.ambient
+        return [[zero] * j + [one] + [zero] * (n - 1 - j) for j in range(n) if j not in self._basis]
 
     def quotient_coords(self, vec: Sequence) -> List:
         """Coordinates of vec + self in the basis ``completion()`` of ambient/self.
@@ -639,15 +642,14 @@ class Subspace:
         the coefficients c with vec - sum c[k] completion()[k] in self.
         """
         v = self.reduce(vec)
-        for p in reversed(self.pivots):
+        for p in reversed(self._basis):
             del v[p]
         return v
 
-    def quotient_reps(self, within: "Subspace") -> List[List]:
+    def quotient_reps(self, within: "Subspace") -> List[Tuple]:
         """Coset representatives of within/self, for self inside within."""
         vecs = [self.reduce(r) for r in within.rows]
-        rows, _ = rref_rows(self.ring, vecs)
-        return rows
+        return list(Subspace.from_spanning(self.ring, self.ambient, vecs).rows)
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         self._check_compat(other)
@@ -663,11 +665,11 @@ class Subspace:
         return (
             self.ring == other.ring
             and self.ambient == other.ambient
-            and self.rows == other.rows
+            and self._basis == other._basis
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.rows))
+        return hash((self.ambient, self.pivots))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -715,10 +717,9 @@ def left_kernel(A: Mat) -> Subspace:
     for (i, j), v in A._items.items():
         cols[j][last - i] = v
     basis = _reduce(ring, cols)
-    free = [f for f in range(n) if last - f not in basis]
-    vecs = {f: [ring.zero] * f + [ring.one] + [ring.zero] * (last - f) for f in free}
+    rows = {f: {f: ring.one} for f in range(n) if last - f not in basis}
     for q, row in basis.items():
         for k, x in row.items():
             if k != q:
-                vecs[last - k][last - q] = ring.neg(x)
-    return Subspace(ring, n, list(vecs.values()), free)
+                rows[last - k][last - q] = ring.neg(x)
+    return Subspace(ring, n, rows)

@@ -991,8 +991,8 @@ def quotient_matrix(ring, S):
 
 
 def _dense_kernel(ring, red, pivots, n):
-    """{v in ring^n : the reduced system (red, pivots) kills v}, its basis
-    reduced again by ``dense_rref_rows``."""
+    """{v in ring^n : the reduced system (red, pivots) kills v}, the span of
+    one kernel vector per free column."""
     from kbproj.linalg import Subspace
 
     pivset = set(pivots)
@@ -1004,8 +1004,7 @@ def _dense_kernel(ring, red, pivots, n):
             for row, p in zip(red, pivots):
                 v[p] = ring.neg(row[f])
             vecs.append(v)
-    rows, piv = dense_rref_rows(ring, vecs)
-    return Subspace(ring, n, rows, piv)
+    return Subspace.from_spanning(ring, n, vecs)
 
 
 def solve_and_kernel(A, b):

@@ -1,14 +1,16 @@
 """Source hygiene: no module of the package imports a name it never uses, only
 ``homcat`` builds summand matrices without the corner check or reads their
 stored entries (elsewhere, in tests and ``bench/`` too, they are read through
-``AlgMat.nonzero_entries``), only the nine
+``AlgMat.nonzero_entries``), only ``linalg`` calls the ``Subspace``
+constructor or reads its sparse basis, only the nine
 constructors that derive a module from a checked one skip its axiom checks,
 only the four constructors of an ideal that is closed by construction skip
 the closure check, and of an algebra's two-sided ideals only ``radical``'s
 trace-form kernel does, ``tor_with_bimodule`` and the ``derived`` helpers it
 reaches build no coequalizer (and ``tensor_functor_map`` stays deleted),
 ``linalg._reduce`` is the one elimination loop (``solve``,
-``rank`` and ``left_kernel`` reach it without dense rows), and only the two
+``rank`` and ``left_kernel`` reach it without dense rows, and every
+``Subspace`` span through ``from_spanning`` or ``span_with``), and only the two
 probes that kill composites reach
 ``kernel_ideal``, ``annihilator_ideal`` builds no image as a graded map (it
 calls neither ``apply_map`` nor ``class_matrix``), ``almost`` builds no Hom
@@ -95,24 +97,32 @@ def test_no_unused_imports(module):
     assert not unused, "imported but never used: " + ", ".join(unused)
 
 
-def _readers_of_summand_storage():
-    """Lines outside ``homcat`` that read an ``AlgMat``'s stored entries
-    (``_nz``) or the dense grid it replaced (``entries``)."""
-    files = [os.path.join(SRC, m) for m in MODULES if m != "homcat.py"]
+def _trees_outside(module):
+    """(file name, tree) for the package modules other than ``module``, the
+    tests and ``bench/``."""
+    files = [os.path.join(SRC, m) for m in MODULES if m != module]
     for d in (os.path.dirname(__file__), BENCH):
         files += [os.path.join(d, f) for f in sorted(os.listdir(d)) if f.endswith(".py")]
     for path in files:
         with open(path) as fh:
-            tree = ast.parse(fh.read(), filename=path)
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Attribute) and n.attr in ("_nz", "entries"):
-                yield f"{os.path.basename(path)}:{n.lineno}"
+            yield os.path.basename(path), ast.parse(fh.read(), filename=path)
 
 
 def test_only_homcat_reads_summand_matrix_storage():
-    # other code reads a summand matrix through AlgMat.nonzero_entries()
-    uses = list(_readers_of_summand_storage())
+    # other code reads a summand matrix through AlgMat.nonzero_entries(), and
+    # none reads the dense grid it replaced (entries)
+    uses = [f"{name}:{n.lineno}" for name, tree in _trees_outside("homcat.py")
+            for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr in ("_nz", "entries")]
     assert not uses, "AlgMat storage read outside homcat: " + ", ".join(uses)
+
+
+def test_only_linalg_reads_subspace_storage():
+    # other code builds a subspace with from_spanning, span_with, zero, full or
+    # left_kernel and reads it through rows, pivots and the methods
+    uses = [f"{name}:{n.lineno}" for name, tree in _trees_outside("linalg.py") for n in ast.walk(tree)
+            if (isinstance(n, ast.Attribute) and n.attr == "_basis")
+            or (isinstance(n, ast.Call) and _mentions(n.func, "Subspace"))]
+    assert not uses, "Subspace storage or constructor used outside linalg: " + ", ".join(uses)
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "homcat.py"])
@@ -467,7 +477,7 @@ def _divides_in_a_loop(fn):
 
 
 def test_reduce_is_the_one_elimination_loop():
-    # every solve, kernel, rank and row echelon form eliminates through
+    # every solve, kernel, rank, row echelon form and span eliminates through
     # linalg._reduce; solve, rank and left_kernel read the matrix's entry dict,
     # not dense rows; solve_left calls solve by its module name, which the
     # bench tracer wraps
@@ -477,6 +487,9 @@ def test_reduce_is_the_one_elimination_loop():
     fns = {n.name: n for n in _parse("linalg.py").body if isinstance(n, ast.FunctionDef)}
     for name in ("rref_rows", "rank", "solve", "left_kernel"):
         assert _calls_named(fns[name], "_reduce"), f"{name} no longer calls _reduce"
+    for name in ("from_spanning", "span_with"):
+        reached = {fn.name for fn in _reached_from("linalg.py", name)}
+        assert "_reduce" in reached, f"Subspace.{name} no longer reaches _reduce"
     dense = [f"{name}:{n.lineno}" for name in ("solve", "rank", "left_kernel")
              for n in _calls_named(fns[name], "rows") + _calls_named(fns[name], "rref_rows")]
     assert not dense, "dense rows read by: " + ", ".join(dense)
@@ -570,10 +583,11 @@ _KEPT = {
 # Method names that two or more classes define.  The dead-helper test counts
 # a call of any of them as a reference to every namesake, so each namesake
 # here has been checked for a caller of its own: GradedMap.scale had none and
-# is kept above, Mat.scale and HomIdeal.is_zero had none and are gone.
+# is kept above, Mat.scale and HomIdeal.is_zero had none and are gone; the
+# property Subspace.rows and the method Mat.rows() each have their own.
 _SHARED_METHOD_NAMES = {
     "_check_shapes", "_inherited", "_validate", "add", "apply", "diff_at", "dim", "div",
-    "fmt", "from_int", "identity", "inv", "is_zero", "mul", "neg", "parse", "scale",
+    "fmt", "from_int", "identity", "inv", "is_zero", "mul", "neg", "parse", "rows", "scale",
     "shift", "sub", "zeros",
 }
 

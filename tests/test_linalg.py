@@ -94,7 +94,7 @@ def test_subspace_dims_sum_intersect_f5():
         wvecs = [[rng.randrange(5) for _ in range(6)] for _ in range(rng.randrange(1, 4))]
         V = Subspace.from_spanning(F, 6, vvecs)
         W = Subspace.from_spanning(F, 6, wvecs)
-        S = V.sum_with(W)
+        S = V.span_with(W.rows)
         I = V.intersect(W)
         assert S.dim + I.dim == V.dim + W.dim
 
@@ -175,6 +175,30 @@ def test_member_and_coords():
     assert rebuilt == v
     with pytest.raises(LinalgError):
         V.coords_of([q(0), q(1), q(0)])
+    # a vector of the wrong length is refused, as reduce refuses it
+    E = Subspace.from_spanning(QQ, 3, [[1, 0, 0]])
+    assert E.coords_of([5, 0, 0]) == [5]
+    for bad in ([5], [5, 0, 0, 0], [5, 1, 0]):
+        with pytest.raises(LinalgError):
+            E.coords_of(bad)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(5)], ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(0, 5), k=st.integers(0, 4), m=st.integers(0, 3))
+def test_span_with_is_the_span_of_both(ring, data, n, k, m):
+    # growing a span equals spanning its rows and the new vectors at once,
+    # from the zero and the full subspace too
+    S = data.draw(st.sampled_from([
+        Subspace.from_spanning(ring, n, data.draw(_plain_matrix(ring, k, n))),
+        Subspace.zero(ring, n), Subspace.full(ring, n)]))
+    for vs in (data.draw(_plain_matrix(ring, m, n)), []):
+        grown = S.span_with(vs)
+        want = Subspace.from_spanning(ring, n, [*S.rows, *vs])
+        assert grown == want
+        assert grown.rows == want.rows and grown.pivots == want.pivots
+        assert S.is_subspace_of(grown)
+    assert S.span_with([]) == S
 
 
 def test_solve_left():
@@ -320,6 +344,16 @@ def test_rationals_parse_rejects_what_the_oracle_rejects(bad):
     for ring in (QQ, ORACLE_QQ):
         with pytest.raises(LinalgError):
             ring.parse(bad)
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_prime_field_parse_raises_linalg_error_on_malformed_scalars(p):
+    F = GF(p)
+    for bad in (f"1/{p}", f"2/{2 * p}", "x/2", "1/x", "1/2/3", "1/", "/2", "x", "", True, 1.5, None):
+        with pytest.raises(LinalgError):
+            F.parse(bad)
+    assert F.parse("-1") == p - 1 and F.parse(f"{p + 1}") == 1
+    assert F.mul(F.parse("1/3"), 3) == 1
 
 
 def _parsed(ring, text):
@@ -486,9 +520,9 @@ def test_sparse_rref_matches_dense_elimination(ring, seed):
                 # a repeated row and a sum of two rows lower the rank
                 rows[-1] = list(rows[0])
                 rows[-2] = [ring.add(a, b) for a, b in zip(rows[1], rows[2])]
-            got, want = rref_rows(ring, rows), dense_rref_rows(ring, rows)
-            assert got == want
-            assert [list(map(type, r)) for r in got[0]] == [list(map(type, r)) for r in want[0]]
+            S, (want, pivots) = Subspace.from_spanning(ring, ncols, rows), dense_rref_rows(ring, rows)
+            assert [list(r) for r in S.rows] == want and list(S.pivots) == pivots
+            assert [list(map(type, r)) for r in S.rows] == [list(map(type, r)) for r in want]
 
 
 def _typed(m):
