@@ -4,6 +4,8 @@ An idempotent two-sided ideal of a finite-dimensional algebra cuts the
 module category into the modules it kills and a quotient category.  This
 module makes the pieces auditable:
 
+* ``AlmostCase`` is one almost case, checked in full when it is built; the
+  three reports below take one and redo only per-sample and window work.
 * ``standard_modules`` is the algebra's sample catalogue: its named fixture
   modules, built once and cached on the algebra, with a memo of dim Hom
   between any two of them.
@@ -13,9 +15,9 @@ module makes the pieces auditable:
   failure of closure when it is not.  It reads dim Hom(M, N) and
   dim Hom(N, M) from the memo; when M.a = 0, M/Ma and ann_M(a) are M
   itself, so no module is built for them and their dims are memoised too.
-* ``almost_quotient`` realises the quotient category as modules over a
-  corner algebra and verifies the corner functor is exact on the same
-  samples.
+* ``almost_quotient`` realises the quotient category as modules over the
+  case's corner algebra and verifies the corner functor is exact on the
+  same samples.
 * ``almost_derived_ideal`` builds the mapping cone of the multiplication
   map (ideal tensor ideal -> algebra) as a complex of projectives and
   computes the maps a finite subcategory cannot see through its shifts.
@@ -35,6 +37,7 @@ from .algebra import (
     FdModule,
     TwoSidedIdeal,
     hom_dim,
+    ideal_from_spanning,
     ideal_generated_by_idempotent,
     projective_module,
     quotient_module,
@@ -97,6 +100,66 @@ def in_perp(M: FdModule, ideal: TwoSidedIdeal) -> bool:
     return M.times_ideal(ideal.space).dim == 0
 
 
+# -- the almost case -------------------------------------------------------------
+
+_PARTS = ("serre", "quotient", "derived")
+
+
+class AlmostCase:
+    """The ideal ReR of an idempotent ``e``, or the closure of ``generators``
+    (parsed vectors), and the ``include``d parts to report on, checked here.
+    The derived part needs a window ``subcat`` and witnesses: pairs (i, g)
+    with g.e_i = g whose maps (r_u) -> sum g_u r_u are bijections onto the
+    ideal (``a_witness``) and onto e_j.a for its u-th pair (j, g) (key u of
+    ``square_witnesses``).  A case that cannot run raises ``AlmostError``."""
+
+    def __init__(self, alg: AlgebraPresentation, e=None, generators=None, include=("serre",),
+                 subcat: Optional[FiniteSubcat] = None, subcat_name=None, a_witness=None,
+                 square_witnesses=None):
+        if e is None and generators is None:
+            raise AlmostError("needs idempotent or generators")
+        try:
+            self.ideal = (ideal_generated_by_idempotent(alg, e) if e is not None
+                          else ideal_from_spanning(alg, generators))
+        except AlgebraError as exc:   # an e that is not idempotent
+            raise AlmostError(str(exc)) from exc
+        if subcat is not None and subcat.alg != alg:
+            raise AlmostError(f"subcategory {subcat_name} lives over {subcat.alg.name}, "
+                              f"not {alg.name}")
+        if not (isinstance(include, (list, tuple)) and all(p in _PARTS for p in include)):
+            raise AlmostError(f"include must list parts among {', '.join(_PARTS)}, "
+                              f"got {include!r}")
+        if "quotient" in include and e is None:
+            raise AlmostError("corner presentation needs an idempotent element")
+        if "derived" in include and subcat is None:
+            raise AlmostError("derived part needs a subcategory window")
+        self.algebra, self.include = alg, list(include)
+        self.subcat, self.subcat_name = subcat, subcat_name
+        self.idempotent_ideal = self.ideal.is_idempotent()
+        self.functor = corner_functor(alg, e) if "quotient" in include else None
+        # the derived part's columns (i_v, g_u . h_v) of a (x) a -> R, one per
+        # summand e_i R of the witnessed tensor square, and that square's dim
+        self.mult_columns = self.tensor_square_dim = None
+        if "derived" not in include:
+            return
+        if not self.idempotent_ideal:
+            raise AlmostError("the ideal must be idempotent")
+        space, columns, tensor_dim = self.ideal.space, [], 0
+        for u, (j, g) in enumerate(_validate_projectivity(alg, space, a_witness, "ideal")):
+            corner = Subspace.from_spanning(
+                alg.ring, alg.dim, [alg.mult(alg.idempotent_vec(j), r) for r in space.rows])
+            tensor_dim += corner.dim
+            for i, h in _validate_projectivity(alg, corner, (square_witnesses or {}).get(u),
+                                               f"ideal corner {u}"):
+                columns.append((i, alg.mult(g, h)))
+        _check_tensor_dim(alg, self.ideal, tensor_dim)
+        self.mult_columns, self.tensor_square_dim = columns, tensor_dim
+
+    def require(self, part: str) -> None:
+        if part not in self.include:
+            raise AlmostError(f"the case does not include the {part} part")
+
+
 # -- Serre-subcategory adjunction report ----------------------------------------
 
 
@@ -134,8 +197,7 @@ class SerreAdjointReport:
     witness: Optional[SerreFailureWitness] = None
 
 
-def serre_adjoint_report(alg: AlgebraPresentation,
-                         ideal: TwoSidedIdeal) -> SerreAdjointReport:
+def serre_adjoint_report(case: AlmostCase) -> SerreAdjointReport:
     """Certify the killed-module class is a Serre subcategory, or refute it.
 
     For an idempotent ideal the modules it kills form a Serre subcategory
@@ -144,9 +206,9 @@ def serre_adjoint_report(alg: AlgebraPresentation,
     the quotient of the algebra by the squared ideal is an extension of
     two killed modules that is not itself killed, refuting closure.
     """
-    if not ideal.is_idempotent():
-        square = ideal.square()
-        W, proj = quotient_module(regular_module(alg), square.space)
+    alg, ideal = case.algebra, case.ideal
+    if not case.idempotent_ideal:
+        W, proj = quotient_module(regular_module(alg), ideal.square().space)
         imgs = [proj.row_apply(list(r)) for r in ideal.space.rows]
         sub_space = Subspace.from_spanning(alg.ring, W.dim, imgs)
         Sub, _ = submodule(W, sub_space)
@@ -226,12 +288,10 @@ class AlmostQuotientReport:
     verdict: str
 
 
-def almost_quotient(alg: AlgebraPresentation, e: Sequence) -> AlmostQuotientReport:
-    """Present the quotient by the killed modules of ReR as corner modules."""
+def corner_functor(alg: AlgebraPresentation, e: Tuple) -> CornerFunctor:
+    """M -> Me onto modules over eRe, for an idempotent e of ``alg``: each
+    nonzero e.e_k.e joins the corner's idempotent system, so must be one."""
     ring = alg.ring
-    e = tuple(ring.parse(c) for c in e)
-    if alg.mult(e, e) != e:
-        raise AlmostError("corner element is not idempotent")
     vecs = [alg.mult(alg.mult(e, alg.basis_vec(i)), e) for i in range(alg.dim)]
     sp = Subspace.from_spanning(ring, alg.dim, vecs)
     basis = tuple(tuple(r) for r in sp.rows)
@@ -251,21 +311,24 @@ def almost_quotient(alg: AlgebraPresentation, e: Sequence) -> AlmostQuotientRepo
     corner = AlgebraPresentation(ring, names, structure, list(sp.coords_of(e)),
                                  idems, idempotent_names=idem_names,
                                  name=f"corner({alg.name})")
-    functor = CornerFunctor(alg, e, corner, basis)
+    return CornerFunctor(alg, e, corner, basis)
 
+
+def almost_quotient(case: AlmostCase) -> AlmostQuotientReport:
+    """Present the quotient by the killed modules of ReR as corner modules."""
+    case.require("quotient")
+    alg, ideal, functor = case.algebra, case.ideal, case.functor
     samples = standard_modules(alg)
     dims = {nm: functor.apply(M).dim for nm, M in samples.items()}
-
-    ideal = ideal_generated_by_idempotent(alg, e)
     checks: List[ExactnessCheck] = []
     for nm, M in samples.items():
-        rho = M.action_of(e)
+        rho = M.action_of(functor.e)
         me = functor.image_space(M)
         for tag, space in (("ideal-image", M.times_ideal(ideal.space)),
                            ("ideal-kernel", M.annihilated_by(ideal.space))):
             Quo, _ = quotient_module(M, space)
             sub_e = Subspace.from_spanning(
-                ring, M.dim, [rho.row_apply(list(r)) for r in space.rows])
+                alg.ring, M.dim, [rho.row_apply(list(r)) for r in space.rows])
             inter = me.intersect(space)
             quo_e_dim = functor.apply(Quo).dim
             checks.append(ExactnessCheck(
@@ -273,21 +336,10 @@ def almost_quotient(alg: AlgebraPresentation, e: Sequence) -> AlmostQuotientRepo
                 sub_matches_kernel=(sub_e == inter),
                 dims_additive=(me.dim - inter.dim == quo_e_dim)))
     verdict = "certified" if all(c.ok for c in checks) else "inconclusive"
-    return AlmostQuotientReport(corner, functor, dims, checks, verdict)
+    return AlmostQuotientReport(functor.corner, functor, dims, checks, verdict)
 
 
 # -- the derived ideal of a projective idempotent ideal --------------------------
-
-
-@dataclass
-class ProjectivityWitness:
-    """Elements presenting a right submodule of R as a sum of e_j R's.
-
-    ``summands`` lists pairs (j, g) with g in the submodule, g.e_j = g, and
-    the combined map (r_u) -> sum g_u r_u a bijection onto the submodule.
-    """
-
-    summands: Sequence[Tuple[int, Sequence]]
 
 
 @dataclass
@@ -303,16 +355,16 @@ class AlmostDerivedReport:
 
 
 def _validate_projectivity(alg: AlgebraPresentation, space: Subspace,
-                           witness: Optional[ProjectivityWitness],
-                           what: str) -> List[Tuple[int, Tuple]]:
+                           witness: Optional[Sequence[Tuple[int, Tuple]]],
+                           what: str) -> Sequence[Tuple[int, Tuple]]:
     if witness is None:
         raise AlmostError(f"projectivity witness absent for {what}")
-    ring = alg.ring
-    pairs = []
     rows = []
     total = 0
-    for j, g in witness.summands:
-        g = tuple(ring.parse(c) for c in g)
+    for j, g in witness:
+        if type(j) is not int or j not in range(alg.n_idempotents()):
+            raise AlmostError(f"{what}: witness index {j!r} is not an idempotent "
+                              f"index of {alg.name}")
         if not space.contains(g):
             raise AlmostError(f"{what}: witness element lies outside the module")
         if alg.mult(g, alg.idempotent_vec(j)) != g:
@@ -322,20 +374,15 @@ def _validate_projectivity(alg: AlgebraPresentation, space: Subspace,
         for r in sp.rows:
             rows.append(list(alg.mult(g, tuple(r))))
         total += sp.dim
-        pairs.append((j, g))
     if total != space.dim:
         raise AlmostError(f"{what}: witness ranks {total} do not match "
                           f"module dimension {space.dim}")
-    if Subspace.from_spanning(ring, alg.dim, rows).dim != space.dim:
+    if Subspace.from_spanning(alg.ring, alg.dim, rows).dim != space.dim:
         raise AlmostError(f"{what}: witness map is not bijective")
-    return pairs
+    return witness
 
 
-def almost_derived_ideal(alg: AlgebraPresentation, ideal: TwoSidedIdeal,
-                         subcat: FiniteSubcat,
-                         a_witness: Optional[ProjectivityWitness],
-                         square_witnesses: Optional[Dict[int, ProjectivityWitness]],
-                         window: Optional[Tuple[int, int]] = None
+def almost_derived_ideal(case: AlmostCase, window: Optional[Tuple[int, int]] = None
                          ) -> AlmostDerivedReport:
     """Cone of the multiplication map of an idempotent projective ideal,
     plus the ideal of window maps invisible to all shifts of that cone.
@@ -343,29 +390,14 @@ def almost_derived_ideal(alg: AlgebraPresentation, ideal: TwoSidedIdeal,
     The shifts C[n], under the keys n, extend the window to one whose
     composition tensors give every xi . f; the window stores the extension.
     """
-    if not ideal.is_idempotent():
-        raise AlmostError("the ideal must be idempotent")
-    ring = alg.ring
-    a_pairs = _validate_projectivity(alg, ideal.space, a_witness, "ideal")
-    sq_pairs: List[Tuple[int, Tuple]] = []   # (i_v, g_u . h_v) per column
-    tensor_dim = 0
-    for u, (j, g) in enumerate(a_pairs):
-        corner_rows = [alg.mult(alg.idempotent_vec(j), tuple(r))
-                       for r in ideal.space.rows]
-        corner = Subspace.from_spanning(ring, alg.dim, corner_rows)
-        tensor_dim += corner.dim
-        w = (square_witnesses or {}).get(u)
-        for i, h in _validate_projectivity(alg, corner, w,
-                                           f"ideal corner {u}"):
-            sq_pairs.append((i, alg.mult(g, h)))
-    _check_tensor_dim(alg, ideal, tensor_dim)
-
+    case.require("derived")
+    alg, subcat, columns = case.algebra, case.subcat, case.mult_columns
     tgt_idems = tuple(range(alg.n_idempotents()))
-    src_idems = tuple(i for i, _ in sq_pairs)
+    src_idems = tuple(i for i, _ in columns)
     # a complex drops an empty degree, so the zero ideal gives the zero complex
     src = ProjComplex(alg, {0: src_idems}, {}, name="sq")
     tgt = ProjComplex(alg, {0: tgt_idems}, {}, name="ring")
-    entries = [[alg.mult(alg.idempotent_vec(i), m) for _, m in sq_pairs] for i in tgt_idems]
+    entries = [[alg.mult(alg.idempotent_vec(i), m) for _, m in columns] for i in tgt_idems]
     comp = {0: AlgMat(alg, tgt_idems, src_idems, entries)} if src_idems else {}
     C, _, _ = cone(chain_map(src, tgt, comp, name="mult"))
 
@@ -384,7 +416,7 @@ def almost_derived_ideal(alg: AlgebraPresentation, ideal: TwoSidedIdeal,
             if W.hom(bn, n).dim and W.hom(an, n).dim:
                 for row, T in zip(rows, W.composition_tensor(an, bn, n)):
                     row.extend(c for coords in T for c in coords)
-        return Mat.from_rows(ring, rows, len(rows[0]))
+        return Mat.from_rows(alg.ring, rows, len(rows[0]))
 
     # xi . (h . f) = (xi . h) . f, and xi . h: Y -> C[n] is zero or a probe of f
     I = kernel_ideal(subcat, probe)
@@ -394,7 +426,7 @@ def almost_derived_ideal(alg: AlgebraPresentation, ideal: TwoSidedIdeal,
             "right structure projective)")
     return AlmostDerivedReport(
         cone=C, ideal=I, idempotent_on_window=is_idempotent_ideal(I),
-        window=(min([0] + used), max([0] + used)), tensor_square_dim=tensor_dim,
+        window=(min([0] + used), max([0] + used)), tensor_square_dim=case.tensor_square_dim,
         projective_right=True, flatness_note=note, verdict="certified")
 
 
@@ -404,17 +436,13 @@ def _check_tensor_dim(alg: AlgebraPresentation, ideal: TwoSidedIdeal,
     from .algebra import Bimodule, module_tensor
 
     ring = alg.ring
-    rows = [list(r) for r in ideal.space.rows]
+    rows = ideal.space.rows
     d = ideal.dim
-    if d == 0:
-        if claimed != 0:
-            raise AlmostError("tensor square dimension mismatch")
-        return
     left, right = [], []
     for t in range(alg.dim):
         b = alg.basis_vec(t)
-        lrows = [ideal.space.coords_of(alg.mult(b, tuple(r))) for r in rows]
-        rrows = [ideal.space.coords_of(alg.mult(tuple(r), b)) for r in rows]
+        lrows = [ideal.space.coords_of(alg.mult(b, r)) for r in rows]
+        rrows = [ideal.space.coords_of(alg.mult(r, b)) for r in rows]
         left.append(Mat.from_rows(ring, lrows, d))
         right.append(Mat.from_rows(ring, rrows, d))
     B = Bimodule(alg, alg, d, left, right, name="a")

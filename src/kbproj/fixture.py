@@ -17,13 +17,8 @@ import json
 import re
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import (
-    AlgebraPresentation,
-    RingMap,
-    ideal_from_spanning,
-    ideal_generated_by_idempotent,
-)
-from .almost import ContractionFixture, ProjectivityWitness
+from .algebra import AlgebraPresentation, RingMap
+from .almost import AlmostCase, ContractionFixture
 from .functors import BimoduleFunctor, FiniteSubcat, induction_functor, restriction_functor
 from .homcat import GradedMap, ProjComplex, single_summand_complex
 from .ideals import TrianglePresentation
@@ -57,7 +52,6 @@ _KIND = {"algebras": "algebra", "ring_maps": "ring map", "functors": "functor",
 # a section's JSON key is its attribute name, except for almost_cases
 _TOP_KEYS = ({"format_version", "field", "tasks", "almost"}
              | set(_KIND) - {"almost_cases"})
-_ALMOST_PARTS = ("serre", "quotient", "derived")
 
 
 class FixtureFile:
@@ -85,7 +79,7 @@ class FixtureFile:
         self.lifts: Dict[str, Tuple[MapLiftProblem, SearchBudget]] = {}
         self.complex_lifts: Dict[str, Tuple[ComplexLiftProblem, SearchBudget]] = {}
         self.contractions: Dict[str, ContractionFixture] = {}
-        self.almost_cases: Dict[str, Dict] = {}
+        self.almost_cases: Dict[str, AlmostCase] = {}
         self.tasks: List[Dict] = []
         self._build(data)
 
@@ -154,8 +148,8 @@ class FixtureFile:
     def _build_functor(self, name, f) -> BimoduleFunctor:
         kind = f.get("kind")
         rm = self.lookup("ring_maps", f.get("ring_map"), f"functor {name}")
-        # keyed by the source idempotents of F: of R along R -> S, of A along C -> A
-        n_source = (rm.target if kind == "restriction" else rm.source).n_idempotents()
+        # witnesses are keyed by source and name target idempotents of F: R -> S, A -> C
+        src, tgt = (rm.target, rm.source) if kind == "restriction" else (rm.source, rm.target)
         witnesses = {}
         for k, lst in f.get("witnesses", {}).items():
             pairs = []
@@ -164,9 +158,9 @@ class FixtureFile:
                     raise FixtureError(f"functor {name}: witness entries are "
                                        f"[idempotent, element] pairs")
                 j, vec = item
-                pairs.append((checked_int(j, "idempotent", 0),
+                pairs.append((checked_int(j, "idempotent", 0, tgt.n_idempotents() - 1),
                               vec_from_json(self.ring, vec, rm.target.dim)))
-            witnesses[_index_key(k, "witness", n_source)] = pairs
+            witnesses[_index_key(k, "witness", src.n_idempotents())] = pairs
         if kind == "induction":
             return induction_functor(rm, witnesses)
         if kind == "restriction":
@@ -290,47 +284,29 @@ class FixtureFile:
                    lambda n: (dims.get(n, 0), dims.get(n - 1, 0)))
         return ContractionFixture(ring, dims, diff, hom, name=name)
 
-    def _build_almost(self, name, a) -> Dict:
+    def _build_almost(self, name, a) -> AlmostCase:
         alg = self.lookup("algebras", a.get("algebra"), f"almost case {name}")
+
+        def witness(lst):
+            return [(checked_int(j, "idempotent", 0, alg.n_idempotents() - 1),
+                     vec_from_json(self.ring, v, alg.dim)) for j, v in lst]
+
+        e = gens = subcat = None
         if "idempotent" in a:
             e = vec_from_json(self.ring, a["idempotent"], alg.dim)
-            ideal = ideal_generated_by_idempotent(alg, e)
         elif "generators" in a:
-            e = None
             gens = [vec_from_json(self.ring, g, alg.dim) for g in a["generators"]]
-            ideal = ideal_from_spanning(alg, gens)
-        else:
-            raise FixtureError(f"almost case {name}: needs idempotent or generators")
-        subcat = None
         if a.get("subcat"):
             subcat = self.lookup("subcategories", a["subcat"], f"almost case {name}")
-            if subcat.alg != alg:
-                raise FixtureError(f"almost case {name}: subcategory {a['subcat']} lives "
-                                   f"over {subcat.alg.name}, not {alg.name}")
-        def witness(lst) -> ProjectivityWitness:
-            return ProjectivityWitness([(checked_int(j, "idempotent", 0),
-                                         vec_from_json(self.ring, v, alg.dim))
-                                        for j, v in lst])
-
         # square witnesses are keyed by the pairs of the a_witness, so they are
         # read with it; the derived part refuses a case that has none
         aw = sw = None
         if a.get("a_witness") is not None:
             aw = witness(a["a_witness"])
-            sw = {_index_key(k, "square_witnesses", len(aw.summands)): witness(lst)
+            sw = {_index_key(k, "square_witnesses", len(aw)): witness(lst)
                   for k, lst in (a.get("square_witnesses") or {}).items()}
-        include = a.get("include", ["serre"])
-        if not (isinstance(include, list) and all(p in _ALMOST_PARTS for p in include)):
-            raise FixtureError(f"almost case {name}: include must list parts among "
-                               f"{', '.join(_ALMOST_PARTS)}, got {include!r}")
-        if "quotient" in include and e is None:
-            raise FixtureError(f"almost case {name}: corner presentation needs an "
-                               f"idempotent element")
-        if "derived" in include and subcat is None:
-            raise FixtureError(f"almost case {name}: derived part needs a subcategory window")
-        return {"algebra": alg, "ideal": ideal, "idempotent": e,
-                "subcat": subcat, "subcat_name": a.get("subcat"),
-                "a_witness": aw, "square_witnesses": sw, "include": include}
+        return AlmostCase(alg, e, gens, a.get("include", ["serre"]), subcat, a.get("subcat"),
+                          a_witness=aw, square_witnesses=sw)
 
     # -- accessors --------------------------------------------------------
 

@@ -67,7 +67,7 @@ class BimoduleFunctor:
         for i in range(n):
             if i not in witnesses:
                 raise FunctorError(f"{name}: no witness list for source idempotent {i}")
-            pairs = [(int(j), tuple(ring.parse(c) for c in w)) for j, w in witnesses[i]]
+            pairs = [(j, tuple(ring.parse(c) for c in w)) for j, w in witnesses[i]]
             self.witnesses[i] = pairs
             self._validate_witness(i, pairs)
 
@@ -81,6 +81,9 @@ class BimoduleFunctor:
         blocks = []
         off = 0
         for j, w in pairs:
+            if type(j) is not int or j not in range(self.target_alg.n_idempotents()):
+                raise FunctorError(f"{self.name}: witness index {j!r} is not an "
+                                   f"idempotent index of {self.target_alg.name}")
             if list(E.row_apply(list(w))) != list(w):
                 raise FunctorError(f"{self.name}: witness for idempotent {i} "
                                    f"is not left-fixed by it")

@@ -18,7 +18,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 from .algebra import AlgebraError
 from .almost import (
     AlmostDerivedReport,
-    AlmostError,
     AlmostQuotientReport,
     SerreAdjointReport,
     almost_derived_ideal,
@@ -304,30 +303,23 @@ _RANK = {"refuted": 0, "inconclusive": 1, "certified": 2}
 def _run_almost(fx: FixtureFile, task: Dict) -> Report:
     name = task.get("name")
     case = fx.lookup("almost_cases", name, f"task {task['id']}")
-    alg, ideal = case["algebra"], case["ideal"]
-    evidence: Dict = {"case": name, "parts": list(case["include"])}
+    evidence: Dict = {"case": name, "parts": list(case.include)}
     verdicts = []
-    for part in case["include"]:     # the fixture admits only these three
+    for part in case.include:     # an AlmostCase admits only these three
         if part == "serre":
-            rep = serre_adjoint_report(alg, ideal)
+            rep = serre_adjoint_report(case)
             ev = _serre_evidence(rep)
         elif part == "quotient":
-            rep = almost_quotient(alg, case["idempotent"])
+            rep = almost_quotient(case)
             ev = _quotient_evidence(rep)
         else:
             window = None
             if task.get("window") is not None:
                 w = _task_int(task, "window", 0, maximum=WINDOW_CAP)
                 window = (-w, w)
-            try:
-                rep = almost_derived_ideal(alg, ideal, case["subcat"],
-                                           case["a_witness"],
-                                           case["square_witnesses"],
-                                           window=window)
-            except AlmostError as exc:
-                raise TaskError(f"almost {name}: {exc}") from exc
+            rep = almost_derived_ideal(case, window=window)
             ev = _derived_evidence(rep)
-            ev["window_desc"] = _window_desc(case["subcat_name"], case["subcat"])
+            ev["window_desc"] = _window_desc(case.subcat_name, case.subcat)
         evidence[part] = ev
         verdicts.append(rep.verdict)
     overall = min(verdicts, key=lambda v: _RANK[v]) if verdicts else "inconclusive"

@@ -19,13 +19,12 @@ import kbproj
 from kbproj.algebra import (
     Bimodule,
     RingMap,
-    ideal_generated_by_idempotent,
     induction_bimodule,
     module_along_map,
     module_tensor,
 )
 from kbproj.almost import (
-    ProjectivityWitness,
+    AlmostCase,
     almost_derived_ideal,
     contraction_defects,
     perturb_homotopy,
@@ -291,11 +290,9 @@ def test_07_almost_module_suite(corner):
     # corner case: multiplication cone collapses onto the small projective
     A = fx.algebras["UT2"]
     e11 = A.basis_vec(0)
-    a = ideal_generated_by_idempotent(A, e11)
-    rep = almost_derived_ideal(
-        A, a, fx.lookup("subcategories", "S"),
-        a_witness=ProjectivityWitness([(0, e11)]),
-        square_witnesses={0: ProjectivityWitness([(0, e11)])})
+    rep = almost_derived_ideal(AlmostCase(
+        A, e11, include=["derived"], subcat=fx.lookup("subcategories", "S"),
+        a_witness=[(0, e11)], square_witnesses={0: [(0, e11)]}))
     assert rep.verdict == "certified"
     assert rep.cone.summands == {-1: (0,), 0: (0, 1)}
     eps = chain_map(rep.cone, single_summand_complex(A, 1, 0),

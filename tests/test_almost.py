@@ -4,11 +4,11 @@ import pytest
 
 import kbproj.almost
 from build_examples import upper_triangular_2, ut2_complexes
-from kbproj.algebra import ideal_from_spanning, ideal_generated_by_idempotent, radical
+from kbproj.algebra import ideal_generated_by_idempotent, radical
 from kbproj.almost import (
+    AlmostCase,
     AlmostError,
     ContractionFixture,
-    ProjectivityWitness,
     almost_derived_ideal,
     almost_quotient,
     contraction_defects,
@@ -93,8 +93,7 @@ def test_perp_membership(A):
 
 
 def test_serre_report_idempotent_corner_ideal(A):
-    a = ideal_generated_by_idempotent(A, _e(A, "e11"))
-    rep = serre_adjoint_report(A, a)
+    rep = serre_adjoint_report(AlmostCase(A, _e(A, "e11")))
     assert rep.idempotent and rep.verdict == "certified"
     assert rep.witness is None
     assert rep.checks and all(c.ok for c in rep.checks)
@@ -108,17 +107,14 @@ def test_serre_report_idempotent_corner_ideal(A):
 
 
 def test_serre_report_full_and_zero_ideal(A):
-    full = ideal_from_spanning(A, [A.unit])
-    rep = serre_adjoint_report(A, full)
+    rep = serre_adjoint_report(AlmostCase(A, generators=[A.unit]))
     assert rep.idempotent and rep.verdict == "certified"
-    zero = ideal_from_spanning(A, [])
-    rep = serre_adjoint_report(A, zero)
+    rep = serre_adjoint_report(AlmostCase(A, generators=[]))
     assert rep.idempotent and rep.verdict == "certified"
 
 
 def test_serre_report_radical_refuted(A):
-    rad = radical(A)
-    rep = serre_adjoint_report(A, rad)
+    rep = serre_adjoint_report(AlmostCase(A, generators=radical(A).space.rows))
     assert not rep.idempotent and rep.verdict == "refuted"
     w = rep.witness
     assert (w.extension_dim, w.sub_dim, w.quotient_dim) == (3, 1, 2)
@@ -130,7 +126,7 @@ def test_serre_report_radical_refuted(A):
 
 
 def test_almost_quotient_corner(A):
-    rep = almost_quotient(A, _e(A, "e11"))
+    rep = almost_quotient(AlmostCase(A, _e(A, "e11"), include=["quotient"]))
     assert rep.corner.dim == 1
     assert rep.verdict == "certified"
     assert rep.module_dims == {"R": 1, "0": 0, "P(e11)": 1, "P(e22)": 0,
@@ -139,7 +135,7 @@ def test_almost_quotient_corner(A):
 
 
 def test_almost_quotient_unit(A):
-    rep = almost_quotient(A, A.unit)
+    rep = almost_quotient(AlmostCase(A, A.unit, include=["quotient"]))
     assert rep.corner.dim == A.dim
     assert rep.module_dims == {"R": 3, "0": 0, "P(e11)": 2, "P(e22)": 1,
                                "S(e11)": 1, "S(e22)": 1}
@@ -148,7 +144,7 @@ def test_almost_quotient_unit(A):
 
 def test_almost_quotient_rejects_non_idempotent(A):
     with pytest.raises(AlmostError, match="not idempotent"):
-        almost_quotient(A, _e(A, "e12"))
+        AlmostCase(A, _e(A, "e12"), include=["quotient"])
 
 
 # -- derived ideal of the corner ideal -------------------------------------------
@@ -157,11 +153,8 @@ def test_almost_quotient_rejects_non_idempotent(A):
 def test_derived_ideal_corner(A, window):
     data, S = window
     e11 = _e(A, "e11")
-    a = ideal_generated_by_idempotent(A, e11)
-    rep = almost_derived_ideal(
-        A, a, S,
-        a_witness=ProjectivityWitness([(0, e11)]),
-        square_witnesses={0: ProjectivityWitness([(0, e11)])})
+    rep = almost_derived_ideal(AlmostCase(A, e11, include=["derived"], subcat=S,
+                                          a_witness=[(0, e11)], square_witnesses={0: [(0, e11)]}))
     assert rep.verdict == "certified"
     assert rep.tensor_square_dim == 2
     assert rep.projective_right
@@ -186,12 +179,9 @@ def test_derived_ideal_corner(A, window):
 def test_derived_ideal_full(A, window):
     _, S = window
     e11, e22 = _e(A, "e11"), _e(A, "e22")
-    a = ideal_from_spanning(A, [A.unit])
-    rep = almost_derived_ideal(
-        A, a, S,
-        a_witness=ProjectivityWitness([(0, e11), (1, e22)]),
-        square_witnesses={0: ProjectivityWitness([(0, e11)]),
-                          1: ProjectivityWitness([(1, e22)])})
+    rep = almost_derived_ideal(AlmostCase(
+        A, generators=[A.unit], include=["derived"], subcat=S,
+        a_witness=[(0, e11), (1, e22)], square_witnesses={0: [(0, e11)], 1: [(1, e22)]}))
     ok, _ = is_contractible(rep.cone)
     assert ok
     assert rep.tensor_square_dim == 3
@@ -202,10 +192,8 @@ def test_derived_ideal_full(A, window):
 
 def test_derived_ideal_zero(A, window):
     _, S = window
-    a = ideal_from_spanning(A, [])
-    rep = almost_derived_ideal(A, a, S,
-                               a_witness=ProjectivityWitness([]),
-                               square_witnesses={})
+    rep = almost_derived_ideal(AlmostCase(A, generators=[], include=["derived"], subcat=S,
+                                          a_witness=[], square_witnesses={}))
     assert rep.cone.summands == {0: (0, 1)}
     assert rep.ideal.component("P1s", "S1r").dim == 1
     for a, b in (("P1s", "P1s"), ("P2s", "P1s"), ("S1r", "S1r"),
@@ -215,17 +203,40 @@ def test_derived_ideal_zero(A, window):
 
 
 def test_derived_ideal_requires_witness(A, window):
+    # the derived part's witnesses and idempotence are checked when the case is built
     _, S = window
-    a = ideal_generated_by_idempotent(A, _e(A, "e11"))
+    e11 = _e(A, "e11")
     with pytest.raises(AlmostError, match="witness absent"):
-        almost_derived_ideal(A, a, S, a_witness=None, square_witnesses=None)
+        AlmostCase(A, e11, include=["derived"], subcat=S)
     with pytest.raises(AlmostError, match="not supported"):
-        almost_derived_ideal(A, a, S,
-                             a_witness=ProjectivityWitness([(1, _e(A, "e11"))]),
-                             square_witnesses={})
-    rad = radical(A)
+        AlmostCase(A, e11, include=["derived"], subcat=S, a_witness=[(1, e11)],
+                   square_witnesses={})
     with pytest.raises(AlmostError, match="must be idempotent"):
-        almost_derived_ideal(A, rad, S, a_witness=None, square_witnesses=None)
+        AlmostCase(A, generators=radical(A).space.rows, include=["derived"], subcat=S)
+
+
+@pytest.mark.parametrize("j", [2, -1, 0.5, "0", True])
+def test_derived_witness_index_must_name_an_idempotent(A, window, j):
+    # a bare index once read e_j by tuple indexing: -1 and True named another idempotent
+    _, S = window
+    e11 = _e(A, "e11")
+    with pytest.raises(AlmostError, match=f"ideal: witness index {j!r} is not an idempotent "
+                                          f"index of UT2"):
+        AlmostCase(A, e11, include=["derived"], subcat=S, a_witness=[(j, e11)],
+                   square_witnesses={0: [(0, e11)]})
+    with pytest.raises(AlmostError, match=f"ideal corner 0: witness index {j!r}"):
+        AlmostCase(A, e11, include=["derived"], subcat=S, a_witness=[(0, e11)],
+                   square_witnesses={0: [(j, e11)]})
+
+
+def test_a_report_on_a_part_the_case_does_not_include_is_refused(A, window):
+    _, S = window
+    case = AlmostCase(A, _e(A, "e11"), subcat=S)
+    assert case.include == ["serre"] and case.functor is None and case.mult_columns is None
+    with pytest.raises(AlmostError, match="does not include the quotient part"):
+        almost_quotient(case)
+    with pytest.raises(AlmostError, match="does not include the derived part"):
+        almost_derived_ideal(case)
 
 
 # -- contraction certificates -----------------------------------------------------

@@ -752,6 +752,9 @@ MALFORMED_ENTRIES = [
      "almost case corner-almost: "),
     ("almost-without-ideal", _set(["almost", "bare"], {"algebra": "UT2"}),
      "almost case bare: needs idempotent or generators"),
+    ("almost-idempotent-not-idempotent",
+     _set(["almost", "corner-almost", "idempotent"], ["0", "1", "0"]),
+     "almost case corner-almost: generator is not idempotent"),
     ("field-text", _set(["field"], {"p": "x"}), "unknown field spec"),
     ("field-not-prime", _set(["field"], {"p": 4}), "unknown field spec"),
     ("entry-not-object", _set(["maps", "iota"], 5), "map iota: entry must be an object"),
@@ -814,6 +817,16 @@ MALFORMED_ENTRIES = [
      "almost case rad-almost: corner presentation needs an idempotent element"),
     ("almost-derived-without-window", _set(["almost", "rad-almost", "include"], ["derived"]),
      "almost case rad-almost: derived part needs a subcategory window"),
+    # a witness index past the last idempotent ended in an IndexError traceback
+    # (almost) or in "tuple index out of range" (functor); G ends at k, one idempotent
+    ("a-witness-index-too-large", _set(["almost", "corner-almost", "a_witness"],
+                                       [[5, ["1", "0", "0"]]]),
+     "almost case corner-almost: 'idempotent' must be at most 1, got 5"),
+    ("square-witness-index-too-large",
+     _set(["almost", "corner-almost", "square_witnesses", "0"], [[7, ["1", "0", "0"]]]),
+     "almost case corner-almost: 'idempotent' must be at most 1, got 7"),
+    ("functor-witness-index-too-large", _set(["functors", "G", "witnesses", "0"], [[1, ["1"]]]),
+     "functor G: 'idempotent' must be at most 0, got 1"),
 ]
 
 
@@ -972,23 +985,27 @@ def test_hepi_top_degree_refutes_at_either_max_degree(capsys):
     assert reports[0]["evidence"]["checked_up_to"] == 2
 
 
-@pytest.mark.parametrize("mutate,task_id,want", [
-    (lambda d: d["almost"]["corner-almost"].pop("a_witness"), "almost-corner",
-     "almost corner-almost: projectivity witness absent for ideal"),
-    (_set(["almost", "corner-almost", "a_witness"], [[1, ["1", "0", "0"]]]), "almost-corner",
-     "almost corner-almost: ideal: witness element not supported at idempotent 1"),
+@pytest.mark.parametrize("mutate,task_ids,want", [
+    (lambda d: d["almost"]["corner-almost"].pop("a_witness"), ("almost-corner", "hepi-corner"),
+     "almost case corner-almost: projectivity witness absent for ideal"),
+    (_set(["almost", "corner-almost", "a_witness"], [[1, ["1", "0", "0"]]]),
+     ("almost-corner", "hepi-corner"),
+     "almost case corner-almost: ideal: witness element not supported at idempotent 1"),
     (lambda d: d["almost"]["rad-almost"].update(include=["derived"], subcat="S"),
-     "almost-rad", "almost rad-almost: the ideal must be idempotent"),
-    (_set(["field"], {"p": 2}), "hepi-corner",
+     ("almost-rad", "hepi-corner"), "almost case rad-almost: the ideal must be idempotent"),
+    (_set(["field"], {"p": 2}), ("hepi-corner",),
      "ring map corner: radical needs characteristic 0 or p > dim; GF(2) with dim 3"),
 ], ids=["no-a-witness", "a-witness-wrong-idempotent", "derived-not-idempotent",
         "hepi-no-radical"])
-def test_task_the_engine_cannot_run_exits_2(capsys, tmp_path, mutate, task_id, want):
+def test_task_the_engine_cannot_run_exits_2(capsys, tmp_path, mutate, task_ids, want):
+    # an almost case's derived part is checked when the fixture loads, so a
+    # case it cannot run is refused whichever task is asked for
     with open(CORNER) as fh:
         data = json.load(fh)
     mutate(data)
-    assert _one_error_line(capsys, data, tmp_path, task_id).startswith(
-        f"kbproj: error: {want}")
+    for task_id in task_ids:
+        assert _one_error_line(capsys, data, tmp_path, task_id).startswith(
+            f"kbproj: error: {want}")
 
 
 def _window_over_k(data):

@@ -33,7 +33,7 @@ from oracles import (
 )
 from test_structure_checks import family_data
 
-from kbproj.almost import ProjectivityWitness, almost_derived_ideal
+from kbproj.almost import AlmostCase, almost_derived_ideal
 from kbproj.fixture import FixtureFile, load_fixture
 from kbproj.functors import FiniteSubcat
 from kbproj.homcat import HomSpace, single_summand_complex
@@ -61,8 +61,7 @@ def _load(fname):
 
 
 def _derived(case, window):
-    return almost_derived_ideal(case["algebra"], case["ideal"], case["subcat"],
-                                case["a_witness"], case["square_witnesses"], window=window)
+    return almost_derived_ideal(case, window=window)
 
 
 @pytest.mark.parametrize("w", WINDOWS)
@@ -70,12 +69,12 @@ def test_derived_ideal_matches_fresh_hom_spaces(w):
     case = _load("corner").almost_cases["corner-almost"]
     window = None if w is None else (-w, w)
     cold = _derived(case, window)
-    slow, hull = derived_ideal_fresh(cold.cone, case["subcat"], window)
+    slow, hull = derived_ideal_fresh(cold.cone, case.subcat, window)
     assert slow.components
     for rep in (cold, _derived(case, window)):  # cold, then from the stored extension
         assert rep.ideal.components == slow.components
         assert rep.window == hull
-    assert len(case["subcat"]._extensions) == 1
+    assert len(case.subcat._extensions) == 1
 
 
 def test_almost_reports_are_the_same_cold_and_warm_for_every_window():
@@ -84,13 +83,13 @@ def test_almost_reports_are_the_same_cold_and_warm_for_every_window():
     cold = [emit_json([run_task(_load("corner"), t)]) for t in tasks]
     fx = _load("corner")
     first = [emit_json([run_task(fx, t)]) for t in reversed(tasks)][::-1]
-    stored = list(fx.almost_cases["corner-almost"]["subcat"]._extensions)
+    stored = list(fx.almost_cases["corner-almost"].subcat._extensions)
     warm = [emit_json([run_task(fx, t)]) for t in tasks]
     assert first == cold
     assert warm == cold
     # no window option gives the same shifts as window 3, and shares its extension
     assert len(stored) == 3
-    assert fx.almost_cases["corner-almost"]["subcat"]._extensions == stored
+    assert fx.almost_cases["corner-almost"].subcat._extensions == stored
 
 
 def test_a_stored_cone_window_builds_no_hom_space(monkeypatch):
@@ -109,7 +108,7 @@ def test_a_stored_cone_window_builds_no_hom_space(monkeypatch):
     assert again.ideal.components == first.ideal.components
     # other shifts of the cone build their own extension
     _derived(case, (-1, 1))
-    assert built and len(case["subcat"]._extensions) == 2
+    assert built and len(case.subcat._extensions) == 2
 
 
 def test_a_cone_window_keeps_its_shifts_out_of_the_subcategory():
@@ -118,12 +117,13 @@ def test_a_cone_window_keeps_its_shifts_out_of_the_subcategory():
     case = fx.almost_cases["corner-almost"]
     zero = fx.almost_cases["zero-almost"]
     corner = _derived(case, None)
-    other = almost_derived_ideal(zero["algebra"], zero["ideal"], case["subcat"],
-                                 ProjectivityWitness([]), {})
-    assert other.ideal.components == derived_ideal_fresh(other.cone, case["subcat"])[0].components
+    other = almost_derived_ideal(AlmostCase(zero.algebra, generators=[], include=["derived"],
+                                            subcat=case.subcat, a_witness=[],
+                                            square_witnesses={}))
+    assert other.ideal.components == derived_ideal_fresh(other.cone, case.subcat)[0].components
     assert other.ideal != corner.ideal
-    assert all(isinstance(a, str) and isinstance(b, str) for a, b in case["subcat"]._homs)
-    assert len(case["subcat"]._extensions) == 2
+    assert all(isinstance(a, str) and isinstance(b, str) for a, b in case.subcat._homs)
+    assert len(case.subcat._extensions) == 2
 
 
 def test_an_extension_reads_the_window_and_keeps_its_own_objects_apart():

@@ -298,6 +298,14 @@ def test_witness_key_outside_the_idempotents_rejected(ctx):
         induction_functor(ctx["g"], {0: [(0, (1,))], 1: [], 7: [(0, (1,))]})
 
 
+@pytest.mark.parametrize("j", [0.5, "0", True, 1])
+def test_witness_index_that_is_not_a_target_idempotent_rejected(ctx, j):
+    # a bare int(j) read 0.5, "0" and True as an index; 1 is past k's one idempotent
+    with pytest.raises(FunctorError, match=f"ind\\(corner\\): witness index {j!r} is not an "
+                                           f"idempotent index of k"):
+        induction_functor(ctx["g"], {0: [(j, (1,))], 1: []})
+
+
 def test_annihilator_builds_each_functor_matrix_once(ctx, subcat, monkeypatch):
     import kbproj.functors as functors
     from kbproj.ideals import annihilator_ideal

@@ -14,7 +14,9 @@ reaches build no coequalizer (and ``tensor_functor_map`` stays deleted),
 probes that kill composites reach
 ``kernel_ideal``, ``annihilator_ideal`` builds no image as a graded map (it
 calls neither ``apply_map`` nor ``class_matrix``), ``almost`` builds no Hom
-space of its own, only ``linalg`` knows that a non-integral rational is a
+space of its own, its three reports derive nothing their ``AlmostCase`` fixes
+(ideal, idempotence, corner algebra, witnesses: only building the case does,
+and a repeat of corner's almost tasks builds no algebra), only ``linalg`` knows that a non-integral rational is a
 ``Fraction``, no module multiplies two basis vectors to read a structure
 constant, only ``algebra`` reads an algebra's sparse product table and no
 file reads a ``.structure`` attribute, no loop asks for class coordinates one map at a time, graded-map
@@ -249,6 +251,49 @@ def test_almost_builds_no_hom_space_of_its_own():
     derived = next(n for n in tree.body
                    if isinstance(n, ast.FunctionDef) and n.name == "almost_derived_ideal")
     assert _calls_named(derived, "extended"), "the cone window is no longer a FiniteSubcat"
+
+
+# what an almost case fixes, derived once by AlmostCase and the corner_functor it calls
+_CASE_DERIVATIONS = ("AlgebraPresentation", "ideal_generated_by_idempotent",
+                     "ideal_from_spanning", "is_idempotent", "_validate_projectivity",
+                     "_check_tensor_dim", "corner_functor")
+
+
+def test_almost_reports_derive_nothing_their_case_fixes():
+    tree = _parse("almost.py")
+    top = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    for report in ("serre_adjoint_report", "almost_quotient", "almost_derived_ideal"):
+        uses = [f"almost.py:{n.lineno}: {name}" for name in _CASE_DERIVATIONS
+                for n in _calls_named(top[report], name)]
+        assert not uses, f"{report} re-derives its case: " + ", ".join(uses)
+    building = {id(n) for fn in ("AlmostCase", "corner_functor") for n in ast.walk(top[fn])}
+    for name in _CASE_DERIVATIONS:
+        calls = _calls_named(tree, name)
+        assert calls, f"{name} is no longer called in almost.py"
+        stray = [f"almost.py:{n.lineno}" for n in calls if id(n) not in building]
+        assert not stray, f"{name} called outside AlmostCase construction: " + ", ".join(stray)
+
+
+def test_corner_almost_tasks_build_no_algebra(monkeypatch):
+    # the corner algebra is built with the case at load; a task builds none,
+    # the first run or a repeat
+    from kbproj.algebra import AlgebraPresentation
+    from kbproj.fixture import load_fixture
+    from kbproj.runner import run_tasks
+
+    fx = load_fixture(os.path.join(SRC, "..", "..", "fixtures", "corner.json"))
+    tasks = [t for t in fx.tasks if t["command"] == "almost-report"]
+    assert len(tasks) == 4
+    built, init = [], AlgebraPresentation.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("name"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AlgebraPresentation, "__init__", counted)
+    for _ in range(2):
+        run_tasks(fx, tasks, workers=1)
+        assert built == []
 
 
 def _is_fraction(node):

@@ -25,8 +25,9 @@ from oracles import almost_quotient_fresh, serre_adjoint_report_fresh
 from test_structure_checks import dense_algebras
 
 import kbproj.almost
-from kbproj.algebra import ideal_from_spanning, ideal_generated_by_idempotent, radical
+from kbproj.algebra import radical
 from kbproj.almost import (
+    AlmostCase,
     AlmostError,
     almost_quotient,
     serre_adjoint_report,
@@ -52,17 +53,23 @@ def algebras(label):
     return list(fx.algebras.values())
 
 
-def ideals(A):
-    """0, rad(R), R and ReR for each vertex idempotent, and, when the radical
-    is not zero, the non-idempotent ideal generated by its first basis row."""
+def cases(A):
+    """The cases of 0, rad(R), R and ReR for each vertex idempotent, and, when
+    the radical is not zero, the non-idempotent ideal generated by its first
+    basis row."""
     rad = radical(A)
-    out = {"0": ideal_from_spanning(A, []), "rad": rad,
-           "R": ideal_from_spanning(A, [A.unit])}
+    out = {"0": AlmostCase(A, generators=[]), "rad": AlmostCase(A, generators=rad.space.rows),
+           "R": AlmostCase(A, generators=[A.unit])}
     for k, nm in enumerate(A.idempotent_names):
-        out[f"R{nm}R"] = ideal_generated_by_idempotent(A, A.idempotent_vec(k))
+        out[f"R{nm}R"] = AlmostCase(A, A.idempotent_vec(k))
     if rad.dim:
-        out["arrow"] = ideal_from_spanning(A, [rad.space.rows[0]])
+        out["arrow"] = AlmostCase(A, generators=[rad.space.rows[0]])
     return out
+
+
+def quotient_of(A, e):
+    """The quotient report of the case of ReR, built with the corner it reads."""
+    return almost_quotient(AlmostCase(A, e, include=["quotient"]))
 
 
 def outcome(report, *args):
@@ -75,39 +82,42 @@ def outcome(report, *args):
 @pytest.mark.parametrize("label", LABELS)
 def test_reports_match_the_uncached_oracles(label):
     for A in algebras(label):
-        cases = ideals(A)
-        if cases["rad"].dim:
-            assert not cases["arrow"].is_idempotent(), A.name
+        built = cases(A)
+        if built["rad"].ideal.dim:
+            assert not built["arrow"].ideal.is_idempotent(), A.name
         corners = [A.idempotent_vec(k) for k in range(A.n_idempotents())] + [A.unit]
         # the first round fills the memo, the second reads it
         for _ in range(2):
-            for name, ideal in cases.items():
-                assert serre_adjoint_report(A, ideal) == serre_adjoint_report_fresh(A, ideal), \
+            for name, case in built.items():
+                assert serre_adjoint_report(case) == serre_adjoint_report_fresh(A, case.ideal), \
                     (A.name, name)
             for e in corners:
-                assert outcome(almost_quotient, A, e) == outcome(almost_quotient_fresh, A, e), \
+                assert outcome(quotient_of, A, e) == outcome(almost_quotient_fresh, A, e), \
                     (A.name, e)
 
 
 def test_the_witness_path_is_taken():
     A = upper_triangular_2()
-    rep = serre_adjoint_report(A, ideals(A)["arrow"])
+    rep = serre_adjoint_report(cases(A)["arrow"])
     assert not rep.idempotent and rep.verdict == "refuted" and rep.witness.exhibits_failure
 
 
 def test_racing_threads_keep_one_catalogue():
     A = upper_triangular_2()
-    ideal = ideal_generated_by_idempotent(A, A.idempotent_vec(0))
+    # building a case reads no sample, so the threads race on the first catalogue
+    case = AlmostCase(A, A.idempotent_vec(0))
+    unit = AlmostCase(A, A.unit, include=["quotient"])
+    assert "samples" not in A._built
     start = threading.Barrier(8)
 
     def run(_):
         start.wait()
-        return standard_modules(A), serre_adjoint_report(A, ideal), almost_quotient(A, A.unit)
+        return standard_modules(A), serre_adjoint_report(case), almost_quotient(unit)
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         got = list(pool.map(run, range(8)))
     assert all(cat is standard_modules(A) for cat, _, _ in got)
-    assert all(rep == serre_adjoint_report_fresh(A, ideal) for _, rep, _ in got)
+    assert all(rep == serre_adjoint_report_fresh(A, case.ideal) for _, rep, _ in got)
     assert all(quo == almost_quotient_fresh(A, A.unit) for _, _, quo in got)
 
 
