@@ -265,7 +265,8 @@ class CornerFunctor:
             A = M.action_of(b)
             rows = [sp.coords_of(A.row_apply(list(r))) for r in sp.rows]
             action.append(Mat.from_rows(ring, rows, sp.dim))
-        return FdModule(self.corner, sp.dim, action, name=f"{M.name}e")
+        # Me is an eRe-module by construction: m·e·b = m·(eb) for b in eRe
+        return FdModule._inherited(self.corner, sp.dim, action, name=f"{M.name}e")
 
 
 @dataclass
@@ -445,8 +446,9 @@ def _check_tensor_dim(alg: AlgebraPresentation, ideal: TwoSidedIdeal,
         rrows = [ideal.space.coords_of(alg.mult(r, b)) for r in rows]
         left.append(Mat.from_rows(ring, lrows, d))
         right.append(Mat.from_rows(ring, rrows, d))
-    B = Bimodule(alg, alg, d, left, right, name="a")
-    M = FdModule(alg, d, right, name="a")
+    # a two-sided ideal of a checked algebra, acted on by its multiplication
+    B = Bimodule._inherited(alg, alg, d, left, right, name="a")
+    M = FdModule._inherited(alg, d, right, name="a")
     got = module_tensor(M, B).module.dim
     if got != claimed:
         raise AlmostError(f"tensor square dimension mismatch: witnesses give "

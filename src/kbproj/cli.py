@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Every subcommand loads a fixture file, runs one task (or, for ``run``, the
-fixture's whole task list) and prints reports as JSON or text.  JSON output
-is deterministic: byte-identical across repeated runs and across worker
-counts.  Exit status is 0 whenever all requested tasks executed — verdicts
-like ``refuted`` or ``not_found`` are results, not errors — and nonzero
-only when a task could not be executed at all.
+fixture's whole task list, in order, in the calling thread) and prints
+reports as JSON or text.  JSON output is deterministic: byte-identical
+across repeated runs.  Exit status is 0 whenever all requested tasks
+executed — verdicts like ``refuted`` or ``not_found`` are results, not
+errors — and nonzero only when a task could not be executed at all.
 """
 
 from __future__ import annotations
@@ -97,8 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the fixture's task list")
     p.add_argument("tasks", nargs="*", metavar="TASK",
                    help="task ids to run (default: all)")
-    p.add_argument("--workers", type=int, metavar="N",
-                   help="worker pool size (default: KBPROJ_WORKERS or 1)")
 
     return top
 
@@ -128,9 +126,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 if missing:
                     raise TaskError(f"unknown task ids: {', '.join(missing)}")
                 tasks = [by_id[t] for t in args.tasks]
-            if args.workers is not None and args.workers < 1:
-                raise TaskError("--workers must be at least 1")
-            reports = run_tasks(fx, tasks, workers=args.workers)
+            reports = run_tasks(fx, tasks)
         else:
             reports = [run_task(fx, _task_for(args))]
     except (FixtureError, TaskError) as exc:

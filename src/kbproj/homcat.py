@@ -735,8 +735,9 @@ class HomSpace:
 
     @cached_property
     def boundaries(self) -> Subspace:
-        return Subspace.from_spanning(self.ring, self.L0.dim,
-                                      [self.Dm1.row(t) for t in range(self.Lm1.dim)])
+        if not self.Lm1.dim:
+            return Subspace.zero(self.ring, self.L0.dim)
+        return Subspace.from_spanning(self.ring, self.L0.dim, self.Dm1.rows())
 
     @cached_property
     def cycles(self) -> Subspace:
@@ -747,6 +748,8 @@ class HomSpace:
 
     @cached_property
     def reps(self) -> List[Tuple]:
+        if not self.cycles.dim:
+            return []
         return self.boundaries.quotient_reps(within=self.cycles)
 
     @cached_property

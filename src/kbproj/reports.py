@@ -1,9 +1,9 @@
 """Task reports and their deterministic serialization.
 
 Every task produces one ``Report`` with a verdict from a closed vocabulary
-and a JSON-safe evidence dict.  JSON output is byte-identical across runs
-and worker counts: keys are sorted, separators are fixed, and nothing
-time- or machine-dependent goes into the verdict body.  The text renderer
+and a JSON-safe evidence dict.  JSON output is byte-identical across runs:
+keys are sorted, separators are fixed, and nothing time- or
+machine-dependent goes into the verdict body.  The text renderer
 may add timing, which is why it is the only place timing appears.
 """
 

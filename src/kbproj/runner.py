@@ -1,17 +1,16 @@
 """Task execution: dispatch fixture tasks to library calls, collect reports.
 
-Tasks are independent, so they run in a worker pool sized by the
-``KBPROJ_WORKERS`` environment variable (default 1); reports always come
-back in input order, and their JSON bodies carry no timing, so output is
-byte-identical regardless of worker count.
+Tasks run one after another in the calling thread, in input order.  Each
+is a small exact computation in Python, so under the interpreter lock a
+thread pool could not overlap them and only added start, join and hand-off
+costs.  Report JSON bodies carry no timing, so output is byte-identical
+across runs.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
@@ -53,7 +52,6 @@ from .serialize import (
     triangle_cert_to_json,
 )
 
-WORKERS_ENV = "KBPROJ_WORKERS"
 # far above any use (default 20, families 6): each step builds one more
 # resolution degree, so an uncapped value can hang a run
 MAX_DEGREE_CAP = 64
@@ -403,25 +401,16 @@ def run_task(fx: FixtureFile, task: Dict) -> Report:
     return report
 
 
-def worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise TaskError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
-    if n < 1:
-        raise TaskError(f"{WORKERS_ENV} must be at least 1")
-    return n
+def run_tasks(fx: FixtureFile, tasks: Optional[Sequence[Dict]] = None, *,
+              workers: int = 1) -> List[Report]:
+    """Run the tasks (default: all of the fixture's) in order in the calling thread.
 
-
-def run_tasks(fx: FixtureFile, tasks: Optional[Sequence[Dict]] = None,
-              workers: Optional[int] = None) -> List[Report]:
+    ``workers`` accepts only 1; the keyword stays for the benchmark's callers
+    until its rewrite (ROADMAP item 2) drops it.
+    """
+    if workers != 1:
+        raise TaskError(f"workers={workers!r}: tasks run in the calling thread, "
+                        "so only workers=1 is accepted")
     if tasks is None:
         tasks = fx.tasks
-    if workers is None:
-        workers = worker_count()
-    if workers == 1 or len(tasks) <= 1:
-        return [run_task(fx, t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_task, fx, t) for t in tasks]
-        return [f.result() for f in futures]
+    return [run_task(fx, t) for t in tasks]

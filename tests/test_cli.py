@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from build_examples import split_map, upper_triangular_2, ut2_complexes
+from kbproj import runner
 from kbproj.cli import main
 from kbproj.fixture import FixtureError, FixtureFile, load_fixture
 from kbproj.reports import Report, ReportError, emit_json, emit_text
@@ -236,25 +238,36 @@ def test_parse_error_reports_position(tmp_path):
 
 
 def test_run_tasks_preserves_input_order(corner):
-    reports = run_tasks(corner, workers=4)
+    reports = run_tasks(corner)
     assert [r.task for r in reports] == [t["id"] for t in corner.tasks]
+
+
+def test_run_tasks_runs_every_task_on_the_calling_thread(corner, monkeypatch):
+    # the variable the benchmark still sets is ignored, not refused
+    monkeypatch.setenv("KBPROJ_WORKERS", "2")
+    seen = []
+
+    def recording(handler):
+        def run(fx, task):
+            seen.append(threading.get_ident())
+            return handler(fx, task)
+        return run
+
+    for command, handler in list(runner._HANDLERS.items()):
+        monkeypatch.setitem(runner._HANDLERS, command, recording(handler))
+    reports = run_tasks(corner)
+    assert len(reports) == len(corner.tasks) == len(seen)
+    assert set(seen) == {threading.get_ident()}
+
+
+def test_run_tasks_refuses_more_than_one_worker(corner):
+    with pytest.raises(TaskError, match="calling thread"):
+        run_tasks(corner, workers=2)
 
 
 def test_unknown_command_rejected(corner):
     with pytest.raises(TaskError, match="unknown command"):
         run_task(corner, {"id": "x", "command": "frobnicate"})
-
-
-def test_worker_count_env(monkeypatch):
-    from kbproj.runner import worker_count
-    monkeypatch.setenv("KBPROJ_WORKERS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("KBPROJ_WORKERS", "zero")
-    with pytest.raises(TaskError, match="KBPROJ_WORKERS"):
-        worker_count()
-    monkeypatch.setenv("KBPROJ_WORKERS", "0")
-    with pytest.raises(TaskError, match="at least 1"):
-        worker_count()
 
 
 def test_report_verdict_vocabulary_enforced():
@@ -350,12 +363,14 @@ def test_cli_missing_fixture_file(capsys):
     assert main(["run", "--fixture", "/nonexistent/f.json"]) == 2
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_cli_workers_below_one_exits_2(capsys, workers):
-    assert main(["run", "--fixture", CORNER, "--workers", workers]) == 2
+@pytest.mark.parametrize("workers", ["0", "-3", "2"])
+def test_cli_run_has_no_workers_option(capsys, workers):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--fixture", CORNER, "--workers", workers])
+    assert exc.value.code == 2
     cap = capsys.readouterr()
     assert cap.out == ""
-    assert cap.err.strip().splitlines() == ["kbproj: error: --workers must be at least 1"]
+    assert "unrecognized arguments: --workers" in cap.err
 
 
 def test_cli_text_output(capsys):
@@ -374,10 +389,9 @@ def test_cli_depth_override_changes_search(capsys):
     assert rep["evidence"]["max_depth"] == 0
 
 
-def test_cli_determinism_across_runs_and_workers(capsys, monkeypatch):
+def test_cli_determinism_across_runs(capsys):
     outs = []
-    for workers in ("1", "4", "1"):
-        monkeypatch.setenv("KBPROJ_WORKERS", workers)
+    for _ in range(3):
         code, out = _cli(capsys, "run", "--fixture", CORNER)
         assert code == 0
         outs.append(out)

@@ -1,8 +1,9 @@
-"""Source hygiene: no module of the package imports a name it never uses, only
-``homcat`` builds summand matrices without the corner check or reads their
-stored entries (elsewhere, in tests and ``bench/`` too, they are read through
+"""Source hygiene: no module of the package imports a name it never uses or
+imports ``threading`` or ``concurrent``, only ``homcat`` builds summand
+matrices without the corner check or reads their stored entries (elsewhere,
+in tests and ``bench/`` too, they are read through
 ``AlgMat.nonzero_entries``), only ``linalg`` calls the ``Subspace``
-constructor or reads its sparse basis, only the nine
+constructor or reads its sparse basis, only the eleven
 constructors that derive a module from a checked one skip its axiom checks,
 only the four constructors of an ideal that is closed by construction skip
 the closure check, and of an algebra's two-sided ideals only ``radical``'s
@@ -137,11 +138,14 @@ def test_only_homcat_builds_trusted_summand_matrices(module):
 
 # the constructors whose result is a module because what it is derived from
 # is checked: an invariant subspace of a checked module, multiplication in a
-# checked algebra (on its right ideals e_i R, or along a checked ring map), or
-# relations a checked bimodule's right action keeps
-_INHERITS_ITS_CHECK = {"submodule", "quotient_module", "regular_module", "projective_module",
-                       "module_along_map", "induction_bimodule", "restriction_bimodule",
-                       "regular_bimodule", "module_tensor"}
+# checked algebra (on its right ideals e_i R, on a two-sided ideal, or along a
+# checked ring map), relations a checked bimodule's right action keeps, or
+# the corner Me of a checked module (m·e·b = m·(eb) for b in eRe)
+_INHERITS_ITS_CHECK = {
+    f"algebra.{fn}" for fn in ("submodule", "quotient_module", "regular_module",
+                               "projective_module", "module_along_map", "induction_bimodule",
+                               "restriction_bimodule", "regular_bimodule", "module_tensor")
+} | {"almost._check_tensor_dim", "almost.CornerFunctor.apply"}
 
 
 def _inherited_calls(tree):
@@ -154,17 +158,31 @@ def test_only_the_derived_constructors_skip_module_axioms(module):
     # every other module or bimodule is built by FdModule(...) or Bimodule(...),
     # which check the unit, multiplicativity and commutation
     tree = _parse(module)
+    names = {q for q in _INHERITS_ITS_CHECK if q.startswith(module[:-3] + ".")}
     allowed, seen = set(), set()
-    if module == "algebra.py":
-        for fn in tree.body:
-            if isinstance(fn, ast.FunctionDef) and fn.name in _INHERITS_ITS_CHECK:
-                calls = _inherited_calls(fn)
-                allowed |= set(map(id, calls))
-                seen |= {fn.name} if calls else set()
-        assert seen == _INHERITS_ITS_CHECK, \
-            "no longer built by _inherited: " + ", ".join(sorted(_INHERITS_ITS_CHECK - seen))
+    for qual, fn in _definitions(tree, module):
+        if qual in names:
+            calls = _inherited_calls(fn)
+            allowed |= set(map(id, calls))
+            seen |= {qual} if calls else set()
+    assert seen == names, "no longer built by _inherited: " + ", ".join(sorted(names - seen))
     uses = [f"{module}:{n.lineno}" for n in _inherited_calls(tree) if id(n) not in allowed]
     assert not uses, "_inherited called outside the derived constructors: " + ", ".join(uses)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_threads(module):
+    # tasks run in the calling thread: each is a small computation in Python,
+    # which a thread pool cannot overlap under the interpreter lock
+    names = []
+    for n in ast.walk(_parse(module)):
+        if isinstance(n, ast.Import):
+            names += [(n.lineno, a.name) for a in n.names]
+        elif isinstance(n, ast.ImportFrom) and n.module:
+            names.append((n.lineno, n.module))
+    uses = [f"{module}:{line}: {name}" for line, name in names
+            if name.split(".")[0] in ("concurrent", "threading")]
+    assert not uses, "thread machinery imported: " + ", ".join(uses)
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -1,9 +1,11 @@
 """Inherited module construction against the validating constructors.
 
 ``submodule``, ``quotient_module``, ``regular_module``, ``projective_module``,
-``module_along_map``, ``module_tensor`` and the three regular bimodules
-build through ``FdModule._inherited`` and ``Bimodule._inherited``, which
-check shapes only.  With those routed through ``FdModule(...)`` and ``Bimodule(...)``,
+``module_along_map``, ``module_tensor``, the three regular bimodules, the
+corner modules Me of ``CornerFunctor.apply`` and the ideal that
+``almost._check_tensor_dim`` tensors with itself build through
+``FdModule._inherited`` and ``Bimodule._inherited``, which check shapes
+only.  With those routed through ``FdModule(...)`` and ``Bimodule(...)``,
 every module the engine derives has its unit, multiplicativity and
 commutation checked again: on the three fixtures and the two smallest
 members of each generated family, every construction must pass and the
@@ -27,7 +29,7 @@ from kbproj.algebra import (
     regular_module,
     submodule,
 )
-from kbproj.almost import standard_modules
+from kbproj.almost import corner_functor, standard_modules
 from kbproj.fixture import FixtureFile, load_fixture
 from kbproj.linalg import Subspace
 from kbproj.reports import emit_json
@@ -94,3 +96,37 @@ def test_hom_dim_counts_the_oracle_basis(label):
         for M in samples.values():
             for N in samples.values():
                 assert hom_dim(M, N) == len(hom_modules(M, N)), (alg.name, M.name, N.name)
+
+
+def _derived_cases(fx):
+    return {name: case for name, case in fx.almost_cases.items() if "derived" in case.include}
+
+
+def test_the_tensor_square_cross_check_passes_the_public_constructors(monkeypatch):
+    # the ideal a as a bimodule and a right module, and its tensor square
+    # dimension by coequalizer, are checked again at every derived case's load
+    paths = sorted(os.path.join(FIXDIR, f) for f in os.listdir(FIXDIR) if f.endswith(".json"))
+    dims = {(p, name): case.tensor_square_dim
+            for p in paths for name, case in _derived_cases(load_fixture(p)).items()}
+    assert dims, "no fixture has a derived almost case"
+    callers = route_inherited_modules_through_validation(monkeypatch)
+    for p in paths:
+        for name, case in _derived_cases(load_fixture(p)).items():
+            assert case.tensor_square_dim == dims[p, name]
+    assert "_check_tensor_dim" in callers
+
+
+@pytest.mark.parametrize("label", ("corner", "split"))
+def test_corner_modules_pass_the_public_constructor(label, monkeypatch):
+    # Me over eRe for each vertex idempotent e and every sample module M
+    cases = []
+    for alg in fresh(label).algebras.values():
+        for k in range(alg.n_idempotents()):
+            F = corner_functor(alg, alg.idempotent_vec(k))
+            cases += [(F, M) for M in standard_modules(alg).values()]
+    images = [F.apply(M) for F, M in cases]
+    callers = route_inherited_modules_through_validation(monkeypatch)
+    for (F, M), N in zip(cases, images):
+        checked = F.apply(M)
+        assert (checked.dim, checked.action) == (N.dim, N.action), (F.e, M.name)
+    assert callers == {"apply"}

@@ -340,8 +340,8 @@ def test_radical_passes_the_checks_it_is_trusted_without(label):
 
 
 def test_concurrent_first_calls_get_one_object_per_key():
-    # run_tasks shares a loaded algebra between worker threads; two threads
-    # may both build a module, but every caller must get the one stored
+    # a library caller may share a loaded algebra between threads; two
+    # threads may both build a module, but every caller must get the one stored
     alg = next(iter(FixtureFile(family_data("UT", 4)).algebras.values()))
     keys = [(0,), (1,), (0, 1), (3, 2, 1, 0), (2, 2)] * 6
     interval = sys.getswitchinterval()
@@ -376,8 +376,12 @@ def test_resolution_over_a_warm_cache_matches_a_fresh_one(fam, n):
 
 @pytest.mark.parametrize("fam,n", FAMILIES)
 def test_two_workers_give_the_report_bytes_of_one(fam, n):
-    one = emit_json(run_tasks(FixtureFile(family_data(fam, n)), workers=1))
+    # two threads of a library caller run the task list on one shared fixture,
+    # both cold, then once more warm
+    one = emit_json(run_tasks(FixtureFile(family_data(fam, n))))
     shared = FixtureFile(family_data(fam, n))
-    cold = emit_json(run_tasks(shared, workers=2))
-    warm = emit_json(run_tasks(shared, workers=2))
-    assert one == cold == warm
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        cold = [pool.submit(run_tasks, shared) for _ in range(2)]
+        cold = [emit_json(f.result(timeout=120)) for f in cold]
+    warm = emit_json(run_tasks(shared))
+    assert cold == [one, one] and warm == one
