@@ -279,38 +279,26 @@ def check_homological_epi(g: RingMap, i_max: int = 20) -> HepiVerdict:
     T = module_tensor(M, B)
     mu = multiplication_matrix(g, T)
     mu_rank = rank(mu)
-    if not (T.module.dim == S.dim == mu_rank):
-        return HepiVerdict(
-            verdict="refuted",
-            reason=(f"multiplication S(x)S -> S is not bijective: "
-                    f"dim {T.module.dim} vs {S.dim}, rank {mu_rank}"),
-            tensor_square_dim=T.module.dim, target_dim=S.dim, mu_is_iso=False,
-            tor={}, checked_up_to=-1, resolution_complete=False,
-        )
-    tor = tor_with_bimodule(M, B, i_max)
-    if tor.dims.get(0) != S.dim:
-        raise DerivedError("degree-zero homology disagrees with the tensor square")
-    for i in sorted(tor.dims):
-        if i >= 1 and tor.dims[i] != 0:
-            return HepiVerdict(
-                verdict="refuted",
-                reason=f"Tor_{i}(S, S) has dimension {tor.dims[i]}",
-                tensor_square_dim=T.module.dim, target_dim=S.dim, mu_is_iso=True,
-                tor=tor.dims, checked_up_to=tor.checked_up_to,
-                resolution_complete=tor.complete,
-            )
-    if tor.complete:
-        return HepiVerdict(
-            verdict="certified",
-            reason="multiplication is bijective and all Tor groups vanish "
-                   "(finite resolution)",
-            tensor_square_dim=T.module.dim, target_dim=S.dim, mu_is_iso=True,
-            tor=tor.dims, checked_up_to=tor.checked_up_to, resolution_complete=True,
-        )
-    return HepiVerdict(
-        verdict="inconclusive",
-        reason=f"Tor vanishes up to degree {tor.checked_up_to} but the "
-               f"resolution did not terminate",
-        tensor_square_dim=T.module.dim, target_dim=S.dim, mu_is_iso=True,
-        tor=tor.dims, checked_up_to=tor.checked_up_to, resolution_complete=False,
-    )
+    mu_is_iso = T.module.dim == S.dim == mu_rank
+    if not mu_is_iso:
+        tor = TorReport(dims={}, complete=False, checked_up_to=-1)     # not computed
+        verdict = "refuted"
+        reason = (f"multiplication S(x)S -> S is not bijective: "
+                  f"dim {T.module.dim} vs {S.dim}, rank {mu_rank}")
+    else:
+        tor = tor_with_bimodule(M, B, i_max)
+        if tor.dims.get(0) != S.dim:
+            raise DerivedError("degree-zero homology disagrees with the tensor square")
+        bad = next((i for i in sorted(tor.dims) if i >= 1 and tor.dims[i] != 0), None)
+        if bad is not None:
+            verdict, reason = "refuted", f"Tor_{bad}(S, S) has dimension {tor.dims[bad]}"
+        elif tor.complete:
+            verdict = "certified"
+            reason = "multiplication is bijective and all Tor groups vanish (finite resolution)"
+        else:
+            verdict = "inconclusive"
+            reason = (f"Tor vanishes up to degree {tor.checked_up_to} but the "
+                      f"resolution did not terminate")
+    return HepiVerdict(verdict, reason, tensor_square_dim=T.module.dim, target_dim=S.dim,
+                       mu_is_iso=mu_is_iso, tor=tor.dims, checked_up_to=tor.checked_up_to,
+                       resolution_complete=tor.complete)

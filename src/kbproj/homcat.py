@@ -23,9 +23,14 @@ is built per column.  ``HomSpace`` builds only its degree 0 and -1 layouts
 up front; the operators, cycles, boundaries and class representatives are
 computed on first use, so a nullhomotopy test costs the two operators next
 to degree 0 and one solve, and a contractibility test only the degree -1
-operator.  Triangle recognition assembles five operators for one solve: an
-exact triangle builds one ``HomSpace``, for the cone of its comparison map,
-and only one with no comparison map two more, to test its composites.
+operator.
+
+``solve_up_to_homotopy`` is the one routine that poses and solves a (map,
+homotopy) system: a chain map g and, per condition, a homotopy h with
+op(g) - delta(h) = b.  Triangle recognition asks it for a comparison map
+from the cone, and lifting for a lift at each node of its search.  An exact
+triangle builds one ``HomSpace``, for the cone of its comparison map, and
+only one with no comparison map two more, to test its composites.
 
 A component a graded map does not store, a differential a complex does not
 store, or an entry a summand matrix does not store is zero, and arithmetic
@@ -79,7 +84,7 @@ from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraPresentation
-from .linalg import Mat, Subspace, hstack, left_kernel, solve_left, vstack
+from .linalg import Mat, Subspace, left_kernel, solve_left
 
 
 class HomcatError(ValueError):
@@ -848,6 +853,42 @@ def homotopy_inverse_from_contraction(phi: GradedMap, h: GradedMap):
     return inv, h_src, h_tgt
 
 
+def solve_up_to_homotopy(X: ProjComplex, Y: ProjComplex, terms: Sequence[Tuple]
+                         ) -> Optional[Tuple[GradedMap, List[GradedMap]]]:
+    """Find a chain map g: X -> Y and, for each term (op, b), a homotopy h
+    with op(g) - delta(h) = b; return (g, [h per term]), or None.
+
+    ``op(L, Lb)`` is the matrix of g -> op(g) from L, the degree-0 layout of
+    X -> Y, to Lb, the layout of b.  The unknowns are g, then each h in term
+    order, and the one solve sets the free ones to zero, which fixes the
+    solution; the chain condition delta(g) = 0 comes first among the
+    equations.  This is the one place a (map, homotopy) system is built: the
+    blocks go into one entry dict, and a zero block is never stored.
+    """
+    ring = X.alg.ring
+    L, L1 = MapLayout(X, Y, 0), MapLayout(X, Y, 1)
+    items = {(i, j): v for i, j, v in delta_matrix(L, L1).items()}
+    rhs = [ring.zero] * L1.dim
+    homotopies = []                  # (layout of h, offset of its unknowns)
+    row = L.dim
+    for op, b in terms:
+        Lb, Lh = MapLayout(b.source, b.target, 0), MapLayout(b.source, b.target, -1)
+        col = len(rhs)
+        for i, j, v in op(L, Lb).items():
+            items[(i, col + j)] = v
+        for i, j, v in delta_matrix(Lh, Lb).items():
+            items[(row + i, col + j)] = ring.neg(v)
+        rhs += Lb.pack(b)
+        homotopies.append((Lh, row))
+        row += Lh.dim
+    x = solve_left(Mat.from_entries(ring, row, len(rhs), items),
+                   Mat.from_rows(ring, [rhs], len(rhs)))
+    if x is None:
+        return None
+    sol = x.row(0)
+    return L.unpack(sol[:L.dim]), [Lh.unpack(sol[off:off + Lh.dim]) for Lh, off in homotopies]
+
+
 @dataclass
 class TriangleVerdict:
     """Outcome of triangle recognition, with a re-checkable certificate."""
@@ -869,10 +910,11 @@ def recognize_triangle(alpha: GradedMap, beta: GradedMap, gamma: GradedMap) -> T
     """Decide whether X -a-> Y -b-> Z -c-> X[1] is exact in the homotopy category.
 
     A comparison map rho: cone(a) -> Z with rho.incl ~ b and c.rho ~ proj is
-    found by one combined linear solve; exactness then reduces to rho being
-    an equivalence.  Any comparison map between two exact triangles over the
-    identity on X and Y is automatically an equivalence, so a failed
-    contraction refutes exactness just as a missing rho does.
+    found, with both homotopies, by one ``solve_up_to_homotopy``; exactness
+    then reduces to rho being an equivalence.  Any comparison map between
+    two exact triangles over the identity on X and Y is automatically an
+    equivalence, so a failed contraction refutes exactness just as a missing
+    rho does.
 
     A comparison map makes b.a and c.b null (b.a ~ rho.incl.a ~ 0, c.b ~
     c.rho.incl ~ proj.incl = 0), so the composites are tested, in that order,
@@ -892,43 +934,17 @@ def recognize_triangle(alpha: GradedMap, beta: GradedMap, gamma: GradedMap) -> T
             return TriangleVerdict("not_exact", f"{nm} leg is not a chain map")
 
     C, incl, proj = cone(alpha)
-    ring = X.alg.ring
-    L_cz0 = MapLayout(C, Z, 0)
-    L_cz1 = MapLayout(C, Z, 1)
-    L_yzm1 = MapLayout(Y, Z, -1)
-    L_yz0 = MapLayout(Y, Z, 0)
-    L_csxm1 = MapLayout(C, SX, -1)
-    L_csx0 = MapLayout(C, SX, 0)
-
-    D_chain = delta_matrix(L_cz0, L_cz1)
-    C_incl = operator_matrix(L_cz0, L_yz0, pre=incl)
-    C_gamma = operator_matrix(L_cz0, L_csx0, post=gamma)
-    D_yz = delta_matrix(L_yzm1, L_yz0)
-    D_csx = delta_matrix(L_csxm1, L_csx0)
-
-    n0, n1, n2 = L_cz0.dim, L_yzm1.dim, L_csxm1.dim
-    m0, m1, m2 = L_cz1.dim, L_yz0.dim, L_csx0.dim
-
-    rhs = [ring.zero] * m0 + L_yz0.pack(beta) + L_csx0.pack(proj)
-    if n0 + n1 + n2 == 0:
-        sol = None if any(rhs) else []
-    else:
-        zero = Mat.zeros
-        top = hstack([D_chain, C_incl, C_gamma])
-        mid = hstack([zero(ring, n1, m0), D_yz.neg(), zero(ring, n1, m2)])
-        bot = hstack([zero(ring, n2, m0), zero(ring, n2, m1), D_csx.neg()])
-        M = vstack([top, mid, bot])
-        x = solve_left(M, Mat.from_rows(ring, [rhs], m0 + m1 + m2))
-        sol = None if x is None else x.row(0)
+    sol = solve_up_to_homotopy(C, Z, [
+        (lambda L, Lb: operator_matrix(L, Lb, pre=incl), beta),
+        (lambda L, Lb: operator_matrix(L, Lb, post=gamma), proj),
+    ])
     if sol is None:
         if not HomSpace(X, Z).is_nullhomotopic(beta.compose(alpha))[0]:
             return TriangleVerdict("not_exact", "composite of the first two legs is not nullhomotopic")
         if not HomSpace(Y, SX).is_nullhomotopic(gamma.compose(beta))[0]:
             return TriangleVerdict("not_exact", "composite of the last two legs is not nullhomotopic")
         return TriangleVerdict("not_exact", "no comparison map from the cone exists")
-    rho = L_cz0.unpack(sol[:n0])
-    h_incl = L_yzm1.unpack(sol[n0:n0 + n1])
-    h_proj = L_csxm1.unpack(sol[n0 + n1:])
+    rho, (h_incl, h_proj) = sol
     ok, contraction = is_homotopy_equivalence(rho)
     if not ok:
         return TriangleVerdict(

@@ -6,10 +6,11 @@ pi: X' -> X that F turns into an equivalence together with a genuine
 chain map X' -> Y hitting alpha up to homotopy.  Replacements are
 built by coning off maps into shifted generator complexes that F
 kills, so the search space is a tree ordered by (depth, generator,
-shift, basis element).  Given a complex over the target, ``lift_complex``
-rebuilds it degree by degree from supplied stalk lifts, lifting each
-attaching map with the same search.  Both problems are records, checked
-once when they are built.
+shift, basis element), and each node asks ``homcat.solve_up_to_homotopy``
+for a lift and its homotopy.  Given a complex over the target,
+``lift_complex`` rebuilds it degree by degree from supplied stalk lifts,
+lifting each attaching map with the same search.  Both problems are
+records, checked once when they are built.
 
 Every positive answer carries a certificate that re-verifies by direct
 arithmetic, with no linear solving: see ``verify_map_lift`` and
@@ -27,21 +28,19 @@ from .homcat import (
     AlgMat,
     GradedMap,
     HomSpace,
-    MapLayout,
     ProjComplex,
     chain_map,
     cone,
-    delta_matrix,
     direct_sum,
     homotopy_inverse_from_contraction,
     identity_map,
     is_contractible,
     is_homotopy_equivalence,
     single_summand_complex,
+    solve_up_to_homotopy,
     verify_contraction,
     zero_complex,
 )
-from .linalg import Mat, hstack, solve_left, vstack
 
 
 class LiftError(ValueError):
@@ -119,33 +118,6 @@ def _check_generators(F: BimoduleFunctor, generators: Sequence[ProjComplex]):
                             "coning it off cannot keep the replacement invertible")
 
 
-def _try_node(F: BimoduleFunctor, Xc: ProjComplex, Y: ProjComplex, alpha: GradedMap,
-              Fpi: GradedMap) -> Optional[Tuple[GradedMap, GradedMap]]:
-    """Solve for (lifted, homotopy) with F(lifted) - alpha . F(pi) = delta(h)."""
-    ring = F.source_alg.ring
-    FXc = Fpi.source
-    la0 = MapLayout(Xc, Y, 0)
-    la1 = MapLayout(Xc, Y, 1)
-    lf0 = MapLayout(FXc, alpha.target, 0)
-    lfm = MapLayout(FXc, alpha.target, -1)
-    T = functor_matrix(F, la0, lf0)
-    DA = delta_matrix(la0, la1)
-    DH = delta_matrix(lfm, lf0)
-    M = vstack([
-        hstack([T, DA]),
-        hstack([DH.neg(), Mat.zeros(ring, lfm.dim, la1.dim)]),
-    ])
-    target = alpha.compose(Fpi)
-    rhs = Mat.from_rows(ring, [lf0.pack(target) + [ring.zero] * la1.dim], M.ncols)
-    x = solve_left(M, rhs)
-    if x is None:
-        return None
-    coords = x.row(0)
-    lifted = la0.unpack(coords[:la0.dim])
-    homot = lfm.unpack(coords[la0.dim:])
-    return lifted, homot
-
-
 def lift_chain_map(problem: MapLiftProblem,
                    budget: SearchBudget = SearchBudget()) -> MapLiftReport:
     """Search for a lift of the problem's map across its functor."""
@@ -163,9 +135,11 @@ def lift_chain_map(problem: MapLiftProblem,
         depth_reached = max(depth_reached, depth)
         # the root candidate is X itself; every other is a new complex
         Fpi = F.apply_map(pi, FX if depth == 0 else None, FX)
-        got = _try_node(F, Xc, Y, alpha, Fpi)
+        # F(lifted) - alpha . F(pi) = delta(homotopy)
+        got = solve_up_to_homotopy(Xc, Y, [
+            (lambda L, Lb: functor_matrix(F, L, Lb), alpha.compose(Fpi))])
         if got is not None:
-            lifted, homot = got
+            lifted, (homot,) = got
             Cpi, _, _ = cone(Fpi)
             ok, contraction = is_contractible(Cpi)
             if not ok:

@@ -466,20 +466,6 @@ def hstack(mats: Sequence[Mat]) -> Mat:
     return Mat.from_entries(ring, nrows, off, items)
 
 
-def vstack(mats: Sequence[Mat]) -> Mat:
-    ring = mats[0].ring
-    ncols = mats[0].ncols
-    items = {}
-    off = 0
-    for m in mats:
-        if m.ncols != ncols or m.ring != ring:
-            raise LinalgError("vstack mismatch")
-        for i, j, v in m.items():
-            items[(i + off, j)] = v
-        off += m.nrows
-    return Mat.from_entries(ring, off, ncols, items)
-
-
 def _require_field(ring):
     if not getattr(ring, "is_field", False):
         raise LinalgError(f"operation requires a field, got {ring!r}")
@@ -530,9 +516,6 @@ def rref_rows(ring, rows: Iterable[Sequence],
     first; reduced rows, as a basis's are, cost it no elimination steps."""
     sparse = [dict(row) for row in start]
     sparse += [{j: x for j, x in enumerate(r) if x} for r in rows]
-    if not sparse:    # most calls on a cold fixture pass: an empty span
-        _require_field(ring)
-        return {}
     basis = _reduce(ring, sparse)
     return basis if len(basis) < 2 else {p: basis[p] for p in sorted(basis)}
 
@@ -596,6 +579,8 @@ class Subspace:
         for v in vectors:
             if len(v) != self.ambient:
                 raise LinalgError("spanning vector has wrong length")
+        if not any(map(any, vectors)):
+            return self
         return Subspace(self.ring, self.ambient,
                         rref_rows(self.ring, vectors, self._basis.values()))
 

@@ -1048,13 +1048,50 @@ def dense_left_kernel(A):
 # -- triangle recognition that tests the composites first --------------------------
 
 
+def _vstack(mats):
+    """Stack matrices of one width, top to bottom: the row-block assembly of
+    the (map, homotopy) systems below."""
+    from kbproj.linalg import Mat
+
+    items, off = {}, 0
+    for m in mats:
+        assert m.ncols == mats[0].ncols and m.ring == mats[0].ring
+        items.update(((i + off, j), v) for i, j, v in m.items())
+        off += m.nrows
+    return Mat.from_entries(mats[0].ring, off, mats[0].ncols, items)
+
+
+def lift_node_by_blocks(F, Xc, Y, b):
+    """One node of ``lifting.lift_chain_map`` as it was solved before
+    ``homcat.solve_up_to_homotopy``: the system F(lifted) - b = delta(h), with
+    b = alpha . F(pi), laid out as [[T, D], [-D_h, 0]] with its equations in
+    the order (functor image, chain condition).  Returns (lifted, h) or None."""
+    from kbproj.functors import functor_matrix
+    from kbproj.homcat import MapLayout, delta_matrix
+    from kbproj.linalg import Mat, hstack, solve_left
+
+    ring = F.source_alg.ring
+    la0, la1 = MapLayout(Xc, Y, 0), MapLayout(Xc, Y, 1)
+    lf0, lfm = MapLayout(b.source, b.target, 0), MapLayout(b.source, b.target, -1)
+    M = _vstack([
+        hstack([functor_matrix(F, la0, lf0), delta_matrix(la0, la1)]),
+        hstack([delta_matrix(lfm, lf0).neg(), Mat.zeros(ring, lfm.dim, la1.dim)]),
+    ])
+    rhs = Mat.from_rows(ring, [lf0.pack(b) + [ring.zero] * la1.dim], M.ncols)
+    x = solve_left(M, rhs)
+    if x is None:
+        return None
+    coords = x.row(0)
+    return la0.unpack(coords[:la0.dim]), lfm.unpack(coords[la0.dim:])
+
+
 def recognize_triangle_composites_first(alpha, beta, gamma):
     """``homcat.recognize_triangle`` as it was before it skipped the composite
     tests: beta.alpha ~ 0 and gamma.beta ~ 0 are decided first, each with a
     ``HomSpace`` of its own, and only then is the comparison system solved."""
     from kbproj.homcat import (HomcatError, HomSpace, MapLayout, TriangleVerdict, cone,
                                delta_matrix, is_homotopy_equivalence, operator_matrix)
-    from kbproj.linalg import Mat, hstack, solve_left, vstack
+    from kbproj.linalg import Mat, hstack, solve_left
 
     X, Y = alpha.source, alpha.target
     Z = beta.target
@@ -1099,7 +1136,7 @@ def recognize_triangle_composites_first(alpha, beta, gamma):
         top = hstack([D_chain, C_incl, C_gamma])
         mid = hstack([zero(ring, n1, m0), D_yz.neg(), zero(ring, n1, m2)])
         bot = hstack([zero(ring, n2, m0), zero(ring, n2, m1), D_csx.neg()])
-        x = solve_left(vstack([top, mid, bot]), Mat.from_rows(ring, [rhs], m0 + m1 + m2))
+        x = solve_left(_vstack([top, mid, bot]), Mat.from_rows(ring, [rhs], m0 + m1 + m2))
         if x is None:
             return TriangleVerdict("not_exact", "no comparison map from the cone exists")
         sol = x.row(0)

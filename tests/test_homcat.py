@@ -489,6 +489,18 @@ def test_recognizer_matches_the_composites_first_oracle(ex):
         v = recognize_triangle(*legs)
         assert v.reason == reason
         _assert_same_verdict(v, recognize_triangle_composites_first(*legs))
+    # systems with no unknowns: X -> 0 -> 0 -> X[1], with proj to match, and
+    # 0 -> 0 -> 0 -> 0[1], with nothing to match
+    O = zero_complex(ex["alg"])
+    for X in (ex["P1s"], ex["S1r"]):
+        legs = (zero_map(X, O), zero_map(O, O), zero_map(O, X.shift(1)))
+        v = recognize_triangle(*legs)
+        assert v.reason == "no comparison map from the cone exists"
+        _assert_same_verdict(v, recognize_triangle_composites_first(*legs))
+    legs = (zero_map(O, O), zero_map(O, O), zero_map(O, O.shift(1)))
+    v = recognize_triangle(*legs)
+    assert v.verdict == "exact" and verify_triangle_certificate(*legs, v)
+    _assert_same_verdict(v, recognize_triangle_composites_first(*legs))
 
 
 def test_an_exact_triangle_builds_one_hom_space(ex, monkeypatch):

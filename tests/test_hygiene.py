@@ -25,11 +25,13 @@ arithmetic builds no zero blocks to multiply, ``GradedMap.is_chain_map`` is
 the only chain-map test, ``ProjComplex.__eq__`` is the only complex-equality
 rule, no solve is asked for a kernel: ``solve`` and ``solve_left`` get no
 ``Mat.zeros`` right-hand side and return no tuple to unpack, so kernels come
-only from ``left_kernel``, ``runner`` names the certificate codecs and
-verifiers only inside its ``_CERTS`` table, and there are no dead helpers:
-every function, method and class of the package is referenced, as a name or
-an attribute outside its own definition, somewhere in the package or in
-``bench/``. Dunder methods are exempt, and so are the few public helpers in
+only from ``left_kernel``, ``homcat.solve_up_to_homotopy`` is the one place a
+(map, homotopy) system is assembled: only ``homcat`` calls ``delta_matrix``,
+and ``lifting`` imports nothing from ``linalg``, ``runner`` names the
+certificate codecs and verifiers only inside its ``_CERTS`` table, and there
+are no dead helpers: every function, method and class of the package is
+referenced, as a name or an attribute outside its own definition, somewhere
+in the package or in ``bench/``. Dunder methods are exempt, and so are the few public helpers in
 ``_KEPT``, each with the reason it stays. A reference names no class, so the
 method names two classes share are recorded in ``_SHARED_METHOD_NAMES`` once
 each namesake has been checked for a caller."""
@@ -392,6 +394,28 @@ def test_only_algebra_reads_the_product_table():
                  if isinstance(n, ast.Attribute) and (n.attr == "structure" or (
                      n.attr == "products" and path != os.path.join(SRC, "algebra.py")))]
     assert not uses, "product table read outside algebra.py: " + ", ".join(uses)
+
+
+def _imports_from(tree, module):
+    """Lines of the imports in ``tree`` that name package module ``module``."""
+    return [n.lineno for n in ast.walk(tree)
+            if (isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[-1] == module)
+            or (isinstance(n, ast.Import)
+                and any(a.name.split(".")[-1] == module for a in n.names))]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_homcat_poses_homotopy_systems(module):
+    # a (map, homotopy) system is posed and solved by homcat.solve_up_to_homotopy:
+    # no other module builds a delta operator, and lifting, whose search nodes
+    # it solves, imports no linear algebra
+    tree = _parse(module)
+    uses = [] if module == "homcat.py" else [
+        f"{module}:{n.lineno}" for n in _calls_named(tree, "delta_matrix")]
+    if module == "lifting.py":
+        uses += [f"lifting.py:{line}: import from linalg" for line in _imports_from(tree, "linalg")]
+        assert _calls_named(tree, "solve_up_to_homotopy"), "lifting no longer uses the routine"
+    assert not uses, "homotopy system assembled outside homcat: " + ", ".join(uses)
 
 
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)

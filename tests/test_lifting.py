@@ -1,12 +1,15 @@
 """Map and complex lifting across bimodule functors."""
 
 import dataclasses
+import os
 import random
 
 import pytest
 
 from build_examples import corner_map, split_map, ut2_complexes
-from oracles import route_trusted_algmats_through_validation
+from oracles import lift_node_by_blocks, route_trusted_algmats_through_validation
+from kbproj import lifting
+from kbproj.fixture import load_fixture
 from kbproj.functors import induction_functor, restriction_functor
 from kbproj.homcat import (
     AlgMat,
@@ -34,6 +37,8 @@ from kbproj.lifting import (
 )
 from kbproj.linalg import QQ
 from kbproj.serialize import complex_lift_cert_to_json
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 @pytest.fixture(scope="module")
@@ -150,12 +155,12 @@ def test_budget_exhaustion(ctx):
     assert rep.verdict == "not_found" and rep.depth_reached == 0
 
 
-def test_randomized_corner_lifts_all_verify(ctx):
+def _random_corner_problems(ctx):
+    """Seeded map-lift problems across the corner functor, each with a nonzero Hom."""
     G = ctx["G"]
     rng = random.Random(41)
     pool = [ctx["P1s"], ctx["P2s"], ctx["S1r"], ctx["P1s"].shift(1),
             ctx["S1r"].shift(-1), direct_sum(ctx["P1s"], ctx["S1r"])]
-    rounds = 0
     for _ in range(48):
         X, Y = rng.choice(pool), rng.choice(pool)
         GX, GY = G.apply_complex(X), G.apply_complex(Y)
@@ -165,13 +170,47 @@ def test_randomized_corner_lifts_all_verify(ctx):
         alpha = zero_map(GX, GY, 0)
         for b in H.basis():
             alpha = alpha + b.scale(QQ.from_int(rng.randint(-2, 2)))
-        problem = MapLiftProblem(G, X, Y, alpha, generators=[ctx["P2s"]])
+        yield MapLiftProblem(G, X, Y, alpha, generators=[ctx["P2s"]])
+
+
+def test_randomized_corner_lifts_all_verify(ctx):
+    rounds = 0
+    for problem in _random_corner_problems(ctx):
         rep = lift_chain_map(problem, budget=SearchBudget(max_depth=3))
         assert rep.verdict == "found"
         ok, reason = verify_map_lift(problem, rep.certificate)
         assert ok, reason
         rounds += 1
     assert rounds >= 10
+
+
+def test_lift_nodes_match_the_block_oracle(ctx, monkeypatch):
+    # at every node the search visits, on the fixtures' lift problems and the
+    # randomized corner problems, the shared (map, homotopy) solver gives the
+    # (lifted, homotopy) of the block layout it replaced, or None like it
+    solve, outcomes = lifting.solve_up_to_homotopy, []
+
+    def compared(F):
+        def both(Xc, Y, terms):
+            got = solve(Xc, Y, terms)
+            [(_, b)] = terms
+            want = lift_node_by_blocks(F, Xc, Y, b)
+            assert got == (None if want is None else (want[0], [want[1]]))
+            outcomes.append(got is not None)
+            return got
+        return both
+
+    runs = [(problem, lift_chain_map, SearchBudget(max_depth=3))
+            for problem in _random_corner_problems(ctx)]
+    for name in ("corner", "split"):
+        fx = load_fixture(os.path.join(FIXTURES, f"{name}.json"))
+        runs += [(problem, lift_chain_map, budget) for problem, budget in fx.lifts.values()]
+        runs += [(problem, lift_complex, budget)
+                 for problem, budget in fx.complex_lifts.values()]
+    for problem, search, budget in runs:
+        monkeypatch.setattr(lifting, "solve_up_to_homotopy", compared(problem.functor))
+        search(problem, budget)
+    assert outcomes.count(True) >= 20 and outcomes.count(False) >= 5
 
 
 def test_verify_rejects_tampered_certificates(ctx):

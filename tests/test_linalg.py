@@ -201,6 +201,23 @@ def test_span_with_is_the_span_of_both(ring, data, n, k, m):
     assert S.span_with([]) == S
 
 
+@pytest.mark.parametrize("ring", [QQ, GF(5)], ids=repr)
+def test_a_span_of_nothing_runs_no_elimination(ring, monkeypatch):
+    # no nonzero vector: the zero subspace (or the one grown), with no rref_rows call
+    import kbproj.linalg as linalg
+    real, calls = linalg.rref_rows, []
+    monkeypatch.setattr(linalg, "rref_rows", lambda *a, **k: calls.append(a) or real(*a, **k))
+    zero = [ring.zero] * 3
+    for vecs in ([], [zero], [zero, list(zero)]):
+        assert Subspace.from_spanning(ring, 3, vecs) == Subspace.zero(ring, 3)
+    S = Subspace.full(ring, 3)
+    assert S.span_with([zero]) is S
+    assert not calls
+    with pytest.raises(LinalgError):
+        Subspace.from_spanning(ring, 3, [[ring.zero] * 2])
+    assert Subspace.from_spanning(ring, 3, [[ring.one] * 3]).dim == 1 and len(calls) == 1
+
+
 def test_solve_left():
     A = qmat([[1, 2], [0, 1], [1, 0]])
     b = qmat([[2, 3]])
