@@ -343,11 +343,6 @@ class ProjComplex:
         diff = {n - k: d.scale(sign) for n, d in self.diff.items()}
         return ProjComplex(self.alg, summands, diff, name=f"{self.name}[{k}]")
 
-    def hard_truncate_ge(self, n: int) -> "ProjComplex":
-        summands = {m: s for m, s in self.summands.items() if m >= n}
-        diff = {m: d for m, d in self.diff.items() if m >= n}
-        return ProjComplex(self.alg, summands, diff, name=f"{self.name}|>={n}")
-
     def hard_truncate_le(self, n: int) -> "ProjComplex":
         summands = {m: s for m, s in self.summands.items() if m <= n}
         diff = {m: d for m, d in self.diff.items() if m + 1 <= n}

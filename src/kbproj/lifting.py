@@ -8,9 +8,9 @@ built by coning off maps into shifted generator complexes that F
 kills, so the search space is a tree ordered by (depth, generator,
 shift, basis element), and each node asks ``homcat.solve_up_to_homotopy``
 for a lift and its homotopy.  Given a complex over the target,
-``lift_complex`` rebuilds it degree by degree from supplied stalk lifts,
-lifting each attaching map with the same search.  Both problems are
-records, checked once when they are built.
+``lift_complex`` rebuilds it from the lowest degree up, from supplied stalk
+lifts whose inverses its checked problem keeps, lifting each attaching map
+with the same search.  Both problems are checked once, when built.
 
 Every positive answer carries a certificate that re-verifies by direct
 arithmetic, with no linear solving: see ``verify_map_lift`` and
@@ -20,7 +20,7 @@ arithmetic, with no linear solving: see ``verify_map_lift`` and
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from .functors import BimoduleFunctor, functor_matrix
@@ -215,21 +215,24 @@ class ComplexLiftReport:
 @dataclass(eq=False)
 class ComplexLiftProblem:
     """Rebuild Y as F of a source complex from stalk lifts, one per summand
-    index, and generators F kills.  The constructor checks the problem."""
+    index, and generators F kills.  The constructor checks the problem and
+    keeps a homotopy inverse of each stalk's equivalence."""
 
     functor: BimoduleFunctor
     target: ProjComplex                      # Y
     stalks: Dict[int, StalkLift]
     generators: Sequence[ProjComplex] = ()
+    inverses: Dict[int, GradedMap] = field(init=False, repr=False)   # stalk -> F(source)
 
     def __post_init__(self):
         if self.target.alg != self.functor.target_alg:
             raise LiftError("target complex lives over the wrong algebra")
-        _check_stalk_table(self.functor, self.stalks)
+        self.inverses = _check_stalk_table(self.functor, self.stalks)
         _check_generators(self.functor, self.generators)
 
 
-def _check_stalk_table(F: BimoduleFunctor, table: Dict[int, StalkLift]):
+def _check_stalk_table(F: BimoduleFunctor, table: Dict[int, StalkLift]) -> Dict[int, GradedMap]:
+    inverses = {}
     for j, sl in table.items():
         if sl.equivalence.source != F.apply_complex(sl.source):
             raise LiftError(f"stalk lift {j}: equivalence source is not the functor image")
@@ -237,9 +240,11 @@ def _check_stalk_table(F: BimoduleFunctor, table: Dict[int, StalkLift]):
             raise LiftError(f"stalk lift {j}: equivalence target is not the stalk")
         if not sl.equivalence.is_chain_map():
             raise LiftError(f"stalk lift {j}: equivalence is not a chain map")
-        ok, _ = is_homotopy_equivalence(sl.equivalence)
+        ok, contraction = is_homotopy_equivalence(sl.equivalence)
         if not ok:
             raise LiftError(f"stalk lift {j}: map is not an equivalence")
+        inverses[j] = homotopy_inverse_from_contraction(sl.equivalence, contraction)[0]
+    return inverses
 
 
 def _sum_map(f: GradedMap, g: GradedMap, src: ProjComplex,
@@ -251,95 +256,81 @@ def _sum_map(f: GradedMap, g: GradedMap, src: ProjComplex,
     return GradedMap(src, tgt, 0, comps)
 
 
-class _NotLiftable(Exception):
-    pass
-
-
-def _lift_stalk_layer(F, Y: ProjComplex, h: int, table) -> Tuple[ProjComplex, GradedMap]:
-    parts = []
-    for j in Y.summands_at(h):
-        if j not in table:
-            raise _NotLiftable(f"no stalk lift supplied for summand {j}")
-        sl = table[j]
-        parts.append((sl.source.shift(-h), sl.equivalence.shift(-h)))
-    X, e = parts[0]
-    for Xi, ei in parts[1:]:
+def _lift_stalk_layer(problem: ComplexLiftProblem, h: int
+                      ) -> Tuple[ProjComplex, GradedMap, GradedMap]:
+    """Lift the target's degree-h summands: (X, e: F(X) -> layer, an inverse
+    of e), each the block sum of the stalks' own, shifted by -h."""
+    F = problem.functor
+    parts = [(problem.stalks[j].source.shift(-h), problem.stalks[j].equivalence.shift(-h),
+              problem.inverses[j].shift(-h)) for j in problem.target.summands_at(h)]
+    X, e, inv = parts[0]
+    for Xi, ei, invi in parts[1:]:
         X = direct_sum(X, Xi)
-        e = _sum_map(e, ei, F.apply_complex(X), direct_sum(e.target, ei.target))
-    return X, e
+        FX, layer = F.apply_complex(X), direct_sum(e.target, ei.target)
+        e, inv = _sum_map(e, ei, FX, layer), _sum_map(inv, invi, layer, FX)
+    return X, e, inv
 
 
 def lift_complex(problem: ComplexLiftProblem,
                  budget: SearchBudget = SearchBudget()) -> ComplexLiftReport:
-    """Rebuild the problem's target as a functor image, with certificate."""
-    try:
-        X, e = _lift_rec(problem, problem.target, budget)
-    except _NotLiftable as stop:
-        return ComplexLiftReport("not_found", None, str(stop))
+    """Rebuild the problem's target Y as a functor image, with certificate.
+
+    Bottom up: the lift X of Y below degree h, with e: F(X) -> that part, is
+    glued to the stalk layer A at h along a lift of inv(A) . d . e, d being
+    Y's differential into h; inv(A) sums the problem's stalk inverses."""
+    F, Y = problem.functor, problem.target
+    degs = Y.degrees()
+    missing = next((j for h in reversed(degs) for j in Y.summands_at(h)
+                    if j not in problem.stalks), None)
+    if missing is not None:
+        return ComplexLiftReport("not_found", None,
+                                 f"no stalk lift supplied for summand {missing}")
+    if degs:
+        X, e, _ = _lift_stalk_layer(problem, degs[0])
+    else:
+        X = zero_complex(F.source_alg)
+        e = GradedMap(F.apply_complex(X), Y, 0, {})
+    for h in degs[1:]:
+        XA, q, invA = _lift_stalk_layer(problem, h)
+        A = q.target
+        XBs, eBs = X.shift(-1), e.shift(-1)
+        SB = eBs.target
+        dmap = chain_map(SB, A, {h: Y.diff_at(h - 1)}, name="attach")
+        m = invA.compose(dmap).compose(eBs)
+        # m is a chain map F(XBs) = eBs.source -> F(XA) = q.source, and the generators
+        # are the checked problem's; the cone check below compares F(X) with a fresh image
+        rep = lift_chain_map(MapLiftProblem._checked(F, XBs, XA, m, problem.generators),
+                             budget)
+        if rep.verdict != "found":
+            return ComplexLiftReport("not_found", None, f"attaching map into degree {h} "
+                                     "has no lift within the budget")
+        cert = rep.certificate
+        dhat = cert.lifted
+        X, _, _ = cone(dhat)
+        FX = F.apply_complex(X)
+        FR = F.apply_complex(cert.replacement)
+        Fd = F.apply_map(dhat, FR, q.source)
+        CFd, _, _ = cone(Fd)
+        if FX != CFd:
+            raise LiftError("internal error: functor image of the cone is not "
+                            "the cone of the image")
+        p = eBs.compose(F.apply_map(cert.to_source, FR, eBs.source))
+        ok, H = HomSpace(p.source, A).is_nullhomotopic(q.compose(Fd) - dmap.compose(p))
+        if not ok:
+            raise LiftError("internal error: comparison square does not commute "
+                            "up to homotopy")
+        # [[p, 0], [H, q]]: F(XBs)^(n+1) (+) F(XA)^n -> SB^(n+1) (+) A^n
+        comps = {n: AlgMat.block(Y.alg, [SB.summands_at(n + 1), A.summands_at(n)],
+                                 [p.source.summands_at(n + 1), q.source.summands_at(n)],
+                                 [[p.components.get(n + 1), None],
+                                  [H.components.get(n + 1), q.components.get(n)]])
+                 for n in FX.degrees()}
+        e = chain_map(FX, Y.hard_truncate_le(h), comps, name=f"compare@{h}")
     ok, contraction = is_homotopy_equivalence(e)
     if not ok:
         raise LiftError("internal error: assembled comparison map is not "
                         "an equivalence")
-    cert = ComplexLiftCertificate(X, e, contraction)
-    return ComplexLiftReport("found", cert)
-
-
-def _lift_rec(problem, Y: ProjComplex, budget) -> Tuple[ProjComplex, GradedMap]:
-    F = problem.functor
-    if Y.is_zero():
-        Z = zero_complex(F.source_alg)
-        FZ = F.apply_complex(Z)
-        return Z, GradedMap(FZ, Y, 0, {})
-    degs = Y.degrees()
-    h = degs[-1]
-    if len(degs) == 1:
-        return _lift_stalk_layer(F, Y, h, problem.stalks)
-    A = Y.hard_truncate_ge(h)
-    B = Y.hard_truncate_le(h - 1)
-    XA, eA = _lift_rec(problem, A, budget)
-    XB, eB = _lift_rec(problem, B, budget)
-    SB = B.shift(-1)
-    dmap = chain_map(SB, A, {h: Y.diff_at(h - 1)}, name="attach")
-    ok, cA = is_homotopy_equivalence(eA)
-    if not ok:
-        raise LiftError("internal error: stalk comparison not invertible")
-    invA, _, _ = homotopy_inverse_from_contraction(eA, cA)
-    XBs = XB.shift(-1)
-    eBs = eB.shift(-1)
-    m = invA.compose(dmap).compose(eBs)
-    # m is a chain map F(XBs) = eBs.source -> F(XA) = eA.source, and the generators
-    # are the checked problem's; the cone check below compares F(X) with a fresh image
-    rep = lift_chain_map(MapLiftProblem._checked(F, XBs, XA, m, problem.generators), budget)
-    if rep.verdict != "found":
-        raise _NotLiftable(
-            f"attaching map into degree {h} has no lift within the budget")
-    cert = rep.certificate
-    dhat = cert.lifted
-    X, _, _ = cone(dhat)
-    FX = F.apply_complex(X)
-    FR = F.apply_complex(cert.replacement)
-    Fd = F.apply_map(dhat, FR, eA.source)
-    CFd, _, _ = cone(Fd)
-    if FX != CFd:
-        raise LiftError("internal error: functor image of the cone is not "
-                        "the cone of the image")
-    Fpi = F.apply_map(cert.to_source, FR, eBs.source)
-    p = eBs.compose(Fpi)
-    q = eA
-    g = q.compose(Fd) - dmap.compose(p)
-    Hsp = HomSpace(p.source, A)
-    ok, H = Hsp.is_nullhomotopic(g)
-    if not ok:
-        raise LiftError("internal error: comparison square does not commute "
-                        "up to homotopy")
-    # [[p, 0], [H, q]]: F(XBs)^(n+1) (+) F(XA)^n -> SB^(n+1) (+) A^n
-    comps = {n: AlgMat.block(Y.alg, [SB.summands_at(n + 1), A.summands_at(n)],
-                             [p.source.summands_at(n + 1), q.source.summands_at(n)],
-                             [[p.components.get(n + 1), None],
-                              [H.components.get(n + 1), q.components.get(n)]])
-             for n in FX.degrees()}
-    e = chain_map(FX, Y, comps, name=f"compare@{h}")
-    return X, e
+    return ComplexLiftReport("found", ComplexLiftCertificate(X, e, contraction))
 
 
 def verify_complex_lift(problem: ComplexLiftProblem,

@@ -88,6 +88,9 @@ def complex_to_json(X: ProjComplex) -> Dict:
 def complex_from_json(alg, payload, name: str = "X") -> ProjComplex:
     if not isinstance(payload, dict):
         raise SerializeError(f"complex {name}: payload must be an object")
+    for key in ("summands", "diff"):
+        if not isinstance(payload.get(key, {}), dict):
+            raise SerializeError(f"complex {name}: {key!r} must be an object")
     summands = {}
     n_idems = alg.n_idempotents()
     for k, s in payload.get("summands", {}).items():
@@ -203,7 +206,8 @@ def complex_lift_cert_from_json(problem: ComplexLiftProblem, payload) -> Complex
 
 
 def triangle_cert_to_json(verdict) -> Optional[Dict]:
-    if verdict.rho is None:
+    # a not_exact verdict may carry a comparison map, but never a certificate
+    if verdict.verdict != "exact":
         return None
     return {
         "rho": map_components_to_json(verdict.rho),

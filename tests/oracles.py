@@ -1045,6 +1045,21 @@ def dense_left_kernel(A):
     return _dense_kernel(A.ring, red, pivots, A.nrows)
 
 
+# -- stalk-layer inverses by solving ----------------------------------------------
+
+
+def stalk_layer_inverse_by_solving(e):
+    """A homotopy inverse of a complex lift's stalk-layer comparison map e, as
+    ``lifting.lift_complex`` found it before the checked problem kept each
+    stalk's inverse: contract cone(e), then read the inverse off the
+    contraction."""
+    from kbproj.homcat import homotopy_inverse_from_contraction, is_homotopy_equivalence
+
+    ok, contraction = is_homotopy_equivalence(e)
+    assert ok, "a stalk layer is not an equivalence"
+    return homotopy_inverse_from_contraction(e, contraction)[0]
+
+
 # -- triangle recognition that tests the composites first --------------------------
 
 

@@ -1,5 +1,7 @@
 """Idempotent-ideal quotient reports and contraction certificates."""
 
+import json
+
 import pytest
 
 import kbproj.almost
@@ -17,6 +19,7 @@ from kbproj.almost import (
     serre_adjoint_report,
     standard_modules,
 )
+from kbproj.cli import main
 from kbproj.fixture import load_fixture
 from kbproj.functors import FiniteSubcat
 from kbproj.homcat import AlgMat, chain_map, is_contractible, is_homotopy_equivalence, single_summand_complex
@@ -276,6 +279,27 @@ def test_zeroed_homotopy_defects_localized():
     defects = contraction_defects(bad)
     assert set(defects) == {0, -1}
     assert -2 not in defects  # the surviving identity still holds there
+
+
+def test_a_declared_dimension_builds_nothing_of_its_size(capsys, tmp_path, monkeypatch):
+    # a degree of dimension 10^9 with no stored matrix: h.d + d.h is zero
+    # there, not the identity, and deciding so builds no identity matrix
+    identity = Mat.identity.__func__
+
+    def small_identity(cls, ring, n):
+        assert n <= 10_000, f"an identity of size {n} was built"
+        return identity(cls, ring, n)
+
+    monkeypatch.setattr(Mat, "identity", classmethod(small_identity))
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({
+        "format_version": 1, "field": "QQ", "algebras": {},
+        "contractions": {"huge": {"dims": {"0": 10**9}}},
+        "tasks": [{"id": "huge", "command": "verify-contraction", "name": "huge"}]}))
+    assert main(["run", "--fixture", str(p)]) == 0
+    rep = json.loads(capsys.readouterr().out)["reports"][0]
+    assert rep["verdict"] == "refuted"
+    assert rep["evidence"]["defect_degrees"] == [0]
 
 
 def test_fixture_rejects_non_square_zero():

@@ -5,7 +5,9 @@ constructor, and ``TrianglePresentation`` recognizes its triangle there; the
 fixture builds all three at load.  The solvers take them as checked: no
 solver calls a check, only ``lifting`` builds a problem through the
 unchecked ``_checked``, and a warm task makes no check at all, while
-``lift_complex`` still reaches the public ``lift_chain_map``.
+``lift_complex`` still reaches the public ``lift_chain_map``.  The complex
+problem keeps each stalk's homotopy inverse from its check, so a complex lift
+contracts no stalk layer's cone.
 """
 
 import ast
@@ -23,12 +25,13 @@ from kbproj.lifting import ComplexLiftProblem, LiftError, MapLiftProblem
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "kbproj")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
-CORNER = os.path.join(os.path.dirname(__file__), "..", "fixtures", "corner.json")
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+CORNER = os.path.join(FIXTURES, "corner.json")
 
 # the problem checks, which run in the constructors only
 CHECKS = ("recognize_triangle", "_check_generators", "_check_stalk_table")
 SOLVERS = (("ideals.py", "saturation_report"), ("lifting.py", "lift_chain_map"),
-           ("lifting.py", "lift_complex"), ("lifting.py", "_lift_rec"))
+           ("lifting.py", "lift_complex"))
 
 
 def _parse(module):
@@ -53,18 +56,29 @@ def test_solvers_call_no_problem_check(module, function):
 @pytest.mark.parametrize("module", MODULES)
 def test_only_lift_rec_builds_an_unchecked_problem(module):
     # an attaching map is a chain map between images by construction, and the
-    # complex problem has checked the generators; every other problem is checked
+    # complex problem has checked the generators; every other problem is checked.
+    # The name, from the recursion this loop replaced, keeps the test ids stable.
     tree = _parse(module)
     allowed = set()
     if module == "lifting.py":
-        rec = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_lift_rec")
-        allowed = {id(n) for n in ast.walk(rec) if isinstance(n, ast.Call)
+        loop = next(n for n in tree.body
+                    if isinstance(n, ast.FunctionDef) and n.name == "lift_complex")
+        allowed = {id(n) for n in ast.walk(loop) if isinstance(n, ast.Call)
                    and isinstance(n.func, ast.Attribute) and n.func.attr == "_checked"}
-        assert allowed, "_lift_rec no longer builds its problems through _checked"
+        assert allowed, "lift_complex no longer builds its problems through _checked"
     uses = [f"{module}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Call)
             and isinstance(n.func, ast.Attribute) and n.func.attr == "_checked"
             and id(n) not in allowed]
-    assert not uses, "_checked called outside _lift_rec: " + ", ".join(uses)
+    assert not uses, "_checked called outside lift_complex: " + ", ".join(uses)
+
+
+def test_only_the_stalk_table_check_inverts_a_stalk():
+    # a stalk's homotopy inverse comes from the contraction that proves it an
+    # equivalence, at load; a complex lift sums the kept inverses
+    callers = {fn.name for fn in ast.walk(_parse("lifting.py"))
+               if isinstance(fn, ast.FunctionDef)
+               and "homotopy_inverse_from_contraction" in _called(fn)}
+    assert callers == {"_check_stalk_table"}
 
 
 def _count(monkeypatch, calls, module, name):
@@ -97,6 +111,25 @@ def test_a_warm_corner_pass_checks_nothing(monkeypatch):
     # each attaching map is lifted through the public search, and nothing is
     # checked again
     assert set(calls) == {"lift_chain_map"} and calls["lift_chain_map"] > 0
+
+
+def test_a_warm_complex_lift_solves_nothing_for_its_stalk_layers(monkeypatch):
+    # each stalk layer's inverse is a block sum of the checked problem's stalk
+    # inverses: no cone of a stalk layer is contracted, and the one equivalence
+    # a lift decides is its certificate's
+    problems = [posed for name in ("corner", "split")
+                for posed in load_fixture(os.path.join(FIXTURES, f"{name}.json"))
+                .complex_lifts.values()]
+    assert len(problems) == 5
+    for problem, budget in problems:
+        lifting.lift_complex(problem, budget)          # warm
+    calls = {}
+    for name in ("is_homotopy_equivalence", "homotopy_inverse_from_contraction"):
+        _count(monkeypatch, calls, sys.modules["kbproj.homcat"], name)
+    for problem, budget in problems:
+        calls.clear()
+        assert lifting.lift_complex(problem, budget).verdict == "found"
+        assert calls == {"is_homotopy_equivalence": 1}
 
 
 @pytest.fixture(scope="module")

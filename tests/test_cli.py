@@ -561,6 +561,39 @@ def test_map_lift_certificate_bad_path_refuted(capsys, tmp_path, corner_certific
     assert why in reason
 
 
+@pytest.mark.parametrize("key", ["summands", "diff"])
+def test_map_lift_certificate_replacement_not_an_object_refuted(capsys, tmp_path,
+                                                                corner_certificates, key):
+    cert = json.loads(json.dumps(corner_certificates["lift-corner-id"]))
+    cert["payload"]["replacement"][key] = [1]
+    verdict, reason = _replay(capsys, tmp_path, cert)
+    assert verdict == "refuted"
+    assert reason == ("certificate does not fit the problem: "
+                      f"complex replacement: {key!r} must be an object")
+
+
+def test_triangle_with_an_uninvertible_comparison_has_no_certificate(capsys, tmp_path):
+    # 0 -> 0 -> P1s -> 0[1]: the zero map from the cone (zero) to P1s is a
+    # comparison map but not an equivalence, so the verdict carries no certificate
+    data = json.load(open(CORNER))
+    data["complexes"]["Z"] = {"algebra": "UT2", "summands": {}, "diff": {}}
+    data["maps"].update({
+        "zz": {"source": "Z", "target": "Z", "components": {}},
+        "zp": {"source": "Z", "target": "P1s", "components": {}},
+        "pz": {"source": "P1s", "target": "Z[1]", "components": {}}})
+    data["triangles"]["zero-zero-p1"] = {"alpha": "zz", "beta": "zp", "gamma": "pz"}
+    data["tasks"] = [{"id": "tri", "command": "recognize-triangle", "name": "zero-zero-p1"}]
+    p = tmp_path / "fx.json"
+    p.write_text(json.dumps(data))
+    code, out = _cli(capsys, "run", "--fixture", str(p))
+    assert code == 0
+    rep = json.loads(out)["reports"][0]
+    assert rep["verdict"] == "not_exact"
+    assert rep["evidence"]["reason"] == \
+        "a comparison map from the cone exists but is not an equivalence"
+    assert "certificate" not in rep["evidence"]
+
+
 # -- corner support is checked where data enters ------------------------------
 
 

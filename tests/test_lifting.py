@@ -7,7 +7,11 @@ import random
 import pytest
 
 from build_examples import corner_map, split_map, ut2_complexes
-from oracles import lift_node_by_blocks, route_trusted_algmats_through_validation
+from oracles import (
+    lift_node_by_blocks,
+    route_trusted_algmats_through_validation,
+    stalk_layer_inverse_by_solving,
+)
 from kbproj import lifting
 from kbproj.fixture import load_fixture
 from kbproj.functors import induction_functor, restriction_functor
@@ -346,16 +350,59 @@ def test_lift_block_sums_pass_the_corner_check(ctx, monkeypatch):
                            name="imageish")
     three = ProjComplex(k, {-2: (0,), -1: (0,), 0: (0,)},
                         {-2: AlgMat(k, (0,), (0,), [[one]])}, name="three")
-    cases = [(ComplexLiftProblem(F, two_term, ctx["f_table"]), SearchBudget()),
-             (ComplexLiftProblem(G, three, ctx["g_table"], generators=[ctx["P2s"]]),
-              SearchBudget(max_depth=3))]
-    fast = [lift_complex(problem, budget) for problem, budget in cases]
+
+    def cases():
+        # the stalk inverses are built with the problem, so build it under the check too
+        return [(ComplexLiftProblem(F, two_term, ctx["f_table"]), SearchBudget()),
+                (ComplexLiftProblem(G, three, ctx["g_table"], generators=[ctx["P2s"]]),
+                 SearchBudget(max_depth=3))]
+
+    fast = [lift_complex(problem, budget) for problem, budget in cases()]
     callers = route_trusted_algmats_through_validation(monkeypatch)
-    for (problem, budget), rep in zip(cases, fast):
+    for (problem, budget), rep in zip(cases(), fast):
         checked = lift_complex(problem, budget)
         assert checked.verdict == rep.verdict == "found"
         assert complex_lift_cert_to_json(checked.certificate) == \
             complex_lift_cert_to_json(rep.certificate)
         ok, reason = verify_complex_lift(problem, checked.certificate)
         assert ok, reason
-    assert {"_sum_map", "_lift_rec", "homotopy_inverse_from_contraction"} <= callers
+    assert {"_sum_map", "lift_complex", "homotopy_inverse_from_contraction"} <= callers
+
+
+def test_stalk_layer_inverses_match_the_solved_oracle(ctx, monkeypatch):
+    # a stalk layer's inverse is the block sum of the stalk inverses the checked
+    # problem keeps; on every layer the fixtures' and these tests' complex lifts
+    # build, it is the inverse that contracting cone(e) gives
+    k, kk, G, F = ctx["k"], ctx["kk"], ctx["G"], ctx["F"]
+    one = (QQ.one,)
+    g_targets = [
+        zero_complex(k),
+        single_summand_complex(k, 0, 2),
+        ProjComplex(k, {-1: (0,), 0: (0,)}, {-1: AlgMat(k, (0,), (0,), [[one]])}),
+        ProjComplex(k, {-1: (0,), 0: (0,)}, {}),
+        ProjComplex(k, {-2: (0,), -1: (0,), 0: (0,)}, {-2: AlgMat(k, (0,), (0,), [[one]])}),
+    ]
+    f_targets = [
+        single_summand_complex(kk, 0, 0),
+        ProjComplex(kk, {-1: (1,), 0: (0, 1)},
+                    {-1: AlgMat(kk, (0, 1), (1,), [[kk.zero_vec()], [ctx["u2"]]])}),
+    ]
+    runs = [(ComplexLiftProblem(G, Y, ctx["g_table"], generators=[ctx["P2s"]]), SearchBudget())
+            for Y in g_targets]
+    runs += [(ComplexLiftProblem(F, Y, ctx["f_table"]), SearchBudget()) for Y in f_targets]
+    for name in ("corner", "split"):
+        runs += load_fixture(os.path.join(FIXTURES, f"{name}.json")).complex_lifts.values()
+    build, layers = lifting._lift_stalk_layer, []
+
+    def recorded(problem, h):
+        layers.append(build(problem, h))
+        return layers[-1]
+
+    monkeypatch.setattr(lifting, "_lift_stalk_layer", recorded)
+    for problem, budget in runs:
+        assert lift_complex(problem, budget).verdict == "found"
+    for _, e, inv in layers:
+        assert inv == stalk_layer_inverse_by_solving(e)
+    # some layer sums two stalks
+    assert len(layers) == 20 and any(len(e.target.summands_at(n)) > 1
+                                     for _, e, _ in layers for n in e.target.degrees())
