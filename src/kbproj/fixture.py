@@ -27,6 +27,7 @@ from .linalg import GF, LaurentRing, QQ
 from .serialize import (
     SerializeError,
     complex_from_json,
+    int_key,
     map_from_json,
     mat_from_json,
     vec_from_json,
@@ -150,17 +151,9 @@ class FixtureFile:
         rm = self.lookup("ring_maps", f.get("ring_map"), f"functor {name}")
         # witnesses are keyed by source and name target idempotents of F: R -> S, A -> C
         src, tgt = (rm.target, rm.source) if kind == "restriction" else (rm.source, rm.target)
-        witnesses = {}
-        for k, lst in f.get("witnesses", {}).items():
-            pairs = []
-            for item in lst:
-                if not (isinstance(item, list) and len(item) == 2):
-                    raise FixtureError(f"functor {name}: witness entries are "
-                                       f"[idempotent, element] pairs")
-                j, vec = item
-                pairs.append((checked_int(j, "idempotent", 0, tgt.n_idempotents() - 1),
-                              vec_from_json(self.ring, vec, rm.target.dim)))
-            witnesses[_index_key(k, "witness", src.n_idempotents())] = pairs
+        witnesses = {_index_key(k, "witness", src.n_idempotents()):
+                     self._pairs(lst, "witness", tgt.n_idempotents(), rm.target.dim)
+                     for k, lst in _typed(f, "witnesses", dict).items()}
         if kind == "induction":
             return induction_functor(rm, witnesses)
         if kind == "restriction":
@@ -176,15 +169,17 @@ class FixtureFile:
         src = self.complex(m.get("source"), f"map {name}")
         tgt = self.complex(m.get("target"), f"map {name}")
         degree = checked_int(m.get("degree", 0), "degree", -WINDOW_CAP, WINDOW_CAP)
-        f = map_from_json(src, tgt, degree, m.get("components", {}), name=name)
+        f = map_from_json(src, tgt, degree, _typed(m, "components", dict), name=name)
         if m.get("chain", True) and degree == 0 and not f.is_chain_map():
             raise FixtureError(f"map {name}: does not commute with the differentials")
         return f
 
     def _build_subcat(self, name, s) -> FiniteSubcat:
-        base = s.get("objects", [])
-        lo, hi = (checked_int(n, "shift_range", -WINDOW_CAP, WINDOW_CAP)
-                  for n in s.get("shift_range", [0, 0]))
+        base = _typed(s, "objects", list)
+        bounds = s.get("shift_range", [0, 0])
+        if not (isinstance(bounds, list) and len(bounds) == 2):
+            raise ValueError("'shift_range' must be a list of two integers")
+        lo, hi = (checked_int(n, "shift_range", -WINDOW_CAP, WINDOW_CAP) for n in bounds)
         if lo > hi:
             raise FixtureError(f"subcategory {name}: empty shift range")
         objs = {}
@@ -215,14 +210,14 @@ class FixtureFile:
     def _build_ideal(self, name, i) -> Dict:
         subcat = self.lookup("subcategories", i.get("subcat"), f"ideal {name}")
         gens: Dict[Tuple[str, str], List[GradedMap]] = {}
-        for g in i.get("generators", []):
+        for g in _typed(i, "generators", list):
             f = self.lookup("maps", g, f"ideal {name}")
             if not f.is_chain_map():  # a class of Hom(X, Y) is a degree-0 chain map
                 raise FixtureError(f"ideal {name}: generator {g} is not a degree-0 chain map")
             pair = tuple(_locate(subcat, X, f"generator {g}") for X in (f.source, f.target))
             gens.setdefault(pair, []).append(f)
         tris = []
-        for tn in i.get("triangles", []):
+        for tn in _typed(i, "triangles", list):
             tri = self.lookup("triangles", tn, f"ideal {name}")
             legs = (tri["alpha"].source, tri["alpha"].target, tri["beta"].target)
             objs = tri["objects"] or [_locate(subcat, X, f"triangle {tn}") for X in legs]
@@ -242,34 +237,37 @@ class FixtureFile:
         X = self.complex(l.get("source"), f"lift {name}")
         Y = self.complex(l.get("target"), f"lift {name}")
         FX, FY = F.apply_complex(X), F.apply_complex(Y)
-        alpha = map_from_json(FX, FY, 0, l.get("map", {}), name=f"{name}.map")
-        gens = [self.complex(g, f"lift {name}") for g in l.get("generators", [])]
+        alpha = map_from_json(FX, FY, 0, _typed(l, "map", dict), name=f"{name}.map")
+        gens = [self.complex(g, f"lift {name}") for g in _typed(l, "generators", list)]
         return MapLiftProblem(F, X, Y, alpha, gens), _budget(l)
 
     def _build_complex_lift(self, name, l) -> Tuple[ComplexLiftProblem, SearchBudget]:
         F = self.lookup("functors", l.get("functor"), f"complex lift {name}")
         Y = self.complex(l.get("target"), f"complex lift {name}")
         stalks = {}
-        for k, entry in l.get("stalks", {}).items():
+        table = _typed(l, "stalks", dict)
+        for k in table:
             j = _index_key(k, "stalk", F.target_alg.n_idempotents())
+            entry = _typed(table, k, dict, f"stalk {k!r}")
             src = self.complex(entry.get("source"), f"complex lift {name}")
             stalk = single_summand_complex(F.target_alg, j, 0)
-            eq = map_from_json(F.apply_complex(src), stalk, 0, entry.get("equivalence", {}),
+            eq = map_from_json(F.apply_complex(src), stalk, 0, _typed(entry, "equivalence", dict),
                                name=f"{name}.stalk{j}")
             stalks[j] = StalkLift(src, eq)
         gens = [self.complex(g, f"complex lift {name}")
-                for g in l.get("generators", [])]
+                for g in _typed(l, "generators", list)]
         return ComplexLiftProblem(F, Y, stalks, gens), _budget(l)
 
     def _build_contraction(self, name, c) -> ContractionFixture:
         vars_ = c.get("vars")
         ring = LaurentRing(vars_) if vars_ else self.ring
-        dims = {int(k): checked_int(v, "dims", 0) for k, v in c.get("dims", {}).items()}
+        dims = {int_key(k, "'dims' degree"): checked_int(v, "dims", 0)
+                for k, v in _typed(c, "dims", dict).items()}
 
         def load(table, kind, shape):
             out = {}
             for k, m in table.items():
-                n = int(k)
+                n = int_key(k, f"{kind} degree")
                 nr, nc = shape(n)
                 try:
                     out[n] = mat_from_json(ring, m, nr, nc)
@@ -278,35 +276,42 @@ class FixtureFile:
                                        f"{exc}") from exc
             return out
 
-        diff = load(c.get("diff", {}), "differential",
+        diff = load(_typed(c, "diff", dict), "differential",
                     lambda n: (dims.get(n, 0), dims.get(n + 1, 0)))
-        hom = load(c.get("homotopy", {}), "homotopy",
+        hom = load(_typed(c, "homotopy", dict), "homotopy",
                    lambda n: (dims.get(n, 0), dims.get(n - 1, 0)))
         return ContractionFixture(ring, dims, diff, hom, name=name)
 
     def _build_almost(self, name, a) -> AlmostCase:
         alg = self.lookup("algebras", a.get("algebra"), f"almost case {name}")
 
-        def witness(lst):
-            return [(checked_int(j, "idempotent", 0, alg.n_idempotents() - 1),
-                     vec_from_json(self.ring, v, alg.dim)) for j, v in lst]
+        def witness(lst, what):
+            return self._pairs(lst, what, alg.n_idempotents(), alg.dim)
 
         e = gens = subcat = None
         if "idempotent" in a:
             e = vec_from_json(self.ring, a["idempotent"], alg.dim)
-        elif "generators" in a:
-            gens = [vec_from_json(self.ring, g, alg.dim) for g in a["generators"]]
+        elif a.get("generators") is not None:
+            gens = [vec_from_json(self.ring, g, alg.dim) for g in _typed(a, "generators", list)]
         if a.get("subcat"):
             subcat = self.lookup("subcategories", a["subcat"], f"almost case {name}")
         # square witnesses are keyed by the pairs of the a_witness, so they are
         # read with it; the derived part refuses a case that has none
         aw = sw = None
         if a.get("a_witness") is not None:
-            aw = witness(a["a_witness"])
-            sw = {_index_key(k, "square_witnesses", len(aw)): witness(lst)
-                  for k, lst in (a.get("square_witnesses") or {}).items()}
+            aw = witness(a["a_witness"], "a_witness")
+            sw = {_index_key(k, "square_witnesses", len(aw)): witness(lst, "square_witnesses")
+                  for k, lst in _typed(a, "square_witnesses", dict).items()}
         return AlmostCase(alg, e, gens, a.get("include", ["serre"]), subcat, a.get("subcat"),
                           a_witness=aw, square_witnesses=sw)
+
+    def _pairs(self, lst, what: str, n_idems: int, dim: int) -> List[Tuple[int, Tuple]]:
+        """The witness list ``what``: [idempotent index, element] pairs, parsed."""
+        if not (isinstance(lst, list)
+                and all(isinstance(item, list) and len(item) == 2 for item in lst)):
+            raise ValueError(f"{what} entries are [idempotent, element] pairs")
+        return [(checked_int(j, "idempotent", 0, n_idems - 1), vec_from_json(self.ring, v, dim))
+                for j, v in lst]
 
     # -- accessors --------------------------------------------------------
 
@@ -338,6 +343,18 @@ def _locate(subcat: FiniteSubcat, X: ProjComplex, what: str) -> str:
         if subcat.objects[name] == X:
             return name
     raise ValueError(f"{what}: object is not in the subcategory window")
+
+
+def _typed(entry: Dict, key: str, kind: type, what: Optional[str] = None):
+    """``entry[key]`` if it is a JSON object (``kind`` dict) or list, an empty
+    one when it is absent or null, else a ``ValueError`` naming the field."""
+    value = entry.get(key)
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        kind_name = "an object" if kind is dict else "a list"
+        raise ValueError(f"{what or repr(key)} must be {kind_name}")
+    return value
 
 
 def _index_key(key: str, what: str, count: int) -> int:

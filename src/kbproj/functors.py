@@ -243,10 +243,10 @@ class FiniteSubcat:
         return list(self.order)
 
     def hom(self, a: str, b: str) -> HomSpace:
-        key = (a, b)
-        if key not in self._homs:
-            self._homs[key] = HomSpace(self.objects[a], self.objects[b])
-        return self._homs[key]
+        H = self._homs.get((a, b))
+        if H is None:
+            H = self._homs[(a, b)] = HomSpace(self.objects[a], self.objects[b])
+        return H
 
     def composition_tensor(self, a: str, b: str, c: str) -> List[List[List]]:
         """T[i][j] = class coordinates of (j-th map b->c) . (i-th map a->b)."""

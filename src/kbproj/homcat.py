@@ -74,6 +74,17 @@ Block summand matrices are assembled only by ``AlgMat.block``, which checks
 that each block fits its row and column summands, and cut only by
 ``AlgMat.sub``: cones, direct sums, contraction slices and lifting's block
 sums all go through them.
+
+Complexes and graded maps follow the same rule.  ``ProjComplex(...)`` checks
+the summand indices, the differentials' summands and d^2 = 0, and
+``GradedMap(...)`` that each component fits its summands; fixture loading,
+certificate decoding and functor images go through them.  Shifts, truncations,
+direct sums and cones of complexes, and sums, differences, negations,
+scalings, composites, deltas, shifts, slices and unpacked coordinates of maps,
+build with ``ProjComplex._trusted`` and ``GradedMap._trusted``: each is a
+complex, or fits its summands, because its inputs do (a cone glues along a
+map that passed its chain-map check), and the d^2 check alone cost one
+summand-matrix product per degree of every cone and shift.
 """
 
 from __future__ import annotations
@@ -311,6 +322,18 @@ class ProjComplex:
             self.diff[n] = d
         self._validate()
 
+    @classmethod
+    def _trusted(cls, alg, summands: Dict[int, Tuple[int, ...]], diff: Dict[int, AlgMat],
+                 name: str) -> "ProjComplex":
+        """No checks: ``summands`` maps degrees to nonempty index tuples, and
+        ``diff`` maps n to a differential from degree n to degree n + 1, both
+        present, that squares to zero with its neighbours."""
+        X = object.__new__(cls)
+        X.alg, X.summands, X.diff, X.name = alg, summands, diff, name
+        X.lo = min(summands) if summands else None
+        X.hi = max(summands) if summands else None
+        return X
+
     def _validate(self):
         for n, d in self.diff.items():
             if d.alg != self.alg:
@@ -341,12 +364,12 @@ class ProjComplex:
         summands = {n - k: s for n, s in self.summands.items()}
         sign = self.alg.ring.one if k % 2 == 0 else self.alg.ring.neg(self.alg.ring.one)
         diff = {n - k: d.scale(sign) for n, d in self.diff.items()}
-        return ProjComplex(self.alg, summands, diff, name=f"{self.name}[{k}]")
+        return ProjComplex._trusted(self.alg, summands, diff, f"{self.name}[{k}]")
 
     def hard_truncate_le(self, n: int) -> "ProjComplex":
         summands = {m: s for m, s in self.summands.items() if m <= n}
         diff = {m: d for m, d in self.diff.items() if m + 1 <= n}
-        return ProjComplex(self.alg, summands, diff, name=f"{self.name}|<={n}")
+        return ProjComplex._trusted(self.alg, summands, diff, f"{self.name}|<={n}")
 
     def __eq__(self, other):
         """Same algebra, summands and differentials; the name is not compared."""
@@ -399,6 +422,16 @@ class GradedMap:
             comps[n] = m
         self.components = comps
 
+    @classmethod
+    def _trusted(cls, source: ProjComplex, target: ProjComplex, degree: int,
+                 components: Dict[int, AlgMat], name: str = "f") -> "GradedMap":
+        """No summand checks: each component fits its degrees' summands; zero
+        components are dropped."""
+        f = object.__new__(cls)
+        f.source, f.target, f.degree, f.name = source, target, degree, name
+        f.components = {n: m for n, m in components.items() if m._nz}
+        return f
+
     def is_zero(self) -> bool:
         return not self.components
 
@@ -413,7 +446,7 @@ class GradedMap:
         for n, m in other.components.items():
             a = comps.get(n)
             comps[n] = m if a is None else a + m
-        return GradedMap(self.source, self.target, self.degree, comps)
+        return GradedMap._trusted(self.source, self.target, self.degree, comps)
 
     def __sub__(self, other: "GradedMap") -> "GradedMap":
         self._check_parallel(other)
@@ -421,15 +454,16 @@ class GradedMap:
         for n, m in other.components.items():
             a = comps.get(n)
             comps[n] = m.neg() if a is None else a - m
-        return GradedMap(self.source, self.target, self.degree, comps)
+        return GradedMap._trusted(self.source, self.target, self.degree, comps)
 
     def neg(self) -> "GradedMap":
         comps = {n: m.neg() for n, m in self.components.items()}
-        return GradedMap(self.source, self.target, self.degree, comps, name=f"-{self.name}")
+        return GradedMap._trusted(self.source, self.target, self.degree, comps,
+                                  name=f"-{self.name}")
 
     def scale(self, c) -> "GradedMap":
         comps = {n: m.scale(c) for n, m in self.components.items()}
-        return GradedMap(self.source, self.target, self.degree, comps)
+        return GradedMap._trusted(self.source, self.target, self.degree, comps)
 
     def compose(self, other: "GradedMap") -> "GradedMap":
         """self . other: apply other first.  Degrees add."""
@@ -440,8 +474,8 @@ class GradedMap:
             a = _product(self.components.get(n + other.degree), other.components.get(n))
             if a is not None:
                 comps[n] = a
-        return GradedMap(other.source, self.target, self.degree + other.degree, comps,
-                         name=f"{self.name}.{other.name}")
+        return GradedMap._trusted(other.source, self.target, self.degree + other.degree,
+                                  comps, name=f"{self.name}.{other.name}")
 
     def delta(self) -> "GradedMap":
         """d_target . f - (-1)^deg f . d_source, one degree higher."""
@@ -459,7 +493,8 @@ class GradedMap:
                 m = a - b if even else a + b
             if m is not None:
                 comps[n] = m
-        return GradedMap(self.source, self.target, self.degree + 1, comps, name=f"delta({self.name})")
+        return GradedMap._trusted(self.source, self.target, self.degree + 1, comps,
+                                  name=f"delta({self.name})")
 
     def is_chain_map(self) -> bool:
         """Degree 0 and delta(f) = 0: the engine's only chain-map test, kept on the map."""
@@ -469,8 +504,8 @@ class GradedMap:
 
     def shift(self, k: int = 1) -> "GradedMap":
         comps = {n - k: m for n, m in self.components.items()}
-        return GradedMap(self.source.shift(k), self.target.shift(k), self.degree, comps,
-                         name=f"{self.name}[{k}]")
+        return GradedMap._trusted(self.source.shift(k), self.target.shift(k), self.degree,
+                                  comps, name=f"{self.name}[{k}]")
 
     def __eq__(self, other):
         if not isinstance(other, GradedMap):
@@ -500,7 +535,7 @@ def chain_map(source, target, components, name="f") -> GradedMap:
 
 def identity_map(X: ProjComplex) -> GradedMap:
     comps = {n: AlgMat.identity(X.alg, X.summands_at(n)) for n in X.degrees()}
-    return GradedMap(X, X, 0, comps, name=f"id_{X.name}")
+    return GradedMap._trusted(X, X, 0, comps, name=f"id_{X.name}")
 
 
 def zero_map(X: ProjComplex, Y: ProjComplex, degree: int = 0) -> GradedMap:
@@ -526,15 +561,15 @@ def cone(phi: GradedMap) -> Tuple[ProjComplex, GradedMap, GradedMap]:
                    f"cone({phi.name})")
     # inclusion of Y, (0, id), and projection to X[1], (x, y) -> x: the
     # columns of Y and the rows of X[1] in the identity of C
-    incl_comps = {}
-    proj_comps = {}
+    alg, incl_comps, proj_comps = X.alg, {}, {}
     for n, s in C.summands.items():
-        ident = AlgMat.identity(X.alg, s)
         nx = len(SX.summands_at(n))
-        incl_comps[n] = ident.sub(slice(None), slice(nx, None))
-        proj_comps[n] = ident.sub(slice(nx), slice(None))
-    incl = GradedMap(Y, C, 0, incl_comps, name=f"into_cone({phi.name})")
-    proj = GradedMap(C, SX, 0, proj_comps, name=f"cone_to_shift({phi.name})")
+        diag = [(r, e) for r, e in enumerate(map(alg.idempotent_vec, s)) if any(e)]
+        incl_comps[n] = AlgMat._trusted(alg, s, s[nx:],
+                                        {(r, r - nx): e for r, e in diag if r >= nx})
+        proj_comps[n] = AlgMat._trusted(alg, s[:nx], s, {(r, r): e for r, e in diag if r < nx})
+    incl = GradedMap._trusted(Y, C, 0, incl_comps, name=f"into_cone({phi.name})")
+    proj = GradedMap._trusted(C, SX, 0, proj_comps, name=f"cone_to_shift({phi.name})")
     return phi.__dict__.setdefault("_cone", (C, incl, proj))
 
 
@@ -557,7 +592,7 @@ def _glued_sum(X: ProjComplex, Y: ProjComplex, glue: Dict[int, AlgMat],
                             [X.summands_at(n), Y.summands_at(n)],
                             [[X.diff.get(n), None], [glue.get(n), Y.diff.get(n)]])
             for n in summands if n + 1 in summands}
-    return ProjComplex(X.alg, summands, diff, name=name)
+    return ProjComplex._trusted(X.alg, summands, diff, name)
 
 
 class MapLayout:
@@ -613,7 +648,7 @@ class MapLayout:
         comps = {n: AlgMat._trusted(alg, self.Y.summands_at(n + self.degree),
                                     self.X.summands_at(n), nz)
                  for n, nz in per_degree.items()}
-        return GradedMap(self.X, self.Y, self.degree, comps)
+        return GradedMap._trusted(self.X, self.Y, self.degree, comps)
 
 
 def _entry_blocks(layout_in: MapLayout, layout_out: MapLayout, F: GradedMap, post: bool):
@@ -699,8 +734,8 @@ def delta_matrix(layout_in: MapLayout, layout_out: MapLayout) -> Mat:
     X, Y = layout_in.X, layout_in.Y
     ring = X.alg.ring
     sign = ring.neg(ring.one) if layout_in.degree % 2 == 0 else ring.one
-    return operator_matrix(layout_in, layout_out, post=GradedMap(Y, Y, 1, Y.diff),
-                           pre=GradedMap(X, X, 1, X.diff), pre_sign=sign)
+    return operator_matrix(layout_in, layout_out, post=GradedMap._trusted(Y, Y, 1, Y.diff),
+                           pre=GradedMap._trusted(X, X, 1, X.diff), pre_sign=sign)
 
 
 class HomSpace:
@@ -842,9 +877,9 @@ def homotopy_inverse_from_contraction(phi: GradedMap, h: GradedMap):
         inv_comps[n] = m.sub(xt, ys)
         a_comps[n + 1] = m.sub(xt, xs)
         e_comps[n] = m.sub(yt, ys)
-    inv = GradedMap(Y, X, 0, inv_comps, name=f"inv({phi.name})")
-    h_src = GradedMap(X, X, -1, a_comps).neg()
-    h_tgt = GradedMap(Y, Y, -1, e_comps)
+    inv = GradedMap._trusted(Y, X, 0, inv_comps, name=f"inv({phi.name})")
+    h_src = GradedMap._trusted(X, X, -1, a_comps).neg()
+    h_tgt = GradedMap._trusted(Y, Y, -1, e_comps)
     return inv, h_src, h_tgt
 
 

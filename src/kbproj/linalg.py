@@ -677,8 +677,9 @@ def solve(A: Mat, b: Mat) -> Optional[Mat]:
         return None
     x = Mat(ring, n, b.ncols, {(p, j - n): v for p, row in basis.items()
                                for j, v in row.items() if j >= n})
-    # exactness invariant: residual must vanish identically
-    if not (A @ x - b).is_zero():
+    # exactness invariant: residual must vanish identically (no zero is
+    # stored, so A @ x equals b exactly when their entry dicts agree)
+    if A @ x != b:
         raise LinalgError("internal error: nonzero solve residual")
     return x
 

@@ -94,7 +94,7 @@ def complex_from_json(alg, payload, name: str = "X") -> ProjComplex:
     summands = {}
     n_idems = alg.n_idempotents()
     for k, s in payload.get("summands", {}).items():
-        n = _int_key(k, f"complex {name} degree")
+        n = int_key(k, f"complex {name} degree")
         if not isinstance(s, (list, tuple)):
             raise SerializeError(f"complex {name} degree {n}: summands must be a list")
         for i in s:
@@ -104,7 +104,7 @@ def complex_from_json(alg, payload, name: str = "X") -> ProjComplex:
         summands[n] = tuple(s)
     diff = {}
     for k, d in payload.get("diff", {}).items():
-        n = _int_key(k, f"complex {name} differential degree")
+        n = int_key(k, f"complex {name} differential degree")
         src = summands.get(n, ())
         tgt = summands.get(n + 1, ())
         diff[n] = algmat_entries_from_json(alg, tgt, src, d)
@@ -120,13 +120,15 @@ def map_from_json(source: ProjComplex, target: ProjComplex, degree: int,
                   payload, name: str = "f") -> GradedMap:
     comps = {}
     for k, m in (payload or {}).items():
-        n = _int_key(k, f"map {name} component degree")
+        n = int_key(k, f"map {name} component degree")
         comps[n] = algmat_entries_from_json(
             source.alg, target.summands_at(n + degree), source.summands_at(n), m)
     return GradedMap(source, target, degree, comps, name=name)
 
 
-def _int_key(k, what: str) -> int:
+def int_key(k, what: str) -> int:
+    """The integer that a JSON key or value ``k`` names, else a ``SerializeError``
+    naming ``what``."""
     try:
         return int(k)
     except (TypeError, ValueError):
@@ -168,9 +170,9 @@ def map_lift_cert_from_json(problem: MapLiftProblem, payload) -> MapLiftCertific
     steps = payload.get("path", [])
     if not isinstance(steps, list) or not all(isinstance(st, list) for st in steps):
         raise SerializeError("map-lift certificate: 'path' must be a list of lists")
-    path = tuple(tuple(_int_key(x, "map-lift certificate 'path' step") for x in step)
+    path = tuple(tuple(int_key(x, "map-lift certificate 'path' step") for x in step)
                  for step in steps)
-    depth = _int_key(payload.get("depth", len(path)), "map-lift certificate 'depth'")
+    depth = int_key(payload.get("depth", len(path)), "map-lift certificate 'depth'")
     F, alpha = problem.functor, problem.map
     repl = complex_from_json(problem.source.alg, repl_js, name="replacement")
     to_source = map_from_json(repl, problem.source, 0, pi_js, name="pi")

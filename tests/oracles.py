@@ -517,6 +517,46 @@ def route_inherited_modules_through_validation(monkeypatch):
     return callers
 
 
+def route_trusted_complexes_through_validation(monkeypatch):
+    """Make ``ProjComplex._trusted`` and ``GradedMap._trusted`` build through
+    the validating ``ProjComplex(...)`` and ``GradedMap(...)``.
+
+    Every complex the engine derives from checked ones then has its summand
+    indices, differential shapes and d^2 = 0 checked, as before trusted
+    construction existed, and must keep every summand and differential it
+    is given; every graded map has its component summands checked.  Returns
+    the set of names of the functions that asked for one; one built in a
+    comprehension counts for the function around it.
+    """
+    import sys
+
+    from kbproj.homcat import GradedMap, ProjComplex
+
+    callers = set()
+
+    def note_caller():
+        frame = sys._getframe(2)
+        while frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        callers.add(frame.f_code.co_name)
+
+    def complex_(cls, alg, summands, diff, name):
+        note_caller()
+        X = ProjComplex(alg, summands, diff, name=name)
+        if X.summands != summands or X.diff != diff:
+            raise AssertionError(f"{name}: the checked constructor dropped a summand "
+                                 "or a differential")
+        return X
+
+    def graded_map(cls, source, target, degree, components, name="f"):
+        note_caller()
+        return GradedMap(source, target, degree, components, name=name)
+
+    monkeypatch.setattr(ProjComplex, "_trusted", classmethod(complex_))
+    monkeypatch.setattr(GradedMap, "_trusted", classmethod(graded_map))
+    return callers
+
+
 def hom_modules(M, N):
     """Basis of right-module homomorphisms M -> N (matrices in row convention).
 

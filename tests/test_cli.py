@@ -883,6 +883,67 @@ def test_malformed_fixture_entry_exits_2(capsys, tmp_path, mutate, want):
     assert want in _run_mutated(capsys, tmp_path, mutate)
 
 
+# an object or list field of the wrong JSON type, or a degree key that is no
+# integer: these exited with Python's own text ("'list' object has no
+# attribute 'items'", "not enough values to unpack", "invalid literal for
+# int()"), read a string name one character at a time ("unknown complex 'P'"),
+# or loaded an object of names as the list of its keys
+WRONG_JSON_TYPES = [
+    ("map-components", ["maps", "iota", "components"], [1],
+     "map iota: 'components' must be an object"),
+    ("lift-map", ["lifts", "corner-id", "map"], [1], "lift corner-id: 'map' must be an object"),
+    ("stalks", ["complex_lifts", "rebuild-kstalk", "stalks"], [1],
+     "complex lift rebuild-kstalk: 'stalks' must be an object"),
+    ("stalk-entry", ["complex_lifts", "rebuild-kstalk", "stalks", "0"], [1],
+     "complex lift rebuild-kstalk: stalk '0' must be an object"),
+    ("stalk-equivalence", ["complex_lifts", "rebuild-kstalk", "stalks", "0", "equivalence"],
+     [1], "complex lift rebuild-kstalk: 'equivalence' must be an object"),
+    ("square-witnesses", ["almost", "corner-almost", "square_witnesses"], [1],
+     "almost case corner-almost: 'square_witnesses' must be an object"),
+    ("square-witness-list", ["almost", "corner-almost", "square_witnesses", "0"], 5,
+     "almost case corner-almost: square_witnesses entries are [idempotent, element] pairs"),
+    ("a-witness-short-pair", ["almost", "corner-almost", "a_witness"], [[0]],
+     "almost case corner-almost: a_witness entries are [idempotent, element] pairs"),
+    ("almost-generators", ["almost", "rad-almost", "generators"], "a",
+     "almost case rad-almost: 'generators' must be a list"),
+    ("functor-witnesses", ["functors", "G", "witnesses"], [1],
+     "functor G: 'witnesses' must be an object"),
+    ("subcat-objects-name", ["subcategories", "S", "objects"], "P1s",
+     "subcategory S: 'objects' must be a list"),
+    ("subcat-shift-range-object", ["subcategories", "S", "shift_range"], {"lo": -2},
+     "subcategory S: 'shift_range' must be a list of two integers"),
+    ("lift-generators-name", ["lifts", "corner-id", "generators"], "P2s",
+     "lift corner-id: 'generators' must be a list"),
+    ("lift-generators-object", ["lifts", "corner-id", "generators"], {"P2s": 1},
+     "lift corner-id: 'generators' must be a list"),
+    ("complex-lift-generators-name", ["complex_lifts", "rebuild-k3", "generators"], "P2s",
+     "complex lift rebuild-k3: 'generators' must be a list"),
+    ("complex-lift-generators-object", ["complex_lifts", "rebuild-k3", "generators"],
+     {"P2s": 1}, "complex lift rebuild-k3: 'generators' must be a list"),
+    ("ideal-generators-object", ["ideals", "ann-g", "generators"], {"idP2_0": 1},
+     "ideal ann-g: 'generators' must be a list"),
+    ("ideal-triangles-object", ["ideals", "ann-g", "triangles"], {"canonical": 1},
+     "ideal ann-g: 'triangles' must be a list"),
+    ("contraction-dims", ["contractions", "c"], {"dims": [1]},
+     "contraction c: 'dims' must be an object"),
+    ("contraction-dims-key", ["contractions", "c"], {"dims": {"x": 1}},
+     "contraction c: 'dims' degree: 'x' is not an integer"),
+    ("contraction-diff-key", ["contractions", "c"], {"dims": {"0": 1}, "diff": {"x": [[1]]}},
+     "contraction c: differential degree: 'x' is not an integer"),
+    ("contraction-homotopy-key", ["contractions", "c"],
+     {"dims": {"0": 1}, "homotopy": {"0.5": [[1]]}},
+     "contraction c: homotopy degree: '0.5' is not an integer"),
+]
+
+
+@pytest.mark.parametrize("path,value,want", [w[1:] for w in WRONG_JSON_TYPES],
+                         ids=[w[0] for w in WRONG_JSON_TYPES])
+def test_fixture_field_of_the_wrong_json_type_exits_2(capsys, tmp_path, path, value, want):
+    line = _run_mutated(capsys, tmp_path, _set(path, value))
+    assert line == f"kbproj: error: {want}"
+    assert "object has no attribute" not in line
+
+
 # each integer a fixture entry holds, with a float that a bare int() once
 # truncated to a value the fixture accepts
 FIXTURE_INTEGERS = [

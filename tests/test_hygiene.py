@@ -675,7 +675,7 @@ _KEPT = {
 _SHARED_METHOD_NAMES = {
     "_check_shapes", "_inherited", "_validate", "add", "apply", "diff_at", "dim", "div",
     "fmt", "from_int", "identity", "inv", "is_zero", "mul", "neg", "parse", "rows", "scale",
-    "shift", "sub", "zeros",
+    "shift", "sub", "_trusted", "zeros",
 }
 
 
