@@ -236,7 +236,8 @@ class FdModule:
     action keeps, since B is a checked bimodule.  ``projective_module``, its
     radical layer ``projective_radical``, ``radical`` and the sample modules
     of ``almost.standard_modules`` are cached on the algebra, so an algebra
-    and the modules they return are immutable.
+    and the modules they return are immutable.  A quotient comes without its
+    projection, which is ``space.quotient_coords``.
     """
 
     def __init__(self, algebra: AlgebraPresentation, dim: int, action: Sequence[Mat], name: str = "M"):
@@ -336,8 +337,9 @@ def submodule(M: FdModule, space: Subspace) -> Tuple[FdModule, Mat]:
     return FdModule._inherited(M.algebra, space.dim, action, name=f"{M.name}|sub"), incl
 
 
-def quotient_module(M: FdModule, space: Subspace) -> Tuple[FdModule, Mat]:
-    """Quotient by a subspace closed under the action.  Returns (module, projection)."""
+def quotient_module(M: FdModule, space: Subspace) -> FdModule:
+    """Quotient by a subspace closed under the action, in the coordinates of
+    ``space.quotient_coords``, which is the projection M -> M/space."""
     alg = M.algebra
     ring = alg.ring
     _invariant_coords(M, space)
@@ -348,9 +350,8 @@ def quotient_module(M: FdModule, space: Subspace) -> Tuple[FdModule, Mat]:
     for i in range(alg.dim):
         rows = [project(M.action[i].row_apply(r)) for r in reps]
         action.append(Mat.from_rows(ring, rows, qdim))
-    proj = Mat.from_rows(ring, [project(r) for r in Mat.identity(ring, M.dim).rows()], qdim)
     # the quotient of a checked module by an invariant subspace is a module
-    return FdModule._inherited(alg, qdim, action, name=f"{M.name}|quo"), proj
+    return FdModule._inherited(alg, qdim, action, name=f"{M.name}|quo")
 
 
 def hom_dim(M: FdModule, N: FdModule) -> int:
@@ -772,3 +773,30 @@ def projective_radical(alg: AlgebraPresentation, summands: Sequence[int]) -> Sub
         P = projective_module(alg, summands)
         alg._built.setdefault(key, P.times_ideal(radical(alg).space))
     return alg._built[key]
+
+
+def presentation_matrix(alg: AlgebraPresentation, pairs, act, dim: int) -> Mat:
+    """Matrix of (+)_u e_{j_u} R -> V, (r_u) -> sum_u act(g_u, r_u), for ``pairs`` (j_u, g_u)
+    and a right action ``act`` on V of dimension ``dim``: a row act(g, r) per row r of e_j R."""
+    return Mat.from_rows(alg.ring, [act(g, r) for j, g in pairs
+                                    for r in alg.right_ideal_space(j).rows], dim)
+
+
+def check_witness(alg: AlgebraPresentation, space: Subspace, pairs, act, what: str) -> Mat:
+    """The ``presentation_matrix`` of ``pairs``, checked to write ``space`` as
+    (+)_u e_{j_u} R: each j an idempotent index of ``alg``, each g in ``space``
+    with act(g, e_j) = g, and the matrix square of rank ``space.dim``.  The one
+    projectivity rule; an ``AlgebraError`` names ``what``."""
+    for j, g in pairs:
+        if type(j) is not int or j not in range(alg.n_idempotents()):
+            raise AlgebraError(f"{what}: witness index {j!r} is not an idempotent "
+                               f"index of {alg.name}")
+        if not space.contains(g):
+            raise AlgebraError(f"{what}: witness element lies outside the module")
+        if list(act(g, alg.idempotent_vec(j))) != list(g):
+            raise AlgebraError(f"{what}: witness element not supported at idempotent {j}")
+    W = presentation_matrix(alg, pairs, act, space.ambient)
+    if W.nrows != space.dim or rank(W) != space.dim:
+        raise AlgebraError(f"{what}: witness map is not a bijection onto the module "
+                           f"(rows {W.nrows}, module dim {space.dim})")
+    return W

@@ -6,6 +6,7 @@ module makes the pieces auditable:
 
 * ``AlmostCase`` is one almost case, checked in full when it is built; the
   three reports below take one and redo only per-sample and window work.
+  The derived part's witnesses pass ``algebra.check_witness``, as a functor's do.
 * ``standard_modules`` is the algebra's sample catalogue: its named fixture
   modules, built once and cached on the algebra, with a memo of dim Hom
   between any two of them.
@@ -29,13 +30,14 @@ module makes the pieces auditable:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
     AlgebraError,
     AlgebraPresentation,
     FdModule,
     TwoSidedIdeal,
+    check_witness,
     hom_dim,
     ideal_from_spanning,
     ideal_generated_by_idempotent,
@@ -74,7 +76,7 @@ class SampleModules(dict):
         except AlgebraError:
             return
         for i, P in projs:
-            S, _ = quotient_module(P, P.times_ideal(rad.space))
+            S = quotient_module(P, P.times_ideal(rad.space))
             S.name = f"S({alg.idempotent_names[i]})"
             self[S.name] = S
 
@@ -108,10 +110,10 @@ _PARTS = ("serre", "quotient", "derived")
 class AlmostCase:
     """The ideal ReR of an idempotent ``e``, or the closure of ``generators``
     (parsed vectors), and the ``include``d parts to report on, checked here.
-    The derived part needs a window ``subcat`` and witnesses: pairs (i, g)
-    with g.e_i = g whose maps (r_u) -> sum g_u r_u are bijections onto the
-    ideal (``a_witness``) and onto e_j.a for its u-th pair (j, g) (key u of
-    ``square_witnesses``).  A case that cannot run raises ``AlmostError``."""
+    The derived part needs a window ``subcat`` and witnesses, in the sense
+    of ``algebra.check_witness``, for the ideal (``a_witness``) and for e_j.a
+    for its u-th pair (j, g) (key u of ``square_witnesses``).  A case that
+    cannot run raises ``AlmostError``."""
 
     def __init__(self, alg: AlgebraPresentation, e=None, generators=None, include=("serre",),
                  subcat: Optional[FiniteSubcat] = None, subcat_name=None, a_witness=None,
@@ -144,15 +146,25 @@ class AlmostCase:
             return
         if not self.idempotent_ideal:
             raise AlmostError("the ideal must be idempotent")
+
+        def witnessed(space, pairs, what):
+            if pairs is None:
+                raise AlmostError(f"projectivity witness absent for {what}")
+            try:
+                check_witness(alg, space, pairs, alg.mult, what)
+            except AlgebraError as exc:
+                raise AlmostError(str(exc)) from exc
+            return pairs
+
+        # a = (+)_u e_{j_u} R, so a (x) a = (+)_u e_{j_u}.a: the corners' dims sum
+        # to the square's, and each corner's witnesses give its summands
         space, columns, tensor_dim = self.ideal.space, [], 0
-        for u, (j, g) in enumerate(_validate_projectivity(alg, space, a_witness, "ideal")):
+        for u, (j, g) in enumerate(witnessed(space, a_witness, "ideal")):
             corner = Subspace.from_spanning(
                 alg.ring, alg.dim, [alg.mult(alg.idempotent_vec(j), r) for r in space.rows])
             tensor_dim += corner.dim
-            for i, h in _validate_projectivity(alg, corner, (square_witnesses or {}).get(u),
-                                               f"ideal corner {u}"):
+            for i, h in witnessed(corner, (square_witnesses or {}).get(u), f"ideal corner {u}"):
                 columns.append((i, alg.mult(g, h)))
-        _check_tensor_dim(alg, self.ideal, tensor_dim)
         self.mult_columns, self.tensor_square_dim = columns, tensor_dim
 
     def require(self, part: str) -> None:
@@ -208,11 +220,12 @@ def serre_adjoint_report(case: AlmostCase) -> SerreAdjointReport:
     """
     alg, ideal = case.algebra, case.ideal
     if not case.idempotent_ideal:
-        W, proj = quotient_module(regular_module(alg), ideal.square().space)
-        imgs = [proj.row_apply(list(r)) for r in ideal.space.rows]
+        square = ideal.square().space
+        W = quotient_module(regular_module(alg), square)
+        imgs = [square.quotient_coords(r) for r in ideal.space.rows]
         sub_space = Subspace.from_spanning(alg.ring, W.dim, imgs)
         Sub, _ = submodule(W, sub_space)
-        Quo, _ = quotient_module(W, sub_space)
+        Quo = quotient_module(W, sub_space)
         witness = SerreFailureWitness(
             extension_dim=W.dim, sub_dim=Sub.dim, quotient_dim=Quo.dim,
             sub_killed=in_perp(Sub, ideal), quotient_killed=in_perp(Quo, ideal),
@@ -229,7 +242,7 @@ def serre_adjoint_report(case: AlmostCase) -> SerreAdjointReport:
         # itself, with M's action matrices, and their dims are memoised
         Mco = Mre = None
         if images[mname].dim:
-            Mco, _ = quotient_module(M, images[mname])
+            Mco = quotient_module(M, images[mname])
             Mre, _ = submodule(M, M.annihilated_by(ideal.space))
         for nname in perp:
             N = samples[nname]
@@ -327,7 +340,7 @@ def almost_quotient(case: AlmostCase) -> AlmostQuotientReport:
         me = functor.image_space(M)
         for tag, space in (("ideal-image", M.times_ideal(ideal.space)),
                            ("ideal-kernel", M.annihilated_by(ideal.space))):
-            Quo, _ = quotient_module(M, space)
+            Quo = quotient_module(M, space)
             sub_e = Subspace.from_spanning(
                 alg.ring, M.dim, [rho.row_apply(list(r)) for r in space.rows])
             inter = me.intersect(space)
@@ -353,34 +366,6 @@ class AlmostDerivedReport:
     projective_right: bool
     flatness_note: str
     verdict: str
-
-
-def _validate_projectivity(alg: AlgebraPresentation, space: Subspace,
-                           witness: Optional[Sequence[Tuple[int, Tuple]]],
-                           what: str) -> Sequence[Tuple[int, Tuple]]:
-    if witness is None:
-        raise AlmostError(f"projectivity witness absent for {what}")
-    rows = []
-    total = 0
-    for j, g in witness:
-        if type(j) is not int or j not in range(alg.n_idempotents()):
-            raise AlmostError(f"{what}: witness index {j!r} is not an idempotent "
-                              f"index of {alg.name}")
-        if not space.contains(g):
-            raise AlmostError(f"{what}: witness element lies outside the module")
-        if alg.mult(g, alg.idempotent_vec(j)) != g:
-            raise AlmostError(f"{what}: witness element not supported at "
-                              f"idempotent {j}")
-        sp = alg.right_ideal_space(j)
-        for r in sp.rows:
-            rows.append(list(alg.mult(g, tuple(r))))
-        total += sp.dim
-    if total != space.dim:
-        raise AlmostError(f"{what}: witness ranks {total} do not match "
-                          f"module dimension {space.dim}")
-    if Subspace.from_spanning(alg.ring, alg.dim, rows).dim != space.dim:
-        raise AlmostError(f"{what}: witness map is not bijective")
-    return witness
 
 
 def almost_derived_ideal(case: AlmostCase, window: Optional[Tuple[int, int]] = None
@@ -429,30 +414,6 @@ def almost_derived_ideal(case: AlmostCase, window: Optional[Tuple[int, int]] = N
         cone=C, ideal=I, idempotent_on_window=is_idempotent_ideal(I),
         window=(min([0] + used), max([0] + used)), tensor_square_dim=case.tensor_square_dim,
         projective_right=True, flatness_note=note, verdict="certified")
-
-
-def _check_tensor_dim(alg: AlgebraPresentation, ideal: TwoSidedIdeal,
-                      claimed: int) -> None:
-    """Cross-check the witnessed tensor-square dimension by coequalizer."""
-    from .algebra import Bimodule, module_tensor
-
-    ring = alg.ring
-    rows = ideal.space.rows
-    d = ideal.dim
-    left, right = [], []
-    for t in range(alg.dim):
-        b = alg.basis_vec(t)
-        lrows = [ideal.space.coords_of(alg.mult(b, r)) for r in rows]
-        rrows = [ideal.space.coords_of(alg.mult(r, b)) for r in rows]
-        left.append(Mat.from_rows(ring, lrows, d))
-        right.append(Mat.from_rows(ring, rrows, d))
-    # a two-sided ideal of a checked algebra, acted on by its multiplication
-    B = Bimodule._inherited(alg, alg, d, left, right, name="a")
-    M = FdModule._inherited(alg, d, right, name="a")
-    got = module_tensor(M, B).module.dim
-    if got != claimed:
-        raise AlmostError(f"tensor square dimension mismatch: witnesses give "
-                          f"{claimed}, coequalizer gives {got}")
 
 
 # -- matrix contraction certificates ---------------------------------------------

@@ -28,6 +28,7 @@ from .algebra import (
     induction_bimodule,
     module_along_map,
     module_tensor,
+    presentation_matrix,
     projective_module,
     projective_radical,
     radical,
@@ -75,11 +76,7 @@ def projective_cover(M: FdModule, radsp: Subspace):
     gens = minimal_generators(M, radsp)
     idxs = [j for j, _ in gens]
     P = projective_module(alg, idxs)
-    rows = []
-    for j, g in gens:
-        for x in alg.right_ideal_space(j).rows:
-            rows.append(M.act(g, list(x)))
-    cover = Mat.from_rows(alg.ring, rows, M.dim)
+    cover = presentation_matrix(alg, gens, M.act, M.dim)
     ker = left_kernel(cover)
     if cover.nrows - ker.dim != M.dim:
         raise DerivedError("cover is not surjective")

@@ -358,10 +358,11 @@ def _typed(entry: Dict, key: str, kind: type, what: Optional[str] = None):
 
 
 def _index_key(key: str, what: str, count: int) -> int:
-    """The index in 0..count-1 that a JSON key names, written as ``str`` writes it."""
-    if key not in {str(n) for n in range(count)}:
+    """The index in 0..count-1 that a JSON key names under ``int_key``'s rule."""
+    n = int_key(key, f"{what} key")
+    if n not in range(count):
         raise ValueError(f"{what} key {key!r} must be an index from 0 to {count - 1}")
-    return int(key)
+    return n
 
 
 def checked_int(value, key: str, minimum: int, maximum: Optional[int] = None) -> int:

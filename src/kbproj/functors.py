@@ -4,7 +4,8 @@ A functor here is tensoring with an (R, S)-bimodule B whose left corners
 e_i . B are projective right S-modules.  That projectivity is not assumed:
 the constructor demands witnesses, one list per source idempotent, writing
 e_i . B as an explicit direct sum of summands f_j . S, and verifies that the
-witness map is bijective.  Complexes and maps are then transported summand
+witness map is bijective with ``algebra.check_witness``, the witness rule
+almost cases share.  Complexes and maps are then transported summand
 by summand, entirely inside projective presentations.
 
 Images come from tables built once per functor: ``corner_table(t, s)`` holds
@@ -30,9 +31,16 @@ from collections import ChainMap
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import Bimodule, RingMap, induction_bimodule, restriction_bimodule
+from .algebra import (
+    AlgebraError,
+    Bimodule,
+    RingMap,
+    check_witness,
+    induction_bimodule,
+    restriction_bimodule,
+)
 from .homcat import AlgMat, GradedMap, HomSpace, MapLayout, ProjComplex
-from .linalg import Mat, rank, solve_left
+from .linalg import Mat, solve_left
 
 
 class FunctorError(ValueError):
@@ -72,41 +80,16 @@ class BimoduleFunctor:
             self._validate_witness(i, pairs)
 
     def _validate_witness(self, i: int, pairs):
-        B = self.bimodule
-        ring = self.source_alg.ring
-        ei = self.source_alg.idempotent_vec(i)
-        E = B.left_of(ei)
-        corner = B.left_space_of_idempotent(i)
-        rows = []
-        blocks = []
-        off = 0
-        for j, w in pairs:
-            if type(j) is not int or j not in range(self.target_alg.n_idempotents()):
-                raise FunctorError(f"{self.name}: witness index {j!r} is not an "
-                                   f"idempotent index of {self.target_alg.name}")
-            if list(E.row_apply(list(w))) != list(w):
-                raise FunctorError(f"{self.name}: witness for idempotent {i} "
-                                   f"is not left-fixed by it")
-            fj = self.target_alg.idempotent_vec(j)
-            if list(B.right_of(fj).row_apply(list(w))) != list(w):
-                raise FunctorError(f"{self.name}: witness for idempotent {i} "
-                                   f"is not right-supported on its target summand")
-            sp = self.target_alg.right_ideal_space(j)
-            for s in sp.rows:
-                rows.append(B.right_of(tuple(s)).row_apply(list(w)))
-            blocks.append((j, off, sp.dim))
-            off += sp.dim
-        W = Mat.from_rows(ring, rows, B.dim)
-        for r in range(W.nrows):
-            if not corner.contains(W.row(r)):
-                raise FunctorError(f"{self.name}: witness span escapes the corner")
-        if W.nrows != corner.dim or rank(W) != corner.dim:
-            raise FunctorError(
-                f"{self.name}: witness for idempotent {i} is not a bijection "
-                f"onto its corner (rows {W.nrows}, corner dim {corner.dim})"
-            )
-        self._wmat[i] = W
-        self._wblocks[i] = blocks
+        # e_i . B as the sum of the f_j . S, under B's right action
+        B, S = self.bimodule, self.target_alg
+        try:
+            self._wmat[i] = check_witness(S, B.left_space_of_idempotent(i), pairs,
+                                          lambda w, s: B.right_of(s).row_apply(list(w)),
+                                          self.name)
+        except AlgebraError as exc:
+            raise FunctorError(str(exc)) from exc
+        dims = [S.right_ideal_space(j).dim for j, _ in pairs]
+        self._wblocks[i] = list(zip(self.target_summands(i), accumulate(dims, initial=0), dims))
 
     # -- transport ----------------------------------------------------------
 

@@ -127,12 +127,16 @@ def map_from_json(source: ProjComplex, target: ProjComplex, degree: int,
 
 
 def int_key(k, what: str) -> int:
-    """The integer that a JSON key or value ``k`` names, else a ``SerializeError``
-    naming ``what``."""
+    """The integer that a JSON key or value ``k`` names: an ``int`` (not a ``bool``) or
+    the text ``str`` writes for one, so no two keys name one; else a ``SerializeError``."""
+    if type(k) is int:
+        return k
     try:
-        return int(k)
-    except (TypeError, ValueError):
-        raise SerializeError(f"{what}: {k!r} is not an integer") from None
+        if isinstance(k, str) and str(int(k)) == k:
+            return int(k)
+    except ValueError:
+        pass
+    raise SerializeError(f"{what}: {k!r} is not an integer")
 
 
 # -- lift certificates --------------------------------------------------------------

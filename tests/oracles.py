@@ -1536,7 +1536,7 @@ def standard_modules_fresh(alg):
     except AlgebraError:
         return out
     for i, P in projs:
-        S, _ = quotient_module(P, P.times_ideal(rad.space))
+        S = quotient_module(P, P.times_ideal(rad.space))
         nm = f"S({alg.idempotent_names[i]})"
         S.name = nm
         out[nm] = S
@@ -1554,11 +1554,11 @@ def serre_adjoint_report_fresh(alg, ideal):
 
     if not ideal.is_idempotent():
         square = ideal.square()
-        W, proj = quotient_module(regular_module(alg), square.space)
-        imgs = [proj.row_apply(list(r)) for r in ideal.space.rows]
+        W = quotient_module(regular_module(alg), square.space)
+        imgs = [square.space.quotient_coords(r) for r in ideal.space.rows]
         sub_space = Subspace.from_spanning(alg.ring, W.dim, imgs)
         Sub, _ = submodule(W, sub_space)
-        Quo, _ = quotient_module(W, sub_space)
+        Quo = quotient_module(W, sub_space)
         witness = SerreFailureWitness(
             extension_dim=W.dim, sub_dim=Sub.dim, quotient_dim=Quo.dim,
             sub_killed=in_perp(Sub, ideal), quotient_killed=in_perp(Quo, ideal),
@@ -1570,7 +1570,7 @@ def serre_adjoint_report_fresh(alg, ideal):
     perp = {nm: N for nm, N in samples.items() if in_perp(N, ideal)}
     checks = []
     for mname, M in samples.items():
-        Mco, _ = quotient_module(M, M.times_ideal(ideal.space))
+        Mco = quotient_module(M, M.times_ideal(ideal.space))
         Mre, _ = submodule(M, M.annihilated_by(ideal.space))
         for nname, N in perp.items():
             co = (hom_dim(Mco, N), hom_dim(M, N))
@@ -1624,7 +1624,7 @@ def almost_quotient_fresh(alg, e):
         rho = M.action_of(e)
         for tag, space in (("ideal-image", M.times_ideal(ideal.space)),
                            ("ideal-kernel", M.annihilated_by(ideal.space))):
-            Quo, _ = quotient_module(M, space)
+            Quo = quotient_module(M, space)
             me = functor.image_space(M)
             sub_e = Subspace.from_spanning(
                 ring, M.dim, [rho.row_apply(list(r)) for r in space.rows])
@@ -1636,3 +1636,22 @@ def almost_quotient_fresh(alg, e):
                 dims_additive=(me.dim - inter.dim == quo_e_dim)))
     verdict = "certified" if all(c.ok for c in checks) else "inconclusive"
     return AlmostQuotientReport(corner, functor, dims, checks, verdict)
+
+
+def tensor_square_dim_by_coequalizer(alg, ideal):
+    """dim a (x)_R a for a two-sided ideal a, as the coequalizer
+    ``module_tensor`` builds: the cross-check ``AlmostCase`` once ran on its
+    witnessed sum of corner dimensions.  The ideal is built as a bimodule and
+    a right module through the validating constructors."""
+    from kbproj.algebra import Bimodule, FdModule, module_tensor
+    from kbproj.linalg import Mat
+
+    ring, rows, d = alg.ring, ideal.space.rows, ideal.dim
+    left, right = [], []
+    for t in range(alg.dim):
+        b = alg.basis_vec(t)
+        left.append(Mat.from_rows(ring, [ideal.space.coords_of(alg.mult(b, r)) for r in rows], d))
+        right.append(Mat.from_rows(ring, [ideal.space.coords_of(alg.mult(r, b)) for r in rows], d))
+    B = Bimodule(alg, alg, d, left, right, name="a")
+    M = FdModule(alg, d, right, name="a")
+    return module_tensor(M, B).module.dim

@@ -272,9 +272,11 @@ def test_submodule_and_quotient_module():
     radsp = radical(A).space
     sub, incl = submodule(M, radsp)
     assert sub.dim == 1
-    quo, proj = quotient_module(M, radsp)
+    quo = quotient_module(M, radsp)
     assert quo.dim == 2
-    # projection is a module map: proj(m.b) = proj(m).b
+    # the projection read off quotient_coords is a module map: proj(m.b) = proj(m).b
+    proj = Mat.from_rows(QQ, [radsp.quotient_coords(r) for r in Mat.identity(QQ, M.dim).rows()],
+                         quo.dim)
     for t in range(A.dim):
         lhs = M.action[t] @ proj
         rhs = proj @ quo.action[t]

@@ -1,11 +1,12 @@
 """Idempotent-ideal quotient reports and contraction certificates."""
 
 import json
+import re
 
 import pytest
 
 import kbproj.almost
-from build_examples import upper_triangular_2, ut2_complexes
+from build_examples import split_map, upper_triangular_2, ut2_complexes
 from kbproj.algebra import ideal_generated_by_idempotent, radical
 from kbproj.almost import (
     AlmostCase,
@@ -21,7 +22,7 @@ from kbproj.almost import (
 )
 from kbproj.cli import main
 from kbproj.fixture import load_fixture
-from kbproj.functors import FiniteSubcat
+from kbproj.functors import FiniteSubcat, FunctorError, restriction_functor
 from kbproj.homcat import AlgMat, chain_map, is_contractible, is_homotopy_equivalence, single_summand_complex
 from kbproj.ideals import factor_through_ideal
 from kbproj.linalg import GF, LinalgError, Mat
@@ -230,6 +231,48 @@ def test_derived_witness_index_must_name_an_idempotent(A, window, j):
     with pytest.raises(AlmostError, match=f"ideal corner 0: witness index {j!r}"):
         AlmostCase(A, e11, include=["derived"], subcat=S, a_witness=[(0, e11)],
                    square_witnesses={0: [(j, e11)]})
+
+
+# five faults of a witness list, each as pairs of (idempotent, UT2 basis name)
+# for the corner e11.UT2 of the restriction along k x k -> UT2, and for the
+# ideal a = UT2.e11.UT2 and its corner e11.a; with the message that names it
+WITNESS_FAULTS = [
+    ("bad-index", [(5, "e11"), (1, "e12")], [(5, "e11")],
+     "witness index 5 is not an idempotent index of {alg}"),
+    ("outside-the-module", [(0, "e11"), (1, "e22")], [(1, "e22")],
+     "witness element lies outside the module"),
+    ("not-supported", [(0, "e11"), (0, "e12")], [(1, "e11")],
+     "witness element not supported at idempotent {j}"),
+    ("too-few-pairs", [(0, "e11")], [],
+     "witness map is not a bijection onto the module (rows {rows}, module dim 2)"),
+    ("dependent-pairs", [(0, "e11"), (0, "e11")], [(1, "e12"), (1, "e12")],
+     "witness map is not a bijection onto the module (rows 2, module dim 2)"),
+]
+
+
+@pytest.mark.parametrize("entry", ["functor", "a_witness", "square_witnesses"])
+@pytest.mark.parametrize("functor_pairs,almost_pairs,want", [f[1:] for f in WITNESS_FAULTS],
+                         ids=[f[0] for f in WITNESS_FAULTS])
+def test_each_witness_entry_point_refuses_each_fault(A, window, entry, functor_pairs,
+                                                     almost_pairs, want):
+    # the three entry points share algebra.check_witness and raise their own errors
+    _, S = window
+    e11, e22 = _e(A, "e11"), _e(A, "e22")
+    if entry == "functor":
+        pairs = [(j, _e(A, name)) for j, name in functor_pairs]
+        with pytest.raises(FunctorError, match=re.escape(
+                "res(split): " + want.format(alg="kxk", j=0, rows=1))):
+            restriction_functor(split_map(A), {0: pairs, 1: [(1, e22)]})
+        return
+    pairs = [(j, _e(A, name)) for j, name in almost_pairs]
+    if entry == "a_witness":
+        what, witnesses = "ideal", {"a_witness": pairs, "square_witnesses": {0: [(0, e11)]}}
+    else:
+        what = "ideal corner 0"
+        witnesses = {"a_witness": [(0, e11)], "square_witnesses": {0: pairs}}
+    with pytest.raises(AlmostError, match=re.escape(
+            f"{what}: " + want.format(alg="UT2", j=1, rows=0))):
+        AlmostCase(A, e11, include=["derived"], subcat=S, **witnesses)
 
 
 def test_a_report_on_a_part_the_case_does_not_include_is_refused(A, window):

@@ -561,6 +561,23 @@ def test_map_lift_certificate_bad_path_refuted(capsys, tmp_path, corner_certific
     assert why in reason
 
 
+# int() read each of these as the certificate's own depth 1 or step [0, 1, 0]
+@pytest.mark.parametrize("key,value,why", [
+    ("depth", 1.5, "'depth': 1.5 is not an integer"),
+    ("depth", True, "'depth': True is not an integer"),
+    ("path", [[0, 1.0, 0]], "'path' step: 1.0 is not an integer"),
+    ("path", [[0, True, 0]], "'path' step: True is not an integer")])
+def test_map_lift_certificate_integer_of_another_type_refuted(capsys, tmp_path,
+                                                              corner_certificates, key,
+                                                              value, why):
+    cert = json.loads(json.dumps(corner_certificates["lift-corner-id"]))
+    assert (cert["payload"]["depth"], cert["payload"]["path"]) == (1, [[0, 1, 0]])
+    cert["payload"][key] = value
+    verdict, reason = _replay(capsys, tmp_path, cert)
+    assert verdict == "refuted"
+    assert f"map-lift certificate {why}" in reason
+
+
 @pytest.mark.parametrize("key", ["summands", "diff"])
 def test_map_lift_certificate_replacement_not_an_object_refuted(capsys, tmp_path,
                                                                 corner_certificates, key):
@@ -933,6 +950,16 @@ WRONG_JSON_TYPES = [
     ("contraction-homotopy-key", ["contractions", "c"],
      {"dims": {"0": 1}, "homotopy": {"0.5": [[1]]}},
      "contraction c: homotopy degree: '0.5' is not an integer"),
+    # a degree key is an integer as str writes it: int() read "00" as 0, so the
+    # second key silently replaced the first, and "1_0" as 10
+    ("complex-degree-alias", ["complexes", "X"],
+     {"algebra": "UT2", "summands": {"0": [0], "00": [1]}},
+     "complex X: complex X degree: '00' is not an integer"),
+    ("map-degree-underscore", ["maps", "iota10"],
+     {"source": "P2s", "target": "P1s", "components": {"1_0": [[["0", "1", "0"]]]}},
+     "map iota10: map iota10 component degree: '1_0' is not an integer"),
+    ("contraction-dims-alias", ["contractions", "c"], {"dims": {"0": 1, "00": 1}},
+     "contraction c: 'dims' degree: '00' is not an integer"),
 ]
 
 

@@ -61,14 +61,16 @@ def test_witness_missing_idempotent_rejected(ctx):
 
 def test_witness_wrong_right_support_rejected(ctx):
     f = ctx["f"]
-    with pytest.raises(FunctorError, match="right-supported"):
+    with pytest.raises(FunctorError,
+                       match=r"res\(split\): witness element not supported at idempotent 0"):
         restriction_functor(f, {0: [(0, ctx["e11"]), (0, ctx["e12"])],
                                 1: [(1, ctx["e22"])]})
 
 
 def test_witness_not_left_fixed_rejected(ctx):
     f = ctx["f"]
-    with pytest.raises(FunctorError, match="left-fixed"):
+    with pytest.raises(FunctorError,
+                       match=r"res\(split\): witness element lies outside the module"):
         restriction_functor(f, {0: [(0, ctx["e11"]), (1, ctx["e12"])],
                                 1: [(1, ctx["e12"])]})
 

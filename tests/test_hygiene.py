@@ -3,7 +3,7 @@ imports ``threading`` or ``concurrent``, only ``homcat`` builds summand
 matrices without the corner check or reads their stored entries (elsewhere,
 in tests and ``bench/`` too, they are read through
 ``AlgMat.nonzero_entries``), only ``linalg`` calls the ``Subspace``
-constructor or reads its sparse basis, only the eleven
+constructor or reads its sparse basis, only the ten
 constructors that derive a module from a checked one skip its axiom checks,
 only the four constructors of an ideal that is closed by construction skip
 the closure check, and of an algebra's two-sided ideals only ``radical``'s
@@ -17,8 +17,12 @@ probes that kill composites reach
 calls neither ``apply_map`` nor ``class_matrix``), ``almost`` builds no Hom
 space of its own, its three reports derive nothing their ``AlmostCase`` fixes
 (ideal, idempotence, corner algebra, witnesses: only building the case does,
-and a repeat of corner's almost tasks builds no algebra), only ``linalg`` knows that a non-integral rational is a
-``Fraction``, no module multiplies two basis vectors to read a structure
+and a repeat of corner's almost tasks builds no algebra),
+``algebra.check_witness`` is the one projectivity-witness check (called only
+by functor witness validation and ``AlmostCase``) and
+``algebra.presentation_matrix`` the one presentation map (called only by that
+check and ``derived.projective_cover``), only ``linalg`` knows that a
+non-integral rational is a ``Fraction``, no module multiplies two basis vectors to read a structure
 constant, only ``algebra`` reads an algebra's sparse product table and no
 file reads a ``.structure`` attribute, no loop asks for class coordinates one map at a time, graded-map
 arithmetic builds no zero blocks to multiply, ``GradedMap.is_chain_map`` is
@@ -140,14 +144,14 @@ def test_only_homcat_builds_trusted_summand_matrices(module):
 
 # the constructors whose result is a module because what it is derived from
 # is checked: an invariant subspace of a checked module, multiplication in a
-# checked algebra (on its right ideals e_i R, on a two-sided ideal, or along a
-# checked ring map), relations a checked bimodule's right action keeps, or
-# the corner Me of a checked module (m·e·b = m·(eb) for b in eRe)
+# checked algebra (on its right ideals e_i R or along a checked ring map),
+# relations a checked bimodule's right action keeps, or the corner Me of a
+# checked module (m·e·b = m·(eb) for b in eRe)
 _INHERITS_ITS_CHECK = {
     f"algebra.{fn}" for fn in ("submodule", "quotient_module", "regular_module",
                                "projective_module", "module_along_map", "induction_bimodule",
                                "restriction_bimodule", "regular_bimodule", "module_tensor")
-} | {"almost._check_tensor_dim", "almost.CornerFunctor.apply"}
+} | {"almost.CornerFunctor.apply"}
 
 
 def _inherited_calls(tree):
@@ -275,8 +279,7 @@ def test_almost_builds_no_hom_space_of_its_own():
 
 # what an almost case fixes, derived once by AlmostCase and the corner_functor it calls
 _CASE_DERIVATIONS = ("AlgebraPresentation", "ideal_generated_by_idempotent",
-                     "ideal_from_spanning", "is_idempotent", "_validate_projectivity",
-                     "_check_tensor_dim", "corner_functor")
+                     "ideal_from_spanning", "is_idempotent", "check_witness", "corner_functor")
 
 
 def test_almost_reports_derive_nothing_their_case_fixes():
@@ -416,6 +419,36 @@ def test_only_homcat_poses_homotopy_systems(module):
         uses += [f"lifting.py:{line}: import from linalg" for line in _imports_from(tree, "linalg")]
         assert _calls_named(tree, "solve_up_to_homotopy"), "lifting no longer uses the routine"
     assert not uses, "homotopy system assembled outside homcat: " + ", ".join(uses)
+
+
+# the one projectivity-witness check and the presentation map it tests, each
+# with the functions that may call it
+_WITNESS_CALLERS = {
+    "check_witness": {"functors.BimoduleFunctor._validate_witness", "almost.AlmostCase.__init__"},
+    "presentation_matrix": {"algebra.check_witness", "derived.projective_cover"},
+}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_witness_entry_points_present_projectives(module):
+    # a functor's corners, an almost ideal and its corners are checked by
+    # algebra.check_witness, and a map (+) e_j R -> V is built by
+    # algebra.presentation_matrix alone: no module keeps a copy of either
+    tree = _parse(module)
+    for name, callers in _WITNESS_CALLERS.items():
+        names = {q for q in callers if q.startswith(module[:-3] + ".")}
+        allowed, seen = set(), set()
+        for qual, fn in _definitions(tree, module):
+            if qual in names:
+                calls = _calls_named(fn, name)
+                allowed |= set(map(id, calls))
+                seen |= {qual} if calls else set()
+        assert seen == names, f"no longer calls {name}: " + ", ".join(sorted(names - seen))
+        stray = [f"{module}:{n.lineno}" for n in _calls_named(tree, name) if id(n) not in allowed]
+        assert not stray, f"{name} called outside its entry points: " + ", ".join(stray)
+    # nor a rank test of its own, as the witness checks there once did
+    if module in ("functors.py", "almost.py"):
+        assert "rank" not in _imported_names(tree), f"{module} imports linalg.rank"
 
 
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)

@@ -1,9 +1,8 @@
 """Inherited module construction against the validating constructors.
 
 ``submodule``, ``quotient_module``, ``regular_module``, ``projective_module``,
-``module_along_map``, ``module_tensor``, the three regular bimodules, the
-corner modules Me of ``CornerFunctor.apply`` and the ideal that
-``almost._check_tensor_dim`` tensors with itself build through
+``module_along_map``, ``module_tensor``, the three regular bimodules and the
+corner modules Me of ``CornerFunctor.apply`` build through
 ``FdModule._inherited`` and ``Bimodule._inherited``, which check shapes
 only.  With those routed through ``FdModule(...)`` and ``Bimodule(...)``,
 every module the engine derives has its unit, multiplicativity and
@@ -12,13 +11,19 @@ members of each generated family, every construction must pass and the
 report bytes must equal those of the normal run.  A subspace that is not
 invariant is refused by ``submodule`` and by ``quotient_module`` in both
 modes, and ``hom_dim`` counts the basis the oracle ``hom_modules`` returns.
+Each derived almost case's witnessed tensor square has the dimension of the
+coequalizer a (x)_R a, built the same way.
 """
 
 import os
 
 import pytest
 
-from oracles import hom_modules, route_inherited_modules_through_validation
+from oracles import (
+    hom_modules,
+    route_inherited_modules_through_validation,
+    tensor_square_dim_by_coequalizer,
+)
 from test_structure_checks import FIXDIR, FIXTURES, family_data
 
 from kbproj.algebra import (
@@ -29,7 +34,7 @@ from kbproj.algebra import (
     regular_module,
     submodule,
 )
-from kbproj.almost import corner_functor, standard_modules
+from kbproj.almost import AlmostCase, corner_functor, standard_modules
 from kbproj.fixture import FixtureFile, load_fixture
 from kbproj.linalg import Subspace
 from kbproj.reports import emit_json
@@ -103,17 +108,24 @@ def _derived_cases(fx):
 
 
 def test_the_tensor_square_cross_check_passes_the_public_constructors(monkeypatch):
-    # the ideal a as a bimodule and a right module, and its tensor square
-    # dimension by coequalizer, are checked again at every derived case's load
-    paths = sorted(os.path.join(FIXDIR, f) for f in os.listdir(FIXDIR) if f.endswith(".json"))
-    dims = {(p, name): case.tensor_square_dim
-            for p in paths for name, case in _derived_cases(load_fixture(p)).items()}
-    assert dims, "no fixture has a derived almost case"
+    # a derived case's tensor square dimension, the sum of its witnessed
+    # corners' dims, against the coequalizer of the oracle, with every module
+    # the coequalizer derives built through the validating constructors
     callers = route_inherited_modules_through_validation(monkeypatch)
-    for p in paths:
-        for name, case in _derived_cases(load_fixture(p)).items():
-            assert case.tensor_square_dim == dims[p, name]
-    assert "_check_tensor_dim" in callers
+    paths = sorted(os.path.join(FIXDIR, f) for f in os.listdir(FIXDIR) if f.endswith(".json"))
+    cases = [case for p in paths for case in _derived_cases(load_fixture(p)).values()]
+    assert cases, "no fixture has a derived almost case"
+    # and on corner's UT2 the two ideals no fixture holds: the whole algebra and zero
+    fx = fresh("corner")
+    A, S = fx.algebras["UT2"], fx.lookup("subcategories", "S")
+    e11, e22 = A.idempotent_vec(0), A.idempotent_vec(1)
+    cases += [AlmostCase(A, generators=gens, include=["derived"], subcat=S, a_witness=aw,
+                         square_witnesses={u: [p] for u, p in enumerate(aw)})
+              for gens, aw in (([A.unit], [(0, e11), (1, e22)]), ([], []))]
+    for case in cases:
+        assert case.tensor_square_dim == tensor_square_dim_by_coequalizer(case.algebra,
+                                                                          case.ideal)
+    assert "module_tensor" in callers
 
 
 @pytest.mark.parametrize("label", ("corner", "split"))

@@ -119,7 +119,7 @@ def test_simples_against_the_dual_bimodule(label):
         D = dual_bimodule(A)
         for j in range(A.n_idempotents()):
             P = projective_module(A, [j])
-            S, _ = quotient_module(P, P.times_ideal(radical(A).space))
+            S = quotient_module(P, P.times_ideal(radical(A).space))
             assert tor_with_bimodule(S, D, 3) == tor_by_coequalizers(S, D, 3)
 
 
