@@ -227,16 +227,18 @@ class FdModule:
     ``CornerFunctor.apply``, go through it.  The constructors that derive a
     module from a checked one build through ``_inherited``, which checks the
     shapes only, because what they inherit proves the rest: ``submodule``
-    and ``quotient_module`` first check that the subspace is invariant, and
-    a sub or quotient of a checked module by an invariant subspace is a
-    module; ``regular_module``, ``projective_module`` and
-    ``module_along_map`` act by right multiplication in a checked algebra,
-    on right ideals e_i R or along a checked ``RingMap``; ``module_tensor``
-    divides M (x)_k B, a module through B's right action, by relations that
-    action keeps, since B is a checked bimodule.  ``projective_module``, its
-    radical layer ``projective_radical``, ``radical`` and the sample modules
-    of ``almost.standard_modules`` are cached on the algebra, so an algebra
-    and the modules they return are immutable.  A quotient comes without its
+    and ``quotient_module`` induce the action with ``Subspace.restrict`` or
+    ``Subspace.project``, which refuse a subspace the action moves, and a sub
+    or quotient of a checked module by an invariant subspace is a module;
+    ``regular_module``, ``projective_module`` and ``module_along_map`` act by
+    right multiplication in a checked algebra, on right ideals e_i R or along
+    a checked ``RingMap``; ``module_tensor`` divides M (x)_k B, a module
+    through id (x) B's right action, by relations that action keeps, since B
+    is a checked bimodule.  ``projective_module``, its radical layer
+    ``projective_radical``, ``radical`` and the sample modules of
+    ``almost.standard_modules`` are cached on the algebra, so an algebra and
+    the modules they return are immutable.  A submodule comes without its
+    inclusion, whose rows are ``space.rows``, and a quotient without its
     projection, which is ``space.quotient_coords``.
     """
 
@@ -310,48 +312,32 @@ def regular_module(alg: AlgebraPresentation) -> FdModule:
     return FdModule._inherited(alg, alg.dim, action, name=alg.name)
 
 
-def _invariant_coords(M: FdModule, space: Subspace) -> List[List[List]]:
-    """Coordinates in ``space`` of the images of its basis under each action
-    matrix; raises AlgebraError unless space . rho(b_i) lies in space for
-    every basis element b_i, that is unless space is a submodule of M."""
-    out = []
-    for a in M.action:
-        rows = []
-        for r in space.rows:
-            img = a.row_apply(list(r))
-            try:
-                rows.append(space.coords_of(img))
-            except LinalgError:
-                raise AlgebraError(
-                    f"{M.name}: subspace is not closed under the module action") from None
-        out.append(rows)
-    return out
+def _induced(M: FdModule, space: Subspace, induce) -> List[Mat]:
+    """``induce(space, M.action)`` for ``Subspace.restrict`` or ``project``; a
+    subspace of another space, or one the action moves, is an ``AlgebraError``."""
+    if space.ambient != M.dim:
+        raise AlgebraError(f"{M.name}: subspace of dimension-{space.ambient} space, "
+                           f"module of dimension {M.dim}")
+    try:
+        return induce(space, M.action)
+    except LinalgError:
+        raise AlgebraError(f"{M.name}: subspace is not closed under the module action") from None
 
 
-def submodule(M: FdModule, space: Subspace) -> Tuple[FdModule, Mat]:
-    """Submodule on a subspace closed under the action.  Returns (module, inclusion)."""
-    ring = M.algebra.ring
-    action = [Mat.from_rows(ring, rows, space.dim) for rows in _invariant_coords(M, space)]
-    incl = Mat.from_rows(ring, space.rows, M.dim)
+def submodule(M: FdModule, space: Subspace) -> FdModule:
+    """Submodule on a subspace closed under the action, in the coordinates of
+    ``space.coords_of``: its inclusion into M has the rows ``space.rows``."""
+    action = _induced(M, space, Subspace.restrict)
     # an invariant subspace of a checked module is a module
-    return FdModule._inherited(M.algebra, space.dim, action, name=f"{M.name}|sub"), incl
+    return FdModule._inherited(M.algebra, space.dim, action, name=f"{M.name}|sub")
 
 
 def quotient_module(M: FdModule, space: Subspace) -> FdModule:
     """Quotient by a subspace closed under the action, in the coordinates of
     ``space.quotient_coords``, which is the projection M -> M/space."""
-    alg = M.algebra
-    ring = alg.ring
-    _invariant_coords(M, space)
-    reps = space.completion()
-    qdim = len(reps)
-    project = space.quotient_coords
-    action = []
-    for i in range(alg.dim):
-        rows = [project(M.action[i].row_apply(r)) for r in reps]
-        action.append(Mat.from_rows(ring, rows, qdim))
+    action = _induced(M, space, Subspace.project)
     # the quotient of a checked module by an invariant subspace is a module
-    return FdModule._inherited(alg, qdim, action, name=f"{M.name}|quo")
+    return FdModule._inherited(M.algebra, M.dim - space.dim, action, name=f"{M.name}|quo")
 
 
 def hom_dim(M: FdModule, N: FdModule) -> int:
@@ -663,47 +649,32 @@ def module_tensor(M: FdModule, B: Bimodule) -> TensorResult:
     if M.algebra != B.left_alg:
         raise AlgebraError("module/bimodule sides do not match for tensor")
     ring = M.algebra.ring
-    R = M.algebra
-    amb = M.dim * B.dim
+    R, S, n = M.algebra, B.right_alg, B.dim
+    amb = M.dim * n
     rels = []
     left_rows = [B.left_action[r].rows() for r in range(R.dim)]
     for i in range(M.dim):
         for r in range(R.dim):
             mi_r = M.action[r].row(i)
-            for j in range(B.dim):
+            for j in range(n):
                 vec = [ring.zero] * amb
                 for u, c in enumerate(mi_r):
                     if c:
-                        vec[u * B.dim + j] = ring.add(vec[u * B.dim + j], c)
+                        vec[u * n + j] = ring.add(vec[u * n + j], c)
                 for v, c in enumerate(left_rows[r][j]):
                     if c:
-                        vec[i * B.dim + v] = ring.sub(vec[i * B.dim + v], c)
+                        vec[i * n + v] = ring.sub(vec[i * n + v], c)
                 rels.append(vec)
     relations = Subspace.from_spanning(ring, amb, rels)
-    reps = relations.completion()
-    qdim = len(reps)
-    # right action of B's right algebra on the quotient: (m (x) b) . s = m (x) (b.s)
-    S = B.right_alg
-    action = []
-    for s in range(S.dim):
-        right_s = B.right_action[s].rows()
-        rows = []
-        for rep in reps:
-            out = [ring.zero] * amb
-            for pos, c in enumerate(rep):
-                if not c:
-                    continue
-                i, j = divmod(pos, B.dim)
-                for v, d in enumerate(right_s[j]):
-                    if d:
-                        out[i * B.dim + v] = ring.add(out[i * B.dim + v], ring.mul(c, d))
-            rows.append(relations.quotient_coords(out))
-        action.append(Mat.from_rows(ring, rows, qdim))
-    # id (x) rho_s makes M (x)_k B a module, and it keeps the relations
-    # m.r (x) b - m (x) r.b invariant, since (r.b).s = r.(b.s) in a checked
-    # bimodule: the quotient by an invariant subspace is a module
-    module = FdModule._inherited(S, qdim, action, name=f"{M.name}(x){B.name}")
-    return TensorResult(module, reps)
+    # (m (x) b) . s = m (x) (b.s): id (x) rho_s makes M (x)_k B a module, and
+    # it keeps the relations m.r (x) b - m (x) r.b, since (r.b).s = r.(b.s) in
+    # a checked bimodule: the quotient by an invariant subspace is a module
+    action = relations.project(
+        [Mat.from_entries(ring, amb, amb, {(i * n + j, i * n + v): x for i in range(M.dim)
+                                           for j, v, x in B.right_action[s].items()})
+         for s in range(S.dim)])
+    module = FdModule._inherited(S, amb - relations.dim, action, name=f"{M.name}(x){B.name}")
+    return TensorResult(module, relations.completion())
 
 
 def quotient_algebra(alg: AlgebraPresentation, ideal: TwoSidedIdeal,
@@ -784,13 +755,17 @@ def presentation_matrix(alg: AlgebraPresentation, pairs, act, dim: int) -> Mat:
 
 def check_witness(alg: AlgebraPresentation, space: Subspace, pairs, act, what: str) -> Mat:
     """The ``presentation_matrix`` of ``pairs``, checked to write ``space`` as
-    (+)_u e_{j_u} R: each j an idempotent index of ``alg``, each g in ``space``
-    with act(g, e_j) = g, and the matrix square of rank ``space.dim``.  The one
-    projectivity rule; an ``AlgebraError`` names ``what``."""
+    (+)_u e_{j_u} R: each j an idempotent index of ``alg``, each g of length
+    ``space.ambient`` in ``space`` with act(g, e_j) = g, and the matrix square
+    of rank ``space.dim``.  The one projectivity rule; an ``AlgebraError``
+    names ``what``."""
     for j, g in pairs:
         if type(j) is not int or j not in range(alg.n_idempotents()):
             raise AlgebraError(f"{what}: witness index {j!r} is not an idempotent "
                                f"index of {alg.name}")
+        if len(g) != space.ambient:
+            raise AlgebraError(f"{what}: witness element has {len(g)} coordinates, "
+                               f"not {space.ambient}")
         if not space.contains(g):
             raise AlgebraError(f"{what}: witness element lies outside the module")
         if list(act(g, alg.idempotent_vec(j))) != list(g):

@@ -112,8 +112,8 @@ class AlmostCase:
     (parsed vectors), and the ``include``d parts to report on, checked here.
     The derived part needs a window ``subcat`` and witnesses, in the sense
     of ``algebra.check_witness``, for the ideal (``a_witness``) and for e_j.a
-    for its u-th pair (j, g) (key u of ``square_witnesses``).  A case that
-    cannot run raises ``AlmostError``."""
+    for its u-th pair (j, g) (key u of ``square_witnesses``, which has no
+    other keys).  A case that cannot run raises ``AlmostError``."""
 
     def __init__(self, alg: AlgebraPresentation, e=None, generators=None, include=("serre",),
                  subcat: Optional[FiniteSubcat] = None, subcat_name=None, a_witness=None,
@@ -159,7 +159,12 @@ class AlmostCase:
         # a = (+)_u e_{j_u} R, so a (x) a = (+)_u e_{j_u}.a: the corners' dims sum
         # to the square's, and each corner's witnesses give its summands
         space, columns, tensor_dim = self.ideal.space, [], 0
-        for u, (j, g) in enumerate(witnessed(space, a_witness, "ideal")):
+        pairs = witnessed(space, a_witness, "ideal")
+        for u in square_witnesses or {}:
+            if u not in range(len(pairs)):
+                raise AlmostError(f"square_witnesses key {u!r} is not an index of "
+                                  f"a_witness's {len(pairs)} pairs")
+        for u, (j, g) in enumerate(pairs):
             corner = Subspace.from_spanning(
                 alg.ring, alg.dim, [alg.mult(alg.idempotent_vec(j), r) for r in space.rows])
             tensor_dim += corner.dim
@@ -224,7 +229,7 @@ def serre_adjoint_report(case: AlmostCase) -> SerreAdjointReport:
         W = quotient_module(regular_module(alg), square)
         imgs = [square.quotient_coords(r) for r in ideal.space.rows]
         sub_space = Subspace.from_spanning(alg.ring, W.dim, imgs)
-        Sub, _ = submodule(W, sub_space)
+        Sub = submodule(W, sub_space)
         Quo = quotient_module(W, sub_space)
         witness = SerreFailureWitness(
             extension_dim=W.dim, sub_dim=Sub.dim, quotient_dim=Quo.dim,
@@ -243,7 +248,7 @@ def serre_adjoint_report(case: AlmostCase) -> SerreAdjointReport:
         Mco = Mre = None
         if images[mname].dim:
             Mco = quotient_module(M, images[mname])
-            Mre, _ = submodule(M, M.annihilated_by(ideal.space))
+            Mre = submodule(M, M.annihilated_by(ideal.space))
         for nname in perp:
             N = samples[nname]
             to_n, from_n = samples.hom_dim(mname, nname), samples.hom_dim(nname, mname)
@@ -272,13 +277,8 @@ class CornerFunctor:
 
     def apply(self, M: FdModule) -> FdModule:
         sp = self.image_space(M)
-        ring = M.algebra.ring
-        action = []
-        for b in self.corner_basis:
-            A = M.action_of(b)
-            rows = [sp.coords_of(A.row_apply(list(r))) for r in sp.rows]
-            action.append(Mat.from_rows(ring, rows, sp.dim))
         # Me is an eRe-module by construction: m·e·b = m·(eb) for b in eRe
+        action = sp.restrict([M.action_of(b) for b in self.corner_basis])
         return FdModule._inherited(self.corner, sp.dim, action, name=f"{M.name}e")
 
 
@@ -332,19 +332,21 @@ def almost_quotient(case: AlmostCase) -> AlmostQuotientReport:
     """Present the quotient by the killed modules of ReR as corner modules."""
     case.require("quotient")
     alg, ideal, functor = case.algebra, case.ideal, case.functor
-    samples = standard_modules(alg)
-    dims = {nm: functor.apply(M).dim for nm, M in samples.items()}
+    # the report reads only dim Me, that of M's image space under e, so no
+    # eRe-module is built
+    dims: Dict[str, int] = {}
     checks: List[ExactnessCheck] = []
-    for nm, M in samples.items():
+    for nm, M in standard_modules(alg).items():
         rho = M.action_of(functor.e)
         me = functor.image_space(M)
+        dims[nm] = me.dim
         for tag, space in (("ideal-image", M.times_ideal(ideal.space)),
                            ("ideal-kernel", M.annihilated_by(ideal.space))):
             Quo = quotient_module(M, space)
             sub_e = Subspace.from_spanning(
                 alg.ring, M.dim, [rho.row_apply(list(r)) for r in space.rows])
             inter = me.intersect(space)
-            quo_e_dim = functor.apply(Quo).dim
+            quo_e_dim = functor.image_space(Quo).dim
             checks.append(ExactnessCheck(
                 f"{nm}/{tag}",
                 sub_matches_kernel=(sub_e == inter),

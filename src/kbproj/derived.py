@@ -32,7 +32,6 @@ from .algebra import (
     projective_module,
     projective_radical,
     radical,
-    submodule,
 )
 from .homcat import AlgMat, ProjComplex
 from .linalg import Mat, Subspace, left_kernel, rank
@@ -42,47 +41,51 @@ class DerivedError(ValueError):
     """Resolution or Tor computation failed an exactness self-check."""
 
 
-def minimal_generators(M: FdModule, radsp: Subspace) -> List[Tuple[int, List]]:
-    """Idempotent-weighted generators lifting a basis of M / M.rad.
+def minimal_generators(M: FdModule, space: Subspace, radsp: Subspace) -> List[Tuple[int, List]]:
+    """Idempotent-weighted generators of the submodule ``space`` of M lifting
+    a basis of space / space.rad, which is spanned by the rows of ``space``
+    times those of ``radsp``.
 
     Returns pairs (idempotent index, element of M); the elements project to
-    a basis of the top and each lies in the corresponding weight space.
+    a basis of the top and each is a row of ``space`` times e_j.
     """
-    alg = M.algebra
-    mrad = M.times_ideal(radsp)
+    alg, rows = M.algebra, space.rows
+    mrad = Subspace.from_spanning(alg.ring, M.dim, [A.row_apply(r) for A in
+                                                    map(M.action_of, radsp.rows) for r in rows])
     chosen: List[Tuple[int, List]] = []
     spanned = mrad
     for j in range(alg.n_idempotents()):
-        for v in M.action_of(alg.idempotent_vec(j)).rows():
+        E = M.action_of(alg.idempotent_vec(j))
+        for v in map(E.row_apply, rows):
             if spanned.contains(v):
                 continue
             chosen.append((j, v))
             spanned = spanned.span_with([v])
-    top_dim = M.dim - mrad.dim
-    if len(chosen) != top_dim:
+    if len(chosen) != space.dim - mrad.dim:
         raise DerivedError("generator count does not match the top dimension")
     return chosen
 
 
-def projective_cover(M: FdModule, radsp: Subspace):
-    """Minimal cover P -> M.  Returns (summand indices, P module, cover Mat,
-    kernel of the cover as a subspace of P).
+def projective_cover(M: FdModule, space: Subspace, radsp: Subspace):
+    """Minimal cover P -> space of the submodule ``space`` of M.  Returns
+    (summand indices, P module, cover Mat, kernel of the cover as a subspace
+    of P).
 
-    The cover matrix is in row convention (P.dim x M.dim).  Surjectivity (the
-    rank, read off the one kernel) and minimality (kernel inside P.rad, cached
-    with P) are verified, not assumed.
+    The cover matrix is in row convention (P.dim x M.dim), in M's own
+    coordinates.  Surjectivity onto ``space`` (the rank, read off the one
+    kernel) and minimality (kernel inside P.rad, cached with P) are
+    verified, not assumed.
     """
     alg = M.algebra
-    gens = minimal_generators(M, radsp)
+    gens = minimal_generators(M, space, radsp)
     idxs = [j for j, _ in gens]
-    P = projective_module(alg, idxs)
     cover = presentation_matrix(alg, gens, M.act, M.dim)
     ker = left_kernel(cover)
-    if cover.nrows - ker.dim != M.dim:
+    if cover.nrows - ker.dim != space.dim:
         raise DerivedError("cover is not surjective")
     if not ker.is_subspace_of(projective_radical(alg, idxs)):
         raise DerivedError("cover is not minimal: kernel escapes the radical")
-    return idxs, P, cover, ker
+    return idxs, projective_module(alg, idxs), cover, ker
 
 
 @dataclass
@@ -145,25 +148,20 @@ def linear_to_algmat(alg, target_idems, source_idems, linmap: Mat) -> AlgMat:
 
 
 def proj_resolution(M: FdModule, max_len: int) -> Resolution:
-    """Minimal resolution of length at most max_len (stops early at kernel zero)."""
-    alg = M.algebra
-    radsp = radical(alg).space
+    """Minimal resolution of length at most max_len (stops early at kernel zero).
+    Each syzygy is covered where it lies, as a subspace of the last P_i, so
+    the cover is the differential and no syzygy is built as a module."""
+    radsp = radical(M.algebra).space
     res = Resolution(module=M)
-    idxs, P, cover, ker = projective_cover(M, radsp)
-    res.summands.append(list(idxs))
-    res.aug = cover
-    cur_P, cur_ker = P, ker
+    idxs, P, res.aug, ker = projective_cover(M, Subspace.full(M.algebra.ring, M.dim), radsp)
+    res.summands.append(idxs)
     for _ in range(max_len):
-        if cur_ker.dim == 0:
-            res.complete = True
+        if ker.dim == 0:
             break
-        K, incl = submodule(cur_P, cur_ker)
-        idxs, P_next, cover_next, ker_next = projective_cover(K, radsp)
-        res.summands.append(list(idxs))
-        res.maps.append(cover_next @ incl)
-        cur_P, cur_ker = P_next, ker_next
-    else:
-        res.complete = cur_ker.dim == 0
+        idxs, P, cover, ker = projective_cover(P, ker, radsp)
+        res.summands.append(idxs)
+        res.maps.append(cover)
+    res.complete = ker.dim == 0
     _verify_resolution(res)
     return res
 

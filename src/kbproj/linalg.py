@@ -26,7 +26,11 @@ Conventions
 * Quotients V/S are taken in one basis: ``S.completion()``, the unit vectors
   at S's non-pivot coordinates.  ``S.quotient_coords(v)`` gives the
   coordinates of v + S in it (reduce v, keep the non-pivot entries); every
-  quotient module, algebra, tensor product and preimage uses this pair.
+  quotient algebra and preimage uses this pair.
+* Maps that keep S induce maps on S and on V/S, in the coordinates of
+  ``coords_of`` and ``quotient_coords``: ``S.restrict(maps)`` and
+  ``S.project(maps)`` build the action of every sub, quotient, tensor and
+  corner module.
 """
 
 from __future__ import annotations
@@ -630,6 +634,22 @@ class Subspace:
         for p in reversed(self._basis):
             del v[p]
         return v
+
+    def restrict(self, maps: Iterable[Mat]) -> List[Mat]:
+        """The maps induced on self: row k of each is the ``coords_of`` of
+        rows[k] @ m.  Raises ``LinalgError`` unless every map keeps self."""
+        return [Mat.from_rows(self.ring, [self.coords_of(m.row_apply(r)) for r in self.rows],
+                              self.dim) for m in maps]
+
+    def project(self, maps: Sequence[Mat]) -> List[Mat]:
+        """The maps induced on ambient/self: row k of each is the
+        ``quotient_coords`` of completion()[k] @ m.  Raises ``LinalgError``
+        unless every map keeps self: each basis row's image reduces to zero."""
+        if not all(self.contains(m.row_apply(r)) for m in maps for r in self.rows):
+            raise LinalgError("map does not keep the subspace")
+        return [Mat.from_rows(self.ring, [self.quotient_coords(row) for j, row in
+                                          enumerate(m.rows()) if j not in self._basis],
+                              self.ambient - self.dim) for m in maps]
 
     def quotient_reps(self, within: "Subspace") -> List[Tuple]:
         """Coset representatives of within/self, for self inside within."""

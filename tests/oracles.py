@@ -1514,6 +1514,45 @@ def tor_by_coequalizers(M, B, i_max):
     return TorReport(dims=dims, complete=res.complete, checked_up_to=max(dims))
 
 
+def proj_resolution_by_submodules(M, max_len):
+    """``derived.proj_resolution`` as it was before it covered each syzygy
+    where it lies: every syzygy is built as a ``submodule`` of the last P_i,
+    with ``R.dim`` action matrices of its own, covered in its own coordinates
+    by generators picked from the rows of its idempotent actions, and the
+    differential is that cover times the inclusion.  Not re-verified."""
+    from kbproj.algebra import (presentation_matrix, projective_module, projective_radical,
+                                radical, submodule)
+    from kbproj.derived import Resolution
+    from kbproj.linalg import Mat, left_kernel
+
+    alg = M.algebra
+    radsp = radical(alg).space
+
+    def cover(N):
+        spanned, gens = N.times_ideal(radsp), []
+        for j in range(alg.n_idempotents()):
+            for v in N.action_of(alg.idempotent_vec(j)).rows():
+                if not spanned.contains(v):
+                    gens.append((j, v))
+                    spanned = spanned.span_with([v])
+        idxs = [j for j, _ in gens]
+        d = presentation_matrix(alg, gens, N.act, N.dim)
+        ker = left_kernel(d)
+        assert d.nrows - ker.dim == N.dim and ker.is_subspace_of(projective_radical(alg, idxs))
+        return idxs, projective_module(alg, idxs), d, ker
+
+    res = Resolution(module=M)
+    idxs, P, res.aug, ker = cover(M)
+    res.summands.append(idxs)
+    while ker.dim and len(res.maps) < max_len:
+        incl = Mat.from_rows(alg.ring, ker.rows, P.dim)
+        idxs, P, d, ker = cover(submodule(P, ker))
+        res.summands.append(idxs)
+        res.maps.append(d @ incl)
+    res.complete = ker.dim == 0
+    return res
+
+
 # -- almost reports without the sample catalogue ----------------------------------
 
 
@@ -1557,7 +1596,7 @@ def serre_adjoint_report_fresh(alg, ideal):
         W = quotient_module(regular_module(alg), square.space)
         imgs = [square.space.quotient_coords(r) for r in ideal.space.rows]
         sub_space = Subspace.from_spanning(alg.ring, W.dim, imgs)
-        Sub, _ = submodule(W, sub_space)
+        Sub = submodule(W, sub_space)
         Quo = quotient_module(W, sub_space)
         witness = SerreFailureWitness(
             extension_dim=W.dim, sub_dim=Sub.dim, quotient_dim=Quo.dim,
@@ -1571,7 +1610,7 @@ def serre_adjoint_report_fresh(alg, ideal):
     checks = []
     for mname, M in samples.items():
         Mco = quotient_module(M, M.times_ideal(ideal.space))
-        Mre, _ = submodule(M, M.annihilated_by(ideal.space))
+        Mre = submodule(M, M.annihilated_by(ideal.space))
         for nname, N in perp.items():
             co = (hom_dim(Mco, N), hom_dim(M, N))
             re = (hom_dim(N, Mre), hom_dim(N, M))

@@ -270,8 +270,12 @@ def test_submodule_and_quotient_module():
     A = upper_triangular_2()
     M = regular_module(A)
     radsp = radical(A).space
-    sub, incl = submodule(M, radsp)
+    sub = submodule(M, radsp)
     assert sub.dim == 1
+    # the inclusion with the rows of the subspace is a module map: incl(m.b) = incl(m).b
+    incl = Mat.from_rows(QQ, radsp.rows, M.dim)
+    for t in range(A.dim):
+        assert sub.action[t] @ incl == incl @ M.action[t]
     quo = quotient_module(M, radsp)
     assert quo.dim == 2
     # the projection read off quotient_coords is a module map: proj(m.b) = proj(m).b
@@ -283,6 +287,11 @@ def test_submodule_and_quotient_module():
         assert lhs == rhs
     with pytest.raises(AlgebraError, match="closed"):
         submodule(M, Subspace.from_spanning(QQ, 3, [(QQ.one, QQ.zero, QQ.zero)]))
+    # a subspace of another space is refused as such, not as one the action moves
+    for build in (submodule, quotient_module):
+        with pytest.raises(AlgebraError, match="subspace of dimension-2 space, module of "
+                                               "dimension 3"):
+            build(M, Subspace.full(QQ, 2))
 
 
 def test_times_ideal_and_annihilator():
@@ -383,7 +392,7 @@ def test_ideal_tensor_square_dim_two():
     """a (x)_R a for a = R e11 R in UT2 has dimension 2 (multiplication iso)."""
     A = upper_triangular_2()
     a = ideal_generated_by_idempotent(A, ["1", "0", "0"])
-    asub, _ = submodule(regular_module(A), a.space)
+    asub = submodule(regular_module(A), a.space)
     # a as (R, R)-bimodule restricted from the regular bimodule
     rows = [list(r) for r in a.space.rows]
     left = []

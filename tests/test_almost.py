@@ -231,11 +231,17 @@ def test_derived_witness_index_must_name_an_idempotent(A, window, j):
     with pytest.raises(AlmostError, match=f"ideal corner 0: witness index {j!r}"):
         AlmostCase(A, e11, include=["derived"], subcat=S, a_witness=[(0, e11)],
                    square_witnesses={0: [(j, e11)]})
+    # nor may it key a square witness list: the fixture loader refuses such a key too
+    with pytest.raises(AlmostError, match=re.escape(
+            f"square_witnesses key {j!r} is not an index of a_witness's 1 pairs")):
+        AlmostCase(A, e11, include=["derived"], subcat=S, a_witness=[(0, e11)],
+                   square_witnesses={0: [(0, e11)], j: [(0, e11)]})
 
 
-# five faults of a witness list, each as pairs of (idempotent, UT2 basis name)
-# for the corner e11.UT2 of the restriction along k x k -> UT2, and for the
-# ideal a = UT2.e11.UT2 and its corner e11.a; with the message that names it
+# six faults of a witness list, each as pairs of (idempotent, UT2 basis name
+# or element) for the corner e11.UT2 of the restriction along k x k -> UT2,
+# and for the ideal a = UT2.e11.UT2 and its corner e11.a; with the message
+# that names it
 WITNESS_FAULTS = [
     ("bad-index", [(5, "e11"), (1, "e12")], [(5, "e11")],
      "witness index 5 is not an idempotent index of {alg}"),
@@ -247,7 +253,13 @@ WITNESS_FAULTS = [
      "witness map is not a bijection onto the module (rows {rows}, module dim 2)"),
     ("dependent-pairs", [(0, "e11"), (0, "e11")], [(1, "e12"), (1, "e12")],
      "witness map is not a bijection onto the module (rows 2, module dim 2)"),
+    ("short-element", [(0, (1, 0)), (1, "e12")], [(0, (1, 0))],
+     "witness element has 2 coordinates, not 3"),
 ]
+
+
+def _element(A, x):
+    return x if isinstance(x, tuple) else _e(A, x)
 
 
 @pytest.mark.parametrize("entry", ["functor", "a_witness", "square_witnesses"])
@@ -259,12 +271,12 @@ def test_each_witness_entry_point_refuses_each_fault(A, window, entry, functor_p
     _, S = window
     e11, e22 = _e(A, "e11"), _e(A, "e22")
     if entry == "functor":
-        pairs = [(j, _e(A, name)) for j, name in functor_pairs]
+        pairs = [(j, _element(A, x)) for j, x in functor_pairs]
         with pytest.raises(FunctorError, match=re.escape(
                 "res(split): " + want.format(alg="kxk", j=0, rows=1))):
             restriction_functor(split_map(A), {0: pairs, 1: [(1, e22)]})
         return
-    pairs = [(j, _e(A, name)) for j, name in almost_pairs]
+    pairs = [(j, _element(A, x)) for j, x in almost_pairs]
     if entry == "a_witness":
         what, witnesses = "ideal", {"a_witness": pairs, "square_witnesses": {0: [(0, e11)]}}
     else:

@@ -6,6 +6,7 @@ must agree dimension by dimension.
 """
 
 import json
+import os
 
 import pytest
 
@@ -18,7 +19,7 @@ from build_examples import (
     upper_triangular_2,
     ut2_complexes,
 )
-from oracles import bar_tor_dims, dense_structure
+from oracles import bar_tor_dims, dense_structure, proj_resolution_by_submodules
 
 from kbproj.algebra import (
     AlgebraPresentation,
@@ -40,6 +41,8 @@ from kbproj.derived import (
 from kbproj.fixture import load_fixture
 from kbproj.linalg import QQ
 from test_cli import CORNER, TWO_CYCLE
+from test_inherited_modules import MEMBERS, fresh
+from test_structure_checks import FIXDIR, MAX_DEGREE
 
 
 def bar_dims_for_map(g, i_max):
@@ -221,3 +224,21 @@ def test_general_tor_against_bar_on_corner_bimodule():
     assert rep.complete
     assert tor_list(rep, 4) == bar_dims_for_map(g, 4)
     assert rep.dims[0] == module_tensor(M, B).module.dim
+
+
+FIXTURE_FILES = sorted(f[:-5] for f in os.listdir(FIXDIR) if f.endswith(".json"))
+
+
+@pytest.mark.parametrize("label", FIXTURE_FILES + list(MEMBERS))
+def test_resolutions_equal_the_submodule_oracle(label):
+    # covering each syzygy where it lies, inside the last P_i, gives the
+    # resolution that building it as a submodule and covering that gave
+    fx = (load_fixture(os.path.join(FIXDIR, f"{label}.json")) if label in FIXTURE_FILES
+          else fresh(label))
+    assert fx.ring_maps or label == "koszul"
+    for name, g in fx.ring_maps.items():
+        M = module_along_map(g)
+        got = proj_resolution(M, MAX_DEGREE + 1)
+        want = proj_resolution_by_submodules(M, MAX_DEGREE + 1)
+        assert ((got.summands, got.aug, got.maps, got.complete)
+                == (want.summands, want.aug, want.maps, want.complete)), (label, name)

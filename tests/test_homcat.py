@@ -280,7 +280,7 @@ def test_ext_dimension_agrees_with_module_level_count(ex):
     P2 = projective_module(A, [1])
     radsp = radical(A).space
     P1rad = P1.times_ideal(radsp)
-    radmod, _ = submodule(P1, P1rad)
+    radmod = submodule(P1, P1rad)
     assert len(hom_modules(radmod, P2)) == 1
     assert len(hom_modules(P1, P2)) == 0
     # graded side: same count as maps into the shifted stalk

@@ -18,6 +18,9 @@ calls neither ``apply_map`` nor ``class_matrix``), ``almost`` builds no Hom
 space of its own, its three reports derive nothing their ``AlmostCase`` fixes
 (ideal, idempotence, corner algebra, witnesses: only building the case does,
 and a repeat of corner's almost tasks builds no algebra),
+``Subspace.restrict`` and ``Subspace.project`` give every action induced on
+a sub or quotient space in ``algebra`` and ``almost`` (``_invariant_coords``
+stays deleted) and ``proj_resolution`` builds no syzygy as a ``submodule``,
 ``algebra.check_witness`` is the one projectivity-witness check (called only
 by functor witness validation and ``AlmostCase``) and
 ``algebra.presentation_matrix`` the one presentation map (called only by that
@@ -638,6 +641,29 @@ def _reached_from(module, root):
     return [fn for name in sorted(seen) for fn in defs[name]]
 
 
+# the constructors that take an action induced on a sub or quotient space
+_INDUCE = {"algebra.py": ("algebra.submodule", "algebra.quotient_module", "algebra.module_tensor"),
+           "almost.py": ("almost.CornerFunctor.apply",)}
+
+
+def test_induced_actions_come_from_restrict_or_project():
+    # Subspace.restrict and Subspace.project are the one home of the action
+    # induced on an invariant subspace or on the quotient by one, and a
+    # resolution covers each syzygy inside the last P_i, building no submodule
+    for module, quals in _INDUCE.items():
+        defs = dict(_definitions(_parse(module), module))
+        bare = [q for q in quals if not any(_mentions(n, name) for n in ast.walk(defs[q])
+                                            for name in ("restrict", "project"))]
+        assert not bare, "action induced without restrict or project: " + ", ".join(bare)
+    defined = [qual for module in MODULES for qual, _ in _definitions(_parse(module), module)
+               if qual.endswith("._invariant_coords")]
+    assert not defined, "_invariant_coords is back: " + ", ".join(defined)
+    reached = _reached_from("derived.py", "proj_resolution")
+    named = [f"derived.py:{n.lineno} ({fn.name})" for fn in reached for n in ast.walk(fn)
+             if _mentions(n, "submodule")]
+    assert not named, "the resolution builds syzygy modules: " + ", ".join(named)
+
+
 def test_tor_tensors_projectives_as_blocks_without_a_coequalizer():
     # P (x)_R B is the sum of the blocks e_j B for P = sum of e_j R, so
     # neither Tor nor a helper it reaches in derived builds a coequalizer;
@@ -695,6 +721,9 @@ _KEPT = {
         "generator list",
     "ideals.zero_ideal":
         "the zero ideal of a window, the unit of ideal sums for library users",
+    "almost.CornerFunctor.apply":
+        "the corner functor M -> Me on modules, for library users; almost_quotient "
+        "reads only dim Me, from image_space",
     "homcat.GradedMap.scale":
         "the scalar action on maps of the linear homotopy category; tests build "
         "scaled legs and mutated certificates with it",

@@ -70,7 +70,7 @@ def test_validated_construction_gives_the_same_report(label, monkeypatch):
     elif label == "split":
         assert "restriction_bimodule" in callers
     elif label in MEMBERS:
-        assert {"submodule", "projective_module", "module_along_map", "induction_bimodule",
+        assert {"projective_module", "module_along_map", "induction_bimodule",
                 "module_tensor"} <= callers
 
 

@@ -164,6 +164,30 @@ def test_quotient_coords_complete_the_subspace(ring, data, shape):
     assert c == quotient_matrix(ring, S).row_apply(v)
 
 
+@pytest.mark.parametrize("ring", [QQ, GF(5)], ids=["QQ", "GF5"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5))
+def test_restrict_and_project_induce_the_maps_on_sub_and_quotient(ring, data, n):
+    # the Krylov span of v under A is kept by A: restrict commutes with the
+    # inclusion, project with the projection; the line of v is kept only
+    # when v @ A lies on it, and otherwise both methods refuse it
+    A = Mat.from_rows(ring, data.draw(_plain_matrix(ring, n, n)), n)
+    v = data.draw(_plain_matrix(ring, 1, n))[0]
+    K, w = Subspace.from_spanning(ring, n, [v]), A.row_apply(v)
+    while not K.contains(w):
+        K, w = K.span_with([w]), A.row_apply(w)
+    incl, proj = Mat.from_rows(ring, K.rows, n), quotient_matrix(ring, K)
+    [sub], [quo] = K.restrict([A]), K.project([A])
+    assert (sub.nrows, quo.nrows) == (K.dim, n - K.dim)
+    assert sub @ incl == incl @ A
+    assert A @ proj == proj @ quo
+    line = Subspace.from_spanning(ring, n, [v])
+    if not line.contains(A.row_apply(v)):
+        for induce in (line.restrict, line.project):
+            with pytest.raises(LinalgError):
+                induce([A])
+
+
 def test_member_and_coords():
     V = Subspace.from_spanning(QQ, 3, [[q(1), q(2), q(0)], [q(0), q(0), q(1)]])
     v = [q(3), q(6), q(-2)]
