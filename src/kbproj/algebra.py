@@ -219,6 +219,16 @@ class AlgebraPresentation:
         return f"AlgebraPresentation({self.name}, dim={self.dim})"
 
 
+def _acting(ring, dim: int, action: Sequence[Mat], x: Sequence) -> Mat:
+    """The matrix sum_i x_i action[i] by which x acts.  A basis element, one
+    nonzero coordinate equal to ``ring.one``, acts by its stored matrix,
+    returned as it is: a ``Mat`` is immutable."""
+    terms = [(c, a) for c, a in zip(x, action) if c]
+    if len(terms) == 1 and terms[0][0] == ring.one:
+        return terms[0][1]
+    return Mat.lincomb(ring, dim, dim, terms)
+
+
 class FdModule:
     """A finite-dimensional right module given by action matrices.
 
@@ -282,8 +292,7 @@ class FdModule:
                     )
 
     def action_of(self, x: Sequence) -> Mat:
-        return Mat.lincomb(self.algebra.ring, self.dim, self.dim,
-                           ((c, a) for c, a in zip(x, self.action) if c))
+        return _acting(self.algebra.ring, self.dim, self.action, x)
 
     def act(self, v: Sequence, x: Sequence) -> List:
         return self.action_of(x).row_apply(list(v))
@@ -431,12 +440,10 @@ class Bimodule:
                     raise AlgebraError(f"{self.name}: actions do not commute")
 
     def left_of(self, x) -> Mat:
-        return Mat.lincomb(self.left_alg.ring, self.dim, self.dim,
-                           ((c, a) for c, a in zip(x, self.left_action) if c))
+        return _acting(self.left_alg.ring, self.dim, self.left_action, x)
 
     def right_of(self, x) -> Mat:
-        return Mat.lincomb(self.right_alg.ring, self.dim, self.dim,
-                           ((c, a) for c, a in zip(x, self.right_action) if c))
+        return _acting(self.right_alg.ring, self.dim, self.right_action, x)
 
     def left_space_of_idempotent(self, i: int) -> Subspace:
         """Span of e_i . B inside B."""

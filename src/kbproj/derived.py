@@ -8,8 +8,11 @@ was actually checked, and says so.
 
 Every term of a resolution is a sum of right ideals e_j R, and
 e_j R (x)_R B = e_j B, so Tor is the homology of blocks e_j B under B's left
-action, with no coequalizer.  Tor_0 is the cokernel of the first map, and is
-compared with the one coequalizer built, the S (x)_R S of the multiplication.
+action, with no coequalizer.  The entries of each differential, the algebra
+elements that act between those blocks, are read off the generators its
+minimal cover picked, with no matrix of algebra elements built.  Tor_0 is
+the cokernel of the first map, and is compared with the one coequalizer
+built, the S (x)_R S of the multiplication.
 """
 
 from __future__ import annotations
@@ -68,12 +71,12 @@ def minimal_generators(M: FdModule, space: Subspace, radsp: Subspace) -> List[Tu
 
 def projective_cover(M: FdModule, space: Subspace, radsp: Subspace):
     """Minimal cover P -> space of the submodule ``space`` of M.  Returns
-    (summand indices, P module, cover Mat, kernel of the cover as a subspace
-    of P).
+    (generators, P module, cover Mat, kernel of the cover as a subspace of P).
 
-    The cover matrix is in row convention (P.dim x M.dim), in M's own
-    coordinates.  Surjectivity onto ``space`` (the rank, read off the one
-    kernel) and minimality (kernel inside P.rad, cached with P) are
+    The generators are the pairs (j, g) of ``minimal_generators``; P is the
+    sum of the e_j R.  The cover matrix is in row convention (P.dim x M.dim),
+    in M's own coordinates.  Surjectivity onto ``space`` (the rank, read off
+    the one kernel) and minimality (kernel inside P.rad, cached with P) are
     verified, not assumed.
     """
     alg = M.algebra
@@ -85,16 +88,22 @@ def projective_cover(M: FdModule, space: Subspace, radsp: Subspace):
         raise DerivedError("cover is not surjective")
     if not ker.is_subspace_of(projective_radical(alg, idxs)):
         raise DerivedError("cover is not minimal: kernel escapes the radical")
-    return idxs, projective_module(alg, idxs), cover, ker
+    return gens, projective_module(alg, idxs), cover, ker
 
 
 @dataclass
 class Resolution:
-    """Minimal projective resolution data, exact by construction and re-checked."""
+    """Minimal projective resolution data, exact by construction and re-checked.
+
+    ``generators[i - 1]`` holds the pairs (j, g) that cover P_i: g lies in
+    P_{i-1} with g = g.e_j, and d_i sends the generator e_j of its summand
+    e_j R to g, so d_i is read off them (``differential_entries``).
+    """
 
     module: FdModule
     summands: List[List[int]] = field(default_factory=list)   # summands[i] for P_i
     maps: List[Mat] = field(default_factory=list)             # maps[i-1]: P_i -> P_{i-1}
+    generators: List[List[Tuple[int, List]]] = field(default_factory=list)  # cover maps[i-1]
     aug: Optional[Mat] = None                                 # P_0 -> M
     complete: bool = False
 
@@ -105,12 +114,28 @@ class Resolution:
     def length(self) -> int:
         return len(self.summands) - 1
 
-    def differential_algmat(self, i: int) -> AlgMat:
-        """The map P_i -> P_{i-1} as a matrix of algebra elements."""
+    def differential_entries(self, i: int) -> Dict[Tuple[int, int], Tuple]:
+        """The nonzero entries {(t, c): a} of P_i -> P_{i-1} as left
+        multiplications: a is the block of generator c in summand t of P_{i-1},
+        written in R, and lies in e_{s_t} R e_{j_c} because g_c = g_c.e_{j_c}."""
         if not (1 <= i <= self.length()):
             raise DerivedError("no differential at that index")
-        return linear_to_algmat(self.algebra, self.summands[i - 1], self.summands[i],
-                                self.maps[i - 1])
+        alg = self.algebra
+        spaces = [alg.right_ideal_space(s) for s in self.summands[i - 1]]
+        offs = [0, *accumulate(sp.dim for sp in spaces)]
+        ents = {}
+        for c, (_, g) in enumerate(self.generators[i - 1]):
+            for t, sp in enumerate(spaces):
+                block = g[offs[t]:offs[t + 1]]
+                if any(block):
+                    ents[(t, c)] = alg.combine((cf, b) for cf, b in zip(block, sp.rows) if cf)
+        return ents
+
+    def differential_algmat(self, i: int) -> AlgMat:
+        """The map P_i -> P_{i-1} as a matrix of algebra elements, built from
+        ``differential_entries`` through the checking constructor."""
+        return AlgMat(self.algebra, self.summands[i - 1], self.summands[i],
+                      self.differential_entries(i))
 
     def as_complex(self, name: str = "res") -> ProjComplex:
         """P_i placed in degree -i; only sensible when the resolution is complete."""
@@ -122,44 +147,20 @@ class Resolution:
         return ProjComplex(self.algebra, summands, diff, name=name)
 
 
-def linear_to_algmat(alg, target_idems, source_idems, linmap: Mat) -> AlgMat:
-    """Rewrite a linear map of projective sums as left multiplications.
-
-    Determined by the images of the idempotent generators; round-trip
-    equality with the input is re-checked.
-    """
-    tgt_spaces = [alg.right_ideal_space(i) for i in target_idems]
-    src_spaces = [alg.right_ideal_space(j) for j in source_idems]
-    offs_t = [0, *accumulate(sp.dim for sp in tgt_spaces)]
-    offs_s = [0, *accumulate(sp.dim for sp in src_spaces)]
-    ents = {}
-    for c, (j, sp) in enumerate(zip(source_idems, src_spaces)):
-        gen = [alg.ring.zero] * linmap.nrows
-        gen[offs_s[c]:offs_s[c + 1]] = sp.coords_of(alg.idempotent_vec(j))
-        img = linmap.row_apply(gen)
-        for r, tsp in enumerate(tgt_spaces):
-            vec = alg.combine((cf, b) for cf, b in zip(img[offs_t[r]:offs_t[r + 1]], tsp.rows)
-                              if cf)
-            ents[(r, c)] = alg.mult(vec, alg.idempotent_vec(j))
-    out = AlgMat(alg, tuple(target_idems), tuple(source_idems), ents)
-    if out.linearize() != linmap:
-        raise DerivedError("left-multiplication form does not reproduce the map")
-    return out
-
-
 def proj_resolution(M: FdModule, max_len: int) -> Resolution:
     """Minimal resolution of length at most max_len (stops early at kernel zero).
     Each syzygy is covered where it lies, as a subspace of the last P_i, so
     the cover is the differential and no syzygy is built as a module."""
     radsp = radical(M.algebra).space
     res = Resolution(module=M)
-    idxs, P, res.aug, ker = projective_cover(M, Subspace.full(M.algebra.ring, M.dim), radsp)
-    res.summands.append(idxs)
+    gens, P, res.aug, ker = projective_cover(M, Subspace.full(M.algebra.ring, M.dim), radsp)
+    res.summands.append([j for j, _ in gens])
     for _ in range(max_len):
         if ker.dim == 0:
             break
-        idxs, P, cover, ker = projective_cover(P, ker, radsp)
-        res.summands.append(idxs)
+        gens, P, cover, ker = projective_cover(P, ker, radsp)
+        res.summands.append([j for j, _ in gens])
+        res.generators.append(gens)
         res.maps.append(cover)
     res.complete = ker.dim == 0
     _verify_resolution(res)
@@ -184,13 +185,14 @@ def _verify_resolution(res: Resolution):
 
 
 def _tensored_differential(res: Resolution, B: Bimodule, i: int) -> Mat:
-    """d_i (x) B, with one block B per summand: a component a in e_t R e_s
+    """d_i (x) B, with one block B per summand: an entry a in e_t R e_s, read
+    off the cover's generators by ``Resolution.differential_entries``,
     becomes B's left action b -> a.b, from the block of its column summand
     to that of its row.  Since a.b = a.(e_s b), a block's image is that of
     e_s B, inside e_t B, so the ranks are those of the tensored complex."""
     n = B.dim
     items = {}
-    for (r, c), a in res.differential_algmat(i).nonzero_entries():
+    for (r, c), a in res.differential_entries(i).items():
         for u, v, x in B.left_of(a).items():
             items[(c * n + u, r * n + v)] = x
     return Mat.from_entries(B.left_alg.ring, len(res.summands[i]) * n,

@@ -43,6 +43,9 @@ FORMAT_VERSION = 1
 # far above any use (fixtures 4): every shift of a window is one more object
 # and one more row of Hom spaces, so an uncapped shift range can hang a load
 WINDOW_CAP = 64
+# the largest prime field: GF(p) checks p by trial division up to sqrt(p),
+# about 46,000 steps here, where an unbounded p can hang the load
+FIELD_P_MAX = 2**31 - 1
 
 # what one entry of each built section is called in messages
 _KIND = {"algebras": "algebra", "ring_maps": "ring map", "functors": "functor",
@@ -90,10 +93,12 @@ class FixtureFile:
     def _parse_field(spec):
         if spec == "QQ":
             return QQ
-        try:
-            return GF(checked_int(spec["p"], "p", 2))
-        except Exception as exc:
-            raise FixtureError(f"unknown field spec {spec!r}: {exc}") from exc
+        if isinstance(spec, dict) and set(spec) == {"p"}:
+            try:
+                return GF(checked_int(spec["p"], "p", 2, FIELD_P_MAX))
+            except ValueError as exc:     # checked_int's, or GF's LinalgError
+                raise FixtureError(f"unknown field spec {spec!r}: {exc}") from exc
+        raise FixtureError(f'unknown field spec {spec!r}: must be "QQ" or {{"p": <prime>}}')
 
     def _build(self, data):
         # every entry is built inside one try, so a malformed one exits as a

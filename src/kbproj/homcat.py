@@ -91,7 +91,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraPresentation
@@ -118,7 +117,7 @@ class AlgMat:
     module docstring for why that is safe).
     """
 
-    __slots__ = ("alg", "target_idems", "source_idems", "_nz", "_lin")
+    __slots__ = ("alg", "target_idems", "source_idems", "_nz")
 
     def __init__(self, alg: AlgebraPresentation, target_idems: Sequence[int],
                  source_idems: Sequence[int], entries):
@@ -149,7 +148,6 @@ class AlgMat:
                 )
             nz[(r, c)] = a
         self._nz = nz
-        self._lin = None
 
     # -- constructors ----------------------------------------------------
 
@@ -161,7 +159,6 @@ class AlgMat:
         m.target_idems = tuple(target_idems)
         m.source_idems = tuple(source_idems)
         m._nz = nz
-        m._lin = None
         return m
 
     @classmethod
@@ -273,22 +270,6 @@ class AlgMat:
                 and self.source_idems == other.source_idems and self._nz == other._nz)
 
     __hash__ = None
-
-    def linearize(self) -> Mat:
-        """Underlying field-linear map on row vectors, source dim x target dim."""
-        if self._lin is None:
-            alg = self.alg
-            src = [alg.right_ideal_space(j) for j in self.source_idems]
-            tgt = [alg.right_ideal_space(i) for i in self.target_idems]
-            row_off = [0, *accumulate(s.dim for s in src)]
-            col_off = [0, *accumulate(s.dim for s in tgt)]
-            items = {}
-            for (r, c), a in self._nz.items():
-                for t, v in enumerate(src[c].rows):
-                    for w, x in enumerate(tgt[r].coords_of(alg.mult(a, v))):
-                        items[(row_off[c] + t, col_off[r] + w)] = x
-            self._lin = Mat.from_entries(alg.ring, row_off[-1], col_off[-1], items)
-        return self._lin
 
     def __repr__(self):
         return f"AlgMat({len(self.target_idems)}x{len(self.source_idems)} over {self.alg.name})"

@@ -6,7 +6,7 @@ normalized bar complex for Tor.  Oracles are slow and simple on purpose.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 
 def plain_rank(rows, p=None):
@@ -1694,3 +1694,48 @@ def tensor_square_dim_by_coequalizer(alg, ideal):
     B = Bimodule(alg, alg, d, left, right, name="a")
     M = FdModule(alg, d, right, name="a")
     return module_tensor(M, B).module.dim
+
+
+def linearize(m):
+    """The field-linear map of the summand matrix ``m`` on row vectors,
+    source dim x target dim: each basis row v of a source summand goes to
+    a.v, for each entry a of its column, in the basis of the row's summand."""
+    from kbproj.linalg import Mat
+
+    alg = m.alg
+    src = [alg.right_ideal_space(j) for j in m.source_idems]
+    tgt = [alg.right_ideal_space(i) for i in m.target_idems]
+    row_off = [0, *accumulate(s.dim for s in src)]
+    col_off = [0, *accumulate(s.dim for s in tgt)]
+    items = {}
+    for (r, c), a in m.nonzero_entries():
+        for t, v in enumerate(src[c].rows):
+            for w, x in enumerate(tgt[r].coords_of(alg.mult(a, v))):
+                items[(row_off[c] + t, col_off[r] + w)] = x
+    return Mat.from_entries(alg.ring, row_off[-1], col_off[-1], items)
+
+
+def linear_to_algmat(alg, target_idems, source_idems, linmap):
+    """Rewrite a linear map of projective sums as left multiplications, the
+    way the resolution once read its differentials: from the images of the
+    idempotent generators, each multiplied by its idempotent again, through
+    the checking ``AlgMat(...)``, with the round trip through ``linearize``
+    asserted."""
+    from kbproj.homcat import AlgMat
+
+    tgt_spaces = [alg.right_ideal_space(i) for i in target_idems]
+    src_spaces = [alg.right_ideal_space(j) for j in source_idems]
+    offs_t = [0, *accumulate(sp.dim for sp in tgt_spaces)]
+    offs_s = [0, *accumulate(sp.dim for sp in src_spaces)]
+    ents = {}
+    for c, (j, sp) in enumerate(zip(source_idems, src_spaces)):
+        gen = [alg.ring.zero] * linmap.nrows
+        gen[offs_s[c]:offs_s[c + 1]] = sp.coords_of(alg.idempotent_vec(j))
+        img = linmap.row_apply(gen)
+        for r, tsp in enumerate(tgt_spaces):
+            vec = alg.combine((cf, b) for cf, b in zip(img[offs_t[r]:offs_t[r + 1]], tsp.rows)
+                              if cf)
+            ents[(r, c)] = alg.mult(vec, alg.idempotent_vec(j))
+    out = AlgMat(alg, tuple(target_idems), tuple(source_idems), ents)
+    assert linearize(out) == linmap, "left-multiplication form does not reproduce the map"
+    return out

@@ -821,6 +821,16 @@ MALFORMED_ENTRIES = [
      "almost case corner-almost: generator is not idempotent"),
     ("field-text", _set(["field"], {"p": "x"}), "unknown field spec"),
     ("field-not-prime", _set(["field"], {"p": 4}), "unknown field spec"),
+    # GF(p) checks p by trial division up to sqrt(p): 2^89 - 1, a prime, hung
+    # the load for more than a minute
+    ("field-prime-too-large", _set(["field"], {"p": 618970019642690137449562111}),
+     "unknown field spec {'p': 618970019642690137449562111}: 'p' must be at most "
+     "2147483647, got 618970019642690137449562111"),
+    # these printed Python's own text: "string indices must be integers", "'p'"
+    ("field-spec-text", _set(["field"], "GF(2)"),
+     "unknown field spec 'GF(2)': must be \"QQ\" or {\"p\": <prime>}"),
+    ("field-spec-other-key", _set(["field"], {"q": 2}),
+     "unknown field spec {'q': 2}: must be \"QQ\" or {\"p\": <prime>}"),
     ("entry-not-object", _set(["maps", "iota"], 5), "map iota: entry must be an object"),
     ("triangle-two-objects", _set(["triangles", "canonical", "objects"], ["P2s", "P1s"]),
      "triangle canonical: objects must be a list of three names"),
@@ -1141,6 +1151,24 @@ def test_task_the_engine_cannot_run_exits_2(capsys, tmp_path, mutate, task_ids, 
     for task_id in task_ids:
         assert _one_error_line(capsys, data, tmp_path, task_id).startswith(
             f"kbproj: error: {want}")
+
+
+def test_split_over_gf2_refutes_before_any_resolution(capsys, tmp_path):
+    # unlike corner above, split's map is refuted by its multiplication
+    # S (x)_R S -> S alone, which needs no radical, so GF(2) runs: deciding
+    # mu from Tor_0 of the resolution would exit 2 here instead
+    with open(SPLIT) as fh:
+        data = json.load(fh)
+    data["field"] = {"p": 2}
+    p = tmp_path / "split_gf2.json"
+    p.write_text(json.dumps(data))
+    code, out = _cli(capsys, "run", "--fixture", str(p), "hepi-split")
+    assert code == 0
+    assert out.strip() == (
+        '{"reports":[{"command":"check-hepi","evidence":{"checked_up_to":-1,"map":"split",'
+        '"multiplication_is_iso":false,"reason":"multiplication S(x)S -> S is not bijective: '
+        'dim 4 vs 3, rank 3","resolution_complete":false,"target_dim":3,'
+        '"tensor_square_dim":4,"tor_dims":[]},"task":"hepi-split","verdict":"refuted"}]}')
 
 
 def _window_over_k(data):

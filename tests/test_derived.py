@@ -19,7 +19,7 @@ from build_examples import (
     upper_triangular_2,
     ut2_complexes,
 )
-from oracles import bar_tor_dims, dense_structure, proj_resolution_by_submodules
+from oracles import bar_tor_dims, dense_structure, linearize, proj_resolution_by_submodules
 
 from kbproj.algebra import (
     AlgebraPresentation,
@@ -83,7 +83,7 @@ def test_minimal_resolution_of_top_simple_matches_two_term_complex():
     X = res.as_complex()
     assert X.summands == ex["S1r"].summands
     assert X.diff_at(-1) == ex["S1r"].diff_at(-1)
-    assert res.differential_algmat(1).linearize() == res.maps[0]
+    assert linearize(res.differential_algmat(1)) == res.maps[0]
 
 
 def test_resolution_of_semisimple_quotient():
