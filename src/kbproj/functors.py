@@ -11,8 +11,10 @@ by summand, entirely inside projective presentations.
 Images come from tables built once per functor: ``corner_table(t, s)`` holds
 the image of each basis row of the corner e_t R e_s, found on first use by
 one solve against the witness span, which is where an image escaping the
-span is caught.  ``apply_algmat`` combines those images by an entry's corner
-coordinates and ``functor_matrix`` assembles g -> F(g) from them.
+span is caught, and each image row proved on its corner.  The ``apply_*``
+methods go to ``homcat.functor_image``, which combines those images by an
+entry's corner coordinates and checks them no more; ``functor_matrix``
+assembles g -> F(g) from them.
 
 ``image_window(subcat)`` applies the functor to a window's objects once and
 stores the images on the functor, as a ``FiniteSubcat`` with its own Hom
@@ -39,12 +41,16 @@ from .algebra import (
     induction_bimodule,
     restriction_bimodule,
 )
-from .homcat import AlgMat, GradedMap, HomSpace, MapLayout, ProjComplex
+from .homcat import (
+    AlgMat,
+    FunctorError,
+    GradedMap,
+    HomSpace,
+    MapLayout,
+    ProjComplex,
+    functor_image,
+)
 from .linalg import Mat, solve_left
-
-
-class FunctorError(ValueError):
-    """Witness or transport failure in a bimodule functor."""
 
 
 class BimoduleFunctor:
@@ -131,32 +137,16 @@ class BimoduleFunctor:
         return self._tables.setdefault((t, s), table)
 
     def apply_algmat(self, m: AlgMat) -> AlgMat:
-        R, S = self.source_alg, self.target_alg
-        tgt, src = self.image_summands(m.target_idems), self.image_summands(m.source_idems)
-        roff = [0, *accumulate(len(self.witnesses[t]) for t in m.target_idems)]
-        coff = [0, *accumulate(len(self.witnesses[s]) for s in m.source_idems)]
-        ents = {}
-        for (r, c), a in m.nonzero_entries():
-            t, s = m.target_idems[r], m.source_idems[c]
-            x = R.corner_space(t, s).coords_of(a)
-            for u, v, elems, _ in self.corner_table(t, s):
-                ents[(roff[r] + u, coff[c] + v)] = S.combine(
-                    (cf, e) for cf, e in zip(x, elems) if cf)
-        return AlgMat(S, tgt, src, ents)
+        return functor_image(self, m)
 
     def apply_complex(self, X: ProjComplex) -> ProjComplex:
-        summands = {n: self.image_summands(X.summands_at(n)) for n in X.degrees()}
-        diff = {n: self.apply_algmat(d) for n, d in X.diff.items()}
-        return ProjComplex(self.target_alg, summands, diff, name=f"{self.name}({X.name})")
+        return functor_image(self, X)
 
     def image_window(self, subcat: FiniteSubcat) -> FiniteSubcat:
         """The images F(X) of a window's objects, under the objects' names,
         as a window over the target algebra; built once per window."""
         W = self._windows.get(subcat)
         if W is None:
-            if subcat.alg != self.source_alg:
-                raise FunctorError(f"{self.name} starts at {self.source_alg.name}, "
-                                   f"the window lives over {subcat.alg.name}")
             W = self._windows.setdefault(subcat, FiniteSubcat(
                 {name: self.apply_complex(X) for name, X in subcat.objects.items()}))
         return W
@@ -171,10 +161,7 @@ class BimoduleFunctor:
 
     def apply_map(self, f: GradedMap, FX: Optional[ProjComplex] = None,
                   FY: Optional[ProjComplex] = None) -> GradedMap:
-        FX = FX or self.apply_complex(f.source)
-        FY = FY or self.apply_complex(f.target)
-        comps = {n: self.apply_algmat(m) for n, m in f.components.items()}
-        return GradedMap(FX, FY, f.degree, comps, name=f"{self.name}({f.name})")
+        return functor_image(self, f, FX, FY)
 
     def __repr__(self):
         return (f"BimoduleFunctor({self.name}: {self.source_alg.name} -> "

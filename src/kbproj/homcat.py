@@ -61,36 +61,32 @@ after construction, so a stored cone cannot go stale.  A certificate decoded
 from JSON brings new map objects, so its comparison map gets a fresh cone
 and its contraction a fresh check.
 
-Corner support and summand indices are checked where summand matrices enter
-the engine: the public ``AlgMat(...)`` constructor, which fixture loading,
-certificate decoding, functor images and the derived and almost layers go
-through; ``ProjComplex`` checks its summand indices too.  Internal arithmetic
-builds with ``AlgMat._trusted``, private to this module, and skips the check:
-sums, products, scalings, blocks, slices and unpacked coordinates are made of
-entries already on their corners, idempotents or combinations of corner-basis
-rows, so it could never fail there, and at two algebra products per entry it
-cost more than the arithmetic itself.
+Checks run where data enters the engine.  The public ``AlgMat(...)`` checks
+the summand indices and that each entry lies on its corner, at two algebra
+products per entry; ``ProjComplex(...)`` the summand indices, the
+differentials' summands and d^2 = 0; ``GradedMap(...)`` that each component
+fits its summands.  Fixture loading, certificate decoding and a few library
+outputs go through them.  What the engine derives builds through the private
+``_trusted`` constructors, which skip the checks because the inputs passed
+them: sums, products, scalings, blocks, slices and unpacked coordinates of
+matrices and maps, composites, deltas, shifts, truncations, direct sums and
+cones (a cone glues along a map that passed its chain-map check).  The checks
+cost more than the arithmetic; d^2 alone was one product per degree of every
+cone and shift.  ``functor_image`` builds a functor's images the same way:
+each image entry combines rows of the functor's corner tables, each proved
+on its corner when the table was built, and F(d) . F(d) = F(d . d) = 0
+because the functor was checked when it was built.
 Block summand matrices are assembled only by ``AlgMat.block``, which checks
 that each block fits its row and column summands, and cut only by
 ``AlgMat.sub``: cones, direct sums, contraction slices and lifting's block
 sums all go through them.
-
-Complexes and graded maps follow the same rule.  ``ProjComplex(...)`` checks
-the summand indices, the differentials' summands and d^2 = 0, and
-``GradedMap(...)`` that each component fits its summands; fixture loading,
-certificate decoding and functor images go through them.  Shifts, truncations,
-direct sums and cones of complexes, and sums, differences, negations,
-scalings, composites, deltas, shifts, slices and unpacked coordinates of maps,
-build with ``ProjComplex._trusted`` and ``GradedMap._trusted``: each is a
-complex, or fits its summands, because its inputs do (a cone glues along a
-map that passed its chain-map check), and the d^2 check alone cost one
-summand-matrix product per degree of every cone and shift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraPresentation
@@ -99,6 +95,10 @@ from .linalg import Mat, Subspace, left_kernel, solve_left
 
 class HomcatError(ValueError):
     """Ill-formed complexes, maps, or certificates."""
+
+
+class FunctorError(ValueError):
+    """Witness or transport failure in a bimodule functor."""
 
 
 class AlgMat:
@@ -574,6 +574,60 @@ def _glued_sum(X: ProjComplex, Y: ProjComplex, glue: Dict[int, AlgMat],
                             [[X.diff.get(n), None], [glue.get(n), Y.diff.get(n)]])
             for n in summands if n + 1 in summands}
     return ProjComplex._trusted(X.alg, summands, diff, name)
+
+
+def functor_image(F, x, FX: Optional[ProjComplex] = None,
+                  FY: Optional[ProjComplex] = None):
+    """F's image of a summand matrix, complex or graded map ``x``, built
+    through the trusted constructors (see the module docstring for why);
+    ``FX`` and ``FY`` may give the images of a map's ends.  ``F`` is a
+    ``functors.BimoduleFunctor``.  Checked here: ``x`` lives over F's source
+    algebra, and a given end has the image's summands."""
+    alg = x.source.alg if isinstance(x, GradedMap) else x.alg
+    if alg != F.source_alg:
+        raise FunctorError(f"{F.name} starts at {F.source_alg.name}, "
+                           f"the input lives over {alg.name}")
+    if not isinstance(x, GradedMap):
+        return (_image_algmat if isinstance(x, AlgMat) else _image_complex)(F, x)
+    ends = []
+    for A, FA in ((x.source, FX), (x.target, FY)):
+        if FA is not None and (FA.alg != F.target_alg
+                               or FA.summands != _image_summands(F, A)):
+            raise FunctorError(f"{F.name}: the given image of {A.name} does not "
+                               "have the image's summands")
+        ends.append(_image_complex(F, A) if FA is None else FA)
+    comps = {n: _image_algmat(F, m) for n, m in x.components.items()}
+    return GradedMap._trusted(*ends, x.degree, comps, name=f"{F.name}({x.name})")
+
+
+def _image_summands(F, X: ProjComplex) -> Dict[int, Tuple[int, ...]]:
+    images = ((n, F.image_summands(X.summands[n])) for n in X.degrees())
+    return {n: s for n, s in images if s}        # a degree F kills is dropped
+
+
+def _image_complex(F, X: ProjComplex) -> ProjComplex:
+    summands = _image_summands(F, X)
+    diff = {n: _image_algmat(F, d) for n, d in X.diff.items()
+            if n in summands and n + 1 in summands}
+    return ProjComplex._trusted(F.target_alg, summands, diff, f"{F.name}({X.name})")
+
+
+def _image_algmat(F, m: AlgMat) -> AlgMat:
+    # entry (r, c), with coordinates x in its corner e_t R e_s, puts the
+    # combination x . (image rows) in each block (u, v) of F's corner table
+    R, S = F.source_alg, F.target_alg
+    roff = [0, *accumulate(len(F.target_summands(t)) for t in m.target_idems)]
+    coff = [0, *accumulate(len(F.target_summands(s)) for s in m.source_idems)]
+    nz = {}
+    for (r, c), a in m._nz.items():
+        t, s = m.target_idems[r], m.source_idems[c]
+        x = R.corner_space(t, s).coords_of(a)
+        for u, v, elems, _ in F.corner_table(t, s):
+            b = S.combine((cf, e) for cf, e in zip(x, elems) if cf)
+            if any(b):
+                nz[(roff[r] + u, coff[c] + v)] = b
+    return AlgMat._trusted(S, F.image_summands(m.target_idems),
+                           F.image_summands(m.source_idems), nz)
 
 
 class MapLayout:

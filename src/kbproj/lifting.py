@@ -14,13 +14,15 @@ with the same search.  Both problems are checked once, when built.
 
 Every positive answer carries a certificate that re-verifies by direct
 arithmetic, with no linear solving: see ``verify_map_lift`` and
-``verify_complex_lift``.
+``verify_complex_lift``.  A map lift's certificate contracts the cone of
+F(pi) on first read; ``lift_complex`` never reads it, and reuses F(pi).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple
 
 from .functors import BimoduleFunctor, functor_matrix
@@ -40,6 +42,7 @@ from .homcat import (
     solve_up_to_homotopy,
     verify_contraction,
     zero_complex,
+    zero_map,
 )
 
 
@@ -58,10 +61,19 @@ class MapLiftCertificate:
     replacement: ProjComplex                 # X'
     to_source: GradedMap                     # pi: X' -> X
     lifted: GradedMap                        # X' -> Y
-    replacement_contraction: GradedMap       # contracts cone(F(pi))
+    image: GradedMap                         # F(pi): F(X') -> F(X)
     defect_homotopy: GradedMap               # delta(h) = F(lifted) - alpha . F(pi)
     depth: int
     path: Tuple[Tuple[int, int, int], ...]   # (generator, shift, basis index)
+
+    @cached_property
+    def replacement_contraction(self) -> GradedMap:
+        """A contraction of cone(F(pi)), built on first read."""
+        ok, contraction = is_contractible(cone(self.image)[0])
+        if not ok:
+            raise LiftError("internal error: replacement not invertible "
+                            "under the functor")
+        return contraction
 
 
 @dataclass
@@ -140,13 +152,7 @@ def lift_chain_map(problem: MapLiftProblem,
             (lambda L, Lb: functor_matrix(F, L, Lb), alpha.compose(Fpi))])
         if got is not None:
             lifted, (homot,) = got
-            Cpi, _, _ = cone(Fpi)
-            ok, contraction = is_contractible(Cpi)
-            if not ok:
-                raise LiftError("internal error: replacement not invertible "
-                                "under the functor")
-            cert = MapLiftCertificate(Xc, pi, lifted, contraction, homot,
-                                      depth, path)
+            cert = MapLiftCertificate(Xc, pi, lifted, Fpi, homot, depth, path)
             return MapLiftReport("found", cert, tried, depth_reached)
         if depth >= budget.max_depth or Xc.is_zero():
             continue
@@ -289,7 +295,7 @@ def lift_complex(problem: ComplexLiftProblem,
         X, e, _ = _lift_stalk_layer(problem, degs[0])
     else:
         X = zero_complex(F.source_alg)
-        e = GradedMap(F.apply_complex(X), Y, 0, {})
+        e = zero_map(F.apply_complex(X), Y)
     for h in degs[1:]:
         XA, q, invA = _lift_stalk_layer(problem, h)
         A = q.target
@@ -308,13 +314,12 @@ def lift_complex(problem: ComplexLiftProblem,
         dhat = cert.lifted
         X, _, _ = cone(dhat)
         FX = F.apply_complex(X)
-        FR = F.apply_complex(cert.replacement)
-        Fd = F.apply_map(dhat, FR, q.source)
+        Fd = F.apply_map(dhat, cert.image.source, q.source)
         CFd, _, _ = cone(Fd)
         if FX != CFd:
             raise LiftError("internal error: functor image of the cone is not "
                             "the cone of the image")
-        p = eBs.compose(F.apply_map(cert.to_source, FR, eBs.source))
+        p = eBs.compose(cert.image)
         ok, H = HomSpace(p.source, A).is_nullhomotopic(q.compose(Fd) - dmap.compose(p))
         if not ok:
             raise LiftError("internal error: comparison square does not commute "

@@ -182,11 +182,13 @@ def map_lift_cert_from_json(problem: MapLiftProblem, payload) -> MapLiftCertific
     to_source = map_from_json(repl, problem.source, 0, pi_js, name="pi")
     lifted = map_from_json(repl, problem.target, 0, lifted_js, name="lift")
     Frepl = F.apply_complex(repl)
-    Cpi, _, _ = cone(F.apply_map(to_source, Frepl, alpha.source))
+    Fpi = F.apply_map(to_source, Frepl, alpha.source)
+    Cpi, _, _ = cone(Fpi)
     contraction = map_from_json(Cpi, Cpi, -1, contraction_js, name="contraction")
     defect = map_from_json(Frepl, alpha.target, -1, defect_js, name="defect")
-    return MapLiftCertificate(repl, to_source, lifted, contraction, defect,
-                              depth, path)
+    cert = MapLiftCertificate(repl, to_source, lifted, Fpi, defect, depth, path)
+    cert.replacement_contraction = contraction     # read from the payload, not built
+    return cert
 
 
 def complex_lift_cert_to_json(cert: ComplexLiftCertificate) -> Dict:

@@ -557,6 +557,67 @@ def route_trusted_complexes_through_validation(monkeypatch):
     return callers
 
 
+def checked_functor_image(F, x, FX=None, FY=None):
+    """F's image of a summand matrix, complex or map, as ``BimoduleFunctor``
+    built it before ``homcat.functor_image``: each image entry combined from
+    ``F.corner_table`` by its corner coordinates, and every matrix, complex
+    and map built through the checking ``AlgMat(...)``, ``ProjComplex(...)``
+    and ``GradedMap(...)``, which check each entry's corner, d^2 = 0 and each
+    component's summands."""
+    from kbproj.homcat import AlgMat, GradedMap, ProjComplex
+
+    R, S = F.source_alg, F.target_alg
+
+    def algmat(m):
+        roff = [0, *accumulate(len(F.witnesses[t]) for t in m.target_idems)]
+        coff = [0, *accumulate(len(F.witnesses[s]) for s in m.source_idems)]
+        ents = {}
+        for (r, c), a in m.nonzero_entries():
+            t, s = m.target_idems[r], m.source_idems[c]
+            coords = R.corner_space(t, s).coords_of(a)
+            for u, v, elems, _ in F.corner_table(t, s):
+                ents[(roff[r] + u, coff[c] + v)] = S.combine(
+                    (cf, e) for cf, e in zip(coords, elems) if cf)
+        return AlgMat(S, F.image_summands(m.target_idems),
+                      F.image_summands(m.source_idems), ents)
+
+    def complex_(X):
+        summands = {n: F.image_summands(X.summands_at(n)) for n in X.degrees()}
+        diff = {n: algmat(d) for n, d in X.diff.items()}
+        return ProjComplex(S, summands, diff, name=f"{F.name}({X.name})")
+
+    if isinstance(x, AlgMat):
+        return algmat(x)
+    if isinstance(x, ProjComplex):
+        return complex_(x)
+    comps = {n: algmat(m) for n, m in x.components.items()}
+    return GradedMap(FX or complex_(x.source), FY or complex_(x.target), x.degree,
+                     comps, name=f"{F.name}({x.name})")
+
+
+def route_functor_images_through_validation(monkeypatch):
+    """Make ``BimoduleFunctor``'s images come from ``checked_functor_image``.
+
+    Every image the engine takes of a summand matrix, complex or map is then
+    built as before ``homcat.functor_image`` existed, through the checking
+    constructors.  Returns a dict counting the images by kind ("algmat",
+    "complex", "map").
+    """
+    from kbproj import functors
+    from kbproj.homcat import AlgMat, ProjComplex
+
+    kinds = {}
+
+    def checked(F, x, FX=None, FY=None):
+        kind = ("algmat" if isinstance(x, AlgMat) else
+                "complex" if isinstance(x, ProjComplex) else "map")
+        kinds[kind] = kinds.get(kind, 0) + 1
+        return checked_functor_image(F, x, FX, FY)
+
+    monkeypatch.setattr(functors, "functor_image", checked)
+    return kinds
+
+
 def hom_modules(M, N):
     """Basis of right-module homomorphisms M -> N (matrices in row convention).
 

@@ -7,7 +7,9 @@ solver calls a check, only ``lifting`` builds a problem through the
 unchecked ``_checked``, and a warm task makes no check at all, while
 ``lift_complex`` still reaches the public ``lift_chain_map``.  The complex
 problem keeps each stalk's homotopy inverse from its check, so a complex lift
-contracts no stalk layer's cone.
+contracts no stalk layer's cone, and a map-lift certificate builds its
+replacement's contraction on first read, so a complex lift, which never reads
+it, contracts only its own certificate's cone.
 """
 
 import ast
@@ -19,9 +21,10 @@ import pytest
 from build_examples import corner_map, ut2_complexes
 from kbproj import lifting, runner
 from kbproj.fixture import load_fixture
-from kbproj.functors import induction_functor
-from kbproj.homcat import zero_map
+from kbproj.functors import BimoduleFunctor, induction_functor
+from kbproj.homcat import cone, is_contractible, zero_map
 from kbproj.lifting import ComplexLiftProblem, LiftError, MapLiftProblem
+from kbproj.serialize import map_components_to_json
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "kbproj")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
@@ -130,6 +133,63 @@ def test_a_warm_complex_lift_solves_nothing_for_its_stalk_layers(monkeypatch):
         calls.clear()
         assert lifting.lift_complex(problem, budget).verdict == "found"
         assert calls == {"is_homotopy_equivalence": 1}
+
+
+# warm calls of (is_contractible, apply_complex, apply_map) per fixture complex
+# lift; when the search still contracted every replacement's cone and
+# lift_complex applied F to X' and pi again, the three lifts that attach a
+# degree made (2, 2, 3), (3, 4, 6) and (2, 3, 3)
+_LIFT_CALLS = {"rebuild-kstalk": (1, 0, 0), "rebuild-kcone": (1, 1, 2),
+               "rebuild-k3": (1, 2, 4), "rebuild-Q1": (1, 0, 0), "rebuild-FS1r": (1, 2, 2)}
+
+
+def test_a_warm_complex_lift_contracts_only_its_certificates_cone(monkeypatch):
+    # a complex lift reads only the lift, the replacement and pi of each
+    # attaching map's certificate, and reuses the search's F(X') and F(pi)
+    problems = {name: posed for fixture in ("corner", "split")
+                for name, posed in load_fixture(os.path.join(FIXTURES, f"{fixture}.json"))
+                .complex_lifts.items()}
+    assert set(problems) == set(_LIFT_CALLS)
+    for problem, budget in problems.values():
+        lifting.lift_complex(problem, budget)          # warm
+    calls = {}
+    _count(monkeypatch, calls, sys.modules["kbproj.homcat"], "is_contractible")
+    for name in ("apply_complex", "apply_map"):
+        method = getattr(BimoduleFunctor, name)
+        monkeypatch.setattr(BimoduleFunctor, name, lambda *a, _n=name, _m=method, **k:
+                            calls.__setitem__(_n, calls.get(_n, 0) + 1) or _m(*a, **k))
+    for name, (problem, budget) in problems.items():
+        calls.clear()
+        rep = lifting.lift_complex(problem, budget)
+        assert rep.verdict == "found"
+        assert tuple(calls.get(n, 0) for n in ("is_contractible", "apply_complex",
+                                                "apply_map")) == _LIFT_CALLS[name], name
+
+
+def test_a_lift_map_task_still_carries_the_replacement_contraction():
+    # built on first read, when the certificate is encoded; the report's bytes
+    # are pinned by test_scalar_rings against bench/expected.json (split's
+    # lift-map task finds no lift)
+    fx = load_fixture(CORNER)
+    [task] = [t for t in fx.tasks if t["command"] == "lift-map"]
+    payload = runner.run_task(fx, task).evidence["certificate"]["payload"]
+    problem, budget = fx.lookup("lifts", task["name"], "test")
+    cert = lifting.lift_chain_map(problem, budget).certificate
+    F = problem.functor
+    Fpi = F.apply_map(cert.to_source, F.apply_complex(cert.replacement), problem.map.source)
+    ok, contraction = is_contractible(cone(Fpi)[0])
+    assert ok and payload["replacement_contraction"] == map_components_to_json(contraction)
+
+
+def test_the_replacement_contraction_keeps_its_internal_check(monkeypatch):
+    # the search builds no contraction; reading one still refuses a replacement
+    # whose image's cone does not contract
+    problem, budget = load_fixture(CORNER).lifts["corner-id"]
+    cert = lifting.lift_chain_map(problem, budget).certificate
+    assert "replacement_contraction" not in vars(cert)
+    monkeypatch.setattr(lifting, "is_contractible", lambda C: (False, None))
+    with pytest.raises(LiftError, match="internal error: replacement not invertible"):
+        cert.replacement_contraction
 
 
 @pytest.fixture(scope="module")

@@ -1184,7 +1184,7 @@ def test_telescope_over_a_window_of_another_algebra_exits_2(capsys, tmp_path):
                           "functor": "G", "subcat": "K"})
     assert _one_error_line(capsys, data, tmp_path, "telescope-k") == (
         "kbproj: error: task telescope-k: functor G on subcategory K: "
-        "ind(corner) starts at UT2, the window lives over k")
+        "ind(corner) starts at UT2, the input lives over k")
 
 
 def test_almost_case_over_a_window_of_another_algebra_exits_2(capsys, tmp_path):

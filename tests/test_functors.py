@@ -323,3 +323,36 @@ def test_annihilator_builds_each_functor_matrix_once(ctx, subcat, monkeypatch):
                         if subcat.hom(a, b).dim)
     assert annihilator_ideal(G, subcat) == first
     assert len(built) == count
+
+
+# -- what transport still checks ----------------------------------------------
+
+
+@pytest.mark.parametrize("what", ["algmat", "complex", "map"])
+def test_transport_refuses_input_over_another_algebra(ctx, what):
+    # G starts at UT2; a complex over k once went through, its idempotent read
+    # as UT2's e11, and a map over k ended in a bare LinalgError
+    G, k = ctx["G"], ctx["k"]
+    X = single_summand_complex(k, 0)
+    apply, x = {"algmat": (G.apply_algmat, AlgMat.identity(k, (0,))),
+                "complex": (G.apply_complex, X),
+                "map": (G.apply_map, identity_map(X))}[what]
+    with pytest.raises(FunctorError,
+                       match=r"^ind\(corner\) starts at UT2, the input lives over k$"):
+        apply(x)
+
+
+@pytest.mark.parametrize("end", ["source", "target"])
+def test_apply_map_refuses_a_given_end_without_the_image_summands(ctx, end):
+    # F(P2) has one summand and F(P1) two, so F(P2) cannot stand for F(P1);
+    # the image's summand check is a FunctorError, not the map constructor's
+    F, P1s, P2s = ctx["F"], ctx["P1s"], ctx["P2s"]
+    FP1, FP2 = F.apply_complex(P1s), F.apply_complex(P2s)
+    ends = {"source": (FP2, FP1), "target": (FP1, FP2)}[end]
+    with pytest.raises(FunctorError, match=r"the given image of P1 does not have "
+                                           r"the image's summands"):
+        F.apply_map(identity_map(P1s), *ends)
+    # nor may a given end live over the source algebra
+    with pytest.raises(FunctorError, match="the given image of P1"):
+        F.apply_map(identity_map(P1s), P1s, FP1)
+    assert F.apply_map(identity_map(P1s), FP1, FP1) == identity_map(FP1)

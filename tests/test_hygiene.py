@@ -2,7 +2,10 @@
 imports ``threading`` or ``concurrent``, only ``homcat`` builds summand
 matrices without the corner check or reads their stored entries (elsewhere,
 in tests and ``bench/`` too, they are read through
-``AlgMat.nonzero_entries``), only ``linalg`` calls the ``Subspace``
+``AlgMat.nonzero_entries``), the public checking constructors (``AlgMat``,
+``ProjComplex``, ``GradedMap``, ``FdModule`` and ``Bimodule``) are called in
+the package only from the boundary sites of ``_BOUNDARY_SITES``, each with
+its reason, only ``linalg`` calls the ``Subspace``
 constructor or reads its sparse basis, only the ten
 constructors that derive a module from a checked one skip its axiom checks,
 only the four constructors of an ideal that is closed by construction skip
@@ -454,6 +457,72 @@ def test_only_the_witness_entry_points_present_projectives(module):
         assert "rank" not in _imported_names(tree), f"{module} imports linalg.rank"
 
 
+# the public checking constructors may be called inside the package only from
+# these functions, each a boundary for the reason given; everything else is
+# built through a trusted path (``_trusted``, ``_inherited``, ``AlgMat.block``,
+# ``homcat.functor_image``), whose inputs have passed these checks
+_CHECKING_CONSTRUCTORS = ("AlgMat", "ProjComplex", "GradedMap", "FdModule", "Bimodule")
+_BOUNDARY_SITES = {
+    "serialize.algmat_entries_from_json":
+        "fixture and certificate decoding: entries from outside the engine",
+    "serialize.complex_from_json":
+        "fixture and certificate decoding: summands and differentials from outside",
+    "serialize.map_from_json":
+        "fixture and certificate decoding: components from outside",
+    "homcat.single_summand_complex":
+        "a stalk at a caller's summand index, for fixture stalk tables, lifting's "
+        "stalk check and library users",
+    "homcat.zero_complex":
+        "the zero complex of a caller's algebra, with nothing else to check",
+    "homcat.chain_map":
+        "the checked chain map of a caller's components: library users, almost's "
+        "multiplication map, and lifting's attaching and comparison maps, whose "
+        "chain test guards each square of a complex lift",
+    "homcat.zero_map":
+        "the zero map between a caller's complexes, checking only that they share "
+        "an algebra; a Hom space returns it as the homotopy of a zero map",
+    "almost.SampleModules.__init__":
+        "the zero module of a sample set, once per algebra: dimension 0 leaves no "
+        "product to check",
+    "almost.almost_derived_ideal":
+        "the multiplication map's two stalks and its matrix, once per derived "
+        "report, from the case's witness columns; no trusted path reaches almost",
+    "derived.Resolution.differential_algmat":
+        "read only by as_complex, a library output (ROADMAP item 1) on no task's path",
+    "derived.Resolution.as_complex":
+        "the resolution as a complex, a library output (ROADMAP item 1) on no "
+        "task's path",
+    "lifting._sum_map":
+        "a block sum whose ends, a fresh F(X (+) X_i) and a direct sum, are built "
+        "apart from its blocks: the summand check is the one tie between them",
+}
+
+
+def _checking_constructions(tree):
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Call) and (
+        (isinstance(n.func, ast.Name) and n.func.id in _CHECKING_CONSTRUCTORS)
+        or (isinstance(n.func, ast.Attribute) and n.func.attr in _CHECKING_CONSTRUCTORS))]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_checking_constructors_run_only_at_the_boundary(module):
+    # a functor's images, derived complexes and maps, and derived modules skip
+    # the checks their inputs passed; a new checking construction is either
+    # routed through a trusted path or listed here with its reason
+    tree = _parse(module)
+    names = {q for q in _BOUNDARY_SITES if q.startswith(module[:-3] + ".")}
+    allowed, seen = set(), set()
+    for qual, fn in _definitions(tree, module):
+        if qual in names:
+            calls = _checking_constructions(fn)
+            allowed |= set(map(id, calls))
+            seen |= {qual} if calls else set()
+    assert seen == names, "no longer a boundary site: " + ", ".join(sorted(names - seen))
+    stray = [f"{module}:{n.lineno}" for n in _checking_constructions(tree) if id(n) not in allowed]
+    assert not stray, "checking constructor called off the boundary: " + ", ".join(stray)
+    assert all(reason.strip() for reason in _BOUNDARY_SITES.values())
+
+
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
@@ -724,6 +793,9 @@ _KEPT = {
     "almost.CornerFunctor.apply":
         "the corner functor M -> Me on modules, for library users; almost_quotient "
         "reads only dim Me, from image_space",
+    "functors.BimoduleFunctor.apply_algmat":
+        "F on one summand matrix, for library users; the transport tests check "
+        "that it is multiplicative, and the bench tracer spans it by name",
     "homcat.GradedMap.scale":
         "the scalar action on maps of the linear homotopy category; tests build "
         "scaled legs and mutated certificates with it",

@@ -45,8 +45,9 @@ from kbproj.serialize import complex_lift_cert_to_json
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
-@pytest.fixture(scope="module")
-def ctx():
+def lifting_context():
+    """The UT2 complexes, the functors F (restriction along split, to k x k)
+    and G (induction along corner, to k), and a stalk table for each."""
     data = ut2_complexes()
     A = data["alg"]
     e11, e12, e22 = A.basis_vec(0), A.basis_vec(1), A.basis_vec(2)
@@ -71,6 +72,11 @@ def ctx():
     data.update({"F": F, "G": G, "k": k, "kk": kk, "kstalk": kstalk,
                  "g_table": g_table, "f_table": f_table, "u1": u1, "u2": u2})
     return data
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    return lifting_context()
 
 
 # -- map lifting --------------------------------------------------------------
@@ -228,8 +234,8 @@ def test_verify_rejects_tampered_certificates(ctx):
     bad1 = dataclasses.replace(cert, lifted=cert.lifted.scale(QQ.from_int(2)))
     ok, reason = verify_map_lift(problem, bad1)
     assert not ok and "defect" in reason
-    bad2 = dataclasses.replace(
-        cert, replacement_contraction=cert.replacement_contraction.scale(QQ.from_int(2)))
+    bad2 = dataclasses.replace(cert)
+    bad2.replacement_contraction = cert.replacement_contraction.scale(QQ.from_int(2))
     ok, reason = verify_map_lift(problem, bad2)
     assert not ok and "contraction" in reason
 
