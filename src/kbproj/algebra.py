@@ -62,8 +62,9 @@ class AlgebraPresentation:
         self._corner_mult_cache: Dict[Tuple[int, int, int], Tuple] = {}
         self._right_ideal_cache: Dict[int, Subspace] = {}
         # projective_module by summand tuple, projective_radical by ("rad", *tuple),
-        # radical by "radical" and almost.standard_modules by "samples";
-        # concurrent first calls may both build, and setdefault keeps one result
+        # radical by "radical", almost.standard_modules by "samples" and the
+        # coordinates of e_i in its corner by ("idempotent coords", i); concurrent
+        # first calls may both build, and setdefault keeps one result
         self._built: Dict[object, object] = {}
         self._validate()
 
@@ -134,27 +135,27 @@ class AlgebraPresentation:
 
     def corner_space(self, i: int, j: int) -> Subspace:
         """Span of e_i . R . e_j; carries Hom(e_j R, e_i R) via left multiplication."""
-        key = (i, j)
-        if key not in self._corner_cache:
+        space = self._corner_cache.get((i, j))
+        if space is None:
             ei, ej = self.idempotents[i], self.idempotents[j]
             vecs = [self.mult(self.mult(ei, self.basis_vec(t)), ej) for t in range(self.dim)]
-            self._corner_cache[key] = Subspace.from_spanning(self.ring, self.dim, vecs)
-        return self._corner_cache[key]
+            space = self._corner_cache[(i, j)] = Subspace.from_spanning(self.ring, self.dim, vecs)
+        return space
 
     def corner_mult_table(self, k: int, i: int, j: int) -> Tuple:
         """Multiplication e_k R e_i x e_i R e_j -> e_k R e_j on corner bases.
 
-        Entry [u][t] holds the corner(k, j) coordinates of
-        corner(k, i).rows[u] . corner(i, j).rows[t].
+        One item (u, t, w, v) per nonzero structure constant: coordinate w
+        of corner(k, i).rows[u] . corner(i, j).rows[t] in corner(k, j) is v.
         """
-        key = (k, i, j)
-        if key not in self._corner_mult_cache:
+        table = self._corner_mult_cache.get((k, i, j))
+        if table is None:
             left, right = self.corner_space(k, i), self.corner_space(i, j)
             out = self.corner_space(k, j)
-            self._corner_mult_cache[key] = tuple(
-                tuple(tuple(out.coords_of(self.mult(x, y))) for y in right.rows)
-                for x in left.rows)
-        return self._corner_mult_cache[key]
+            table = self._corner_mult_cache[(k, i, j)] = tuple(
+                (u, t, w, v) for u, x in enumerate(left.rows) for t, y in enumerate(right.rows)
+                for w, v in enumerate(out.coords_of(self.mult(x, y))) if v)
+        return table
 
     # -- validation ------------------------------------------------------
 

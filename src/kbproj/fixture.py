@@ -405,4 +405,6 @@ def load_fixture(path: str) -> FixtureFile:
                            f"{exc.msg}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise FixtureError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise FixtureError(f"{path}: JSON nested too deeply to read") from exc
     return FixtureFile(data, path=path)

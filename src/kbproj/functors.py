@@ -108,12 +108,12 @@ class BimoduleFunctor:
             out.extend(self.target_summands(i))
         return tuple(out)
 
-    def corner_table(self, t: int, s: int) -> List[Tuple[int, int, List[Tuple], List[List]]]:
+    def corner_table(self, t: int, s: int) -> List[Tuple[int, int, List[List]]]:
         """Images of the basis rows of the source corner e_t R e_s, built once.
 
-        One item (u, v, elems, coords) per nonzero block (target witness u,
-        source witness v): ``elems[k]`` is that block of basis row k's image
-        and ``coords[k]`` its coordinates in the target corner.
+        One item (u, v, coords) per nonzero block (target witness u, source
+        witness v): ``coords[k]`` is that block of basis row k's image, in
+        the coordinates of its target corner.
         """
         if (t, s) in self._tables:
             return self._tables[(t, s)]
@@ -133,7 +133,7 @@ class BimoduleFunctor:
                          for x_kv in coords[v::len(srcw)]]
                 if any(map(any, elems)):
                     corner = S.corner_space(ju, jv)
-                    table.append((u, v, elems, [corner.coords_of(e) for e in elems]))
+                    table.append((u, v, [corner.coords_of(e) for e in elems]))
         return self._tables.setdefault((t, s), table)
 
     def apply_algmat(self, m: AlgMat) -> AlgMat:
@@ -269,7 +269,7 @@ def functor_matrix(F: BimoduleFunctor, layout_in: MapLayout, layout_out: MapLayo
     for n, r, c, _, off_in in layout_in.slots:
         ys, xs = Y.summands_at(n + s), X.summands_at(n)
         roff, coff = len(F.image_summands(ys[:r])), len(F.image_summands(xs[:c]))
-        for u, v, _, coords in F.corner_table(ys[r], xs[c]):
+        for u, v, coords in F.corner_table(ys[r], xs[c]):
             off_out = layout_out.index[(n, roff + u, coff + v)]
             for k, row in enumerate(coords):
                 for w, val in enumerate(row):

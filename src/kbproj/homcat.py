@@ -15,15 +15,15 @@ Grading and signs, fixed once here and used everywhere:
 
 Linear algebra on maps happens in field coordinates: a ``MapLayout`` gives
 each (degree, target summand, source summand) slot the coordinates of its
-corner space.  The operators the engine solves with, delta, g -> F . g and
-g -> g . F, are assembled block by block by ``operator_matrix``: each nonzero
-entry of F (or of a differential) connects one input slot to one output slot
-through the algebra's cached corner multiplication table, so no graded map
-is built per column.  ``HomSpace`` builds only its degree 0 and -1 layouts
-up front; the operators, cycles, boundaries and class representatives are
-computed on first use, so a nullhomotopy test costs the two operators next
-to degree 0 and one solve, and a contractibility test only the degree -1
-operator.
+corner space, in which its entries are stored.  The operators the engine
+solves with, delta, g -> F . g and g -> g . F, are assembled block by block
+by ``operator_matrix``: each nonzero entry of F (or of a differential)
+connects one input slot to one output slot through the algebra's cached
+corner multiplication table, so no graded map is built per column.
+``HomSpace`` builds only its degree 0 and -1 layouts up front; the
+operators, cycles, boundaries and class representatives are computed on
+first use, so a nullhomotopy test costs the two operators next to degree 0
+and one solve, and a contractibility test only the degree -1 operator.
 
 ``solve_up_to_homotopy`` is the one routine that poses and solves a (map,
 homotopy) system: a chain map g and, per condition, a homotopy h with
@@ -37,11 +37,14 @@ store, or an entry a summand matrix does not store is zero, and arithmetic
 skips it.  Every reader of a graded map goes through ``components.get``, so
 ``delta``, ``compose``, sums, differences, equality, the d^2 check of
 ``ProjComplex`` and ``MapLayout.pack`` build no zero matrix to add, multiply
-or read.  An ``AlgMat`` keeps only its nonzero entries, as full algebra
-vectors keyed by (row, column): a product pairs only the stored entries of a
-row and a column, packing and operator assembly visit only stored entries,
-and ``is_zero`` asks whether any is stored.  Neither stores a zero, so two
-maps are equal exactly when their degrees, component dicts and endpoints are.
+or read.  An ``AlgMat`` keeps only its nonzero entries, keyed by (row,
+column), as coordinates in the fixed basis of their corner e_i R e_j: a
+product pairs only the stored entries of a row and a column, through the
+nonzero cells of the corner multiplication table, packing and unpacking
+copy coordinates, and ``is_zero`` asks whether any entry is stored.  Only
+the checking constructor reads, and ``nonzero_entries`` writes, full algebra
+vectors.  Neither stores a zero, so two maps are equal exactly when their
+degrees, component dicts and endpoints are.
 
 Two complexes are equal when they have the same algebra, the same summands
 and the same differentials, an absent differential counting as zero.
@@ -62,8 +65,8 @@ from JSON brings new map objects, so its comparison map gets a fresh cone
 and its contraction a fresh check.
 
 Checks run where data enters the engine.  The public ``AlgMat(...)`` checks
-the summand indices and that each entry lies on its corner, at two algebra
-products per entry; ``ProjComplex(...)`` the summand indices, the
+the summand indices and that each entry lies on its corner, by taking its
+corner coordinates; ``ProjComplex(...)`` the summand indices, the
 differentials' summands and d^2 = 0; ``GradedMap(...)`` that each component
 fits its summands.  Fixture loading, certificate decoding and a few library
 outputs go through them.  What the engine derives builds through the private
@@ -85,12 +88,12 @@ sums all go through them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraPresentation
-from .linalg import Mat, Subspace, left_kernel, solve_left
+from .linalg import LinalgError, Mat, Subspace, left_kernel, solve_left
 
 
 class HomcatError(ValueError):
@@ -106,15 +109,15 @@ class AlgMat:
 
     Rows index target summands, columns source summands; the entry at (r, c)
     lies in e_{target[r]} R e_{source[c]} and acts by left multiplication.
-    Only nonzero entries are stored, keyed by (r, c); other modules read them
-    through ``nonzero_entries()``.
+    Only nonzero entries are stored, keyed by (r, c), as coordinates in their
+    corner's basis; other modules read them through ``nonzero_entries()``.
 
-    ``AlgMat(...)`` takes a grid of rows or a dict {(r, c): entry} and checks
-    the shape, the idempotent indices and that every nonzero entry lies on its
-    corner, at two algebra products per entry (a zero entry is dropped
-    unchecked), so data from outside the engine goes through it.  Internal
-    arithmetic builds through ``_trusted``, which skips the checks (see the
-    module docstring for why that is safe).
+    ``AlgMat(...)`` takes a grid of rows or a dict {(r, c): entry} of algebra
+    vectors and checks the shape, the idempotent indices and that every
+    nonzero entry lies on its corner, by one ``coords_of`` per entry (a zero
+    entry is dropped unchecked), so data from outside the engine goes through
+    it.  Internal arithmetic builds through ``_trusted``, which skips the
+    checks (see the module docstring for why that is safe).
     """
 
     __slots__ = ("alg", "target_idems", "source_idems", "_nz")
@@ -138,22 +141,21 @@ class AlgMat:
                 raise HomcatError(f"entry ({r},{c}) has {len(a)} coordinates, not {alg.dim}")
             if not any(a):
                 continue    # dropped: zero lies on every corner
-            ei = alg.idempotent_vec(self.target_idems[r])
-            ej = alg.idempotent_vec(self.source_idems[c])
-            if alg.mult(ei, a) != a or alg.mult(a, ej) != a:
+            i, j = self.target_idems[r], self.source_idems[c]
+            corner = alg.corner_space(i, j)
+            try:
+                nz[(r, c)] = tuple(corner.coords_of(a))
+            except LinalgError:
                 raise HomcatError(
                     f"entry ({r},{c}) is not supported on the corner "
-                    f"{alg.idempotent_names[self.target_idems[r]]}"
-                    f"*R*{alg.idempotent_names[self.source_idems[c]]}"
-                )
-            nz[(r, c)] = a
+                    f"{alg.idempotent_names[i]}*R*{alg.idempotent_names[j]}") from None
         self._nz = nz
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def _trusted(cls, alg, target_idems, source_idems, nz) -> "AlgMat":
-        """No checks: ``nz`` maps (r, c) to nonzero entry tuples on their corners."""
+        """No checks: ``nz`` maps (r, c) to nonzero corner coordinate tuples."""
         m = object.__new__(cls)
         m.alg = alg
         m.target_idems = tuple(target_idems)
@@ -167,7 +169,7 @@ class AlgMat:
 
     @classmethod
     def identity(cls, alg, idems) -> "AlgMat":
-        ents = {(r, r): e for r, e in enumerate(map(alg.idempotent_vec, idems)) if any(e)}
+        ents = {(r, r): e for r, e in enumerate(_idempotent_coords(alg, i) for i in idems) if e}
         return cls._trusted(alg, idems, idems, ents)
 
     @classmethod
@@ -203,9 +205,10 @@ class AlgMat:
                                {(r - r0, c - c0): a for (r, c), a in self._nz.items()
                                 if r0 <= r < r1 and c0 <= c < c1})
 
-    def nonzero_entries(self):
-        """The ((r, c), entry) pairs of the nonzero entries."""
-        return self._nz.items()
+    def nonzero_entries(self) -> List[Tuple[Tuple[int, int], Tuple]]:
+        """The ((r, c), entry) pairs of the nonzero entries, as algebra vectors."""
+        t, s, corner = self.target_idems, self.source_idems, self.alg.corner_space
+        return [((r, c), corner(t[r], s[c]).vector_of(x)) for (r, c), x in self._nz.items()]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -244,21 +247,25 @@ class AlgMat:
     def __matmul__(self, other: "AlgMat") -> "AlgMat":
         """Composition: self after other (other's source is the composite source).
 
-        As in Gustavson's sparse product, entry (r, k) meets only row k of other."""
+        As in Gustavson's sparse product, entry (r, k) meets only row k of other,
+        and each pair only the nonzero cells of its corner multiplication table."""
         if self.alg != other.alg or self.source_idems != other.target_idems:
             raise HomcatError("summand mismatch in composition")
-        alg = self.alg
+        alg, ring = self.alg, self.alg.ring
+        ti, mid, sj = self.target_idems, self.source_idems, other.source_idems
         right: Dict[int, List] = {}
         for (k, c), b in other._nz.items():
             right.setdefault(k, []).append((c, b))
-        nz: Dict[Tuple[int, int], Tuple] = {}
+        nz: Dict[Tuple[int, int], List] = {}
         for (r, k), a in self._nz.items():
             for c, b in right.get(k, ()):
-                p = alg.mult(a, b)
-                key = (r, c)
-                nz[key] = alg.add_vec(nz[key], p) if key in nz else p
-        return AlgMat._trusted(alg, self.target_idems, other.source_idems,
-                               {k: v for k, v in nz.items() if any(v)})
+                p = nz.get((r, c))
+                if p is None:
+                    p = nz[(r, c)] = [ring.zero] * alg.corner_space(ti[r], sj[c]).dim
+                for u, t, w, v in alg.corner_mult_table(ti[r], mid[k], sj[c]):
+                    if a[u] and b[t]:
+                        p[w] = ring.add(p[w], ring.mul(ring.mul(a[u], b[t]), v))
+        return AlgMat._trusted(alg, ti, sj, {k: tuple(v) for k, v in nz.items() if any(v)})
 
     def is_zero(self) -> bool:
         return not self._nz
@@ -273,6 +280,14 @@ class AlgMat:
 
     def __repr__(self):
         return f"AlgMat({len(self.target_idems)}x{len(self.source_idems)} over {self.alg.name})"
+
+
+def _idempotent_coords(alg, i: int) -> Tuple:
+    """The coordinates of e_i in its corner e_i R e_i, kept on the algebra."""
+    key = ("idempotent coords", i)
+    if key not in alg._built:
+        alg._built.setdefault(key, tuple(alg.corner_space(i, i).coords_of(alg.idempotents[i])))
+    return alg._built[key]
 
 
 def _checked_idems(alg, idems: Sequence[int], what: str) -> Tuple[int, ...]:
@@ -545,7 +560,7 @@ def cone(phi: GradedMap) -> Tuple[ProjComplex, GradedMap, GradedMap]:
     alg, incl_comps, proj_comps = X.alg, {}, {}
     for n, s in C.summands.items():
         nx = len(SX.summands_at(n))
-        diag = [(r, e) for r, e in enumerate(map(alg.idempotent_vec, s)) if any(e)]
+        diag = [(r, e) for r, e in enumerate(_idempotent_coords(alg, i) for i in s) if e]
         incl_comps[n] = AlgMat._trusted(alg, s, s[nx:],
                                         {(r, r - nx): e for r, e in diag if r >= nx})
         proj_comps[n] = AlgMat._trusted(alg, s[:nx], s, {(r, r): e for r, e in diag if r < nx})
@@ -615,15 +630,13 @@ def _image_complex(F, X: ProjComplex) -> ProjComplex:
 def _image_algmat(F, m: AlgMat) -> AlgMat:
     # entry (r, c), with coordinates x in its corner e_t R e_s, puts the
     # combination x . (image rows) in each block (u, v) of F's corner table
-    R, S = F.source_alg, F.target_alg
+    S = F.target_alg
     roff = [0, *accumulate(len(F.target_summands(t)) for t in m.target_idems)]
     coff = [0, *accumulate(len(F.target_summands(s)) for s in m.source_idems)]
     nz = {}
-    for (r, c), a in m._nz.items():
-        t, s = m.target_idems[r], m.source_idems[c]
-        x = R.corner_space(t, s).coords_of(a)
-        for u, v, elems, _ in F.corner_table(t, s):
-            b = S.combine((cf, e) for cf, e in zip(x, elems) if cf)
+    for (r, c), x in m._nz.items():
+        for u, v, rows in F.corner_table(m.target_idems[r], m.source_idems[c]):
+            b = reduce(S.add_vec, (S.scale_vec(cf, row) for cf, row in zip(x, rows) if cf))
             if any(b):
                 nz[(roff[r] + u, coff[c] + v)] = b
     return AlgMat._trusted(S, F.image_summands(m.target_idems),
@@ -666,20 +679,18 @@ class MapLayout:
         out = [alg.ring.zero] * self.dim
         # a nonzero entry lies on a nonzero corner, so it has a slot
         for n, m in g.components.items():
-            for (r, c), a in m._nz.items():
+            for (r, c), x in m._nz.items():
                 off = self.index[(n, r, c)]
-                coords = alg.corner_space(m.target_idems[r], m.source_idems[c]).coords_of(a)
-                out[off:off + len(coords)] = coords
+                out[off:off + len(x)] = x
         return out
 
     def unpack(self, coords: Sequence) -> GradedMap:
         alg = self.alg
         per_degree: Dict[int, Dict] = {}
         for n, r, c, corner, off in self.slots:
-            cfs = coords[off:off + corner.dim]
+            cfs = tuple(coords[off:off + corner.dim])
             if any(cfs):
-                per_degree.setdefault(n, {})[(r, c)] = alg.combine(
-                    (cf, row) for cf, row in zip(cfs, corner.rows) if cf)
+                per_degree.setdefault(n, {})[(r, c)] = cfs
         comps = {n: AlgMat._trusted(alg, self.Y.summands_at(n + self.degree),
                                     self.X.summands_at(n), nz)
                  for n, nz in per_degree.items()}
@@ -696,9 +707,8 @@ def _entry_blocks(layout_in: MapLayout, layout_out: MapLayout, F: GradedMap, pos
     alg = layout_in.alg
     s = layout_in.degree
     for n, Fn in F.components.items():
-        for (q, c), a in Fn._nz.items():
+        for (q, c), f in Fn._nz.items():
             i, j = Fn.target_idems[q], Fn.source_idems[c]
-            f = alg.corner_space(i, j).coords_of(a)
             if post:
                 # F . g: g^(n-s) lands on F's source summand c
                 g_deg = n - s
@@ -744,23 +754,17 @@ def operator_matrix(layout_in: MapLayout, layout_out: MapLayout,
     if post is not None:
         # F . g: entry coordinate u of F, input coordinate t, output w
         for f, T, off_in, off_out in _entry_blocks(layout_in, layout_out, post, True):
-            for u, fu in enumerate(f):
-                if fu:
-                    for t, row in enumerate(T[u]):
-                        for w, v in enumerate(row):
-                            if v:
-                                add((off_in + t, off_out + w), ring.mul(fu, v))
+            for u, t, w, v in T:
+                if f[u]:
+                    add((off_in + t, off_out + w), ring.mul(f[u], v))
     if pre is not None:
         sign = ring.one if pre_sign is None else pre_sign
         # g . F: input coordinate u, entry coordinate t of F, output w
         for f, T, off_in, off_out in _entry_blocks(layout_in, layout_out, pre, False):
-            for t, ft in enumerate(f):
-                if ft:
-                    ft = ring.mul(sign, ft)
-                    for u, rows in enumerate(T):
-                        for w, v in enumerate(rows[t]):
-                            if v:
-                                add((off_in + u, off_out + w), ring.mul(v, ft))
+            f = [ring.mul(sign, ft) for ft in f]
+            for u, t, w, v in T:
+                if f[t]:
+                    add((off_in + u, off_out + w), ring.mul(v, f[t]))
     return Mat.from_entries(ring, layout_in.dim, layout_out.dim, items)
 
 

@@ -611,6 +611,17 @@ class Subspace:
             raise LinalgError("vector is not in the subspace")
         return [vec[p] for p in self._basis]
 
+    def vector_of(self, coords: Sequence) -> Tuple:
+        """The vector with coefficients ``coords`` in the basis: undoes ``coords_of``."""
+        ring, v = self.ring, [self.ring.zero] * self.ambient
+        for c, (p, row) in zip(coords, self._basis.items()):
+            v[p] = c        # a basis row is one at its pivot and zero at the others
+            if c and len(row) > 1:
+                for j, x in row.items():
+                    if j != p:
+                        v[j] = ring.add(v[j], ring.mul(c, x))
+        return tuple(v)
+
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compat(other)
         # c = (a | b) with a*V + b*W = 0; intersection is spanned by a*V.

@@ -351,6 +351,8 @@ def _run_verify_certificate(fx: FixtureFile, task: Dict) -> Report:
                 envelope = json.load(fh)
         except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
             raise TaskError(f"certificate {path}: {exc}") from exc
+        except RecursionError as exc:
+            raise TaskError(f"certificate {path}: JSON nested too deeply to read") from exc
         label = path
     if not isinstance(envelope, dict):
         raise TaskError(f"certificate {label}: envelope must be an object")

@@ -58,9 +58,12 @@ def mat_from_json(ring, payload, nrows: int, ncols: int) -> Mat:
 
 
 def algmat_entries_to_json(m: AlgMat) -> List[List[List]]:
-    ring, ents, zero = m.alg.ring, dict(m.nonzero_entries()), m.alg.zero_vec()
-    return [[vec_to_json(ring, ents.get((r, c), zero)) for c in range(len(m.source_idems))]
-            for r in range(len(m.target_idems))]
+    ring = m.alg.ring
+    zero = vec_to_json(ring, m.alg.zero_vec())      # shared by the zero cells
+    grid = [[zero] * len(m.source_idems) for _ in m.target_idems]
+    for (r, c), a in m.nonzero_entries():
+        grid[r][c] = vec_to_json(ring, a)
+    return grid
 
 
 def algmat_entries_from_json(alg, target_idems, source_idems, payload) -> AlgMat:
@@ -68,12 +71,14 @@ def algmat_entries_from_json(alg, target_idems, source_idems, payload) -> AlgMat
         raise SerializeError(
             f"summand matrix needs {len(target_idems)} rows, got "
             f"{len(payload) if isinstance(payload, list) else payload!r}")
-    entries = []
+    entries, zero = [], alg.zero_vec()
+    zero_json = vec_to_json(alg.ring, zero)         # read without parsing
     for row in payload:
         if not isinstance(row, list) or len(row) != len(source_idems):
             raise SerializeError(
                 f"summand matrix row needs {len(source_idems)} entries")
-        entries.append([vec_from_json(alg.ring, e, alg.dim) for e in row])
+        entries.append([zero if e == zero_json else vec_from_json(alg.ring, e, alg.dim)
+                        for e in row])
     return AlgMat(alg, tuple(target_idems), tuple(source_idems), entries)
 
 

@@ -464,7 +464,10 @@ def route_trusted_algmats_through_validation(monkeypatch):
 
     Every summand matrix the engine builds internally then has its shape and
     corner support checked, as before trusted construction existed, and must
-    store no zero entry.  Returns
+    store no zero entry.  Each stored entry must be a tuple of its corner's
+    length, so a full algebra vector slipped into ``_trusted`` is caught; it
+    is written out as the algebra vector of those corner coordinates before
+    the checking constructor reads it.  Returns
     the set of names of the functions that asked for one; a matrix built by
     ``AlgMat.block`` or ``AlgMat.sub``, or in a comprehension, counts for the
     function that called them.
@@ -479,11 +482,18 @@ def route_trusted_algmats_through_validation(monkeypatch):
     def checked(cls, alg, target_idems, source_idems, entries):
         if not all(map(any, entries.values())):
             raise AssertionError("a zero entry is stored")
+        dense = {}
+        for (r, c), x in entries.items():
+            corner = alg.corner_space(target_idems[r], source_idems[c])
+            if type(x) is not tuple or len(x) != corner.dim:
+                raise AssertionError(f"entry ({r},{c}) is not a tuple of its corner's "
+                                     f"{corner.dim} coordinates: {x!r}")
+            dense[(r, c)] = alg.combine(zip(x, corner.rows))
         frame = sys._getframe(1)
         while frame.f_code in assemblers or frame.f_code.co_name.startswith("<"):
             frame = frame.f_back
         callers.add(frame.f_code.co_name)
-        return AlgMat(alg, target_idems, source_idems, entries)
+        return AlgMat(alg, target_idems, source_idems, dense)
 
     monkeypatch.setattr(AlgMat, "_trusted", classmethod(checked))
     return callers
@@ -560,26 +570,29 @@ def route_trusted_complexes_through_validation(monkeypatch):
 def checked_functor_image(F, x, FX=None, FY=None):
     """F's image of a summand matrix, complex or map, as ``BimoduleFunctor``
     built it before ``homcat.functor_image``: each image entry combined from
-    ``F.corner_table`` by its corner coordinates, and every matrix, complex
-    and map built through the checking ``AlgMat(...)``, ``ProjComplex(...)``
-    and ``GradedMap(...)``, which check each entry's corner, d^2 = 0 and each
-    component's summands."""
+    ``F.corner_table`` by its corner coordinates, written out as an algebra
+    vector, and every matrix, complex and map built through the checking
+    ``AlgMat(...)``, ``ProjComplex(...)`` and ``GradedMap(...)``, which check
+    each entry's corner, d^2 = 0 and each component's summands."""
     from kbproj.homcat import AlgMat, GradedMap, ProjComplex
+    from kbproj.linalg import Mat
 
     R, S = F.source_alg, F.target_alg
 
     def algmat(m):
+        tgt, src = F.image_summands(m.target_idems), F.image_summands(m.source_idems)
         roff = [0, *accumulate(len(F.witnesses[t]) for t in m.target_idems)]
         coff = [0, *accumulate(len(F.witnesses[s]) for s in m.source_idems)]
         ents = {}
         for (r, c), a in m.nonzero_entries():
             t, s = m.target_idems[r], m.source_idems[c]
             coords = R.corner_space(t, s).coords_of(a)
-            for u, v, elems, _ in F.corner_table(t, s):
-                ents[(roff[r] + u, coff[c] + v)] = S.combine(
-                    (cf, e) for cf, e in zip(coords, elems) if cf)
-        return AlgMat(S, F.image_summands(m.target_idems),
-                      F.image_summands(m.source_idems), ents)
+            for u, v, rows in F.corner_table(t, s):
+                i, j = roff[r] + u, coff[c] + v
+                corner = S.corner_space(tgt[i], src[j])
+                image = Mat.from_rows(S.ring, rows, corner.dim).row_apply(coords)
+                ents[(i, j)] = S.combine(zip(image, corner.rows))
+        return AlgMat(S, tgt, src, ents)
 
     def complex_(X):
         summands = {n: F.image_summands(X.summands_at(n)) for n in X.degrees()}
@@ -1064,6 +1077,41 @@ def dense_d_squared_defect(alg, summands, diff):
         if n + 2 in summands and n + 1 in summands:
             if not _grid_is_zero(_grid_product(alg, d_at(n + 1), d_at(n), len(summands[n]))):
                 return n
+    return None
+
+
+# -- summand matrices as full algebra vectors ---------------------------------------
+#
+# ``AlgMat`` as it was before it kept corner coordinates: each entry a full
+# algebra vector, a product one ``alg.mult`` per pair of entries that meet,
+# and the checking constructor's corner test two products per entry.
+
+
+def dense_algmat_product(alg, left, right):
+    """The product of two summand matrices given as {(r, c): algebra vector}
+    dicts, left after right: entry (r, k) of left meets entry (k, c) of
+    right in one ``alg.mult``; sums that vanish are dropped."""
+    out = {}
+    for (r, k), a in left.items():
+        for (k2, c), b in right.items():
+            if k2 == k:
+                p = alg.mult(a, b)
+                out[(r, c)] = alg.add_vec(out[(r, c)], p) if (r, c) in out else p
+    return {key: v for key, v in out.items() if any(v)}
+
+
+def dense_corner_error(alg, target_idems, source_idems, entries):
+    """The message the checking ``AlgMat(...)`` raised for the first entry
+    a off its corner, tested as e_i . a = a = a . e_j, or None when every
+    entry lies on its corner; zero entries are not tested."""
+    names = alg.idempotent_names
+    for (r, c), a in entries.items():
+        a = tuple(a)
+        if not any(a):
+            continue
+        i, j = target_idems[r], source_idems[c]
+        if alg.mult(alg.idempotent_vec(i), a) != a or alg.mult(a, alg.idempotent_vec(j)) != a:
+            return f"entry ({r},{c}) is not supported on the corner {names[i]}*R*{names[j]}"
     return None
 
 

@@ -484,6 +484,21 @@ def test_file_not_utf8_exits_2(capsys, tmp_path, argv):
     assert lines[0].startswith("kbproj: error: ") and "can't decode byte 0xff" in lines[0]
 
 
+@pytest.mark.parametrize("argv,prefix", [
+    (["run", "--fixture"], ""),
+    (["verify-certificate", "--fixture", CORNER, "--certificate"], "certificate "),
+], ids=["fixture", "certificate"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, argv, prefix):
+    # the JSON reader gives up on nesting this deep with a RecursionError
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(argv + [str(p)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.strip().splitlines() == [
+        f"kbproj: error: {prefix}{p}: JSON nested too deeply to read"]
+
+
 def test_certificate_task_path_not_a_string_exits_2(capsys, tmp_path):
     data = json.load(open(CORNER))
     data["tasks"] = [{"id": "replay", "command": "verify-certificate",

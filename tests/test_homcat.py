@@ -40,7 +40,7 @@ from kbproj.homcat import (
     zero_map,
 )
 from kbproj.fixture import load_fixture
-from kbproj.linalg import QQ
+from kbproj.linalg import QQ, Subspace
 from kbproj.serialize import algmat_entries_from_json
 
 
@@ -121,18 +121,19 @@ def test_entry_outside_corner_rejected(ex):
 
 
 def test_zero_entries_skip_the_corner_check(ex, monkeypatch):
-    # a zero lies on every corner: a decoded grid of zeros multiplies nothing
+    # a zero lies on every corner: a decoded grid of zeros checks nothing, and
+    # each nonzero entry costs one corner check
     A = ex["alg"]
     calls = []
-    real = type(A).mult
-    monkeypatch.setattr(type(A), "mult", lambda alg, x, y: calls.append(1) or real(alg, x, y))
+    real = Subspace.coords_of
+    monkeypatch.setattr(Subspace, "coords_of", lambda sp, v: calls.append(1) or real(sp, v))
     zero = ["0"] * A.dim
     M = algmat_entries_from_json(A, (0, 1), (1, 0), [[zero, zero], [zero, zero]])
     assert M.is_zero() and not calls
     e12 = ["0", "1", "0"]
     assert dict(algmat_entries_from_json(A, (0, 1), (1, 0), [[e12, zero], [zero, zero]])
                 .nonzero_entries()) == {(0, 0): (0, 1, 0)}
-    assert len(calls) == 2
+    assert len(calls) == 1
     with pytest.raises(HomcatError, match=r"entry \(1,1\) .* corner e22\*R\*e11"):
         algmat_entries_from_json(A, (0, 1), (1, 0), [[zero, zero], [zero, e12]])
 

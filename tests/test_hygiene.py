@@ -2,7 +2,10 @@
 imports ``threading`` or ``concurrent``, only ``homcat`` builds summand
 matrices without the corner check or reads their stored entries (elsewhere,
 in tests and ``bench/`` too, they are read through
-``AlgMat.nonzero_entries``), the public checking constructors (``AlgMat``,
+``AlgMat.nonzero_entries``), ``homcat`` multiplies no algebra vectors and
+converts an entry between corner coordinates and a full algebra vector only
+in ``AlgMat.__init__``, ``AlgMat.nonzero_entries`` and
+``_idempotent_coords``, the public checking constructors (``AlgMat``,
 ``ProjComplex``, ``GradedMap``, ``FdModule`` and ``Bimodule``) are called in
 the package only from the boundary sites of ``_BOUNDARY_SITES``, each with
 its reason, only ``linalg`` calls the ``Subspace``
@@ -138,6 +141,38 @@ def test_only_linalg_reads_subspace_storage():
             if (isinstance(n, ast.Attribute) and n.attr == "_basis")
             or (isinstance(n, ast.Call) and _mentions(n.func, "Subspace"))]
     assert not uses, "Subspace storage or constructor used outside linalg: " + ", ".join(uses)
+
+
+# homcat keeps each summand-matrix entry in the coordinates of its corner:
+# it converts between those and full algebra vectors only where an entry
+# comes in (AlgMat.__init__) or goes out (AlgMat.nonzero_entries), and where
+# the identity's coordinates are built once per algebra (_idempotent_coords)
+_CORNER_CONVERSIONS = {"homcat.AlgMat.__init__", "homcat.AlgMat.nonzero_entries",
+                       "homcat._idempotent_coords"}
+
+
+def _method_calls(tree, names):
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute) and n.func.attr in names]
+
+
+def test_homcat_converts_corner_coordinates_only_at_its_edges():
+    # and it multiplies no algebra vectors: products of entries go through
+    # the corner multiplication tables
+    tree, convert = _parse("homcat.py"), ("coords_of", "combine", "vector_of")
+    allowed, seen = set(), set()
+    for qual, fn in _definitions(tree, "homcat.py"):
+        if qual in _CORNER_CONVERSIONS:
+            calls = _method_calls(fn, convert)
+            allowed |= set(map(id, calls))
+            seen |= {qual} if calls else set()
+    assert seen == _CORNER_CONVERSIONS, \
+        "no longer converts: " + ", ".join(sorted(_CORNER_CONVERSIONS - seen))
+    stray = [f"homcat.py:{n.lineno}: {n.func.attr}" for n in _method_calls(tree, convert)
+             if id(n) not in allowed]
+    assert not stray, "corner coordinates converted off the edges: " + ", ".join(stray)
+    mults = [f"homcat.py:{n.lineno}" for n in _method_calls(tree, ("mult",))]
+    assert not mults, "algebra vectors multiplied in homcat: " + ", ".join(mults)
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "homcat.py"])
